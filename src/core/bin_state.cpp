@@ -58,7 +58,7 @@ bool BinState::remove(const Item& item) {
   if (num_active_ == 0) {
     latest_departure_ = 0.0;
   } else if (removed_departure >= latest_departure_) {
-    // Only the departing maximum forces a rescan; the engines remove in
+    // Only the departing maximum forces a rescan; the engine removes in
     // departure order, so this branch fires only on ties with the maximum.
     Time latest = 0.0;
     for (std::uint32_t n = head_; n != UsagePool::kNil;

@@ -6,7 +6,7 @@
 // clamped to remove floating residue.
 //
 // The active set is a singly linked list of usage-interval nodes threaded
-// through a UsagePool shared by every bin of one Engine/Dispatcher
+// through a UsagePool shared by every bin of one Dispatcher
 // (core/pool.hpp): add() splices a node from the pool's free list and
 // remove() returns it -- no per-item vector growth or shrink on the hot
 // path. Insertion order is preserved (the serialization format and the
@@ -14,7 +14,7 @@
 //
 // latest_departure() is maintained incrementally from the departure each
 // item carried when it was added: removal only rescans the bin when the
-// current maximum departs. The engines process departures in time order,
+// current maximum departs. The engine processes departures in time order,
 // so the departing item is almost always a non-maximum and removal is
 // O(occupancy) only for the find of the item itself, not for the rescan.
 #pragma once

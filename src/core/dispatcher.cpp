@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/fits.hpp"
 #include "core/simulator.hpp"  // PolicyViolation
 #include "obs/observer.hpp"
 
@@ -21,10 +22,34 @@ Dispatcher::Dispatcher(std::size_t dim, Policy& policy, double bin_capacity,
   policy_.reset();
 }
 
-void Dispatcher::check_time(Time now) {
+void Dispatcher::check_time(Time now) const {
   if (started_ && now < now_ - kTimeEps) {
     throw std::invalid_argument("Dispatcher: time went backwards");
   }
+}
+
+void Dispatcher::check_arrival(Time now, const RVec& size,
+                               Time expected_departure) const {
+  check_time(now);
+  if (size.dim() != dim_) {
+    throw std::invalid_argument("Dispatcher::arrive: dimension mismatch");
+  }
+  // One pass for RVec::is_nonnegative() && fits_in_capacity(1.0); NaN
+  // fails the comparison and is rejected.
+  const double threshold = fits_threshold(1.0);
+  for (const double c : size) {
+    if (!(c >= 0.0 && fits_under_threshold(c, threshold))) {
+      throw std::invalid_argument(
+          "Dispatcher::arrive: size outside [0,1]^d");
+    }
+  }
+  if (!(expected_departure > now)) {
+    throw std::invalid_argument(
+        "Dispatcher::arrive: expected departure must exceed arrival");
+  }
+}
+
+void Dispatcher::advance_clock(Time now) noexcept {
   started_ = true;
   now_ = std::max(now_, now);
 }
@@ -32,256 +57,235 @@ void Dispatcher::check_time(Time now) {
 Dispatcher::Admission Dispatcher::arrive(Time now, RVec size,
                                          Time expected_departure,
                                          TenantId tenant) {
-  check_time(now);
-  if (size.dim() != dim_) {
-    throw std::invalid_argument("Dispatcher::arrive: dimension mismatch");
-  }
-  if (!size.is_nonnegative() || !size.fits_in_capacity(1.0)) {
-    throw std::invalid_argument(
-        "Dispatcher::arrive: size outside [0,1]^d");
-  }
-  if (!(expected_departure > now)) {
-    throw std::invalid_argument(
-        "Dispatcher::arrive: expected departure must exceed arrival");
+  check_arrival(now, size, expected_departure);
+  const auto job = static_cast<JobId>(items_.size());
+  return admit(now, items_.emplace_back(job, now, expected_departure,
+                                        std::move(size), tenant));
+}
+
+Dispatcher::Admission Dispatcher::arrive(Time now, const Item& item) {
+  check_arrival(now, item.size, item.departure);
+  Item& admitted = items_.emplace_back(item);
+  admitted.arrival = now;
+  return admit(now, admitted);
+}
+
+// `item` is items_.back(), just appended by arrive(). Nothing else changes
+// until the policy's decision has been checked, so a rejected decision
+// only has to drop the item again.
+Dispatcher::Admission Dispatcher::admit(Time now, const Item& item) {
+  BinId chosen = kNoBin;
+  try {
+    {
+      obs::ScopedTimer timer(obs_ != nullptr ? obs_->decision_latency()
+                                             : nullptr);
+      chosen = policy_.select_bin(now, item, views_, table_);
+    }
+    if (chosen != kNoBin &&
+        (chosen >= bins_.size() || slot_of_[chosen] == kNoSlot)) {
+      throw PolicyViolation("Dispatcher: policy '" +
+                            std::string(policy_.name()) +
+                            "' selected a bin that is not open");
+    }
+    if (chosen != kNoBin &&
+        !bins_[open_order_[slot_of_[chosen]]].fits(item.size)) {
+      throw PolicyViolation("Dispatcher: policy '" +
+                            std::string(policy_.name()) +
+                            "' selected a bin that cannot hold the job");
+    }
+  } catch (...) {
+    items_.pop_back();
+    throw;
   }
 
-  const JobId job = static_cast<JobId>(items_.size());
-  items_.emplace_back(job, now, expected_departure, std::move(size), tenant);
-  const Item& item = items_.back();
+  advance_clock(now);
   ++active_jobs_;
   if (usage_hook_ != nullptr) {
-    usage_hook_->on_arrive(tenant, now, item.size, open_order_.size());
+    usage_hook_->on_arrive(item.tenant, now, item.size, open_order_.size());
   }
-
+  std::size_t rejections = 0;
   if (obs_ != nullptr) {
-    obs_->on_arrival(now, job,
+    obs_->on_arrival(now, item.id,
                      std::span<const double>(item.size.begin(),
                                              item.size.dim()),
                      open_order_.size());
-  }
-  BinId chosen;
-  {
-    obs::ScopedTimer timer(obs_ != nullptr ? obs_->decision_latency()
-                                           : nullptr);
-    chosen = policy_.select_bin_soa(now, item,
-                                    std::span<const BinView>(views_), table_);
-  }
-  std::size_t rejections = 0;
-  if (obs_ != nullptr && obs_->wants_rejections()) {
-    for (std::size_t idx : open_order_) {
-      if (!bins_[idx].fits(item.size)) {
-        ++rejections;
-        obs_->on_reject(now, job, bins_[idx].id());
+    if (obs_->wants_rejections()) {
+      for (std::size_t idx : open_order_) {
+        if (!bins_[idx].fits(item.size)) {
+          ++rejections;
+          obs_->on_reject(now, item.id, bins_[idx].id());
+        }
       }
     }
   }
+  const auto job = static_cast<JobId>(jobs_.size());
+  const BinId bin = place(now, item, jobs_.emplace_back(), chosen);
+  if (obs_ != nullptr) {
+    obs_->on_place(now, item.id, bin, chosen == kNoBin, rejections);
+  }
+  return Admission{job, bin, chosen == kNoBin};
+}
 
-  Admission admission;
-  admission.job = job;
-  if (chosen == kNoBin) {
-    const BinId id = static_cast<BinId>(bins_.size());
+// Packs `item` into open bin `target` (already checked to fit), or into a
+// freshly opened bin when `target` == kNoBin, and tells the policy.
+BinId Dispatcher::place(Time now, const Item& item, JobState& job,
+                        BinId target) {
+  const bool fresh = target == kNoBin;
+  std::uint32_t slot;
+  BinState* bin;
+  if (fresh) {
+    target = static_cast<BinId>(bins_.size());
     // bins_ is a chunked slab: emplace never moves existing BinStates,
     // so views_ load pointers stay valid with no repatching.
-    BinState& bin =
-        bins_.emplace_back(id, dim_, now, capacity_, &usage_pool_);
-    records_.push_back(BinRecord{id, now, now, {}});
-    slot_of_.push_back(static_cast<std::uint32_t>(open_order_.size()));
+    bin = &bins_.emplace_back(target, dim_, now, capacity_, &usage_pool_);
+    records_.push_back(BinRecord{target, now, now, {}});
+    slot = static_cast<std::uint32_t>(open_order_.size());
+    slot_of_.push_back(slot);
     open_order_.push_back(bins_.size() - 1);
     table_.push_back_zero();
-    if (obs_ != nullptr) obs_->on_open(now, id);
-    bin.add(item);
-    table_.add(table_.size() - 1, item.size.data());
-    views_.push_back(BinView{id, &bin.load(), bin.opened_at(),
-                             bin.num_active(), bin.latest_departure(),
-                             bin.capacity()});
-    records_.back().items.push_back(job);
-    assignment_.push_back(id);
-    last_bin_.push_back(id);
-    evicted_.push_back(0);
-    policy_.on_open(now, id, item);
-    if (obs_ != nullptr) obs_->on_place(now, job, id, true, rejections);
-    admission.bin = id;
-    admission.opened_new_bin = true;
-    return admission;
+    views_.push_back(BinView{target, &bin->load(), now, 0, 0.0, capacity_});
+    if (obs_ != nullptr) obs_->on_open(now, target);
+  } else {
+    slot = slot_of_[target];
+    bin = &bins_[open_order_[slot]];
   }
-
-  if (chosen >= bins_.size() || slot_of_[chosen] == kNoSlot) {
-    throw PolicyViolation("Dispatcher: policy selected a bin that is not "
-                          "open");
-  }
-  const std::uint32_t slot = slot_of_[chosen];
-  BinState& bin = bins_[open_order_[slot]];
-  if (!bin.fits(item.size)) {
-    throw PolicyViolation(
-        "Dispatcher: policy selected a bin that cannot hold the job");
-  }
-  bin.add(item);
+  bin->add(item);
   table_.add(slot, item.size.data());
-  views_[slot].num_items = bin.num_active();
-  views_[slot].latest_departure = bin.latest_departure();
-  records_[bin.id()].items.push_back(job);
-  assignment_.push_back(bin.id());
-  last_bin_.push_back(bin.id());
-  evicted_.push_back(0);
-  policy_.on_pack(now, bin.id(), item);
-  if (obs_ != nullptr) obs_->on_place(now, job, bin.id(), false, rejections);
-  admission.bin = bin.id();
-  return admission;
+  views_[slot].num_items = bin->num_active();
+  views_[slot].latest_departure = bin->latest_departure();
+  records_[target].items.push_back(item.id);
+  job.bin = target;
+  job.last_bin = target;
+  if (fresh) {
+    policy_.on_open(now, target, item);
+  } else {
+    policy_.on_pack(now, target, item);
+  }
+  return target;
+}
+
+// Takes `item` out of open bin `bin_id`, closing the bin permanently when
+// it empties. Returns whether it did.
+bool Dispatcher::unplace(Time now, const Item& item, BinId bin_id) {
+  const std::uint32_t slot = slot_of_[bin_id];
+  if (slot == kNoSlot) {
+    throw std::logic_error("Dispatcher: job's bin is not open");
+  }
+  BinState& bin = bins_[open_order_[slot]];
+  const bool emptied = bin.remove(item);
+  if (emptied) {
+    records_[bin_id].closed = now;
+    closed_usage_ += records_[bin_id].usage_time();
+    close_slot(slot);
+  } else {
+    table_.sub_clamped(slot, item.size.data());
+    views_[slot].num_items = bin.num_active();
+    views_[slot].latest_departure = bin.latest_departure();
+  }
+  return emptied;
 }
 
 void Dispatcher::depart(Time now, JobId job) {
   check_time(now);
-  if (job >= items_.size()) {
+  if (job >= jobs_.size()) {
     throw std::invalid_argument("Dispatcher::depart: unknown job");
   }
-  const BinId bin_id = assignment_[job];
-  if (bin_id == kNoBin) {
+  JobState& state = jobs_[job];
+  const BinId bin = state.bin;
+  if (bin == kNoBin) {
     throw std::invalid_argument(
-        evicted_[job] != 0
+        state.evicted
             ? "Dispatcher::depart: job is evicted; replace() it first"
             : "Dispatcher::depart: job already departed");
   }
+  advance_clock(now);
+  Item& item = items_[job];
   // Patch the actual departure so latest-departure bookkeeping is honest.
-  items_[job].departure = now;
+  item.departure = now;
   if (usage_hook_ != nullptr) {
-    usage_hook_->on_depart(items_[job].tenant, now, items_[job].size,
-                           open_order_.size());
+    usage_hook_->on_depart(item.tenant, now, item.size, open_order_.size());
   }
-
-  const std::uint32_t slot = slot_of_[bin_id];
-  if (slot == kNoSlot) {
-    throw std::logic_error("Dispatcher::depart: bin not open");
-  }
-  BinState& bin = bins_[open_order_[slot]];
-  const bool emptied = bin.remove(items_[job]);
-  assignment_[job] = kNoBin;
+  const bool emptied = unplace(now, item, bin);
+  state.bin = kNoBin;
   --active_jobs_;
-  if (emptied) {
-    records_[bin_id].closed = now;
-    closed_usage_ += records_[bin_id].usage_time();
-    close_slot(slot);
-  } else {
-    table_.sub_clamped(slot, items_[job].size.data());
-    views_[slot].num_items = bin.num_active();
-    views_[slot].latest_departure = bin.latest_departure();
-  }
   if (obs_ != nullptr) {
-    obs_->on_depart(now, job, bin_id, emptied);
-    if (emptied) obs_->on_close(now, bin_id, bin.opened_at());
+    obs_->on_depart(now, item.id, bin, emptied);
+    if (emptied) obs_->on_close(now, bin, records_[bin].opened);
   }
-  policy_.on_depart(now, bin_id, items_[job], emptied);
+  policy_.on_depart(now, bin, item, emptied);
 }
 
 Dispatcher::Eviction Dispatcher::evict(Time now, JobId job) {
   check_time(now);
-  if (job >= items_.size()) {
+  if (job >= jobs_.size()) {
     throw std::invalid_argument("Dispatcher::evict: unknown job");
   }
-  const BinId bin_id = assignment_[job];
-  if (bin_id == kNoBin) {
+  JobState& state = jobs_[job];
+  const BinId bin = state.bin;
+  if (bin == kNoBin) {
     throw std::invalid_argument(
-        evicted_[job] != 0 ? "Dispatcher::evict: job already evicted"
-                           : "Dispatcher::evict: job already departed");
+        state.evicted ? "Dispatcher::evict: job already evicted"
+                      : "Dispatcher::evict: job already departed");
   }
-  const std::uint32_t slot = slot_of_[bin_id];
-  if (slot == kNoSlot) {
-    throw std::logic_error("Dispatcher::evict: bin not open");
-  }
+  advance_clock(now);
   // The job stays active (no demand change), but the bin count may step.
   if (usage_hook_ != nullptr) {
     usage_hook_->on_advance(now, open_order_.size());
   }
-  BinState& bin = bins_[open_order_[slot]];
   // The item's departure field is left alone: the job is still running.
-  const bool emptied = bin.remove(items_[job]);
-  assignment_[job] = kNoBin;
-  evicted_[job] = 1;
+  const Item& item = items_[job];
+  const bool emptied = unplace(now, item, bin);
+  state.bin = kNoBin;
+  state.evicted = true;
   ++evicted_jobs_;
-  if (emptied) {
-    records_[bin_id].closed = now;
-    closed_usage_ += records_[bin_id].usage_time();
-    close_slot(slot);
-  } else {
-    table_.sub_clamped(slot, items_[job].size.data());
-    views_[slot].num_items = bin.num_active();
-    views_[slot].latest_departure = bin.latest_departure();
-  }
   if (obs_ != nullptr) {
-    obs_->on_evict(now, job, bin_id, emptied);
-    if (emptied) obs_->on_close(now, bin_id, bin.opened_at());
+    obs_->on_evict(now, item.id, bin, emptied);
+    if (emptied) obs_->on_close(now, bin, records_[bin].opened);
   }
-  policy_.on_depart(now, bin_id, items_[job], emptied);
-  return Eviction{bin_id, emptied};
+  policy_.on_depart(now, bin, item, emptied);
+  return Eviction{bin, emptied};
 }
 
 BinId Dispatcher::replace(Time now, JobId job, BinId target) {
   check_time(now);
-  if (job >= items_.size() || evicted_[job] == 0) {
+  if (job >= jobs_.size() || !jobs_[job].evicted) {
     throw std::invalid_argument(
         "Dispatcher::replace: job is not in the evicted state");
   }
+  const Item& item = items_[job];
+  if (target != kNoBin) {
+    if (target >= bins_.size() || slot_of_[target] == kNoSlot) {
+      throw PolicyViolation("Dispatcher::replace: target bin is not open");
+    }
+    if (!bins_[open_order_[slot_of_[target]]].fits(item.size)) {
+      throw PolicyViolation(
+          "Dispatcher::replace: target bin cannot hold the job");
+    }
+  }
+  advance_clock(now);
   if (usage_hook_ != nullptr) {
     usage_hook_->on_advance(now, open_order_.size());
   }
-  const Item& item = items_[job];
-
-  if (target == kNoBin) {
-    const BinId id = static_cast<BinId>(bins_.size());
-    BinState& bin =
-        bins_.emplace_back(id, dim_, now, capacity_, &usage_pool_);
-    records_.push_back(BinRecord{id, now, now, {}});
-    slot_of_.push_back(static_cast<std::uint32_t>(open_order_.size()));
-    open_order_.push_back(bins_.size() - 1);
-    table_.push_back_zero();
-    if (obs_ != nullptr) obs_->on_open(now, id);
-    bin.add(item);
-    table_.add(table_.size() - 1, item.size.data());
-    views_.push_back(BinView{id, &bin.load(), bin.opened_at(),
-                             bin.num_active(), bin.latest_departure(),
-                             bin.capacity()});
-    records_.back().items.push_back(job);
-    assignment_[job] = id;
-    last_bin_[job] = id;
-    evicted_[job] = 0;
-    --evicted_jobs_;
-    policy_.on_open(now, id, item);
-    if (obs_ != nullptr) obs_->on_replace(now, job, id, true);
-    return id;
-  }
-
-  if (target >= bins_.size() || slot_of_[target] == kNoSlot) {
-    throw PolicyViolation(
-        "Dispatcher::replace: target bin is not open");
-  }
-  const std::uint32_t slot = slot_of_[target];
-  BinState& bin = bins_[open_order_[slot]];
-  if (!bin.fits(item.size)) {
-    throw PolicyViolation(
-        "Dispatcher::replace: target bin cannot hold the job");
-  }
-  bin.add(item);
-  table_.add(slot, item.size.data());
-  views_[slot].num_items = bin.num_active();
-  views_[slot].latest_departure = bin.latest_departure();
-  records_[bin.id()].items.push_back(job);
-  assignment_[job] = bin.id();
-  last_bin_[job] = bin.id();
-  evicted_[job] = 0;
+  JobState& state = jobs_[job];
+  state.evicted = false;
   --evicted_jobs_;
-  policy_.on_pack(now, bin.id(), item);
-  if (obs_ != nullptr) obs_->on_replace(now, job, bin.id(), false);
-  return bin.id();
+  const BinId bin = place(now, item, state, target);
+  if (obs_ != nullptr) obs_->on_replace(now, item.id, bin, target == kNoBin);
+  return bin;
 }
 
 BinId Dispatcher::last_bin_of(JobId job) const {
-  if (job >= last_bin_.size()) {
+  if (job >= jobs_.size()) {
     throw std::invalid_argument("Dispatcher::last_bin_of: unknown job");
   }
-  return last_bin_[job];
+  return jobs_[job].last_bin;
 }
 
 Packing Dispatcher::packing() const {
-  return Packing(last_bin_, records_);
+  std::vector<BinId> assignment;
+  assignment.reserve(jobs_.size());
+  for (const JobState& state : jobs_) assignment.push_back(state.last_bin);
+  return Packing(std::move(assignment), records_);
 }
 
 void Dispatcher::close_slot(std::uint32_t slot) {
@@ -301,10 +305,10 @@ double Dispatcher::total_active_load() const noexcept {
 }
 
 BinId Dispatcher::bin_of(JobId job) const {
-  if (job >= assignment_.size()) {
+  if (job >= jobs_.size()) {
     throw std::invalid_argument("Dispatcher::bin_of: unknown job");
   }
-  return assignment_[job];
+  return jobs_[job].bin;
 }
 
 namespace {
@@ -326,16 +330,22 @@ void Dispatcher::save_state(serial::Writer& out) const {
   out.f64(closed_usage_);
 
   out.u64(items_.size());
-  for (const Item& item : items_) {
+  for (JobId job = 0; job < items_.size(); ++job) {
+    const Item& item = items_[job];
+    // The stream stores no ids: restore_state() renames job j to item j.
+    if (item.id != job) {
+      throw std::logic_error(
+          "Dispatcher::save_state: job admitted under a foreign item id");
+    }
     out.f64(item.arrival);
     out.f64(item.departure);
     out.u32(item.tenant);
     for (double c : item.size) out.f64(c);
   }
-  for (BinId bin : assignment_) out.u32(bin);
-  for (JobId job = 0; job < items_.size(); ++job) {
-    out.u32(last_bin_[job]);
-    out.u8(evicted_[job]);
+  for (const JobState& state : jobs_) out.u32(state.bin);
+  for (const JobState& state : jobs_) {
+    out.u32(state.last_bin);
+    out.u8(state.evicted ? 1 : 0);
   }
 
   out.u64(records_.size());
@@ -384,16 +394,12 @@ void Dispatcher::restore_state(serial::Reader& in) {
     items_.emplace_back(static_cast<ItemId>(i), arrival, departure,
                         std::move(size), tenant);
   }
-  assignment_.reserve(num_items);
-  for (std::uint64_t i = 0; i < num_items; ++i) {
-    assignment_.push_back(in.u32());
-  }
-  last_bin_.reserve(num_items);
-  evicted_.reserve(num_items);
-  for (std::uint64_t i = 0; i < num_items; ++i) {
-    last_bin_.push_back(in.u32());
-    evicted_.push_back(in.u8());
-    if (evicted_.back() != 0) ++evicted_jobs_;
+  jobs_.resize(num_items);
+  for (JobState& state : jobs_) state.bin = in.u32();
+  for (JobState& state : jobs_) {
+    state.last_bin = in.u32();
+    state.evicted = in.u8() != 0;
+    if (state.evicted) ++evicted_jobs_;
   }
 
   const std::uint64_t num_bins = in.u64();

@@ -1,19 +1,22 @@
-// Dispatcher: the live, streaming counterpart of simulate().
+// Dispatcher: the placement engine (Algorithm 1 of the paper).
 //
-// simulate() replays a complete Instance; a real service does not have one
-// -- requests arrive and depart over wall-clock time. Dispatcher wraps a
-// Policy behind an incremental interface: call arrive() when a job shows
-// up (placement is returned immediately and is irrevocable, per the
+// Wraps a Policy behind an incremental interface: call arrive() when a job
+// shows up (placement is returned immediately and is irrevocable, per the
 // paper's model), depart() when it finishes. Departure times need not be
 // known at arrival; clairvoyant policies may be fed an expected departure.
+// The engine owns all feasibility enforcement -- a policy returning a bin
+// that is not open or cannot hold the item raises PolicyViolation, and
+// leaves the dispatcher as it was before the call.
 //
-// Feeding an Instance's event stream through a Dispatcher reproduces
-// simulate() exactly (differential-tested), so all competitive-ratio
-// guarantees carry over verbatim.
+// It is the only engine: simulate() feeds an Instance's event stream
+// through one, and so do trace replay, the sharded service, crash recovery
+// and the wire server, so all competitive-ratio guarantees and the golden
+// packing hashes hold on every path.
 #pragma once
 
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/bin_state.hpp"
@@ -29,7 +32,7 @@ class Observer;  // obs/observer.hpp
 
 namespace dvbp {
 
-/// Identifier the caller uses to refer to a live job.
+/// Identifier the caller uses to refer to a live job: its admission rank.
 using JobId = ItemId;
 
 /// Per-tenant usage accounting hook (implemented by
@@ -72,11 +75,22 @@ class Dispatcher {
   /// to clairvoyant policies; pass the default when unknown. `tenant`
   /// labels the job for usage accounting (src/tenancy/) and is invisible
   /// to every placement policy -- packing decisions are tenant-blind.
-  /// Throws std::invalid_argument on bad sizes or time regressions.
+  /// The job's Item id is its JobId. Throws std::invalid_argument on bad
+  /// sizes or time regressions and PolicyViolation on an illegal policy
+  /// decision; either way the dispatcher is left unchanged.
   Admission arrive(Time now, RVec size,
                    Time expected_departure =
                        std::numeric_limits<Time>::infinity(),
                    TenantId tenant = kNoTenant);
+
+  /// Admits a copy of `item` at `now`, with item.departure as the expected
+  /// departure, under the item's own id: the policy, the observer and the
+  /// bin records see item.id, while the returned JobId (the admission
+  /// rank) still indexes depart(), bin_of() and items(). This is how
+  /// simulate() reports an Instance's ItemIds when its rows are not in
+  /// arrival order. Ids must be unique among active jobs (bins match
+  /// departures by id). Throws as the other overload.
+  Admission arrive(Time now, const Item& item);
 
   /// Attaches (or detaches, with nullptr) the per-tenant usage accounting
   /// hook. Borrowed; must outlive the dispatcher or be detached first.
@@ -112,7 +126,7 @@ class Dispatcher {
 
   /// True while `job` has been evict()ed but not yet replace()d.
   bool is_evicted(JobId job) const {
-    return job < evicted_.size() && evicted_[job] != 0;
+    return job < jobs_.size() && jobs_[job].evicted;
   }
 
   /// Number of jobs currently in limbo (evicted, not yet re-placed).
@@ -172,7 +186,9 @@ class Dispatcher {
 
   /// Usage records of every bin ever opened (open bins report their
   /// opening time with `closed` == opened; consult open_bins()).
-  const std::vector<BinRecord>& records() const noexcept { return records_; }
+  const std::vector<BinRecord>& records() const& noexcept { return records_; }
+  /// Moves the records out of a dispatcher that is done with them.
+  std::vector<BinRecord> records() && noexcept { return std::move(records_); }
 
   /// Live state of bin `id` if it is currently open, nullptr otherwise.
   /// Invalidated by the next mutating call (invariant-checker use).
@@ -193,7 +209,8 @@ class Dispatcher {
   /// Policy::save_state) reproduces a dispatcher whose future decisions
   /// are bit-identical to this one's. Closed bins are restored as empty
   /// shells (their BinState is never consulted again); their usage history
-  /// lives in records(). O(items + bins).
+  /// lives in records(). O(items + bins). Throws std::logic_error if a
+  /// job was admitted under an Item id other than its JobId.
   void save_state(serial::Writer& out) const;
 
   /// Restores state written by save_state(). Must be called on a freshly
@@ -207,7 +224,19 @@ class Dispatcher {
   static constexpr std::uint32_t kNoSlot =
       std::numeric_limits<std::uint32_t>::max();
 
-  void check_time(Time now);
+  /// Placement state of one job, by JobId.
+  struct JobState {
+    BinId bin = kNoBin;       ///< hosting bin; kNoBin once departed/evicted
+    BinId last_bin = kNoBin;  ///< last bin packed into (never reset)
+    bool evicted = false;     ///< in limbo between evict() and replace()
+  };
+
+  void check_time(Time now) const;
+  void check_arrival(Time now, const RVec& size, Time expected_departure) const;
+  void advance_clock(Time now) noexcept;
+  Admission admit(Time now, const Item& item);
+  BinId place(Time now, const Item& item, JobState& job, BinId target);
+  bool unplace(Time now, const Item& item, BinId bin_id);
   void close_slot(std::uint32_t slot);
 
   std::size_t dim_;
@@ -220,9 +249,7 @@ class Dispatcher {
 
   UsagePool usage_pool_;  // usage-interval nodes for all bins' active lists
   StableVector<Item> items_;  // by JobId; departure patched on depart
-  std::vector<BinId> assignment_;    // JobId -> bin (kNoBin once departed)
-  std::vector<BinId> last_bin_;      // JobId -> last bin packed into
-  std::vector<std::uint8_t> evicted_;  // JobId -> 1 while in limbo
+  std::vector<JobState> jobs_;  // by JobId
   std::size_t evicted_jobs_ = 0;
   StableVector<BinState> bins_;      // every bin ever opened, by id
   OpenBinTable table_;  // SoA loads of the open bins, parallel to views_

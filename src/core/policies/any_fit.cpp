@@ -5,18 +5,8 @@
 namespace dvbp {
 
 BinId AnyFitPolicy::select_bin(Time now, const Item& item,
-                               std::span<const BinView> open_bins) {
-  fitting_.clear();
-  for (const BinView& b : open_bins) {
-    if (b.fits(item.size)) fitting_.push_back(b);
-  }
-  if (fitting_.empty()) return kNoBin;
-  return choose(now, item, std::span<const BinView>(fitting_));
-}
-
-BinId AnyFitPolicy::select_bin_soa(Time now, const Item& item,
-                                   std::span<const BinView> open_bins,
-                                   const OpenBinTable& table) {
+                               std::span<const BinView> open_bins,
+                               const OpenBinTable& table) {
   fit_slots_.clear();
   table.collect_fitting(item.size.data(), fit_slots_);
   if (fit_slots_.empty()) return kNoBin;

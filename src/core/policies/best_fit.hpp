@@ -8,7 +8,7 @@
 
 #include <string>
 
-#include "core/policies/any_fit.hpp"
+#include "core/policies/policy.hpp"
 
 namespace dvbp {
 
@@ -22,7 +22,7 @@ enum class LoadMeasure {
 std::string_view load_measure_name(LoadMeasure m) noexcept;
 double measure_load(const RVec& load, LoadMeasure m);
 
-class BestFitPolicy final : public AnyFitPolicy {
+class BestFitPolicy final : public Policy {
  public:
   explicit BestFitPolicy(LoadMeasure measure = LoadMeasure::kLinf)
       : measure_(measure),
@@ -32,16 +32,12 @@ class BestFitPolicy final : public AnyFitPolicy {
   std::string_view name() const noexcept override { return name_; }
   LoadMeasure measure() const noexcept { return measure_; }
 
+  /// Most-loaded fitting bin, ties broken toward the earliest opened.
   /// Branch-light table scan: vectorized feasibility, measure computed
   /// from the lanes with measure_load()'s exact operation order.
-  BinId select_bin_soa(Time now, const Item& item,
-                       std::span<const BinView> open_bins,
-                       const OpenBinTable& table) override;
-
- protected:
-  /// Most-loaded fitting bin; ties broken toward the earliest opened.
-  BinId choose(Time now, const Item& item,
-               std::span<const BinView> fitting) override;
+  BinId select_bin(Time now, const Item& item,
+                   std::span<const BinView> open_bins,
+                   const OpenBinTable& table) override;
 
  private:
   LoadMeasure measure_;

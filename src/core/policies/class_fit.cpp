@@ -6,7 +6,8 @@
 namespace dvbp {
 
 BinId ClassRestrictedFitPolicy::select_bin(
-    Time, const Item& item, std::span<const BinView> open_bins) {
+    Time, const Item& item, std::span<const BinView> open_bins,
+    const OpenBinTable&) {
   const std::int64_t cls = item_class(item);
   for (const BinView& b : open_bins) {  // opening order = First Fit
     auto it = bin_class_.find(b.id);

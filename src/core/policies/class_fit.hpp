@@ -27,7 +27,8 @@ namespace dvbp {
 class ClassRestrictedFitPolicy : public Policy {
  public:
   BinId select_bin(Time now, const Item& item,
-                   std::span<const BinView> open_bins) final;
+                   std::span<const BinView> open_bins,
+                   const OpenBinTable& table) final;
   void on_open(Time now, BinId bin, const Item& first) override;
   void on_depart(Time now, BinId bin, const Item& item, bool closed) override;
   void reset() override;

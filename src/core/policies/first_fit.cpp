@@ -4,16 +4,9 @@
 
 namespace dvbp {
 
-BinId FirstFitPolicy::choose(Time, const Item&,
-                             std::span<const BinView> fitting) {
-  // Bins are presented in opening order; the first fitting one is the
-  // earliest opened.
-  return fitting.front().id;
-}
-
-BinId FirstFitPolicy::select_bin_soa(Time, const Item& item,
-                                     std::span<const BinView> open_bins,
-                                     const OpenBinTable& table) {
+BinId FirstFitPolicy::select_bin(Time, const Item& item,
+                                 std::span<const BinView> open_bins,
+                                 const OpenBinTable& table) {
   const std::size_t slot = table.find_first_fit(item.size.data());
   return slot == OpenBinTable::npos ? kNoBin : open_bins[slot].id;
 }

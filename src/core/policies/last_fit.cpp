@@ -4,14 +4,9 @@
 
 namespace dvbp {
 
-BinId LastFitPolicy::choose(Time, const Item&,
-                            std::span<const BinView> fitting) {
-  return fitting.back().id;
-}
-
-BinId LastFitPolicy::select_bin_soa(Time, const Item& item,
-                                    std::span<const BinView> open_bins,
-                                    const OpenBinTable& table) {
+BinId LastFitPolicy::select_bin(Time, const Item& item,
+                                std::span<const BinView> open_bins,
+                                const OpenBinTable& table) {
   const std::size_t slot = table.find_last_fit(item.size.data());
   return slot == OpenBinTable::npos ? kNoBin : open_bins[slot].id;
 }

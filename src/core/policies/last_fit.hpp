@@ -3,22 +3,18 @@
 // recently *used* bin.
 #pragma once
 
-#include "core/policies/any_fit.hpp"
+#include "core/policies/policy.hpp"
 
 namespace dvbp {
 
-class LastFitPolicy final : public AnyFitPolicy {
+class LastFitPolicy final : public Policy {
  public:
   std::string_view name() const noexcept override { return "LastFit"; }
 
   /// Whole decision in one vectorized scan: latest fitting slot.
-  BinId select_bin_soa(Time now, const Item& item,
-                       std::span<const BinView> open_bins,
-                       const OpenBinTable& table) override;
-
- protected:
-  BinId choose(Time now, const Item& item,
-               std::span<const BinView> fitting) override;
+  BinId select_bin(Time now, const Item& item,
+                   std::span<const BinView> open_bins,
+                   const OpenBinTable& table) override;
 };
 
 }  // namespace dvbp

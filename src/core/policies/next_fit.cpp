@@ -3,7 +3,8 @@
 namespace dvbp {
 
 BinId NextFitPolicy::select_bin(Time now, const Item& item,
-                                std::span<const BinView> open_bins) {
+                                std::span<const BinView> open_bins,
+                                const OpenBinTable&) {
   if (current_ == kNoBin) return kNoBin;
   // The current bin is the most recently opened bin, so while it is still
   // open it sits at the END of the opening-order view -- scan backwards

@@ -1,14 +1,6 @@
 #include "core/policies/policy.hpp"
 
-#include "core/open_bin_table.hpp"
-
 namespace dvbp {
-
-BinId Policy::select_bin_soa(Time now, const Item& item,
-                             std::span<const BinView> open_bins,
-                             const OpenBinTable&) {
-  return select_bin(now, item, open_bins);
-}
 
 void Policy::on_open(Time, BinId, const Item&) {}
 void Policy::on_pack(Time, BinId, const Item&) {}

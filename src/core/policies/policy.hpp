@@ -1,13 +1,15 @@
 // Policy: the online decision rule of Algorithm 1 in the paper.
 //
-// The simulator calls select_bin() on every arrival with a view of the
-// currently-open bins (in opening order) and packs the item into the
-// returned bin, or a fresh bin when the policy returns kNoBin. Lifecycle
-// callbacks let stateful policies (Move To Front's MRU list, Next Fit's
-// current bin) track the system.
+// The Dispatcher -- the one placement engine, which simulate() also drives
+// -- calls select_bin() on every arrival with the currently-open bins in
+// opening order, twice over: as BinView records (per-bin metadata) and as
+// the OpenBinTable's SoA load lanes (vectorized feasibility scans). It
+// packs the item into the returned bin, or a fresh bin when the policy
+// returns kNoBin. Lifecycle callbacks let stateful policies (Move To
+// Front's MRU list, Next Fit's current bin) track the system.
 //
 // Non-clairvoyance: the Item handed to select_bin carries its departure time
-// (the simulator needs it), but non-clairvoyant policies must not read it.
+// (the engine needs it), but non-clairvoyant policies must not read it.
 // Policies declare themselves via is_clairvoyant(); the test suite verifies
 // that non-clairvoyant policies are invariant to departure-time perturbation
 // of future items.
@@ -55,23 +57,14 @@ class Policy {
   virtual bool is_clairvoyant() const noexcept { return false; }
 
   /// Decide where to pack `item` arriving at `now`. `open_bins` lists every
-  /// open bin in opening order. Return an open bin's id, or kNoBin to open a
-  /// new bin. The simulator verifies the returned bin actually fits.
+  /// open bin in opening order, and `table` holds the same bins' loads as
+  /// structure-of-arrays lanes (slot k of the table is open_bins[k]) whose
+  /// vectorized scans answer feasibility questions 4-8 bins at a time,
+  /// bit-identically to BinView::fits(). Return an open bin's id, or kNoBin
+  /// to open a new bin. The engine verifies the returned bin actually fits.
   virtual BinId select_bin(Time now, const Item& item,
-                           std::span<const BinView> open_bins) = 0;
-
-  /// Hot-path variant the engines call: `table` is the structure-of-
-  /// arrays mirror of the same open bins (slot k of the table is
-  /// open_bins[k]), whose vectorized scans answer feasibility questions
-  /// 4-8 bins at a time. The default forwards to select_bin(), so
-  /// policies that never opt in -- including external subclasses --
-  /// behave exactly as before. Overrides MUST return a decision
-  /// bit-identical to their select_bin() (the table's lanes and
-  /// comparisons are bit-exact with the BinView loads, making that
-  /// achievable by construction; pinned by the golden packing hashes).
-  virtual BinId select_bin_soa(Time now, const Item& item,
-                               std::span<const BinView> open_bins,
-                               const OpenBinTable& table);
+                           std::span<const BinView> open_bins,
+                           const OpenBinTable& table) = 0;
 
   /// A new bin `bin` was opened at `now` for `first` (after select_bin
   /// returned kNoBin).
@@ -84,7 +77,7 @@ class Policy {
   /// closed permanently.
   virtual void on_depart(Time now, BinId bin, const Item& item, bool closed);
 
-  /// Reset all internal state; called before each simulation run.
+  /// Reset all internal state; the Dispatcher calls it on construction.
   virtual void reset();
 
   // --- Checkpointing (src/persist/) -----------------------------------
@@ -96,7 +89,7 @@ class Policy {
   // identical decisions on any identical future event stream -- this is
   // what makes checkpoint-based crash recovery bit-exact (pinned by
   // tests/test_persist_recovery.cpp). The default implementations carry no
-  // state (correct for the policies that decide from the BinView span
+  // state (correct for the policies that decide from the open bins
   // alone: FirstFit, BestFit, WorstFit, LastFit, MinExtensionFit).
 
   /// Appends the policy's internal state to `out`.

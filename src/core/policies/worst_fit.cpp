@@ -4,23 +4,9 @@
 
 namespace dvbp {
 
-BinId WorstFitPolicy::choose(Time, const Item&,
-                             std::span<const BinView> fitting) {
-  BinId best = fitting.front().id;
-  double best_load = measure_load(*fitting.front().load, measure_);
-  for (std::size_t i = 1; i < fitting.size(); ++i) {
-    const double w = measure_load(*fitting[i].load, measure_);
-    if (w < best_load) {
-      best_load = w;
-      best = fitting[i].id;
-    }
-  }
-  return best;
-}
-
-BinId WorstFitPolicy::select_bin_soa(Time, const Item& item,
-                                     std::span<const BinView> open_bins,
-                                     const OpenBinTable& table) {
+BinId WorstFitPolicy::select_bin(Time, const Item& item,
+                                 std::span<const BinView> open_bins,
+                                 const OpenBinTable& table) {
   const std::size_t slot =
       table.find_worst_fit(item.size.data(), static_cast<int>(measure_));
   return slot == OpenBinTable::npos ? kNoBin : open_bins[slot].id;

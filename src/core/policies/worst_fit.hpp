@@ -4,12 +4,11 @@
 
 #include <string>
 
-#include "core/policies/any_fit.hpp"
 #include "core/policies/best_fit.hpp"
 
 namespace dvbp {
 
-class WorstFitPolicy final : public AnyFitPolicy {
+class WorstFitPolicy final : public Policy {
  public:
   explicit WorstFitPolicy(LoadMeasure measure = LoadMeasure::kLinf)
       : measure_(measure),
@@ -19,16 +18,12 @@ class WorstFitPolicy final : public AnyFitPolicy {
   std::string_view name() const noexcept override { return name_; }
   LoadMeasure measure() const noexcept { return measure_; }
 
+  /// Least-loaded fitting bin, ties broken toward the earliest opened.
   /// Branch-light table scan: vectorized feasibility, measure computed
   /// from the lanes with measure_load()'s exact operation order.
-  BinId select_bin_soa(Time now, const Item& item,
-                       std::span<const BinView> open_bins,
-                       const OpenBinTable& table) override;
-
- protected:
-  /// Least-loaded fitting bin; ties broken toward the earliest opened.
-  BinId choose(Time now, const Item& item,
-               std::span<const BinView> fitting) override;
+  BinId select_bin(Time now, const Item& item,
+                   std::span<const BinView> open_bins,
+                   const OpenBinTable& table) override;
 
  private:
   LoadMeasure measure_;

@@ -16,7 +16,7 @@
 //    linked list threaded through the pool; add/remove of an item is a
 //    pointer splice plus a free-list push -- no per-event new/delete.
 //    Nodes are uint32-indexed, so a bin's whole active set costs 16
-//    bytes/item and the pool serves every bin of an Engine/Dispatcher
+//    bytes/item and the pool serves every bin of a Dispatcher
 //    from the same few slabs (the MrWSI bin.c exemplar builds its packing
 //    core on exactly this mempool shape).
 //
@@ -37,9 +37,8 @@
 namespace dvbp {
 
 /// Chunked slab vector: amortized O(1) push_back with STABLE addresses.
-/// Supports exactly what the engines need: emplace_back, operator[],
-/// size, and forward iteration. Elements are destroyed only when the
-/// container is destroyed or clear()ed -- there is no erase.
+/// Supports exactly what the engine needs: emplace_back, pop_back,
+/// operator[], size, and forward iteration. There is no erase.
 template <typename T>
 class StableVector {
  public:
@@ -70,12 +69,19 @@ class StableVector {
   template <typename... Args>
   T& emplace_back(Args&&... args) {
     if (size_ == chunks_.size() * kChunkSize) {
-      chunks_.push_back(std::make_unique<Storage[]>(kChunkSize));
+      // Raw storage: elements are constructed in place, so skip zeroing.
+      chunks_.push_back(std::make_unique_for_overwrite<Storage[]>(kChunkSize));
     }
     T* slot = ptr(chunks_[size_ / kChunkSize].get(), size_ % kChunkSize);
     ::new (static_cast<void*>(slot)) T(std::forward<Args>(args)...);
     ++size_;
     return *slot;
+  }
+
+  /// Destroys the last element (undoes one emplace_back).
+  void pop_back() noexcept {
+    --size_;
+    (*this)[size_].~T();
   }
 
   /// Destroys every element; keeps the slabs for reuse.
@@ -131,7 +137,7 @@ struct UsageNode {
 };
 
 /// Free-listed slab of UsageNodes, shared by every bin of one
-/// Engine/Dispatcher. Indices (not pointers) identify nodes, so the
+/// Dispatcher. Indices (not pointers) identify nodes, so the
 /// backing slabs can be StableVector chunks and a node handle is 4 bytes.
 class UsagePool {
  public:

@@ -1,10 +1,12 @@
-// The online simulation engine (Algorithm 1 of the paper).
+// Batch simulation of Algorithm 1 of the paper over a complete Instance.
 //
-// Drives a Policy over the event stream of an Instance: on each arrival the
-// policy picks an open bin (or asks for a new one); on each departure the
-// item is removed and empty bins close permanently. The engine owns all
+// simulate() feeds the instance's event stream through the placement
+// engine, a Dispatcher (core/dispatcher.hpp): on each arrival the policy
+// picks an open bin (or asks for a new one); on each departure the item is
+// removed and empty bins close permanently. The engine owns all
 // feasibility enforcement -- a policy returning a non-fitting bin is a
-// programming error and raises PolicyViolation.
+// programming error and raises PolicyViolation. Every id the policy, the
+// observer and the returned Packing see is the instance's ItemId.
 #pragma once
 
 #include <span>
@@ -68,9 +70,12 @@ SimResult simulate(const Instance& inst, Policy& policy, SimOptions opts = {});
 
 /// Replays a caller-supplied event stream instead of the instance's own
 /// (useful for custom tie-breaking or replay tooling). The stream must be
-/// consistent and complete: arrivals precede departures, no duplicates,
-/// and every opened bin must drain. Violations raise std::logic_error --
-/// checked unconditionally, in NDEBUG builds too.
+/// consistent and complete: timestamps never decrease, arrivals precede
+/// departures, no duplicates, and every opened bin must drain. Violations
+/// raise std::logic_error, or its subclass std::invalid_argument where an
+/// event is malformed in itself (a backwards clock, an arrival at or after
+/// the item's departure, an item outside the instance) -- checked
+/// unconditionally, in NDEBUG builds too.
 SimResult simulate_events(const Instance& inst, std::span<const Event> events,
                           Policy& policy, SimOptions opts = {});
 

@@ -1,9 +1,12 @@
-// Observer: the instrumentation hook the allocation engines call.
+// Observer: the instrumentation hook the placement engine calls.
 //
 // Binds an optional MetricRegistry and an optional Tracer and translates
-// raw engine callbacks into metric updates and trace records. The engines
-// (simulate(), Dispatcher, cloud::run_cluster) hold a nullable Observer*;
-// a null pointer costs one predictable branch per event, and an Observer
+// raw engine callbacks into metric updates and trace records. The engine,
+// Dispatcher, holds a nullable Observer*; simulate(), trace replay,
+// cloud::run_cluster and the services hand theirs to it. Item ids in the
+// callbacks are the ids the Dispatcher reports: the caller's JobIds on the
+// live paths, the instance's ItemIds under simulate(). A null pointer
+// costs one predictable branch per event, and an Observer
 // whose tracer is inactive skips all record formatting, so the hot path is
 // unharmed when observability is off (guarded by bench_micro's
 // BM_SimulateObserved suite).

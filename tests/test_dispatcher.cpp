@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/event.hpp"
+#include "core/policies/first_fit.hpp"
 #include "core/policies/registry.hpp"
 #include "core/simulator.hpp"
 #include "gen/uniform.hpp"
@@ -122,6 +123,58 @@ TEST(Dispatcher, AugmentedCapacityApplies) {
   const auto b = dispatcher.arrive(0.0, RVec{0.7});  // 1.5 total: fits
   EXPECT_EQ(b.bin, 0u);
   EXPECT_FALSE(b.opened_new_bin);
+}
+
+/// First Fit, except that one armed decision names a bin that was never
+/// opened.
+class MisfireOncePolicy final : public Policy {
+ public:
+  std::string_view name() const noexcept override { return "MisfireOnce"; }
+  BinId select_bin(Time now, const Item& item,
+                   std::span<const BinView> open_bins,
+                   const OpenBinTable& table) override {
+    if (armed) {
+      armed = false;
+      return 999;
+    }
+    return first_fit_.select_bin(now, item, open_bins, table);
+  }
+
+  bool armed = false;
+
+ private:
+  FirstFitPolicy first_fit_;
+};
+
+TEST(Dispatcher, RejectedDecisionLeavesStateUnchanged) {
+  MisfireOncePolicy policy;
+  Dispatcher dispatcher(1, policy);
+  const auto a = dispatcher.arrive(0.0, RVec{0.5});
+  policy.armed = true;
+  EXPECT_THROW(dispatcher.arrive(1.0, RVec{0.3}), PolicyViolation);
+  EXPECT_EQ(dispatcher.jobs_admitted(), 1u);
+  EXPECT_EQ(dispatcher.jobs_active(), 1u);
+
+  const auto b = dispatcher.arrive(1.0, RVec{0.3});
+  EXPECT_EQ(b.job, 1u);
+  EXPECT_EQ(dispatcher.bin_of(b.job), a.bin);
+  dispatcher.depart(2.0, b.job);
+  EXPECT_EQ(dispatcher.bin_of(b.job), kNoBin);
+  dispatcher.depart(3.0, a.job);
+  EXPECT_EQ(dispatcher.jobs_active(), 0u);
+  EXPECT_EQ(dispatcher.open_bins(), 0u);
+  EXPECT_DOUBLE_EQ(dispatcher.cost_so_far(3.0), 3.0);
+}
+
+TEST(Dispatcher, CheckpointRejectsItemsAdmittedUnderForeignIds) {
+  // The state stream stores no ids: restore would rename item 7 to job 0.
+  PolicyPtr policy = make_policy("FirstFit");
+  Dispatcher dispatcher(1, *policy);
+  const auto a = dispatcher.arrive(0.0, Item(7, 0.0, 5.0, RVec{0.5}));
+  EXPECT_EQ(a.job, 0u);
+  EXPECT_EQ(dispatcher.records()[a.bin].items, (std::vector<ItemId>{7u}));
+  serial::Writer out;
+  EXPECT_THROW(dispatcher.save_state(out), std::logic_error);
 }
 
 // ---- Differential: streaming replay == batch simulation -------------------

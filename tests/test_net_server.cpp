@@ -62,9 +62,10 @@ class SlowPolicy final : public Policy {
     return inner_->is_clairvoyant();
   }
   BinId select_bin(Time now, const Item& item,
-                   std::span<const BinView> open_bins) override {
+                   std::span<const BinView> open_bins,
+                   const OpenBinTable& table) override {
     std::this_thread::sleep_for(delay_);
-    return inner_->select_bin(now, item, open_bins);
+    return inner_->select_bin(now, item, open_bins, table);
   }
   void on_open(Time now, BinId bin, const Item& first) override {
     inner_->on_open(now, bin, first);

@@ -91,12 +91,21 @@ TEST_F(HarnessCli, WritesConsumableMetricsAndTrace) {
 }
 
 TEST_F(HarnessCli, RoundTripHoldsUnderAugmentationAndOtherPolicies) {
-  for (const std::string policy : {"MoveToFront", "BestFit"}) {
-    const int rc = run("--n=200 --d=2 --mu=6 --capacity=1.3 --policy=" +
-                       policy + " --quiet --trace-out=" + trace_path_ +
-                       " --check-roundtrip");
-    EXPECT_EQ(rc, 0) << policy;
+  // The CSV's rows are not in arrival order, so its ItemIds differ from
+  // arrival ranks; the trace must still name ItemIds.
+  const std::string csv = ::testing::TempDir() + "harness_cli_unsorted.csv";
+  { std::ofstream(csv) << "5,9,0.6\n0,4,0.7\n1,6,0.5\n2,8,0.2\n"; }
+  for (const std::string& input :
+       {std::string("--n=200 --d=2 --mu=6 --capacity=1.3"),
+        "--trace=" + csv}) {
+    for (const std::string policy : {"MoveToFront", "BestFit", "FirstFit"}) {
+      const int rc = run(input + " --policy=" + policy +
+                         " --quiet --trace-out=" + trace_path_ +
+                         " --check-roundtrip");
+      EXPECT_EQ(rc, 0) << input << " --policy=" << policy;
+    }
   }
+  std::remove(csv.c_str());
 }
 
 TEST_F(HarnessCli, FailsCleanlyOnBadInput) {

@@ -146,6 +146,32 @@ TEST(MoveToFront, MruOrderTracksUsage) {
   EXPECT_EQ(history.back().leader, kNoBin);  // everything closed at the end
 }
 
+TEST(Policies, DecisionLogsNameItemIdsWhenRowsAreOutOfArrivalOrder) {
+  // Items arrive in the order 1, 2, 0, so arrival ranks and ItemIds
+  // disagree; the policies' logs and the packing must carry ItemIds.
+  Instance inst(1);
+  inst.add(2.0, 10.0, RVec{0.35});  // item 0: fits only bin 0
+  inst.add(0.0, 10.0, RVec{0.6});   // item 1: opens bin 0
+  inst.add(1.0, 10.0, RVec{0.7});   // item 2: opens bin 1
+
+  NextFitPolicy next_fit;
+  simulate(inst, next_fit);
+  EXPECT_EQ(next_fit.release_log(),
+            (std::vector<NextFitPolicy::Release>{{0u, 1.0, 2u},
+                                                 {1u, 2.0, 0u}}));
+
+  MoveToFrontPolicy mtf(/*record_leader_history=*/true);
+  const SimResult result = simulate(inst, mtf, {.audit = true});
+  EXPECT_EQ(mtf.leader_history(),
+            (std::vector<MoveToFrontPolicy::LeaderChange>{
+                {0.0, 0u, 1u},
+                {1.0, 1u, 2u},
+                {2.0, 0u, 0u},
+                {10.0, kNoBin, kNoItem}}));
+  EXPECT_EQ(result.packing.assignment(), (std::vector<BinId>{0u, 0u, 1u}));
+  EXPECT_EQ(result.packing.bins()[0].items, (std::vector<ItemId>{1u, 0u}));
+}
+
 TEST(MoveToFront, LeaderHistoryCoversSpanWithoutGaps) {
   MoveToFrontPolicy policy(true);
   Instance inst(1);

@@ -93,6 +93,20 @@ TEST(ReleaseGuards, DuplicateDepartureThrows) {
   EXPECT_THROW(simulate_events(inst, events, *policy), std::logic_error);
 }
 
+TEST(ReleaseGuards, BackwardsClockThrows) {
+  // Item 1's departure is replayed at t=2, before item 0's at t=4: taken
+  // at face value, bin 1 would close at 2 and the cost come out 5, not 8.
+  Instance inst(1);
+  inst.add(0.0, 4.0, RVec{0.6});
+  inst.add(1.0, 5.0, RVec{0.6});
+  const std::vector<Event> events = {{0.0, EventKind::kArrival, 0},
+                                     {1.0, EventKind::kArrival, 1},
+                                     {4.0, EventKind::kDeparture, 0},
+                                     {2.0, EventKind::kDeparture, 1}};
+  PolicyPtr policy = make_policy("FirstFit");
+  EXPECT_THROW(simulate_events(inst, events, *policy), std::logic_error);
+}
+
 TEST(ReleaseGuards, EventBeyondInstanceThrows) {
   Instance inst(1);
   inst.add(0.0, 4.0, RVec{0.6});

@@ -195,9 +195,10 @@ class SlowPolicy final : public Policy {
       : inner_(make_policy("FirstFit", seed)) {}
   std::string_view name() const noexcept override { return "SlowFirstFit"; }
   BinId select_bin(Time now, const Item& item,
-                   std::span<const BinView> open_bins) override {
+                   std::span<const BinView> open_bins,
+                   const OpenBinTable& table) override {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
-    return inner_->select_bin(now, item, open_bins);
+    return inner_->select_bin(now, item, open_bins, table);
   }
   void on_open(Time now, BinId bin, const Item& first) override {
     inner_->on_open(now, bin, first);

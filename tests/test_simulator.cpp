@@ -104,7 +104,8 @@ TEST(Simulator, MaxOpenBins) {
 class EvilUnknownBinPolicy final : public Policy {
  public:
   std::string_view name() const noexcept override { return "EvilUnknown"; }
-  BinId select_bin(Time, const Item&, std::span<const BinView>) override {
+  BinId select_bin(Time, const Item&, std::span<const BinView>,
+                   const OpenBinTable&) override {
     return 12345;  // never a valid open bin
   }
 };
@@ -112,8 +113,8 @@ class EvilUnknownBinPolicy final : public Policy {
 class EvilOverstuffPolicy final : public Policy {
  public:
   std::string_view name() const noexcept override { return "EvilOverstuff"; }
-  BinId select_bin(Time, const Item&,
-                   std::span<const BinView> open_bins) override {
+  BinId select_bin(Time, const Item&, std::span<const BinView> open_bins,
+                   const OpenBinTable&) override {
     // Always pick the first open bin, whether or not the item fits.
     return open_bins.empty() ? kNoBin : open_bins.front().id;
   }
