@@ -7,55 +7,26 @@
 // telemetry snapshot (placement throughput, open bins, fit failures) --
 // the live-service monitoring story of docs/OBSERVABILITY.md.
 //
-// With --shards=K the same stream is pushed from several producer threads
-// into the sharded placement service (src/cloud/sharded_dispatcher.hpp)
-// instead, demonstrating the concurrent ingestion path: aggregate cost,
-// per-shard breakdown, and wall-clock arrival throughput.
-//
-// With --journal-dir=DIR the serial stream instead runs through the
-// durable dispatcher (src/persist/durable.hpp): every op is journaled,
-// checkpoints land every --checkpoint-every ops, and --crash-after=N kills
-// the service after N ops -- mid-stream, no shutdown, no flush -- then
-// recovers from disk and finishes the run, demonstrating the crash-safety
-// story of docs/DURABILITY.md end to end.
-//
-// With --listen=PORT / --connect=HOST:PORT the demo splits across a real
-// socket (src/net/): the listener runs the sharded service behind the
-// binary-RPC PlacementServer (add --journal-dir=DIR for durability), the
-// connector pushes the same deterministic stream through a net::Client
-// with reconnect-retry. kill -9 the listener mid-stream, restart it with
-// the same --journal-dir, and the connector rides through: it reconnects,
-// retries RETRY_LATER, and tolerates UNKNOWN_JOB for departures whose
-// arrival fell into the un-fsynced tail the crash threw away.
+// The service stacks built on this API have their own front-ends:
+// `harness --shards=K` runs the sharded service, `harness --journal-dir=DIR`
+// (then `--recover`) journals and recovers, and `harness serve` with
+// `harness loadgen` put the service behind the wire protocol.
 //
 //   $ ./example_live_dispatcher [--jobs=5000] [--seed=21]
-//   $ ./example_live_dispatcher --shards=4 [--producers=4] [--router=rendezvous]
-//   $ ./example_live_dispatcher --journal-dir=/tmp/wal --crash-after=3000
-//   $ ./example_live_dispatcher --listen=7411 --journal-dir=/tmp/wal
-//   $ ./example_live_dispatcher --connect=127.0.0.1:7411 --jobs=20000
+#include <algorithm>
 #include <chrono>
-#include <csignal>
-#include <deque>
 #include <functional>
 #include <iostream>
-#include <memory>
 #include <queue>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
-#include "cloud/router.hpp"
-#include "cloud/sharded_dispatcher.hpp"
 #include "core/dispatcher.hpp"
 #include "core/policies/registry.hpp"
 #include "harness/cli.hpp"
 #include "harness/table.hpp"
-#include "net/client.hpp"
-#include "net/server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
-#include "persist/durable.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -71,373 +42,10 @@ struct PendingDeparture {
   }
 };
 
-/// One producer's closed arrival/departure loop against the shared service.
-void push_stream(cloud::ShardedDispatcher& service, std::uint64_t seed,
-                 std::size_t jobs) {
-  Xoshiro256pp rng(seed);
-  Time now = 0.0;
-  struct Pending {
-    Time when;
-    JobId job;
-  };
-  std::deque<Pending> pending;
-  for (std::size_t j = 0; j < jobs; ++j) {
-    now += rng.uniform(0.0, 0.5);
-    while (!pending.empty() && pending.front().when <= now) {
-      service.depart(pending.front().when, pending.front().job);
-      pending.pop_front();
-    }
-    const RVec size{0.05 + 0.45 * rng.uniform(), 0.05 + 0.45 * rng.uniform()};
-    const Time duration = 1.0 + 30.0 * rng.uniform() * rng.uniform();
-    const JobId job = service.arrive(now, size);
-    const Time when = std::max(now + duration,
-                               pending.empty() ? 0.0 : pending.back().when);
-    pending.push_back({when, job});
-  }
-  for (const Pending& p : pending) service.depart(p.when, p.job);
-}
-
-/// --shards=K: multi-producer ingestion through the sharded service.
-int run_sharded(const harness::Args& args) {
-  const auto shards = static_cast<std::size_t>(args.get_int("shards", 4));
-  const auto producers =
-      static_cast<std::size_t>(args.get_int("producers", 4));
-  const auto jobs = static_cast<std::size_t>(args.get_int("jobs", 5000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 21));
-
-  obs::MetricRegistry registry;
-  cloud::ShardedOptions options;
-  options.shards = shards;
-  options.router = cloud::parse_router(args.get("router", "rendezvous"));
-  options.metrics = &registry;
-  cloud::ShardedDispatcher service(
-      2, [](std::size_t) { return make_policy("MoveToFront"); }, options);
-
-  std::cout << "=== Sharded dispatch: " << producers << " producers x "
-            << jobs / producers << " jobs -> " << shards << " shards ("
-            << cloud::router_name(service.router()) << ") ===\n\n";
-
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  for (std::size_t p = 0; p < producers; ++p) {
-    threads.emplace_back([&service, seed, p, jobs, producers] {
-      push_stream(service, seed + 1000 * p, jobs / producers);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  service.drain();
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - start;
-
-  harness::Table per_shard({"shard", "jobs", "bins", "p50 latency (us)"});
-  for (std::size_t s = 0; s < shards; ++s) {
-    per_shard.add_row(
-        {std::to_string(s), std::to_string(service.shard_jobs_admitted(s)),
-         std::to_string(service.shard_bins_opened(s)),
-         harness::Table::num(
-             registry
-                 .histogram("dvbp.shard." + std::to_string(s) +
-                            ".placement_latency_ns")
-                 .quantile(0.5) / 1e3,
-             1)});
-  }
-  std::cout << per_shard.to_aligned_text() << '\n';
-
-  const Packing merged = service.snapshot();
-  std::cout << "Placed " << service.jobs_admitted() << " jobs in "
-            << merged.num_bins() << " bins; aggregate cost="
-            << harness::Table::num(merged.cost(), 0) << "\n"
-            << "Ingest wall time " << harness::Table::num(wall.count() * 1e3, 1)
-            << " ms -> "
-            << harness::Table::num(
-                   static_cast<double>(service.jobs_admitted()) / wall.count(),
-                   0)
-            << " arrivals/s\n";
-  return 0;
-}
-
-/// --listen=PORT: the server half of the cross-socket demo. SIGTERM (or a
-/// client's Drain RPC) winds it down gracefully; kill -9 plus
-/// --journal-dir demonstrates crash recovery across restarts.
-int run_listen(const harness::Args& args) {
-  const auto port = static_cast<std::uint16_t>(args.get_int("listen", 0));
-  const auto shards = static_cast<std::size_t>(args.get_int("shards", 4));
-
-  obs::MetricRegistry registry;
-  cloud::ShardedOptions options;
-  options.shards = shards;
-  options.router = cloud::parse_router(args.get("router", "round-robin"));
-  options.metrics = &registry;
-  options.journal_dir = args.get("journal-dir", "");
-  options.checkpoint_every =
-      static_cast<std::size_t>(args.get_int("checkpoint-every", 512));
-  cloud::ShardedDispatcher service(
-      2, [](std::size_t) { return make_policy("MoveToFront"); }, options);
-  for (std::size_t s = 0; s < shards; ++s) {
-    const auto& report = service.shard_recovery(s);
-    if (report.last_seq > 0 || report.had_checkpoint) {
-      std::cout << "shard " << s << ": recovered " << report.last_seq
-                << " ops from disk"
-                << (report.torn_tail ? " (torn tail dropped)" : "") << "\n";
-    }
-  }
-
-  net::ServerOptions sopts;
-  sopts.port = port;
-  sopts.metrics = &registry;
-  net::PlacementServer server(service, sopts);
-  server.install_signal_drain(SIGTERM);
-  server.install_signal_drain(SIGINT);
-  std::cout << "listening on 127.0.0.1:" << server.port()
-            << " (" << shards << " shards"
-            << (options.journal_dir.empty()
-                    ? std::string(", no journal")
-                    : ", journal " + options.journal_dir)
-            << "); SIGTERM or a Drain RPC stops it" << std::endl;
-  server.wait();
-
-  service.drain();
-  const Packing merged = service.snapshot();
-  std::cout << "drained: jobs=" << service.jobs_admitted()
-            << " bins=" << merged.num_bins() << " cost="
-            << harness::Table::num(merged.cost(), 0) << "\n";
-  return 0;
-}
-
-/// --connect=HOST:PORT: the client half -- the push_stream loop over a
-/// real socket, with reconnect-retry so a listener crash (or restart) is
-/// survived rather than fatal.
-int run_connect(const harness::Args& args) {
-  const std::string target = args.get("connect", "");
-  const auto colon = target.rfind(':');
-  if (colon == std::string::npos) {
-    std::cerr << "--connect expects HOST:PORT\n";
-    return 2;
-  }
-  const std::string host = target.substr(0, colon);
-  const auto port =
-      static_cast<std::uint16_t>(std::stoul(target.substr(colon + 1)));
-  const auto jobs = static_cast<std::size_t>(args.get_int("jobs", 5000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 21));
-  const bool drain_at_end = args.get_bool("drain", false);
-
-  std::uint64_t ok = 0, retried = 0, unknown = 0, reconnects = 0;
-  std::unique_ptr<net::Client> client;
-  const auto ensure_connected = [&] {
-    while (client == nullptr) {
-      try {
-        client = std::make_unique<net::Client>(host, port);
-      } catch (const net::NetError&) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-      }
-    }
-  };
-  // Issues one op until a terminal status; rides through connection loss
-  // and RETRY_LATER. Returns the response of the terminal attempt.
-  const auto issue = [&](const std::function<net::Response()>& op) {
-    while (true) {
-      ensure_connected();
-      try {
-        const net::Response resp = op();
-        if (resp.status == net::Status::kRetryLater ||
-            resp.status == net::Status::kShuttingDown) {
-          ++retried;
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          continue;
-        }
-        return resp;
-      } catch (const net::NetError&) {
-        client.reset();  // listener gone; reconnect and re-issue
-        ++reconnects;
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-      } catch (const net::FrameError&) {
-        client.reset();
-        ++reconnects;
-      }
-    }
-  };
-
-  std::cout << "=== Streaming " << jobs << " jobs to " << host << ":" << port
-            << " (reconnect-retry on) ===\n";
-  Xoshiro256pp rng(seed);
-  Time now = 0.0;
-  std::deque<std::pair<Time, std::uint64_t>> pending;  // when, server job id
-  for (std::size_t j = 0; j < jobs; ++j) {
-    now += rng.uniform(0.0, 0.5);
-    while (!pending.empty() && pending.front().first <= now) {
-      const auto [when, job] = pending.front();
-      pending.pop_front();
-      const net::Response resp =
-          issue([&] { return client->depart(when, job); });
-      if (resp.status == net::Status::kOk) {
-        ++ok;
-      } else if (resp.status == net::Status::kUnknownJob) {
-        // The arrival sat in the un-fsynced journal tail when the listener
-        // died: the job never survived the crash. Expected; tolerated.
-        ++unknown;
-      }
-    }
-    const RVec size{0.05 + 0.45 * rng.uniform(), 0.05 + 0.45 * rng.uniform()};
-    const Time duration = 1.0 + 30.0 * rng.uniform() * rng.uniform();
-    const net::Response resp =
-        issue([&] { return client->arrive(now, size); });
-    if (resp.status == net::Status::kOk) {
-      ++ok;
-      const Time when = std::max(now + duration,
-                                 pending.empty() ? 0.0 : pending.back().first);
-      pending.push_back({when, resp.job});
-    }
-  }
-  for (const auto& [when, job] : pending) {
-    const net::Response resp =
-        issue([&] { return client->depart(when, job); });
-    if (resp.status == net::Status::kOk) {
-      ++ok;
-    } else if (resp.status == net::Status::kUnknownJob) {
-      ++unknown;
-    }
-  }
-
-  std::cout << "done: ok=" << ok << " retried=" << retried
-            << " unknown_job=" << unknown << " reconnects=" << reconnects
-            << "\n";
-  if (drain_at_end) {
-    const net::Response resp = issue([&] { return client->drain(); });
-    if (resp.status == net::Status::kOk) {
-      std::cout << "drain: packing_hash=" << resp.packing_hash
-                << " bins=" << resp.num_bins << " cost="
-                << harness::Table::num(resp.cost, 0) << "\n";
-    }
-  }
-  return 0;
-}
-
-/// One op of the deterministic synthetic stream used by the durable demo.
-struct StreamOp {
-  bool is_arrival;
-  Time time;
-  RVec size;        // arrivals only
-  Time departure;   // arrivals only: the (known here) end time
-  JobId job;        // departs only: serial job id (== arrival index)
-};
-
-/// The same closed arrival/departure loop as the live demo, materialized
-/// up front so a crashed run can be resumed from any surviving prefix:
-/// op k is identical on every run with the same seed.
-std::vector<StreamOp> durable_stream(std::uint64_t seed, std::size_t jobs) {
-  Xoshiro256pp rng(seed);
-  std::vector<StreamOp> ops;
-  ops.reserve(2 * jobs);
-  std::deque<std::pair<Time, JobId>> pending;
-  Time now = 0.0;
-  JobId next_job = 0;
-  for (std::size_t j = 0; j < jobs; ++j) {
-    now += rng.uniform(0.0, 0.5);
-    while (!pending.empty() && pending.front().first <= now) {
-      ops.push_back({false, pending.front().first, RVec(), 0.0,
-                     pending.front().second});
-      pending.pop_front();
-    }
-    const RVec size{0.05 + 0.45 * rng.uniform(), 0.05 + 0.45 * rng.uniform()};
-    const Time duration = 1.0 + 30.0 * rng.uniform() * rng.uniform();
-    const Time when = std::max(now + duration,
-                               pending.empty() ? 0.0 : pending.back().first);
-    ops.push_back({true, now, size, when, next_job});
-    pending.push_back({when, next_job});
-    ++next_job;
-  }
-  for (const auto& [when, job] : pending) {
-    ops.push_back({false, when, RVec(), 0.0, job});
-  }
-  return ops;
-}
-
-void apply_stream(persist::DurableDispatcher& durable,
-                  const std::vector<StreamOp>& ops, std::size_t first,
-                  std::size_t last) {
-  for (std::size_t k = first; k < last; ++k) {
-    const StreamOp& op = ops[k];
-    if (op.is_arrival) {
-      durable.arrive(op.time, op.size, op.departure);
-    } else {
-      durable.depart(op.time, op.job);
-    }
-  }
-}
-
-/// --journal-dir: journaled run, optionally killed after --crash-after ops
-/// and recovered from disk.
-int run_durable(const harness::Args& args) {
-  const auto jobs = static_cast<std::size_t>(args.get_int("jobs", 5000));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 21));
-  const auto crash_after =
-      static_cast<std::size_t>(args.get_int("crash-after", 0));
-  persist::DurableOptions options;
-  options.dir = args.get("journal-dir", "");
-  options.checkpoint_every =
-      static_cast<std::size_t>(args.get_int("checkpoint-every", 512));
-  const std::vector<StreamOp> ops = durable_stream(seed, jobs);
-  const std::size_t crash_at =
-      crash_after > 0 ? std::min(crash_after, ops.size()) : ops.size();
-
-  std::cout << "=== Durable dispatch: " << ops.size() << " ops -> "
-            << options.dir << " (checkpoint every "
-            << options.checkpoint_every << " ops) ===\n\n";
-
-  {
-    PolicyPtr policy = make_policy("MoveToFront");
-    persist::DurableDispatcher durable(2, *policy, options);
-    if (durable.recovery().last_seq > 0 || durable.recovery().had_checkpoint) {
-      std::cout << "(journal dir was not empty: recovered "
-                << durable.recovery().last_seq << " ops before starting)\n";
-    }
-    apply_stream(durable, ops, durable.recovery().last_seq, crash_at);
-    if (crash_at == ops.size()) {
-      std::cout << "Run complete without a crash: cost="
-                << harness::Table::num(
-                       durable.dispatcher().cost_so_far(
-                           durable.dispatcher().last_event_time()), 0)
-                << ", servers=" << durable.dispatcher().bins_opened()
-                << ", journaled seq=" << durable.next_seq() - 1 << "\n";
-      return 0;
-    }
-    std::cout << "... simulated crash after op " << crash_at
-              << " (no shutdown, no flush; journal left as-is)\n\n";
-    // Scope exit abandons the dispatcher exactly as a dead process would:
-    // whatever commit() already wrote is on disk, nothing else is.
-  }
-
-  PolicyPtr policy = make_policy("MoveToFront");
-  persist::DurableDispatcher recovered(2, *policy, options);
-  const persist::RecoveryReport& report = recovered.recovery();
-  harness::Table table({"recovered from", "checkpoint seq", "replayed ops",
-                        "last seq", "torn tail"});
-  table.add_row({report.had_checkpoint ? "checkpoint+journal" : "journal",
-                 std::to_string(report.checkpoint_seq),
-                 std::to_string(report.replayed_ops),
-                 std::to_string(report.last_seq),
-                 report.torn_tail ? "yes" : "no"});
-  std::cout << table.to_aligned_text() << '\n';
-
-  const std::size_t resume_from = report.last_seq;
-  apply_stream(recovered, ops, resume_from, ops.size());
-  std::cout << "Resumed at op " << resume_from << " and finished: cost="
-            << harness::Table::num(
-                   recovered.dispatcher().cost_so_far(
-                       recovered.dispatcher().last_event_time()), 0)
-            << ", servers=" << recovered.dispatcher().bins_opened()
-            << ", journaled seq=" << recovered.next_seq() - 1 << "\n";
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const harness::Args args(argc, argv);
-  if (args.has("listen")) return run_listen(args);
-  if (args.has("connect")) return run_connect(args);
-  if (args.has("shards")) return run_sharded(args);
-  if (!args.get("journal-dir", "").empty()) return run_durable(args);
   const auto jobs = static_cast<std::size_t>(args.get_int("jobs", 5000));
   Xoshiro256pp rng(static_cast<std::uint64_t>(args.get_int("seed", 21)));
 

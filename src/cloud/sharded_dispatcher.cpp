@@ -1,8 +1,11 @@
 #include "cloud/sharded_dispatcher.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -14,6 +17,39 @@
 namespace dvbp::cloud {
 
 namespace {
+
+/// Throws when `root` holds a journal for a shard at or past `shards`:
+/// reopening it with fewer shards would silently drop that shard's jobs.
+/// A shard directory with no checkpoint and only empty segments holds no
+/// op (a recovery at a larger shard count leaves one behind) and passes.
+void refuse_orphan_shards(const std::string& root, std::size_t shards) {
+  namespace fs = std::filesystem;
+  constexpr std::string_view kPrefix = "shard-";
+  std::error_code ec;
+  for (fs::directory_iterator it(root, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (!name.starts_with(kPrefix)) continue;
+    const char* last = name.data() + name.size();
+    std::size_t shard = 0;
+    const auto [ptr, err] =
+        std::from_chars(name.data() + kPrefix.size(), last, shard);
+    if (err != std::errc() || ptr != last || shard < shards) continue;
+    const std::string dir = it->path().string();
+    bool holds_ops = !persist::checkpoint_files(dir).empty();
+    for (const std::string& segment : persist::journal_segments(dir)) {
+      std::error_code size_ec;
+      holds_ops = holds_ops || fs::file_size(segment, size_ec) > 0;
+    }
+    if (holds_ops) {
+      throw persist::PersistError(
+          "ShardedDispatcher: '" + dir + "' holds a journal for shard " +
+          std::to_string(shard) + ", but the service has only " +
+          std::to_string(shards) + " shard(s); reopen with at least " +
+          std::to_string(shard + 1));
+    }
+  }
+}
 
 /// Powers-of-two bounds for the ops-per-drain histogram.
 std::vector<double> batch_size_bounds(std::size_t max_batch) {
@@ -98,6 +134,7 @@ ShardedDispatcher::ShardedDispatcher(std::size_t dim,
   // global job table and router state from the recovered shards. Runs
   // before the workers start, so recovery needs no locks.
   if (!options_.journal_dir.empty()) {
+    refuse_orphan_shards(options_.journal_dir, shards_.size());
     for (std::size_t s = 0; s < shards_.size(); ++s) recover_shard(s);
     rebuild_job_table();
   }

@@ -100,7 +100,9 @@ struct ShardedOptions {
   /// owns `<journal_dir>/shard-<s>` exclusively -- journal appends never
   /// take a cross-shard lock. Construction recovers every shard from its
   /// directory (checkpoint restore + journal replay) before the workers
-  /// start, rebuilding the global job table and router state.
+  /// start, rebuilding the global job table and router state. It throws
+  /// persist::PersistError when a `shard-<s>` with s >= shards holds a
+  /// checkpoint or a non-empty journal segment: those jobs would be lost.
   std::string journal_dir;
   persist::FsyncPolicy fsync = persist::FsyncPolicy::kInterval;
   std::size_t fsync_interval_ops = 256;

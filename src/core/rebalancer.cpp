@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "core/bin_state.hpp"
 
@@ -70,6 +71,15 @@ bool Rebalancer::plan_close(Plan& plan) const {
   for (std::size_t c : candidates) {
     const BinState* source = dispatcher_.open_bin_state(views[c].id);
     const std::vector<ItemId>& jobs = source->active_items();
+    // Bins list Item ids; they index items() only for jobs admitted under
+    // their JobId (the rank), which is what save_state() requires too.
+    for (ItemId id : jobs) {
+      if (id >= dispatcher_.jobs_admitted() ||
+          dispatcher_.items()[id].id != id) {
+        throw std::logic_error(
+            "Rebalancer: job admitted under a foreign item id");
+      }
+    }
 
     double volume = 0.0;
     for (JobId job : jobs) volume += dispatcher_.items()[job].size.l1();

@@ -84,7 +84,10 @@ class Rebalancer {
 
   /// Call after every Dispatcher::depart (same `now`). Accrues credits,
   /// then greedily closes candidate bins while the budget lasts.
-  /// Returns the number of items migrated by this call.
+  /// Returns the number of items migrated by this call. Jobs must be
+  /// admitted under their JobId (Dispatcher::arrive by size, not by
+  /// Item): throws std::logic_error, before any eviction, when a candidate
+  /// bin holds a job admitted under a foreign item id.
   std::size_t on_departure(Time now);
 
   const MigrationConfig& config() const noexcept { return config_; }

@@ -1,9 +1,15 @@
-// The `harness` CLI: run one instrumented simulation and dump telemetry.
+// The `harness` CLI: run one workload through the placement service and
+// dump telemetry.
 //
-// Runs a workload (a built-in generator or a CSV trace) under one policy
-// with the obs subsystem wired in, prints a summary, and optionally writes
+// A batch run feeds a workload (a built-in generator or a trace file) to
+// one engine -- the serial Dispatcher, the journaled serial engine under
+// --journal-dir, or the sharded service under --shards -- with optional
+// layers on top: the tenant admission gate (--tenants), bounded migration
+// (--migrate-budget/--migrate-volume) and the JSONL decision trace
+// (--trace-out). It prints a summary and optionally writes
 //   --metrics-out=<path>  one JSON object: the MetricRegistry snapshot;
 //   --trace-out=<path>    JSONL decision trace (docs/OBSERVABILITY.md).
+// A flag the chosen stack cannot honour is a usage error (exit 2).
 //
 //   $ harness --generator=uniform --policy=MoveToFront --n=1000 --d=2
 //       --mu=10 --metrics-out=metrics.json --trace-out=trace.jsonl
@@ -11,7 +17,7 @@
 //
 // --check-roundtrip re-reads the emitted trace, reconstructs the Packing
 // via obs::replay_packing_file, and fails (exit 2) unless it matches the
-// simulator's packing exactly -- the telemetry acceptance gate, also run
+// engine's packing exactly -- the telemetry acceptance gate, also run
 // from tests/test_obs_cli.cpp.
 #include <algorithm>
 #include <chrono>
@@ -23,6 +29,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cloud/router.hpp"
@@ -33,7 +40,6 @@
 #include "core/packing_hash.hpp"
 #include "core/policies/registry.hpp"
 #include "core/rebalancer.hpp"
-#include "core/simulator.hpp"
 #include "gen/registry.hpp"
 #include "gen/tenants.hpp"
 #include "harness/cli.hpp"
@@ -65,42 +71,54 @@ using namespace dvbp;
 
 int usage() {
   std::cout <<
-      "harness: run one instrumented DVBP simulation and dump telemetry\n"
+      "harness: run one workload through the placement service and dump\n"
+      "telemetry\n"
       "  workload:  --generator=uniform|zipf|bursty|correlated|diurnal\n"
       "             --n=1000 --d=2 --mu=10 --span=1000 --bin-size=100\n"
-      "             --seed=1 --trial=0   (or --trace=<instance.csv>)\n"
-      "  policy:    --policy=MoveToFront --capacity=1.0\n"
-      "  service:   --shards=K  (run the sharded placement service instead\n"
-      "             of the serial simulator; reports wall-clock throughput)\n"
-      "             --router=round-robin|rendezvous|least-usage\n"
-      "  migration (docs/MIGRATION.md):\n"
-      "             --migrate-budget=N|inf   migrations allowed per\n"
-      "             departure event (amortized; 0 disables repacking)\n"
-      "             --migrate-volume=V|inf   L1 volume allowed per event\n"
-      "             serial: runs the live Dispatcher + Rebalancer instead\n"
-      "             of simulate(); sharded: one shard-rebalance pass at\n"
-      "             the stream midpoint with max_moves=budget\n"
-      "  outputs:   --metrics-out=<path.json> --trace-out=<path.jsonl>\n"
-      "             --check-roundtrip  (replay trace, verify packing)\n"
-      "             --quiet\n"
-      "  durability (docs/DURABILITY.md):\n"
-      "             --journal-dir=<dir>  write-ahead journal + checkpoints\n"
+      "             --seed=1 --trial=0   (or --trace=<instance.csv|.trc>)\n"
+      "  policy:    --policy=MoveToFront --policy-seed=N --capacity=1.0\n"
+      "  engine (one of):\n"
+      "             serial Dispatcher (the default)\n"
+      "             --journal-dir=<dir>  journaled serial engine: write-ahead\n"
+      "             journal + checkpoints (docs/DURABILITY.md); the\n"
+      "             directory must hold no journaled op yet\n"
       "             --fsync=always|interval|none --fsync-interval=256\n"
       "             --checkpoint-every=N  (journaled ops; 0 = never)\n"
-      "             --recover  (restore from --journal-dir, report, exit;\n"
-      "             no workload is ingested)\n"
-      "  --trace-out/--check-roundtrip apply to the serial path only.\n"
-      "  tenancy (docs/TENANCY.md):\n"
-      "             --tenants=T  label the workload with T tenants and run\n"
-      "             the serial dispatcher behind the credit admission gate;\n"
+      "             --recover  restore from --journal-dir, report, exit;\n"
+      "             no workload is ingested\n"
+      "             --shards=K  the sharded placement service (add\n"
+      "             --journal-dir for one journal per shard)\n"
+      "             --router=round-robin|rendezvous|least-usage\n"
+      "  layers:\n"
+      "             --migrate-budget=N|inf  migrations allowed per\n"
+      "             departure event (amortized; 0 disables repacking)\n"
+      "             --migrate-volume=V|inf  L1 volume allowed per event\n"
+      "             (docs/MIGRATION.md). Serial: a Rebalancer after every\n"
+      "             departure; --shards: one shard-rebalance pass at the\n"
+      "             stream midpoint with max_moves=budget\n"
+      "             --tenants=T  label the workload with T tenants and put\n"
+      "             the credit admission gate in front of the serial engine;\n"
       "             prints the welfare/instant-fairness/utilization report\n"
+      "             (docs/TENANCY.md)\n"
       "             --fairshare=w0,w1,...  relative fair shares (default\n"
       "             uniform)  --alpha=0.0  public credit injection rate\n"
       "             --capacity-units=U  admission capacity (bin units;\n"
       "             default: no quota)  --credits=C  starting balances\n"
-      "             --settle-every=T  settlement epoch length (sim time)\n"
+      "             --price=1.0  --settle-every=T  settlement epoch (sim time)\n"
       "             --inflate-tenant=t --inflate-factor=F  demand-inflation\n"
       "             adversary  --no-arbiter  baseline without gating\n"
+      "  outputs:   --metrics-out=<path.json> --trace-out=<path.jsonl>\n"
+      "             --check-roundtrip  (replay trace, verify packing)\n"
+      "             --quiet\n"
+      "  Serial runs compose --journal-dir, --tenants, --migrate-* and\n"
+      "  --trace-out in any mix; --shards composes with --journal-dir and\n"
+      "  --migrate-budget. Exit 2 instead of running for: --router without\n"
+      "  --shards; --recover, --fsync, --fsync-interval or\n"
+      "  --checkpoint-every without --journal-dir; a tenancy flag without\n"
+      "  --tenants; --check-roundtrip without --trace-out; --shards with\n"
+      "  --tenants, --trace-out, --check-roundtrip or --migrate-volume;\n"
+      "  --recover with --tenants, --migrate-* or --trace-out; a batch run\n"
+      "  into a --journal-dir that already holds ops.\n"
       "\n"
       "subcommands (docs/PROTOCOL.md):\n"
       "  harness serve   --port=7070 --shards=K --policy=... [--d=2]\n"
@@ -156,6 +174,42 @@ void reject_unknown_flags(const harness::Args& args) {
   }
 }
 
+/// The one composition check: every batch flag either reaches a layer of
+/// the stack the other flags select, or the run is a usage error (exit 2)
+/// before anything is read or written.
+void reject_dropped_flags(const harness::Args& args) {
+  // {flag, the flag whose stack it configures}
+  static const std::pair<const char*, const char*> kNeeds[] = {
+      {"router", "shards"},
+      {"recover", "journal-dir"},       {"fsync", "journal-dir"},
+      {"fsync-interval", "journal-dir"}, {"checkpoint-every", "journal-dir"},
+      {"fairshare", "tenants"},         {"alpha", "tenants"},
+      {"capacity-units", "tenants"},    {"credits", "tenants"},
+      {"settle-every", "tenants"},      {"price", "tenants"},
+      {"inflate-tenant", "tenants"},    {"inflate-factor", "tenants"},
+      {"no-arbiter", "tenants"},        {"check-roundtrip", "trace-out"}};
+  // {flag, a stack that cannot honour it}: the tenant gate and decision
+  // traces are serial-only, the shard pass has no volume budget, and a
+  // recovery ingests nothing.
+  static const std::pair<const char*, const char*> kExcludes[] = {
+      {"tenants", "shards"},         {"trace-out", "shards"},
+      {"check-roundtrip", "shards"}, {"migrate-volume", "shards"},
+      {"tenants", "recover"},        {"migrate-budget", "recover"},
+      {"migrate-volume", "recover"}, {"trace-out", "recover"}};
+  for (const auto& [flag, stack] : kExcludes) {
+    if (args.has(flag) && args.has(stack)) {
+      throw harness::CliError("--" + std::string(flag) +
+                              " cannot be combined with --" + stack);
+    }
+  }
+  for (const auto& [flag, stack] : kNeeds) {
+    if (args.has(flag) && !args.has(stack)) {
+      throw harness::CliError("--" + std::string(flag) + " requires --" +
+                              stack);
+    }
+  }
+}
+
 /// Fail fast on unwritable output paths -- before the (possibly long)
 /// simulation runs, so a typo'd path costs nothing. CliError exits 2.
 void validate_output_paths(const harness::Args& args) {
@@ -192,8 +246,40 @@ MigrationConfig parse_migration_config(const harness::Args& args) {
   return config;
 }
 
-bool wants_migration(const harness::Args& args) {
-  return args.has("migrate-budget") || args.has("migrate-volume");
+/// The policy --policy/--policy-seed name; every engine and shard owns one.
+PolicyPtr policy_from(const harness::Args& args) {
+  return make_policy(
+      args.get("policy", "MoveToFront"),
+      static_cast<std::uint64_t>(args.get_int("policy-seed", 0xD1CEu)));
+}
+
+/// Writes the registry snapshot to --metrics-out, if given.
+void write_metrics(const harness::Args& args,
+                   const obs::MetricRegistry& registry) {
+  const std::string path = args.get("metrics-out", "");
+  if (path.empty()) return;
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error("cannot open metrics-out '" + path + "'");
+  out << registry.to_json() << '\n';
+}
+
+/// The sharded service both batch --shards and `serve` run.
+cloud::ShardedOptions sharded_options(const harness::Args& args,
+                                      obs::MetricRegistry& registry) {
+  cloud::ShardedOptions options;
+  options.shards = static_cast<std::size_t>(args.get_int("shards", 1));
+  options.router = cloud::parse_router(args.get("router", "round-robin"));
+  options.bin_capacity = args.get_double("capacity", 1.0);
+  options.queue_capacity =
+      static_cast<std::size_t>(args.get_int("queue-capacity", 4096));
+  options.metrics = &registry;
+  options.journal_dir = args.get("journal-dir", "");
+  options.fsync = persist::parse_fsync_policy(args.get("fsync", "interval"));
+  options.fsync_interval_ops =
+      static_cast<std::size_t>(args.get_int("fsync-interval", 256));
+  options.checkpoint_every =
+      static_cast<std::size_t>(args.get_int("checkpoint-every", 0));
+  return options;
 }
 
 Instance load_instance(const harness::Args& args) {
@@ -229,500 +315,446 @@ Instance load_instance(const harness::Args& args) {
   return generate(trial);
 }
 
-/// Throughput mode: feed the instance's event stream through the sharded
-/// placement service, wall-clock the whole ingest, and report aggregate +
-/// per-shard figures. The event feed is the same one simulate() consumes,
-/// so at --shards=1 the resulting cost matches the serial path exactly
-/// (pinned by tests/test_sharded_parity.cpp).
-int run_sharded(const harness::Args& args, const Instance& inst) {
-  if (!args.get("trace-out", "").empty() ||
-      args.get_bool("check-roundtrip")) {
-    throw std::runtime_error(
-        "--trace-out/--check-roundtrip are serial-only (decision traces "
-        "are per-shard; see docs/ARCHITECTURE.md)");
-  }
-  const auto shards = static_cast<std::size_t>(args.get_int("shards", 1));
-  const std::string policy = args.get("policy", "MoveToFront");
-  const auto policy_seed =
-      static_cast<std::uint64_t>(args.get_int("policy-seed", 0xD1CEu));
-  const std::string metrics_out = args.get("metrics-out", "");
-  const bool quiet = args.get_bool("quiet");
-
-  obs::MetricRegistry registry;
-  cloud::ShardedOptions options;
-  options.shards = shards;
-  options.router = cloud::parse_router(args.get("router", "round-robin"));
-  options.bin_capacity = args.get_double("capacity", 1.0);
-  options.metrics = &registry;
-  options.journal_dir = args.get("journal-dir", "");
-  options.fsync =
-      persist::parse_fsync_policy(args.get("fsync", "interval"));
-  options.fsync_interval_ops =
-      static_cast<std::size_t>(args.get_int("fsync-interval", 256));
-  options.checkpoint_every =
-      static_cast<std::size_t>(args.get_int("checkpoint-every", 0));
-  cloud::ShardedDispatcher service(
-      inst.dim(),
-      [&](std::size_t) { return make_policy(policy, policy_seed); },
-      options);
-
-  if (args.get_bool("recover")) {
-    if (options.journal_dir.empty()) {
-      throw harness::CliError("--recover requires --journal-dir");
+/// The tenant layer (--tenants=T, docs/TENANCY.md): the credit admission
+/// gate in front of a serial engine, periodic settlement epochs, and the
+/// Karma-style welfare / instant-fairness / utilization report.
+/// --no-arbiter disables the quota (every arrival admitted) for the
+/// baseline the fairness comparison needs.
+struct TenantLayer {
+  /// Labels `inst` (tenant-weighted, then optionally lets one greedy
+  /// tenant inflate its reported demand).
+  TenantLayer(const harness::Args& args, Instance& inst,
+              obs::MetricRegistry& registry, obs::Tracer& tracer)
+      : arbiter(arbiter_config(args)),
+        gate(arbiter, &registry, &tracer),
+        accountant(arbiter.config().num_tenants),
+        tracker(arbiter.config().num_tenants),
+        settle_every(args.get_double("settle-every", 100.0)) {
+    if (!(settle_every > 0.0)) {
+      throw harness::CliError("--settle-every must be > 0");
     }
-    harness::Table recovery({"shard", "checkpoint_seq", "replayed_ops",
-                             "last_seq", "torn_tail", "jobs"});
-    for (std::size_t s = 0; s < shards; ++s) {
-      const persist::RecoveryReport& rec = service.shard_recovery(s);
-      recovery.add_row(
-          {std::to_string(s),
-           rec.had_checkpoint ? std::to_string(rec.checkpoint_seq) : "-",
-           std::to_string(rec.replayed_ops), std::to_string(rec.last_seq),
-           rec.torn_tail ? std::to_string(rec.tail_bytes_discarded) + "B"
-                         : "no",
-           std::to_string(service.shard_jobs_admitted(s))});
+    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+    gen::label_tenants(inst, arbiter.config().fair_shares,
+                       seed ^ 0x7e4a7ebef1ull);
+    if (args.has("inflate-tenant")) {
+      gen::inflate_tenant_demand(
+          inst, static_cast<TenantId>(args.get_int("inflate-tenant", 0)),
+          args.get_double("inflate-factor", 2.0));
     }
-    std::cout << recovery.to_aligned_text();
-    return 0;
+    for (std::uint32_t t = 0; t < accountant.num_tenants(); ++t) {
+      shares.push_back(arbiter.fair_share(t));
+    }
+    last_settle = inst.empty() ? 0.0 : inst.first_arrival();
+    next_settle = last_settle + settle_every;
   }
 
-  // --migrate-budget > 0: pause at the stream midpoint (drained, so the
-  // service is quiescent) and run one shard-rebalance pass with the budget
-  // as the move cap. Rebalancing at the end would be vacuous -- the full
-  // event stream departs every job.
-  const MigrationConfig migration = parse_migration_config(args);
-  const bool rebalance =
-      wants_migration(args) && migration.migrations_per_event > 0.0 &&
-      shards > 1;
-  cloud::ShardRebalanceReport rebalance_report;
-
-  const std::vector<Event> events = build_event_stream(inst);
-  std::vector<JobId> job_of_item(inst.size(), kNoItem);
-  const std::size_t midpoint = rebalance ? events.size() / 2 : events.size();
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (i == midpoint && rebalance) {
-      service.drain();
-      cloud::ShardRebalanceConfig rconfig;
-      rconfig.max_moves =
-          migration.migrations_per_event == MigrationConfig::kUnlimited
-              ? rconfig.max_moves
-              : static_cast<std::size_t>(migration.migrations_per_event);
-      rebalance_report =
-          service.rebalance_shards(events[i].time, rconfig);
+  static tenancy::ArbiterConfig arbiter_config(const harness::Args& args) {
+    const auto tenants =
+        static_cast<std::uint32_t>(args.get_int("tenants", 2));
+    if (tenants == 0) throw harness::CliError("--tenants must be >= 1");
+    tenancy::ArbiterConfig config;
+    config.num_tenants = tenants;
+    config.fair_shares.assign(tenants, 1.0);
+    if (args.has("fairshare")) {
+      const std::vector<std::string> parts = args.get_list("fairshare");
+      if (parts.size() != tenants) {
+        throw harness::CliError("--fairshare needs exactly --tenants weights");
+      }
+      for (std::size_t t = 0; t < parts.size(); ++t) {
+        config.fair_shares[t] = std::stod(parts[t]);
+      }
     }
-    const Event& ev = events[i];
-    const Item& item = inst[ev.item];
-    if (ev.kind == EventKind::kArrival) {
-      job_of_item[ev.item] =
-          service.arrive(item.arrival, item.size, item.departure);
+    config.alpha = args.get_double("alpha", 0.0);
+    config.init_credits = args.get_double("credits", 0.0);
+    config.price = args.get_double("price", 1.0);
+    if (!args.get_bool("no-arbiter") && args.has("capacity-units")) {
+      config.capacity_units = args.get_double("capacity-units", 0.0);
+    }
+    return config;
+  }
+
+  /// Closes the settlement epoch at `at`. Under a journal the settled
+  /// credit state is journaled as well.
+  void settle(Time at, const Dispatcher& dispatcher,
+              persist::DurableDispatcher* journal) {
+    accountant.on_advance(std::max(at, accountant.last_event()),
+                          dispatcher.open_bins());
+    const std::vector<double> usage = accountant.cut_epoch();
+    tracker.on_epoch(at - last_settle, usage, shares);
+    gate.settle(at, usage);
+    if (journal != nullptr) journal->settle_credits(at, arbiter.state_bytes());
+    last_settle = at;
+  }
+
+  /// Settles every epoch that ends at or before `now`.
+  void settle_until(Time now, const Dispatcher& dispatcher,
+                    persist::DurableDispatcher* journal) {
+    while (now >= next_settle) {
+      settle(next_settle, dispatcher, journal);
+      next_settle += settle_every;
+    }
+  }
+
+  tenancy::Arbiter arbiter;
+  tenancy::AdmissionGate gate;
+  tenancy::UsageAccountant accountant;
+  tenancy::FairnessTracker tracker;
+  std::vector<double> shares;
+  double settle_every;
+  Time last_settle = 0.0;
+  Time next_settle = 0.0;
+  std::uint64_t denied = 0;  // pushed back; a batch run drops, not retries
+};
+
+/// The one engine a batch run feeds, chosen by the flags: the sharded
+/// service under --shards, the journaled serial engine under --journal-dir,
+/// the plain Dispatcher otherwise. Exactly one of the three is set; a
+/// journaled engine recovers its directory on construction.
+struct Engine {
+  Engine(const harness::Args& args, std::size_t dim,
+         obs::MetricRegistry& registry, obs::Observer& observer,
+         TenantUsageHook* usage_hook)
+      : policy(policy_from(args)) {
+    const double capacity = args.get_double("capacity", 1.0);
+    if (args.has("shards")) {
+      sharded.emplace(dim,
+                      [&args](std::size_t) { return policy_from(args); },
+                      sharded_options(args, registry));
+    } else if (args.has("journal-dir")) {
+      persist::DurableOptions options;
+      options.dir = args.get("journal-dir", "");
+      options.fsync =
+          persist::parse_fsync_policy(args.get("fsync", "interval"));
+      options.fsync_interval_ops =
+          static_cast<std::size_t>(args.get_int("fsync-interval", 256));
+      options.checkpoint_every =
+          static_cast<std::size_t>(args.get_int("checkpoint-every", 0));
+      options.metrics = &registry;
+      options.observer = &observer;
+      options.usage_hook = usage_hook;
+      durable.emplace(dim, *policy, options, capacity);
     } else {
-      service.depart(ev.time, job_of_item[ev.item]);
+      plain.emplace(dim, *policy, capacity, &observer);
+      plain->set_usage_hook(usage_hook);
     }
   }
-  service.drain();
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - start;
 
-  const Packing packing = service.snapshot();
-  const double throughput =
-      wall.count() > 0.0 ? static_cast<double>(inst.size()) / wall.count()
-                         : 0.0;
+  /// The serial engine's dispatcher; null under --shards.
+  const Dispatcher* serial() const {
+    if (plain) return &*plain;
+    return durable ? &durable->dispatcher() : nullptr;
+  }
 
-  if (!metrics_out.empty()) {
-    std::ofstream out(metrics_out);
-    if (!out) {
-      throw std::runtime_error("cannot open metrics-out '" + metrics_out +
-                               "'");
+  /// Admits `item` at its arrival. Only the plain engine can admit under
+  /// the ItemId (`by_item`); the others name a job by its admission rank.
+  JobId arrive(const Item& item, bool by_item, TenantId tenant) {
+    if (sharded) return sharded->arrive(item.arrival, item.size, item.departure);
+    if (durable) {
+      return durable->arrive(item.arrival, item.size, item.departure, tenant)
+          .job;
     }
-    out << registry.to_json() << '\n';
+    if (by_item) return plain->arrive(item.arrival, item).job;
+    return plain->arrive(item.arrival, item.size, item.departure, tenant).job;
   }
 
-  if (!quiet) {
-    harness::Table summary({"policy", "shards", "router", "items", "cost",
-                            "bins", "wall_ms", "arrivals_per_s"});
-    summary.add_row(
-        {policy, std::to_string(shards),
-         std::string(cloud::router_name(service.router())),
-         std::to_string(inst.size()), harness::Table::num(packing.cost(), 1),
-         std::to_string(packing.num_bins()),
-         harness::Table::num(wall.count() * 1e3, 2),
-         harness::Table::num(throughput, 0)});
-    std::cout << summary.to_aligned_text();
-
-    harness::Table per_shard({"shard", "jobs", "bins", "cost",
-                              "placement_p50_ns"});
-    const Time horizon = events.empty() ? 0.0 : events.back().time;
-    for (std::size_t s = 0; s < shards; ++s) {
-      per_shard.add_row(
-          {std::to_string(s),
-           std::to_string(service.shard_jobs_admitted(s)),
-           std::to_string(service.shard_bins_opened(s)),
-           harness::Table::num(service.shard_cost_so_far(s, horizon), 1),
-           harness::Table::num(
-               registry
-                   .histogram("dvbp.shard." + std::to_string(s) +
-                              ".placement_latency_ns")
-                   .quantile(0.5),
-               0)});
+  void depart(Time now, JobId job) {
+    if (sharded) {
+      sharded->depart(now, job);
+    } else if (durable) {
+      durable->depart(now, job);
+    } else {
+      plain->depart(now, job);
     }
-    std::cout << per_shard.to_aligned_text();
-    if (rebalance) {
-      harness::Table rb({"rebalance_moves", "moved_volume", "skew_before",
-                         "skew_after"});
-      rb.add_row({std::to_string(rebalance_report.moves),
-                  harness::Table::num(rebalance_report.moved_volume, 3),
-                  harness::Table::num(rebalance_report.skew_before, 2),
-                  harness::Table::num(rebalance_report.skew_after, 2)});
-      std::cout << rb.to_aligned_text();
-    }
-    if (!metrics_out.empty()) std::cout << "metrics: " << metrics_out << '\n';
   }
-  return 0;
-}
 
-/// Durable serial mode (--journal-dir without --shards): the event stream
-/// runs through persist::DurableDispatcher, so every op is journaled and a
-/// killed run can be resumed. --recover restores from the journal
-/// directory, reports what recovery found, and exits without ingesting.
-int run_durable(const harness::Args& args, const Instance& inst) {
-  if (!args.get("trace-out", "").empty() ||
-      args.get_bool("check-roundtrip")) {
-    throw std::runtime_error(
-        "--trace-out/--check-roundtrip do not apply to the durable path");
-  }
-  const std::string journal_dir = args.get("journal-dir", "");
-  if (journal_dir.empty()) {
-    throw harness::CliError("--recover requires --journal-dir");
-  }
-  const std::string policy_name = args.get("policy", "MoveToFront");
-  const std::string metrics_out = args.get("metrics-out", "");
-  const bool quiet = args.get_bool("quiet");
+  PolicyPtr policy;  // the serial engines' (each shard builds its own)
+  std::optional<Dispatcher> plain;
+  std::optional<persist::DurableDispatcher> durable;
+  std::optional<cloud::ShardedDispatcher> sharded;
+};
 
-  obs::MetricRegistry registry;
-  const PolicyPtr policy = make_policy(
-      policy_name,
-      static_cast<std::uint64_t>(args.get_int("policy-seed", 0xD1CEu)));
-  persist::DurableOptions dopts;
-  dopts.dir = journal_dir;
-  dopts.fsync = persist::parse_fsync_policy(args.get("fsync", "interval"));
-  dopts.fsync_interval_ops =
-      static_cast<std::size_t>(args.get_int("fsync-interval", 256));
-  dopts.checkpoint_every =
-      static_cast<std::size_t>(args.get_int("checkpoint-every", 0));
-  dopts.metrics = &registry;
-  persist::DurableDispatcher service(inst.dim(), *policy, dopts,
-                                     args.get_double("capacity", 1.0));
-
-  const persist::RecoveryReport& rec = service.recovery();
-  if (!quiet && (args.get_bool("recover") || rec.last_seq > 0)) {
-    harness::Table recovery({"checkpoint_seq", "replayed_ops", "last_seq",
-                             "torn_tail", "open_bins", "jobs_active"});
-    recovery.add_row(
-        {rec.had_checkpoint ? std::to_string(rec.checkpoint_seq) : "-",
+/// --recover: what restoring the engine from --journal-dir found, one row
+/// per shard (the serial engine is one row), and the cost it carries.
+void print_recovery(const Engine& engine) {
+  harness::Table table({"shard", "checkpoint_seq", "replayed_ops",
+                        "last_seq", "torn_tail", "jobs", "open_bins",
+                        "jobs_active"});
+  std::vector<const Dispatcher*> dispatchers;
+  const auto add = [&](const std::string& shard,
+                       const persist::RecoveryReport& rec,
+                       const Dispatcher& d) {
+    table.add_row(
+        {shard, rec.had_checkpoint ? std::to_string(rec.checkpoint_seq) : "-",
          std::to_string(rec.replayed_ops), std::to_string(rec.last_seq),
          rec.torn_tail ? std::to_string(rec.tail_bytes_discarded) + "B"
                        : "no",
-         std::to_string(service.dispatcher().open_bins()),
-         std::to_string(service.dispatcher().jobs_active())});
-    std::cout << recovery.to_aligned_text();
-  }
-  if (args.get_bool("recover")) {
-    const Time now = service.dispatcher().last_event_time();
-    if (!quiet) {
-      std::cout << "cost_so_far: "
-                << harness::Table::num(service.dispatcher().cost_so_far(now),
-                                       1)
-                << '\n';
+         std::to_string(d.jobs_admitted()), std::to_string(d.open_bins()),
+         std::to_string(d.jobs_active())});
+    dispatchers.push_back(&d);
+  };
+  if (engine.sharded) {
+    for (std::size_t s = 0; s < engine.sharded->shards(); ++s) {
+      add(std::to_string(s), engine.sharded->shard_recovery(s),
+          engine.sharded->shard_dispatcher(s));
     }
+  } else {
+    add("-", engine.durable->recovery(), engine.durable->dispatcher());
+  }
+  Time now = 0.0;
+  for (const Dispatcher* d : dispatchers) {
+    now = std::max(now, d->last_event_time());
+  }
+  double cost = 0.0;
+  for (const Dispatcher* d : dispatchers) cost += d->cost_so_far(now);
+  std::cout << table.to_aligned_text()
+            << "cost_so_far: " << harness::Table::num(cost, 1) << '\n';
+}
+
+bool same_packing(const Packing& a, const Packing& b) {
+  if (a.assignment() != b.assignment()) return false;
+  if (a.num_bins() != b.num_bins()) return false;
+  for (std::size_t i = 0; i < a.num_bins(); ++i) {
+    const BinRecord& x = a.bins()[i];
+    const BinRecord& y = b.bins()[i];
+    if (x.id != y.id || x.opened != y.opened || x.closed != y.closed ||
+        x.items != y.items) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Batch mode: one loop over the instance's event stream into one engine,
+/// with the tenant gate, migration and the tracer as optional layers.
+int run_batch(const harness::Args& args) {
+  reject_unknown_flags(args);
+  reject_dropped_flags(args);
+  validate_output_paths(args);
+  const MigrationConfig migration = parse_migration_config(args);
+  Instance inst = load_instance(args);
+  const std::string trace_out = args.get("trace-out", "");
+  const bool quiet = args.get_bool("quiet");
+
+  obs::MetricRegistry registry;
+  std::shared_ptr<obs::TraceSink> sink;
+  if (!trace_out.empty()) sink = std::make_shared<obs::FileSink>(trace_out);
+  obs::Tracer tracer(sink);
+  obs::Observer observer(&registry, &tracer);
+  std::optional<TenantLayer> tenants;
+  if (args.has("tenants")) tenants.emplace(args, inst, registry, tracer);
+  // An empty instance has not fixed its dimension.
+  Engine engine(args, std::max<std::size_t>(inst.dim(), 1), registry,
+                observer, tenants ? &tenants->accountant : nullptr);
+  persist::DurableDispatcher* journal =
+      engine.durable ? &*engine.durable : nullptr;
+
+  if (args.get_bool("recover")) {
+    if (!quiet) print_recovery(engine);
+    write_metrics(args, registry);
     return 0;
   }
-
-  // Migration over the durable path: the Rebalancer plans against the
-  // inner dispatcher but mutates through the journaled evict/replace
-  // wrappers, so every migration is crash-recoverable.
-  const MigrationConfig migration = parse_migration_config(args);
-  std::optional<Rebalancer> rebalancer;
-  if (wants_migration(args)) {
-    rebalancer.emplace(service.dispatcher(), migration,
-                       service.migration_exec());
+  // A batch run journals a whole stream from its start; appending it to
+  // a journal that already holds ops would replay as one doubled run.
+  std::uint64_t journaled = journal ? journal->recovery().last_seq : 0;
+  if (engine.sharded) {
+    for (std::size_t s = 0; s < engine.sharded->shards(); ++s) {
+      journaled += engine.sharded->shard_recovery(s).last_seq;
+    }
+  }
+  if (journaled > 0) {
+    throw harness::CliError(
+        "--journal-dir=" + args.get("journal-dir", "") + " already holds " +
+        std::to_string(journaled) +
+        " journaled ops; inspect it with --recover, or start from an empty "
+        "directory");
   }
 
-  const std::vector<Event> events = build_event_stream(inst);
-  std::vector<JobId> job_of_item(inst.size(), kNoItem);
-  const auto start = std::chrono::steady_clock::now();
-  for (const Event& ev : events) {
-    const Item& item = inst[ev.item];
-    if (ev.kind == EventKind::kArrival) {
-      job_of_item[ev.item] =
-          service.arrive(item.arrival, item.size, item.departure).job;
+  // Serial migration: the Rebalancer plans against the live dispatcher
+  // after every departure; under a journal it mutates through the
+  // journaled evict/replace calls, so every move is crash-recoverable.
+  // Under --shards the budget instead caps one shard-rebalance pass at the
+  // stream midpoint (drained, so the service is quiescent) -- rebalancing
+  // at the end would be vacuous, the full stream departs every job.
+  const Dispatcher* serial = engine.serial();
+  std::optional<Rebalancer> rebalancer;
+  if (serial != nullptr &&
+      (args.has("migrate-budget") || args.has("migrate-volume"))) {
+    if (journal) {
+      rebalancer.emplace(*serial, migration, journal->migration_exec());
     } else {
-      service.depart(ev.time, job_of_item[ev.item]);
+      rebalancer.emplace(*engine.plain, migration);
+    }
+  }
+  const bool shard_pass =
+      engine.sharded && migration.migrations_per_event > 0.0;
+  cloud::ShardRebalanceReport shard_report;
+  // The bare serial engine admits under ItemIds, as simulate() does. The
+  // Rebalancer and checkpoints index jobs by rank, and behind the gate a
+  // denied arrival leaves its ItemId without a job: those admit by rank.
+  const bool by_item = engine.plain && !rebalancer && !tenants;
+
+  const std::vector<Event> events = build_event_stream(inst);
+  const std::size_t midpoint = shard_pass ? events.size() / 2 : events.size();
+  std::vector<JobId> job_of_item(inst.size(), kNoItem);
+  std::size_t peak_open = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Event& ev = events[i];
+    const Item& item = inst[ev.item];
+    if (tenants) tenants->settle_until(ev.time, *serial, journal);
+    if (i == midpoint) {
+      engine.sharded->drain();
+      cloud::ShardRebalanceConfig config;
+      if (migration.migrations_per_event != MigrationConfig::kUnlimited) {
+        config.max_moves =
+            static_cast<std::size_t>(migration.migrations_per_event);
+      }
+      shard_report = engine.sharded->rebalance_shards(ev.time, config);
+    }
+    if (ev.kind == EventKind::kArrival) {
+      if (tenants &&
+          !tenants->gate.admit(ev.time, item.tenant, item.size, item.id)) {
+        ++tenants->denied;
+        continue;
+      }
+      job_of_item[ev.item] =
+          engine.arrive(item, by_item, tenants ? item.tenant : kNoTenant);
+      if (serial) peak_open = std::max(peak_open, serial->open_bins());
+    } else if (job_of_item[ev.item] != kNoItem) {
+      engine.depart(ev.time, job_of_item[ev.item]);
+      if (tenants) tenants->gate.release(item.tenant, item.size);
       if (rebalancer) rebalancer->on_departure(ev.time);
     }
   }
-  service.flush();
+  if (tenants) {
+    const Time end = events.empty() ? tenants->last_settle : events.back().time;
+    if (end > tenants->last_settle) tenants->settle(end, *serial, journal);
+  }
+  if (engine.sharded) engine.sharded->drain();
+  if (journal) journal->flush();
+  tracer.flush();
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - start;
 
-  if (!metrics_out.empty()) {
-    std::ofstream out(metrics_out);
-    if (!out) {
-      throw std::runtime_error("cannot open metrics-out '" + metrics_out +
-                               "'");
+  // The packing names jobs the way the trace does: by ItemId when admitted
+  // under it, else by admission rank.
+  Packing packing = engine.sharded ? engine.sharded->snapshot()
+                                   : serial->packing();
+  if (by_item) {
+    std::vector<BinId> assignment(inst.size(), kNoBin);
+    for (ItemId i = 0; i < inst.size(); ++i) {
+      assignment[i] = serial->last_bin_of(job_of_item[i]);
     }
-    out << registry.to_json() << '\n';
+    packing = Packing(std::move(assignment), serial->records());
   }
 
+  write_metrics(args, registry);
+  if (tenants) {
+    std::cout << tenancy::render_report(tenancy::build_report(
+        tenants->accountant, tenants->arbiter, tenants->gate,
+        tenants->tracker));
+  }
   if (!quiet) {
-    const Dispatcher& d = service.dispatcher();
-    harness::Table summary({"policy", "items", "cost", "bins", "wall_ms",
-                            "journal_bytes", "checkpoints"});
-    summary.add_row(
-        {policy_name, std::to_string(inst.size()),
-         harness::Table::num(d.cost_so_far(d.last_event_time()), 1),
-         std::to_string(d.bins_opened()),
-         harness::Table::num(wall.count() * 1e3, 2),
-         std::to_string(
-             registry.counter("dvbp.persist.journal_bytes_total").value()),
-         std::to_string(
-             registry.counter("dvbp.persist.checkpoints_total").value())});
+    const std::string policy = args.get("policy", "MoveToFront");
+    std::vector<std::string> head{"policy", "items", "cost", "bins"};
+    std::vector<std::string> row{policy, std::to_string(inst.size()),
+                                 harness::Table::num(packing.cost(), 1),
+                                 std::to_string(packing.num_bins())};
+    const auto column = [&](std::string name, std::string value) {
+      head.push_back(std::move(name));
+      row.push_back(std::move(value));
+    };
+    if (engine.sharded) {
+      column("shards", std::to_string(engine.sharded->shards()));
+      column("router", std::string(cloud::router_name(engine.sharded->router())));
+    } else {
+      column("peak_open", std::to_string(peak_open));
+    }
+    if (tenants) {
+      column("tenants", std::to_string(tenants->accountant.num_tenants()));
+      column("denied", std::to_string(tenants->denied));
+    }
+    column("fit_failures",
+           std::to_string(
+               registry.counter("dvbp.alloc.fit_failures_total").value()));
+    column("decision_p50_ns",
+           harness::Table::num(
+               registry.histogram("dvbp.alloc.decision_latency_ns")
+                   .quantile(0.5),
+               0));
+    if (args.has("journal-dir")) {
+      column("journal_bytes",
+             std::to_string(
+                 registry.counter("dvbp.persist.journal_bytes_total")
+                     .value()));
+      column("checkpoints",
+             std::to_string(
+                 registry.counter("dvbp.persist.checkpoints_total").value()));
+    }
+    column("wall_ms", harness::Table::num(wall.count() * 1e3, 2));
+    column("arrivals_per_s",
+           harness::Table::num(
+               wall.count() > 0.0
+                   ? static_cast<double>(inst.size()) / wall.count()
+                   : 0.0,
+               0));
+    harness::Table summary(std::move(head));
+    summary.add_row(std::move(row));
     std::cout << summary.to_aligned_text();
+
+    if (engine.sharded) {
+      harness::Table per_shard({"shard", "jobs", "bins", "cost",
+                                "placement_p50_ns"});
+      const Time horizon = events.empty() ? 0.0 : events.back().time;
+      for (std::size_t s = 0; s < engine.sharded->shards(); ++s) {
+        per_shard.add_row(
+            {std::to_string(s),
+             std::to_string(engine.sharded->shard_jobs_admitted(s)),
+             std::to_string(engine.sharded->shard_bins_opened(s)),
+             harness::Table::num(
+                 engine.sharded->shard_cost_so_far(s, horizon), 1),
+             harness::Table::num(
+                 registry
+                     .histogram("dvbp.shard." + std::to_string(s) +
+                                ".placement_latency_ns")
+                     .quantile(0.5),
+                 0)});
+      }
+      std::cout << per_shard.to_aligned_text();
+    }
+    if (shard_pass) {
+      harness::Table rb({"rebalance_moves", "moved_volume", "skew_before",
+                         "skew_after"});
+      rb.add_row({std::to_string(shard_report.moves),
+                  harness::Table::num(shard_report.moved_volume, 3),
+                  harness::Table::num(shard_report.skew_before, 2),
+                  harness::Table::num(shard_report.skew_after, 2)});
+      std::cout << rb.to_aligned_text();
+    }
     if (rebalancer) {
       const MigrationStats& stats = rebalancer->stats();
       std::cout << "migrations: " << stats.migrations << " (volume "
                 << harness::Table::num(stats.migrated_volume, 3)
                 << ", bins closed " << stats.bins_closed << ")\n";
     }
-    std::cout << "journal: " << journal_dir << '\n';
-    if (!metrics_out.empty()) std::cout << "metrics: " << metrics_out
-                                        << '\n';
-  }
-  return 0;
-}
-
-bool same_packing(const Packing& a, const Packing& b);
-
-/// Serial migration mode (--migrate-budget without --shards/--journal-dir):
-/// the event stream runs through a live Dispatcher with a Rebalancer
-/// attached, so departures can trigger bounded repacking. Telemetry
-/// (metrics, JSONL trace, --check-roundtrip) works exactly as in the
-/// simulate() path; the trace additionally carries evict/replace records.
-int run_migration(const harness::Args& args, const Instance& inst) {
-  const std::string policy_name = args.get("policy", "MoveToFront");
-  const std::string metrics_out = args.get("metrics-out", "");
-  const std::string trace_out = args.get("trace-out", "");
-  const bool quiet = args.get_bool("quiet");
-
-  obs::MetricRegistry registry;
-  std::shared_ptr<obs::TraceSink> sink;
-  if (!trace_out.empty()) {
-    sink = std::make_shared<obs::FileSink>(trace_out);
-  }
-  obs::Tracer tracer(sink);
-  obs::Observer observer(&registry, &tracer);
-
-  const PolicyPtr policy = make_policy(
-      policy_name,
-      static_cast<std::uint64_t>(args.get_int("policy-seed", 0xD1CEu)));
-  Dispatcher dispatcher(inst.dim(), *policy,
-                        args.get_double("capacity", 1.0), &observer);
-  Rebalancer rebalancer(dispatcher, parse_migration_config(args));
-
-  const std::vector<Event> events = build_event_stream(inst);
-  std::vector<JobId> job_of_item(inst.size(), kNoItem);
-  const auto start = std::chrono::steady_clock::now();
-  for (const Event& ev : events) {
-    const Item& item = inst[ev.item];
-    if (ev.kind == EventKind::kArrival) {
-      job_of_item[ev.item] =
-          dispatcher.arrive(item.arrival, item.size, item.departure).job;
-    } else {
-      dispatcher.depart(ev.time, job_of_item[ev.item]);
-      rebalancer.on_departure(ev.time);
-    }
-  }
-  tracer.flush();
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - start;
-
-  if (!metrics_out.empty()) {
-    std::ofstream out(metrics_out);
-    if (!out) {
-      throw std::runtime_error("cannot open metrics-out '" + metrics_out +
-                               "'");
-    }
-    out << registry.to_json() << '\n';
-  }
-
-  const Packing packing = dispatcher.packing();
-  const MigrationStats& stats = rebalancer.stats();
-  if (!quiet) {
-    harness::Table summary({"policy", "items", "cost", "bins", "migrations",
-                            "migrated_volume", "bins_closed_by_migration",
-                            "wall_ms"});
-    summary.add_row(
-        {policy_name, std::to_string(inst.size()),
-         harness::Table::num(packing.cost(), 1),
-         std::to_string(dispatcher.bins_opened()),
-         std::to_string(stats.migrations),
-         harness::Table::num(stats.migrated_volume, 3),
-         std::to_string(stats.bins_closed),
-         harness::Table::num(wall.count() * 1e3, 2)});
-    std::cout << summary.to_aligned_text();
     if (!trace_out.empty()) {
       std::cout << "trace:   " << trace_out << " ("
                 << tracer.records_emitted() << " records)\n";
     }
-    if (!metrics_out.empty()) std::cout << "metrics: " << metrics_out << '\n';
+    if (args.has("journal-dir")) {
+      std::cout << "journal: " << args.get("journal-dir", "") << '\n';
+    }
+    if (args.has("metrics-out")) {
+      std::cout << "metrics: " << args.get("metrics-out", "") << '\n';
+    }
   }
 
   if (args.get_bool("check-roundtrip")) {
-    if (trace_out.empty()) {
-      throw std::runtime_error("--check-roundtrip requires --trace-out");
-    }
-    const Packing replayed = obs::replay_packing_file(trace_out);
-    if (!same_packing(packing, replayed)) {
+    if (!same_packing(packing, obs::replay_packing_file(trace_out))) {
       std::cerr << "harness: trace round-trip MISMATCH\n";
       return 2;
     }
     if (!quiet) std::cout << "trace round-trip: ok\n";
-  }
-  return 0;
-}
-
-/// Tenant fairness mode (--tenants=T): the serial dispatcher behind the
-/// credit-based admission gate, with periodic settlement epochs and the
-/// Karma-style welfare / instant-fairness / utilization report at the end
-/// (docs/TENANCY.md). --no-arbiter disables the quota (every arrival
-/// admitted) for the baseline the fairness comparison needs.
-int run_tenants(const harness::Args& args, Instance inst) {
-  const auto tenants =
-      static_cast<std::uint32_t>(args.get_int("tenants", 2));
-  if (tenants == 0) throw harness::CliError("--tenants must be >= 1");
-  const std::string policy_name = args.get("policy", "MoveToFront");
-  const std::string metrics_out = args.get("metrics-out", "");
-  const bool quiet = args.get_bool("quiet");
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-
-  std::vector<double> weights(tenants, 1.0);
-  if (args.has("fairshare")) {
-    const std::vector<std::string> parts = args.get_list("fairshare");
-    if (parts.size() != tenants) {
-      throw harness::CliError("--fairshare needs exactly --tenants weights");
-    }
-    for (std::size_t t = 0; t < parts.size(); ++t) {
-      weights[t] = std::stod(parts[t]);
-    }
-  }
-
-  // Label the stream (tenant-weighted), then optionally let one greedy
-  // tenant inflate its reported demand.
-  gen::label_tenants(inst, weights, seed ^ 0x7e4a7ebef1ull);
-  if (args.has("inflate-tenant")) {
-    const auto liar =
-        static_cast<TenantId>(args.get_int("inflate-tenant", 0));
-    const double factor = args.get_double("inflate-factor", 2.0);
-    gen::inflate_tenant_demand(inst, liar, factor);
-  }
-
-  obs::MetricRegistry registry;
-  std::shared_ptr<obs::TraceSink> sink;
-  const std::string trace_out = args.get("trace-out", "");
-  if (!trace_out.empty()) sink = std::make_shared<obs::FileSink>(trace_out);
-  obs::Tracer tracer(sink);
-  obs::Observer observer(&registry, &tracer);
-
-  tenancy::ArbiterConfig aconfig;
-  aconfig.num_tenants = tenants;
-  aconfig.fair_shares = weights;
-  aconfig.alpha = args.get_double("alpha", 0.0);
-  aconfig.init_credits = args.get_double("credits", 0.0);
-  aconfig.price = args.get_double("price", 1.0);
-  if (!args.get_bool("no-arbiter") && args.has("capacity-units")) {
-    aconfig.capacity_units = args.get_double("capacity-units", 0.0);
-  }
-  tenancy::Arbiter arbiter(aconfig);
-  tenancy::AdmissionGate gate(arbiter, &registry, &tracer);
-  tenancy::UsageAccountant accountant(tenants);
-  tenancy::FairnessTracker tracker(tenants);
-
-  const PolicyPtr policy = make_policy(
-      policy_name,
-      static_cast<std::uint64_t>(args.get_int("policy-seed", 0xD1CEu)));
-  Dispatcher dispatcher(inst.dim(), *policy,
-                        args.get_double("capacity", 1.0), &observer);
-  dispatcher.set_usage_hook(&accountant);
-
-  std::vector<double> shares(tenants, 0.0);
-  for (std::uint32_t t = 0; t < tenants; ++t) {
-    shares[t] = arbiter.fair_share(t);
-  }
-  const double settle_every = args.get_double("settle-every", 100.0);
-  if (!(settle_every > 0.0)) {
-    throw harness::CliError("--settle-every must be > 0");
-  }
-
-  Time last_settle = inst.empty() ? 0.0 : inst.first_arrival();
-  Time next_settle = last_settle + settle_every;
-  const auto settle = [&](Time at) {
-    accountant.on_advance(std::max(at, accountant.last_event()),
-                          dispatcher.open_bins());
-    const std::vector<double> usage = accountant.cut_epoch();
-    tracker.on_epoch(at - last_settle, usage, shares);
-    gate.settle(at, usage);
-    last_settle = at;
-  };
-
-  const std::vector<Event> events = build_event_stream(inst);
-  std::vector<JobId> job_of_item(inst.size(), kNoItem);
-  std::uint64_t denied = 0;
-  for (const Event& ev : events) {
-    while (ev.time >= next_settle) {
-      settle(next_settle);
-      next_settle += settle_every;
-    }
-    const Item& item = inst[ev.item];
-    if (ev.kind == EventKind::kArrival) {
-      if (!gate.admit(ev.time, item.tenant, item.size, item.id)) {
-        ++denied;  // pushed back; this run drops rather than retries
-        continue;
-      }
-      job_of_item[ev.item] =
-          dispatcher.arrive(ev.time, item.size, item.departure, item.tenant)
-              .job;
-    } else {
-      if (job_of_item[ev.item] == kNoItem) continue;  // never admitted
-      dispatcher.depart(ev.time, job_of_item[ev.item]);
-      gate.release(item.tenant, item.size);
-    }
-  }
-  const Time end = events.empty() ? last_settle : events.back().time;
-  if (end > last_settle) settle(end);
-  tracer.flush();
-
-  if (!metrics_out.empty()) {
-    std::ofstream out(metrics_out);
-    if (!out) {
-      throw std::runtime_error("cannot open metrics-out '" + metrics_out +
-                               "'");
-    }
-    out << registry.to_json() << '\n';
-  }
-
-  const tenancy::FairnessReport report =
-      tenancy::build_report(accountant, arbiter, gate, tracker);
-  std::cout << tenancy::render_report(report);
-  if (!quiet) {
-    const Packing packing = dispatcher.packing();
-    harness::Table summary({"policy", "tenants", "items", "denied", "cost",
-                            "bins"});
-    summary.add_row({policy_name, std::to_string(tenants),
-                     std::to_string(inst.size()), std::to_string(denied),
-                     harness::Table::num(packing.cost(), 1),
-                     std::to_string(dispatcher.bins_opened())});
-    std::cout << summary.to_aligned_text();
-    if (!metrics_out.empty()) std::cout << "metrics: " << metrics_out << '\n';
   }
   return 0;
 }
@@ -743,32 +775,15 @@ int run_serve(const harness::Args& args) {
                               "' (see --help)");
     }
   }
-  harness::require_writable_file("metrics-out", args.get("metrics-out", ""));
-  harness::require_writable_dir("journal-dir", args.get("journal-dir", ""));
+  validate_output_paths(args);
 
   const auto dim = static_cast<std::size_t>(args.get_int("d", 2));
-  const std::string policy = args.get("policy", "MoveToFront");
-  const auto policy_seed =
-      static_cast<std::uint64_t>(args.get_int("policy-seed", 0xD1CEu));
   const bool quiet = args.get_bool("quiet");
 
   obs::MetricRegistry registry;
-  cloud::ShardedOptions sopts;
-  sopts.shards = static_cast<std::size_t>(args.get_int("shards", 1));
-  sopts.router = cloud::parse_router(args.get("router", "round-robin"));
-  sopts.bin_capacity = args.get_double("capacity", 1.0);
-  sopts.queue_capacity =
-      static_cast<std::size_t>(args.get_int("queue-capacity", 4096));
-  sopts.metrics = &registry;
-  sopts.journal_dir = args.get("journal-dir", "");
-  sopts.fsync = persist::parse_fsync_policy(args.get("fsync", "interval"));
-  sopts.fsync_interval_ops =
-      static_cast<std::size_t>(args.get_int("fsync-interval", 256));
-  sopts.checkpoint_every =
-      static_cast<std::size_t>(args.get_int("checkpoint-every", 0));
   cloud::ShardedDispatcher service(
-      dim, [&](std::size_t) { return make_policy(policy, policy_seed); },
-      sopts);
+      dim, [&args](std::size_t) { return policy_from(args); },
+      sharded_options(args, registry));
 
   net::ServerOptions nopts;
   nopts.host = args.get("host", "127.0.0.1");
@@ -788,27 +803,22 @@ int run_serve(const harness::Args& args) {
             << std::endl;
   server.wait();
 
-  const std::string metrics_out = args.get("metrics-out", "");
-  if (!metrics_out.empty()) {
-    std::ofstream out(metrics_out);
-    if (!out) {
-      throw std::runtime_error("cannot open metrics-out '" + metrics_out +
-                               "'");
-    }
-    out << registry.to_json() << '\n';
-  }
+  write_metrics(args, registry);
   if (!quiet) {
     // Drained and quiescent: this hash is what the Drain RPC reported.
     const Packing packing = service.snapshot();
     harness::Table summary(
         {"policy", "shards", "jobs", "bins", "cost", "packing_hash"});
-    summary.add_row({policy, std::to_string(service.shards()),
+    summary.add_row({args.get("policy", "MoveToFront"),
+                     std::to_string(service.shards()),
                      std::to_string(service.jobs_admitted()),
                      std::to_string(packing.num_bins()),
                      harness::Table::num(packing.cost(), 1),
                      std::to_string(packing_hash(packing))});
     std::cout << summary.to_aligned_text();
-    if (!metrics_out.empty()) std::cout << "metrics: " << metrics_out << '\n';
+    if (args.has("metrics-out")) {
+      std::cout << "metrics: " << args.get("metrics-out", "") << '\n';
+    }
   }
   return 0;
 }
@@ -1010,9 +1020,7 @@ int run_trace_cmd(const harness::Args& args) {
     harness::require_writable_file("metrics-out", metrics_out);
     const trace::TraceReader reader(require_flag(args, sub, "in"));
     const std::string policy_name = args.get("policy", "MoveToFront");
-    const PolicyPtr policy = make_policy(
-        policy_name,
-        static_cast<std::uint64_t>(args.get_int("policy-seed", 0xD1CEu)));
+    const PolicyPtr policy = policy_from(args);
 
     obs::MetricRegistry registry;
     trace::ReplayOptions opts;
@@ -1023,14 +1031,7 @@ int run_trace_cmd(const harness::Args& args) {
     const std::chrono::duration<double> wall =
         std::chrono::steady_clock::now() - start;
 
-    if (!metrics_out.empty()) {
-      std::ofstream out(metrics_out);
-      if (!out) {
-        throw std::runtime_error("cannot open metrics-out '" + metrics_out +
-                                 "'");
-      }
-      out << registry.to_json() << '\n';
-    }
+    write_metrics(args, registry);
     if (!quiet) {
       const double eps = wall.count() > 0.0
                              ? static_cast<double>(r.events) / wall.count()
@@ -1063,20 +1064,6 @@ int run_trace_cmd(const harness::Args& args) {
                           "' (convert|info|reduce|run)");
 }
 
-bool same_packing(const Packing& a, const Packing& b) {
-  if (a.assignment() != b.assignment()) return false;
-  if (a.num_bins() != b.num_bins()) return false;
-  for (std::size_t i = 0; i < a.num_bins(); ++i) {
-    const BinRecord& x = a.bins()[i];
-    const BinRecord& y = b.bins()[i];
-    if (x.id != y.id || x.opened != y.opened || x.closed != y.closed ||
-        x.items != y.items) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1091,79 +1078,7 @@ int main(int argc, char** argv) {
       throw harness::CliError("unknown subcommand '" + cmd +
                               "' (see --help)");
     }
-    reject_unknown_flags(args);
-    validate_output_paths(args);
-    const Instance inst = load_instance(args);
-    if (args.has("tenants")) return run_tenants(args, inst);
-    if (args.has("shards")) return run_sharded(args, inst);
-    if (!args.get("journal-dir", "").empty() || args.get_bool("recover")) {
-      return run_durable(args, inst);
-    }
-    if (wants_migration(args)) return run_migration(args, inst);
-    const std::string policy = args.get("policy", "MoveToFront");
-    const std::string metrics_out = args.get("metrics-out", "");
-    const std::string trace_out = args.get("trace-out", "");
-    const bool quiet = args.get_bool("quiet");
-
-    obs::MetricRegistry registry;
-    std::shared_ptr<obs::TraceSink> sink;
-    if (!trace_out.empty()) {
-      sink = std::make_shared<obs::FileSink>(trace_out);
-    }
-    obs::Tracer tracer(sink);
-    obs::Observer observer(&registry, &tracer);
-
-    SimOptions opts;
-    opts.bin_capacity = args.get_double("capacity", 1.0);
-    opts.observer = &observer;
-    const SimResult result = simulate(
-        inst, policy, opts,
-        static_cast<std::uint64_t>(args.get_int("policy-seed", 0xD1CEu)));
-
-    if (!metrics_out.empty()) {
-      std::ofstream out(metrics_out);
-      if (!out) {
-        throw std::runtime_error("cannot open metrics-out '" + metrics_out +
-                                 "'");
-      }
-      out << registry.to_json() << '\n';
-    }
-
-    if (!quiet) {
-      harness::Table summary({"policy", "items", "cost", "bins", "peak_open",
-                              "fit_failures", "decision_p50_ns"});
-      summary.add_row(
-          {policy, std::to_string(inst.size()),
-           harness::Table::num(result.cost, 1),
-           std::to_string(result.bins_opened),
-           std::to_string(result.max_open_bins),
-           std::to_string(
-               registry.counter("dvbp.alloc.fit_failures_total").value()),
-           harness::Table::num(
-               registry.histogram("dvbp.alloc.decision_latency_ns")
-                   .quantile(0.5),
-               0)});
-      std::cout << summary.to_aligned_text();
-      if (!trace_out.empty()) {
-        std::cout << "trace:   " << trace_out << " ("
-                  << tracer.records_emitted() << " records)\n";
-      }
-      if (!metrics_out.empty()) std::cout << "metrics: " << metrics_out
-                                          << '\n';
-    }
-
-    if (args.get_bool("check-roundtrip")) {
-      if (trace_out.empty()) {
-        throw std::runtime_error("--check-roundtrip requires --trace-out");
-      }
-      const Packing replayed = obs::replay_packing_file(trace_out);
-      if (!same_packing(result.packing, replayed)) {
-        std::cerr << "harness: trace round-trip MISMATCH\n";
-        return 2;
-      }
-      if (!quiet) std::cout << "trace round-trip: ok\n";
-    }
-    return 0;
+    return run_batch(args);
   } catch (const harness::CliError& e) {
     std::cerr << "harness: " << e.what() << '\n';
     return 2;

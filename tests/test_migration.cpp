@@ -369,6 +369,32 @@ TEST(Rebalancer, AllOrNothingRefusesPartialCloses) {
   (void)filler;
 }
 
+TEST(Rebalancer, RejectsJobsAdmittedUnderForeignItemIds) {
+  // Bins list Item ids; a job admitted by Item keeps its own id, which is
+  // not its JobId. Planning must refuse it instead of indexing items()
+  // with it (ids 7 and 9 are past the end of a three-job slab).
+  PolicyPtr policy = make_policy("FirstFit", kPolicySeed);
+  Dispatcher d(1, *policy);
+  Rebalancer rebalancer(
+      d, MigrationConfig{.migrations_per_event = MigrationConfig::kUnlimited});
+  const JobId first = d.arrive(0.0, Item(7, 0.0, 10.0, RVec{0.6})).job;
+  d.arrive(1.0, Item(3, 1.0, 10.0, RVec{0.6}));  // bin1
+  d.arrive(2.0, Item(9, 2.0, 10.0, RVec{0.3}));  // bin0, beside item 7
+  d.depart(3.0, first);
+  try {
+    rebalancer.on_departure(3.0);
+    ADD_FAILURE() << "planned a move for a job under a foreign item id";
+  } catch (const std::logic_error& e) {
+    // Not the engine refusing an evict of "job 9": planning must stop.
+    EXPECT_NE(std::string(e.what()).find("foreign item id"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(rebalancer.stats().migrations, 0u);
+  EXPECT_EQ(d.jobs_evicted(), 0u);
+  EXPECT_EQ(d.open_bins(), 2u);
+}
+
 // --- Cost vs offline bounds ----------------------------------------------
 
 TEST(MigrationCost, BudgetImprovesCostAndRespectsLowerBound) {

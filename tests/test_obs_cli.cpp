@@ -2,16 +2,32 @@
 // binary (path passed as argv[1] by CTest) with --metrics-out/--trace-out,
 // then consumes both artifacts -- the metrics snapshot must be valid JSON
 // with the expected allocator counters, and the JSONL trace must replay
-// into a structurally complete Packing.
+// into a structurally complete Packing. Every batch stack (migration,
+// tenant gate, journal, shards) is driven through the binary too, and what
+// it reports in --metrics-out (and the serial --recover cost line) is
+// pinned against the library run in-process.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "core/dispatcher.hpp"
+#include "core/event.hpp"
+#include "core/instance.hpp"
+#include "core/packing_hash.hpp"
+#include "core/policies/registry.hpp"
+#include "core/rebalancer.hpp"
+#include "core/simulator.hpp"
+#include "gen/registry.hpp"
 #include "obs/json.hpp"
 #include "obs/replay.hpp"
 
@@ -26,6 +42,36 @@ std::string slurp(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+/// The instance `harness --n=<n> --d=2 --mu=8` generates (every other
+/// workload flag at its CLI default).
+Instance cli_instance(std::size_t n) {
+  gen::UniformParams params;
+  params.n = n;
+  params.d = 2;
+  params.mu = 8;
+  params.span = 1000;
+  params.bin_size = 100;
+  return gen::make_generator("uniform", params, 1)(0);
+}
+
+/// A fresh, not yet existing directory path under the test temp dir.
+std::string fresh_dir(const std::string& tag) {
+  static int counter = 0;
+  const std::string dir = ::testing::TempDir() + "harness_cli_" + tag + "_" +
+                          std::to_string(++counter) + "_" +
+                          std::to_string(static_cast<unsigned>(::getpid()));
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+/// The number after "cost_so_far: " in `out`; NaN when the line is absent.
+double cost_line(const std::string& out) {
+  const std::string key = "cost_so_far: ";
+  const auto at = out.find(key);
+  if (at == std::string::npos) return std::numeric_limits<double>::quiet_NaN();
+  return std::stod(out.substr(at + key.size()));
 }
 
 class HarnessCli : public ::testing::Test {
@@ -45,6 +91,33 @@ class HarnessCli : public ::testing::Test {
   int run(const std::string& flags) {
     const std::string cmd = "\"" + g_harness_bin + "\" " + flags;
     return std::system(cmd.c_str());
+  }
+
+  struct Captured {
+    int exit_code = -1;  // -1 unless the binary exited normally
+    std::string text;    // stdout and stderr
+  };
+  Captured capture(const std::string& flags) {
+    const std::string cmd = "\"" + g_harness_bin + "\" " + flags + " 2>&1";
+    Captured out;
+    FILE* pipe = ::popen(cmd.c_str(), "r");
+    EXPECT_NE(pipe, nullptr) << cmd;
+    if (pipe == nullptr) return out;
+    char buf[4096];
+    std::size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
+      out.text.append(buf, n);
+    }
+    const int status = ::pclose(pipe);
+    if (WIFEXITED(status)) out.exit_code = WEXITSTATUS(status);
+    return out;
+  }
+
+  /// One counter (or gauge) of the --metrics-out snapshot.
+  double metric(const std::string& name) {
+    const auto value = scan_json_number(slurp(metrics_path_), name);
+    EXPECT_TRUE(value.has_value()) << name;
+    return value.value_or(-1.0);
   }
 
   std::string metrics_path_;
@@ -105,12 +178,193 @@ TEST_F(HarnessCli, RoundTripHoldsUnderAugmentationAndOtherPolicies) {
       EXPECT_EQ(rc, 0) << input << " --policy=" << policy;
     }
   }
+  // The round-trip alone would also pass if the harness named arrival
+  // ranks; the packing must be the one simulate() reports by ItemId.
+  std::ifstream in(csv);
+  const Instance inst = Instance::from_csv(in);
+  for (const std::string policy : {"MoveToFront", "BestFit", "FirstFit"}) {
+    ASSERT_EQ(run("--trace=" + csv + " --policy=" + policy +
+                  " --quiet --trace-out=" + trace_path_),
+              0);
+    EXPECT_EQ(packing_hash(replay_packing_file(trace_path_)),
+              packing_hash(simulate(inst, policy).packing))
+        << policy;
+  }
   std::remove(csv.c_str());
+}
+
+TEST_F(HarnessCli, MigrationStackReportsTheRebalancerMoves) {
+  ASSERT_EQ(run("--n=300 --d=2 --mu=8 --policy=BestFit --migrate-budget=4"
+                " --quiet --metrics-out=" + metrics_path_),
+            0);
+  const Instance inst = cli_instance(300);
+  PolicyPtr policy = make_policy("BestFit");
+  Dispatcher d(inst.dim(), *policy);
+  Rebalancer rebalancer(d, MigrationConfig{.migrations_per_event = 4.0});
+  std::vector<JobId> job_of(inst.size(), kNoItem);
+  for (const Event& ev : build_event_stream(inst)) {
+    const Item& item = inst[ev.item];
+    if (ev.kind == EventKind::kArrival) {
+      job_of[ev.item] = d.arrive(item.arrival, item.size, item.departure).job;
+    } else {
+      d.depart(ev.time, job_of[ev.item]);
+      rebalancer.on_departure(ev.time);
+    }
+  }
+  ASSERT_GT(rebalancer.stats().migrations, 0u);
+  EXPECT_EQ(metric("dvbp.migrate.migrations_total"),
+            static_cast<double>(rebalancer.stats().migrations));
+  EXPECT_EQ(metric("dvbp.migrate.bins_closed_total"),
+            static_cast<double>(rebalancer.stats().bins_closed));
+  EXPECT_EQ(metric("dvbp.alloc.bins_opened_total"),
+            static_cast<double>(d.bins_opened()));
+}
+
+TEST_F(HarnessCli, TenantStackGatesEveryArrival) {
+  const std::string workload =
+      "--n=300 --d=2 --mu=8 --policy=BestFit --tenants=4 --quiet"
+      " --metrics-out=" + metrics_path_;
+  ASSERT_EQ(run(workload + " --capacity-units=3 >/dev/null"), 0);
+  const double admitted = metric("dvbp.tenant.admitted_total");
+  const double denied = metric("dvbp.tenant.denied_total");
+  EXPECT_GT(denied, 0.0);
+  EXPECT_EQ(admitted + denied, 300.0);
+  EXPECT_EQ(metric("dvbp.alloc.arrivals_total"), admitted);
+  EXPECT_EQ(metric("dvbp.alloc.departures_total"), admitted);
+
+  // Without the arbiter every job is admitted: the plain packing.
+  ASSERT_EQ(run(workload + " --no-arbiter >/dev/null"), 0);
+  EXPECT_EQ(metric("dvbp.tenant.denied_total"), 0.0);
+  EXPECT_EQ(metric("dvbp.alloc.bins_opened_total"),
+            static_cast<double>(
+                simulate(cli_instance(300), "BestFit").bins_opened));
+}
+
+TEST_F(HarnessCli, JournalStackJournalsEveryOpAndRecoversTheCost) {
+  const std::string dir = fresh_dir("wal");
+  const std::string workload =
+      "--n=300 --d=2 --mu=8 --policy=BestFit --journal-dir=" + dir;
+  ASSERT_EQ(run(workload + " --checkpoint-every=128 --quiet --metrics-out=" +
+                metrics_path_),
+            0);
+  EXPECT_EQ(metric("dvbp.persist.journal_commits_total"), 600.0);
+  EXPECT_EQ(metric("dvbp.persist.checkpoints_total"), 4.0);  // 600 / 128
+  const double journal_bytes = metric("dvbp.persist.journal_bytes_total");
+  EXPECT_NEAR(cost_line(capture(workload + " --recover").text),
+              simulate(cli_instance(300), "BestFit").cost, 0.05);
+
+  // Sharded, every op lands in exactly one shard journal: the frames are
+  // fixed-size, so the bytes match the serial journal's.
+  const std::string sharded_dir = fresh_dir("wal");
+  ASSERT_EQ(run("--n=300 --d=2 --mu=8 --shards=2 --quiet --journal-dir=" +
+                sharded_dir + " --metrics-out=" + metrics_path_),
+            0);
+  EXPECT_EQ(metric("dvbp.persist.journal_bytes_total"), journal_bytes);
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(sharded_dir);
+}
+
+TEST_F(HarnessCli, ShardedStackSplitsTheStreamAcrossShards) {
+  ASSERT_EQ(run("--n=300 --d=2 --mu=8 --shards=2 --quiet --metrics-out=" +
+                metrics_path_),
+            0);
+  // Round-robin: each shard applies half the arrivals and their departures.
+  EXPECT_EQ(metric("dvbp.shard.0.ops_applied_total"), 300.0);
+  EXPECT_EQ(metric("dvbp.shard.1.ops_applied_total"), 300.0);
+  EXPECT_EQ(metric("dvbp.alloc.arrivals_total"), 300.0);
+
+  // One shard is the serial engine, bin for bin.
+  ASSERT_EQ(run("--n=300 --d=2 --mu=8 --shards=1 --quiet --metrics-out=" +
+                metrics_path_),
+            0);
+  EXPECT_EQ(metric("dvbp.alloc.bins_opened_total"),
+            static_cast<double>(
+                simulate(cli_instance(300), "MoveToFront").bins_opened));
 }
 
 TEST_F(HarnessCli, FailsCleanlyOnBadInput) {
   EXPECT_NE(run("--policy=NoSuchPolicy --quiet"), 0);
-  EXPECT_NE(run("--quiet --check-roundtrip"), 0);  // needs --trace-out
+  const int rc = run("--quiet --check-roundtrip");  // needs --trace-out
+  ASSERT_TRUE(WIFEXITED(rc));
+  EXPECT_EQ(WEXITSTATUS(rc), 2);
+}
+
+TEST_F(HarnessCli, FlagsNoStackCanHonourExitWithCode2) {
+  const std::string dir = fresh_dir("rejected");
+  const std::string recover = "--journal-dir=" + dir + " --recover ";
+  // {flags, the flag the message must name}
+  const std::pair<std::string, std::string> rejected[] = {
+      {"--router=rendezvous", "--router"},
+      {"--recover", "--recover"},
+      {"--fsync=always", "--fsync"},
+      {"--fsync-interval=8", "--fsync-interval"},
+      {"--checkpoint-every=8", "--checkpoint-every"},
+      {"--fairshare=1,1", "--fairshare"},
+      {"--alpha=0.1", "--alpha"},
+      {"--capacity-units=4", "--capacity-units"},
+      {"--credits=1", "--credits"},
+      {"--settle-every=10", "--settle-every"},
+      {"--price=2", "--price"},
+      {"--inflate-tenant=0", "--inflate-tenant"},
+      {"--inflate-factor=2", "--inflate-factor"},
+      {"--no-arbiter", "--no-arbiter"},
+      {"--check-roundtrip", "--check-roundtrip"},
+      {"--shards=2 --tenants=2", "--tenants"},
+      {"--shards=2 --trace-out=" + trace_path_, "--trace-out"},
+      {"--shards=2 --check-roundtrip", "--check-roundtrip"},
+      {"--shards=2 --migrate-volume=1", "--migrate-volume"},
+      {recover + "--tenants=2", "--tenants"},
+      {recover + "--migrate-budget=1", "--migrate-budget"},
+      {recover + "--migrate-volume=1", "--migrate-volume"},
+      {recover + "--trace-out=" + trace_path_, "--trace-out"},
+  };
+  for (const auto& [flags, named] : rejected) {
+    const Captured out = capture("--n=50 --quiet " + flags);
+    EXPECT_EQ(out.exit_code, 2) << flags;
+    EXPECT_NE(out.text.find(named), std::string::npos) << flags;
+  }
+  // Rejected before anything is read or written.
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+TEST_F(HarnessCli, ComposedSerialStackRoundTripsAndRecovers) {
+  const std::string dir = fresh_dir("composed");
+  const std::string workload =
+      "--n=400 --d=2 --mu=8 --policy=BestFit --journal-dir=" + dir;
+  ASSERT_EQ(run(workload + " --tenants=4 --capacity-units=3"
+                " --migrate-budget=2 --trace-out=" + trace_path_ +
+                " --check-roundtrip --quiet --metrics-out=" + metrics_path_ +
+                " >/dev/null"),
+            0);
+  // Every layer did its part.
+  EXPECT_GT(metric("dvbp.tenant.denied_total"), 0.0);
+  EXPECT_GT(metric("dvbp.tenant.settlements_total"), 0.0);
+  EXPECT_GT(metric("dvbp.migrate.migrations_total"), 0.0);
+  EXPECT_EQ(metric("dvbp.persist.journal_commits_total"),
+            2.0 * metric("dvbp.tenant.admitted_total") +
+                2.0 * metric("dvbp.migrate.migrations_total") +
+                metric("dvbp.tenant.settlements_total"));
+  // The journal recovers the packing the trace records.
+  EXPECT_NEAR(cost_line(capture(workload + " --recover").text),
+              replay_packing_file(trace_path_).cost(), 0.05);
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(HarnessCli, BatchRunIntoAUsedJournalIsRefused) {
+  for (const std::string stack : {"", " --shards=2"}) {
+    SCOPED_TRACE(stack);
+    const std::string dir = fresh_dir("used");
+    const std::string workload =
+        "--n=200 --d=2 --mu=8 --quiet --journal-dir=" + dir + stack;
+    ASSERT_EQ(run(workload), 0);
+    const Captured again = capture(workload);
+    EXPECT_EQ(again.exit_code, 2);
+    EXPECT_NE(again.text.find("--recover"), std::string::npos);
+    // The journal still holds the first run only: 2 ops per job.
+    ASSERT_EQ(run(workload + " --recover --metrics-out=" + metrics_path_), 0);
+    EXPECT_EQ(metric("dvbp.persist.replayed_ops_total"), 400.0);
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST_F(HarnessCli, UnwritableOutputPathsFailFastWithExitCode2) {

@@ -9,12 +9,14 @@
 // tenant-credit (kTenantCredits) frames gets the same every-byte-offset
 // treatment: the surviving prefix must reproduce the dispatcher, the
 // usage ledgers, AND the last surviving credit snapshot bit for bit.
+// Reopening a sharded journal with fewer shards than wrote it is refused.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -813,6 +815,40 @@ TEST(CrashFuzz, ShardedKilledMidDrainRecoversShardByShard) {
   const JobId job = recovered.arrive(resume, size, resume + 5.0);
   recovered.depart(resume + 2.0, job);
   recovered.drain();
+}
+
+// Reopening a sharded journal with fewer shards must not silently drop the
+// missing shards' jobs (their ids would read as departed). An orphan shard
+// directory that journaled nothing -- what a reopen at a larger K leaves
+// behind -- stays harmless.
+TEST(ShardedReopen, FewerShardsThanTheJournalIsRefused) {
+  TempDir dir("reshard");
+  cloud::ShardedOptions options;
+  options.journal_dir = dir.str();
+  options.fsync = FsyncPolicy::kNone;
+  const auto factory = [](std::size_t) {
+    return make_policy("MoveToFront", kPolicySeed);
+  };
+  const auto open = [&](std::size_t shards) {
+    options.shards = shards;
+    return std::make_unique<cloud::ShardedDispatcher>(2, factory, options);
+  };
+
+  open(1).reset();  // shard-0 only, nothing journaled
+  open(2).reset();  // creates an empty shard-1
+  EXPECT_NO_THROW(open(1).reset());
+
+  {
+    auto service = open(2);
+    for (int j = 0; j < 4; ++j) {
+      service->arrive(static_cast<Time>(j), RVec{0.3, 0.3}, 100.0);
+    }
+    service->drain();
+    ASSERT_EQ(service->shard_jobs_admitted(1), 2u);
+  }
+  EXPECT_THROW(open(1), persist::PersistError);
+  const auto reopened = open(2);
+  EXPECT_EQ(reopened->jobs_active(), 4u);
 }
 
 }  // namespace
