@@ -12,7 +12,8 @@ namespace dvbp {
 Dispatcher::Dispatcher(std::size_t dim, Policy& policy, double bin_capacity,
                        obs::Observer* observer)
     : dim_(dim), policy_(policy), capacity_(bin_capacity), obs_(observer),
-      table_(dim, bin_capacity) {
+      table_(dim, bin_capacity),
+      hole_load_(dim, std::numeric_limits<double>::infinity()) {
   if (dim_ == 0) {
     throw std::invalid_argument("Dispatcher: dim must be >= 1");
   }
@@ -87,8 +88,7 @@ Dispatcher::Admission Dispatcher::admit(Time now, const Item& item) {
                             std::string(policy_.name()) +
                             "' selected a bin that is not open");
     }
-    if (chosen != kNoBin &&
-        !bins_[open_order_[slot_of_[chosen]]].fits(item.size)) {
+    if (chosen != kNoBin && !bins_[chosen].fits(item.size)) {
       throw PolicyViolation("Dispatcher: policy '" +
                             std::string(policy_.name()) +
                             "' selected a bin that cannot hold the job");
@@ -101,19 +101,20 @@ Dispatcher::Admission Dispatcher::admit(Time now, const Item& item) {
   advance_clock(now);
   ++active_jobs_;
   if (usage_hook_ != nullptr) {
-    usage_hook_->on_arrive(item.tenant, now, item.size, open_order_.size());
+    usage_hook_->on_arrive(item.tenant, now, item.size, open_bins());
   }
   std::size_t rejections = 0;
   if (obs_ != nullptr) {
     obs_->on_arrival(now, item.id,
                      std::span<const double>(item.size.begin(),
                                              item.size.dim()),
-                     open_order_.size());
+                     open_bins());
     if (obs_->wants_rejections()) {
-      for (std::size_t idx : open_order_) {
-        if (!bins_[idx].fits(item.size)) {
+      for (const BinView& view : views_) {
+        if (view.id == kNoBin) continue;  // a hole
+        if (!bins_[view.id].fits(item.size)) {
           ++rejections;
-          obs_->on_reject(now, item.id, bins_[idx].id());
+          obs_->on_reject(now, item.id, view.id);
         }
       }
     }
@@ -139,15 +140,14 @@ BinId Dispatcher::place(Time now, const Item& item, JobState& job,
     // so views_ load pointers stay valid with no repatching.
     bin = &bins_.emplace_back(target, dim_, now, capacity_, &usage_pool_);
     records_.push_back(BinRecord{target, now, now, {}});
-    slot = static_cast<std::uint32_t>(open_order_.size());
+    slot = static_cast<std::uint32_t>(views_.size());
     slot_of_.push_back(slot);
-    open_order_.push_back(bins_.size() - 1);
     table_.push_back_zero();
     views_.push_back(BinView{target, &bin->load(), now, 0, 0.0, capacity_});
     if (obs_ != nullptr) obs_->on_open(now, target);
   } else {
     slot = slot_of_[target];
-    bin = &bins_[open_order_[slot]];
+    bin = &bins_[target];
   }
   bin->add(item);
   table_.add(slot, item.size.data());
@@ -171,7 +171,7 @@ bool Dispatcher::unplace(Time now, const Item& item, BinId bin_id) {
   if (slot == kNoSlot) {
     throw std::logic_error("Dispatcher: job's bin is not open");
   }
-  BinState& bin = bins_[open_order_[slot]];
+  BinState& bin = bins_[bin_id];
   const bool emptied = bin.remove(item);
   if (emptied) {
     records_[bin_id].closed = now;
@@ -203,7 +203,7 @@ void Dispatcher::depart(Time now, JobId job) {
   // Patch the actual departure so latest-departure bookkeeping is honest.
   item.departure = now;
   if (usage_hook_ != nullptr) {
-    usage_hook_->on_depart(item.tenant, now, item.size, open_order_.size());
+    usage_hook_->on_depart(item.tenant, now, item.size, open_bins());
   }
   const bool emptied = unplace(now, item, bin);
   state.bin = kNoBin;
@@ -230,7 +230,7 @@ Dispatcher::Eviction Dispatcher::evict(Time now, JobId job) {
   advance_clock(now);
   // The job stays active (no demand change), but the bin count may step.
   if (usage_hook_ != nullptr) {
-    usage_hook_->on_advance(now, open_order_.size());
+    usage_hook_->on_advance(now, open_bins());
   }
   // The item's departure field is left alone: the job is still running.
   const Item& item = items_[job];
@@ -257,14 +257,14 @@ BinId Dispatcher::replace(Time now, JobId job, BinId target) {
     if (target >= bins_.size() || slot_of_[target] == kNoSlot) {
       throw PolicyViolation("Dispatcher::replace: target bin is not open");
     }
-    if (!bins_[open_order_[slot_of_[target]]].fits(item.size)) {
+    if (!bins_[target].fits(item.size)) {
       throw PolicyViolation(
           "Dispatcher::replace: target bin cannot hold the job");
     }
   }
   advance_clock(now);
   if (usage_hook_ != nullptr) {
-    usage_hook_->on_advance(now, open_order_.size());
+    usage_hook_->on_advance(now, open_bins());
   }
   JobState& state = jobs_[job];
   state.evicted = false;
@@ -288,14 +288,33 @@ Packing Dispatcher::packing() const {
   return Packing(std::move(assignment), records_);
 }
 
+// Leaves a hole where the closed bin was: O(d), and no other slot moves,
+// so the table stays in opening order without renumbering anything.
 void Dispatcher::close_slot(std::uint32_t slot) {
-  slot_of_[bins_[open_order_[slot]].id()] = kNoSlot;
-  open_order_.erase(open_order_.begin() + slot);
-  views_.erase(views_.begin() + slot);
-  table_.erase_slot(slot);
-  for (std::size_t k = slot; k < open_order_.size(); ++k) {
-    slot_of_[bins_[open_order_[k]].id()] = static_cast<std::uint32_t>(k);
+  slot_of_[views_[slot].id] = kNoSlot;
+  views_[slot] = BinView{kNoBin, &hole_load_, 0.0, 0, 0.0, capacity_};
+  table_.make_hole(slot);
+  ++holes_;
+  if (holes_ * kCompactFraction > views_.size()) compact();
+}
+
+// Squeezes the holes out in one pass. Live slots keep their relative
+// (opening) order, so every scan still meets the bins in the same order.
+void Dispatcher::compact() {
+  std::uint32_t live = 0;
+  for (std::uint32_t slot = 0; slot < views_.size(); ++slot) {
+    const BinId id = views_[slot].id;
+    if (id == kNoBin) continue;
+    if (live != slot) {
+      views_[live] = views_[slot];
+      table_.move_slot(slot, live);
+      slot_of_[id] = live;
+    }
+    ++live;
   }
+  views_.resize(live);
+  table_.truncate(live);
+  holes_ = 0;
 }
 
 double Dispatcher::total_active_load() const noexcept {
@@ -356,10 +375,11 @@ void Dispatcher::save_state(serial::Writer& out) const {
     for (ItemId r : rec.items) out.u32(r);
   }
 
-  out.u64(open_order_.size());
-  for (std::size_t idx : open_order_) {
-    out.u64(idx);
-    bins_[idx].save_state(out);
+  out.u64(open_bins());
+  for (const BinView& view : views_) {
+    if (view.id == kNoBin) continue;  // a hole
+    out.u64(view.id);
+    bins_[view.id].save_state(out);
   }
 }
 
@@ -427,7 +447,6 @@ void Dispatcher::restore_state(serial::Reader& in) {
     throw serial::SerialError(
         "Dispatcher::restore_state: more open bins than bins");
   }
-  open_order_.reserve(num_open);
   views_.reserve(num_open);
   for (std::uint64_t k = 0; k < num_open; ++k) {
     const std::uint64_t idx = in.u64();
@@ -435,9 +454,14 @@ void Dispatcher::restore_state(serial::Reader& in) {
       throw serial::SerialError(
           "Dispatcher::restore_state: open-bin index out of range");
     }
+    // Bins open in id order, so opening order is ascending ids; a repeat
+    // or a swap would restore a table that decides differently.
+    if (!views_.empty() && idx <= views_.back().id) {
+      throw serial::SerialError(
+          "Dispatcher::restore_state: open bins not in opening order");
+    }
     bins_[idx].restore_state(in);
     slot_of_[idx] = static_cast<std::uint32_t>(k);
-    open_order_.push_back(idx);
     const BinState& bin = bins_[idx];
     // Raw-bit copy into the table lane: the restored slot is
     // bit-identical to the saved load, like the RVec it mirrors.
@@ -454,8 +478,9 @@ double Dispatcher::cost_so_far(Time at) const {
     // contribution is its full usage time: use the running sum and only
     // walk the open bins.
     double total = closed_usage_;
-    for (std::size_t idx : open_order_) {
-      total += std::max(0.0, at - bins_[idx].opened_at());
+    for (const BinView& view : views_) {
+      if (view.id == kNoBin) continue;  // a hole
+      total += std::max(0.0, at - view.opened_at);
     }
     return total;
   }

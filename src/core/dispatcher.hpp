@@ -148,7 +148,7 @@ class Dispatcher {
   // --- Introspection ---------------------------------------------------
 
   std::size_t dim() const noexcept { return dim_; }
-  std::size_t open_bins() const noexcept { return open_order_.size(); }
+  std::size_t open_bins() const noexcept { return views_.size() - holes_; }
   std::size_t bins_opened() const noexcept { return records_.size(); }
   std::size_t jobs_admitted() const noexcept { return items_.size(); }
   std::size_t jobs_active() const noexcept { return active_jobs_; }
@@ -157,11 +157,16 @@ class Dispatcher {
   /// Bin currently hosting `job` (kNoBin after departure).
   BinId bin_of(JobId job) const;
 
-  /// Read-only views of the open bins in opening order. The spans and the
-  /// load pointers inside them are invalidated by the next arrive()/depart();
-  /// callers that share the dispatcher across threads must hold their own
-  /// lock across the call and any use of the result (the sharded service's
-  /// router reads these under the shard mutex).
+  /// Read-only views of the open-bin table's slots in opening order. A
+  /// slot whose view has id == kNoBin is a hole left by a bin that closed:
+  /// it holds no items and its load is +inf in every dimension, so it
+  /// never fits. Holes are squeezed out once they pass 1/8 of the slots,
+  /// so skip them rather than count on their positions; open_bins() counts
+  /// the live slots. The span and the load pointers inside it are
+  /// invalidated by the next mutating call; callers that share the
+  /// dispatcher across threads must hold their own lock across the call
+  /// and any use of the result (the sharded service's router reads these
+  /// under the shard mutex).
   std::span<const BinView> open_views() const noexcept { return views_; }
 
   /// Sum over open bins and dimensions of the current load -- the
@@ -194,7 +199,7 @@ class Dispatcher {
   /// Invalidated by the next mutating call (invariant-checker use).
   const BinState* open_bin_state(BinId id) const noexcept {
     if (id >= slot_of_.size() || slot_of_[id] == kNoSlot) return nullptr;
-    return &bins_[open_order_[slot_of_[id]]];
+    return &bins_[id];
   }
 
   /// Running sum of closed bins' usage time (monotone; checker use).
@@ -203,11 +208,12 @@ class Dispatcher {
   // --- Checkpointing (src/persist/checkpoint.hpp) ----------------------
 
   /// Serializes the complete allocation state -- items, assignments, bin
-  /// records, open-bin order, and every open bin's exact load bits -- such
-  /// that restore_state() on a fresh Dispatcher (same dim/capacity, same
-  /// policy configuration; policy state is checkpointed separately through
-  /// Policy::save_state) reproduces a dispatcher whose future decisions
-  /// are bit-identical to this one's. Closed bins are restored as empty
+  /// records, the open bins in opening order (holes are not written), and
+  /// every open bin's exact load bits -- such that restore_state() on a
+  /// fresh Dispatcher (same dim/capacity, same policy configuration;
+  /// policy state is checkpointed separately through Policy::save_state)
+  /// reproduces a dispatcher whose future decisions are bit-identical to
+  /// this one's. Closed bins are restored as empty
   /// shells (their BinState is never consulted again); their usage history
   /// lives in records(). O(items + bins). Throws std::logic_error if a
   /// job was admitted under an Item id other than its JobId.
@@ -216,13 +222,17 @@ class Dispatcher {
   /// Restores state written by save_state(). Must be called on a freshly
   /// constructed dispatcher (nothing admitted yet) with the same dim and
   /// bin_capacity; throws std::logic_error otherwise and
-  /// serial::SerialError on malformed input. Does not invoke any Policy
-  /// callback -- pair with Policy::restore_state.
+  /// serial::SerialError on malformed input, including open bins that are
+  /// not listed in strictly ascending (opening) order. The restored table
+  /// has no holes. Does not invoke any Policy callback -- pair with
+  /// Policy::restore_state.
   void restore_state(serial::Reader& in);
 
  private:
   static constexpr std::uint32_t kNoSlot =
       std::numeric_limits<std::uint32_t>::max();
+  /// compact() runs once holes pass 1/kCompactFraction of the slots.
+  static constexpr std::size_t kCompactFraction = 8;
 
   /// Placement state of one job, by JobId.
   struct JobState {
@@ -238,6 +248,7 @@ class Dispatcher {
   BinId place(Time now, const Item& item, JobState& job, BinId target);
   bool unplace(Time now, const Item& item, BinId bin_id);
   void close_slot(std::uint32_t slot);
+  void compact();
 
   std::size_t dim_;
   Policy& policy_;
@@ -253,10 +264,11 @@ class Dispatcher {
   std::size_t evicted_jobs_ = 0;
   StableVector<BinState> bins_;      // every bin ever opened, by id
   OpenBinTable table_;  // SoA loads of the open bins, parallel to views_
-  std::vector<std::size_t> open_order_;  // indices into bins_, opening order
-  std::vector<std::uint32_t> slot_of_;  // BinId -> slot in open_order_/views_
+  std::vector<std::uint32_t> slot_of_;  // BinId -> slot in views_/table_
   std::vector<BinRecord> records_;
-  std::vector<BinView> views_;  // open-bin views, parallel to open_order_
+  std::vector<BinView> views_;  // one per slot, opening order; holes too
+  std::size_t holes_ = 0;       // slots of views_ whose id is kNoBin
+  RVec hole_load_;              // all +inf: the load every hole view shows
   std::size_t active_jobs_ = 0;
   double closed_usage_ = 0.0;  // running sum of closed bins' usage time
 };

@@ -25,7 +25,20 @@ std::optional<std::string> PackingInvariantChecker::check(
   // --- Invariant 1: open-bin loads --------------------------------------
   std::unordered_map<JobId, BinId> placed;  // job -> hosting open bin
   std::size_t active_in_bins = 0;
+  std::size_t live_views = 0;
+  BinId previous = kNoBin;
   for (const BinView& view : d.open_views()) {
+    if (view.id == kNoBin) {  // a closed bin's hole
+      if (view.num_items != 0) return "a hole view lists items";
+      continue;
+    }
+    // Bins open in id order, and the table keeps opening order.
+    if (previous != kNoBin && view.id <= previous) {
+      return bin_str(view.id) + " out of opening order after " +
+             bin_str(previous);
+    }
+    previous = view.id;
+    ++live_views;
     const BinState* bin = d.open_bin_state(view.id);
     if (bin == nullptr) {
       return bin_str(view.id) + " has a view but no open state";
@@ -65,6 +78,11 @@ std::optional<std::string> PackingInvariantChecker::check(
     if (view.num_items != bin->num_active()) {
       return bin_str(view.id) + " view item count out of sync";
     }
+  }
+
+  if (live_views != d.open_bins()) {
+    return std::to_string(live_views) + " live views but open_bins() is " +
+           std::to_string(d.open_bins());
   }
 
   // --- Invariant 2: every live job placed exactly once ------------------

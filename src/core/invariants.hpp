@@ -11,7 +11,9 @@
 //
 // Invariants checked (ISSUE 7 / docs/MIGRATION.md):
 //   1. no open bin exceeds capacity in any dimension, and each bin's
-//      incremental load equals the sum of its active items' sizes;
+//      incremental load equals the sum of its active items' sizes; the
+//      open views list the open bins in opening order, open_bins() of
+//      them, and the holes among them (id == kNoBin) hold no items;
 //   2. every live, non-evicted job sits in exactly one open bin that
 //      lists it exactly once; evicted (in-limbo) jobs sit in none;
 //   3. closed bins stay closed with an immutable usage record, and

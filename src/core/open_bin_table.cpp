@@ -6,6 +6,8 @@
 #include <cstring>
 #include <limits>
 
+#include "core/fit_kernels.hpp"
+
 #if !defined(DVBP_DISABLE_SIMD) && defined(__x86_64__)
 #define DVBP_SIMD_X86 1
 #include <immintrin.h>
@@ -22,21 +24,14 @@ constexpr double kPoison = std::numeric_limits<double>::infinity();
 /// chunk never pays for the rest of the table.
 constexpr std::size_t kChunkSlots = 64;
 
-/// All kernels compute the identical predicate: bit s of the result is
-/// set iff lanes[j*stride + base + s] + add[j] <= thr for every j < dim.
-/// `count` is a multiple of the SIMD width; slots past size() hold
-/// +inf and therefore never set their bit.
-using FitMaskFn = std::uint64_t (*)(const double* lanes, std::size_t dim,
-                                    std::size_t stride, std::size_t base,
-                                    std::size_t count, const double* add,
-                                    double thr);
+using detail::FitKernel;
 
-// [[maybe_unused]]: in SIMD builds the dispatch below never names this
-// function (SSE2 is the x86-64 floor), but it IS the semantics reference
+// The semantics reference for every kernel below (see fit_kernels.hpp),
 // and the only kernel under -DDVBP_DISABLE_SIMD.
-[[maybe_unused]] std::uint64_t fit_mask_scalar(
-    const double* lanes, std::size_t dim, std::size_t stride,
-    std::size_t base, std::size_t count, const double* add, double thr) {
+std::uint64_t fit_mask_scalar(const double* lanes, std::size_t dim,
+                              std::size_t stride, std::size_t base,
+                              std::size_t count, const double* add,
+                              double thr) {
   std::uint64_t mask = 0;
   for (std::size_t s = 0; s < count; ++s) {
     bool ok = true;
@@ -107,25 +102,119 @@ __attribute__((target("avx2"))) std::uint64_t fit_mask_avx2(
   return mask;
 }
 
+/// Finishes the few slots in `mask` that survived dimension 0 with the
+/// scalar predicate over the remaining dimensions.
+std::uint64_t finish_scalar(const double* lanes, std::size_t dim,
+                            std::size_t stride, std::size_t base,
+                            const double* add, double thr,
+                            std::uint64_t mask) {
+  for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+    const auto s = static_cast<std::size_t>(std::countr_zero(m));
+    for (std::size_t j = 1; j < dim; ++j) {
+      if (!fits_under_threshold(lanes[j * stride + base + s] + add[j], thr)) {
+        mask &= ~(std::uint64_t{1} << s);
+        break;
+      }
+    }
+  }
+  return mask;
+}
+
+// Dimension-outer: one step tests one dimension across the whole chunk,
+// 8 slots per _CMP_LE_OQ compare, each group's compare masked by what
+// survived the earlier dimensions, and the chunk is left as soon as no
+// slot survives. A per-group exit in every dimension, as in the kernels
+// above, is a branch the dense tables of the paper's Sec. 7 (~950 open
+// bins, a handful fitting) mispredict on most groups; here a dead group
+// costs a masked compare instead, until the chunk dies. The group loop is
+// unrolled for a fixed group count, so every group's survivors stay in a
+// mask register. When dimension 0 leaves at most two slots alive, they
+// finish with the scalar predicate instead: one tight dimension must not
+// keep every group of the chunk in the loop for all d dimensions.
+template <std::size_t kGroups>
+__attribute__((target("avx512f,popcnt"))) std::uint64_t fit_mask_avx512_n(
+    const double* lanes, std::size_t dim, std::size_t stride,
+    std::size_t base, const double* add, double thr) {
+  const __m512d thrv = _mm512_set1_pd(thr);
+  __mmask8 live[kGroups];
+  std::uint64_t first = 0;  // dimension 0's survivors, all groups
+  const __m512d add0 = _mm512_set1_pd(add[0]);
+#pragma GCC unroll 8
+  for (std::size_t g = 0; g < kGroups; ++g) {
+    live[g] = _mm512_cmp_pd_mask(
+        _mm512_add_pd(_mm512_loadu_pd(lanes + base + 8 * g), add0), thrv,
+        _CMP_LE_OQ);
+    first |= std::uint64_t{live[g]} << (8 * g);
+  }
+  if (first == 0) return 0;
+  if (std::popcount(first) <= 2) {
+    return finish_scalar(lanes, dim, stride, base, add, thr, first);
+  }
+  for (std::size_t j = 1; j < dim; ++j) {
+    const double* row = lanes + j * stride + base;
+    const __m512d addv = _mm512_set1_pd(add[j]);
+    unsigned any = 0;
+#pragma GCC unroll 8
+    for (std::size_t g = 0; g < kGroups; ++g) {
+      live[g] = _mm512_mask_cmp_pd_mask(
+          live[g], _mm512_add_pd(_mm512_loadu_pd(row + 8 * g), addv), thrv,
+          _CMP_LE_OQ);
+      any |= live[g];
+    }
+    if (any == 0) return 0;
+  }
+  std::uint64_t mask = 0;
+  for (std::size_t g = 0; g < kGroups; ++g) {
+    mask |= std::uint64_t{live[g]} << (8 * g);
+  }
+  return mask;
+}
+
+__attribute__((target("avx512f,popcnt"))) std::uint64_t fit_mask_avx512(
+    const double* lanes, std::size_t dim, std::size_t stride,
+    std::size_t base, std::size_t count, const double* add, double thr) {
+  switch (count / 8) {
+    case 1: return fit_mask_avx512_n<1>(lanes, dim, stride, base, add, thr);
+    case 2: return fit_mask_avx512_n<2>(lanes, dim, stride, base, add, thr);
+    case 3: return fit_mask_avx512_n<3>(lanes, dim, stride, base, add, thr);
+    case 4: return fit_mask_avx512_n<4>(lanes, dim, stride, base, add, thr);
+    case 5: return fit_mask_avx512_n<5>(lanes, dim, stride, base, add, thr);
+    case 6: return fit_mask_avx512_n<6>(lanes, dim, stride, base, add, thr);
+    case 7: return fit_mask_avx512_n<7>(lanes, dim, stride, base, add, thr);
+    default: return fit_mask_avx512_n<8>(lanes, dim, stride, base, add, thr);
+  }
+}
+
 #endif  // DVBP_SIMD_X86
 
-struct KernelDispatch {
-  FitMaskFn fn;
-  const char* name;
-};
+}  // namespace
 
-const KernelDispatch& kernel() {
-  static const KernelDispatch d = [] {
+std::span<const FitKernel> detail::fit_kernels() noexcept {
+  // Function-local, so the CPU is queried at first use, not during static
+  // initialization.
+  static const FitKernel kernels[] = {
+      {"scalar", fit_mask_scalar, true},
 #if DVBP_SIMD_X86
-    if (__builtin_cpu_supports("avx2")) {
-      return KernelDispatch{fit_mask_avx2, "avx2"};
-    }
-    return KernelDispatch{fit_mask_sse2, "sse2"};
-#else
-    return KernelDispatch{fit_mask_scalar, "scalar"};
+      {"sse2", fit_mask_sse2, true},
+      {"avx2", fit_mask_avx2, __builtin_cpu_supports("avx2") != 0},
+      {"avx512", fit_mask_avx512, __builtin_cpu_supports("avx512f") != 0},
 #endif
+  };
+  return kernels;
+}
+
+namespace {
+
+/// The widest kernel this CPU supports.
+const FitKernel& kernel() {
+  static const FitKernel* const chosen = [] {
+    const FitKernel* best = nullptr;
+    for (const FitKernel& k : detail::fit_kernels()) {
+      if (k.supported) best = &k;
+    }
+    return best;
   }();
-  return d;
+  return *chosen;
 }
 
 }  // namespace
@@ -136,14 +225,19 @@ void OpenBinTable::ensure_capacity(std::size_t want_slots) {
   if (want_slots <= stride_) return;
   std::size_t new_stride = std::max<std::size_t>(stride_ * 2, kChunkSlots);
   while (new_stride < want_slots) new_stride *= 2;
-  std::vector<double> grown(dim_ * new_stride, kPoison);
+  // Seven spare doubles let the lanes start on a 64-byte boundary, so an
+  // 8-slot group is one cache line and one aligned AVX-512 load.
+  std::vector<double> grown(dim_ * new_stride + 7, kPoison);
+  const auto address = reinterpret_cast<std::uintptr_t>(grown.data());
+  const std::size_t offset = (64 - address % 64) % 64 / sizeof(double);
   if (size_ > 0) {  // on the first growth lanes_ is empty and lane(j) null
     for (std::size_t j = 0; j < dim_; ++j) {
-      std::memcpy(grown.data() + j * new_stride, lane(j),
+      std::memcpy(grown.data() + offset + j * new_stride, lane(j),
                   size_ * sizeof(double));
     }
   }
   lanes_.swap(grown);
+  offset_ = offset;
   stride_ = new_stride;
 }
 
@@ -171,19 +265,25 @@ void OpenBinTable::sub_clamped(std::size_t slot, const double* sub) {
   }
 }
 
-void OpenBinTable::erase_slot(std::size_t slot) {
-  for (std::size_t j = 0; j < dim_; ++j) {
-    double* l = mutable_lane(j);
-    std::memmove(l + slot, l + slot + 1,
-                 (size_ - slot - 1) * sizeof(double));
-    l[size_ - 1] = kPoison;
-  }
-  --size_;
+void OpenBinTable::make_hole(std::size_t slot) {
+  for (std::size_t j = 0; j < dim_; ++j) mutable_lane(j)[slot] = kPoison;
 }
 
-void OpenBinTable::clear() noexcept {
-  std::fill(lanes_.begin(), lanes_.end(), kPoison);
-  size_ = 0;
+bool OpenBinTable::is_hole(std::size_t slot) const noexcept {
+  return lane(0)[slot] == kPoison;
+}
+
+void OpenBinTable::move_slot(std::size_t from, std::size_t to) {
+  for (std::size_t j = 0; j < dim_; ++j) {
+    mutable_lane(j)[to] = lane(j)[from];
+  }
+}
+
+void OpenBinTable::truncate(std::size_t size) {
+  for (std::size_t j = 0; j < dim_; ++j) {
+    std::fill(mutable_lane(j) + size, mutable_lane(j) + size_, kPoison);
+  }
+  size_ = size;
 }
 
 bool OpenBinTable::fits(std::size_t slot, const double* add) const {
@@ -206,10 +306,10 @@ constexpr std::size_t padded_count(std::size_t want) {
 }  // namespace
 
 std::size_t OpenBinTable::find_first_fit(const double* add) const {
-  const KernelDispatch& k = kernel();
+  const FitKernel& k = kernel();
   for (std::size_t base = 0; base < size_; base += kChunkSlots) {
     const std::size_t want = std::min(kChunkSlots, size_ - base);
-    const std::uint64_t m = k.fn(lanes_.data(), dim_, stride_, base,
+    const std::uint64_t m = k.fn(lane(0), dim_, stride_, base,
                                  padded_count(want), add, threshold_);
     if (m != 0) return base + static_cast<std::size_t>(std::countr_zero(m));
   }
@@ -218,11 +318,11 @@ std::size_t OpenBinTable::find_first_fit(const double* add) const {
 
 std::size_t OpenBinTable::find_last_fit(const double* add) const {
   if (size_ == 0) return npos;
-  const KernelDispatch& k = kernel();
+  const FitKernel& k = kernel();
   std::size_t base = ((size_ - 1) / kChunkSlots) * kChunkSlots;
   for (;;) {
     const std::size_t want = std::min(kChunkSlots, size_ - base);
-    const std::uint64_t m = k.fn(lanes_.data(), dim_, stride_, base,
+    const std::uint64_t m = k.fn(lane(0), dim_, stride_, base,
                                  padded_count(want), add, threshold_);
     if (m != 0) {
       return base + (63 - static_cast<std::size_t>(std::countl_zero(m)));
@@ -234,10 +334,10 @@ std::size_t OpenBinTable::find_last_fit(const double* add) const {
 
 void OpenBinTable::collect_fitting(
     const double* add, std::vector<std::uint32_t>& out_slots) const {
-  const KernelDispatch& k = kernel();
+  const FitKernel& k = kernel();
   for (std::size_t base = 0; base < size_; base += kChunkSlots) {
     const std::size_t want = std::min(kChunkSlots, size_ - base);
-    std::uint64_t m = k.fn(lanes_.data(), dim_, stride_, base,
+    std::uint64_t m = k.fn(lane(0), dim_, stride_, base,
                            padded_count(want), add, threshold_);
     while (m != 0) {
       const std::size_t s = static_cast<std::size_t>(std::countr_zero(m));
@@ -250,10 +350,11 @@ void OpenBinTable::collect_fitting(
 double OpenBinTable::total_load() const noexcept {
   // Slot-outer, dimension-inner: the same two-level summation (per-bin
   // partial sum folded into the running total) as the AoS
-  // `total += bin.load().l1()` loop, so the router signal keeps its
-  // exact pre-SoA value.
+  // `total += bin.load().l1()` loop over the open bins in opening order,
+  // so the router signal keeps its exact pre-SoA value.
   double total = 0.0;
   for (std::size_t slot = 0; slot < size_; ++slot) {
+    if (is_hole(slot)) continue;
     double b = 0.0;
     for (std::size_t j = 0; j < dim_; ++j) b += lane(j)[slot];
     total += b;
@@ -289,12 +390,12 @@ double OpenBinTable::measure_slot(std::size_t slot, int measure) const {
 
 std::size_t OpenBinTable::find_best_fit(const double* add,
                                         int measure) const {
-  const KernelDispatch& k = kernel();
+  const FitKernel& k = kernel();
   std::size_t best = npos;
   double best_w = 0.0;
   for (std::size_t base = 0; base < size_; base += kChunkSlots) {
     const std::size_t want = std::min(kChunkSlots, size_ - base);
-    std::uint64_t m = k.fn(lanes_.data(), dim_, stride_, base,
+    std::uint64_t m = k.fn(lane(0), dim_, stride_, base,
                            padded_count(want), add, threshold_);
     while (m != 0) {
       const std::size_t slot =
@@ -314,12 +415,12 @@ std::size_t OpenBinTable::find_best_fit(const double* add,
 
 std::size_t OpenBinTable::find_worst_fit(const double* add,
                                          int measure) const {
-  const KernelDispatch& k = kernel();
+  const FitKernel& k = kernel();
   std::size_t best = npos;
   double best_w = 0.0;
   for (std::size_t base = 0; base < size_; base += kChunkSlots) {
     const std::size_t want = std::min(kChunkSlots, size_ - base);
-    std::uint64_t m = k.fn(lanes_.data(), dim_, stride_, base,
+    std::uint64_t m = k.fn(lane(0), dim_, stride_, base,
                            padded_count(want), add, threshold_);
     while (m != 0) {
       const std::size_t slot =

@@ -60,6 +60,8 @@ inline std::uint64_t dispatcher_state_hash(const Dispatcher& d) {
     for (ItemId r : rec.items) fnv(h, r);
   }
   for (const BinView& view : d.open_views()) {
+    // Holes are layout, not state: a restored dispatcher has none.
+    if (view.id == kNoBin) continue;
     fnv(h, view.id);
     fnv(h, view.num_items);
     fnv(h, std::bit_cast<std::uint64_t>(view.latest_departure));

@@ -1,7 +1,7 @@
 // Policy: the online decision rule of Algorithm 1 in the paper.
 //
 // The Dispatcher -- the one placement engine, which simulate() also drives
-// -- calls select_bin() on every arrival with the currently-open bins in
+// -- calls select_bin() on every arrival with its open-bin table's slots in
 // opening order, twice over: as BinView records (per-bin metadata) and as
 // the OpenBinTable's SoA load lanes (vectorized feasibility scans). It
 // packs the item into the returned bin, or a fresh bin when the policy
@@ -56,12 +56,15 @@ class Policy {
   /// Whether the policy reads departure times of arriving items.
   virtual bool is_clairvoyant() const noexcept { return false; }
 
-  /// Decide where to pack `item` arriving at `now`. `open_bins` lists every
-  /// open bin in opening order, and `table` holds the same bins' loads as
-  /// structure-of-arrays lanes (slot k of the table is open_bins[k]) whose
-  /// vectorized scans answer feasibility questions 4-8 bins at a time,
-  /// bit-identically to BinView::fits(). Return an open bin's id, or kNoBin
-  /// to open a new bin. The engine verifies the returned bin actually fits.
+  /// Decide where to pack `item` arriving at `now`. `open_bins` lists the
+  /// table's slots in opening order: every open bin, plus holes left by
+  /// bins that closed since the last compaction. A hole has id == kNoBin,
+  /// no items and an all-+inf load, so it never fits and must never be
+  /// returned. `table` holds the same slots' loads as structure-of-arrays
+  /// lanes (slot k of the table is open_bins[k]) whose vectorized scans
+  /// answer feasibility questions 2-8 bins per instruction, bit-identically
+  /// to BinView::fits(). Return an open bin's id, or kNoBin to open a new
+  /// bin. The engine verifies the returned bin actually fits.
   virtual BinId select_bin(Time now, const Item& item,
                            std::span<const BinView> open_bins,
                            const OpenBinTable& table) = 0;

@@ -177,6 +177,71 @@ TEST(Dispatcher, CheckpointRejectsItemsAdmittedUnderForeignIds) {
   EXPECT_THROW(dispatcher.save_state(out), std::logic_error);
 }
 
+// `d`'s state stream with its closing open-bin section (the count, then
+// each open bin's id and state) rewritten to list `ids`. Every bin `d` has
+// opened must still be open.
+std::vector<std::uint8_t> stream_with_open_bins(
+    const Dispatcher& d, const std::vector<BinId>& ids) {
+  serial::Writer whole;
+  d.save_state(whole);
+  std::vector<std::vector<std::uint8_t>> states;  // by bin id
+  std::size_t section = 8;                        // the u64 count
+  for (BinId id = 0; id < d.bins_opened(); ++id) {
+    serial::Writer state;
+    d.open_bin_state(id)->save_state(state);
+    states.push_back(state.bytes());
+    section += 8 + state.bytes().size();
+  }
+  serial::Writer tail;
+  tail.u64(ids.size());
+  for (BinId id : ids) {
+    tail.u64(id);
+    for (std::uint8_t b : states[id]) tail.u8(b);
+  }
+  const auto& bytes = whole.bytes();
+  std::vector<std::uint8_t> out(bytes.begin(),
+                                bytes.end() - static_cast<long>(section));
+  out.insert(out.end(), tail.bytes().begin(), tail.bytes().end());
+  return out;
+}
+
+// Two FirstFit bins, 0 and 1, both open and both able to take 0.3.
+class RestoreOrderTest : public ::testing::Test {
+ protected:
+  RestoreOrderTest() : saved_(1, saved_policy_), restored_(1, policy_) {
+    saved_.arrive(0.0, RVec{0.6});
+    saved_.arrive(1.0, RVec{0.6});
+  }
+
+  void restore_with_open_bins(const std::vector<BinId>& ids) {
+    const std::vector<std::uint8_t> stream = stream_with_open_bins(saved_, ids);
+    serial::Reader in(stream);
+    restored_.restore_state(in);
+  }
+
+  FirstFitPolicy saved_policy_;
+  FirstFitPolicy policy_;
+  Dispatcher saved_;
+  Dispatcher restored_;
+};
+
+TEST_F(RestoreOrderTest, StreamInOpeningOrderRestoresTheSameDecisions) {
+  restore_with_open_bins({0, 1});
+  EXPECT_EQ(restored_.open_bins(), 2u);
+  EXPECT_EQ(restored_.arrive(2.0, RVec{0.3}).bin, 0u);
+  EXPECT_EQ(saved_.arrive(2.0, RVec{0.3}).bin, 0u);
+}
+
+TEST_F(RestoreOrderTest, OpenBinsOutOfOpeningOrderAreRejected) {
+  // Restored as given, bin 1 would come first and take the next 0.3 job,
+  // which the saved dispatcher puts in bin 0.
+  EXPECT_THROW(restore_with_open_bins({1, 0}), serial::SerialError);
+}
+
+TEST_F(RestoreOrderTest, AnOpenBinListedTwiceIsRejected) {
+  EXPECT_THROW(restore_with_open_bins({0, 0}), serial::SerialError);
+}
+
 // ---- Differential: streaming replay == batch simulation -------------------
 
 class DispatcherDifferentialTest

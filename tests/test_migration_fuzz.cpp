@@ -140,6 +140,17 @@ std::vector<FuzzOp> generate_stream(std::uint64_t seed, std::size_t n_ops,
   return ops;
 }
 
+/// The replace target `pick` names: an open bin, counted in opening order
+/// with the holes of closed bins skipped (a hole has no id to target), or
+/// kNoBin when no bin is open.
+BinId live_bin(const Dispatcher& dispatcher, std::uint32_t pick) {
+  std::vector<BinId> open;
+  for (const BinView& view : dispatcher.open_views()) {
+    if (view.id != kNoBin) open.push_back(view.id);
+  }
+  return open.empty() ? kNoBin : open[pick % open.size()];
+}
+
 /// Applies `ops` to a fresh dispatcher, running the invariant checker
 /// after every op. Infeasible ops (preconditions broken by ddmin dropping
 /// earlier ops) are skipped; a replace whose open-bin target cannot hold
@@ -177,11 +188,8 @@ std::optional<std::string> apply_stream(const std::vector<FuzzOp>& ops,
         if (op.job >= id_map.size()) continue;
         const JobId job = id_map[op.job];
         if (!dispatcher.is_evicted(job)) continue;
-        BinId target = kNoBin;
-        const auto views = dispatcher.open_views();
-        if (!op.fresh_bin && !views.empty()) {
-          target = views[op.target % views.size()].id;
-        }
+        const BinId target =
+            op.fresh_bin ? kNoBin : live_bin(dispatcher, op.target);
         try {
           dispatcher.replace(now, job, target);
         } catch (const PolicyViolation&) {
@@ -247,10 +255,8 @@ TEST(MigrationFuzz, StreamsWindDownToAnEmptyConsistentState) {
         break;
       case FuzzOp::Kind::kReplace:
         try {
-          const auto views = dispatcher.open_views();
-          BinId target = (op.fresh_bin || views.empty())
-                             ? kNoBin
-                             : views[op.target % views.size()].id;
+          const BinId target =
+              op.fresh_bin ? kNoBin : live_bin(dispatcher, op.target);
           dispatcher.replace(now, id_map.at(op.job), target);
         } catch (const PolicyViolation&) {
           dispatcher.replace(now, id_map.at(op.job), kNoBin);

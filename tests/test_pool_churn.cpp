@@ -14,6 +14,7 @@
 #include "core/dispatcher.hpp"
 #include "core/invariants.hpp"
 #include "core/open_bin_table.hpp"
+#include "core/packing_hash.hpp"
 #include "core/policies/registry.hpp"
 #include "core/pool.hpp"
 #include "stats/rng.hpp"
@@ -126,6 +127,104 @@ TEST(PoolChurn, EvictReplaceRecyclesNodesSafely) {
   EXPECT_EQ(dispatcher.jobs_active(), 0u);
   const auto violation = checker.check(dispatcher);
   EXPECT_FALSE(violation.has_value()) << *violation;
+}
+
+// A closed bin leaves a hole in the open-bin table until the next
+// compaction. Holes must never show: checked after every op of a soup long
+// enough to cross many compactions, for every policy that reads the table
+// or the views a different way.
+TEST(OpenBinHoles, NeverLeakIntoDecisionsOrState) {
+  const char* policies[] = {"FirstFit", "LastFit",    "NextFit",
+                            "BestFit",  "WorstFit",   "MoveToFront",
+                            "HarmonicFit"};
+  for (const char* name : policies) {
+    SCOPED_TRACE(name);
+    const std::size_t d = 3;
+    PolicyPtr policy = make_policy(name, 5);
+    Dispatcher dispatcher(d, *policy);
+    PackingInvariantChecker checker;
+    Xoshiro256pp rng(0x401E5);
+
+    std::vector<JobId> placed;
+    std::vector<JobId> limbo;
+    std::size_t compactions = 0;
+    std::size_t prev_slots = 0;
+    Time now = 0.0;
+    for (int step = 0; step < 800; ++step) {
+      now += rng.uniform(0.0, 0.05);
+
+      // A copy restored from a checkpoint has no holes; it must hash the
+      // same and make the same next decision.
+      serial::Writer state;
+      dispatcher.save_state(state);
+      policy->save_state(state);
+      PolicyPtr copy_policy = make_policy(name, 5);
+      Dispatcher copy(d, *copy_policy);
+      serial::Reader in(state.bytes());
+      copy.restore_state(in);
+      copy_policy->restore_state(in);
+      ASSERT_EQ(dispatcher_state_hash(copy), dispatcher_state_hash(dispatcher))
+          << "step " << step;
+
+      const double roll = rng.uniform();
+      if (!limbo.empty() && (limbo.size() > 8 || roll < 0.15)) {
+        // Back into a random open bin that can hold it, else a fresh bin.
+        const JobId job = limbo.back();
+        limbo.pop_back();
+        std::vector<BinId> fitting;
+        for (const BinView& view : dispatcher.open_views()) {
+          if (view.fits(dispatcher.items()[job].size)) {
+            fitting.push_back(view.id);
+          }
+        }
+        const BinId target =
+            fitting.empty() || rng.uniform() < 0.3
+                ? kNoBin
+                : fitting[static_cast<std::size_t>(rng.uniform_int(
+                      0, static_cast<std::int64_t>(fitting.size()) - 1))];
+        ASSERT_EQ(dispatcher.replace(now, job, target),
+                  copy.replace(now, job, target));
+        placed.push_back(job);
+      } else if (!placed.empty() && roll < 0.25) {
+        const auto pick = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(placed.size()) - 1));
+        dispatcher.evict(now, placed[pick]);
+        limbo.push_back(placed[pick]);
+        placed[pick] = placed.back();
+        placed.pop_back();
+      } else if (!placed.empty() && (placed.size() > 16 || roll < 0.6)) {
+        const auto pick = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(placed.size()) - 1));
+        dispatcher.depart(now, placed[pick]);
+        placed[pick] = placed.back();
+        placed.pop_back();
+      } else {
+        RVec size(d);
+        for (std::size_t j = 0; j < d; ++j) size[j] = rng.uniform(0.1, 0.6);
+        const auto admitted = dispatcher.arrive(now, size);
+        ASSERT_EQ(admitted.bin, copy.arrive(now, size).bin) << "step " << step;
+        placed.push_back(admitted.job);
+      }
+
+      const auto violation = checker.check(dispatcher);
+      ASSERT_FALSE(violation.has_value()) << *violation << " at step " << step;
+      const auto views = dispatcher.open_views();
+      std::size_t live = 0;
+      double total = 0.0;  // opening order, as the router's signal sums
+      for (const BinView& view : views) {
+        if (view.id == kNoBin) continue;
+        ++live;
+        double bin = 0.0;
+        for (double c : dispatcher.open_bin_state(view.id)->load()) bin += c;
+        total += bin;
+      }
+      ASSERT_EQ(live, dispatcher.open_bins()) << "step " << step;
+      ASSERT_EQ(total, dispatcher.total_active_load()) << "step " << step;
+      if (views.size() < prev_slots) ++compactions;
+      prev_slots = views.size();
+    }
+    EXPECT_GE(compactions, 50u);  // 59 to 114 with this seed
+  }
 }
 
 // StableVector's contract: references handed out survive arbitrarily many
