@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "core/serial.hpp"
@@ -112,6 +111,7 @@ ShardedDispatcher::ShardedDispatcher(std::size_t dim,
     }
     shard->dispatcher = std::make_unique<Dispatcher>(
         dim_, *shard->policy, options_.bin_capacity, shard->observer.get());
+    shard->dispatcher->set_recorder(&shard->recorder);
     if (options_.tenants > 0) {
       shard->accountant =
           std::make_unique<tenancy::UsageAccountant>(options_.tenants);
@@ -135,8 +135,11 @@ ShardedDispatcher::ShardedDispatcher(std::size_t dim,
   // before the workers start, so recovery needs no locks.
   if (!options_.journal_dir.empty()) {
     refuse_orphan_shards(options_.journal_dir, shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s) recover_shard(s);
-    rebuild_job_table();
+    std::vector<std::vector<Item>> departed(shards_.size());
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      recover_shard(s, departed[s]);
+    }
+    rebuild_job_table(departed);
   }
   // Workers start only after every shard is fully constructed.
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -149,40 +152,21 @@ std::string ShardedDispatcher::shard_journal_dir(
   return options_.journal_dir + "/shard-" + std::to_string(shard_idx);
 }
 
-void ShardedDispatcher::recover_shard(std::size_t shard_idx) {
+// Restores shard `shard_idx` and collects the items of the jobs it saw
+// depart -- from its checkpoint and its journal tail -- into `departed`.
+void ShardedDispatcher::recover_shard(std::size_t shard_idx,
+                                      std::vector<Item>& departed) {
   Shard& shard = *shards_[shard_idx];
   shard.journal_path = shard_journal_dir(shard_idx);
-  persist::RecoveryManager manager(shard.journal_path, options_.metrics);
-  // Journal frames carry service-global job ids; replay maps them onto
-  // shard-local ids exactly the way the live path does (dense, in
-  // admission order).
-  std::unordered_map<JobId, JobId> local_of_global;
-  shard.recovery = manager.run(
-      [&](const persist::CheckpointData& ckpt) {
-        if (ckpt.policy_name != shard.policy->name()) {
-          throw persist::PersistError(
-              "ShardedDispatcher: shard " + std::to_string(shard_idx) +
-              " checkpoint was written by policy '" + ckpt.policy_name +
-              "', refusing to restore into '" +
-              std::string(shard.policy->name()) + "'");
-        }
-        serial::Reader disp_in(ckpt.dispatcher_state);
-        shard.dispatcher->restore_state(disp_in);
-        shard.policy->reset();
-        serial::Reader pol_in(ckpt.policy_state);
-        shard.policy->restore_state(pol_in);
-        serial::Reader extra(ckpt.extra);
+  shard.recovery = persist::recover_dispatcher(
+      shard.journal_path, options_.metrics, *shard.dispatcher, *shard.policy,
+      [&](serial::Reader& extra) {
+        shard.recorder.restore_state(extra);
         const std::uint64_t n = extra.u64();
-        shard.global_of_local.clear();
         for (std::uint64_t i = 0; i < n; ++i) {
-          const JobId global = static_cast<JobId>(extra.u64());
-          local_of_global.emplace(global,
-                                  static_cast<JobId>(
-                                      shard.global_of_local.size()));
-          shard.global_of_local.push_back(global);
+          departed.push_back(Item::restore_state(extra, dim_));
         }
-        // Tenancy checkpoints append the shard accountant's ledger after
-        // the job map; pre-tenancy checkpoints simply end here.
+        // Tenancy checkpoints end with the shard accountant's ledger.
         if (!extra.done()) {
           if (shard.accountant == nullptr) {
             throw persist::PersistError(
@@ -191,39 +175,14 @@ void ShardedDispatcher::recover_shard(std::size_t shard_idx) {
           }
           shard.accountant->restore_state(extra);
         }
-        if (!extra.done()) {
-          throw serial::SerialError(
-              "ShardedDispatcher: trailing bytes in shard checkpoint");
-        }
-        if (shard.global_of_local.size() !=
-            shard.dispatcher->jobs_admitted()) {
-          throw persist::PersistError(
-              "ShardedDispatcher: shard checkpoint job map does not match "
-              "its dispatcher state");
-        }
       },
       [&](const persist::JournalRecord& rec) {
-        // The journaled time/expected-departure are the post-clamp values
-        // the worker actually applied, so replay passes them verbatim.
-        if (rec.kind == persist::OpKind::kArrive) {
-          const JobId global = static_cast<JobId>(rec.job);
-          shard.dispatcher->arrive(rec.time, rec.size,
-                                   rec.expected_departure, rec.tenant);
-          local_of_global.emplace(
-              global,
-              static_cast<JobId>(shard.global_of_local.size()));
-          shard.global_of_local.push_back(global);
-        } else if (rec.kind == persist::OpKind::kDepart) {
-          const auto it = local_of_global.find(static_cast<JobId>(rec.job));
-          if (it == local_of_global.end()) {
-            throw persist::PersistError(
-                "ShardedDispatcher: journal departs job " +
-                std::to_string(rec.job) + " the shard never admitted");
-          }
-          shard.dispatcher->depart(rec.time, it->second);
+        if (rec.kind != persist::OpKind::kDepart) return;
+        if (const Item* item = shard.dispatcher->job(
+                static_cast<JobId>(rec.job))) {
+          departed.push_back(*item);
+          departed.back().departure = rec.time;
         }
-        // kAdvance: clock note only; the shard clock moves on apply.
-        // kTenantCredits: captured into recovery.tenant_credits by run().
       });
   persist::JournalOptions jopts;
   jopts.fsync = options_.fsync;
@@ -235,12 +194,11 @@ void ShardedDispatcher::recover_shard(std::size_t shard_idx) {
                             std::memory_order_relaxed);
 }
 
-void ShardedDispatcher::rebuild_job_table() {
+void ShardedDispatcher::rebuild_job_table(
+    const std::vector<std::vector<Item>>& departed) {
   std::uint64_t next = 0;
   for (const auto& shard : shards_) {
-    for (const JobId global : shard->global_of_local) {
-      next = std::max(next, static_cast<std::uint64_t>(global) + 1);
-    }
+    next = std::max<std::uint64_t>(next, shard->recorder.assignment().size());
   }
   if (next == 0) return;  // cold start
   if (next > static_cast<std::uint64_t>(kMaxChunks) * kJobChunkSize) {
@@ -256,29 +214,26 @@ void ShardedDispatcher::rebuild_job_table() {
   }
   // Default every recovered id to "departed": an id whose arrival frame
   // did not survive on its shard (it was admitted but lost in the crash)
-  // must make a stale depart() fail cleanly, not dereference kNoItem.
+  // must make a stale depart() fail cleanly.
   for (std::uint64_t id = 0; id < next; ++id) {
-    JobRec& rec = job_rec(static_cast<JobId>(id));
-    rec.departed.store(true, std::memory_order_relaxed);
-    rec.local = kNoItem;
+    job_rec(static_cast<JobId>(id))
+        .departed.store(true, std::memory_order_relaxed);
   }
+  // A cross-shard-migrated job (rebalance_shards: depart on the source,
+  // arrive on the destination) appears in both shards' histories. The
+  // shard where it is still live owns it; when it is live nowhere
+  // (migrated then departed) the lowest shard's claim stands.
+  const auto claim = [this](std::size_t s, const Item& item, bool live) {
+    JobRec& rec = job_rec(item.id);
+    if (rec.item.id != kNoItem && !live) return;
+    rec.shard.store(static_cast<std::uint32_t>(s), std::memory_order_relaxed);
+    rec.departed.store(!live, std::memory_order_relaxed);
+    rec.item = item;
+  };
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = *shards_[s];
-    for (std::size_t local = 0; local < shard.global_of_local.size();
-         ++local) {
-      JobRec& rec = job_rec(shard.global_of_local[local]);
-      // A cross-shard-migrated job (rebalance_shards: depart on the
-      // source, arrive on the destination) appears in both shards'
-      // journals. The shard where it is still active owns it; when it is
-      // active nowhere (migrated then departed) the first claim stands.
-      const bool active_here =
-          shard.dispatcher->bin_of(static_cast<JobId>(local)) != kNoBin;
-      if (rec.local != kNoItem && !active_here) continue;
-      rec.shard.store(static_cast<std::uint32_t>(s),
-                      std::memory_order_relaxed);
-      rec.local = static_cast<JobId>(local);
-      rec.departed.store(!active_here, std::memory_order_relaxed);
-    }
+    for (const Item& item : departed[s]) claim(s, item, false);
+    shards_[s]->dispatcher->for_each_job(
+        [&](const Dispatcher::LiveJob& job) { claim(s, job.item, true); });
   }
   // Round-robin's counter advanced once per admission in the original
   // run; rendezvous is a pure function and least-usage re-derives from
@@ -401,7 +356,7 @@ std::optional<JobId> ShardedDispatcher::try_arrive(
   if (try_enqueue(target, op)) return job;
   // Rejected by backpressure: the job id was already published, so retire
   // it -- a stray depart() for it fails cleanly ("already departed") and
-  // quiescent readers see local == kNoItem, like a recovered-but-lost id.
+  // it is never applied, like a recovered-but-lost id.
   job_rec(job).departed.store(true, std::memory_order_release);
   if (router_->kind() == RouterKind::kLeastUsage) {
     shards_[target]->pending_arrivals.fetch_sub(1, std::memory_order_relaxed);
@@ -590,6 +545,22 @@ void ShardedDispatcher::worker_loop(std::size_t shard_idx) {
   }
 }
 
+// A failure (I/O error, injected fault) permanently kills the shard's
+// journal -- memory may now be ahead of the durable state, so the service
+// must be abandoned and recovered; the error surfaces through drain().
+template <typename Write>
+bool ShardedDispatcher::journal(Shard& shard, Write&& write) {
+  if (shard.journal == nullptr || shard.journal_dead) return false;
+  try {
+    write(*shard.journal);
+    return true;
+  } catch (...) {
+    shard.journal_dead = true;
+    record_worker_error();
+    return false;
+  }
+}
+
 void ShardedDispatcher::apply_batch(Shard& shard, std::vector<Op>& batch,
                                     std::vector<Completion>& completions) {
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -607,51 +578,34 @@ void ShardedDispatcher::apply_batch(Shard& shard, std::vector<Op>& batch,
       // feeds are monotone and never clamped.
       const Time t = std::max(op.time, dispatcher.last_event_time());
       if (op.kind == Op::Kind::kArrive) {
-        const JobId local = static_cast<JobId>(dispatcher.jobs_admitted());
         // The advisory departure can be overtaken by the clamp; it is only
         // a clairvoyant hint, so degrade it to "unknown" rather than throw.
         const Time expected =
             op.expected_departure > t
                 ? op.expected_departure
                 : std::numeric_limits<Time>::infinity();
-        // The journal records exactly what arrive() is called with --
-        // post-clamp time, degraded hint -- so replay reproduces the run
-        // bit-exactly by passing the frame verbatim.
-        RVec journal_size;
-        const bool journal_op =
-            shard.journal != nullptr && !shard.journal_dead;
-        if (journal_op) journal_size = op.size;
-        dispatcher.arrive(t, std::move(op.size), expected, op.tenant);
-        shard.global_of_local.push_back(op.job);
-        // `local` is worker-owned: the only other readers are the FIFO-
-        // later depart op (applied by this same worker) and quiescent
-        // accessors, which synchronize through ops_applied_ in drain().
-        job_rec(op.job).local = local;
+        // The job table keeps the admitted item (worker-owned: the only
+        // other readers are quiescent accessors, which synchronize through
+        // ops_applied_ in drain()), and the journal records exactly what
+        // arrive() is called with -- post-clamp time, degraded hint -- so
+        // replay reproduces the run bit-exactly by passing the frame
+        // verbatim.
+        Item& item = job_rec(op.job).item;
+        item = Item(op.job, t, expected, std::move(op.size), op.tenant);
+        dispatcher.arrive(t, item);
         if (router_->kind() == RouterKind::kLeastUsage) {
           shard.pending_arrivals.fetch_sub(1, std::memory_order_relaxed);
         }
-        if (journal_op) {
-          try {
-            shard.journal->append(persist::OpKind::kArrive, t, op.job,
-                                  expected, &journal_size, kNoBin, false,
-                                  op.tenant);
-            ++journaled_ops;
-          } catch (...) {
-            shard.journal_dead = true;
-            record_worker_error();
-          }
-        }
+        journaled_ops += journal(shard, [&](persist::JournalWriter& j) {
+          j.append(persist::OpKind::kArrive, t, op.job, expected, &item.size,
+                   kNoBin, false, op.tenant);
+        });
       } else {
-        dispatcher.depart(t, job_rec(op.job).local);
-        if (shard.journal != nullptr && !shard.journal_dead) {
-          try {
-            shard.journal->append(persist::OpKind::kDepart, t, op.job);
-            ++journaled_ops;
-          } catch (...) {
-            shard.journal_dead = true;
-            record_worker_error();
-          }
-        }
+        dispatcher.depart(t, op.job);
+        job_rec(op.job).item.departure = t;
+        journaled_ops += journal(shard, [&](persist::JournalWriter& j) {
+          j.append(persist::OpKind::kDepart, t, op.job);
+        });
       }
     } catch (...) {
       // A failure here is a service bug (producer-side validation screens
@@ -675,23 +629,16 @@ void ShardedDispatcher::apply_batch(Shard& shard, std::vector<Op>& batch,
   shard.load_snapshot.store(dispatcher.total_active_load(),
                             std::memory_order_relaxed);
   // Group commit: the whole drained batch goes down with one write(2) and
-  // at most one fsync. A commit failure (I/O error, injected fault)
-  // permanently kills this shard's journal -- memory may now be ahead of
-  // the durable state, so the service must be abandoned and recovered; the
-  // error surfaces through drain().
-  if (shard.journal != nullptr && !shard.journal_dead && journaled_ops > 0) {
-    try {
-      shard.journal->commit();
-      shard.ops_since_checkpoint += journaled_ops;
-      if (options_.checkpoint_every > 0 &&
-          shard.ops_since_checkpoint >= options_.checkpoint_every) {
-        checkpoint_shard(shard);
-      }
-    } catch (...) {
-      shard.journal_dead = true;
-      record_worker_error();
+  // at most one fsync.
+  if (journaled_ops == 0) return;
+  journal(shard, [&](persist::JournalWriter& j) {
+    j.commit();
+    shard.ops_since_checkpoint += journaled_ops;
+    if (options_.checkpoint_every > 0 &&
+        shard.ops_since_checkpoint >= options_.checkpoint_every) {
+      checkpoint_shard(shard);
     }
-  }
+  });
 }
 
 void ShardedDispatcher::checkpoint_shard(Shard& shard) {
@@ -706,11 +653,23 @@ void ShardedDispatcher::checkpoint_shard(Shard& shard) {
   serial::Writer pol_out;
   shard.policy->save_state(pol_out);
   data.policy_state = pol_out.take();
+  // The shard's history: its recorder, then the items of the departed
+  // jobs it owns (the live ones are in the dispatcher state), then -- only
+  // with tenancy on -- the accountant's ledger.
   serial::Writer extra;
-  extra.u64(shard.global_of_local.size());
-  for (const JobId global : shard.global_of_local) extra.u64(global);
-  // Trailing accountant ledger, matching the optional tail recover_shard
-  // reads; omitted entirely when tenancy is off.
+  shard.recorder.save_state(extra);
+  std::vector<const Item*> departed;
+  const std::vector<BinId>& placed = shard.recorder.assignment();
+  for (JobId job = 0; job < placed.size(); ++job) {
+    if (placed[job] == kNoBin || shard.dispatcher->job(job) != nullptr ||
+        shards_[job_rec(job).shard.load(std::memory_order_acquire)].get() !=
+            &shard) {
+      continue;
+    }
+    departed.push_back(&job_rec(job).item);
+  }
+  extra.u64(departed.size());
+  for (const Item* item : departed) item->save_state(extra);
   if (shard.accountant != nullptr) shard.accountant->save_state(extra);
   data.extra = extra.take();
   persist::write_checkpoint(shard.journal_path, data);
@@ -727,13 +686,18 @@ void ShardedDispatcher::record_worker_error() {
   if (!worker_error_) worker_error_ = std::current_exception();
 }
 
+ShardedDispatcher::Shard& ShardedDispatcher::shard_at(
+    std::size_t shard, const char* caller) const {
+  if (shard >= shards_.size()) {
+    throw std::invalid_argument(std::string("ShardedDispatcher::") + caller +
+                                ": bad shard");
+  }
+  return *shards_[shard];
+}
+
 const persist::RecoveryReport& ShardedDispatcher::shard_recovery(
     std::size_t shard) const {
-  if (shard >= shards_.size()) {
-    throw std::invalid_argument(
-        "ShardedDispatcher::shard_recovery: bad shard");
-  }
-  return shards_[shard]->recovery;
+  return shard_at(shard, "shard_recovery").recovery;
 }
 
 std::uint64_t ShardedDispatcher::ops_enqueued() const noexcept {
@@ -764,13 +728,7 @@ void ShardedDispatcher::sync_journals() {
     // The worker touches the journal only inside apply_batch under
     // shard.mu, so holding it here excludes concurrent appends.
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.journal == nullptr || shard.journal_dead) continue;
-    try {
-      shard.journal->sync();
-    } catch (...) {
-      shard.journal_dead = true;
-      record_worker_error();
-    }
+    journal(shard, [](persist::JournalWriter& j) { j.sync(); });
   }
 }
 
@@ -825,39 +783,27 @@ std::size_t ShardedDispatcher::jobs_active() const {
 
 double ShardedDispatcher::shard_cost_so_far(std::size_t shard,
                                             Time at) const {
-  if (shard >= shards_.size()) {
-    throw std::invalid_argument(
-        "ShardedDispatcher::shard_cost_so_far: bad shard");
-  }
-  std::lock_guard<std::mutex> lock(shards_[shard]->mu);
-  return shards_[shard]->dispatcher->cost_so_far(at);
+  const Shard& s = shard_at(shard, "shard_cost_so_far");
+  std::lock_guard<std::mutex> lock(s.mu);
+  return s.dispatcher->cost_so_far(at);
 }
 
 std::size_t ShardedDispatcher::shard_open_bins(std::size_t shard) const {
-  if (shard >= shards_.size()) {
-    throw std::invalid_argument(
-        "ShardedDispatcher::shard_open_bins: bad shard");
-  }
-  std::lock_guard<std::mutex> lock(shards_[shard]->mu);
-  return shards_[shard]->dispatcher->open_bins();
+  const Shard& s = shard_at(shard, "shard_open_bins");
+  std::lock_guard<std::mutex> lock(s.mu);
+  return s.dispatcher->open_bins();
 }
 
 std::size_t ShardedDispatcher::shard_bins_opened(std::size_t shard) const {
-  if (shard >= shards_.size()) {
-    throw std::invalid_argument(
-        "ShardedDispatcher::shard_bins_opened: bad shard");
-  }
-  std::lock_guard<std::mutex> lock(shards_[shard]->mu);
-  return shards_[shard]->dispatcher->bins_opened();
+  const Shard& s = shard_at(shard, "shard_bins_opened");
+  std::lock_guard<std::mutex> lock(s.mu);
+  return s.dispatcher->bins_opened();
 }
 
 std::size_t ShardedDispatcher::shard_jobs_admitted(std::size_t shard) const {
-  if (shard >= shards_.size()) {
-    throw std::invalid_argument(
-        "ShardedDispatcher::shard_jobs_admitted: bad shard");
-  }
-  std::lock_guard<std::mutex> lock(shards_[shard]->mu);
-  return shards_[shard]->dispatcher->jobs_admitted();
+  const Shard& s = shard_at(shard, "shard_jobs_admitted");
+  std::lock_guard<std::mutex> lock(s.mu);
+  return s.dispatcher->jobs_admitted();
 }
 
 void ShardedDispatcher::require_quiescent() const {
@@ -871,104 +817,62 @@ void ShardedDispatcher::require_quiescent() const {
 }
 
 Packing ShardedDispatcher::shard_packing(std::size_t shard) const {
-  if (shard >= shards_.size()) {
-    throw std::invalid_argument(
-        "ShardedDispatcher::shard_packing: bad shard");
-  }
-  require_quiescent();
-  std::lock_guard<std::mutex> lock(shards_[shard]->mu);
-  // assignment[j] = last bin j was packed into -- identical to a
-  // records() scan without migration, and still correct when migration
-  // lists a job in several bins (core/rebalancer.hpp).
-  return shards_[shard]->dispatcher->packing();
+  return shard_recorder(shard).packing();
 }
 
 Packing ShardedDispatcher::snapshot() const {
   require_quiescent();
   // Bin ids are renumbered shard-major: shard s's bins keep their relative
-  // opening order and live at [offset(s), offset(s) + bins_opened(s)).
-  std::vector<BinId> offsets(shards_.size(), 0);
-  std::size_t total_bins = 0;
-  std::size_t total_jobs = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    std::lock_guard<std::mutex> lock(shards_[s]->mu);
-    offsets[s] = static_cast<BinId>(total_bins);
-    total_bins += shards_[s]->dispatcher->bins_opened();
-    total_jobs += shards_[s]->dispatcher->jobs_admitted();
-  }
-
-  std::vector<BinId> assignment(total_jobs, kNoBin);
+  // opening order and start at its offset. Each job's bin comes from its
+  // final owner: a cross-shard move leaves the job in both histories.
+  std::vector<BinId> assignment(jobs_admitted(), kNoBin);
   std::vector<BinRecord> bins;
-  bins.reserve(total_bins);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    std::lock_guard<std::mutex> lock(shards_[s]->mu);
-    const Shard& shard = *shards_[s];
-    for (const BinRecord& rec : shard.dispatcher->records()) {
-      BinRecord merged = rec;
-      merged.id = rec.id + offsets[s];
-      for (ItemId& item : merged.items) {
-        item = shard.global_of_local[item];
-      }
-      bins.push_back(std::move(merged));
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    const auto offset = static_cast<BinId>(bins.size());
+    for (const BinRecord& rec : shard->recorder.bins()) {
+      bins.push_back(rec);
+      bins.back().id += offset;
     }
-    // Assignment comes from each shard's last-bin table, not the record
-    // scan: under migration a job is listed in every bin it ever
-    // occupied. A cross-shard-migrated job appears in two shards'
-    // local tables; its final owner per the job table wins.
-    for (std::size_t local = 0; local < shard.global_of_local.size();
-         ++local) {
-      const JobId global = shard.global_of_local[local];
-      if (job_rec(global).shard.load(std::memory_order_acquire) !=
-          static_cast<std::uint32_t>(s)) {
-        continue;
+    const std::vector<BinId>& placed = shard->recorder.assignment();
+    for (JobId job = 0; job < placed.size(); ++job) {
+      if (placed[job] != kNoBin &&
+          shards_[job_rec(job).shard.load(std::memory_order_acquire)] ==
+              shard) {
+        assignment[job] = placed[job] + offset;
       }
-      assignment[global] =
-          shard.dispatcher->last_bin_of(static_cast<JobId>(local)) +
-          offsets[s];
     }
   }
   return Packing(std::move(assignment), std::move(bins));
 }
 
-JobId ShardedDispatcher::global_job(std::size_t shard, JobId local) const {
-  if (shard >= shards_.size()) {
-    throw std::invalid_argument(
-        "ShardedDispatcher::global_job: bad shard");
-  }
-  std::lock_guard<std::mutex> lock(shards_[shard]->mu);
-  if (local >= shards_[shard]->global_of_local.size()) {
-    throw std::invalid_argument(
-        "ShardedDispatcher::global_job: unknown local job");
-  }
-  return shards_[shard]->global_of_local[local];
-}
-
 const Item& ShardedDispatcher::job_item(JobId job) const {
   require_quiescent();
-  const JobRec& rec = checked_job_rec(job, "job_item");
-  const std::uint32_t shard = rec.shard.load(std::memory_order_acquire);
-  const JobId local = rec.local;
-  std::lock_guard<std::mutex> lock(shards_[shard]->mu);
-  return shards_[shard]->dispatcher->items()[local];
+  const Item& item = checked_job_rec(job, "job_item").item;
+  if (item.id == kNoItem) {
+    throw std::invalid_argument(
+        "ShardedDispatcher::job_item: job was never applied");
+  }
+  return item;
 }
 
 const Dispatcher& ShardedDispatcher::shard_dispatcher(
     std::size_t shard) const {
-  if (shard >= shards_.size()) {
-    throw std::invalid_argument(
-        "ShardedDispatcher::shard_dispatcher: bad shard");
-  }
+  const Shard& s = shard_at(shard, "shard_dispatcher");
   require_quiescent();
-  return *shards_[shard]->dispatcher;
+  return *s.dispatcher;
+}
+
+const PackingRecorder& ShardedDispatcher::shard_recorder(
+    std::size_t shard) const {
+  const Shard& s = shard_at(shard, "shard_recorder");
+  require_quiescent();
+  return s.recorder;
 }
 
 const tenancy::UsageAccountant* ShardedDispatcher::shard_accountant(
     std::size_t shard) const {
-  if (shard >= shards_.size()) {
-    throw std::invalid_argument(
-        "ShardedDispatcher::shard_accountant: bad shard");
-  }
-  return shards_[shard]->accountant.get();
+  return shard_at(shard, "shard_accountant").accountant.get();
 }
 
 std::vector<double> ShardedDispatcher::settle_tenants(
@@ -1002,16 +906,11 @@ std::vector<double> ShardedDispatcher::settle_tenants(
   // shard restores the newest durably settled balances.
   Shard& shard0 = *shards_[0];
   std::lock_guard<std::mutex> lock(shard0.mu);
-  if (shard0.journal != nullptr && !shard0.journal_dead) {
-    try {
-      shard0.journal->append_credits(now, arbiter.state_bytes());
-      shard0.journal->commit();
-      shard0.ops_since_checkpoint += 1;
-    } catch (...) {
-      shard0.journal_dead = true;
-      record_worker_error();
-    }
-  }
+  journal(shard0, [&](persist::JournalWriter& j) {
+    j.append_credits(now, arbiter.state_bytes());
+    j.commit();
+    shard0.ops_since_checkpoint += 1;
+  });
   return usage;
 }
 
@@ -1057,29 +956,32 @@ ShardRebalanceReport ShardedDispatcher::rebalance_shards(
     Shard& dest = *shards_[dst];
 
     // Pick the largest active job that does not overshoot: moving more
-    // than half the gap would just invert the skew.
-    JobId local = kNoItem;
-    JobId global = kNoItem;
+    // than half the gap would just invert the skew. Ties go to the job the
+    // shard admitted first.
+    JobId job = kNoItem;
     RVec size;
     Time expected = 0.0;
     TenantId tenant = kNoTenant;
     {
       std::lock_guard<std::mutex> lock(source.mu);
-      const Dispatcher& d = *source.dispatcher;
+      const Item* pick = nullptr;
       double best_l1 = 0.0;
-      for (JobId j = 0; j < d.jobs_admitted(); ++j) {
-        if (d.bin_of(j) == kNoBin) continue;
-        const double l1 = d.items()[j].size.l1();
-        if (l1 <= gap / 2.0 + 1e-12 && l1 > best_l1) {
-          best_l1 = l1;
-          local = j;
+      std::uint64_t best_rank = 0;
+      source.dispatcher->for_each_job([&](const Dispatcher::LiveJob& live) {
+        const double l1 = live.item.size.l1();
+        if (l1 > gap / 2.0 + 1e-12 || l1 < best_l1) return;
+        if (l1 == best_l1 && (pick == nullptr || live.rank > best_rank)) {
+          return;
         }
-      }
-      if (local == kNoItem) break;  // only oversized jobs left
-      global = source.global_of_local[local];
-      size = d.items()[local].size;
-      expected = d.items()[local].departure;  // still the advisory value
-      tenant = d.items()[local].tenant;  // billing follows the job
+        pick = &live.item;
+        best_l1 = l1;
+        best_rank = live.rank;
+      });
+      if (pick == nullptr) break;  // only oversized jobs left
+      job = pick->id;
+      size = pick->size;
+      expected = pick->departure;  // still the advisory value
+      tenant = pick->tenant;  // billing follows the job
     }
 
     // Depart on the source and make it durable BEFORE the destination
@@ -1089,17 +991,12 @@ ShardRebalanceReport ShardedDispatcher::rebalance_shards(
     {
       std::lock_guard<std::mutex> lock(source.mu);
       const Time t = std::max(now, source.dispatcher->last_event_time());
-      source.dispatcher->depart(t, local);
-      if (source.journal != nullptr && !source.journal_dead) {
-        try {
-          source.journal->append(persist::OpKind::kDepart, t, global);
-          source.journal->commit();
-          source.journal->sync();
-        } catch (...) {
-          source.journal_dead = true;
-          record_worker_error();
-        }
-      }
+      source.dispatcher->depart(t, job);
+      journal(source, [&](persist::JournalWriter& j) {
+        j.append(persist::OpKind::kDepart, t, job);
+        j.commit();
+        j.sync();
+      });
       source.load_snapshot.store(source.dispatcher->total_active_load(),
                                  std::memory_order_relaxed);
     }
@@ -1108,28 +1005,17 @@ ShardRebalanceReport ShardedDispatcher::rebalance_shards(
       const Time t = std::max(now, dest.dispatcher->last_event_time());
       const Time exp =
           expected > t ? expected : std::numeric_limits<Time>::infinity();
-      const JobId dest_local =
-          static_cast<JobId>(dest.dispatcher->jobs_admitted());
-      RVec journal_size;
-      const bool journal_op = dest.journal != nullptr && !dest.journal_dead;
-      if (journal_op) journal_size = size;
       const double l1 = size.l1();
-      dest.dispatcher->arrive(t, std::move(size), exp, tenant);
-      dest.global_of_local.push_back(global);
-      JobRec& rec = job_rec(global);
+      JobRec& rec = job_rec(job);
+      rec.item = Item(job, t, exp, std::move(size), tenant);
+      dest.dispatcher->arrive(t, rec.item);
       rec.shard.store(static_cast<std::uint32_t>(dst),
                       std::memory_order_release);
-      rec.local = dest_local;
-      if (journal_op) {
-        try {
-          dest.journal->append(persist::OpKind::kArrive, t, global, exp,
-                               &journal_size, kNoBin, false, tenant);
-          dest.journal->commit();
-        } catch (...) {
-          dest.journal_dead = true;
-          record_worker_error();
-        }
-      }
+      journal(dest, [&](persist::JournalWriter& j) {
+        j.append(persist::OpKind::kArrive, t, job, exp, &rec.item.size,
+                 kNoBin, false, tenant);
+        j.commit();
+      });
       dest.load_snapshot.store(dest.dispatcher->total_active_load(),
                                std::memory_order_relaxed);
       loads[src] -= l1;

@@ -30,6 +30,11 @@
 // stamps requests). With a single producer the feed is already monotone and
 // no clamping ever fires.
 //
+// A job's one name is the global JobId arrive() returns: each shard admits
+// it under that id. Each shard's Dispatcher keeps only live state; its
+// PackingRecorder keeps its packing, and the job table each job's
+// admitted Item (job_item()). Shard checkpoints carry both.
+//
 // Consistency: cost_so_far() / open_bins() / jobs_active() aggregate the
 // shards under their mutexes and are safe to call at any time, but reflect
 // only *applied* ops -- call drain() first for an exact figure. snapshot()
@@ -262,19 +267,20 @@ class ShardedDispatcher {
   // --- Quiescent snapshots (drain() first; throw std::logic_error while
   // --- ops are in flight) ----------------------------------------------
 
-  /// Shard `shard`'s packing in shard-local job/bin ids -- directly
-  /// comparable against a serial Dispatcher fed the shard's substream.
+  /// Shard `shard`'s packing: shard-local bin ids, global job ids --
+  /// directly comparable against a serial Dispatcher fed the shard's
+  /// substream under the same ids.
   Packing shard_packing(std::size_t shard) const;
 
   /// The merged global packing: bin ids renumbered shard-major (shard 0's
-  /// bins first, in opening order), items as service-global job ids.
+  /// bins first, in opening order), one assignment slot per job id
+  /// jobs_admitted() handed out, each naming the job's bin on its final
+  /// owner shard (kNoBin for an id that was never applied).
   Packing snapshot() const;
 
-  /// Global job id of shard-local job `local` on `shard`.
-  JobId global_job(std::size_t shard, JobId local) const;
-
-  /// The job's admission record on its shard (applied, possibly clamped,
-  /// arrival time; actual departure once departed). Quiescent only.
+  /// The job's admission record on its final owner shard (applied,
+  /// possibly clamped, arrival time; actual departure once departed).
+  /// Quiescent only. Throws std::invalid_argument for ids never applied.
   const Item& job_item(JobId job) const;
 
   /// How shard `shard` recovered at construction (all-defaults when
@@ -292,9 +298,10 @@ class ShardedDispatcher {
   ShardRebalanceReport rebalance_shards(
       Time now, const ShardRebalanceConfig& config = {});
 
-  /// Read-only view of shard `shard`'s live dispatcher, for invariant
-  /// checking in tests. Quiescent only.
+  /// Read-only views of shard `shard`'s live dispatcher and of the
+  /// recorder attached to it, for invariant checking. Quiescent only.
   const Dispatcher& shard_dispatcher(std::size_t shard) const;
+  const PackingRecorder& shard_recorder(std::size_t shard) const;
 
   // --- Multi-tenancy (ShardedOptions::tenants > 0 only) -----------------
 
@@ -339,10 +346,10 @@ class ShardedDispatcher {
     PolicyPtr policy;
     std::unique_ptr<obs::Observer> observer;  // null when obs is off
     std::unique_ptr<Dispatcher> dispatcher;
+    PackingRecorder recorder;  // attached to `dispatcher`
     /// Per-shard usage ledger (null when tenancy is off); hooked into the
     /// dispatcher, so it accrues under `mu` with every applied op.
     std::unique_ptr<tenancy::UsageAccountant> accountant;
-    std::vector<JobId> global_of_local;  // local JobId -> global JobId
 
     // Queue: guarded by `qmu`.
     std::mutex qmu;
@@ -382,14 +389,14 @@ class ShardedDispatcher {
 
   /// Per-job admission record. Lives in chunked, pointer-stable storage so
   /// the arrive/depart hot paths never share a lock: ids come from an
-  /// atomic counter, `shard`/`departed` are per-record atomics, and
-  /// `local` is written by the owning shard's worker only (readers must be
-  /// quiescent; the happens-before edge is the ops_applied_ release/
-  /// acquire pair in drain()).
+  /// atomic counter, `shard`/`departed` are per-record atomics, and `item`
+  /// is written by the owning shard's worker (or rebalance_shards, at
+  /// quiescence); other readers must be quiescent, ordered by the
+  /// ops_applied_ release/acquire pair in drain().
   struct JobRec {
     std::atomic<std::uint32_t> shard{0};
     std::atomic<bool> departed{false};  // set eagerly in depart()
-    JobId local = kNoItem;              // written by the worker when applied
+    Item item;  // as admitted on `shard`; id == kNoItem until applied
   };
 
   /// Job records are allocated in chunks of 2^kJobChunkBits; the chunk
@@ -421,12 +428,17 @@ class ShardedDispatcher {
                    std::vector<Completion>& completions);
   void require_quiescent() const;
   JobRec& checked_job_rec(JobId job, const char* caller) const;
+  /// Shard `shard`; std::invalid_argument naming `caller` when out of range.
+  Shard& shard_at(std::size_t shard, const char* caller) const;
 
   std::string shard_journal_dir(std::size_t shard_idx) const;
-  void recover_shard(std::size_t shard_idx);
-  void rebuild_job_table();
+  void recover_shard(std::size_t shard_idx, std::vector<Item>& departed);
+  void rebuild_job_table(const std::vector<std::vector<Item>>& departed);
   void checkpoint_shard(Shard& shard);
   void record_worker_error();
+  /// Runs `write` on the shard's journal; false when off, dead or failed.
+  template <typename Write>
+  bool journal(Shard& shard, Write&& write);
 
   std::size_t dim_;
   ShardedOptions options_;

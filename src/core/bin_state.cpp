@@ -16,10 +16,8 @@ std::vector<ItemId> BinState::active_items() const {
   return items;
 }
 
-void BinState::add(const Item& item) {
-  assert(fits(item.size) && "BinState::add called without fits()");
-  load_ += item.size;
-  const std::uint32_t node = pool_->alloc(item.id, item.departure);
+void BinState::append(ItemId item, Time departure) {
+  const std::uint32_t node = pool_->alloc(item, departure);
   if (tail_ == UsagePool::kNil) {
     head_ = node;
   } else {
@@ -27,6 +25,20 @@ void BinState::add(const Item& item) {
   }
   tail_ = node;
   ++num_active_;
+}
+
+void BinState::reopen(BinId id, Time opened_at) noexcept {
+  id_ = id;
+  opened_at_ = opened_at;
+  for (std::size_t k = 0; k < load_.dim(); ++k) load_[k] = 0.0;
+  total_packed_ = 0;
+  latest_departure_ = 0.0;
+}
+
+void BinState::add(const Item& item) {
+  assert(fits(item.size) && "BinState::add called without fits()");
+  load_ += item.size;
+  append(item.id, item.departure);
   ++total_packed_;
   latest_departure_ = std::max(latest_departure_, item.departure);
 }
@@ -88,27 +100,10 @@ void BinState::restore_state(serial::Reader& in) {
     throw serial::SerialError("BinState::restore_state: dimension mismatch");
   }
   for (std::size_t j = 0; j < dim; ++j) load_[j] = in.f64();
-  // Return any existing nodes (none on the fresh shells restore pairs
-  // with, but the pool must never leak if a caller reuses a bin).
-  for (std::uint32_t n = head_; n != UsagePool::kNil;) {
-    const std::uint32_t next = (*pool_)[n].next;
-    pool_->release(n);
-    n = next;
-  }
-  head_ = tail_ = UsagePool::kNil;
-  num_active_ = 0;
   const std::uint64_t n = in.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
     const ItemId item = in.u32();
-    const Time departure = in.f64();
-    const std::uint32_t node = pool_->alloc(item, departure);
-    if (tail_ == UsagePool::kNil) {
-      head_ = node;
-    } else {
-      (*pool_)[tail_].next = node;
-    }
-    tail_ = node;
-    ++num_active_;
+    append(item, in.f64());
   }
   total_packed_ = in.u64();
   latest_departure_ = in.f64();

@@ -71,6 +71,10 @@ class BinState {
     return load_.fits_with_capacity(size, capacity_);
   }
 
+  /// Reuses this emptied bin's storage for bin `id` opening at
+  /// `opened_at` (the engine pools the states of closed bins).
+  void reopen(BinId id, Time opened_at) noexcept;
+
   /// Adds an item. Precondition: fits(item.size).
   void add(const Item& item);
 
@@ -97,6 +101,9 @@ class BinState {
   void restore_state(serial::Reader& in);
 
  private:
+  /// Links a node for `item` at the tail of the active list.
+  void append(ItemId item, Time departure);
+
   BinId id_;
   Time opened_at_;
   double capacity_;

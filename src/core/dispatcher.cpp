@@ -59,47 +59,93 @@ Dispatcher::Admission Dispatcher::arrive(Time now, RVec size,
                                          Time expected_departure,
                                          TenantId tenant) {
   check_arrival(now, size, expected_departure);
-  const auto job = static_cast<JobId>(items_.size());
-  return admit(now, items_.emplace_back(job, now, expected_departure,
-                                        std::move(size), tenant));
+  const std::uint32_t slot = claim_job_slot(static_cast<JobId>(jobs_admitted_));
+  Item& item = jobs_[slot].item;
+  item.id = static_cast<JobId>(jobs_admitted_);
+  item.arrival = now;
+  item.departure = expected_departure;
+  item.size = std::move(size);
+  item.tenant = tenant;
+  return admit(now, slot);
 }
 
 Dispatcher::Admission Dispatcher::arrive(Time now, const Item& item) {
   check_arrival(now, item.size, item.departure);
-  Item& admitted = items_.emplace_back(item);
-  admitted.arrival = now;
-  return admit(now, admitted);
+  const std::uint32_t slot = claim_job_slot(item.id);
+  jobs_[slot].item = item;
+  jobs_[slot].item.arrival = now;
+  return admit(now, slot);
 }
 
-// `item` is items_.back(), just appended by arrive(). Nothing else changes
+// Maps `job`, which must not be live, to a free slot of the job table.
+// The slot's item stays unnamed (id == kNoItem) until admit() admits it.
+std::uint32_t Dispatcher::claim_job_slot(JobId job) {
+  const auto slot = static_cast<std::uint32_t>(
+      free_jobs_.empty() ? jobs_.size() : free_jobs_.back());
+  if (job == kNoItem || !job_slot_.insert(job, slot)) {
+    throw std::invalid_argument("Dispatcher::arrive: job id " +
+                                std::to_string(job) +
+                                " is reserved or already live");
+  }
+  if (free_jobs_.empty()) {
+    jobs_.emplace_back();
+  } else {
+    free_jobs_.pop_back();
+  }
+  return slot;
+}
+
+// Unmaps the job in `slot` and returns the slot to the free list.
+void Dispatcher::release_job_slot(std::uint32_t slot) noexcept {
+  job_slot_.erase(jobs_[slot].item.id);
+  jobs_[slot].item.id = kNoItem;
+  free_jobs_.push_back(slot);
+}
+
+std::uint32_t Dispatcher::placed_slot(JobId job, const char* caller) const {
+  const std::uint32_t slot = job_slot_.find(job);
+  if (slot == IdMap::kAbsent || jobs_[slot].bin_slot == kNoSlot) {
+    throw std::invalid_argument(
+        std::string("Dispatcher::") + caller + ": job " +
+        std::to_string(job) +
+        (slot == IdMap::kAbsent ? " is not live" : " is evicted"));
+  }
+  return slot;
+}
+
+// The job's item is filled into a claimed slot. Nothing else changes
 // until the policy's decision has been checked, so a rejected decision
-// only has to drop the item again.
-Dispatcher::Admission Dispatcher::admit(Time now, const Item& item) {
+// only has to release the slot again.
+Dispatcher::Admission Dispatcher::admit(Time now, std::uint32_t job_slot) {
+  const Item& item = jobs_[job_slot].item;
   BinId chosen = kNoBin;
+  std::uint32_t bin_slot = kNoSlot;
   try {
     {
       obs::ScopedTimer timer(obs_ != nullptr ? obs_->decision_latency()
                                              : nullptr);
       chosen = policy_.select_bin(now, item, views_, table_);
     }
-    if (chosen != kNoBin &&
-        (chosen >= bins_.size() || slot_of_[chosen] == kNoSlot)) {
-      throw PolicyViolation("Dispatcher: policy '" +
-                            std::string(policy_.name()) +
-                            "' selected a bin that is not open");
-    }
-    if (chosen != kNoBin && !bins_[chosen].fits(item.size)) {
-      throw PolicyViolation("Dispatcher: policy '" +
-                            std::string(policy_.name()) +
-                            "' selected a bin that cannot hold the job");
+    if (chosen != kNoBin) {
+      bin_slot = bin_slot_.find(chosen);
+      if (bin_slot == IdMap::kAbsent) {
+        throw PolicyViolation("Dispatcher: policy '" +
+                              std::string(policy_.name()) +
+                              "' selected a bin that is not open");
+      }
+      if (!bins_[bin_slot].fits(item.size)) {
+        throw PolicyViolation("Dispatcher: policy '" +
+                              std::string(policy_.name()) +
+                              "' selected a bin that cannot hold the job");
+      }
     }
   } catch (...) {
-    items_.pop_back();
+    release_job_slot(job_slot);
     throw;
   }
 
   advance_clock(now);
-  ++active_jobs_;
+  jobs_[job_slot].rank = jobs_admitted_++;
   if (usage_hook_ != nullptr) {
     usage_hook_->on_arrive(item.tenant, now, item.size, open_bins());
   }
@@ -112,135 +158,125 @@ Dispatcher::Admission Dispatcher::admit(Time now, const Item& item) {
     if (obs_->wants_rejections()) {
       for (const BinView& view : views_) {
         if (view.id == kNoBin) continue;  // a hole
-        if (!bins_[view.id].fits(item.size)) {
+        if (!view.fits(item.size)) {
           ++rejections;
           obs_->on_reject(now, item.id, view.id);
         }
       }
     }
   }
-  const auto job = static_cast<JobId>(jobs_.size());
-  const BinId bin = place(now, item, jobs_.emplace_back(), chosen);
+  const BinId bin = place(now, job_slot, bin_slot);
   if (obs_ != nullptr) {
     obs_->on_place(now, item.id, bin, chosen == kNoBin, rejections);
   }
-  return Admission{job, bin, chosen == kNoBin};
+  return Admission{item.id, bin, chosen == kNoBin};
 }
 
-// Packs `item` into open bin `target` (already checked to fit), or into a
-// freshly opened bin when `target` == kNoBin, and tells the policy.
-BinId Dispatcher::place(Time now, const Item& item, JobState& job,
-                        BinId target) {
-  const bool fresh = target == kNoBin;
+// Packs the job in `job_slot` into the open bin in `bin_slot` (already
+// checked to fit), or into a freshly opened bin when `bin_slot` ==
+// kNoSlot, and tells the recorder and the policy.
+BinId Dispatcher::place(Time now, std::uint32_t job_slot,
+                        std::uint32_t bin_slot) {
+  const Item& item = jobs_[job_slot].item;
+  const bool fresh = bin_slot == kNoSlot;
   std::uint32_t slot;
   BinState* bin;
   if (fresh) {
-    target = static_cast<BinId>(bins_.size());
-    // bins_ is a chunked slab: emplace never moves existing BinStates,
-    // so views_ load pointers stay valid with no repatching.
-    bin = &bins_.emplace_back(target, dim_, now, capacity_, &usage_pool_);
-    records_.push_back(BinRecord{target, now, now, {}});
+    const auto id = static_cast<BinId>(bins_opened_++);
+    if (free_bins_.empty()) {
+      bin_slot = static_cast<std::uint32_t>(bins_.size());
+      bin = &bins_.emplace_back(id, dim_, now, capacity_, &usage_pool_);
+      table_slot_.push_back(kNoSlot);
+    } else {
+      bin_slot = free_bins_.back();
+      free_bins_.pop_back();
+      bin = &bins_[bin_slot];
+      bin->reopen(id, now);
+    }
+    bin_slot_.insert(id, bin_slot);
     slot = static_cast<std::uint32_t>(views_.size());
-    slot_of_.push_back(slot);
+    table_slot_[bin_slot] = slot;
     table_.push_back_zero();
-    views_.push_back(BinView{target, &bin->load(), now, 0, 0.0, capacity_});
-    if (obs_ != nullptr) obs_->on_open(now, target);
+    views_.push_back(BinView{id, &bin->load(), now, 0, 0.0, capacity_});
+    if (recorder_ != nullptr) recorder_->open(id, now);
+    if (obs_ != nullptr) obs_->on_open(now, id);
   } else {
-    slot = slot_of_[target];
-    bin = &bins_[target];
+    slot = table_slot_[bin_slot];
+    bin = &bins_[bin_slot];
   }
   bin->add(item);
   table_.add(slot, item.size.data());
   views_[slot].num_items = bin->num_active();
   views_[slot].latest_departure = bin->latest_departure();
-  records_[target].items.push_back(item.id);
-  job.bin = target;
-  job.last_bin = target;
+  jobs_[job_slot].bin_slot = bin_slot;
+  if (recorder_ != nullptr) recorder_->place(item.id, bin->id());
   if (fresh) {
-    policy_.on_open(now, target, item);
+    policy_.on_open(now, bin->id(), item);
   } else {
-    policy_.on_pack(now, target, item);
+    policy_.on_pack(now, bin->id(), item);
   }
-  return target;
-}
-
-// Takes `item` out of open bin `bin_id`, closing the bin permanently when
-// it empties. Returns whether it did.
-bool Dispatcher::unplace(Time now, const Item& item, BinId bin_id) {
-  const std::uint32_t slot = slot_of_[bin_id];
-  if (slot == kNoSlot) {
-    throw std::logic_error("Dispatcher: job's bin is not open");
-  }
-  BinState& bin = bins_[bin_id];
-  const bool emptied = bin.remove(item);
-  if (emptied) {
-    records_[bin_id].closed = now;
-    closed_usage_ += records_[bin_id].usage_time();
-    close_slot(slot);
-  } else {
-    table_.sub_clamped(slot, item.size.data());
-    views_[slot].num_items = bin.num_active();
-    views_[slot].latest_departure = bin.latest_departure();
-  }
-  return emptied;
+  return bin->id();
 }
 
 void Dispatcher::depart(Time now, JobId job) {
   check_time(now);
-  if (job >= jobs_.size()) {
-    throw std::invalid_argument("Dispatcher::depart: unknown job");
-  }
-  JobState& state = jobs_[job];
-  const BinId bin = state.bin;
-  if (bin == kNoBin) {
-    throw std::invalid_argument(
-        state.evicted
-            ? "Dispatcher::depart: job is evicted; replace() it first"
-            : "Dispatcher::depart: job already departed");
-  }
+  const std::uint32_t job_slot = placed_slot(job, "depart");
   advance_clock(now);
-  Item& item = items_[job];
+  Item& item = jobs_[job_slot].item;
   // Patch the actual departure so latest-departure bookkeeping is honest.
   item.departure = now;
   if (usage_hook_ != nullptr) {
     usage_hook_->on_depart(item.tenant, now, item.size, open_bins());
   }
-  const bool emptied = unplace(now, item, bin);
-  state.bin = kNoBin;
-  --active_jobs_;
-  if (obs_ != nullptr) {
-    obs_->on_depart(now, item.id, bin, emptied);
-    if (emptied) obs_->on_close(now, bin, records_[bin].opened);
-  }
-  policy_.on_depart(now, bin, item, emptied);
+  take_out(now, job_slot, /*departing=*/true);
+  release_job_slot(job_slot);
 }
 
 Dispatcher::Eviction Dispatcher::evict(Time now, JobId job) {
   check_time(now);
-  if (job >= jobs_.size()) {
-    throw std::invalid_argument("Dispatcher::evict: unknown job");
-  }
-  JobState& state = jobs_[job];
-  const BinId bin = state.bin;
-  if (bin == kNoBin) {
-    throw std::invalid_argument(
-        state.evicted ? "Dispatcher::evict: job already evicted"
-                      : "Dispatcher::evict: job already departed");
-  }
+  const std::uint32_t job_slot = placed_slot(job, "evict");
   advance_clock(now);
   // The job stays active (no demand change), but the bin count may step.
+  // Its departure field is left alone: the job is still running.
   if (usage_hook_ != nullptr) {
     usage_hook_->on_advance(now, open_bins());
   }
-  // The item's departure field is left alone: the job is still running.
-  const Item& item = items_[job];
-  const bool emptied = unplace(now, item, bin);
-  state.bin = kNoBin;
-  state.evicted = true;
   ++evicted_jobs_;
+  return take_out(now, job_slot, /*departing=*/false);
+}
+
+// Takes the job in `job_slot` out of its bin -- a departure or an
+// eviction -- and tells the observer and the policy. A bin that empties
+// closes permanently: its usage folds into closed_usage_ and its BinState
+// waits on the free list for a later bin.
+Dispatcher::Eviction Dispatcher::take_out(Time now, std::uint32_t job_slot,
+                                          bool departing) {
+  const Item& item = jobs_[job_slot].item;
+  const std::uint32_t bin_slot = jobs_[job_slot].bin_slot;
+  BinState& state = bins_[bin_slot];
+  const std::uint32_t slot = table_slot_[bin_slot];
+  const BinId bin = state.id();
+  const Time opened = state.opened_at();
+  const bool emptied = state.remove(item);
+  if (emptied) {
+    closed_usage_ += Interval(opened, now).length();
+    if (recorder_ != nullptr) recorder_->close(bin, now);
+    bin_slot_.erase(bin);
+    free_bins_.push_back(bin_slot);
+    close_slot(slot);
+  } else {
+    table_.sub_clamped(slot, item.size.data());
+    views_[slot].num_items = state.num_active();
+    views_[slot].latest_departure = state.latest_departure();
+  }
+  jobs_[job_slot].bin_slot = kNoSlot;
   if (obs_ != nullptr) {
-    obs_->on_evict(now, item.id, bin, emptied);
-    if (emptied) obs_->on_close(now, bin, records_[bin].opened);
+    if (departing) {
+      obs_->on_depart(now, item.id, bin, emptied);
+    } else {
+      obs_->on_evict(now, item.id, bin, emptied);
+    }
+    if (emptied) obs_->on_close(now, bin, opened);
   }
   policy_.on_depart(now, bin, item, emptied);
   return Eviction{bin, emptied};
@@ -248,16 +284,18 @@ Dispatcher::Eviction Dispatcher::evict(Time now, JobId job) {
 
 BinId Dispatcher::replace(Time now, JobId job, BinId target) {
   check_time(now);
-  if (job >= jobs_.size() || !jobs_[job].evicted) {
+  const std::uint32_t job_slot = job_slot_.find(job);
+  if (job_slot == IdMap::kAbsent || jobs_[job_slot].bin_slot != kNoSlot) {
     throw std::invalid_argument(
         "Dispatcher::replace: job is not in the evicted state");
   }
-  const Item& item = items_[job];
+  std::uint32_t bin_slot = kNoSlot;
   if (target != kNoBin) {
-    if (target >= bins_.size() || slot_of_[target] == kNoSlot) {
+    bin_slot = bin_slot_.find(target);
+    if (bin_slot == IdMap::kAbsent) {
       throw PolicyViolation("Dispatcher::replace: target bin is not open");
     }
-    if (!bins_[target].fits(item.size)) {
+    if (!bins_[bin_slot].fits(jobs_[job_slot].item.size)) {
       throw PolicyViolation(
           "Dispatcher::replace: target bin cannot hold the job");
     }
@@ -266,32 +304,15 @@ BinId Dispatcher::replace(Time now, JobId job, BinId target) {
   if (usage_hook_ != nullptr) {
     usage_hook_->on_advance(now, open_bins());
   }
-  JobState& state = jobs_[job];
-  state.evicted = false;
   --evicted_jobs_;
-  const BinId bin = place(now, item, state, target);
-  if (obs_ != nullptr) obs_->on_replace(now, item.id, bin, target == kNoBin);
+  const BinId bin = place(now, job_slot, bin_slot);
+  if (obs_ != nullptr) obs_->on_replace(now, job, bin, target == kNoBin);
   return bin;
-}
-
-BinId Dispatcher::last_bin_of(JobId job) const {
-  if (job >= jobs_.size()) {
-    throw std::invalid_argument("Dispatcher::last_bin_of: unknown job");
-  }
-  return jobs_[job].last_bin;
-}
-
-Packing Dispatcher::packing() const {
-  std::vector<BinId> assignment;
-  assignment.reserve(jobs_.size());
-  for (const JobState& state : jobs_) assignment.push_back(state.last_bin);
-  return Packing(std::move(assignment), records_);
 }
 
 // Leaves a hole where the closed bin was: O(d), and no other slot moves,
 // so the table stays in opening order without renumbering anything.
 void Dispatcher::close_slot(std::uint32_t slot) {
-  slot_of_[views_[slot].id] = kNoSlot;
   views_[slot] = BinView{kNoBin, &hole_load_, 0.0, 0, 0.0, capacity_};
   table_.make_hole(slot);
   ++holes_;
@@ -308,7 +329,7 @@ void Dispatcher::compact() {
     if (live != slot) {
       views_[live] = views_[slot];
       table_.move_slot(slot, live);
-      slot_of_[id] = live;
+      table_slot_[bin_slot_.find(id)] = live;
     }
     ++live;
   }
@@ -318,80 +339,75 @@ void Dispatcher::compact() {
 }
 
 double Dispatcher::total_active_load() const noexcept {
-  // Served from the SoA table: no BinState chunk lookup or RVec data()
-  // indirection per bin, same summation order (see total_load()).
-  return table_.total_load();
+  return table_.total_load();  // the SoA lanes, in opening order
 }
 
-BinId Dispatcher::bin_of(JobId job) const {
-  if (job >= jobs_.size()) {
-    throw std::invalid_argument("Dispatcher::bin_of: unknown job");
+BinId Dispatcher::bin_of(JobId job) const noexcept {
+  const std::uint32_t slot = job_slot_.find(job);
+  if (slot == IdMap::kAbsent || jobs_[slot].bin_slot == kNoSlot) {
+    return kNoBin;
   }
-  return jobs_[job].bin;
+  return bins_[jobs_[slot].bin_slot].id();
 }
 
 namespace {
-// In-band version marker for the dispatcher state stream. Streams written
-// before tenancy start directly with the u64 dim (a small integer), so a
-// leading sentinel no plausible dim can collide with makes the stream
-// self-describing: v3 adds the per-item tenant id, older streams load with
-// every item anonymous. Bump the low bits on the next layout change.
-constexpr std::uint64_t kStateV3Magic = 0xFFFFFFFF00000003ull;
+// In-band version marker for the dispatcher state stream: a leading
+// sentinel no plausible dim collides with (streams before v3 started
+// directly with the u64 dim). v4 holds live state only; bump the low bits
+// on the next layout change.
+constexpr std::uint64_t kStateMagic = 0xFFFFFFFF00000000ull;
+constexpr std::uint64_t kStateVersion = 4;
 }  // namespace
 
 void Dispatcher::save_state(serial::Writer& out) const {
-  out.u64(kStateV3Magic);
+  out.u64(kStateMagic | kStateVersion);
   out.u64(dim_);
   out.f64(capacity_);
   out.f64(now_);
   out.u8(started_ ? 1 : 0);
-  out.u64(active_jobs_);
+  out.u64(jobs_admitted_);
+  out.u64(bins_opened_);
   out.f64(closed_usage_);
-
-  out.u64(items_.size());
-  for (JobId job = 0; job < items_.size(); ++job) {
-    const Item& item = items_[job];
-    // The stream stores no ids: restore_state() renames job j to item j.
-    if (item.id != job) {
-      throw std::logic_error(
-          "Dispatcher::save_state: job admitted under a foreign item id");
-    }
-    out.f64(item.arrival);
-    out.f64(item.departure);
-    out.u32(item.tenant);
-    for (double c : item.size) out.f64(c);
-  }
-  for (const JobState& state : jobs_) out.u32(state.bin);
-  for (const JobState& state : jobs_) {
-    out.u32(state.last_bin);
-    out.u8(state.evicted ? 1 : 0);
-  }
-
-  out.u64(records_.size());
-  for (const BinRecord& rec : records_) {
-    out.f64(rec.opened);
-    out.f64(rec.closed);
-    out.u64(rec.items.size());
-    for (ItemId r : rec.items) out.u32(r);
-  }
 
   out.u64(open_bins());
   for (const BinView& view : views_) {
     if (view.id == kNoBin) continue;  // a hole
-    out.u64(view.id);
-    bins_[view.id].save_state(out);
+    out.u32(view.id);
+    out.f64(view.opened_at);
+    bins_[bin_slot_.find(view.id)].save_state(out);
+  }
+
+  // Admission order, not slot order: the stream is canonical and the
+  // restored table keeps the order rebalance_shards breaks ties by.
+  std::vector<const JobSlot*> live;
+  for (const JobSlot& slot : jobs_) {
+    if (slot.item.id != kNoItem) live.push_back(&slot);
+  }
+  std::sort(live.begin(), live.end(),
+            [](const JobSlot* a, const JobSlot* b) { return a->rank < b->rank; });
+  out.u64(live.size());
+  for (const JobSlot* slot : live) {
+    slot->item.save_state(out);
+    out.u32(slot->bin_slot == kNoSlot ? kNoBin
+                                      : bins_[slot->bin_slot].id());
   }
 }
 
 void Dispatcher::restore_state(serial::Reader& in) {
-  if (!items_.empty() || !bins_.empty() || started_) {
+  if (jobs_admitted_ != 0 || bins_opened_ != 0 || started_) {
     throw std::logic_error(
         "Dispatcher::restore_state: dispatcher already has state");
   }
-  std::uint64_t first = in.u64();
-  const bool has_tenants = first == kStateV3Magic;
-  if (has_tenants) first = in.u64();  // v3: the dim follows the marker
-  if (first != dim_) {
+  const std::uint64_t magic = in.u64();
+  if (magic != (kStateMagic | kStateVersion)) {
+    const bool versioned = (magic & kStateMagic) == kStateMagic;
+    throw serial::SerialError(
+        "Dispatcher::restore_state: state stream " +
+        (versioned ? "v" + std::to_string(magic & ~kStateMagic)
+                   : std::string("from before v3")) +
+        " is not supported; this build reads v4");
+  }
+  if (in.u64() != dim_) {
     throw serial::SerialError(
         "Dispatcher::restore_state: dimension mismatch");
   }
@@ -401,74 +417,53 @@ void Dispatcher::restore_state(serial::Reader& in) {
   }
   now_ = in.f64();
   started_ = in.u8() != 0;
-  active_jobs_ = in.u64();
+  jobs_admitted_ = in.u64();
+  bins_opened_ = in.u64();
   closed_usage_ = in.f64();
 
-  const std::uint64_t num_items = in.u64();
-  for (std::uint64_t i = 0; i < num_items; ++i) {
-    const Time arrival = in.f64();
-    const Time departure = in.f64();
-    const TenantId tenant = has_tenants ? in.u32() : kNoTenant;
-    RVec size(dim_);
-    for (std::size_t j = 0; j < dim_; ++j) size[j] = in.f64();
-    items_.emplace_back(static_cast<ItemId>(i), arrival, departure,
-                        std::move(size), tenant);
-  }
-  jobs_.resize(num_items);
-  for (JobState& state : jobs_) state.bin = in.u32();
-  for (JobState& state : jobs_) {
-    state.last_bin = in.u32();
-    state.evicted = in.u8() != 0;
-    if (state.evicted) ++evicted_jobs_;
-  }
-
-  const std::uint64_t num_bins = in.u64();
-  records_.reserve(num_bins);
-  for (std::uint64_t b = 0; b < num_bins; ++b) {
-    BinRecord rec;
-    rec.id = static_cast<BinId>(b);
-    rec.opened = in.f64();
-    rec.closed = in.f64();
-    const std::uint64_t n = in.u64();
-    rec.items.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) rec.items.push_back(in.u32());
-    records_.push_back(std::move(rec));
-  }
-  // Every bin gets a shell at its historical opening time; open bins are
-  // then filled below with their exact saved state.
-  for (std::uint64_t b = 0; b < num_bins; ++b) {
-    bins_.emplace_back(static_cast<BinId>(b), dim_, records_[b].opened,
-                       capacity_, &usage_pool_);
-  }
-  slot_of_.assign(num_bins, kNoSlot);
-
   const std::uint64_t num_open = in.u64();
-  if (num_open > num_bins) {
-    throw serial::SerialError(
-        "Dispatcher::restore_state: more open bins than bins");
-  }
-  views_.reserve(num_open);
+  std::size_t placed = 0;
   for (std::uint64_t k = 0; k < num_open; ++k) {
-    const std::uint64_t idx = in.u64();
-    if (idx >= num_bins) {
-      throw serial::SerialError(
-          "Dispatcher::restore_state: open-bin index out of range");
-    }
+    const BinId id = in.u32();
     // Bins open in id order, so opening order is ascending ids; a repeat
     // or a swap would restore a table that decides differently.
-    if (!views_.empty() && idx <= views_.back().id) {
+    if (id >= bins_opened_ || (!views_.empty() && id <= views_.back().id)) {
       throw serial::SerialError(
           "Dispatcher::restore_state: open bins not in opening order");
     }
-    bins_[idx].restore_state(in);
-    slot_of_[idx] = static_cast<std::uint32_t>(k);
-    const BinState& bin = bins_[idx];
+    const Time opened = in.f64();
+    BinState& bin =
+        bins_.emplace_back(id, dim_, opened, capacity_, &usage_pool_);
+    bin.restore_state(in);
+    placed += bin.num_active();
+    bin_slot_.insert(id, static_cast<std::uint32_t>(k));
+    table_slot_.push_back(static_cast<std::uint32_t>(k));
     // Raw-bit copy into the table lane: the restored slot is
     // bit-identical to the saved load, like the RVec it mirrors.
     table_.push_back_raw(bin.load().data());
-    views_.push_back(BinView{bin.id(), &bin.load(), bin.opened_at(),
-                             bin.num_active(), bin.latest_departure(),
-                             bin.capacity()});
+    views_.push_back(BinView{id, &bin.load(), opened, bin.num_active(),
+                             bin.latest_departure(), bin.capacity()});
+  }
+
+  const std::uint64_t num_jobs = in.u64();
+  for (std::uint64_t i = 0; i < num_jobs; ++i) {
+    JobSlot& slot = jobs_.emplace_back();
+    slot.item = Item::restore_state(in, dim_);
+    slot.rank = i;
+    const BinId bin = in.u32();
+    slot.bin_slot = bin == kNoBin ? kNoSlot : bin_slot_.find(bin);
+    if (slot.item.id == kNoItem ||
+        !job_slot_.insert(slot.item.id, static_cast<std::uint32_t>(i)) ||
+        (bin != kNoBin && slot.bin_slot == IdMap::kAbsent)) {
+      throw serial::SerialError(
+          "Dispatcher::restore_state: a job with a reserved or repeated id, "
+          "or in a bin that is not open");
+    }
+    if (bin == kNoBin) ++evicted_jobs_;
+  }
+  if (placed != jobs_.size() - evicted_jobs_) {
+    throw serial::SerialError(
+        "Dispatcher::restore_state: open bins disagree with the live jobs");
   }
 }
 
@@ -484,14 +479,12 @@ double Dispatcher::cost_so_far(Time at) const {
     }
     return total;
   }
-  // Historical query: clamp closed bins to [opened, min(at, closed)).
-  double total = 0.0;
-  for (const BinRecord& rec : records_) {
-    const bool open = slot_of_[rec.id] != kNoSlot;
-    const Time end = open ? at : std::min(at, rec.closed);
-    total += std::max(0.0, end - rec.opened);
+  if (recorder_ == nullptr) {
+    throw std::invalid_argument(
+        "Dispatcher::cost_so_far: a time before the last event needs the "
+        "closed bins' records; attach a PackingRecorder");
   }
-  return total;
+  return recorder_->cost_at(at);
 }
 
 }  // namespace dvbp

@@ -12,6 +12,11 @@
 // through one, and so do trace replay, the sharded service, crash recovery
 // and the wire server, so all competitive-ratio guarantees and the golden
 // packing hashes hold on every path.
+//
+// It keeps only live state -- a slot table of live jobs, the open bins
+// (a closed bin's BinState is reused), the counters -- so its memory does
+// not grow with the events it has seen. History leaves through an attached
+// PackingRecorder (core/packing_recorder.hpp).
 #pragma once
 
 #include <limits>
@@ -21,7 +26,7 @@
 
 #include "core/bin_state.hpp"
 #include "core/open_bin_table.hpp"
-#include "core/packing.hpp"
+#include "core/packing_recorder.hpp"
 #include "core/policies/policy.hpp"
 #include "core/pool.hpp"
 #include "core/types.hpp"
@@ -32,7 +37,10 @@ class Observer;  // obs/observer.hpp
 
 namespace dvbp {
 
-/// Identifier the caller uses to refer to a live job: its admission rank.
+/// A job's one name on every path: its Item::id. simulate() and the
+/// harness admit a job under its ItemId, each shard of the sharded service
+/// under the service-global JobId, and arrive(now, size, ...) names it
+/// jobs_admitted(). Unique among live jobs.
 using JobId = ItemId;
 
 /// Per-tenant usage accounting hook (implemented by
@@ -71,25 +79,22 @@ class Dispatcher {
   };
 
   /// Admits a job of the given size at time `now` (monotonically
-  /// nondecreasing across all calls). `expected_departure` is only shown
-  /// to clairvoyant policies; pass the default when unknown. `tenant`
-  /// labels the job for usage accounting (src/tenancy/) and is invisible
-  /// to every placement policy -- packing decisions are tenant-blind.
-  /// The job's Item id is its JobId. Throws std::invalid_argument on bad
-  /// sizes or time regressions and PolicyViolation on an illegal policy
-  /// decision; either way the dispatcher is left unchanged.
+  /// nondecreasing across all calls), named jobs_admitted().
+  /// `expected_departure` is only shown to clairvoyant policies; pass the
+  /// default when unknown. `tenant` labels the job for usage accounting
+  /// (src/tenancy/) and is invisible to every placement policy -- packing
+  /// decisions are tenant-blind. Throws std::invalid_argument on bad
+  /// sizes, time regressions or a name that is already live, and
+  /// PolicyViolation on an illegal policy decision; either way the
+  /// dispatcher is left unchanged.
   Admission arrive(Time now, RVec size,
                    Time expected_departure =
                        std::numeric_limits<Time>::infinity(),
                    TenantId tenant = kNoTenant);
 
-  /// Admits a copy of `item` at `now`, with item.departure as the expected
-  /// departure, under the item's own id: the policy, the observer and the
-  /// bin records see item.id, while the returned JobId (the admission
-  /// rank) still indexes depart(), bin_of() and items(). This is how
-  /// simulate() reports an Instance's ItemIds when its rows are not in
-  /// arrival order. Ids must be unique among active jobs (bins match
-  /// departures by id). Throws as the other overload.
+  /// Admits a copy of `item` at `now` under item.id, with item.departure
+  /// as the expected departure. Throws as the other overload, including
+  /// when item.id is already live (or is kNoItem).
   Admission arrive(Time now, const Item& item);
 
   /// Attaches (or detaches, with nullptr) the per-tenant usage accounting
@@ -98,8 +103,15 @@ class Dispatcher {
     usage_hook_ = hook;
   }
 
-  /// Marks `job` finished at `now`. Throws std::invalid_argument for
-  /// unknown/already-departed jobs or time regressions.
+  /// Attaches (or detaches, with nullptr) the recorder of every bin open,
+  /// placement and close. Borrowed; attach it before the first event.
+  void set_recorder(PackingRecorder* recorder) noexcept {
+    recorder_ = recorder;
+  }
+
+  /// Marks live job `job` finished at `now`. Throws std::invalid_argument
+  /// for jobs that are not live (unknown or departed) or evicted, and for
+  /// time regressions.
   void depart(Time now, JobId job);
 
   // --- Migration primitives (src/core/rebalancer.hpp) ------------------
@@ -125,37 +137,53 @@ class Dispatcher {
   BinId replace(Time now, JobId job, BinId target = kNoBin);
 
   /// True while `job` has been evict()ed but not yet replace()d.
-  bool is_evicted(JobId job) const {
-    return job < jobs_.size() && jobs_[job].evicted;
+  bool is_evicted(JobId job) const noexcept {
+    const std::uint32_t slot = job_slot_.find(job);
+    return slot != IdMap::kAbsent && jobs_[slot].bin_slot == kNoSlot;
   }
 
   /// Number of jobs currently in limbo (evicted, not yet re-placed).
   std::size_t jobs_evicted() const noexcept { return evicted_jobs_; }
 
-  /// Last bin `job` was packed into (never reset by depart/evict) --
-  /// the authoritative final placement for Packing assignment under
-  /// migration, where records() may list a job in several bins.
-  BinId last_bin_of(JobId job) const;
-
-  /// Materializes the current placement: assignment[j] = last bin j was
-  /// packed into, plus the full bin records. Under migration a job
-  /// appears in the item list of every bin it ever occupied; the
-  /// assignment names the final one. Jobs in limbo keep their previous
-  /// bin in the assignment -- call at quiescence (no evicted jobs) for a
-  /// well-defined packing.
-  Packing packing() const;
-
   // --- Introspection ---------------------------------------------------
 
   std::size_t dim() const noexcept { return dim_; }
   std::size_t open_bins() const noexcept { return views_.size() - holes_; }
-  std::size_t bins_opened() const noexcept { return records_.size(); }
-  std::size_t jobs_admitted() const noexcept { return items_.size(); }
-  std::size_t jobs_active() const noexcept { return active_jobs_; }
+  std::size_t bins_opened() const noexcept { return bins_opened_; }
+  std::size_t jobs_admitted() const noexcept { return jobs_admitted_; }
+  std::size_t jobs_active() const noexcept { return job_slot_.size(); }
   Time last_event_time() const noexcept { return now_; }
 
-  /// Bin currently hosting `job` (kNoBin after departure).
-  BinId bin_of(JobId job) const;
+  /// Bin currently hosting `job`; kNoBin when the job is evicted or not
+  /// live (departed, or never admitted).
+  BinId bin_of(JobId job) const noexcept;
+
+  /// Live job `job` as admitted (departure: the expected one), or nullptr.
+  /// Invalidated by the next mutating call.
+  const Item* job(JobId job) const noexcept {
+    const std::uint32_t slot = job_slot_.find(job);
+    return slot == IdMap::kAbsent ? nullptr : &jobs_[slot].item;
+  }
+
+  /// One live job, as for_each_job() reports it.
+  struct LiveJob {
+    const Item& item;    ///< as admitted; departure is the expected one
+    BinId bin;           ///< hosting bin; kNoBin while evicted
+    std::uint64_t rank;  ///< admission order among the live jobs
+  };
+
+  /// Calls fn(const LiveJob&) once per live job in no defined order, so
+  /// nothing may depend on it: `rank` gives admission order, and survives
+  /// a checkpoint.
+  template <typename Fn>
+  void for_each_job(Fn&& fn) const {
+    for (const JobSlot& slot : jobs_) {
+      if (slot.item.id == kNoItem) continue;  // a free slot
+      fn(LiveJob{slot.item,
+                 slot.bin_slot == kNoSlot ? kNoBin : bins_[slot.bin_slot].id(),
+                 slot.rank});
+    }
+  }
 
   /// Read-only views of the open-bin table's slots in opening order. A
   /// slot whose view has id == kNoBin is a hole left by a bin that closed:
@@ -173,33 +201,20 @@ class Dispatcher {
   /// "total usage" signal the least-usage router balances on. O(open bins).
   double total_active_load() const noexcept;
 
-  /// Every job ever admitted, by JobId (indexable, iterable; backed by a
-  /// chunked slab, so Item references stay valid across later arrivals).
-  /// A job's `departure` field holds the expected departure passed to
-  /// arrive() until depart() patches in the actual one; `arrival` is the
-  /// (possibly clamped) admission time.
-  const StableVector<Item>& items() const noexcept { return items_; }
-
   /// Total usage time accrued up to `at`: every bin contributes
   /// max(0, min(at, close time) - open time), where open bins have no
-  /// close time yet. This is the objective of eq. (1) metered live, and
-  /// it is exact for historical timestamps too: a closed bin's
-  /// contribution is clamped to `at` instead of counted in full. O(1)
-  /// bookkeeping keeps queries at `at` >= last_event_time() to O(open
-  /// bins); earlier timestamps scan every record.
+  /// close time yet. This is the objective of eq. (1) metered live. At
+  /// `at` >= last_event_time() it is O(open bins) from a running sum of
+  /// closed usage. An earlier `at` needs the closed bins' records: the
+  /// attached recorder answers it (PackingRecorder::cost_at), and without
+  /// one it throws std::invalid_argument.
   double cost_so_far(Time at) const;
-
-  /// Usage records of every bin ever opened (open bins report their
-  /// opening time with `closed` == opened; consult open_bins()).
-  const std::vector<BinRecord>& records() const& noexcept { return records_; }
-  /// Moves the records out of a dispatcher that is done with them.
-  std::vector<BinRecord> records() && noexcept { return std::move(records_); }
 
   /// Live state of bin `id` if it is currently open, nullptr otherwise.
   /// Invalidated by the next mutating call (invariant-checker use).
   const BinState* open_bin_state(BinId id) const noexcept {
-    if (id >= slot_of_.size() || slot_of_[id] == kNoSlot) return nullptr;
-    return &bins_[id];
+    const std::uint32_t slot = bin_slot_.find(id);
+    return slot == IdMap::kAbsent ? nullptr : &bins_[slot];
   }
 
   /// Running sum of closed bins' usage time (monotone; checker use).
@@ -207,46 +222,46 @@ class Dispatcher {
 
   // --- Checkpointing (src/persist/checkpoint.hpp) ----------------------
 
-  /// Serializes the complete allocation state -- items, assignments, bin
-  /// records, the open bins in opening order (holes are not written), and
-  /// every open bin's exact load bits -- such that restore_state() on a
-  /// fresh Dispatcher (same dim/capacity, same policy configuration;
-  /// policy state is checkpointed separately through Policy::save_state)
-  /// reproduces a dispatcher whose future decisions are bit-identical to
-  /// this one's. Closed bins are restored as empty
-  /// shells (their BinState is never consulted again); their usage history
-  /// lives in records(). O(items + bins). Throws std::logic_error if a
-  /// job was admitted under an Item id other than its JobId.
+  /// Serializes the live state (stream v4): the clock, the counters,
+  /// closed_usage()'s bits, the live jobs in admission order (id, arrival,
+  /// expected departure, tenant, size, bin or evicted), and the open bins
+  /// in opening order with their exact load bits -- such that
+  /// restore_state() on a fresh Dispatcher (same dim/capacity, same policy
+  /// configuration; policy state is checkpointed separately through
+  /// Policy::save_state) decides bit-identically to this one.
   void save_state(serial::Writer& out) const;
 
   /// Restores state written by save_state(). Must be called on a freshly
   /// constructed dispatcher (nothing admitted yet) with the same dim and
   /// bin_capacity; throws std::logic_error otherwise and
-  /// serial::SerialError on malformed input, including open bins that are
-  /// not listed in strictly ascending (opening) order. The restored table
-  /// has no holes. Does not invoke any Policy callback -- pair with
-  /// Policy::restore_state.
+  /// serial::SerialError on malformed input -- a stream of another
+  /// version (named in the message), open bins not listed in strictly
+  /// ascending (opening) order, a job in a bin that is not open. The
+  /// restored table has no holes. Does not invoke any Policy callback --
+  /// pair with Policy::restore_state.
   void restore_state(serial::Reader& in);
 
  private:
-  static constexpr std::uint32_t kNoSlot =
-      std::numeric_limits<std::uint32_t>::max();
+  static constexpr std::uint32_t kNoSlot = IdMap::kAbsent;
   /// compact() runs once holes pass 1/kCompactFraction of the slots.
   static constexpr std::size_t kCompactFraction = 8;
 
-  /// Placement state of one job, by JobId.
-  struct JobState {
-    BinId bin = kNoBin;       ///< hosting bin; kNoBin once departed/evicted
-    BinId last_bin = kNoBin;  ///< last bin packed into (never reset)
-    bool evicted = false;     ///< in limbo between evict() and replace()
+  /// One slot of the live-job table. A free slot has item.id == kNoItem.
+  struct JobSlot {
+    Item item;  ///< as admitted; departure patched on depart
+    std::uint32_t bin_slot = kNoSlot;  ///< in bins_; kNoSlot while evicted
+    std::uint64_t rank = 0;            ///< admission order
   };
 
   void check_time(Time now) const;
   void check_arrival(Time now, const RVec& size, Time expected_departure) const;
   void advance_clock(Time now) noexcept;
-  Admission admit(Time now, const Item& item);
-  BinId place(Time now, const Item& item, JobState& job, BinId target);
-  bool unplace(Time now, const Item& item, BinId bin_id);
+  std::uint32_t claim_job_slot(JobId job);
+  void release_job_slot(std::uint32_t slot) noexcept;
+  std::uint32_t placed_slot(JobId job, const char* caller) const;
+  Admission admit(Time now, std::uint32_t job_slot);
+  BinId place(Time now, std::uint32_t job_slot, std::uint32_t bin_slot);
+  Eviction take_out(Time now, std::uint32_t job_slot, bool departing);
   void close_slot(std::uint32_t slot);
   void compact();
 
@@ -255,21 +270,25 @@ class Dispatcher {
   double capacity_;
   obs::Observer* obs_;
   TenantUsageHook* usage_hook_ = nullptr;
+  PackingRecorder* recorder_ = nullptr;
   Time now_ = 0.0;
   bool started_ = false;
+  std::size_t jobs_admitted_ = 0;
+  std::size_t bins_opened_ = 0;  // also the next bin's id
 
   UsagePool usage_pool_;  // usage-interval nodes for all bins' active lists
-  StableVector<Item> items_;  // by JobId; departure patched on depart
-  std::vector<JobState> jobs_;  // by JobId
+  std::vector<JobSlot> jobs_;           // live jobs, plus free slots
+  std::vector<std::uint32_t> free_jobs_;
+  IdMap job_slot_;                      // JobId -> slot in jobs_
   std::size_t evicted_jobs_ = 0;
-  StableVector<BinState> bins_;      // every bin ever opened, by id
+  StableVector<BinState> bins_;  // open bins; closed ones wait for reuse
+  std::vector<std::uint32_t> free_bins_;
+  IdMap bin_slot_;                      // BinId -> slot in bins_
+  std::vector<std::uint32_t> table_slot_;  // bins_ slot -> views_ slot
   OpenBinTable table_;  // SoA loads of the open bins, parallel to views_
-  std::vector<std::uint32_t> slot_of_;  // BinId -> slot in views_/table_
-  std::vector<BinRecord> records_;
   std::vector<BinView> views_;  // one per slot, opening order; holes too
   std::size_t holes_ = 0;       // slots of views_ whose id is kNoBin
   RVec hole_load_;              // all +inf: the load every hole view shows
-  std::size_t active_jobs_ = 0;
   double closed_usage_ = 0.0;  // running sum of closed bins' usage time
 };
 

@@ -7,6 +7,7 @@
 #include "core/bin_state.hpp"
 #include "core/dispatcher.hpp"
 #include "core/fits.hpp"
+#include "core/packing_recorder.hpp"
 
 namespace dvbp {
 
@@ -21,7 +22,7 @@ std::string bin_str(BinId bin) { return "bin " + std::to_string(bin); }
 }  // namespace
 
 std::optional<std::string> PackingInvariantChecker::check(
-    const Dispatcher& d) {
+    const Dispatcher& d, const PackingRecorder* recorder) {
   // --- Invariant 1: open-bin loads --------------------------------------
   std::unordered_map<JobId, BinId> placed;  // job -> hosting open bin
   std::size_t active_in_bins = 0;
@@ -45,11 +46,12 @@ std::optional<std::string> PackingInvariantChecker::check(
     }
     RVec sum(d.dim());
     for (ItemId job : bin->active_items()) {
-      if (job >= d.jobs_admitted()) {
+      const Item* item = d.job(job);
+      if (item == nullptr) {
         return bin_str(view.id) + " lists unknown job " +
                std::to_string(job);
       }
-      const RVec& size = d.items()[job].size;
+      const RVec& size = item->size;
       for (std::size_t k = 0; k < d.dim(); ++k) sum[k] += size[k];
       auto [it, fresh] = placed.emplace(job, view.id);
       if (!fresh) {
@@ -94,47 +96,49 @@ std::optional<std::string> PackingInvariantChecker::check(
            std::to_string(active_in_bins) + ", dispatcher reports " +
            std::to_string(d.jobs_active() - d.jobs_evicted());
   }
-  for (JobId job = 0; job < d.jobs_admitted(); ++job) {
-    const BinId bin = d.bin_of(job);
-    const auto it = placed.find(job);
-    if (bin == kNoBin) {
-      if (it != placed.end()) {
-        return "job " + std::to_string(job) +
-               " is departed/evicted but still active in " +
-               bin_str(it->second);
-      }
-      continue;
+  std::size_t live = 0;
+  std::optional<std::string> misplaced;
+  d.for_each_job([&](const Dispatcher::LiveJob& job) {
+    ++live;
+    const auto it = placed.find(job.item.id);
+    const BinId active_in = it == placed.end() ? kNoBin : it->second;
+    if (active_in != job.bin && !misplaced) {
+      misplaced = "job " + std::to_string(job.item.id) + " assigned to " +
+                  (job.bin == kNoBin ? "no bin" : bin_str(job.bin)) +
+                  " but active in " +
+                  (active_in == kNoBin ? "none" : bin_str(active_in));
     }
-    if (it == placed.end() || it->second != bin) {
-      return "job " + std::to_string(job) + " assigned to " +
-             bin_str(bin) + " but not active there";
-    }
-    if (d.last_bin_of(job) != bin) {
-      return "job " + std::to_string(job) + " last_bin_of disagrees with "
-             "its live assignment";
-    }
+  });
+  if (misplaced) return misplaced;
+  if (live != d.jobs_active()) {
+    return std::to_string(live) + " live jobs but jobs_active() is " +
+           std::to_string(d.jobs_active());
   }
 
   // --- Invariant 3: closed bins immutable, cost monotone ----------------
-  if (closed_seen_.size() < d.bins_opened()) {
-    closed_seen_.resize(d.bins_opened());
-  }
-  for (const BinRecord& rec : d.records()) {
-    const bool open = d.open_bin_state(rec.id) != nullptr;
-    ClosedBin& seen = closed_seen_[rec.id];
-    if (seen.seen) {
-      if (open) return bin_str(rec.id) + " reopened after closing";
-      if (rec.opened != seen.opened || rec.closed != seen.closed ||
-          rec.items.size() != seen.items) {
-        return bin_str(rec.id) + " closed record mutated";
+  if (recorder != nullptr) {
+    if (recorder->num_bins() != d.bins_opened()) {
+      return "recorder holds " + std::to_string(recorder->num_bins()) +
+             " bins but bins_opened() is " + std::to_string(d.bins_opened());
+    }
+    closed_seen_.resize(recorder->num_bins());
+    for (const BinRecord& rec : recorder->bins()) {
+      const bool open = d.open_bin_state(rec.id) != nullptr;
+      ClosedBin& seen = closed_seen_[rec.id];
+      if (seen.seen) {
+        if (open) return bin_str(rec.id) + " reopened after closing";
+        if (rec.opened != seen.opened || rec.closed != seen.closed ||
+            rec.items.size() != seen.items) {
+          return bin_str(rec.id) + " closed record mutated";
+        }
+        continue;
       }
-      continue;
+      if (open) continue;
+      if (rec.closed < rec.opened - kTimeEps) {
+        return bin_str(rec.id) + " closed before it opened";
+      }
+      seen = ClosedBin{rec.opened, rec.closed, rec.items.size(), true};
     }
-    if (open) continue;
-    if (rec.closed < rec.opened - kTimeEps) {
-      return bin_str(rec.id) + " closed before it opened";
-    }
-    seen = ClosedBin{rec.opened, rec.closed, rec.items.size(), true};
   }
   const double closed_usage = d.closed_usage();
   const double cost = d.cost_so_far(d.last_event_time());

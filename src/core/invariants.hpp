@@ -16,8 +16,9 @@
 //      them, and the holes among them (id == kNoBin) hold no items;
 //   2. every live, non-evicted job sits in exactly one open bin that
 //      lists it exactly once; evicted (in-limbo) jobs sit in none;
-//   3. closed bins stay closed with an immutable usage record, and
-//      closed usage / cost_so_far are monotone non-decreasing;
+//   3. closed usage / cost_so_far are monotone non-decreasing, and --
+//      checked against the PackingRecorder when the caller passes one --
+//      closed bins stay closed with an immutable usage record;
 //   4. the migration budget is never overdrawn (check_budget, fed the
 //      Rebalancer's usage counters).
 #pragma once
@@ -32,6 +33,7 @@
 namespace dvbp {
 
 class Dispatcher;
+class PackingRecorder;
 
 /// Budget-accounting snapshot, produced by Rebalancer::budget_usage().
 /// Credits accrue per departure event; consumption must never exceed
@@ -45,11 +47,14 @@ struct MigrationBudgetUsage {
 
 class PackingInvariantChecker {
  public:
-  /// Audits `d` against invariants 1-3. Returns a description of the
-  /// first violation, or nullopt when consistent. Stateful: remembers
-  /// closed-bin records and cost watermarks from previous calls on the
-  /// same dispatcher; use one checker instance per dispatcher.
-  std::optional<std::string> check(const Dispatcher& d);
+  /// Audits `d` against invariants 1-3; the closed-record part of 3 runs
+  /// against `recorder` (the one attached to `d`) when it is not null.
+  /// Returns a description of the first violation, or nullopt when
+  /// consistent. Stateful: remembers closed-bin records and cost
+  /// watermarks from previous calls on the same dispatcher; use one
+  /// checker instance per dispatcher.
+  std::optional<std::string> check(const Dispatcher& d,
+                                   const PackingRecorder* recorder = nullptr);
 
   /// Invariant 4: consumption never exceeds accrued credits.
   static std::optional<std::string> check_budget(

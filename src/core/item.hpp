@@ -9,6 +9,7 @@
 
 #include "core/interval.hpp"
 #include "core/rvec.hpp"
+#include "core/serial.hpp"
 #include "core/types.hpp"
 
 namespace dvbp {
@@ -39,6 +40,10 @@ struct Item {
   double utilization() const noexcept { return size.linf() * duration(); }
 
   std::string to_string() const;
+
+  /// Checkpoint encoding: id, arrival, departure, tenant, size bits.
+  void save_state(serial::Writer& out) const;
+  static Item restore_state(serial::Reader& in, std::size_t dim);
 };
 
 std::ostream& operator<<(std::ostream& os, const Item& item);

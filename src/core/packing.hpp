@@ -25,6 +25,7 @@ struct BinRecord {
 
   Interval usage() const noexcept { return Interval(opened, closed); }
   Time usage_time() const noexcept { return usage().length(); }
+  bool operator==(const BinRecord&) const = default;
 };
 
 class Packing {
@@ -58,6 +59,9 @@ class Packing {
   ///    departure of its items (single usage interval, never reopened).
   /// Returns an error description or nullopt when consistent.
   std::optional<std::string> validate(const Instance& inst) const;
+
+  /// Field-for-field (the trace round-trip's bit-exact check).
+  bool operator==(const Packing&) const = default;
 
  private:
   std::vector<BinId> assignment_;

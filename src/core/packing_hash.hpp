@@ -11,9 +11,12 @@
 // by the golden hashes in tests/golden_packings.inc -- do not change them.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <vector>
 
+#include "core/bin_state.hpp"
 #include "core/dispatcher.hpp"
 #include "core/packing.hpp"
 
@@ -40,33 +43,47 @@ inline std::uint64_t packing_hash(const Packing& p) {
   return h;
 }
 
-/// Hash of a live Dispatcher's complete observable allocation state:
-/// job->bin assignment, bin usage records, and -- the part a Packing does
-/// not carry -- each open bin's exact load bits, occupancy, and latest
-/// departure. Two dispatchers with equal hashes have made identical
-/// placement decisions AND hold bit-identical open-bin state, so (given
-/// equal policy state) their futures coincide.
+/// Hash of a live Dispatcher's state in a canonical order: the counters,
+/// the clock and closed_usage()'s bits; each open bin in opening order
+/// (id, opening time, occupancy, latest departure, exact load bits) and
+/// its jobs in bin order; then the evicted jobs by id. A job hashes its id,
+/// arrival, expected departure, tenant and size bits. Equal hashes mean
+/// bit-identical live state, so (given equal policy state) equal futures.
+/// History is the recorders' packing_hash().
 inline std::uint64_t dispatcher_state_hash(const Dispatcher& d) {
   std::uint64_t h = 0xCBF29CE484222325ull;
+  const auto job = [&h](const Item& item) {
+    fnv(h, item.id);
+    fnv(h, std::bit_cast<std::uint64_t>(item.arrival));
+    fnv(h, std::bit_cast<std::uint64_t>(item.departure));
+    fnv(h, item.tenant);
+    for (double c : item.size) fnv(h, std::bit_cast<std::uint64_t>(c));
+  };
   fnv(h, d.jobs_admitted());
+  fnv(h, d.bins_opened());
+  fnv(h, d.jobs_active());
+  fnv(h, d.jobs_evicted());
   fnv(h, std::bit_cast<std::uint64_t>(d.last_event_time()));
-  for (JobId job = 0; job < d.jobs_admitted(); ++job) {
-    fnv(h, d.bin_of(static_cast<JobId>(job)));
-  }
-  for (const BinRecord& rec : d.records()) {
-    fnv(h, rec.id);
-    fnv(h, std::bit_cast<std::uint64_t>(rec.opened));
-    fnv(h, std::bit_cast<std::uint64_t>(rec.closed));
-    for (ItemId r : rec.items) fnv(h, r);
-  }
+  fnv(h, std::bit_cast<std::uint64_t>(d.closed_usage()));
   for (const BinView& view : d.open_views()) {
     // Holes are layout, not state: a restored dispatcher has none.
     if (view.id == kNoBin) continue;
     fnv(h, view.id);
+    fnv(h, std::bit_cast<std::uint64_t>(view.opened_at));
     fnv(h, view.num_items);
     fnv(h, std::bit_cast<std::uint64_t>(view.latest_departure));
     for (double c : *view.load) fnv(h, std::bit_cast<std::uint64_t>(c));
+    for (const ItemId id : d.open_bin_state(view.id)->active_items()) {
+      job(*d.job(id));
+    }
   }
+  std::vector<const Item*> evicted;
+  d.for_each_job([&evicted](const Dispatcher::LiveJob& live) {
+    if (live.bin == kNoBin) evicted.push_back(&live.item);
+  });
+  std::sort(evicted.begin(), evicted.end(),
+            [](const Item* a, const Item* b) { return a->id < b->id; });
+  for (const Item* item : evicted) job(*item);
   return h;
 }
 

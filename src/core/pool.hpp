@@ -1,15 +1,9 @@
-// Slab/pool allocators for the placement hot path.
+// Pools for the placement hot path: the engine's per-event work reuses
+// storage instead of allocating it.
 //
-// The event loop used to pay one allocator round-trip per bin open (vector
-// reallocation + BinView repatching) and two per item lifetime (the
-// active_/departures_ vectors inside BinState). Both disappear here:
-//
-//  * StableVector<T>: a chunked slab. push_back never moves existing
-//    elements, so pointers and references into it are stable for the life
-//    of the container -- BinState addresses handed to BinView::load, and
-//    Item addresses handed to policies, never dangle or need repatching.
-//    Indexing is two loads (chunk pointer, then element); chunks are
-//    allocated geometrically like vector's growth but never copied.
+//  * StableVector<T>: a chunked slab. emplace_back never moves an element,
+//    so the BinStates whose loads BinView::load points at stay put, and a
+//    chunk of 64 keeps a table's bins together in memory.
 //
 //  * UsagePool: a free-listed slab of usage-interval nodes
 //    {item, departure, next}. Every open bin's active set is a singly
@@ -17,18 +11,24 @@
 //    pointer splice plus a free-list push -- no per-event new/delete.
 //    Nodes are uint32-indexed, so a bin's whole active set costs 16
 //    bytes/item and the pool serves every bin of a Dispatcher
-//    from the same few slabs (the MrWSI bin.c exemplar builds its packing
-//    core on exactly this mempool shape).
+//    from one slab (the MrWSI bin.c exemplar builds its packing core on
+//    exactly this mempool shape).
 //
-// Neither container is thread-safe; each Dispatcher (one per shard in the
-// sharded service) owns its own instances.
+//  * IdMap: the engine finds a live job's slot by JobId and an open bin's
+//    by BinId through one, so its memory follows the live count.
+//
+//  * IndexList: a free-listed doubly-linked list of BinIds (MoveToFront's
+//    MRU order).
+//
+// None of these containers is thread-safe; each Dispatcher (one per shard
+// in the sharded service) owns its own instances.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -36,92 +36,39 @@
 
 namespace dvbp {
 
-/// Chunked slab vector: amortized O(1) push_back with STABLE addresses.
-/// Supports exactly what the engine needs: emplace_back, pop_back,
-/// operator[], size, and forward iteration. There is no erase.
 template <typename T>
 class StableVector {
  public:
-  /// Elements per chunk; 64 keeps a chunk of BinState around 8KiB and
-  /// makes the chunk math a shift instead of a division.
-  static constexpr std::size_t kChunkSize = 64;
-
   StableVector() = default;
   StableVector(const StableVector&) = delete;
   StableVector& operator=(const StableVector&) = delete;
-  StableVector(StableVector&&) noexcept = default;
-  StableVector& operator=(StableVector&&) noexcept = default;
-  ~StableVector() { clear(); }
+  ~StableVector() {
+    while (size_ > 0) (*this)[--size_].~T();
+  }
 
   std::size_t size() const noexcept { return size_; }
-  bool empty() const noexcept { return size_ == 0; }
-
-  T& operator[](std::size_t i) noexcept {
-    return *ptr(chunks_[i / kChunkSize].get(), i % kChunkSize);
-  }
-  const T& operator[](std::size_t i) const noexcept {
-    return *ptr(chunks_[i / kChunkSize].get(), i % kChunkSize);
-  }
-
-  T& back() noexcept { return (*this)[size_ - 1]; }
-  const T& back() const noexcept { return (*this)[size_ - 1]; }
+  T& operator[](std::size_t i) noexcept { return *at(i); }
+  const T& operator[](std::size_t i) const noexcept { return *at(i); }
 
   template <typename... Args>
   T& emplace_back(Args&&... args) {
-    if (size_ == chunks_.size() * kChunkSize) {
-      // Raw storage: elements are constructed in place, so skip zeroing.
-      chunks_.push_back(std::make_unique_for_overwrite<Storage[]>(kChunkSize));
+    if (size_ == chunks_.size() * kChunk) {
+      chunks_.push_back(std::make_unique_for_overwrite<Storage[]>(kChunk));
     }
-    T* slot = ptr(chunks_[size_ / kChunkSize].get(), size_ % kChunkSize);
-    ::new (static_cast<void*>(slot)) T(std::forward<Args>(args)...);
+    T* slot = ::new (static_cast<void*>(chunks_.back()[size_ % kChunk].bytes))
+        T(std::forward<Args>(args)...);
     ++size_;
     return *slot;
   }
 
-  /// Destroys the last element (undoes one emplace_back).
-  void pop_back() noexcept {
-    --size_;
-    (*this)[size_].~T();
-  }
-
-  /// Destroys every element; keeps the slabs for reuse.
-  void clear() noexcept {
-    for (std::size_t i = size_; i > 0; --i) (*this)[i - 1].~T();
-    size_ = 0;
-  }
-
-  template <bool Const>
-  class Iter {
-   public:
-    using Parent = std::conditional_t<Const, const StableVector, StableVector>;
-    using Ref = std::conditional_t<Const, const T&, T&>;
-    Iter(Parent* p, std::size_t i) : p_(p), i_(i) {}
-    Ref operator*() const noexcept { return (*p_)[i_]; }
-    Iter& operator++() noexcept {
-      ++i_;
-      return *this;
-    }
-    bool operator!=(const Iter& o) const noexcept { return i_ != o.i_; }
-
-   private:
-    Parent* p_;
-    std::size_t i_;
-  };
-
-  Iter<false> begin() noexcept { return {this, 0}; }
-  Iter<false> end() noexcept { return {this, size_}; }
-  Iter<true> begin() const noexcept { return {this, 0}; }
-  Iter<true> end() const noexcept { return {this, size_}; }
-
  private:
+  static constexpr std::size_t kChunk = 64;
   struct alignas(T) Storage {
     unsigned char bytes[sizeof(T)];
   };
-  static T* ptr(Storage* chunk, std::size_t i) noexcept {
-    return std::launder(reinterpret_cast<T*>(chunk[i].bytes));
-  }
-  static const T* ptr(const Storage* chunk, std::size_t i) noexcept {
-    return std::launder(reinterpret_cast<const T*>(chunk[i].bytes));
+  T* at(std::size_t i) const noexcept {
+    return std::launder(
+        reinterpret_cast<T*>(chunks_[i / kChunk][i % kChunk].bytes));
   }
 
   std::vector<std::unique_ptr<Storage[]>> chunks_;
@@ -137,8 +84,8 @@ struct UsageNode {
 };
 
 /// Free-listed slab of UsageNodes, shared by every bin of one
-/// Dispatcher. Indices (not pointers) identify nodes, so the
-/// backing slabs can be StableVector chunks and a node handle is 4 bytes.
+/// Dispatcher. Indices (not pointers) identify nodes, so the slab may
+/// grow by reallocation and a node handle is 4 bytes.
 class UsagePool {
  public:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
@@ -170,12 +117,92 @@ class UsagePool {
   std::size_t slab_size() const noexcept { return nodes_.size(); }
 
  private:
-  StableVector<UsageNode> nodes_;
+  std::vector<UsageNode> nodes_;
   std::uint32_t free_head_ = kNil;
 };
 
-/// Free-listed doubly-linked list of BinIds over a chunked slab --
-/// std::list's splice-to-front interface without its per-node heap
+/// Open-addressing map from a 32-bit id to a 32-bit slot. The table keeps
+/// at most half its entries occupied and never shrinks, so its size
+/// follows the peak number of ids mapped at once. Insert, find and erase
+/// allocate nothing except when the table doubles.
+class IdMap {
+ public:
+  static constexpr std::uint32_t kAbsent = 0xFFFFFFFFu;
+
+  std::size_t size() const noexcept { return size_; }
+
+  /// The slot mapped to `key`, or kAbsent.
+  std::uint32_t find(std::uint32_t key) const noexcept {
+    if (size_ == 0) return kAbsent;
+    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+      if (entries_[i].slot == kAbsent) return kAbsent;
+      if (entries_[i].key == key) return entries_[i].slot;
+    }
+  }
+
+  /// Maps `key` to `slot` (!= kAbsent); false, changing nothing, when
+  /// `key` is already mapped.
+  bool insert(std::uint32_t key, std::uint32_t slot) {
+    if ((size_ + 1) * 2 > entries_.size()) grow();
+    std::size_t i = home(key);
+    for (; entries_[i].slot != kAbsent; i = (i + 1) & mask_) {
+      if (entries_[i].key == key) return false;
+    }
+    entries_[i] = Entry{key, slot};
+    ++size_;
+    return true;
+  }
+
+  /// Unmaps `key`. Precondition: `key` is mapped.
+  void erase(std::uint32_t key) noexcept {
+    std::size_t hole = home(key);
+    while (entries_[hole].key != key) hole = (hole + 1) & mask_;
+    // Backward shift: pull each later entry of the probe run into the
+    // hole when the hole lies between its home and where it sits.
+    for (std::size_t i = (hole + 1) & mask_; entries_[i].slot != kAbsent;
+         i = (i + 1) & mask_) {
+      if (((i - home(entries_[i].key)) & mask_) >= ((i - hole) & mask_)) {
+        entries_[hole] = entries_[i];
+        hole = i;
+      }
+    }
+    entries_[hole].slot = kAbsent;
+    --size_;
+  }
+
+ private:
+  struct Entry {
+    std::uint32_t key = 0;
+    std::uint32_t slot = kAbsent;
+  };
+
+  // Fibonacci hashing: the top bits of key * 2^64/phi, so dense runs of
+  // ids (JobIds and BinIds mostly are) spread over the whole table.
+  std::size_t home(std::uint32_t key) const noexcept {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  void grow() {
+    std::vector<Entry> old = std::move(entries_);
+    const std::size_t capacity = old.empty() ? 16 : 2 * old.size();
+    entries_.assign(capacity, Entry{});
+    mask_ = capacity - 1;
+    shift_ = 64 - std::countr_zero(capacity);
+    size_ = 0;
+    for (const Entry& e : old) {
+      if (e.slot != kAbsent) insert(e.key, e.slot);
+    }
+  }
+
+  std::vector<Entry> entries_;
+  std::size_t mask_ = 0;
+  int shift_ = 63;
+  std::size_t size_ = 0;
+};
+
+/// Free-listed doubly-linked list of BinIds over a slab -- std::list's
+/// splice-to-front interface without its per-node heap
 /// allocations. Node handles are uint32 slab indices (stable for the
 /// node's lifetime), so a caller can keep a BinId -> node map and erase
 /// or move-to-front in O(1) without searching. MoveToFront's MRU list is
@@ -296,7 +323,7 @@ class IndexList {
     }
   }
 
-  StableVector<Node> nodes_;
+  std::vector<Node> nodes_;
   std::uint32_t head_ = kNil;
   std::uint32_t tail_ = kNil;
   std::uint32_t free_head_ = kNil;

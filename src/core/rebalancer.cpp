@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "core/bin_state.hpp"
 
@@ -70,19 +69,10 @@ bool Rebalancer::plan_close(Plan& plan) const {
   std::vector<RVec> scratch;
   for (std::size_t c : candidates) {
     const BinState* source = dispatcher_.open_bin_state(views[c].id);
-    const std::vector<ItemId>& jobs = source->active_items();
-    // Bins list Item ids; they index items() only for jobs admitted under
-    // their JobId (the rank), which is what save_state() requires too.
-    for (ItemId id : jobs) {
-      if (id >= dispatcher_.jobs_admitted() ||
-          dispatcher_.items()[id].id != id) {
-        throw std::logic_error(
-            "Rebalancer: job admitted under a foreign item id");
-      }
-    }
+    const std::vector<JobId> jobs = source->active_items();
 
     double volume = 0.0;
-    for (JobId job : jobs) volume += dispatcher_.items()[job].size.l1();
+    for (JobId job : jobs) volume += dispatcher_.job(job)->size.l1();
     if (volume > volume_credits_ + kBudgetEps) continue;
 
     scratch.clear();
@@ -92,7 +82,7 @@ bool Rebalancer::plan_close(Plan& plan) const {
     plan.targets.clear();
     bool feasible = true;
     for (JobId job : plan.jobs) {
-      const RVec& size = dispatcher_.items()[job].size;
+      const RVec& size = dispatcher_.job(job)->size;
       BinId target = kNoBin;
       for (std::size_t slot = 0; slot < views.size(); ++slot) {
         if (slot == c) continue;

@@ -25,9 +25,8 @@ SimResult run(const Instance& inst, std::span<const Event> events,
   // An empty instance has not fixed its dimension; any event then throws.
   Dispatcher dispatcher(std::max<std::size_t>(inst.dim(), 1), policy,
                         opts.bin_capacity, opts.observer);
-  // JobIds are arrival ranks, which differ from ItemIds when the
-  // instance's rows are not in arrival order.
-  std::vector<JobId> job_of(inst.size(), kNoItem);
+  PackingRecorder recorder(inst.size());
+  dispatcher.set_recorder(&recorder);
   SimResult result;
   for (const Event& ev : events) {
     if (ev.item >= inst.size()) {
@@ -35,22 +34,14 @@ SimResult run(const Instance& inst, std::span<const Event> events,
           "simulate: event references item " + std::to_string(ev.item) +
           " outside the instance");
     }
-    JobId& job = job_of[ev.item];
     if (ev.kind == EventKind::kArrival) {
-      job = dispatcher.arrive(ev.time, inst[ev.item]).job;
+      dispatcher.arrive(ev.time, inst[ev.item]);
       result.max_open_bins =
           std::max(result.max_open_bins, dispatcher.open_bins());
     } else {
-      if (job == kNoItem) {
-        throw std::logic_error(
-            "simulate: departure of item " + std::to_string(ev.item) +
-            " before its arrival (inconsistent event stream)");
-      }
-      if (dispatcher.bin_of(job) == kNoBin) {
-        throw std::logic_error("simulate: item " + std::to_string(ev.item) +
-                               " departs twice (inconsistent event stream)");
-      }
-      dispatcher.depart(ev.time, job);
+      // A departure before the arrival, or a second one, throws
+      // std::invalid_argument: the job is not live.
+      dispatcher.depart(ev.time, ev.item);
     }
     if (opts.record_timeline) {
       auto& timeline = result.timeline;
@@ -72,13 +63,8 @@ SimResult run(const Instance& inst, std::span<const Event> events,
     opts.observer->tracer()->flush();
   }
 
-  std::vector<BinId> assignment(inst.size(), kNoBin);
-  for (ItemId i = 0; i < inst.size(); ++i) {
-    if (job_of[i] != kNoItem) assignment[i] = dispatcher.last_bin_of(job_of[i]);
-  }
   result.bins_opened = dispatcher.bins_opened();
-  result.packing =
-      Packing(std::move(assignment), std::move(dispatcher).records());
+  result.packing = std::move(recorder).packing();
   result.cost = result.packing.cost();
   if (opts.audit) {
     if (auto err = result.packing.validate(inst)) {

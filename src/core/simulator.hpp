@@ -74,8 +74,9 @@ SimResult simulate(const Instance& inst, Policy& policy, SimOptions opts = {});
 /// departures, no duplicates, and every opened bin must drain. Violations
 /// raise std::logic_error, or its subclass std::invalid_argument where an
 /// event is malformed in itself (a backwards clock, an arrival at or after
-/// the item's departure, an item outside the instance) -- checked
-/// unconditionally, in NDEBUG builds too.
+/// the item's departure, an item outside the instance, a departure of an
+/// item that is not active) -- checked unconditionally, in NDEBUG builds
+/// too.
 SimResult simulate_events(const Instance& inst, std::span<const Event> events,
                           Policy& policy, SimOptions opts = {});
 

@@ -436,6 +436,7 @@ struct Engine {
     } else {
       plain.emplace(dim, *policy, capacity, &observer);
       plain->set_usage_hook(usage_hook);
+      plain->set_recorder(&recorder);
     }
   }
 
@@ -445,16 +446,13 @@ struct Engine {
     return durable ? &durable->dispatcher() : nullptr;
   }
 
-  /// Admits `item` at its arrival. Only the plain engine can admit under
-  /// the ItemId (`by_item`); the others name a job by its admission rank.
-  JobId arrive(const Item& item, bool by_item, TenantId tenant) {
+  /// Admits `item` at its arrival, labelled `tenant`: a serial engine
+  /// under its ItemId, the sharded service under the JobId it returns.
+  JobId arrive(Item item, TenantId tenant) {
     if (sharded) return sharded->arrive(item.arrival, item.size, item.departure);
-    if (durable) {
-      return durable->arrive(item.arrival, item.size, item.departure, tenant)
-          .job;
-    }
-    if (by_item) return plain->arrive(item.arrival, item).job;
-    return plain->arrive(item.arrival, item.size, item.departure, tenant).job;
+    item.tenant = tenant;
+    if (durable) return durable->arrive(item.arrival, item).job;
+    return plain->arrive(item.arrival, item).job;
   }
 
   void depart(Time now, JobId job) {
@@ -468,6 +466,7 @@ struct Engine {
   }
 
   PolicyPtr policy;  // the serial engines' (each shard builds its own)
+  PackingRecorder recorder;  // the plain engine's history
   std::optional<Dispatcher> plain;
   std::optional<persist::DurableDispatcher> durable;
   std::optional<cloud::ShardedDispatcher> sharded;
@@ -508,20 +507,6 @@ void print_recovery(const Engine& engine) {
   for (const Dispatcher* d : dispatchers) cost += d->cost_so_far(now);
   std::cout << table.to_aligned_text()
             << "cost_so_far: " << harness::Table::num(cost, 1) << '\n';
-}
-
-bool same_packing(const Packing& a, const Packing& b) {
-  if (a.assignment() != b.assignment()) return false;
-  if (a.num_bins() != b.num_bins()) return false;
-  for (std::size_t i = 0; i < a.num_bins(); ++i) {
-    const BinRecord& x = a.bins()[i];
-    const BinRecord& y = b.bins()[i];
-    if (x.id != y.id || x.opened != y.opened || x.closed != y.closed ||
-        x.items != y.items) {
-      return false;
-    }
-  }
-  return true;
 }
 
 /// Batch mode: one loop over the instance's event stream into one engine,
@@ -588,13 +573,11 @@ int run_batch(const harness::Args& args) {
   const bool shard_pass =
       engine.sharded && migration.migrations_per_event > 0.0;
   cloud::ShardRebalanceReport shard_report;
-  // The bare serial engine admits under ItemIds, as simulate() does. The
-  // Rebalancer and checkpoints index jobs by rank, and behind the gate a
-  // denied arrival leaves its ItemId without a job: those admit by rank.
-  const bool by_item = engine.plain && !rebalancer && !tenants;
 
   const std::vector<Event> events = build_event_stream(inst);
   const std::size_t midpoint = shard_pass ? events.size() / 2 : events.size();
+  // The sharded service names its own jobs; a serial engine returns the
+  // ItemId, and a denied arrival leaves kNoItem.
   std::vector<JobId> job_of_item(inst.size(), kNoItem);
   std::size_t peak_open = 0;
   const auto start = std::chrono::steady_clock::now();
@@ -618,7 +601,7 @@ int run_batch(const harness::Args& args) {
         continue;
       }
       job_of_item[ev.item] =
-          engine.arrive(item, by_item, tenants ? item.tenant : kNoTenant);
+          engine.arrive(item, tenants ? item.tenant : kNoTenant);
       if (serial) peak_open = std::max(peak_open, serial->open_bins());
     } else if (job_of_item[ev.item] != kNoItem) {
       engine.depart(ev.time, job_of_item[ev.item]);
@@ -636,17 +619,9 @@ int run_batch(const harness::Args& args) {
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - start;
 
-  // The packing names jobs the way the trace does: by ItemId when admitted
-  // under it, else by admission rank.
-  Packing packing = engine.sharded ? engine.sharded->snapshot()
-                                   : serial->packing();
-  if (by_item) {
-    std::vector<BinId> assignment(inst.size(), kNoBin);
-    for (ItemId i = 0; i < inst.size(); ++i) {
-      assignment[i] = serial->last_bin_of(job_of_item[i]);
-    }
-    packing = Packing(std::move(assignment), serial->records());
-  }
+  const Packing packing = engine.sharded   ? engine.sharded->snapshot()
+                           : engine.durable ? engine.durable->packing()
+                                            : engine.recorder.packing();
 
   write_metrics(args, registry);
   if (tenants) {
@@ -750,7 +725,7 @@ int run_batch(const harness::Args& args) {
   }
 
   if (args.get_bool("check-roundtrip")) {
-    if (!same_packing(packing, obs::replay_packing_file(trace_out))) {
+    if (packing != obs::replay_packing_file(trace_out)) {
       std::cerr << "harness: trace round-trip MISMATCH\n";
       return 2;
     }

@@ -4,8 +4,9 @@
 // raw engine callbacks into metric updates and trace records. The engine,
 // Dispatcher, holds a nullable Observer*; simulate(), trace replay,
 // cloud::run_cluster and the services hand theirs to it. Item ids in the
-// callbacks are the ids the Dispatcher reports: the caller's JobIds on the
-// live paths, the instance's ItemIds under simulate(). A null pointer
+// callbacks are each job's one name, its Item::id: the instance's ItemId
+// under simulate() and every serial harness stack, the global JobId in a
+// shard. A null pointer
 // costs one predictable branch per event, and an Observer
 // whose tracer is inactive skips all record formatting, so the hot path is
 // unharmed when observability is off (guarded by bench_micro's

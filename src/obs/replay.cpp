@@ -2,9 +2,9 @@
 
 #include <fstream>
 #include <istream>
-#include <sstream>
 #include <stdexcept>
 
+#include "core/packing_recorder.hpp"
 #include "obs/json.hpp"
 
 namespace dvbp::obs {
@@ -16,100 +16,66 @@ namespace {
                              std::string(line));
 }
 
-class Replayer {
- public:
-  void feed(std::string_view line) {
-    if (line.empty()) return;
-    const auto kind = scan_json_string(line, "ev");
-    if (!kind) bad_trace("missing \"ev\"", line);
-    const auto t = scan_json_number(line, "t");
-    if (!t) bad_trace("missing \"t\"", line);
-    if (*kind == "open") {
-      on_open(line, *t);
-    } else if (*kind == "place") {
-      on_place(line);
-    } else if (*kind == "close") {
-      on_close(line, *t);
-    } else if (*kind == "replace") {
-      on_replace(line);
-    } else if (*kind != "arrival" && *kind != "reject" &&
-               *kind != "depart" && *kind != "evict" &&
-               *kind != "admit" && *kind != "deny") {
-      bad_trace("unknown event kind '" + std::string(*kind) + "'", line);
-    }
-  }
+std::uint32_t require(std::string_view line, const char* key) {
+  const auto value = scan_json_number(line, key);
+  if (!value) bad_trace("missing \"" + std::string(key) + "\"", line);
+  return static_cast<std::uint32_t>(*value);
+}
 
-  Packing take() && {
-    return Packing(std::move(assignment_), std::move(bins_));
-  }
-
- private:
-  BinId require_bin(std::string_view line) {
-    const auto bin = scan_json_number(line, "bin");
-    if (!bin) bad_trace("missing \"bin\"", line);
-    return static_cast<BinId>(*bin);
-  }
-
-  void on_open(std::string_view line, Time t) {
-    const BinId bin = require_bin(line);
-    if (bin != bins_.size()) {
+// Checks one trace record and feeds what it says to `recorder`.
+void feed(PackingRecorder& recorder, std::string_view line) {
+  if (line.empty()) return;
+  const auto kind = scan_json_string(line, "ev");
+  if (!kind) bad_trace("missing \"ev\"", line);
+  const auto t = scan_json_number(line, "t");
+  if (!t) bad_trace("missing \"t\"", line);
+  if (*kind == "open") {
+    const BinId bin = require(line, "bin");
+    if (bin != recorder.num_bins()) {
       bad_trace("bin ids must appear in opening order", line);
     }
-    bins_.push_back(BinRecord{bin, t, t, {}});
-  }
-
-  void on_place(std::string_view line) {
-    const BinId bin = require_bin(line);
-    const auto item = scan_json_number(line, "item");
-    if (!item) bad_trace("missing \"item\"", line);
-    if (bin >= bins_.size()) bad_trace("placement into unopened bin", line);
-    const auto id = static_cast<ItemId>(*item);
-    if (id >= assignment_.size()) assignment_.resize(id + 1, kNoBin);
-    if (assignment_[id] != kNoBin) {
-      bad_trace("item placed twice", line);
+    recorder.open(bin, *t);
+  } else if (*kind == "place" || *kind == "replace") {
+    // A "replace" re-places an evicted item: unlike "place" it may
+    // legitimately override an earlier assignment (the item migrated).
+    const bool replace = *kind == "replace";
+    const BinId bin = require(line, "bin");
+    const ItemId id = require(line, "item");
+    if (bin >= recorder.num_bins()) {
+      bad_trace(replace ? "replace into unopened bin"
+                        : "placement into unopened bin",
+                line);
     }
-    assignment_[id] = bin;
-    bins_[bin].items.push_back(id);
-  }
-
-  // A "replace" re-places an evicted item: unlike "place" it may
-  // legitimately override an earlier assignment (the item migrated).
-  void on_replace(std::string_view line) {
-    const BinId bin = require_bin(line);
-    const auto item = scan_json_number(line, "item");
-    if (!item) bad_trace("missing \"item\"", line);
-    if (bin >= bins_.size()) bad_trace("replace into unopened bin", line);
-    const auto id = static_cast<ItemId>(*item);
-    if (id >= assignment_.size() || assignment_[id] == kNoBin) {
+    if (replace && recorder.bin_of(id) == kNoBin) {
       bad_trace("replace of an item never placed", line);
     }
-    assignment_[id] = bin;
-    bins_[bin].items.push_back(id);
+    if (!replace && recorder.bin_of(id) != kNoBin) {
+      bad_trace("item placed twice", line);
+    }
+    recorder.place(id, bin);
+  } else if (*kind == "close") {
+    const BinId bin = require(line, "bin");
+    if (bin >= recorder.num_bins()) bad_trace("closing an unopened bin", line);
+    recorder.close(bin, *t);
+  } else if (*kind != "arrival" && *kind != "reject" && *kind != "depart" &&
+             *kind != "evict" && *kind != "admit" && *kind != "deny") {
+    bad_trace("unknown event kind '" + std::string(*kind) + "'", line);
   }
-
-  void on_close(std::string_view line, Time t) {
-    const BinId bin = require_bin(line);
-    if (bin >= bins_.size()) bad_trace("closing an unopened bin", line);
-    bins_[bin].closed = t;
-  }
-
-  std::vector<BinId> assignment_;
-  std::vector<BinRecord> bins_;
-};
+}
 
 }  // namespace
 
 Packing replay_packing(const std::vector<std::string>& lines) {
-  Replayer replayer;
-  for (const std::string& line : lines) replayer.feed(line);
-  return std::move(replayer).take();
+  PackingRecorder recorder;
+  for (const std::string& line : lines) feed(recorder, line);
+  return std::move(recorder).packing();
 }
 
 Packing replay_packing(std::istream& is) {
-  Replayer replayer;
+  PackingRecorder recorder;
   std::string line;
-  while (std::getline(is, line)) replayer.feed(line);
-  return std::move(replayer).take();
+  while (std::getline(is, line)) feed(recorder, line);
+  return std::move(recorder).packing();
 }
 
 Packing replay_packing_file(const std::string& path) {

@@ -6,7 +6,9 @@
 // rebuild the full assignment and every bin's usage period without rerunning
 // the policy. The round-trip `simulate() -> trace -> replay_packing()`
 // must reproduce the simulator's Packing bit-for-bit (tested in
-// tests/test_obs.cpp), which makes traces a trustworthy audit log.
+// tests/test_obs.cpp), which makes traces a trustworthy audit log. The
+// parser checks each record and feeds a PackingRecorder, the builder of
+// every Packing in the library.
 #pragma once
 
 #include <iosfwd>

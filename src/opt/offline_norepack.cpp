@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "core/interval_set.hpp"
+#include "core/packing_recorder.hpp"
 #include "stats/rng.hpp"
 
 namespace dvbp {
@@ -120,33 +121,28 @@ void local_search(const Instance& inst, std::vector<Group>& groups,
 /// Converts groups into a Packing, splitting gapped groups into one bin
 /// per maximal contiguous usage interval (the model's bins never idle).
 Packing to_packing(const Instance& inst, const std::vector<Group>& groups) {
-  std::vector<BinId> assignment(inst.size(), kNoBin);
-  std::vector<BinRecord> records;
+  PackingRecorder recorder(inst.size());
   for (const Group& g : groups) {
     IntervalSet usage;
     for (ItemId r : g) usage.add(inst[r].interval());
     for (const Interval& part : usage.parts()) {
-      BinRecord record;
-      record.id = static_cast<BinId>(records.size());
-      record.opened = part.lo;
-      record.closed = part.hi;
+      std::vector<ItemId> items;
       for (ItemId r : g) {
-        if (part.covers(inst[r].interval())) {
-          record.items.push_back(r);
-          assignment[r] = record.id;
-        }
+        if (part.covers(inst[r].interval())) items.push_back(r);
       }
-      std::sort(record.items.begin(), record.items.end(),
-                [&](ItemId a, ItemId b) {
-                  if (inst[a].arrival != inst[b].arrival) {
-                    return inst[a].arrival < inst[b].arrival;
-                  }
-                  return a < b;
-                });
-      records.push_back(std::move(record));
+      std::sort(items.begin(), items.end(), [&](ItemId a, ItemId b) {
+        if (inst[a].arrival != inst[b].arrival) {
+          return inst[a].arrival < inst[b].arrival;
+        }
+        return a < b;
+      });
+      const auto bin = static_cast<BinId>(recorder.num_bins());
+      recorder.open(bin, part.lo);
+      for (ItemId r : items) recorder.place(r, bin);
+      recorder.close(bin, part.hi);
     }
   }
-  return Packing(std::move(assignment), std::move(records));
+  return std::move(recorder).packing();
 }
 
 }  // namespace

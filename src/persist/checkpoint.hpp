@@ -21,8 +21,8 @@
 // Payload (one CRC32 frame, same framing as the journal):
 //   u32 magic 'DVCP' | u8 version | u64 seq | str policy_name
 //   | blob dispatcher_state | blob policy_state | blob extra
-// `extra` is owned by the caller: empty for the serial dispatcher; the
-// sharded service stores its job-table slice and router state there.
+// `extra` holds the engine's history: the DurableDispatcher's
+// PackingRecorder, or a shard's recorder, departed items and tenant ledger.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +41,7 @@ struct CheckpointData {
   std::string policy_name;  ///< refuses to restore into a different policy
   std::vector<std::uint8_t> dispatcher_state;
   std::vector<std::uint8_t> policy_state;
-  std::vector<std::uint8_t> extra;  ///< caller-defined (sharded metadata)
+  std::vector<std::uint8_t> extra;  ///< the engine's history (see above)
 };
 
 /// Durably writes `data` as checkpoint-<seq>.ckpt under `dir` (created if

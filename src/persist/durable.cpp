@@ -19,8 +19,10 @@ DurableDispatcher::DurableDispatcher(std::size_t dim, Policy& policy,
   if (options_.usage_hook != nullptr) {
     dispatcher_.set_usage_hook(options_.usage_hook);
   }
-  RecoveryManager manager(options_.dir, options_.metrics);
-  recovery_ = manager.recover_dispatcher(dispatcher_, policy_);
+  dispatcher_.set_recorder(&recorder_);
+  recovery_ = recover_dispatcher(
+      options_.dir, options_.metrics, dispatcher_, policy_,
+      [this](serial::Reader& extra) { recorder_.restore_state(extra); });
   JournalOptions jopts;
   jopts.fsync = options_.fsync;
   jopts.fsync_interval_ops = options_.fsync_interval_ops;
@@ -33,41 +35,44 @@ DurableDispatcher::DurableDispatcher(std::size_t dim, Policy& policy,
   }
 }
 
-Dispatcher::Admission DurableDispatcher::arrive(Time now, RVec size,
-                                                Time expected_departure,
-                                                TenantId tenant) {
-  // Apply first: a rejected op (throws here) must never reach the journal.
-  const auto admission =
-      dispatcher_.arrive(now, size, expected_departure, tenant);
-  writer_->append(OpKind::kArrive, now, admission.job, expected_departure,
-                  &size, kNoBin, false, tenant);
+// Every journaling call applies its op first -- a rejected op (it throws)
+// must never reach the journal -- then appends the frame and lands here.
+void DurableDispatcher::committed() {
   writer_->commit();
   ++ops_since_checkpoint_;
   maybe_checkpoint();
+}
+
+Dispatcher::Admission DurableDispatcher::arrive(Time now, RVec size,
+                                                Time expected_departure,
+                                                TenantId tenant) {
+  return arrive(now, Item(static_cast<JobId>(dispatcher_.jobs_admitted()),
+                          now, expected_departure, std::move(size), tenant));
+}
+
+Dispatcher::Admission DurableDispatcher::arrive(Time now, const Item& item) {
+  const auto admission = dispatcher_.arrive(now, item);
+  writer_->append(OpKind::kArrive, now, admission.job, item.departure,
+                  &item.size, kNoBin, false, item.tenant);
+  committed();
   return admission;
 }
 
 void DurableDispatcher::depart(Time now, JobId job) {
   dispatcher_.depart(now, job);
   writer_->append(OpKind::kDepart, now, job);
-  writer_->commit();
-  ++ops_since_checkpoint_;
-  maybe_checkpoint();
+  committed();
 }
 
 void DurableDispatcher::advance(Time now) {
   writer_->append(OpKind::kAdvance, now, 0);
-  writer_->commit();
-  ++ops_since_checkpoint_;
-  maybe_checkpoint();
+  committed();
 }
 
 Dispatcher::Eviction DurableDispatcher::evict(Time now, JobId job) {
   const auto eviction = dispatcher_.evict(now, job);
   writer_->append(OpKind::kEvict, now, job);
-  writer_->commit();
-  ++ops_since_checkpoint_;
-  maybe_checkpoint();
+  committed();
   return eviction;
 }
 
@@ -75,9 +80,7 @@ BinId DurableDispatcher::replace(Time now, JobId job, BinId target) {
   const bool new_bin = target == kNoBin;
   const BinId bin = dispatcher_.replace(now, job, target);
   writer_->append(OpKind::kReplace, now, job, 0.0, nullptr, bin, new_bin);
-  writer_->commit();
-  ++ops_since_checkpoint_;
-  maybe_checkpoint();
+  committed();
   return bin;
 }
 
@@ -90,9 +93,7 @@ MigrationExec DurableDispatcher::migration_exec() {
 void DurableDispatcher::settle_credits(
     Time now, const std::vector<std::uint8_t>& credit_state) {
   writer_->append_credits(now, credit_state);
-  writer_->commit();
-  ++ops_since_checkpoint_;
-  maybe_checkpoint();
+  committed();
 }
 
 void DurableDispatcher::maybe_checkpoint() {
@@ -114,7 +115,9 @@ void DurableDispatcher::checkpoint() {
   serial::Writer pol_out;
   policy_.save_state(pol_out);
   data.policy_state = pol_out.take();
-  if (options_.save_extra) data.extra = options_.save_extra();
+  serial::Writer extra;
+  recorder_.save_state(extra);
+  data.extra = extra.take();
   write_checkpoint(options_.dir, data);
   writer_->rotate();
   fault_point("checkpoint.truncated");

@@ -15,13 +15,15 @@
 // crash between apply and commit loses exactly the unacknowledged tail,
 // which is the torn-tail contract recovery already handles.
 //
+// Its history lives in a PackingRecorder (packing()) that every
+// checkpoint carries, so a reopened engine reports the same packing.
+//
 // This type is the serial (single-owner) binding; the sharded service
 // wires the same journal/checkpoint/recovery pieces per shard (see
 // cloud/sharded_dispatcher.hpp).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -51,9 +53,6 @@ struct DurableOptions {
   /// so a recovery re-accrues per-tenant usage exactly as the original run
   /// did (tenancy::UsageAccountant is the intended hook).
   TenantUsageHook* usage_hook = nullptr;
-  /// Optional caller blob persisted in every checkpoint (e.g. serialized
-  /// accountant + arbiter state); surfaced back via recovery().extra.
-  std::function<std::vector<std::uint8_t>()> save_extra;
 };
 
 class DurableDispatcher {
@@ -65,13 +64,17 @@ class DurableDispatcher {
   DurableDispatcher(std::size_t dim, Policy& policy, DurableOptions options,
                     double bin_capacity = 1.0);
 
-  /// Journaled Dispatcher::arrive. Returns after the frame is committed.
-  /// A non-kNoTenant label rides in the journal frame, so recovery rebuilds
-  /// the same per-tenant attribution.
+  /// Journaled Dispatcher::arrive, naming the job jobs_admitted(). Returns
+  /// after the frame is committed. A non-kNoTenant label rides in the
+  /// journal frame, so recovery rebuilds the same per-tenant attribution.
   Dispatcher::Admission arrive(Time now, RVec size,
                                Time expected_departure =
                                    std::numeric_limits<Time>::infinity(),
                                TenantId tenant = kNoTenant);
+
+  /// Journaled Dispatcher::arrive under item.id (the harness admits each
+  /// job under its ItemId).
+  Dispatcher::Admission arrive(Time now, const Item& item);
 
   /// Journaled Dispatcher::depart.
   void depart(Time now, JobId job);
@@ -115,13 +118,19 @@ class DurableDispatcher {
   /// journaling calls above or they will not survive a crash.
   const Dispatcher& dispatcher() const noexcept { return dispatcher_; }
 
+  /// The whole run's history, across every recovery.
+  const PackingRecorder& recorder() const noexcept { return recorder_; }
+  Packing packing() const { return recorder_.packing(); }
+
   std::uint64_t next_seq() const noexcept { return writer_->next_seq(); }
 
  private:
   void maybe_checkpoint();
+  void committed();
 
   Policy& policy_;
   DurableOptions options_;
+  PackingRecorder recorder_;
   Dispatcher dispatcher_;
   RecoveryReport recovery_;
   std::unique_ptr<JournalWriter> writer_;

@@ -8,32 +8,56 @@
 
 namespace dvbp::persist {
 
-RecoveryReport RecoveryManager::run(
-    const std::function<void(const CheckpointData&)>& restore,
-    const std::function<void(const JournalRecord&)>& replay) {
+RecoveryReport recover_dispatcher(
+    const std::string& dir, obs::MetricRegistry* metrics,
+    Dispatcher& dispatcher, Policy& policy,
+    const std::function<void(serial::Reader&)>& restore_extra,
+    const std::function<void(const JournalRecord&)>& on_record) {
   const auto t0 = std::chrono::steady_clock::now();
   RecoveryReport report;
 
-  JournalScan scan = scan_journal(dir_);
+  JournalScan scan = scan_journal(dir);
   if (scan.torn_tail) {
     truncate_torn_tail(scan);
     report.torn_tail = true;
     report.tail_bytes_discarded = scan.tail_bytes_discarded;
   }
 
-  if (auto ckpt = load_newest_checkpoint(dir_)) {
+  if (auto ckpt = load_newest_checkpoint(dir)) {
     report.had_checkpoint = true;
     report.checkpoint_seq = ckpt->seq;
     report.last_seq = ckpt->seq;
-    report.extra = ckpt->extra;
-    restore(*ckpt);
+    if (ckpt->policy_name != policy.name()) {
+      throw PersistError("recovery: checkpoint in '" + dir +
+                         "' was written by policy '" + ckpt->policy_name +
+                         "', refusing to restore into '" +
+                         std::string(policy.name()) + "'");
+    }
+    serial::Reader disp_in(ckpt->dispatcher_state);
+    dispatcher.restore_state(disp_in);
+    policy.reset();
+    serial::Reader pol_in(ckpt->policy_state);
+    policy.restore_state(pol_in);
+    serial::Reader extra(ckpt->extra);
+    restore_extra(extra);
+    if (!extra.done()) {
+      throw serial::SerialError(
+          "recovery: trailing bytes in the checkpoint's extra blob");
+    }
   }
 
   for (const JournalRecord& rec : scan.records) {
     if (rec.seq <= report.checkpoint_seq) continue;
-    replay(rec);
+    if (on_record) on_record(rec);
+    try {
+      apply_record(dispatcher, rec);
+    } catch (const std::logic_error& e) {
+      throw PersistError("recovery: frame " + std::to_string(rec.seq) +
+                         " does not apply (checkpoint/journal mismatch): " +
+                         e.what());
+    }
     // Credit frames carry the whole settled state, so only the newest one
-    // matters; capture it here so every binding gets it for free.
+    // matters.
     if (rec.kind == OpKind::kTenantCredits) {
       report.tenant_credits = rec.blob;
     }
@@ -42,86 +66,54 @@ RecoveryReport RecoveryManager::run(
   }
   report.next_seq = report.last_seq + 1;
 
-  if (metrics_ != nullptr) {
+  if (metrics != nullptr) {
     const auto elapsed =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)
             .count();
-    metrics_->gauge("dvbp.persist.recovery_ms").set(elapsed);
-    metrics_->counter("dvbp.persist.replayed_ops_total")
+    metrics->gauge("dvbp.persist.recovery_ms").set(elapsed);
+    metrics->counter("dvbp.persist.replayed_ops_total")
         .inc(report.replayed_ops);
     if (report.tail_bytes_discarded > 0) {
-      metrics_->counter("dvbp.persist.torn_tail_bytes_total")
+      metrics->counter("dvbp.persist.torn_tail_bytes_total")
           .inc(report.tail_bytes_discarded);
     }
   }
   return report;
 }
 
-RecoveryReport RecoveryManager::recover_dispatcher(Dispatcher& dispatcher,
-                                                   Policy& policy) {
-  return run(
-      [&](const CheckpointData& ckpt) {
-        if (ckpt.policy_name != policy.name()) {
-          throw PersistError(
-              "recovery: checkpoint was written by policy '" +
-              ckpt.policy_name + "', refusing to restore into '" +
-              std::string(policy.name()) + "'");
-        }
-        serial::Reader disp_in(ckpt.dispatcher_state);
-        dispatcher.restore_state(disp_in);
-        policy.reset();
-        serial::Reader pol_in(ckpt.policy_state);
-        policy.restore_state(pol_in);
-      },
-      [&](const JournalRecord& rec) {
-        switch (rec.kind) {
-          case OpKind::kArrive: {
-            const auto admission =
-                dispatcher.arrive(rec.time, rec.size,
-                                  rec.expected_departure, rec.tenant);
-            // The serial dispatcher assigns JobIds densely, so replay must
-            // land every arrival on its journaled id; divergence means the
-            // checkpoint and journal disagree about history.
-            if (admission.job != rec.job) {
-              throw PersistError(
-                  "recovery: replayed arrival got job id " +
-                  std::to_string(admission.job) + ", journal says " +
-                  std::to_string(rec.job) +
-                  " (checkpoint/journal mismatch)");
-            }
-            break;
-          }
-          case OpKind::kDepart:
-            dispatcher.depart(rec.time, rec.job);
-            break;
-          case OpKind::kAdvance:
-            // Pure clock note; the dispatcher's clock only moves on
-            // arrive/depart, exactly as it did pre-crash.
-            break;
-          case OpKind::kEvict:
-            dispatcher.evict(rec.time, rec.job);
-            break;
-          case OpKind::kReplace: {
-            // The frame records the bin the job actually landed in, so
-            // replay is deterministic independent of any planner.
-            const BinId bin = dispatcher.replace(
-                rec.time, rec.job, rec.new_bin ? kNoBin : rec.bin);
-            if (bin != rec.bin) {
-              throw PersistError(
-                  "recovery: replayed replace landed in bin " +
-                  std::to_string(bin) + ", journal says " +
-                  std::to_string(rec.bin) +
-                  " (checkpoint/journal mismatch)");
-            }
-            break;
-          }
-          case OpKind::kTenantCredits:
-            // Captured by run() into report.tenant_credits; no dispatcher
-            // mutation to replay.
-            break;
-        }
-      });
+void apply_record(Dispatcher& dispatcher, const JournalRecord& rec) {
+  const auto job = static_cast<JobId>(rec.job);
+  switch (rec.kind) {
+    case OpKind::kArrive:
+      // The journaled time/expected departure are the values the engine
+      // applied (post-clamp), so replay passes them verbatim.
+      dispatcher.arrive(rec.time, Item(job, rec.time, rec.expected_departure,
+                                       rec.size, rec.tenant));
+      break;
+    case OpKind::kDepart:
+      dispatcher.depart(rec.time, job);
+      break;
+    case OpKind::kEvict:
+      dispatcher.evict(rec.time, job);
+      break;
+    case OpKind::kReplace: {
+      // The frame records the bin the job actually landed in, so replay
+      // is deterministic independent of any planner.
+      const BinId bin =
+          dispatcher.replace(rec.time, job, rec.new_bin ? kNoBin : rec.bin);
+      if (bin != rec.bin) {
+        throw PersistError("recovery: replayed replace landed in bin " +
+                           std::to_string(bin) + ", journal says " +
+                           std::to_string(rec.bin) +
+                           " (checkpoint/journal mismatch)");
+      }
+      break;
+    }
+    case OpKind::kAdvance:        // a clock note: the clock moves on ops
+    case OpKind::kTenantCredits:  // read into RecoveryReport::tenant_credits
+      break;
+  }
 }
 
 }  // namespace dvbp::persist

@@ -1,6 +1,6 @@
 // Crash recovery: checkpoint load + journal replay.
 //
-// RecoveryManager stitches the other persist pieces into the startup
+// recover_dispatcher() stitches the other persist pieces into the startup
 // sequence a durable dispatcher runs before accepting traffic:
 //
 //   1. scan_journal(): read every valid frame; detect the torn tail a
@@ -15,9 +15,9 @@
 //      recovered packing is bit-identical to the pre-crash one (pinned by
 //      tests/test_persist_recovery.cpp).
 //
-// The generic run() takes restore/replay callbacks so the sharded service
-// can map the journal's global job ids onto shard-local ones;
-// recover_dispatcher() is the ready-made serial binding.
+// A frame names its job by the job's one id, so apply_record() is the one
+// journal replayer, for the serial engine and every shard of the sharded
+// service alike.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "core/serial.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/journal.hpp"
 
@@ -46,9 +47,6 @@ struct RecoveryReport {
   std::uint64_t next_seq = 1;
   bool torn_tail = false;  ///< a partial/corrupt tail was found + truncated
   std::uint64_t tail_bytes_discarded = 0;
-  /// The checkpoint's caller-owned blob (sharded job-table slice / router
-  /// state); empty without a checkpoint.
-  std::vector<std::uint8_t> extra;
   /// Blob of the LAST kTenantCredits frame replayed (empty when none):
   /// the newest durably settled arbiter state. The caller feeds it to
   /// tenancy::Arbiter::restore_state; settlements after this frame were
@@ -56,32 +54,24 @@ struct RecoveryReport {
   std::vector<std::uint8_t> tenant_credits;
 };
 
-class RecoveryManager {
- public:
-  /// `metrics` (borrowed, nullable) receives dvbp.persist.recovery_ms,
-  /// dvbp.persist.replayed_ops_total, dvbp.persist.torn_tail_bytes_total.
-  explicit RecoveryManager(std::string dir,
-                           obs::MetricRegistry* metrics = nullptr)
-      : dir_(std::move(dir)), metrics_(metrics) {}
+/// Recovers from `dir`: restores `dispatcher` (freshly constructed) and
+/// `policy` (matched by Policy::name(); PersistError on mismatch), hands
+/// the checkpoint's `extra` blob to `restore_extra` (which must read it to
+/// the end), then applies every later frame with apply_record(), showing
+/// it first to `on_record` when set. A frame that does not apply throws
+/// PersistError. Missing directory == cold start: a default report,
+/// next_seq == 1. `metrics` (borrowed, nullable) receives
+/// dvbp.persist.recovery_ms, dvbp.persist.replayed_ops_total and
+/// dvbp.persist.torn_tail_bytes_total.
+RecoveryReport recover_dispatcher(
+    const std::string& dir, obs::MetricRegistry* metrics,
+    Dispatcher& dispatcher, Policy& policy,
+    const std::function<void(serial::Reader&)>& restore_extra,
+    const std::function<void(const JournalRecord&)>& on_record = {});
 
-  /// Generic recovery. `restore` is invoked at most once, with the loaded
-  /// checkpoint, before any replay; `replay` once per journal frame with
-  /// seq > the checkpoint's. Either callback may throw (e.g. policy-name
-  /// mismatch) -- the exception propagates. Missing directory == cold
-  /// start: returns a default report with next_seq == 1.
-  RecoveryReport run(
-      const std::function<void(const CheckpointData&)>& restore,
-      const std::function<void(const JournalRecord&)>& replay);
-
-  /// Serial binding: restores `dispatcher` (freshly constructed) and
-  /// `policy` (matched by Policy::name() against the checkpoint, throws
-  /// PersistError on mismatch), then replays arrive/depart frames through
-  /// them, verifying each replayed arrival lands on the journaled JobId.
-  RecoveryReport recover_dispatcher(Dispatcher& dispatcher, Policy& policy);
-
- private:
-  std::string dir_;
-  obs::MetricRegistry* metrics_;
-};
+/// The one journal replayer: applies `rec` to `dispatcher` under the job
+/// id it names (clock notes and credit frames change nothing). Throws what
+/// the dispatcher throws, or PersistError for a replace that lands amiss.
+void apply_record(Dispatcher& dispatcher, const JournalRecord& rec);
 
 }  // namespace dvbp::persist

@@ -11,6 +11,8 @@ ReplayResult replay_trace(const TraceReader& reader, Policy& policy,
                           const ReplayOptions& options) {
   Dispatcher dispatcher(reader.dim(), policy, options.bin_capacity,
                         options.observer);
+  PackingRecorder recorder;
+  dispatcher.set_recorder(&recorder);
 
   obs::Counter* events_total = nullptr;
   obs::Counter* arrivals_total = nullptr;
@@ -29,18 +31,19 @@ ReplayResult replay_trace(const TraceReader& reader, Policy& policy,
   }
 
   ReplayResult result;
-  // Arrivals stream in row order, so the dispatcher hands out JobId == row
-  // index == ItemId; departures can reuse the event's item id directly.
+  // A job is named by its row, the ItemId materialize() would give it.
   TraceCursor cursor(reader);
   TraceEvent ev;
-  RVec size(reader.dim());
+  Item item;
+  item.size = RVec(reader.dim());
   while (cursor.next(ev)) {
     if (ev.kind == EventKind::kArrival) {
-      const std::size_t i = ev.item;
-      reader.size_into(i, size);
-      const Dispatcher::Admission adm = dispatcher.arrive(
-          ev.time, size, reader.departure(i), reader.tenant(i));
-      (void)adm;
+      item.id = ev.item;
+      item.arrival = ev.time;
+      item.departure = reader.departure(ev.item);
+      item.tenant = reader.tenant(ev.item);
+      reader.size_into(ev.item, item.size);
+      const Dispatcher::Admission adm = dispatcher.arrive(ev.time, item);
       ++result.items;
       if (arrivals_total != nullptr) arrivals_total->inc();
       if (bins_opened_total != nullptr && adm.opened_new_bin) {
@@ -60,17 +63,15 @@ ReplayResult replay_trace(const TraceReader& reader, Policy& policy,
   }
 
   result.bins_opened = dispatcher.bins_opened();
-  // Every trace item departs, so all bins are closed by now: sum their
-  // usage in bin-id order -- the exact arithmetic of Packing::cost() --
-  // rather than cost_so_far()'s close-order running sum, whose different
-  // addition order can drift by an ULP on large-magnitude workloads.
-  result.cost = 0.0;
-  for (const BinRecord& rec : dispatcher.records()) {
-    result.cost += rec.usage_time();
-  }
+  // Every trace item departs, so all bins are closed by now: the recorder
+  // sums their usage in bin-id order -- the exact arithmetic of
+  // Packing::cost() -- rather than cost_so_far()'s close-order running
+  // sum, whose different addition order can drift by an ULP on
+  // large-magnitude workloads.
+  result.cost = recorder.cost();
   if (replay_cost != nullptr) replay_cost->set(result.cost);
   if (options.packing_out != nullptr) {
-    *options.packing_out = dispatcher.packing();
+    *options.packing_out = std::move(recorder).packing();
   }
   return result;
 }

@@ -5,8 +5,10 @@
 // simulate() is a loop over the same Dispatcher, so a replayed trace
 // produces bit-identical cost/bins to materializing the trace and calling
 // simulate() -- pinned for all ten registered policies in
-// tests/test_trace.cpp. Memory stays O(active items), which is
-// what lets the harness pack multi-million-event traces.
+// tests/test_trace.cpp. The Dispatcher holds only the live jobs and open
+// bins; the history replay returns (its cost in bin-id order, and the
+// packing) is kept by a PackingRecorder: 4 bytes of assignment plus 4 of
+// bin item list per item, and one BinRecord (48 bytes) per bin opened.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +34,8 @@ struct ReplayOptions {
   /// (events_total, arrivals_total, departures_total, open_bins,
   /// bins_opened_total, replay_cost).
   obs::MetricRegistry* metrics = nullptr;
-  /// When set, receives the final placement (for audits/hashing; costs
-  /// O(items) memory, so leave null for huge traces).
+  /// When set, receives the final placement (for audits/hashing), moved
+  /// out of the recorder replay keeps anyway.
   Packing* packing_out = nullptr;
 };
 

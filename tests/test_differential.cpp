@@ -130,6 +130,8 @@ TEST_P(AugmentedDifferentialTest, DispatcherMatchesEngineBinForBin) {
 
   PolicyPtr live_policy = make_policy(policy_name);
   Dispatcher dispatcher(inst.dim(), *live_policy, capacity);
+  PackingRecorder recorder;
+  dispatcher.set_recorder(&recorder);
   for (const Event& ev : build_event_stream(inst)) {
     const Item& item = inst[ev.item];
     if (ev.kind == EventKind::kArrival) {
@@ -143,9 +145,9 @@ TEST_P(AugmentedDifferentialTest, DispatcherMatchesEngineBinForBin) {
     }
   }
 
-  ASSERT_EQ(dispatcher.records().size(), sim.packing.num_bins());
+  ASSERT_EQ(recorder.num_bins(), sim.packing.num_bins());
   for (std::size_t b = 0; b < sim.packing.num_bins(); ++b) {
-    const BinRecord& live = dispatcher.records()[b];
+    const BinRecord& live = recorder.bins()[b];
     const BinRecord& batch = sim.packing.bins()[b];
     EXPECT_EQ(live.id, batch.id);
     EXPECT_DOUBLE_EQ(live.opened, batch.opened) << "bin " << b;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/event.hpp"
+#include "core/packing_hash.hpp"
 #include "core/policies/first_fit.hpp"
 #include "core/policies/registry.hpp"
 #include "core/simulator.hpp"
@@ -45,9 +46,12 @@ TEST(Dispatcher, LiveCostMetersOpenBins) {
 
 TEST(Dispatcher, CostSoFarClampsClosedBinsAtHistoricalTimestamps) {
   // Regression: a closed bin used to contribute its full usage time even
-  // when `at` predated its close, overstating historical costs.
+  // when `at` predated its close, overstating historical costs. Times
+  // before the last event need the closed bins' records: a recorder.
   PolicyPtr policy = make_policy("FirstFit");
   Dispatcher dispatcher(1, *policy);
+  PackingRecorder recorder;
+  dispatcher.set_recorder(&recorder);
   const auto a = dispatcher.arrive(0.0, RVec{0.9});   // bin 0: [0, 10)
   const auto b = dispatcher.arrive(2.0, RVec{0.9});   // bin 1: [2, ...)
   dispatcher.depart(10.0, a.job);                     // bin 0 closes at 10
@@ -102,7 +106,7 @@ TEST(Dispatcher, BinOfTracksPlacementUntilDeparture) {
   EXPECT_EQ(dispatcher.bin_of(a.job), a.bin);
   dispatcher.depart(1.0, a.job);
   EXPECT_EQ(dispatcher.bin_of(a.job), kNoBin);
-  EXPECT_THROW(dispatcher.bin_of(42), std::invalid_argument);
+  EXPECT_EQ(dispatcher.bin_of(42), kNoBin);  // never admitted
 }
 
 TEST(Dispatcher, ClairvoyantPolicySeesExpectedDepartures) {
@@ -166,20 +170,82 @@ TEST(Dispatcher, RejectedDecisionLeavesStateUnchanged) {
   EXPECT_DOUBLE_EQ(dispatcher.cost_so_far(3.0), 3.0);
 }
 
-TEST(Dispatcher, CheckpointRejectsItemsAdmittedUnderForeignIds) {
-  // The state stream stores no ids: restore would rename item 7 to job 0.
+TEST(Dispatcher, AJobKeepsItsItemIdThroughACheckpoint) {
   PolicyPtr policy = make_policy("FirstFit");
   Dispatcher dispatcher(1, *policy);
+  PackingRecorder recorder;
+  dispatcher.set_recorder(&recorder);
   const auto a = dispatcher.arrive(0.0, Item(7, 0.0, 5.0, RVec{0.5}));
-  EXPECT_EQ(a.job, 0u);
-  EXPECT_EQ(dispatcher.records()[a.bin].items, (std::vector<ItemId>{7u}));
+  EXPECT_EQ(a.job, 7u);
+  EXPECT_EQ(recorder.bins()[a.bin].items, (std::vector<ItemId>{7u}));
   serial::Writer out;
-  EXPECT_THROW(dispatcher.save_state(out), std::logic_error);
+  dispatcher.save_state(out);
+
+  PolicyPtr policy2 = make_policy("FirstFit");
+  Dispatcher restored(1, *policy2);
+  serial::Reader in(out.bytes());
+  restored.restore_state(in);
+  ASSERT_NE(restored.job(7), nullptr);
+  EXPECT_EQ(restored.bin_of(7), a.bin);
+  EXPECT_EQ(restored.job(0), nullptr);
+  EXPECT_EQ(dispatcher_state_hash(restored), dispatcher_state_hash(dispatcher));
+  restored.depart(1.0, 7);
+  EXPECT_EQ(restored.jobs_active(), 0u);
 }
 
-// `d`'s state stream with its closing open-bin section (the count, then
-// each open bin's id and state) rewritten to list `ids`. Every bin `d` has
-// opened must still be open.
+TEST(Dispatcher, AnArrivalUnderALiveIdIsRefusedAndChangesNothing) {
+  PolicyPtr policy = make_policy("FirstFit");
+  Dispatcher dispatcher(1, *policy);
+  dispatcher.arrive(0.0, Item(3, 0.0, 5.0, RVec{0.5}));
+  const std::uint64_t before = dispatcher_state_hash(dispatcher);
+  EXPECT_THROW(dispatcher.arrive(1.0, Item(3, 1.0, 5.0, RVec{0.2})),
+               std::invalid_argument);
+  EXPECT_EQ(dispatcher_state_hash(dispatcher), before);
+  // arrive(size) names the job jobs_admitted(): 1 is free, 3 is not.
+  EXPECT_EQ(dispatcher.arrive(1.0, RVec{0.2}).job, 1u);
+  dispatcher.arrive(1.0, RVec{0.1});
+  EXPECT_THROW(dispatcher.arrive(1.0, RVec{0.1}), std::invalid_argument);
+  EXPECT_EQ(dispatcher.jobs_admitted(), 3u);
+}
+
+TEST(Dispatcher, AnEarlierCostQueryNeedsARecorder) {
+  PolicyPtr policy = make_policy("FirstFit");
+  Dispatcher dispatcher(1, *policy);
+  PackingRecorder recorder;
+  const auto a = dispatcher.arrive(0.0, RVec{0.5});
+  dispatcher.depart(4.0, a.job);
+  EXPECT_DOUBLE_EQ(dispatcher.cost_so_far(4.0), 4.0);
+  EXPECT_THROW(dispatcher.cost_so_far(2.0), std::invalid_argument);
+
+  Dispatcher recorded(1, *policy);
+  recorded.set_recorder(&recorder);
+  const auto b = recorded.arrive(0.0, RVec{0.5});
+  recorded.depart(4.0, b.job);
+  EXPECT_DOUBLE_EQ(recorded.cost_so_far(2.0), 2.0);
+  EXPECT_DOUBLE_EQ(recorder.cost_at(2.0), 2.0);
+  EXPECT_DOUBLE_EQ(recorder.cost(), 4.0);
+}
+
+TEST(Dispatcher, AStateStreamOfAnotherVersionIsRefusedByName) {
+  PolicyPtr policy = make_policy("FirstFit");
+  Dispatcher dispatcher(1, *policy);
+  serial::Writer v3;
+  v3.u64(0xFFFFFFFF00000003ull);
+  v3.u64(1);
+  serial::Reader in(v3.bytes());
+  try {
+    dispatcher.restore_state(in);
+    ADD_FAILURE() << "a v3 stream was restored";
+  } catch (const serial::SerialError& e) {
+    EXPECT_NE(std::string(e.what()).find("v3"), std::string::npos)
+        << e.what();
+  }
+}
+
+// `d`'s state stream with its open-bin section (the count, then each open
+// bin's id, opening time and state) rewritten to list `ids`; the live-job
+// section that closes the stream is kept. Every bin `d` has opened must
+// still be open.
 std::vector<std::uint8_t> stream_with_open_bins(
     const Dispatcher& d, const std::vector<BinId>& ids) {
   serial::Writer whole;
@@ -188,20 +254,29 @@ std::vector<std::uint8_t> stream_with_open_bins(
   std::size_t section = 8;                        // the u64 count
   for (BinId id = 0; id < d.bins_opened(); ++id) {
     serial::Writer state;
+    state.u32(id);
+    state.f64(d.open_bin_state(id)->opened_at());
     d.open_bin_state(id)->save_state(state);
     states.push_back(state.bytes());
-    section += 8 + state.bytes().size();
+    section += state.bytes().size();
   }
-  serial::Writer tail;
-  tail.u64(ids.size());
+  std::size_t jobs = 8;  // the u64 count, then each job's item and bin
+  d.for_each_job([&jobs](const Dispatcher::LiveJob& job) {
+    serial::Writer item;
+    job.item.save_state(item);
+    jobs += item.bytes().size() + 4;
+  });
+  serial::Writer open;
+  open.u64(ids.size());
   for (BinId id : ids) {
-    tail.u64(id);
-    for (std::uint8_t b : states[id]) tail.u8(b);
+    for (std::uint8_t b : states[id]) open.u8(b);
   }
   const auto& bytes = whole.bytes();
+  const auto jobs_begin = bytes.end() - static_cast<long>(jobs);
   std::vector<std::uint8_t> out(bytes.begin(),
-                                bytes.end() - static_cast<long>(section));
-  out.insert(out.end(), tail.bytes().begin(), tail.bytes().end());
+                                jobs_begin - static_cast<long>(section));
+  out.insert(out.end(), open.bytes().begin(), open.bytes().end());
+  out.insert(out.end(), jobs_begin, bytes.end());
   return out;
 }
 
@@ -261,6 +336,8 @@ TEST_P(DispatcherDifferentialTest, ReplayMatchesSimulate) {
 
   PolicyPtr live_policy = make_policy(GetParam(), 5);
   Dispatcher dispatcher(inst.dim(), *live_policy);
+  PackingRecorder recorder;
+  dispatcher.set_recorder(&recorder);
   // JobIds are assigned in arrival order == instance order, so they
   // coincide with ItemIds.
   for (const Event& ev : build_event_stream(inst)) {
@@ -278,13 +355,12 @@ TEST_P(DispatcherDifferentialTest, ReplayMatchesSimulate) {
   EXPECT_DOUBLE_EQ(dispatcher.cost_so_far(inst.last_departure()),
                    batch.cost);
   // Bin-by-bin identical placement.
-  ASSERT_EQ(dispatcher.records().size(), batch.packing.num_bins());
-  for (std::size_t b = 0; b < dispatcher.records().size(); ++b) {
-    EXPECT_EQ(dispatcher.records()[b].items,
-              batch.packing.bins()[b].items);
-    EXPECT_DOUBLE_EQ(dispatcher.records()[b].opened,
+  ASSERT_EQ(recorder.num_bins(), batch.packing.num_bins());
+  for (std::size_t b = 0; b < recorder.num_bins(); ++b) {
+    EXPECT_EQ(recorder.bins()[b].items, batch.packing.bins()[b].items);
+    EXPECT_DOUBLE_EQ(recorder.bins()[b].opened,
                      batch.packing.bins()[b].opened);
-    EXPECT_DOUBLE_EQ(dispatcher.records()[b].closed,
+    EXPECT_DOUBLE_EQ(recorder.bins()[b].closed,
                      batch.packing.bins()[b].closed);
   }
 }

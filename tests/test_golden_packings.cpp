@@ -121,6 +121,8 @@ TEST(GoldenPackings, DispatcherReplayMatchesEngineBinForBin) {
 
       PolicyPtr live_policy = make_policy(policy_name, kPolicySeed);
       Dispatcher dispatcher(inst.dim(), *live_policy);
+      PackingRecorder recorder;
+      dispatcher.set_recorder(&recorder);
       for (const Event& ev : events) {
         const Item& item = inst[ev.item];
         if (ev.kind == EventKind::kArrival) {
@@ -132,10 +134,10 @@ TEST(GoldenPackings, DispatcherReplayMatchesEngineBinForBin) {
           dispatcher.depart(ev.time, item.id);
         }
       }
-      ASSERT_EQ(dispatcher.records().size(), sim.packing.num_bins())
+      ASSERT_EQ(recorder.num_bins(), sim.packing.num_bins())
           << name << "/" << policy_name;
       for (std::size_t b = 0; b < sim.packing.num_bins(); ++b) {
-        const BinRecord& live = dispatcher.records()[b];
+        const BinRecord& live = recorder.bins()[b];
         const BinRecord& batch = sim.packing.bins()[b];
         EXPECT_EQ(live.id, batch.id) << name << "/" << policy_name;
         EXPECT_DOUBLE_EQ(live.opened, batch.opened)

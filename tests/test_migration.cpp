@@ -88,6 +88,8 @@ std::vector<std::uint8_t> saved_state(const Dispatcher& d) {
 TEST(Evict, RemovesFromBinButKeepsJobActive) {
   PolicyPtr policy = make_policy("FirstFit", kPolicySeed);
   Dispatcher d(2, *policy);
+  PackingRecorder recorder;
+  d.set_recorder(&recorder);
   const JobId a = d.arrive(0.0, vec2(0.4, 0.4), 10.0).job;
   const JobId b = d.arrive(1.0, vec2(0.4, 0.4), 10.0).job;
   ASSERT_EQ(d.bin_of(a), d.bin_of(b));  // FirstFit co-locates them
@@ -97,7 +99,7 @@ TEST(Evict, RemovesFromBinButKeepsJobActive) {
   EXPECT_EQ(ev.bin, bin);
   EXPECT_FALSE(ev.emptied);  // b still lives there
   EXPECT_EQ(d.bin_of(a), kNoBin);
-  EXPECT_EQ(d.last_bin_of(a), bin);
+  EXPECT_EQ(recorder.bin_of(a), bin);
   EXPECT_TRUE(d.is_evicted(a));
   EXPECT_EQ(d.jobs_evicted(), 1u);
   EXPECT_EQ(d.jobs_active(), 2u);  // limbo jobs are still active
@@ -112,13 +114,15 @@ TEST(Evict, RemovesFromBinButKeepsJobActive) {
 TEST(Evict, LastItemClosesTheBinPermanently) {
   PolicyPtr policy = make_policy("FirstFit", kPolicySeed);
   Dispatcher d(2, *policy);
+  PackingRecorder recorder;
+  d.set_recorder(&recorder);
   const JobId a = d.arrive(0.0, vec2(0.4, 0.4), 10.0).job;
   const BinId bin = d.bin_of(a);
   const Dispatcher::Eviction ev = d.evict(3.0, a);
   EXPECT_TRUE(ev.emptied);
   EXPECT_EQ(d.open_bins(), 0u);
   EXPECT_EQ(d.open_bin_state(bin), nullptr);
-  EXPECT_DOUBLE_EQ(d.records()[bin].closed, 3.0);
+  EXPECT_DOUBLE_EQ(recorder.bins()[bin].closed, 3.0);
   EXPECT_DOUBLE_EQ(d.closed_usage(), 3.0);
 }
 
@@ -147,6 +151,8 @@ TEST(Evict, DepartOfLimboJobIsRejected) {
 TEST(Replace, IntoTargetBinUpdatesAssignmentAndRecords) {
   PolicyPtr policy = make_policy("FirstFit", kPolicySeed);
   Dispatcher d(2, *policy);
+  PackingRecorder recorder;
+  d.set_recorder(&recorder);
   const JobId a = d.arrive(0.0, vec2(0.6, 0.6), 10.0).job;
   const JobId b = d.arrive(0.5, vec2(0.6, 0.6), 10.0).job;  // new bin
   const BinId from = d.bin_of(a);
@@ -160,13 +166,13 @@ TEST(Replace, IntoTargetBinUpdatesAssignmentAndRecords) {
 
   const BinId landed = d.replace(2.0, a);  // fresh bin
   EXPECT_EQ(landed, d.bin_of(a));
-  EXPECT_EQ(landed, d.last_bin_of(a));
+  EXPECT_EQ(landed, recorder.bin_of(a));
   EXPECT_FALSE(d.is_evicted(a));
   EXPECT_EQ(d.jobs_evicted(), 0u);
   // The job appears in both bins' histories; assignment names the last.
-  EXPECT_EQ(d.records()[from].items.size(), 1u);
-  EXPECT_EQ(d.records()[landed].items.size(), 1u);
-  EXPECT_EQ(d.packing().assignment()[a], landed);
+  EXPECT_EQ(recorder.bins()[from].items.size(), 1u);
+  EXPECT_EQ(recorder.bins()[landed].items.size(), 1u);
+  EXPECT_EQ(recorder.packing().assignment()[a], landed);
 }
 
 TEST(Replace, NonEvictedJobIsRejected) {
@@ -192,7 +198,7 @@ TEST(Replace, SaveRestoreRoundTripsLimboState) {
   restored.restore_state(in);
   EXPECT_TRUE(restored.is_evicted(a));
   EXPECT_EQ(restored.jobs_evicted(), 1u);
-  EXPECT_EQ(restored.last_bin_of(a), d.last_bin_of(a));
+  EXPECT_EQ(dispatcher_state_hash(restored), dispatcher_state_hash(d));
   EXPECT_EQ(saved_state(restored), saved_state(d));
   // The restored dispatcher can finish the migration.
   restored.replace(2.0, a);
@@ -205,6 +211,8 @@ TEST(InvariantChecker, CleanRunPassesAfterEveryEvent) {
   const Instance inst = small_instance();
   PolicyPtr policy = make_policy("BestFit", kPolicySeed);
   Dispatcher d(inst.dim(), *policy);
+  PackingRecorder recorder;
+  d.set_recorder(&recorder);
   Rebalancer rebalancer(d, MigrationConfig{.migrations_per_event = 1.0});
   PackingInvariantChecker checker;
   for (const Event& ev : build_event_stream(inst)) {
@@ -215,7 +223,7 @@ TEST(InvariantChecker, CleanRunPassesAfterEveryEvent) {
       d.depart(ev.time, item.id);
       rebalancer.on_departure(ev.time);
     }
-    const auto err = checker.check(d);
+    const auto err = checker.check(d, &recorder);
     ASSERT_FALSE(err.has_value()) << *err;
     const auto berr =
         PackingInvariantChecker::check_budget(rebalancer.budget_usage());
@@ -227,14 +235,17 @@ TEST(InvariantChecker, CleanRunPassesAfterEveryEvent) {
 TEST(InvariantChecker, SeesLimboJobsAsPlacedNowhere) {
   PolicyPtr policy = make_policy("FirstFit", kPolicySeed);
   Dispatcher d(2, *policy);
+  PackingRecorder recorder;
+  d.set_recorder(&recorder);
   PackingInvariantChecker checker;
   const JobId a = d.arrive(0.0, vec2(0.4, 0.4), 10.0).job;
   d.arrive(0.5, vec2(0.4, 0.4), 10.0);
-  EXPECT_FALSE(checker.check(d).has_value());
+  EXPECT_FALSE(checker.check(d, &recorder).has_value());
   d.evict(1.0, a);
-  EXPECT_FALSE(checker.check(d).has_value());  // limbo is a legal state
+  // limbo is a legal state
+  EXPECT_FALSE(checker.check(d, &recorder).has_value());
   d.replace(1.0, a);
-  EXPECT_FALSE(checker.check(d).has_value());
+  EXPECT_FALSE(checker.check(d, &recorder).has_value());
 }
 
 TEST(InvariantChecker, BudgetOverdraftIsReported) {
@@ -263,6 +274,8 @@ TEST(Rebalancer, ClosesNearlyEmptyBinWithinBudget) {
   // ties by lowest id, so bin0's filler moves into bin1 and bin0 closes).
   PolicyPtr policy = make_policy("FirstFit", kPolicySeed);
   Dispatcher d(2, *policy);
+  PackingRecorder recorder;
+  d.set_recorder(&recorder);
   Rebalancer rebalancer(d, MigrationConfig{.migrations_per_event = 1.0});
   const JobId filler = d.arrive(0.0, vec2(0.5, 0.5), 100.0).job;
   const JobId brief = d.arrive(0.5, vec2(0.45, 0.45), 2.0).job;
@@ -279,7 +292,7 @@ TEST(Rebalancer, ClosesNearlyEmptyBinWithinBudget) {
   EXPECT_EQ(d.bin_of(filler), bin1);
   EXPECT_EQ(d.bin_of(straggler), bin1);
   EXPECT_EQ(d.open_bins(), 1u);
-  EXPECT_DOUBLE_EQ(d.records()[bin0].closed, 2.0);
+  EXPECT_DOUBLE_EQ(recorder.bins()[bin0].closed, 2.0);
   EXPECT_DOUBLE_EQ(rebalancer.stats().migrated_volume, 1.0);
 
   d.depart(3.0, filler);
@@ -369,30 +382,23 @@ TEST(Rebalancer, AllOrNothingRefusesPartialCloses) {
   (void)filler;
 }
 
-TEST(Rebalancer, RejectsJobsAdmittedUnderForeignItemIds) {
-  // Bins list Item ids; a job admitted by Item keeps its own id, which is
-  // not its JobId. Planning must refuse it instead of indexing items()
-  // with it (ids 7 and 9 are past the end of a three-job slab).
+TEST(Rebalancer, MovesJobsAdmittedUnderTheirItemIds) {
+  // A job's name is its Item id (7, 3, 9 here), so planning reads job 9
+  // and moves it beside job 3, closing bin 0.
   PolicyPtr policy = make_policy("FirstFit", kPolicySeed);
   Dispatcher d(1, *policy);
   Rebalancer rebalancer(
       d, MigrationConfig{.migrations_per_event = MigrationConfig::kUnlimited});
-  const JobId first = d.arrive(0.0, Item(7, 0.0, 10.0, RVec{0.6})).job;
+  d.arrive(0.0, Item(7, 0.0, 10.0, RVec{0.6}));  // bin0
   d.arrive(1.0, Item(3, 1.0, 10.0, RVec{0.6}));  // bin1
   d.arrive(2.0, Item(9, 2.0, 10.0, RVec{0.3}));  // bin0, beside item 7
-  d.depart(3.0, first);
-  try {
-    rebalancer.on_departure(3.0);
-    ADD_FAILURE() << "planned a move for a job under a foreign item id";
-  } catch (const std::logic_error& e) {
-    // Not the engine refusing an evict of "job 9": planning must stop.
-    EXPECT_NE(std::string(e.what()).find("foreign item id"),
-              std::string::npos)
-        << e.what();
-  }
-  EXPECT_EQ(rebalancer.stats().migrations, 0u);
+  d.depart(3.0, 7);
+  EXPECT_EQ(rebalancer.on_departure(3.0), 1u);
+  EXPECT_EQ(d.bin_of(9), d.bin_of(3));
   EXPECT_EQ(d.jobs_evicted(), 0u);
-  EXPECT_EQ(d.open_bins(), 2u);
+  EXPECT_EQ(d.open_bins(), 1u);
+  PackingInvariantChecker checker;
+  EXPECT_EQ(checker.check(d), std::nullopt);
 }
 
 // --- Cost vs offline bounds ----------------------------------------------
@@ -429,12 +435,14 @@ TEST(MigrationTrace, ReplayReconstructsTheMigratedPacking) {
   obs::Tracer tracer(std::make_shared<obs::FileSink>(trace_path));
   obs::Observer observer(nullptr, &tracer);
   Dispatcher d(inst.dim(), *policy, 1.0, &observer);
+  PackingRecorder recorder;
+  d.set_recorder(&recorder);
   Rebalancer rebalancer(d, MigrationConfig{.migrations_per_event = 2.0});
   feed(d, inst, [&](Time t) { rebalancer.on_departure(t); });
   tracer.flush();
   ASSERT_GT(rebalancer.stats().migrations, 0u);
 
-  const Packing live = d.packing();
+  const Packing live = recorder.packing();
   const Packing replayed = obs::replay_packing_file(trace_path);
   EXPECT_EQ(packing_hash(live), packing_hash(replayed));
   EXPECT_EQ(live.assignment(), replayed.assignment());
@@ -477,22 +485,24 @@ TEST(DurableMigration, JournaledRunRecoversBitExact) {
   persist::DurableDispatcher recovered(inst.dim(), *policy, opts);
   EXPECT_FALSE(recovered.recovery().torn_tail);
   EXPECT_EQ(saved_state(recovered.dispatcher()), want_state);
+  // Cross-check against a plain dispatcher run (no journal).
+  PolicyPtr p2 = make_policy("FirstFit", kPolicySeed);
+  Dispatcher plain(inst.dim(), *p2);
+  PackingRecorder plain_recorder;
+  plain.set_recorder(&plain_recorder);
+  Rebalancer r2(plain, MigrationConfig{.migrations_per_event = 1.0});
+  feed(plain, inst, [&](Time t) { r2.on_departure(t); });
   EXPECT_EQ(dispatcher_state_hash(recovered.dispatcher()),
-            [&] {
-              // Cross-check against a plain dispatcher run (no journal).
-              PolicyPtr p2 = make_policy("FirstFit", kPolicySeed);
-              Dispatcher plain(inst.dim(), *p2);
-              Rebalancer r2(
-                  plain, MigrationConfig{.migrations_per_event = 1.0});
-              feed(plain, inst, [&](Time t) { r2.on_departure(t); });
-              return dispatcher_state_hash(plain);
-            }());
+            dispatcher_state_hash(plain));
+  EXPECT_EQ(packing_hash(recovered.packing()),
+            packing_hash(plain_recorder.packing()));
 }
 
 TEST(DurableMigration, CheckpointMidMigrationRoundTrips) {
   const Instance inst = small_instance();
   TempDir dir("ckpt");
   std::vector<std::uint8_t> want_state;
+  std::uint64_t want_packing = 0;
   {
     PolicyPtr policy = make_policy("BestFit", kPolicySeed);
     persist::DurableOptions opts;
@@ -506,6 +516,7 @@ TEST(DurableMigration, CheckpointMidMigrationRoundTrips) {
     feed(durable, inst, [&](Time t) { rebalancer.on_departure(t); });
     EXPECT_GT(rebalancer.stats().migrations, 0u);
     want_state = saved_state(durable.dispatcher());
+    want_packing = packing_hash(durable.packing());
   }
   PolicyPtr policy = make_policy("BestFit", kPolicySeed);
   persist::DurableOptions opts;
@@ -514,6 +525,7 @@ TEST(DurableMigration, CheckpointMidMigrationRoundTrips) {
   persist::DurableDispatcher recovered(inst.dim(), *policy, opts);
   EXPECT_TRUE(recovered.recovery().had_checkpoint);
   EXPECT_EQ(saved_state(recovered.dispatcher()), want_state);
+  EXPECT_EQ(packing_hash(recovered.packing()), want_packing);
 }
 
 }  // namespace

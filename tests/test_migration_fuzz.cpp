@@ -161,6 +161,8 @@ std::optional<std::string> apply_stream(const std::vector<FuzzOp>& ops,
                                         std::size_t dim) {
   const PolicyPtr policy = make_policy(policy_name, kPolicySeed);
   Dispatcher dispatcher(dim, *policy);
+  PackingRecorder recorder;
+  dispatcher.set_recorder(&recorder);
   PackingInvariantChecker checker;
   std::vector<JobId> id_map;  // op-stream job -> dispatcher job
   Time now = 0.0;
@@ -198,7 +200,7 @@ std::optional<std::string> apply_stream(const std::vector<FuzzOp>& ops,
         break;
       }
     }
-    if (auto err = checker.check(dispatcher)) {
+    if (auto err = checker.check(dispatcher, &recorder)) {
       return "after [" + describe(op) + "]: " + *err;
     }
   }
@@ -238,6 +240,8 @@ TEST(MigrationFuzz, StreamsWindDownToAnEmptyConsistentState) {
   const auto ops = generate_stream(/*seed=*/5, /*n_ops=*/400, dim);
   const PolicyPtr policy = make_policy("BestFit", kPolicySeed);
   Dispatcher dispatcher(dim, *policy);
+  PackingRecorder recorder;
+  dispatcher.set_recorder(&recorder);
   PackingInvariantChecker checker;
   std::vector<JobId> id_map;
   Time now = 0.0;
@@ -263,16 +267,16 @@ TEST(MigrationFuzz, StreamsWindDownToAnEmptyConsistentState) {
         }
         break;
     }
-    ASSERT_FALSE(checker.check(dispatcher).has_value());
+    ASSERT_FALSE(checker.check(dispatcher, &recorder).has_value());
   }
   now += 1.0;
   for (JobId job = 0; job < dispatcher.jobs_admitted(); ++job) {
     if (dispatcher.is_evicted(job)) dispatcher.replace(now, job);
-    ASSERT_FALSE(checker.check(dispatcher).has_value());
+    ASSERT_FALSE(checker.check(dispatcher, &recorder).has_value());
   }
   for (JobId job = 0; job < dispatcher.jobs_admitted(); ++job) {
     if (dispatcher.bin_of(job) != kNoBin) dispatcher.depart(now, job);
-    ASSERT_FALSE(checker.check(dispatcher).has_value());
+    ASSERT_FALSE(checker.check(dispatcher, &recorder).has_value());
   }
   EXPECT_EQ(dispatcher.jobs_active(), 0u);
   EXPECT_EQ(dispatcher.jobs_evicted(), 0u);
@@ -305,6 +309,8 @@ TEST(MigrationFuzz, RebalancerNeverOverdrawsAtRandomBudgets) {
     const char* policy_name = kRobustPolicies[trial % 4];
     const PolicyPtr policy = make_policy(policy_name, kPolicySeed);
     Dispatcher dispatcher(inst.dim(), *policy);
+    PackingRecorder recorder;
+    dispatcher.set_recorder(&recorder);
     Rebalancer rebalancer(dispatcher, config);
     PackingInvariantChecker checker;
     for (const Event& ev : build_event_stream(inst)) {
@@ -315,7 +321,7 @@ TEST(MigrationFuzz, RebalancerNeverOverdrawsAtRandomBudgets) {
         dispatcher.depart(ev.time, item.id);
         rebalancer.on_departure(ev.time);
       }
-      const auto err = checker.check(dispatcher);
+      const auto err = checker.check(dispatcher, &recorder);
       ASSERT_FALSE(err.has_value()) << *err;
       const auto overdraft =
           PackingInvariantChecker::check_budget(rebalancer.budget_usage());
@@ -485,7 +491,8 @@ TEST(MigrationFuzz, ShardedRebalanceUnderThreadedFeed) {
     EXPECT_GE(report.skew_before + 1e-9, report.skew_after)
         << "rebalancing made the skew worse";
     for (std::size_t s = 0; s < options.shards; ++s) {
-      const auto err = checkers[s].check(service.shard_dispatcher(s));
+      const auto err = checkers[s].check(service.shard_dispatcher(s),
+                                         &service.shard_recorder(s));
       ASSERT_FALSE(err.has_value()) << "phase " << phase << " shard " << s
                                     << ": " << *err;
     }
@@ -500,7 +507,8 @@ TEST(MigrationFuzz, ShardedRebalanceUnderThreadedFeed) {
   service.drain();
   EXPECT_EQ(service.jobs_active(), 0u);
   for (std::size_t s = 0; s < options.shards; ++s) {
-    const auto err = checkers[s].check(service.shard_dispatcher(s));
+    const auto err = checkers[s].check(service.shard_dispatcher(s),
+                                       &service.shard_recorder(s));
     ASSERT_FALSE(err.has_value()) << *err;
   }
 }

@@ -286,25 +286,38 @@ TEST(StateRoundtrip, AllPoliciesBitExactAcrossSaveRestore) {
     SCOPED_TRACE(name);
     PolicyPtr policy_a = make_policy(name, kPolicySeed);
     Dispatcher a(inst.dim(), *policy_a);
+    PackingRecorder recorder_a;
+    a.set_recorder(&recorder_a);
     feed(a, inst, events, 0, half);
 
+    // The recorder travels beside the state, as in a checkpoint's extra
+    // blob, so the two histories can be compared at the end.
     serial::Writer disp_out;
     a.save_state(disp_out);
     serial::Writer pol_out;
     policy_a->save_state(pol_out);
+    serial::Writer rec_out;
+    recorder_a.save_state(rec_out);
 
     PolicyPtr policy_b = make_policy(name, kPolicySeed + 17);  // different
     Dispatcher b(inst.dim(), *policy_b);
+    PackingRecorder recorder_b;
+    b.set_recorder(&recorder_b);
     serial::Reader disp_in(disp_out.bytes());
     b.restore_state(disp_in);
     policy_b->reset();
     serial::Reader pol_in(pol_out.bytes());
     policy_b->restore_state(pol_in);
+    serial::Reader rec_in(rec_out.bytes());
+    recorder_b.restore_state(rec_in);
 
     ASSERT_EQ(dispatcher_state_hash(a), dispatcher_state_hash(b));
     feed(a, inst, events, half, events.size());
     feed(b, inst, events, half, events.size());
     EXPECT_EQ(dispatcher_state_hash(a), dispatcher_state_hash(b))
+        << "futures diverged after restore";
+    EXPECT_EQ(packing_hash(recorder_a.packing()),
+              packing_hash(recorder_b.packing()))
         << "futures diverged after restore";
   }
 }
@@ -353,9 +366,13 @@ TEST(Durable, ReopenContinuesWhereTheRunLeftOff) {
 
   PolicyPtr ref_policy = make_policy("MoveToFront", kPolicySeed);
   Dispatcher reference(inst.dim(), *ref_policy);
+  PackingRecorder ref_recorder;
+  reference.set_recorder(&ref_recorder);
   feed(reference, inst, events, 0, half);
   ASSERT_EQ(dispatcher_state_hash(reference),
             dispatcher_state_hash(durable.dispatcher()));
+  ASSERT_EQ(packing_hash(ref_recorder.packing()),
+            packing_hash(durable.packing()));
 
   // And the recovered run's future coincides with the uninterrupted one.
   for (std::size_t i = half; i < events.size(); ++i) {
@@ -370,6 +387,8 @@ TEST(Durable, ReopenContinuesWhereTheRunLeftOff) {
   feed(reference, inst, events, half, events.size());
   EXPECT_EQ(dispatcher_state_hash(reference),
             dispatcher_state_hash(durable.dispatcher()));
+  EXPECT_EQ(packing_hash(ref_recorder.packing()),
+            packing_hash(durable.packing()));
 }
 
 TEST(Durable, PolicyMismatchRefusesToRecover) {

@@ -77,13 +77,34 @@ Instance fuzz_instance() {
   return gen::uniform_instance(params, 0xC4A54);
 }
 
+/// What a recovery must reproduce: the live state and the recorded
+/// history.
+struct Hashes {
+  std::uint64_t state = 0;    ///< dispatcher_state_hash
+  std::uint64_t packing = 0;  ///< packing_hash of the recorder
+  bool operator==(const Hashes&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Hashes& h) {
+  return os << "{state " << h.state << ", packing " << h.packing << "}";
+}
+
+Hashes hashes(const Dispatcher& d, const PackingRecorder& recorder) {
+  return {dispatcher_state_hash(d), packing_hash(recorder.packing())};
+}
+
+Hashes hashes(const persist::DurableDispatcher& durable) {
+  return hashes(durable.dispatcher(), durable.recorder());
+}
+
 /// Expected recovered state: a plain serial Dispatcher fed the first
 /// `ops` events (one journaled op per event).
-std::uint64_t prefix_hash(const char* policy_name, const Instance& inst,
-                          const std::vector<Event>& events,
-                          std::size_t ops) {
+Hashes prefix_hash(const char* policy_name, const Instance& inst,
+                   const std::vector<Event>& events, std::size_t ops) {
   PolicyPtr policy = make_policy(policy_name, kPolicySeed);
   Dispatcher reference(inst.dim(), *policy);
+  PackingRecorder recorder;
+  reference.set_recorder(&recorder);
   for (std::size_t i = 0; i < ops; ++i) {
     const Event& ev = events[i];
     const Item& item = inst[ev.item];
@@ -93,7 +114,7 @@ std::uint64_t prefix_hash(const char* policy_name, const Instance& inst,
       reference.depart(ev.time, item.id);
     }
   }
-  return dispatcher_state_hash(reference);
+  return hashes(reference, recorder);
 }
 
 /// Runs the full workload durably (no checkpoints, fsync off: one segment
@@ -129,7 +150,7 @@ void expect_prefix_recovery(const char* policy_name, const Instance& inst,
   persist::DurableDispatcher recovered(inst.dim(), *policy, opts);
   EXPECT_EQ(recovered.recovery().last_seq, expect_ops) << what;
   EXPECT_EQ(recovered.recovery().torn_tail, expect_torn) << what;
-  EXPECT_EQ(dispatcher_state_hash(recovered.dispatcher()),
+  EXPECT_EQ(hashes(recovered),
             prefix_hash(policy_name, inst, events, expect_ops))
       << what << ": recovered state != uninterrupted prefix run";
 }
@@ -266,9 +287,8 @@ TEST(CrashFuzz, EveryFaultPointRecoversToAPrefix) {
       opts.fsync = FsyncPolicy::kNone;
       persist::DurableDispatcher recovered(inst.dim(), *policy, opts);
       EXPECT_EQ(recovered.recovery().last_seq, expect_ops) << fault.point;
-      EXPECT_EQ(
-          dispatcher_state_hash(recovered.dispatcher()),
-          prefix_hash(policy_name, inst, events, expect_ops))
+      EXPECT_EQ(hashes(recovered),
+                prefix_hash(policy_name, inst, events, expect_ops))
           << fault.point << ": recovered state != prefix run";
     }
   }
@@ -287,7 +307,7 @@ TEST(CrashFuzz, MigrationTailEveryByteOffsetTruncateAndCorrupt) {
   const Instance inst = fuzz_instance();
   const std::vector<Event> events = build_event_stream(inst);
   TempDir base("migration_base");
-  std::uint64_t live_hash = 0;
+  Hashes live_hash;
   std::size_t ops_issued = 0;
   {
     PolicyPtr policy = make_policy("FirstFit", kPolicySeed);
@@ -314,7 +334,7 @@ TEST(CrashFuzz, MigrationTailEveryByteOffsetTruncateAndCorrupt) {
     }
     ASSERT_GT(rebalancer.stats().migrations, 0u)
         << "workload never triggered a migration";
-    live_hash = dispatcher_state_hash(durable.dispatcher());
+    live_hash = hashes(durable);
   }
 
   const auto segments = persist::journal_segments(base.str());
@@ -360,6 +380,8 @@ TEST(CrashFuzz, MigrationTailEveryByteOffsetTruncateAndCorrupt) {
   const auto record_prefix_hash = [&](std::size_t k) {
     PolicyPtr policy = make_policy("FirstFit", kPolicySeed);
     Dispatcher reference(inst.dim(), *policy);
+    PackingRecorder recorder;
+    reference.set_recorder(&recorder);
     for (std::size_t i = 0; i < k; ++i) {
       const persist::JournalRecord& rec = scan.records[i];
       switch (rec.kind) {
@@ -380,7 +402,7 @@ TEST(CrashFuzz, MigrationTailEveryByteOffsetTruncateAndCorrupt) {
           break;
       }
     }
-    return dispatcher_state_hash(reference);
+    return hashes(reference, recorder);
   };
 
   const std::string seg_name = fs::path(segments[0]).filename().string();
@@ -393,11 +415,11 @@ TEST(CrashFuzz, MigrationTailEveryByteOffsetTruncateAndCorrupt) {
     persist::DurableDispatcher recovered(inst.dim(), *policy, opts);
     EXPECT_EQ(recovered.recovery().last_seq, k) << what;
     EXPECT_EQ(recovered.recovery().torn_tail, torn) << what;
-    EXPECT_EQ(dispatcher_state_hash(recovered.dispatcher()),
-              record_prefix_hash(k))
+    EXPECT_EQ(hashes(recovered), record_prefix_hash(k))
         << what << ": recovered state != journal-record prefix replay";
     PackingInvariantChecker checker;
-    const auto err = checker.check(recovered.dispatcher());
+    const auto err =
+        checker.check(recovered.dispatcher(), &recovered.recorder());
     EXPECT_FALSE(err.has_value()) << what << ": " << *err;
   };
 
@@ -414,7 +436,7 @@ TEST(CrashFuzz, MigrationTailEveryByteOffsetTruncateAndCorrupt) {
     opts.fsync = FsyncPolicy::kNone;
     persist::DurableDispatcher recovered(inst.dim(), *policy, opts);
     ASSERT_EQ(recovered.recovery().last_seq, ops_issued);
-    ASSERT_EQ(dispatcher_state_hash(recovered.dispatcher()), live_hash)
+    ASSERT_EQ(hashes(recovered), live_hash)
         << "clean recovery diverged from the uninterrupted run";
   }
 
@@ -472,7 +494,7 @@ TEST(CrashFuzz, TenantCreditTailEveryByteOffsetTruncateAndCorrupt) {
 
   TempDir base("credits_base");
   std::vector<std::vector<std::uint8_t>> blobs;  // journaled, in order
-  std::uint64_t live_hash = 0;
+  Hashes live_hash;
   {
     PolicyPtr policy = make_policy("BestFit", kPolicySeed);
     tenancy::UsageAccountant accountant(kTenants);
@@ -501,7 +523,7 @@ TEST(CrashFuzz, TenantCreditTailEveryByteOffsetTruncateAndCorrupt) {
     arbiter.settle(events.back().time, accountant.cut_epoch());
     durable.settle_credits(events.back().time, arbiter.state_bytes());
     blobs.push_back(arbiter.state_bytes());
-    live_hash = dispatcher_state_hash(durable.dispatcher());
+    live_hash = hashes(durable);
   }
   ASSERT_GE(blobs.size(), 3u);
 
@@ -557,6 +579,8 @@ TEST(CrashFuzz, TenantCreditTailEveryByteOffsetTruncateAndCorrupt) {
 
     PolicyPtr ref_policy = make_policy("BestFit", kPolicySeed);
     Dispatcher reference(inst.dim(), *ref_policy);
+    PackingRecorder ref_recorder;
+    reference.set_recorder(&ref_recorder);
     tenancy::UsageAccountant ref_acc(kTenants);
     reference.set_usage_hook(&ref_acc);
     std::vector<std::uint8_t> expect_blob;
@@ -577,8 +601,7 @@ TEST(CrashFuzz, TenantCreditTailEveryByteOffsetTruncateAndCorrupt) {
           break;
       }
     }
-    EXPECT_EQ(dispatcher_state_hash(recovered.dispatcher()),
-              dispatcher_state_hash(reference))
+    EXPECT_EQ(hashes(recovered), hashes(reference, ref_recorder))
         << what << ": recovered state != journal-record prefix replay";
     EXPECT_EQ(recovered.recovery().tenant_credits, expect_blob)
         << what << ": wrong surviving credit blob";
@@ -617,7 +640,7 @@ TEST(CrashFuzz, TenantCreditTailEveryByteOffsetTruncateAndCorrupt) {
     opts.fsync = FsyncPolicy::kNone;
     persist::DurableDispatcher recovered(inst.dim(), *policy, opts);
     ASSERT_EQ(recovered.recovery().last_seq, scan.records.size());
-    ASSERT_EQ(dispatcher_state_hash(recovered.dispatcher()), live_hash);
+    ASSERT_EQ(hashes(recovered), live_hash);
     ASSERT_EQ(recovered.recovery().tenant_credits, blobs.back());
   }
   // Chopping off every credit frame leaves tenant_credits empty.
@@ -770,10 +793,12 @@ TEST(CrashFuzz, ShardedKilledMidDrainRecoversShardByShard) {
     total_recovered_ops += report.last_seq;
 
     // Rebuild shard s's substream (the order its queue received ops) and
-    // feed the surviving prefix to a serial replica.
+    // feed the surviving prefix to a serial replica, under the global
+    // job ids the shard admits its jobs under.
     PolicyPtr policy = make_policy("MoveToFront", kPolicySeed);
     Dispatcher replica(inst.dim(), *policy);
-    std::vector<JobId> local_of_global(inst.size(), kNoItem);
+    PackingRecorder recorder;
+    replica.set_recorder(&recorder);
     std::uint64_t applied = 0;
     for (const Event& ev : events) {
       if (applied >= report.last_seq) break;
@@ -781,25 +806,20 @@ TEST(CrashFuzz, ShardedKilledMidDrainRecoversShardByShard) {
       if (shard_of(job) != s) continue;
       const Item& item = inst[ev.item];
       if (ev.kind == EventKind::kArrival) {
-        local_of_global[job] =
-            static_cast<JobId>(replica.jobs_admitted());
-        replica.arrive(item.arrival, item.size, item.departure);
+        replica.arrive(item.arrival,
+                       Item(job, item.arrival, item.departure, item.size));
       } else {
-        replica.depart(ev.time, local_of_global[job]);
+        replica.depart(ev.time, job);
       }
       ++applied;
     }
     ASSERT_EQ(applied, report.last_seq);
     EXPECT_EQ(recovered.shard_jobs_admitted(s), replica.jobs_admitted());
+    EXPECT_EQ(dispatcher_state_hash(recovered.shard_dispatcher(s)),
+              dispatcher_state_hash(replica))
+        << "shard " << s << " live state diverged from its journaled prefix";
     EXPECT_EQ(packing_hash(recovered.shard_packing(s)),
-              packing_hash([&] {
-                std::vector<BinId> assignment(replica.jobs_admitted(),
-                                              kNoBin);
-                for (const BinRecord& rec : replica.records()) {
-                  for (ItemId it : rec.items) assignment[it] = rec.id;
-                }
-                return Packing(std::move(assignment), replica.records());
-              }()))
+              packing_hash(recorder.packing()))
         << "shard " << s << " diverged from its journaled prefix";
   }
   // Exactly one shard lost its tail; the others recovered every op they
@@ -849,6 +869,45 @@ TEST(ShardedReopen, FewerShardsThanTheJournalIsRefused) {
   EXPECT_THROW(open(1), persist::PersistError);
   const auto reopened = open(2);
   EXPECT_EQ(reopened->jobs_active(), 4u);
+}
+
+// rebalance_shards moves the largest job that fits half the gap, ties going
+// to the job the shard admitted first -- not the lowest id. Shard 1 holds
+// job 1 (admitted there first) and job 0 (moved in later), both of size
+// 0.2; after a recovery from the shard checkpoints, job 1 still moves.
+TEST(ShardedReopen, RebalanceTiesGoByAdmissionOrderAcrossACheckpoint) {
+  TempDir dir("rebalance_ties");
+  cloud::ShardedOptions options;
+  options.shards = 2;
+  options.router = cloud::RouterKind::kRoundRobin;
+  options.journal_dir = dir.str();
+  options.fsync = FsyncPolicy::kNone;
+  options.checkpoint_every = 1;
+  const auto factory = [](std::size_t) {
+    return make_policy("FirstFit", kPolicySeed);
+  };
+  cloud::ShardRebalanceConfig one_move;
+  one_move.skew_ratio = 1.0;
+  one_move.min_gap = 0.0;
+  one_move.max_moves = 1;
+  {
+    cloud::ShardedDispatcher service(1, factory, options);
+    service.arrive(0.0, RVec{0.2});  // job 0 -> shard 0
+    service.arrive(1.0, RVec{0.2});  // job 1 -> shard 1
+    service.arrive(2.0, RVec{0.7});  // job 2 -> shard 0
+    service.drain();
+    ASSERT_EQ(service.rebalance_shards(3.0, one_move).moves, 1u);
+    ASSERT_EQ(service.shard_of(0), 1u);
+    service.arrive(4.0, RVec{0.9});   // job 3 -> shard 1
+    service.arrive(5.0, RVec{0.05});  // job 4 -> shard 0
+    service.drain();
+  }
+  cloud::ShardedDispatcher recovered(1, factory, options);
+  EXPECT_TRUE(recovered.shard_recovery(1).had_checkpoint);
+  EXPECT_EQ(recovered.job_item(0).arrival, 3.0);  // admitted by the move
+  ASSERT_EQ(recovered.rebalance_shards(6.0, one_move).moves, 1u);
+  EXPECT_EQ(recovered.shard_of(1), 0u);
+  EXPECT_EQ(recovered.shard_of(0), 1u);
 }
 
 }  // namespace

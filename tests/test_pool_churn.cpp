@@ -1,13 +1,14 @@
-// Allocator-churn soup for the slab/pool memory layout (ISSUE 8): the
-// UsagePool free-list, the StableVector bin/item slabs, and the SoA
-// OpenBinTable all recycle storage aggressively, so this suite hammers
-// arrive/depart/evict/replace interleavings and audits the dispatcher
+// Allocator-churn soup for the slab/pool memory layout: the UsagePool
+// free-list, the pooled BinStates, the live-job table and its IdMap, and
+// the SoA OpenBinTable all recycle storage aggressively, so this suite
+// hammers arrive/depart/evict/replace interleavings and audits the dispatcher
 // with PackingInvariantChecker throughout. It is part of the default
 // test set and therefore runs under the ASan/UBSan `sanitizers` CI job,
 // where a stale node index, a use-after-release, or an out-of-bounds
 // lane write dies loudly instead of corrupting a later placement.
 #include <gtest/gtest.h>
 
+#include <unordered_map>
 #include <vector>
 
 #include "core/bin_state.hpp"
@@ -35,6 +36,8 @@ TEST(PoolChurn, ArriveDepartSoupKeepsInvariants) {
   for (std::size_t d : {2u, 9u}) {  // straddles RVec::kInlineDim = 8
     PolicyPtr policy = make_policy("BestFit", 99);
     Dispatcher dispatcher(d, *policy);
+    PackingRecorder recorder;
+    dispatcher.set_recorder(&recorder);
     PackingInvariantChecker checker;
     Xoshiro256pp rng(0xC0FFEE + d);
 
@@ -54,7 +57,7 @@ TEST(PoolChurn, ArriveDepartSoupKeepsInvariants) {
         live.push_back(dispatcher.arrive(now, random_size(rng, d)).job);
       }
       if (step % 250 == 0) {
-        const auto violation = checker.check(dispatcher);
+        const auto violation = checker.check(dispatcher, &recorder);
         ASSERT_FALSE(violation.has_value()) << *violation << " at step "
                                             << step << " d=" << d;
       }
@@ -65,7 +68,7 @@ TEST(PoolChurn, ArriveDepartSoupKeepsInvariants) {
       live.pop_back();
     }
     EXPECT_EQ(dispatcher.open_bins(), 0u);
-    const auto violation = checker.check(dispatcher);
+    const auto violation = checker.check(dispatcher, &recorder);
     EXPECT_FALSE(violation.has_value()) << *violation;
   }
 }
@@ -78,6 +81,8 @@ TEST(PoolChurn, EvictReplaceRecyclesNodesSafely) {
   const std::size_t d = 5;
   PolicyPtr policy = make_policy("FirstFit", 7);
   Dispatcher dispatcher(d, *policy);
+  PackingRecorder recorder;
+  dispatcher.set_recorder(&recorder);
   PackingInvariantChecker checker;
   Xoshiro256pp rng(0xBADF00D);
 
@@ -108,7 +113,7 @@ TEST(PoolChurn, EvictReplaceRecyclesNodesSafely) {
       placed.push_back(dispatcher.arrive(now, random_size(rng, d)).job);
     }
     if (step % 200 == 0) {
-      const auto violation = checker.check(dispatcher);
+      const auto violation = checker.check(dispatcher, &recorder);
       ASSERT_FALSE(violation.has_value()) << *violation << " at step "
                                           << step;
     }
@@ -125,7 +130,7 @@ TEST(PoolChurn, EvictReplaceRecyclesNodesSafely) {
   }
   EXPECT_EQ(dispatcher.open_bins(), 0u);
   EXPECT_EQ(dispatcher.jobs_active(), 0u);
-  const auto violation = checker.check(dispatcher);
+  const auto violation = checker.check(dispatcher, &recorder);
   EXPECT_FALSE(violation.has_value()) << *violation;
 }
 
@@ -142,6 +147,8 @@ TEST(OpenBinHoles, NeverLeakIntoDecisionsOrState) {
     const std::size_t d = 3;
     PolicyPtr policy = make_policy(name, 5);
     Dispatcher dispatcher(d, *policy);
+    PackingRecorder recorder;
+    dispatcher.set_recorder(&recorder);
     PackingInvariantChecker checker;
     Xoshiro256pp rng(0x401E5);
 
@@ -173,7 +180,7 @@ TEST(OpenBinHoles, NeverLeakIntoDecisionsOrState) {
         limbo.pop_back();
         std::vector<BinId> fitting;
         for (const BinView& view : dispatcher.open_views()) {
-          if (view.fits(dispatcher.items()[job].size)) {
+          if (view.fits(dispatcher.job(job)->size)) {
             fitting.push_back(view.id);
           }
         }
@@ -206,7 +213,7 @@ TEST(OpenBinHoles, NeverLeakIntoDecisionsOrState) {
         placed.push_back(admitted.job);
       }
 
-      const auto violation = checker.check(dispatcher);
+      const auto violation = checker.check(dispatcher, &recorder);
       ASSERT_FALSE(violation.has_value()) << *violation << " at step " << step;
       const auto views = dispatcher.open_views();
       std::size_t live = 0;
@@ -240,24 +247,80 @@ TEST(PoolChurn, StableVectorReferencesSurviveGrowth) {
   EXPECT_EQ(&items[0], first_addr);
   EXPECT_EQ(first.id, 0u);
   EXPECT_EQ(items.size(), 1000u);
-  // Iteration visits every element in insertion order.
-  ItemId expect = 0;
-  for (const Item& item : items) EXPECT_EQ(item.id, expect++);
+  for (ItemId id = 0; id < 1000; ++id) EXPECT_EQ(items[id].id, id);
 }
 
-// The dispatcher's items() slab specifically: an Item reference taken at
-// admission must stay valid (same address, same bits) after thousands of
-// further arrivals force many new chunks.
-TEST(PoolChurn, DispatcherItemReferencesAreStable) {
+// The live-job table recycles the slots of departed jobs: a job admitted
+// first keeps its item bits while thousands of later jobs come and go
+// through the slots around it, and a departed id is gone for good.
+TEST(PoolChurn, LiveJobTableKeepsAJobThroughSlotReuse) {
   PolicyPtr policy = make_policy("NextFit", 1);
   Dispatcher dispatcher(2, *policy);
   const auto first = dispatcher.arrive(0.0, RVec{0.3, 0.2});
-  const Item* addr = &dispatcher.items()[first.job];
   for (int i = 1; i < 2000; ++i) {
-    dispatcher.arrive(0.001 * i, RVec{0.01, 0.01});
+    const auto job = dispatcher.arrive(0.001 * i, RVec{0.01, 0.01}).job;
+    if (i % 3 != 0) dispatcher.depart(0.001 * i, job);
   }
-  EXPECT_EQ(&dispatcher.items()[first.job], addr);
-  EXPECT_DOUBLE_EQ(addr->size[0], 0.3);
+  const Item* item = dispatcher.job(first.job);
+  ASSERT_NE(item, nullptr);
+  EXPECT_DOUBLE_EQ(item->size[0], 0.3);
+  EXPECT_EQ(dispatcher.bin_of(first.job), first.bin);
+  EXPECT_EQ(dispatcher.job(1), nullptr);  // departed
+  EXPECT_EQ(dispatcher.jobs_active(), 1u + 1999u / 3u);
+}
+
+// IdMap against std::unordered_map under insert/erase churn: backward-
+// shift deletion must keep every surviving key reachable.
+TEST(PoolChurn, IdMapFindsEveryMappedKeyThroughChurn) {
+  IdMap map;
+  std::unordered_map<std::uint32_t, std::uint32_t> want;
+  Xoshiro256pp rng(0x1D3A9);
+  for (int step = 0; step < 20000; ++step) {
+    // Few distinct keys: long probe runs, many erase-then-reinsert cycles.
+    const auto key = static_cast<std::uint32_t>(rng.uniform_int(0, 511));
+    if (want.count(key) > 0) {
+      map.erase(key);
+      want.erase(key);
+    } else {
+      const auto slot = static_cast<std::uint32_t>(step);
+      map.insert(key, slot);
+      want.emplace(key, slot);
+    }
+    ASSERT_EQ(map.size(), want.size());
+  }
+  for (std::uint32_t key = 0; key < 512; ++key) {
+    const auto it = want.find(key);
+    EXPECT_EQ(map.find(key), it == want.end() ? IdMap::kAbsent : it->second)
+        << "key " << key;
+  }
+}
+
+// The checker audits a dispatcher that admitted jobs under their ItemIds
+// (simulate() does, whenever a CSV's rows are not in arrival order): it
+// looks each listed job up by id, not by admission rank.
+TEST(InvariantChecker, AcceptsJobsAdmittedUnderItemIdsOutOfOrder) {
+  PolicyPtr policy = make_policy("FirstFit", 1);
+  Dispatcher dispatcher(1, *policy);
+  PackingRecorder recorder;
+  dispatcher.set_recorder(&recorder);
+  PackingInvariantChecker checker;
+  dispatcher.arrive(0.0, Item(7, 0.0, 100.0, RVec{0.6}));  // bin 0
+  dispatcher.arrive(1.0, Item(3, 1.0, 100.0, RVec{0.6}));  // bin 1
+  dispatcher.arrive(2.0, Item(9, 2.0, 100.0, RVec{0.3}));  // bin 0
+  const auto violation = checker.check(dispatcher, &recorder);
+  EXPECT_FALSE(violation.has_value()) << *violation;
+}
+
+TEST(InvariantChecker, AcceptsAnItemIdBelowItsAdmissionRank) {
+  PolicyPtr policy = make_policy("FirstFit", 1);
+  Dispatcher dispatcher(1, *policy);
+  PackingRecorder recorder;
+  dispatcher.set_recorder(&recorder);
+  PackingInvariantChecker checker;
+  dispatcher.arrive(0.0, Item(1, 0.0, 100.0, RVec{0.6}));  // bin 0
+  dispatcher.arrive(1.0, Item(0, 1.0, 100.0, RVec{0.6}));  // bin 1
+  const auto violation = checker.check(dispatcher, &recorder);
+  EXPECT_FALSE(violation.has_value()) << *violation;
 }
 
 // UsagePool free-list unit semantics: release makes the slot available

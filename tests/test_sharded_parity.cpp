@@ -201,37 +201,26 @@ TEST(ShardedParity, PerShardPackingMatchesSerialSubsequence) {
         feed_and_drain(service, inst, events);
 
         for (std::size_t s = 0; s < kShards; ++s) {
-          // Serial replay of shard s's substream, in admission order.
+          // Serial replay of shard s's substream, in admission order,
+          // under the global job ids (== ItemIds: one producer).
           PolicyPtr serial_policy = make_policy(policy_name, kPolicySeed);
           Dispatcher serial(inst.dim(), *serial_policy);
-          std::vector<JobId> local_of_global(inst.size(), kNoItem);
+          PackingRecorder recorder;
+          serial.set_recorder(&recorder);
           for (const Event& ev : events) {
             const Item& item = inst[ev.item];
             if (service.shard_of(item.id) != s) continue;
             if (ev.kind == EventKind::kArrival) {
-              local_of_global[item.id] = static_cast<JobId>(
-                  serial.jobs_admitted());
-              serial.arrive(item.arrival, item.size, item.departure);
+              serial.arrive(item.arrival, item);
             } else {
-              serial.depart(ev.time, local_of_global[item.id]);
+              serial.depart(ev.time, item.id);
             }
           }
-          std::vector<BinId> serial_assignment(serial.jobs_admitted(),
-                                               kNoBin);
-          for (const BinRecord& rec : serial.records()) {
-            for (ItemId it : rec.items) serial_assignment[it] = rec.id;
-          }
-          const Packing want(std::move(serial_assignment), serial.records());
           expect_same_packing(
-              service.shard_packing(s), want,
+              service.shard_packing(s), recorder.packing(),
               name + "/" + policy_name + "/" +
                   std::string(cloud::router_name(kind)) + " shard " +
                   std::to_string(s));
-          // Local -> global job mapping is the substream admission order.
-          for (JobId g = 0; g < inst.size(); ++g) {
-            if (local_of_global[g] == kNoItem) continue;
-            EXPECT_EQ(service.global_job(s, local_of_global[g]), g);
-          }
         }
       }
     }
@@ -251,24 +240,24 @@ TEST(ShardedParity, GlobalCostIsSumOfShardCostsAtEveryProbe) {
                                    options);
   feed_and_drain(service, inst, events);
 
-  // Independent serial replays of each shard's substream.
+  // Independent serial replays of each shard's substream, recording so
+  // that they answer historical cost queries.
   std::vector<std::unique_ptr<Dispatcher>> serial;
   std::vector<PolicyPtr> serial_policies;
-  std::vector<JobId> local_of_global(inst.size(), kNoItem);
+  std::vector<PackingRecorder> recorders(kShards);
   for (std::size_t s = 0; s < kShards; ++s) {
     serial_policies.push_back(make_policy("MoveToFront", kPolicySeed));
     serial.push_back(
         std::make_unique<Dispatcher>(inst.dim(), *serial_policies.back()));
+    serial.back()->set_recorder(&recorders[s]);
   }
   for (const Event& ev : events) {
     const Item& item = inst[ev.item];
     const std::size_t s = service.shard_of(item.id);
     if (ev.kind == EventKind::kArrival) {
-      local_of_global[item.id] =
-          static_cast<JobId>(serial[s]->jobs_admitted());
-      serial[s]->arrive(item.arrival, item.size, item.departure);
+      serial[s]->arrive(item.arrival, item);
     } else {
-      serial[s]->depart(ev.time, local_of_global[item.id]);
+      serial[s]->depart(ev.time, item.id);
     }
   }
 

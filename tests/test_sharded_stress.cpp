@@ -137,9 +137,8 @@ TEST(ShardedStress, RacingProducersPlaceEveryItemExactlyOnce) {
       std::vector<Edge> edges;
       Time first_arrival = 0.0, last_departure = 0.0;
       bool first = true;
-      for (ItemId local_id : rec.items) {
-        const Item& item = service.job_item(service.global_job(
-            s, local_id));
+      for (const JobId job : rec.items) {
+        const Item& item = service.job_item(job);
         ASSERT_LE(item.arrival, item.departure);
         edges.push_back({item.arrival, true, &item});
         edges.push_back({item.departure, false, &item});

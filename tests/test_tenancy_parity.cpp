@@ -91,6 +91,8 @@ Packing run_labeled_dispatcher(const Instance& inst,
                                tenancy::UsageAccountant* accountant) {
   const PolicyPtr policy = make_policy(policy_name, kPolicySeed);
   Dispatcher dispatcher(inst.dim(), *policy);
+  PackingRecorder recorder;
+  dispatcher.set_recorder(&recorder);
   if (accountant != nullptr) dispatcher.set_usage_hook(accountant);
   for (const Event& ev : build_event_stream(inst)) {
     const Item& item = inst[ev.item];
@@ -101,7 +103,7 @@ Packing run_labeled_dispatcher(const Instance& inst,
       dispatcher.depart(ev.time, item.id);
     }
   }
-  return dispatcher.packing();
+  return std::move(recorder).packing();
 }
 
 // Serial: labels + live accounting reproduce every golden hash.
