@@ -11,7 +11,6 @@
 #include "core/serial.hpp"
 #include "obs/trace.hpp"
 #include "persist/checkpoint.hpp"
-#include "persist/fault.hpp"
 
 namespace dvbp::cloud {
 
@@ -62,6 +61,85 @@ std::vector<double> batch_size_bounds(std::size_t max_batch) {
 
 }  // namespace
 
+/// A shard's usage hook, the one listener of its engine's Dispatcher. It
+/// writes each job's admission record into the job table on every apply
+/// and every replay alike, meters the shard's tenants, and carries both
+/// across a checkpoint: the Items of the departed jobs this shard owns
+/// (the live ones ride in the dispatcher state), then the tenant ledger.
+class ShardedDispatcher::Listener final : public TenantUsageHook {
+ public:
+  Listener(ShardedDispatcher& service, std::uint32_t shard)
+      : service_(service), shard_(shard) {
+    if (service.options_.tenants > 0) {
+      accountant_.emplace(service.options_.tenants);
+    }
+  }
+  Listener(const Listener&) = delete;  // its engine holds its address
+  Listener& operator=(const Listener&) = delete;
+
+  tenancy::UsageAccountant* accountant() {
+    return accountant_ ? &*accountant_ : nullptr;
+  }
+
+  void on_arrive(const Item& job, Time now, std::size_t open_bins) override {
+    if (accountant_) accountant_->on_arrive(job, now, open_bins);
+    claim(job);
+  }
+  void on_depart(const Item& job, Time now, std::size_t open_bins) override {
+    if (accountant_) accountant_->on_depart(job, now, open_bins);
+    claim(job);
+  }
+  void on_advance(Time now, std::size_t open_bins) override {
+    if (accountant_) accountant_->on_advance(now, open_bins);
+  }
+
+  void save_state(serial::Writer& out) const override {
+    const persist::DurableDispatcher& engine =
+        *service_.shards_[shard_]->engine;
+    const std::vector<BinId>& placed = engine.recorder().assignment();
+    std::vector<const Item*> departed;
+    for (JobId job = 0; job < placed.size(); ++job) {
+      if (placed[job] == kNoBin || engine.dispatcher().job(job) != nullptr) {
+        continue;
+      }
+      const JobRec& rec = service_.job_rec(job);
+      if (rec.shard.load(std::memory_order_acquire) == shard_) {
+        departed.push_back(&rec.item);
+      }
+    }
+    out.u64(departed.size());
+    for (const Item* item : departed) item->save_state(out);
+    if (accountant_) accountant_->save_state(out);
+  }
+
+  void restore_state(serial::Reader& in) override {
+    const std::uint64_t n = in.u64();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      claim(Item::restore_state(in, service_.dim_));
+    }
+    // Tenancy checkpoints end with the shard accountant's ledger.
+    if (in.done()) return;
+    if (!accountant_) {
+      throw persist::PersistError(
+          "ShardedDispatcher: shard checkpoint carries tenant state but "
+          "tenancy is off (set ShardedOptions::tenants)");
+    }
+    accountant_->restore_state(in);
+  }
+
+ private:
+  /// `job` is now the job's record, on this shard.
+  void claim(const Item& job) {
+    JobRec& rec = service_.job_slot(job.id);
+    rec.item = job;
+    rec.shard.store(shard_, std::memory_order_release);
+  }
+
+  ShardedDispatcher& service_;
+  std::uint32_t shard_;
+  std::optional<tenancy::UsageAccountant> accountant_;
+};
+
 ShardedDispatcher::ShardedDispatcher(std::size_t dim,
                                      const PolicyFactory& factory,
                                      ShardedOptions options)
@@ -93,7 +171,14 @@ ShardedDispatcher::ShardedDispatcher(std::size_t dim,
   }
 
   router_ = make_router(options_.router, options_.shards);
+  if (!options_.journal_dir.empty()) {
+    refuse_orphan_shards(options_.journal_dir, options_.shards);
+  }
 
+  // Each shard's engine recovers its directory as it is built -- each
+  // shard independently, no cross-shard coordination -- and its listener
+  // writes what it replays into the job table. Runs before the workers
+  // start, so recovery needs no locks.
   shards_.reserve(options_.shards);
   for (std::size_t s = 0; s < options_.shards; ++s) {
     auto shard = std::make_unique<Shard>();
@@ -109,14 +194,22 @@ ShardedDispatcher::ShardedDispatcher(std::size_t dim,
       shard->observer =
           std::make_unique<obs::Observer>(options_.metrics, tracer);
     }
-    shard->dispatcher = std::make_unique<Dispatcher>(
-        dim_, *shard->policy, options_.bin_capacity, shard->observer.get());
-    shard->dispatcher->set_recorder(&shard->recorder);
-    if (options_.tenants > 0) {
-      shard->accountant =
-          std::make_unique<tenancy::UsageAccountant>(options_.tenants);
-      shard->dispatcher->set_usage_hook(shard->accountant.get());
+    shard->listener =
+        std::make_unique<Listener>(*this, static_cast<std::uint32_t>(s));
+    persist::DurableOptions durable;
+    if (!options_.journal_dir.empty()) {
+      durable.dir = options_.journal_dir + "/shard-" + std::to_string(s);
     }
+    durable.fsync = options_.fsync;
+    durable.fsync_interval_ops = options_.fsync_interval_ops;
+    durable.checkpoint_every = options_.checkpoint_every;
+    durable.metrics = options_.metrics;
+    durable.observer = shard->observer.get();
+    durable.usage_hook = shard->listener.get();
+    shard->engine = std::make_unique<persist::DurableDispatcher>(
+        dim_, *shard->policy, std::move(durable), options_.bin_capacity);
+    shard->load_snapshot.store(shard->engine->dispatcher().total_active_load(),
+                               std::memory_order_relaxed);
     if (options_.metrics != nullptr) {
       const std::string prefix = "dvbp.shard." + std::to_string(s) + ".";
       shard->queue_depth = &options_.metrics->gauge(prefix + "queue_depth");
@@ -129,115 +222,62 @@ ShardedDispatcher::ShardedDispatcher(std::size_t dim,
     }
     shards_.push_back(std::move(shard));
   }
-  // Durable mode: recover every shard from its journal directory -- each
-  // shard independently, no cross-shard coordination -- then rebuild the
-  // global job table and router state from the recovered shards. Runs
-  // before the workers start, so recovery needs no locks.
-  if (!options_.journal_dir.empty()) {
-    refuse_orphan_shards(options_.journal_dir, shards_.size());
-    std::vector<std::vector<Item>> departed(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      recover_shard(s, departed[s]);
-    }
-    rebuild_job_table(departed);
-  }
+  rebuild_job_table();
   // Workers start only after every shard is fully constructed.
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->worker = std::thread([this, s] { worker_loop(s); });
   }
 }
 
-std::string ShardedDispatcher::shard_journal_dir(
-    std::size_t shard_idx) const {
-  return options_.journal_dir + "/shard-" + std::to_string(shard_idx);
+ShardedDispatcher::JobRec& ShardedDispatcher::job_slot(std::uint64_t job) {
+  if (job >= static_cast<std::uint64_t>(kMaxChunks) * kJobChunkSize) {
+    throw std::length_error("ShardedDispatcher: job id space exhausted");
+  }
+  const std::size_t chunk = job >> kJobChunkBits;
+  if (job_chunks_[chunk].load(std::memory_order_acquire) == nullptr) {
+    std::lock_guard<std::mutex> lock(chunk_mu_);
+    if (job_chunks_[chunk].load(std::memory_order_relaxed) == nullptr) {
+      job_chunks_[chunk].store(new JobRec[kJobChunkSize],
+                               std::memory_order_release);
+    }
+  }
+  return job_rec(static_cast<JobId>(job));
 }
 
-// Restores shard `shard_idx` and collects the items of the jobs it saw
-// depart -- from its checkpoint and its journal tail -- into `departed`.
-void ShardedDispatcher::recover_shard(std::size_t shard_idx,
-                                      std::vector<Item>& departed) {
-  Shard& shard = *shards_[shard_idx];
-  shard.journal_path = shard_journal_dir(shard_idx);
-  shard.recovery = persist::recover_dispatcher(
-      shard.journal_path, options_.metrics, *shard.dispatcher, *shard.policy,
-      [&](serial::Reader& extra) {
-        shard.recorder.restore_state(extra);
-        const std::uint64_t n = extra.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-          departed.push_back(Item::restore_state(extra, dim_));
-        }
-        // Tenancy checkpoints end with the shard accountant's ledger.
-        if (!extra.done()) {
-          if (shard.accountant == nullptr) {
-            throw persist::PersistError(
-                "ShardedDispatcher: shard checkpoint carries tenant state "
-                "but tenancy is off (set ShardedOptions::tenants)");
-          }
-          shard.accountant->restore_state(extra);
-        }
-      },
-      [&](const persist::JournalRecord& rec) {
-        if (rec.kind != persist::OpKind::kDepart) return;
-        if (const Item* item = shard.dispatcher->job(
-                static_cast<JobId>(rec.job))) {
-          departed.push_back(*item);
-          departed.back().departure = rec.time;
-        }
-      });
-  persist::JournalOptions jopts;
-  jopts.fsync = options_.fsync;
-  jopts.fsync_interval_ops = options_.fsync_interval_ops;
-  jopts.metrics = options_.metrics;
-  shard.journal = std::make_unique<persist::JournalWriter>(
-      shard.journal_path, shard.recovery.next_seq, jopts);
-  shard.load_snapshot.store(shard.dispatcher->total_active_load(),
-                            std::memory_order_relaxed);
-}
-
-void ShardedDispatcher::rebuild_job_table(
-    const std::vector<std::vector<Item>>& departed) {
+// After recovery the job table holds what the shards' listeners restored
+// and replayed. A job live on a shard belongs to that shard, whatever
+// other shards' histories say of it: a cross-shard move departs the job on
+// its source and re-admits it on its destination. A job live nowhere
+// belongs to the shard whose history names it; a completed journaled
+// rebalance pass checkpoints every shard it touched, so after it only the
+// job's last shard does.
+void ShardedDispatcher::rebuild_job_table() {
   std::uint64_t next = 0;
   for (const auto& shard : shards_) {
-    next = std::max<std::uint64_t>(next, shard->recorder.assignment().size());
+    next = std::max<std::uint64_t>(
+        next, shard->engine->recorder().assignment().size());
   }
   if (next == 0) return;  // cold start
-  if (next > static_cast<std::uint64_t>(kMaxChunks) * kJobChunkSize) {
-    throw persist::PersistError(
-        "ShardedDispatcher: recovered job ids exceed the job table");
-  }
   next_job_.store(next, std::memory_order_release);
-  const std::size_t chunks =
-      (static_cast<std::size_t>(next) + kJobChunkSize - 1) >> kJobChunkBits;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    job_chunks_[c].store(new JobRec[kJobChunkSize],
-                         std::memory_order_release);
-  }
   // Default every recovered id to "departed": an id whose arrival frame
   // did not survive on its shard (it was admitted but lost in the crash)
   // must make a stale depart() fail cleanly.
   for (std::uint64_t id = 0; id < next; ++id) {
-    job_rec(static_cast<JobId>(id))
-        .departed.store(true, std::memory_order_relaxed);
+    job_slot(id).departed.store(true, std::memory_order_relaxed);
   }
-  // A cross-shard-migrated job (rebalance_shards: depart on the source,
-  // arrive on the destination) appears in both shards' histories. The
-  // shard where it is still live owns it; when it is live nowhere
-  // (migrated then departed) the lowest shard's claim stands.
-  const auto claim = [this](std::size_t s, const Item& item, bool live) {
-    JobRec& rec = job_rec(item.id);
-    if (rec.item.id != kNoItem && !live) return;
-    rec.shard.store(static_cast<std::uint32_t>(s), std::memory_order_relaxed);
-    rec.departed.store(!live, std::memory_order_relaxed);
-    rec.item = item;
-  };
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    for (const Item& item : departed[s]) claim(s, item, false);
-    shards_[s]->dispatcher->for_each_job(
-        [&](const Dispatcher::LiveJob& job) { claim(s, job.item, true); });
+    shards_[s]->engine->dispatcher().for_each_job(
+        [&](const Dispatcher::LiveJob& job) {
+          JobRec& rec = job_rec(job.item.id);
+          rec.shard.store(static_cast<std::uint32_t>(s),
+                          std::memory_order_relaxed);
+          rec.departed.store(false, std::memory_order_relaxed);
+          rec.item = job.item;
+        });
   }
   // Round-robin's counter advanced once per admission in the original
   // run; rendezvous is a pure function and least-usage re-derives from
-  // the load snapshots refreshed in recover_shard().
+  // the load snapshots the shards refreshed after recovering.
   router_->restore_persistent_state(next);
 }
 
@@ -253,9 +293,6 @@ ShardedDispatcher::~ShardedDispatcher() {
   }
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
-  }
-  for (auto& chunk : job_chunks_) {
-    delete[] chunk.load(std::memory_order_acquire);
   }
 }
 
@@ -294,24 +331,13 @@ ShardedDispatcher::Op ShardedDispatcher::prepare_arrive(
   }
 
   const std::uint64_t id = next_job_.fetch_add(1, std::memory_order_relaxed);
-  if (id >= static_cast<std::uint64_t>(kMaxChunks) * kJobChunkSize) {
-    throw std::length_error(
-        "ShardedDispatcher::arrive: job id space exhausted");
-  }
-  const JobId job = static_cast<JobId>(id);
-  const std::size_t chunk = job >> kJobChunkBits;
-  if (job_chunks_[chunk].load(std::memory_order_acquire) == nullptr) {
-    std::lock_guard<std::mutex> lock(chunk_mu_);
-    if (job_chunks_[chunk].load(std::memory_order_relaxed) == nullptr) {
-      job_chunks_[chunk].store(new JobRec[kJobChunkSize],
-                               std::memory_order_release);
-    }
-  }
+  JobRec& rec = job_slot(id);
+  const auto job = static_cast<JobId>(id);
   if (router_->kind() != RouterKind::kLeastUsage) {
     target = router_->route(job, {});
   }
-  job_rec(job).shard.store(static_cast<std::uint32_t>(target),
-                           std::memory_order_release);
+  rec.shard.store(static_cast<std::uint32_t>(target),
+                  std::memory_order_release);
 
   Op op;
   op.kind = Op::Kind::kArrive;
@@ -545,28 +571,14 @@ void ShardedDispatcher::worker_loop(std::size_t shard_idx) {
   }
 }
 
-// A failure (I/O error, injected fault) permanently kills the shard's
-// journal -- memory may now be ahead of the durable state, so the service
-// must be abandoned and recovered; the error surfaces through drain().
-template <typename Write>
-bool ShardedDispatcher::journal(Shard& shard, Write&& write) {
-  if (shard.journal == nullptr || shard.journal_dead) return false;
-  try {
-    write(*shard.journal);
-    return true;
-  } catch (...) {
-    shard.journal_dead = true;
-    record_worker_error();
-    return false;
-  }
-}
-
 void ShardedDispatcher::apply_batch(Shard& shard, std::vector<Op>& batch,
                                     std::vector<Completion>& completions) {
   std::lock_guard<std::mutex> lock(shard.mu);
-  Dispatcher& dispatcher = *shard.dispatcher;
+  persist::DurableDispatcher& engine = *shard.engine;
   std::size_t since_snapshot = 0;
-  std::size_t journaled_ops = 0;
+  // Group commit: the whole drained batch goes down with one write(2) and
+  // at most one fsync.
+  engine.begin_batch();
   for (Op& op : batch) {
     if (op.sink != nullptr) {
       completions.push_back({std::move(op.sink), op.cookie, op.job});
@@ -576,41 +588,29 @@ void ShardedDispatcher::apply_batch(Shard& shard, std::vector<Op>& batch,
       // op's timestamp may lag the shard clock; it is applied at the clock
       // (the way an ingestion front-end stamps requests). Single-producer
       // feeds are monotone and never clamped.
-      const Time t = std::max(op.time, dispatcher.last_event_time());
+      const Time t = std::max(op.time, engine.dispatcher().last_event_time());
       if (op.kind == Op::Kind::kArrive) {
+        if (router_->kind() == RouterKind::kLeastUsage) {
+          shard.pending_arrivals.fetch_sub(1, std::memory_order_relaxed);
+        }
         // The advisory departure can be overtaken by the clamp; it is only
         // a clairvoyant hint, so degrade it to "unknown" rather than throw.
+        // The journal records exactly what arrive() is called with --
+        // post-clamp time, degraded hint -- so replay reproduces the run
+        // bit-exactly by passing the frame verbatim.
         const Time expected =
             op.expected_departure > t
                 ? op.expected_departure
                 : std::numeric_limits<Time>::infinity();
-        // The job table keeps the admitted item (worker-owned: the only
-        // other readers are quiescent accessors, which synchronize through
-        // ops_applied_ in drain()), and the journal records exactly what
-        // arrive() is called with -- post-clamp time, degraded hint -- so
-        // replay reproduces the run bit-exactly by passing the frame
-        // verbatim.
-        Item& item = job_rec(op.job).item;
-        item = Item(op.job, t, expected, std::move(op.size), op.tenant);
-        dispatcher.arrive(t, item);
-        if (router_->kind() == RouterKind::kLeastUsage) {
-          shard.pending_arrivals.fetch_sub(1, std::memory_order_relaxed);
-        }
-        journaled_ops += journal(shard, [&](persist::JournalWriter& j) {
-          j.append(persist::OpKind::kArrive, t, op.job, expected, &item.size,
-                   kNoBin, false, op.tenant);
-        });
+        engine.arrive(t, Item(op.job, t, expected, std::move(op.size),
+                              op.tenant));
       } else {
-        dispatcher.depart(t, op.job);
-        job_rec(op.job).item.departure = t;
-        journaled_ops += journal(shard, [&](persist::JournalWriter& j) {
-          j.append(persist::OpKind::kDepart, t, op.job);
-        });
+        engine.depart(t, op.job);
       }
     } catch (...) {
       // A failure here is a service bug (producer-side validation screens
-      // caller mistakes); remember the first error for drain() and keep
-      // counting ops so nobody deadlocks waiting for them.
+      // caller mistakes) or a dead journal; remember the first error for
+      // drain() and keep counting ops so nobody deadlocks waiting for them.
       record_worker_error();
     }
     if (shard.ops_applied_total != nullptr) shard.ops_applied_total->inc();
@@ -622,62 +622,16 @@ void ShardedDispatcher::apply_batch(Shard& shard, std::vector<Op>& batch,
     }
     if (++since_snapshot >= options_.snapshot_every) {
       since_snapshot = 0;
-      shard.load_snapshot.store(dispatcher.total_active_load(),
+      shard.load_snapshot.store(engine.dispatcher().total_active_load(),
                                 std::memory_order_relaxed);
     }
   }
-  shard.load_snapshot.store(dispatcher.total_active_load(),
+  shard.load_snapshot.store(engine.dispatcher().total_active_load(),
                             std::memory_order_relaxed);
-  // Group commit: the whole drained batch goes down with one write(2) and
-  // at most one fsync.
-  if (journaled_ops == 0) return;
-  journal(shard, [&](persist::JournalWriter& j) {
-    j.commit();
-    shard.ops_since_checkpoint += journaled_ops;
-    if (options_.checkpoint_every > 0 &&
-        shard.ops_since_checkpoint >= options_.checkpoint_every) {
-      checkpoint_shard(shard);
-    }
-  });
-}
-
-void ShardedDispatcher::checkpoint_shard(Shard& shard) {
-  // Never claim ops the journal could still lose.
-  shard.journal->sync();
-  persist::CheckpointData data;
-  data.seq = shard.journal->next_seq() - 1;
-  data.policy_name = std::string(shard.policy->name());
-  serial::Writer disp_out;
-  shard.dispatcher->save_state(disp_out);
-  data.dispatcher_state = disp_out.take();
-  serial::Writer pol_out;
-  shard.policy->save_state(pol_out);
-  data.policy_state = pol_out.take();
-  // The shard's history: its recorder, then the items of the departed
-  // jobs it owns (the live ones are in the dispatcher state), then -- only
-  // with tenancy on -- the accountant's ledger.
-  serial::Writer extra;
-  shard.recorder.save_state(extra);
-  std::vector<const Item*> departed;
-  const std::vector<BinId>& placed = shard.recorder.assignment();
-  for (JobId job = 0; job < placed.size(); ++job) {
-    if (placed[job] == kNoBin || shard.dispatcher->job(job) != nullptr ||
-        shards_[job_rec(job).shard.load(std::memory_order_acquire)].get() !=
-            &shard) {
-      continue;
-    }
-    departed.push_back(&job_rec(job).item);
-  }
-  extra.u64(departed.size());
-  for (const Item* item : departed) item->save_state(extra);
-  if (shard.accountant != nullptr) shard.accountant->save_state(extra);
-  data.extra = extra.take();
-  persist::write_checkpoint(shard.journal_path, data);
-  shard.journal->rotate();
-  persist::fault_point("checkpoint.truncated");
-  shard.ops_since_checkpoint = 0;
-  if (options_.metrics != nullptr) {
-    options_.metrics->counter("dvbp.persist.checkpoints_total").inc();
+  try {
+    engine.end_batch();
+  } catch (...) {
+    record_worker_error();
   }
 }
 
@@ -697,7 +651,7 @@ ShardedDispatcher::Shard& ShardedDispatcher::shard_at(
 
 const persist::RecoveryReport& ShardedDispatcher::shard_recovery(
     std::size_t shard) const {
-  return shard_at(shard, "shard_recovery").recovery;
+  return shard_at(shard, "shard_recovery").engine->recovery();
 }
 
 std::uint64_t ShardedDispatcher::ops_enqueued() const noexcept {
@@ -725,10 +679,14 @@ void ShardedDispatcher::drain() {
 void ShardedDispatcher::sync_journals() {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
-    // The worker touches the journal only inside apply_batch under
-    // shard.mu, so holding it here excludes concurrent appends.
+    // The worker drives the engine only under shard.mu, so holding it
+    // here excludes concurrent appends.
     std::lock_guard<std::mutex> lock(shard.mu);
-    journal(shard, [](persist::JournalWriter& j) { j.sync(); });
+    try {
+      shard.engine->flush();
+    } catch (...) {
+      record_worker_error();
+    }
   }
 }
 
@@ -758,7 +716,7 @@ std::size_t ShardedDispatcher::open_bins() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->dispatcher->open_bins();
+    total += shard->engine->dispatcher().open_bins();
   }
   return total;
 }
@@ -767,7 +725,7 @@ std::size_t ShardedDispatcher::bins_opened() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->dispatcher->bins_opened();
+    total += shard->engine->dispatcher().bins_opened();
   }
   return total;
 }
@@ -776,7 +734,7 @@ std::size_t ShardedDispatcher::jobs_active() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->dispatcher->jobs_active();
+    total += shard->engine->dispatcher().jobs_active();
   }
   return total;
 }
@@ -785,25 +743,25 @@ double ShardedDispatcher::shard_cost_so_far(std::size_t shard,
                                             Time at) const {
   const Shard& s = shard_at(shard, "shard_cost_so_far");
   std::lock_guard<std::mutex> lock(s.mu);
-  return s.dispatcher->cost_so_far(at);
+  return s.engine->dispatcher().cost_so_far(at);
 }
 
 std::size_t ShardedDispatcher::shard_open_bins(std::size_t shard) const {
   const Shard& s = shard_at(shard, "shard_open_bins");
   std::lock_guard<std::mutex> lock(s.mu);
-  return s.dispatcher->open_bins();
+  return s.engine->dispatcher().open_bins();
 }
 
 std::size_t ShardedDispatcher::shard_bins_opened(std::size_t shard) const {
   const Shard& s = shard_at(shard, "shard_bins_opened");
   std::lock_guard<std::mutex> lock(s.mu);
-  return s.dispatcher->bins_opened();
+  return s.engine->dispatcher().bins_opened();
 }
 
 std::size_t ShardedDispatcher::shard_jobs_admitted(std::size_t shard) const {
   const Shard& s = shard_at(shard, "shard_jobs_admitted");
   std::lock_guard<std::mutex> lock(s.mu);
-  return s.dispatcher->jobs_admitted();
+  return s.engine->dispatcher().jobs_admitted();
 }
 
 void ShardedDispatcher::require_quiescent() const {
@@ -830,11 +788,12 @@ Packing ShardedDispatcher::snapshot() const {
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     const auto offset = static_cast<BinId>(bins.size());
-    for (const BinRecord& rec : shard->recorder.bins()) {
+    const PackingRecorder& recorder = shard->engine->recorder();
+    for (const BinRecord& rec : recorder.bins()) {
       bins.push_back(rec);
       bins.back().id += offset;
     }
-    const std::vector<BinId>& placed = shard->recorder.assignment();
+    const std::vector<BinId>& placed = recorder.assignment();
     for (JobId job = 0; job < placed.size(); ++job) {
       if (placed[job] != kNoBin &&
           shards_[job_rec(job).shard.load(std::memory_order_acquire)] ==
@@ -860,19 +819,19 @@ const Dispatcher& ShardedDispatcher::shard_dispatcher(
     std::size_t shard) const {
   const Shard& s = shard_at(shard, "shard_dispatcher");
   require_quiescent();
-  return *s.dispatcher;
+  return s.engine->dispatcher();
 }
 
 const PackingRecorder& ShardedDispatcher::shard_recorder(
     std::size_t shard) const {
   const Shard& s = shard_at(shard, "shard_recorder");
   require_quiescent();
-  return s.recorder;
+  return s.engine->recorder();
 }
 
 const tenancy::UsageAccountant* ShardedDispatcher::shard_accountant(
     std::size_t shard) const {
-  return shard_at(shard, "shard_accountant").accountant.get();
+  return shard_at(shard, "shard_accountant").listener->accountant();
 }
 
 std::vector<double> ShardedDispatcher::settle_tenants(
@@ -895,10 +854,10 @@ std::vector<double> ShardedDispatcher::settle_tenants(
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.accountant->on_advance(
-        std::max(now, shard.accountant->last_event()),
-        shard.dispatcher->open_bins());
-    const std::vector<double> cut = shard.accountant->cut_epoch();
+    tenancy::UsageAccountant& accountant = *shard.listener->accountant();
+    accountant.on_advance(std::max(now, accountant.last_event()),
+                          shard.engine->dispatcher().open_bins());
+    const std::vector<double> cut = accountant.cut_epoch();
     for (std::uint32_t t = 0; t < options_.tenants; ++t) usage[t] += cut[t];
   }
   arbiter.settle(now, usage);
@@ -906,11 +865,7 @@ std::vector<double> ShardedDispatcher::settle_tenants(
   // shard restores the newest durably settled balances.
   Shard& shard0 = *shards_[0];
   std::lock_guard<std::mutex> lock(shard0.mu);
-  journal(shard0, [&](persist::JournalWriter& j) {
-    j.append_credits(now, arbiter.state_bytes());
-    j.commit();
-    shard0.ops_since_checkpoint += 1;
-  });
+  shard0.engine->settle_credits(now, arbiter.state_bytes());
   return usage;
 }
 
@@ -939,10 +894,11 @@ ShardRebalanceReport ShardedDispatcher::rebalance_shards(
   std::vector<double> loads(shards_.size(), 0.0);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     std::lock_guard<std::mutex> lock(shards_[s]->mu);
-    loads[s] = shards_[s]->dispatcher->total_active_load();
+    loads[s] = shards_[s]->engine->dispatcher().total_active_load();
   }
   report.skew_before = load_skew(loads);
 
+  std::vector<bool> touched(shards_.size(), false);
   while (report.moves < config.max_moves) {
     const std::size_t src = static_cast<std::size_t>(
         std::max_element(loads.begin(), loads.end()) - loads.begin());
@@ -967,16 +923,17 @@ ShardRebalanceReport ShardedDispatcher::rebalance_shards(
       const Item* pick = nullptr;
       double best_l1 = 0.0;
       std::uint64_t best_rank = 0;
-      source.dispatcher->for_each_job([&](const Dispatcher::LiveJob& live) {
-        const double l1 = live.item.size.l1();
-        if (l1 > gap / 2.0 + 1e-12 || l1 < best_l1) return;
-        if (l1 == best_l1 && (pick == nullptr || live.rank > best_rank)) {
-          return;
-        }
-        pick = &live.item;
-        best_l1 = l1;
-        best_rank = live.rank;
-      });
+      source.engine->dispatcher().for_each_job(
+          [&](const Dispatcher::LiveJob& live) {
+            const double l1 = live.item.size.l1();
+            if (l1 > gap / 2.0 + 1e-12 || l1 < best_l1) return;
+            if (l1 == best_l1 && (pick == nullptr || live.rank > best_rank)) {
+              return;
+            }
+            pick = &live.item;
+            best_l1 = l1;
+            best_rank = live.rank;
+          });
       if (pick == nullptr) break;  // only oversized jobs left
       job = pick->id;
       size = pick->size;
@@ -990,41 +947,39 @@ ShardRebalanceReport ShardedDispatcher::rebalance_shards(
     // the job on both shards.
     {
       std::lock_guard<std::mutex> lock(source.mu);
-      const Time t = std::max(now, source.dispatcher->last_event_time());
-      source.dispatcher->depart(t, job);
-      journal(source, [&](persist::JournalWriter& j) {
-        j.append(persist::OpKind::kDepart, t, job);
-        j.commit();
-        j.sync();
-      });
-      source.load_snapshot.store(source.dispatcher->total_active_load(),
-                                 std::memory_order_relaxed);
+      const Time t =
+          std::max(now, source.engine->dispatcher().last_event_time());
+      source.engine->depart(t, job);
+      source.engine->flush();
+      source.load_snapshot.store(
+          source.engine->dispatcher().total_active_load(),
+          std::memory_order_relaxed);
     }
     {
       std::lock_guard<std::mutex> lock(dest.mu);
-      const Time t = std::max(now, dest.dispatcher->last_event_time());
+      const Time t = std::max(now, dest.engine->dispatcher().last_event_time());
       const Time exp =
           expected > t ? expected : std::numeric_limits<Time>::infinity();
       const double l1 = size.l1();
-      JobRec& rec = job_rec(job);
-      rec.item = Item(job, t, exp, std::move(size), tenant);
-      dest.dispatcher->arrive(t, rec.item);
-      rec.shard.store(static_cast<std::uint32_t>(dst),
-                      std::memory_order_release);
-      journal(dest, [&](persist::JournalWriter& j) {
-        j.append(persist::OpKind::kArrive, t, job, exp, &rec.item.size,
-                 kNoBin, false, tenant);
-        j.commit();
-      });
-      dest.load_snapshot.store(dest.dispatcher->total_active_load(),
+      dest.engine->arrive(t, Item(job, t, exp, std::move(size), tenant));
+      dest.load_snapshot.store(dest.engine->dispatcher().total_active_load(),
                                std::memory_order_relaxed);
       loads[src] -= l1;
       loads[dst] += l1;
       report.moved_volume += l1;
     }
+    touched[src] = touched[dst] = true;
     ++report.moves;
   }
 
+  // A moved job that later departs must be named by its last shard's
+  // history only (see rebuild_job_table): checkpoint every touched shard,
+  // so no move's source-side depart stays in a journal tail.
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (!touched[s]) continue;
+    std::lock_guard<std::mutex> lock(shards_[s]->mu);
+    shards_[s]->engine->checkpoint();
+  }
   report.skew_after = load_skew(loads);
   return report;
 }

@@ -31,9 +31,13 @@
 // no clamping ever fires.
 //
 // A job's one name is the global JobId arrive() returns: each shard admits
-// it under that id. Each shard's Dispatcher keeps only live state; its
-// PackingRecorder keeps its packing, and the job table each job's
-// admitted Item (job_item()). Shard checkpoints carry both.
+// it under that id. Each shard runs one persist::DurableDispatcher -- its
+// Dispatcher (live state only), its PackingRecorder (its packing), its
+// journal under <journal_dir>/shard-<s> or none, and its recovery -- with
+// one apply path whether it journals or not. The shard's listener (the
+// engine's usage hook) keeps each job's admitted Item in the job table
+// (job_item()) and meters the shard's tenants; a shard checkpoint carries
+// its recorder, its departed jobs' Items and its tenant ledger.
 //
 // Consistency: cost_so_far() / open_bins() / jobs_active() aggregate the
 // shards under their mutexes and are safe to call at any time, but reflect
@@ -71,8 +75,7 @@
 #include "core/types.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
-#include "persist/journal.hpp"
-#include "persist/recovery.hpp"
+#include "persist/durable.hpp"
 #include "tenancy/accountant.hpp"
 #include "tenancy/arbiter.hpp"
 
@@ -101,27 +104,28 @@ struct ShardedOptions {
 
   // --- Durability (src/persist/, docs/DURABILITY.md) -------------------
 
-  /// Root journal directory; empty disables journaling. Each shard worker
-  /// owns `<journal_dir>/shard-<s>` exclusively -- journal appends never
-  /// take a cross-shard lock. Construction recovers every shard from its
-  /// directory (checkpoint restore + journal replay) before the workers
-  /// start, rebuilding the global job table and router state. It throws
-  /// persist::PersistError when a `shard-<s>` with s >= shards holds a
-  /// checkpoint or a non-empty journal segment: those jobs would be lost.
+  /// Root journal directory; empty disables journaling. Each shard's
+  /// engine owns `<journal_dir>/shard-<s>` exclusively -- journal appends
+  /// never take a cross-shard lock. Construction recovers every shard from
+  /// its directory (checkpoint restore + journal replay) before the
+  /// workers start, rebuilding the global job table and router state. It
+  /// throws persist::PersistError when a `shard-<s>` with s >= shards
+  /// holds a checkpoint or a non-empty journal segment: those jobs would
+  /// be lost.
   std::string journal_dir;
   persist::FsyncPolicy fsync = persist::FsyncPolicy::kInterval;
   std::size_t fsync_interval_ops = 256;
-  /// Per-shard: checkpoint after this many journaled ops; 0 disables.
+  /// Per-shard: checkpoint after the drained batch that brings the ops
+  /// journaled since the last checkpoint to this many; 0 disables.
   std::size_t checkpoint_every = 0;
 
   // --- Multi-tenancy (src/tenancy/, docs/TENANCY.md) --------------------
 
-  /// Number of tenants; 0 disables tenancy entirely (no accountants, no
-  /// per-arrival tenant bookkeeping -- the pre-tenancy behavior, bit for
-  /// bit). When > 0 every shard owns a tenancy::UsageAccountant hooked
-  /// into its Dispatcher, arrivals carry their tenant label through the
-  /// queue and the journal, and settle_tenants() merges the shard ledgers
-  /// into an Arbiter settlement at quiescence.
+  /// Number of tenants; 0 disables tenancy entirely (no accountants --
+  /// the pre-tenancy behavior, bit for bit). When > 0 every shard's
+  /// listener meters a tenancy::UsageAccountant, arrivals carry their
+  /// tenant label through the queue and the journal, and settle_tenants()
+  /// merges the shard ledgers into an Arbiter settlement at quiescence.
   std::uint32_t tenants = 0;
 };
 
@@ -129,7 +133,9 @@ struct ShardedOptions {
 /// depart-on-source + arrive-on-destination under the same global job id,
 /// journaled on both shards (source made durable first, so a crash in
 /// between can only lose the destination arrival -- the job recovers as
-/// departed -- never duplicate it).
+/// departed -- never duplicate it). A journaled pass ends by checkpointing
+/// every shard it touched, so no move's source-side depart is left in a
+/// journal tail.
 struct ShardRebalanceConfig {
   /// Trigger: move while max shard load > skew_ratio * min shard load.
   double skew_ratio = 1.5;
@@ -226,12 +232,12 @@ class ShardedDispatcher {
   /// rethrows the first worker-side error, if any.
   void drain();
 
-  /// Forces an fsync on every live shard journal (no-op when durability is
+  /// Forces an fsync on every shard journal (no-op when durability is
   /// off). The graceful-drain path calls this after drain() so that an
   /// acknowledged-then-drained state is on disk even under
-  /// FsyncPolicy::kInterval. Thread-safe. A journal that fails here is
-  /// poisoned exactly as a worker-side failure would poison it; the error
-  /// surfaces through the next drain().
+  /// FsyncPolicy::kInterval. Thread-safe. A journal that fails here dies
+  /// exactly as a worker-side failure kills it; the error surfaces through
+  /// the next drain().
   void sync_journals();
 
   // --- Global view -----------------------------------------------------
@@ -294,7 +300,8 @@ class ShardedDispatcher {
   /// quiescence (drain() first, no concurrent producers) -- the whole
   /// call runs with the service idle, mutating shard state under the
   /// shard mutexes and bypassing the queues. At most `config.max_moves`
-  /// jobs move per call. Journaled when durability is on.
+  /// jobs move per call. Journaled when durability is on; a journal
+  /// failure propagates (the shard journals nothing more).
   ShardRebalanceReport rebalance_shards(
       Time now, const ShardRebalanceConfig& config = {});
 
@@ -312,7 +319,8 @@ class ShardedDispatcher {
   /// shard 0 (recovered via shard_recovery(0).tenant_credits). Returns the
   /// merged per-tenant usage of the epoch (the fairness tracker's input).
   /// Requires quiescence, like snapshot(). Throws std::logic_error when
-  /// tenancy is off, std::invalid_argument on a tenant-count mismatch.
+  /// tenancy is off, std::invalid_argument on a tenant-count mismatch, and
+  /// what shard 0's engine throws when its journal fails.
   std::vector<double> settle_tenants(Time now, tenancy::Arbiter& arbiter);
 
   /// Shard `shard`'s usage ledger; null when tenancy is off. Quiescent
@@ -340,16 +348,16 @@ class ShardedDispatcher {
     JobId job = kNoItem;
   };
 
+  class Listener;  // a shard's usage hook (sharded_dispatcher.cpp)
+
   struct Shard {
-    // Placement state: guarded by `mu`.
+    // Placement state: guarded by `mu`. The worker drives the engine one
+    // drained batch at a time, under `mu` (group commit).
     mutable std::mutex mu;
     PolicyPtr policy;
     std::unique_ptr<obs::Observer> observer;  // null when obs is off
-    std::unique_ptr<Dispatcher> dispatcher;
-    PackingRecorder recorder;  // attached to `dispatcher`
-    /// Per-shard usage ledger (null when tenancy is off); hooked into the
-    /// dispatcher, so it accrues under `mu` with every applied op.
-    std::unique_ptr<tenancy::UsageAccountant> accountant;
+    std::unique_ptr<Listener> listener;
+    std::unique_ptr<persist::DurableDispatcher> engine;
 
     // Queue: guarded by `qmu`.
     std::mutex qmu;
@@ -375,24 +383,15 @@ class ShardedDispatcher {
     obs::Histogram* placement_latency = nullptr;
     obs::Counter* ops_applied_total = nullptr;
 
-    // Durability (null/default when journaling is off). The journal is
-    // owned by this shard's worker: appends/commits happen inside
-    // apply_batch under `mu`, one commit per batch (group commit).
-    std::string journal_path;  ///< <journal_dir>/shard-<s>
-    std::unique_ptr<persist::JournalWriter> journal;
-    persist::RecoveryReport recovery;
-    std::uint64_t ops_since_checkpoint = 0;
-    bool journal_dead = false;  ///< sticky after a persistence failure
-
     std::thread worker;
   };
 
   /// Per-job admission record. Lives in chunked, pointer-stable storage so
   /// the arrive/depart hot paths never share a lock: ids come from an
   /// atomic counter, `shard`/`departed` are per-record atomics, and `item`
-  /// is written by the owning shard's worker (or rebalance_shards, at
-  /// quiescence); other readers must be quiescent, ordered by the
-  /// ops_applied_ release/acquire pair in drain().
+  /// is written by the owning shard's listener (from its worker, or from
+  /// rebalance_shards at quiescence); other readers must be quiescent,
+  /// ordered by the ops_applied_ release/acquire pair in drain().
   struct JobRec {
     std::atomic<std::uint32_t> shard{0};
     std::atomic<bool> departed{false};  // set eagerly in depart()
@@ -411,6 +410,9 @@ class ShardedDispatcher {
     return job_chunks_[job >> kJobChunkBits].load(
         std::memory_order_acquire)[job & (kJobChunkSize - 1)];
   }
+  /// job_rec(), allocating the record's chunk first when it has none.
+  /// Throws std::length_error past the job table's capacity.
+  JobRec& job_slot(std::uint64_t job);
 
   /// Validation, routing, job-id allocation, and record setup shared by
   /// arrive() and try_arrive(); returns the ready-to-enqueue op and the
@@ -431,14 +433,8 @@ class ShardedDispatcher {
   /// Shard `shard`; std::invalid_argument naming `caller` when out of range.
   Shard& shard_at(std::size_t shard, const char* caller) const;
 
-  std::string shard_journal_dir(std::size_t shard_idx) const;
-  void recover_shard(std::size_t shard_idx, std::vector<Item>& departed);
-  void rebuild_job_table(const std::vector<std::vector<Item>>& departed);
-  void checkpoint_shard(Shard& shard);
+  void rebuild_job_table();
   void record_worker_error();
-  /// Runs `write` on the shard's journal; false when off, dead or failed.
-  template <typename Write>
-  bool journal(Shard& shard, Write&& write);
 
   std::size_t dim_;
   ShardedOptions options_;
@@ -446,7 +442,14 @@ class ShardedDispatcher {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::atomic<std::uint64_t> next_job_{0};
-  std::array<std::atomic<JobRec*>, kMaxChunks> job_chunks_{};
+  /// The chunk directory. It frees its chunks itself, so a constructor
+  /// that throws mid-recovery leaks none.
+  struct JobChunks : std::array<std::atomic<JobRec*>, kMaxChunks> {
+    ~JobChunks() {
+      for (auto& chunk : *this) delete[] chunk.load(std::memory_order_acquire);
+    }
+  };
+  JobChunks job_chunks_{};
   std::mutex chunk_mu_;  // serializes chunk allocation only
 
   std::atomic<std::uint64_t> ops_applied_{0};

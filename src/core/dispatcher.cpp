@@ -147,7 +147,7 @@ Dispatcher::Admission Dispatcher::admit(Time now, std::uint32_t job_slot) {
   advance_clock(now);
   jobs_[job_slot].rank = jobs_admitted_++;
   if (usage_hook_ != nullptr) {
-    usage_hook_->on_arrive(item.tenant, now, item.size, open_bins());
+    usage_hook_->on_arrive(item, now, open_bins());
   }
   std::size_t rejections = 0;
   if (obs_ != nullptr) {
@@ -226,7 +226,7 @@ void Dispatcher::depart(Time now, JobId job) {
   // Patch the actual departure so latest-departure bookkeeping is honest.
   item.departure = now;
   if (usage_hook_ != nullptr) {
-    usage_hook_->on_depart(item.tenant, now, item.size, open_bins());
+    usage_hook_->on_depart(item, now, open_bins());
   }
   take_out(now, job_slot, /*departing=*/true);
   release_job_slot(job_slot);

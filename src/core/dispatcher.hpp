@@ -43,24 +43,31 @@ namespace dvbp {
 /// jobs_admitted(). Unique among live jobs.
 using JobId = ItemId;
 
-/// Per-tenant usage accounting hook (implemented by
-/// tenancy::UsageAccountant; core stays tenancy-agnostic the same way it
-/// stays obs-agnostic). The dispatcher invokes the hook with the open-bin
-/// count *before* the event mutates state: bin counts are piecewise
-/// constant between events, so accruing [last event, now) at the old count
-/// is exact, not an approximation. A null hook costs one branch per event.
+/// The Dispatcher's one listener: it hears every arrival, departure and
+/// clock step. tenancy::UsageAccountant meters tenants with it, and each
+/// shard of the sharded service keeps its job table with it; core stays
+/// tenancy-agnostic the same way it stays obs-agnostic. The dispatcher
+/// invokes the hook with the open-bin count *before* the event mutates
+/// state: bin counts are piecewise constant between events, so accruing
+/// [last event, now) at the old count is exact, not an approximation. A
+/// null hook costs one branch per event. Its state rides in every
+/// checkpoint of a persist::DurableDispatcher, after the recorder's.
 class TenantUsageHook {
  public:
   virtual ~TenantUsageHook() = default;
-  /// A job of `tenant` was admitted at `now` with demand `size`.
-  virtual void on_arrive(TenantId tenant, Time now, const RVec& size,
+  /// Job `job` was admitted at `now` (job.arrival == now).
+  virtual void on_arrive(const Item& job, Time now,
                          std::size_t open_bins) = 0;
-  /// A job of `tenant` departed at `now`, releasing demand `size`.
-  virtual void on_depart(TenantId tenant, Time now, const RVec& size,
+  /// Job `job` departed at `now` (job.departure == now).
+  virtual void on_depart(const Item& job, Time now,
                          std::size_t open_bins) = 0;
   /// Clock advance with no demand change (evict/replace: the job stays
   /// active, but the open-bin count may step).
   virtual void on_advance(Time now, std::size_t open_bins) = 0;
+  /// Checkpoint state: restore_state() reads what save_state() wrote into
+  /// a hook that has heard no event yet.
+  virtual void save_state(serial::Writer& out) const = 0;
+  virtual void restore_state(serial::Reader& in) = 0;
 };
 
 class Dispatcher {

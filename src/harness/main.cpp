@@ -2,7 +2,7 @@
 // dump telemetry.
 //
 // A batch run feeds a workload (a built-in generator or a trace file) to
-// one engine -- the serial Dispatcher, the journaled serial engine under
+// one engine -- the serial persist::DurableDispatcher, journaled under
 // --journal-dir, or the sharded service under --shards -- with optional
 // layers on top: the tenant admission gate (--tenants), bounded migration
 // (--migrate-budget/--migrate-volume) and the JSONL decision trace
@@ -373,24 +373,22 @@ struct TenantLayer {
     return config;
   }
 
-  /// Closes the settlement epoch at `at`. Under a journal the settled
-  /// credit state is journaled as well.
-  void settle(Time at, const Dispatcher& dispatcher,
-              persist::DurableDispatcher* journal) {
+  /// Closes the settlement epoch at `at`, and journals the settled credit
+  /// state when the engine journals.
+  void settle(Time at, persist::DurableDispatcher& engine) {
     accountant.on_advance(std::max(at, accountant.last_event()),
-                          dispatcher.open_bins());
+                          engine.dispatcher().open_bins());
     const std::vector<double> usage = accountant.cut_epoch();
     tracker.on_epoch(at - last_settle, usage, shares);
     gate.settle(at, usage);
-    if (journal != nullptr) journal->settle_credits(at, arbiter.state_bytes());
+    engine.settle_credits(at, arbiter.state_bytes());
     last_settle = at;
   }
 
   /// Settles every epoch that ends at or before `now`.
-  void settle_until(Time now, const Dispatcher& dispatcher,
-                    persist::DurableDispatcher* journal) {
+  void settle_until(Time now, persist::DurableDispatcher& engine) {
     while (now >= next_settle) {
-      settle(next_settle, dispatcher, journal);
+      settle(next_settle, engine);
       next_settle += settle_every;
     }
   }
@@ -407,68 +405,51 @@ struct TenantLayer {
 };
 
 /// The one engine a batch run feeds, chosen by the flags: the sharded
-/// service under --shards, the journaled serial engine under --journal-dir,
-/// the plain Dispatcher otherwise. Exactly one of the three is set; a
-/// journaled engine recovers its directory on construction.
+/// service under --shards, the serial engine otherwise -- journaled under
+/// --journal-dir, whose directory it recovers on construction. Exactly one
+/// of the two is set.
 struct Engine {
   Engine(const harness::Args& args, std::size_t dim,
          obs::MetricRegistry& registry, obs::Observer& observer,
          TenantUsageHook* usage_hook)
       : policy(policy_from(args)) {
-    const double capacity = args.get_double("capacity", 1.0);
     if (args.has("shards")) {
       sharded.emplace(dim,
                       [&args](std::size_t) { return policy_from(args); },
                       sharded_options(args, registry));
-    } else if (args.has("journal-dir")) {
-      persist::DurableOptions options;
-      options.dir = args.get("journal-dir", "");
-      options.fsync =
-          persist::parse_fsync_policy(args.get("fsync", "interval"));
-      options.fsync_interval_ops =
-          static_cast<std::size_t>(args.get_int("fsync-interval", 256));
-      options.checkpoint_every =
-          static_cast<std::size_t>(args.get_int("checkpoint-every", 0));
-      options.metrics = &registry;
-      options.observer = &observer;
-      options.usage_hook = usage_hook;
-      durable.emplace(dim, *policy, options, capacity);
-    } else {
-      plain.emplace(dim, *policy, capacity, &observer);
-      plain->set_usage_hook(usage_hook);
-      plain->set_recorder(&recorder);
+      return;
     }
+    persist::DurableOptions options;
+    options.dir = args.get("journal-dir", "");
+    options.fsync = persist::parse_fsync_policy(args.get("fsync", "interval"));
+    options.fsync_interval_ops =
+        static_cast<std::size_t>(args.get_int("fsync-interval", 256));
+    options.checkpoint_every =
+        static_cast<std::size_t>(args.get_int("checkpoint-every", 0));
+    options.metrics = &registry;
+    options.observer = &observer;
+    options.usage_hook = usage_hook;
+    serial.emplace(dim, *policy, options, args.get_double("capacity", 1.0));
   }
 
-  /// The serial engine's dispatcher; null under --shards.
-  const Dispatcher* serial() const {
-    if (plain) return &*plain;
-    return durable ? &durable->dispatcher() : nullptr;
-  }
-
-  /// Admits `item` at its arrival, labelled `tenant`: a serial engine
+  /// Admits `item` at its arrival, labelled `tenant`: the serial engine
   /// under its ItemId, the sharded service under the JobId it returns.
   JobId arrive(Item item, TenantId tenant) {
     if (sharded) return sharded->arrive(item.arrival, item.size, item.departure);
     item.tenant = tenant;
-    if (durable) return durable->arrive(item.arrival, item).job;
-    return plain->arrive(item.arrival, item).job;
+    return serial->arrive(item.arrival, item).job;
   }
 
   void depart(Time now, JobId job) {
     if (sharded) {
       sharded->depart(now, job);
-    } else if (durable) {
-      durable->depart(now, job);
     } else {
-      plain->depart(now, job);
+      serial->depart(now, job);
     }
   }
 
-  PolicyPtr policy;  // the serial engines' (each shard builds its own)
-  PackingRecorder recorder;  // the plain engine's history
-  std::optional<Dispatcher> plain;
-  std::optional<persist::DurableDispatcher> durable;
+  PolicyPtr policy;  // the serial engine's (each shard builds its own)
+  std::optional<persist::DurableDispatcher> serial;
   std::optional<cloud::ShardedDispatcher> sharded;
 };
 
@@ -497,7 +478,7 @@ void print_recovery(const Engine& engine) {
           engine.sharded->shard_dispatcher(s));
     }
   } else {
-    add("-", engine.durable->recovery(), engine.durable->dispatcher());
+    add("-", engine.serial->recovery(), engine.serial->dispatcher());
   }
   Time now = 0.0;
   for (const Dispatcher* d : dispatchers) {
@@ -530,8 +511,6 @@ int run_batch(const harness::Args& args) {
   // An empty instance has not fixed its dimension.
   Engine engine(args, std::max<std::size_t>(inst.dim(), 1), registry,
                 observer, tenants ? &tenants->accountant : nullptr);
-  persist::DurableDispatcher* journal =
-      engine.durable ? &*engine.durable : nullptr;
 
   if (args.get_bool("recover")) {
     if (!quiet) print_recovery(engine);
@@ -540,7 +519,8 @@ int run_batch(const harness::Args& args) {
   }
   // A batch run journals a whole stream from its start; appending it to
   // a journal that already holds ops would replay as one doubled run.
-  std::uint64_t journaled = journal ? journal->recovery().last_seq : 0;
+  std::uint64_t journaled =
+      engine.serial ? engine.serial->recovery().last_seq : 0;
   if (engine.sharded) {
     for (std::size_t s = 0; s < engine.sharded->shards(); ++s) {
       journaled += engine.sharded->shard_recovery(s).last_seq;
@@ -555,20 +535,17 @@ int run_batch(const harness::Args& args) {
   }
 
   // Serial migration: the Rebalancer plans against the live dispatcher
-  // after every departure; under a journal it mutates through the
-  // journaled evict/replace calls, so every move is crash-recoverable.
+  // after every departure and mutates through the engine's evict/replace
+  // calls, so under a journal every move is crash-recoverable.
   // Under --shards the budget instead caps one shard-rebalance pass at the
   // stream midpoint (drained, so the service is quiescent) -- rebalancing
   // at the end would be vacuous, the full stream departs every job.
-  const Dispatcher* serial = engine.serial();
+  const Dispatcher* serial =
+      engine.serial ? &engine.serial->dispatcher() : nullptr;
   std::optional<Rebalancer> rebalancer;
   if (serial != nullptr &&
       (args.has("migrate-budget") || args.has("migrate-volume"))) {
-    if (journal) {
-      rebalancer.emplace(*serial, migration, journal->migration_exec());
-    } else {
-      rebalancer.emplace(*engine.plain, migration);
-    }
+    rebalancer.emplace(*serial, migration, engine.serial->migration_exec());
   }
   const bool shard_pass =
       engine.sharded && migration.migrations_per_event > 0.0;
@@ -584,7 +561,7 @@ int run_batch(const harness::Args& args) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     const Event& ev = events[i];
     const Item& item = inst[ev.item];
-    if (tenants) tenants->settle_until(ev.time, *serial, journal);
+    if (tenants) tenants->settle_until(ev.time, *engine.serial);
     if (i == midpoint) {
       engine.sharded->drain();
       cloud::ShardRebalanceConfig config;
@@ -611,17 +588,16 @@ int run_batch(const harness::Args& args) {
   }
   if (tenants) {
     const Time end = events.empty() ? tenants->last_settle : events.back().time;
-    if (end > tenants->last_settle) tenants->settle(end, *serial, journal);
+    if (end > tenants->last_settle) tenants->settle(end, *engine.serial);
   }
   if (engine.sharded) engine.sharded->drain();
-  if (journal) journal->flush();
+  if (engine.serial) engine.serial->flush();
   tracer.flush();
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - start;
 
-  const Packing packing = engine.sharded   ? engine.sharded->snapshot()
-                           : engine.durable ? engine.durable->packing()
-                                            : engine.recorder.packing();
+  const Packing packing = engine.sharded ? engine.sharded->snapshot()
+                                         : engine.serial->packing();
 
   write_metrics(args, registry);
   if (tenants) {

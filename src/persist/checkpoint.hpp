@@ -21,8 +21,9 @@
 // Payload (one CRC32 frame, same framing as the journal):
 //   u32 magic 'DVCP' | u8 version | u64 seq | str policy_name
 //   | blob dispatcher_state | blob policy_state | blob extra
-// `extra` holds the engine's history: the DurableDispatcher's
-// PackingRecorder, or a shard's recorder, departed items and tenant ledger.
+// `extra` holds the engine's history, written by the DurableDispatcher
+// alone: its PackingRecorder, then its usage hook's state (a tenant
+// ledger; a shard's departed jobs and ledger).
 #pragma once
 
 #include <cstdint>

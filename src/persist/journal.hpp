@@ -25,8 +25,9 @@
 // can leave are a contiguous tail.
 //
 // Group commit: append() only buffers; commit() writes the whole batch
-// with one write(2) and applies the fsync policy. A shard worker appends
-// its entire drained batch and commits once -- one syscall (and at most
+// with one write(2) and applies the fsync policy. persist::DurableDispatcher
+// decides what a batch is: one op for the serial engine, one drained batch
+// for a shard worker (begin_batch/end_batch) -- one syscall (and at most
 // one fsync) per batch, not per op.
 //
 // Segments: the active file is journal-<first_seq>.wal (16 hex digits).
@@ -140,8 +141,8 @@ struct JournalOptions {
 };
 
 /// Appender over the active segment of a journal directory. The public
-/// API is not thread-safe: each owner (the serial DurableDispatcher, one
-/// shard worker) has its own journal directory and writer. Under
+/// API is not thread-safe: each owner (a DurableDispatcher: the serial
+/// engine, or one shard's) has its own journal directory and writer. Under
 /// FsyncPolicy::kInterval the writer runs a private background flusher
 /// thread that fsyncs every `fsync_interval_ops` committed ops, so
 /// commit() returns after write(2) and the device flush overlaps with the

@@ -38,19 +38,19 @@ void UsageAccountant::accrue(Time now, std::size_t open_bins) {
   last_ = now;
 }
 
-void UsageAccountant::on_arrive(TenantId tenant, Time now, const RVec& size,
+void UsageAccountant::on_arrive(const Item& job, Time now,
                                 std::size_t open_bins) {
   accrue(now, open_bins);
-  demand_[slot(tenant)] += size.linf();
+  demand_[slot(job.tenant)] += job.size.linf();
 }
 
-void UsageAccountant::on_depart(TenantId tenant, Time now, const RVec& size,
+void UsageAccountant::on_depart(const Item& job, Time now,
                                 std::size_t open_bins) {
   accrue(now, open_bins);
   // Subtracting the exact value added at arrival leaves at most float
   // residue; clamp so an "idle" tenant reads exactly zero demand.
-  double& d = demand_[slot(tenant)];
-  d = std::max(0.0, d - size.linf());
+  double& d = demand_[slot(job.tenant)];
+  d = std::max(0.0, d - job.size.linf());
 }
 
 void UsageAccountant::on_advance(Time now, std::size_t open_bins) {

@@ -43,9 +43,9 @@ class UsageAccountant final : public TenantUsageHook {
   }
 
   // --- TenantUsageHook (called by the Dispatcher) -----------------------
-  void on_arrive(TenantId tenant, Time now, const RVec& size,
+  void on_arrive(const Item& job, Time now,
                  std::size_t open_bins) override;
-  void on_depart(TenantId tenant, Time now, const RVec& size,
+  void on_depart(const Item& job, Time now,
                  std::size_t open_bins) override;
   void on_advance(Time now, std::size_t open_bins) override;
 
@@ -76,8 +76,8 @@ class UsageAccountant final : public TenantUsageHook {
   void commit_epoch();
 
   // --- Crash safety (opaque blob inside checkpoints) --------------------
-  void save_state(serial::Writer& out) const;
-  void restore_state(serial::Reader& in);
+  void save_state(serial::Writer& out) const override;
+  void restore_state(serial::Reader& in) override;
 
  private:
   std::uint32_t slot(TenantId tenant) const noexcept {

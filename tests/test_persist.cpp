@@ -23,7 +23,6 @@
 #include "persist/durable.hpp"
 #include "persist/fault.hpp"
 #include "persist/journal.hpp"
-#include "persist/recovery.hpp"
 
 namespace dvbp {
 namespace {

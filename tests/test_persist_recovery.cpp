@@ -4,18 +4,22 @@
 // recover and require the recovered state to be bit-identical to an
 // uninterrupted run over the surviving prefix (dispatcher_state_hash from
 // packing_hash.hpp hashes raw load bits, so "equal" means equal futures).
-// A sharded K=4 service killed mid-drain by an injected commit fault is
+// A sharded K=4 service killed mid-drain at every fault point is
 // recovered the same way, shard by shard. A journal whose tail carries
 // tenant-credit (kTenantCredits) frames gets the same every-byte-offset
 // treatment: the surviving prefix must reproduce the dispatcher, the
 // usage ledgers, AND the last surviving credit snapshot bit for bit.
-// Reopening a sharded journal with fewer shards than wrote it is refused.
+// Reopening a sharded journal with fewer shards than wrote it is refused;
+// a reopen past checkpoints keeps every tenant ledger and, sharded, every
+// job's record and owner -- a job that moved shards included.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -31,6 +35,7 @@
 #include "core/simulator.hpp"
 #include "gen/tenants.hpp"
 #include "gen/uniform.hpp"
+#include "obs/metrics.hpp"
 #include "packing_hash.hpp"
 #include "persist/durable.hpp"
 #include "persist/fault.hpp"
@@ -95,6 +100,58 @@ Hashes hashes(const Dispatcher& d, const PackingRecorder& recorder) {
 
 Hashes hashes(const persist::DurableDispatcher& durable) {
   return hashes(durable.dispatcher(), durable.recorder());
+}
+
+/// A tenant-labeled instance long enough for several checkpoints per
+/// engine: the repro of the ledger and history reopen tests below.
+Instance ledger_instance() {
+  gen::UniformParams params;
+  params.d = 2;
+  params.n = 400;
+  params.mu = 12;
+  params.span = 200;
+  params.bin_size = 9;
+  Instance inst = gen::uniform_instance(params, 0xC4A54);
+  gen::label_tenants_uniform(inst, 3, /*seed=*/0xFEEDu);
+  return inst;
+}
+
+/// Every figure a usage ledger reports, for bit-exact comparison.
+std::vector<double> ledger(const tenancy::UsageAccountant& acc) {
+  std::vector<double> out;
+  for (std::uint32_t t = 0; t < acc.num_tenants(); ++t) {
+    out.push_back(acc.active_demand(t));
+    out.push_back(acc.demand_integral(t));
+    out.push_back(acc.attributed_bin_seconds(t));
+  }
+  for (const double usage : acc.peek_epoch()) out.push_back(usage);
+  out.push_back(acc.total_bin_seconds());
+  out.push_back(acc.unattributed_bin_seconds());
+  out.push_back(acc.last_event());
+  return out;
+}
+
+/// What a sharded service reports of its history at quiescence besides
+/// the merged packing: every job's owner shard and admission record (id,
+/// arrival, departure, size, tenant), then every shard's tenant ledger.
+std::vector<double> sharded_history(const cloud::ShardedDispatcher& service) {
+  std::vector<double> out;
+  for (JobId job = 0; job < service.jobs_admitted(); ++job) {
+    const Item& item = service.job_item(job);
+    out.push_back(static_cast<double>(service.shard_of(job)));
+    out.push_back(static_cast<double>(item.id));
+    out.push_back(item.arrival);
+    out.push_back(item.departure);
+    out.insert(out.end(), item.size.begin(), item.size.end());
+    out.push_back(static_cast<double>(item.tenant));
+  }
+  for (std::size_t s = 0; s < service.shards(); ++s) {
+    if (const tenancy::UsageAccountant* acc = service.shard_accountant(s)) {
+      const std::vector<double> figures = ledger(*acc);
+      out.insert(out.end(), figures.begin(), figures.end());
+    }
+  }
+  return out;
 }
 
 /// Expected recovered state: a plain serial Dispatcher fed the first
@@ -675,6 +732,45 @@ TEST(CrashFuzz, TenantCreditTailEveryByteOffsetTruncateAndCorrupt) {
   }
 }
 
+// A failure is sticky: once a checkpoint dies between its rename and the
+// journal rotation, the engine journals nothing more. The next op still
+// applies in memory but throws, and recovery sees only the ops before it.
+TEST(CrashFuzz, AFailedCheckpointLeavesTheJournalShut) {
+  const Instance inst = fuzz_instance();
+  const std::vector<Event> events = build_event_stream(inst);
+  TempDir dir("sticky");
+  persist::DurableOptions opts;
+  opts.dir = dir.str();
+  opts.fsync = FsyncPolicy::kNone;
+  opts.checkpoint_every = 8;
+  {
+    PolicyPtr policy = make_policy("FirstFit", kPolicySeed);
+    persist::DurableDispatcher durable(inst.dim(), *policy, opts);
+    std::size_t next = 0;
+    const auto apply_next = [&] {
+      const Event& ev = events[next++];
+      const Item& item = inst[ev.item];
+      if (ev.kind == EventKind::kArrival) {
+        durable.arrive(item.arrival, item);
+      } else {
+        durable.depart(ev.time, item.id);
+      }
+    };
+    for (int op = 0; op < 7; ++op) apply_next();
+    persist::set_fault_hook([](std::string_view point) {
+      if (point == "checkpoint.renamed") throw persist::FaultInjected(point);
+    });
+    EXPECT_THROW(apply_next(), persist::FaultInjected);  // the 8th op's
+    persist::clear_fault_hook();
+    EXPECT_THROW(apply_next(), persist::PersistError);
+    EXPECT_THROW(durable.flush(), persist::PersistError);
+  }
+  PolicyPtr policy = make_policy("FirstFit", kPolicySeed);
+  persist::DurableDispatcher recovered(inst.dim(), *policy, opts);
+  EXPECT_TRUE(recovered.recovery().had_checkpoint);
+  EXPECT_EQ(recovered.recovery().last_seq, 8u);
+}
+
 // Interval mode runs a background flusher thread alongside the committing
 // thread; drive it hard (fsync every 4 ops, so the flusher is almost
 // always in flight), abandon the writer mid-class like a crash, and make
@@ -707,10 +803,11 @@ TEST(CrashFuzz, BackgroundFlusherKeepsEveryCommittedFrame) {
                          "interval-flusher run");
 }
 
-// Sharded crash: a K=4 rendezvous-routed service is killed mid-drain by a
-// commit fault on whichever shard reaches it first. Recovery rebuilds
-// each shard independently; every shard must match a serial Dispatcher
-// fed exactly the prefix of its substream that survived in its journal.
+// Sharded crash: a K=4 rendezvous-routed service is killed mid-drain at
+// each registered fault point, on whichever shard reaches it first.
+// Recovery rebuilds each shard independently; every shard must match a
+// serial Dispatcher fed exactly the prefix of its substream that survived
+// in its journal, and after the fault the dying shard journals nothing.
 TEST(CrashFuzz, ShardedKilledMidDrainRecoversShardByShard) {
   constexpr std::size_t kShards = 4;
   gen::UniformParams params;
@@ -745,96 +842,158 @@ TEST(CrashFuzz, ShardedKilledMidDrainRecoversShardByShard) {
     return best;
   };
 
-  TempDir dir("sharded");
   cloud::ShardedOptions options;
   options.shards = kShards;
   options.router = cloud::RouterKind::kRendezvous;
-  options.journal_dir = dir.str();
   options.fsync = FsyncPolicy::kNone;
   options.checkpoint_every = 64;
   const auto factory = [](std::size_t) {
     return make_policy("MoveToFront", kPolicySeed);
   };
 
-  // Kill one shard's journal mid-run: the 5th batch commit that gets as
-  // far as writing its bytes dies before returning (torn-tail case is
-  // exercised per-byte by the serial fuzz; here the batch boundary is the
-  // interesting sharded behavior). Batch commits are few -- workers drain
-  // their whole backlog per wakeup -- so the countdown is small.
-  {
-    std::mutex fault_mu;
-    int countdown = 5;
-    persist::set_fault_hook([&](std::string_view point) {
-      if (point != "journal.commit.written") return;
-      std::lock_guard<std::mutex> lock(fault_mu);
-      if (--countdown == 0) throw persist::FaultInjected(point);
-    });
-    cloud::ShardedDispatcher service(inst.dim(), factory, options);
-    for (const Event& ev : events) {
-      const Item& item = inst[ev.item];
-      if (ev.kind == EventKind::kArrival) {
-        const JobId job =
-            service.arrive(item.arrival, item.size, item.departure);
-        ASSERT_EQ(job, job_of_item[ev.item]);
-      } else {
-        service.depart(ev.time, job_of_item[ev.item]);
+  // `nth`: which occurrence of the point, across all shards, dies. Batch
+  // commits are few -- workers drain their whole backlog per wakeup --
+  // and checkpoints (every 64 journaled ops of a shard) fewer still, so
+  // the countdowns are small. The torn-tail bytes themselves are fuzzed
+  // per byte by the serial tests; here the batch boundary is the
+  // interesting sharded behavior.
+  const struct {
+    const char* point;
+    int nth;
+  } kFaults[] = {
+      {"journal.commit.begin", 5},   {"journal.commit.torn", 5},
+      {"journal.commit.written", 5}, {"journal.commit.synced", 5},
+      {"checkpoint.tmp_written", 2}, {"checkpoint.renamed", 2},
+      {"checkpoint.truncated", 2},
+  };
+  for (const auto& fault : kFaults) {
+    SCOPED_TRACE(fault.point);
+    TempDir dir("sharded");
+    options.journal_dir = dir.str();
+    {
+      std::mutex fault_mu;
+      int countdown = fault.nth;
+      persist::set_fault_hook([&](std::string_view point) {
+        if (point != fault.point) return;
+        std::lock_guard<std::mutex> lock(fault_mu);
+        if (--countdown == 0) throw persist::FaultInjected(point);
+      });
+      cloud::ShardedDispatcher service(inst.dim(), factory, options);
+      for (const Event& ev : events) {
+        const Item& item = inst[ev.item];
+        if (ev.kind == EventKind::kArrival) {
+          const JobId job =
+              service.arrive(item.arrival, item.size, item.departure);
+          ASSERT_EQ(job, job_of_item[ev.item]);
+        } else {
+          service.depart(ev.time, job_of_item[ev.item]);
+        }
       }
-    }
-    EXPECT_THROW(service.drain(), persist::FaultInjected);
-    persist::clear_fault_hook();
-  }  // destructor joins workers; the poisoned shard stops journaling
+      EXPECT_THROW(service.drain(), persist::FaultInjected);
+      persist::clear_fault_hook();
+    }  // destructor joins workers; the dead shard journals nothing more
 
-  // Recover a fresh service from the same directories.
-  cloud::ShardedDispatcher recovered(inst.dim(), factory, options);
-  std::uint64_t total_recovered_ops = 0;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    SCOPED_TRACE(s);
-    const persist::RecoveryReport& report = recovered.shard_recovery(s);
-    total_recovered_ops += report.last_seq;
+    // Recover a fresh service from the same directories.
+    cloud::ShardedDispatcher recovered(inst.dim(), factory, options);
+    std::uint64_t total_recovered_ops = 0;
+    for (std::size_t s = 0; s < kShards; ++s) {
+      SCOPED_TRACE(s);
+      const persist::RecoveryReport& report = recovered.shard_recovery(s);
+      total_recovered_ops += report.last_seq;
 
-    // Rebuild shard s's substream (the order its queue received ops) and
-    // feed the surviving prefix to a serial replica, under the global
-    // job ids the shard admits its jobs under.
-    PolicyPtr policy = make_policy("MoveToFront", kPolicySeed);
-    Dispatcher replica(inst.dim(), *policy);
-    PackingRecorder recorder;
-    replica.set_recorder(&recorder);
-    std::uint64_t applied = 0;
-    for (const Event& ev : events) {
-      if (applied >= report.last_seq) break;
-      const JobId job = job_of_item[ev.item];
-      if (shard_of(job) != s) continue;
-      const Item& item = inst[ev.item];
-      if (ev.kind == EventKind::kArrival) {
-        replica.arrive(item.arrival,
-                       Item(job, item.arrival, item.departure, item.size));
-      } else {
-        replica.depart(ev.time, job);
+      // Rebuild shard s's substream (the order its queue received ops)
+      // and feed the surviving prefix to a serial replica, under the
+      // global job ids the shard admits its jobs under.
+      PolicyPtr policy = make_policy("MoveToFront", kPolicySeed);
+      Dispatcher replica(inst.dim(), *policy);
+      PackingRecorder recorder;
+      replica.set_recorder(&recorder);
+      std::uint64_t applied = 0;
+      for (const Event& ev : events) {
+        if (applied >= report.last_seq) break;
+        const JobId job = job_of_item[ev.item];
+        if (shard_of(job) != s) continue;
+        const Item& item = inst[ev.item];
+        if (ev.kind == EventKind::kArrival) {
+          replica.arrive(item.arrival,
+                         Item(job, item.arrival, item.departure, item.size));
+        } else {
+          replica.depart(ev.time, job);
+        }
+        ++applied;
       }
-      ++applied;
+      ASSERT_EQ(applied, report.last_seq);
+      EXPECT_EQ(recovered.shard_jobs_admitted(s), replica.jobs_admitted());
+      EXPECT_EQ(dispatcher_state_hash(recovered.shard_dispatcher(s)),
+                dispatcher_state_hash(replica))
+          << "shard " << s
+          << " live state diverged from its journaled prefix";
+      EXPECT_EQ(packing_hash(recovered.shard_packing(s)),
+                packing_hash(recorder.packing()))
+          << "shard " << s << " diverged from its journaled prefix";
     }
-    ASSERT_EQ(applied, report.last_seq);
-    EXPECT_EQ(recovered.shard_jobs_admitted(s), replica.jobs_admitted());
-    EXPECT_EQ(dispatcher_state_hash(recovered.shard_dispatcher(s)),
-              dispatcher_state_hash(replica))
-        << "shard " << s << " live state diverged from its journaled prefix";
-    EXPECT_EQ(packing_hash(recovered.shard_packing(s)),
-              packing_hash(recorder.packing()))
-        << "shard " << s << " diverged from its journaled prefix";
+    // The dying shard lost at most its uncommitted tail and everything
+    // after the fault; the others recovered every op they were fed.
+    EXPECT_GT(total_recovered_ops, 0u);
+    EXPECT_LT(total_recovered_ops, events.size() + 1);
+
+    // The recovered service is live: it accepts new traffic and drains.
+    const Time resume = events.back().time + 1.0;
+    RVec size(inst.dim());
+    for (std::size_t j = 0; j < size.dim(); ++j) size[j] = 0.3;
+    const JobId job = recovered.arrive(resume, size, resume + 5.0);
+    recovered.depart(resume + 2.0, job);
+    recovered.drain();
   }
-  // Exactly one shard lost its tail; the others recovered every op they
-  // were fed. With the fault at commit.written, the dying batch's frames
-  // are on disk, so at most the post-fault batches are missing.
-  EXPECT_GT(total_recovered_ops, 0u);
-  EXPECT_LT(total_recovered_ops, events.size() + 1);
+}
 
-  // The recovered service is live: it accepts new traffic and drains.
-  const Time resume = events.back().time + 1.0;
-  RVec size(inst.dim());
-  for (std::size_t j = 0; j < size.dim(); ++j) size[j] = 0.3;
-  const JobId job = recovered.arrive(resume, size, resume + 5.0);
-  recovered.depart(resume + 2.0, job);
-  recovered.drain();
+// A shard commits once per drained batch and checks its checkpoint cadence
+// once: the worker, held inside the first op's completion, finds the other
+// 99 ops queued and drains them as one batch -- one write(2), and one
+// checkpoint although the batch crosses the cadence many times over.
+TEST(ShardedJournal, AShardCommitsOncePerDrainedBatch) {
+  struct Hold final : cloud::CompletionSink {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool entered = false;
+    bool released = false;
+    void op_applied(std::uint64_t, JobId) noexcept override {
+      std::unique_lock<std::mutex> lock(mu);
+      entered = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return released; });
+    }
+  };
+  TempDir dir("group_commit");
+  obs::MetricRegistry registry;
+  cloud::ShardedOptions options;
+  options.journal_dir = dir.str();
+  options.fsync = FsyncPolicy::kNone;
+  options.checkpoint_every = 10;
+  options.metrics = &registry;
+  cloud::ShardedDispatcher service(
+      1, [](std::size_t) { return make_policy("FirstFit", kPolicySeed); },
+      options);
+  const auto hold = std::make_shared<Hold>();
+  ASSERT_TRUE(service.try_arrive(0.0, RVec{0.01},
+                                 std::numeric_limits<Time>::infinity(), hold));
+  {
+    std::unique_lock<std::mutex> lock(hold->mu);
+    hold->cv.wait(lock, [&] { return hold->entered; });
+  }
+  for (int j = 1; j < 100; ++j) {
+    service.arrive(static_cast<Time>(j), RVec{0.01});
+  }
+  {
+    std::lock_guard<std::mutex> lock(hold->mu);
+    hold->released = true;
+  }
+  hold->cv.notify_all();
+  service.drain();
+  EXPECT_EQ(registry.counter("dvbp.persist.journal_commits_total").value(),
+            2u);
+  EXPECT_EQ(registry.counter("dvbp.persist.checkpoints_total").value(), 1u);
+  EXPECT_EQ(service.shard_jobs_admitted(0), 100u);
 }
 
 // Reopening a sharded journal with fewer shards must not silently drop the
@@ -908,6 +1067,136 @@ TEST(ShardedReopen, RebalanceTiesGoByAdmissionOrderAcrossACheckpoint) {
   ASSERT_EQ(recovered.rebalance_shards(6.0, one_move).moves, 1u);
   EXPECT_EQ(recovered.shard_of(1), 0u);
   EXPECT_EQ(recovered.shard_of(0), 1u);
+}
+
+// A serial reopen past a checkpoint rebuilds the whole tenant ledger, not
+// just the replayed tail: the checkpoint carries the ledger, and replay
+// re-accrues the ops after it on top, so every figure is bit-exact.
+TEST(DurableTenancy, ReopenPastACheckpointRebuildsTheWholeLedger) {
+  const Instance inst = ledger_instance();
+  const std::vector<Event> events = build_event_stream(inst);
+  TempDir dir("ledger");
+  persist::DurableOptions opts;
+  opts.dir = dir.str();
+  opts.fsync = FsyncPolicy::kNone;
+  opts.checkpoint_every = 50;
+  std::vector<double> live;
+  {
+    PolicyPtr policy = make_policy("BestFit", kPolicySeed);
+    tenancy::UsageAccountant accountant(3);
+    opts.usage_hook = &accountant;
+    persist::DurableDispatcher durable(inst.dim(), *policy, opts);
+    for (std::size_t i = 0; i < events.size() * 2 / 3; ++i) {
+      const Item& item = inst[events[i].item];
+      if (events[i].kind == EventKind::kArrival) {
+        durable.arrive(item.arrival, item);
+      } else {
+        durable.depart(events[i].time, item.id);
+      }
+    }
+    live = ledger(accountant);
+  }
+  PolicyPtr policy = make_policy("BestFit", kPolicySeed);
+  tenancy::UsageAccountant accountant(3);
+  opts.usage_hook = &accountant;
+  persist::DurableDispatcher recovered(inst.dim(), *policy, opts);
+  ASSERT_TRUE(recovered.recovery().had_checkpoint);
+  ASSERT_GT(recovered.recovery().replayed_ops, 0u);
+  EXPECT_EQ(ledger(accountant), live);
+}
+
+// The sharded history contract across a reopen: the merged packing, every
+// job's owner shard and admission record -- departed jobs included -- and
+// every shard's tenant ledger read the same after a recovery as before
+// it, whether they come back from checkpoints, journal tails or both.
+TEST(ShardedReopen, HistoryAndLedgersSurviveAReopen) {
+  const Instance inst = ledger_instance();
+  const std::vector<Event> events = build_event_stream(inst);
+  const auto factory = [](std::size_t) {
+    return make_policy("MoveToFront", kPolicySeed);
+  };
+  for (const std::size_t every : {0, 7, 50}) {
+    SCOPED_TRACE(every);
+    TempDir dir("history");
+    cloud::ShardedOptions options;
+    options.shards = 2;
+    options.tenants = 3;
+    options.journal_dir = dir.str();
+    options.fsync = FsyncPolicy::kNone;
+    options.checkpoint_every = every;
+    std::uint64_t packing = 0;
+    std::vector<double> history;
+    {
+      cloud::ShardedDispatcher service(inst.dim(), factory, options);
+      std::vector<JobId> job_of_item(inst.size(), kNoItem);
+      for (std::size_t i = 0; i < events.size() * 2 / 3; ++i) {
+        const Item& item = inst[events[i].item];
+        if (events[i].kind == EventKind::kArrival) {
+          job_of_item[item.id] = service.arrive(item.arrival, item.size,
+                                                item.departure, item.tenant);
+        } else {
+          service.depart(events[i].time, job_of_item[item.id]);
+        }
+      }
+      service.drain();
+      packing = packing_hash(service.snapshot());
+      history = sharded_history(service);
+    }
+    cloud::ShardedDispatcher recovered(inst.dim(), factory, options);
+    EXPECT_EQ(recovered.shard_recovery(0).had_checkpoint, every > 0);
+    EXPECT_EQ(packing_hash(recovered.snapshot()), packing);
+    EXPECT_EQ(sharded_history(recovered), history);
+  }
+}
+
+// A job that moved shards and then departed recovers on the shard it
+// departed from, whichever way it moved and whether or not checkpoints
+// ran: after a journaled rebalance pass no other shard's history names it.
+TEST(ShardedReopen, AMovedThenDepartedJobRecoversOnItsLastShard) {
+  const auto factory = [](std::size_t) {
+    return make_policy("FirstFit", kPolicySeed);
+  };
+  cloud::ShardRebalanceConfig one_move;
+  one_move.skew_ratio = 1.0;
+  one_move.min_gap = 0.0;
+  one_move.max_moves = 1;
+  for (const std::size_t every : {0, 1}) {
+    for (const std::size_t from : {0, 1}) {
+      SCOPED_TRACE("every " + std::to_string(every) + ", from shard " +
+                   std::to_string(from));
+      TempDir dir("moved");
+      cloud::ShardedOptions options;
+      options.shards = 2;
+      options.router = cloud::RouterKind::kRoundRobin;
+      options.journal_dir = dir.str();
+      options.fsync = FsyncPolicy::kNone;
+      options.checkpoint_every = every;
+      // Round-robin sends job j to shard j % 2. From shard 1, a small
+      // first job shifts the three that skew the load by one shard.
+      const JobId moved = from;
+      std::uint64_t packing = 0;
+      std::vector<double> history;
+      {
+        cloud::ShardedDispatcher service(1, factory, options);
+        if (from == 1) service.arrive(0.0, RVec{0.05});
+        service.arrive(0.0, RVec{0.2});  // the job that moves
+        service.arrive(1.0, RVec{0.1});
+        service.arrive(2.0, RVec{0.7});
+        service.drain();
+        ASSERT_EQ(service.rebalance_shards(3.0, one_move).moves, 1u);
+        ASSERT_EQ(service.shard_of(moved), 1 - from);
+        service.depart(4.0, moved);
+        service.drain();
+        packing = packing_hash(service.snapshot());
+        history = sharded_history(service);
+      }
+      cloud::ShardedDispatcher recovered(1, factory, options);
+      EXPECT_EQ(recovered.shard_of(moved), 1 - from);
+      EXPECT_EQ(recovered.job_item(moved).departure, 4.0);
+      EXPECT_EQ(packing_hash(recovered.snapshot()), packing);
+      EXPECT_EQ(sharded_history(recovered), history);
+    }
+  }
 }
 
 }  // namespace
