@@ -1,14 +1,21 @@
 // Trace data-plane throughput ladder (docs/TRACES.md): how fast can the
 // harness move a binary trace from disk into placement decisions?
 //
-// Three rungs per dimension, all on one synthetic uniform workload that is
+// Five rungs per dimension, all on one synthetic uniform workload that is
 // first written to a temp trace file (so every rung measures the real
 // mmap-backed format, not an in-memory shortcut):
-//   write   TraceWriter::write_instance -- columnar assemble + CRC + fsync
-//   ingest  TraceCursor sweep of all 2n events (zero-copy streaming read;
-//           the acceptance floor for the d=2 rung is 1M events/s)
-//   replay  full streaming replay into a Dispatcher under FirstFit --
-//           packed events/s, the end-to-end number
+//   write        TraceWriter::write_instance -- columnar assemble + CRC +
+//                fsync
+//   open         the validated TraceReader construction: mmap, size and
+//                layout checks, the CRC over every byte, the row scan
+//   materialize  TraceReader::materialize -- the whole trace as an Instance
+//   ingest       TraceCursor sweep of all 2n events (zero-copy streaming
+//                read; the acceptance floor for the d=2 rung is 1M
+//                events/s)
+//   replay       full streaming replay into a Dispatcher under FirstFit --
+//                packed events/s, the end-to-end number
+// open and materialize take tens of milliseconds, so each reports the
+// median of kSetupReps runs; the other rungs run once.
 //
 // Like bench_net/bench_migration this is not a google-benchmark binary
 // (it reports domain throughput), so it emits its own
@@ -18,6 +25,7 @@
 //
 // Flags: --n=500000 --d=2,5 --mu=12 --span=100000 --bin-size=400
 //        --policy=FirstFit --seed=7 --out=FILE --smoke
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -39,11 +47,25 @@ namespace {
 using namespace dvbp;
 
 constexpr std::uint64_t kPolicySeed = 0xD1CEu;
+constexpr int kSetupReps = 5;
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+/// Median wall time of `reps` calls of `run`.
+template <typename Fn>
+double median_seconds(int reps, Fn&& run) {
+  std::vector<double> walls;
+  for (int r = 0; r < reps; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    run();
+    walls.push_back(seconds_since(start));
+  }
+  std::sort(walls.begin(), walls.end());
+  return walls[walls.size() / 2];
 }
 
 struct Rung {
@@ -53,7 +75,7 @@ struct Rung {
   std::uint64_t events = 0;
   double wall_s = 0.0;
   double events_per_s = 0.0;
-  double mb_per_s = 0.0;   // write/ingest: file bytes over wall time
+  double mb_per_s = 0.0;   // all but replay: file bytes over wall time
   double cost = 0.0;       // replay only
   std::uint64_t bins = 0;  // replay only
 };
@@ -120,6 +142,25 @@ int main(int argc, char** argv) {
     rungs.push_back({workload + "/write", workload, "write", events, wall,
                      static_cast<double>(events) / wall, mb / wall, 0.0, 0});
 
+    // open
+    wall = median_seconds(kSetupReps, [&] {
+      const trace::TraceReader opened(trace_path);
+      if (opened.size() != inst.size()) std::cerr << "open: size mismatch\n";
+    });
+    rungs.push_back({workload + "/open", workload, "open", events, wall,
+                     static_cast<double>(events) / wall, mb / wall, 0.0, 0});
+
+    // materialize
+    wall = median_seconds(kSetupReps, [&] {
+      const Instance back = reader.materialize();
+      if (back.size() != inst.size()) {
+        std::cerr << "materialize: size mismatch\n";
+      }
+    });
+    rungs.push_back({workload + "/materialize", workload, "materialize",
+                     events, wall, static_cast<double>(events) / wall,
+                     mb / wall, 0.0, 0});
+
     // ingest: pure streaming sweep; fold the timestamps into a sink so the
     // loop cannot be optimized away.
     trace::TraceCursor cursor(reader);
@@ -141,7 +182,7 @@ int main(int argc, char** argv) {
                      events, wall, static_cast<double>(events) / wall, 0.0,
                      res.cost, static_cast<std::uint64_t>(res.bins_opened)});
 
-    for (std::size_t i = rungs.size() - 3; i < rungs.size(); ++i) {
+    for (std::size_t i = rungs.size() - 5; i < rungs.size(); ++i) {
       std::cout << rungs[i].name << ": " << rungs[i].events << " events in "
                 << rungs[i].wall_s << "s = " << rungs[i].events_per_s
                 << " events/s" << std::endl;

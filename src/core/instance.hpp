@@ -36,9 +36,13 @@ class Instance {
   /// negative arrival, or size outside [0, 1+eps]^d.
   ItemId add(Time arrival, Time departure, RVec size);
 
+  /// Makes room for `n` items, so that adding that many moves none.
+  void reserve(std::size_t n) { items_.reserve(n); }
+
   /// Sorts items by (arrival, original order) and reassigns ids so that ids
-  /// are again the arrival order. Generators that emit items out of order
-  /// call this once at the end.
+  /// are again the arrival order: the order std::stable_sort by arrival
+  /// gives. Generators that emit items out of order call this once at the
+  /// end. It sorts (arrival, position) keys and moves each item once.
   void sort_by_arrival();
 
   /// Labels item `id` with a tenant (src/gen/tenants.hpp builds whole

@@ -157,25 +157,49 @@ class Reader {
 };
 
 /// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) -- the checksum
-/// framing every journal frame and checkpoint file. Detects all single-byte
-/// corruptions and all burst errors up to 32 bits, which is what the
-/// torn-tail fuzz test (tests/test_persist_recovery.cpp) leans on.
+/// framing every journal frame, checkpoint file, trace file and wire
+/// message. Detects all single-byte corruptions and all burst errors up to
+/// 32 bits, which is what the torn-tail fuzz test
+/// (tests/test_persist_recovery.cpp) leans on. `seed` chains:
+/// crc32(b, crc32(a)) == crc32(a || b).
+///
+/// Sliced by eight: each step folds one unaligned 8-byte little-endian load
+/// through eight tables, and the last len % 8 bytes go one at a time. It
+/// returns exactly the values of the one-table byte-at-a-time loop, which
+/// tests/test_persist.cpp keeps as its reference and compares at every
+/// length 0..256 from every start offset 0..7.
 inline std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
                            std::uint32_t seed = 0) noexcept {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Row 0 is the classic one-byte table; row k carries a byte's remainder
+  // through k further zero bytes, so one lookup per row folds eight input
+  // bytes into the CRC at once.
+  static constexpr auto t = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> rows{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      rows[0][i] = c;
     }
-    return t;
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::size_t i = 0; i < 256; ++i) {
+        rows[k][i] = (rows[k - 1][i] >> 8) ^ rows[0][rows[k - 1][i] & 0xFFu];
+      }
+    }
+    return rows;
   }();
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  for (; len >= 8; data += 8, len -= 8) {
+    std::uint64_t v;
+    std::memcpy(&v, data, 8);
+    v ^= c;
+    c = t[7][v & 0xFFu] ^ t[6][(v >> 8) & 0xFFu] ^ t[5][(v >> 16) & 0xFFu] ^
+        t[4][(v >> 24) & 0xFFu] ^ t[3][(v >> 32) & 0xFFu] ^
+        t[2][(v >> 40) & 0xFFu] ^ t[1][(v >> 48) & 0xFFu] ^ t[0][v >> 56];
+  }
+  for (; len > 0; ++data, --len) {
+    c = t[0][(c ^ *data) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

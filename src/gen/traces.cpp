@@ -51,6 +51,7 @@ Instance zipf_duration_instance(const ZipfDurationParams& params,
   params.base.validate();
   const ZipfSampler durations(params.base.mu, params.alpha);
   Instance inst(params.base.d);
+  inst.reserve(params.base.n);
   for (std::size_t i = 0; i < params.base.n; ++i) {
     const auto arrival = static_cast<Time>(
         rng.uniform_int(0, params.base.span - params.base.mu));
@@ -75,6 +76,7 @@ Instance bursty_arrival_instance(const BurstyArrivalParams& params,
   for (auto& c : centers) c = rng.uniform_int(0, center_max);
 
   Instance inst(params.base.d);
+  inst.reserve(params.base.n);
   for (std::size_t i = 0; i < params.base.n; ++i) {
     const auto& center = centers[static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(params.bursts) - 1))];
@@ -101,6 +103,7 @@ Instance diurnal_arrival_instance(const DiurnalArrivalParams& params,
   constexpr double kTwoPi = 6.283185307179586476925286766559;
 
   Instance inst(params.base.d);
+  inst.reserve(params.base.n);
   for (std::size_t i = 0; i < params.base.n; ++i) {
     // Rejection sampling against the normalized intensity.
     Time arrival = 0.0;
@@ -130,6 +133,7 @@ Instance correlated_size_instance(const CorrelatedSizeParams& params,
     throw std::invalid_argument("correlated_size_instance: rho in [0,1]");
   }
   Instance inst(params.base.d);
+  inst.reserve(params.base.n);
   const auto b = params.base.bin_size;
   const double scale = 1.0 / static_cast<double>(b);
   for (std::size_t i = 0; i < params.base.n; ++i) {

@@ -19,6 +19,7 @@ void UniformParams::validate() const {
 Instance uniform_instance(const UniformParams& params, Xoshiro256pp& rng) {
   params.validate();
   Instance inst(params.d);
+  inst.reserve(params.n);
   const double scale = 1.0 / static_cast<double>(params.bin_size);
   for (std::size_t i = 0; i < params.n; ++i) {
     const auto arrival =

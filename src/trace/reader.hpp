@@ -69,7 +69,8 @@ class TraceReader {
   Item item(std::size_t i) const;
 
   /// Materializes the whole trace as an Instance -- the compatibility
-  /// bridge for offline tooling; O(n) memory, avoid for huge traces.
+  /// bridge for offline tooling; O(n) memory, avoid for huge traces. One
+  /// pass, no sort: row i is item i, and Instance::add checks every row.
   Instance materialize() const;
 
  private:

@@ -78,13 +78,16 @@ void TraceWriter::write(const std::string& path) {
   const std::uint64_t n = arrival_.size();
 
   // Stable arrival order: ties keep insertion order, exactly like
-  // Instance::sort_by_arrival (the row index becomes the ItemId).
+  // Instance::sort_by_arrival (the row index becomes the ItemId). Items
+  // staged in arrival order, as every generator emits them, keep theirs.
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return arrival_[a] < arrival_[b];
-                   });
+  if (!std::is_sorted(arrival_.begin(), arrival_.end())) {
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return arrival_[a] < arrival_[b];
+                     });
+  }
 
   const std::uint64_t total =
       expected_file_bytes(n, static_cast<std::uint32_t>(dim_),

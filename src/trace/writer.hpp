@@ -3,11 +3,12 @@
 // columnar, so the writer keeps each column contiguous and the final write
 // is a handful of large memcpys, not a per-item encode loop.
 //
-// Items may be added in any order; write() stable-sorts by arrival so the
-// row index is the ItemId, mirroring Instance::sort_by_arrival. For an
-// Instance already in arrival order (every registered generator emits one)
-// the round-trip instance -> trace -> materialize() is bit-exact: sizes
-// and timestamps are stored as raw IEEE-754 doubles, never through text.
+// Items may be added in any order; write() stable-sorts by arrival (items
+// added in arrival order are left as they are) so the row index is the
+// ItemId, mirroring Instance::sort_by_arrival. For an Instance already in
+// arrival order (every registered generator emits one) the round-trip
+// instance -> trace -> materialize() is bit-exact: sizes and timestamps
+// are stored as raw IEEE-754 doubles, never through text.
 //
 // The file lands atomically: staged to <path>.tmp, fsync'd, then renamed
 // over <path> (the checkpoint convention of src/persist/).

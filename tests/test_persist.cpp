@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -23,6 +24,7 @@
 #include "persist/durable.hpp"
 #include "persist/fault.hpp"
 #include "persist/journal.hpp"
+#include "stats/rng.hpp"
 
 namespace dvbp {
 namespace {
@@ -108,6 +110,79 @@ TEST(Serial, Crc32MatchesIeeeCheckValue) {
   const std::uint8_t check[] = {'1', '2', '3', '4', '5',
                                 '6', '7', '8', '9'};
   EXPECT_EQ(serial::crc32(check, sizeof(check)), 0xCBF43926u);
+}
+
+// The reference: the one-table, one-byte-a-step CRC-32 that framed every
+// journal, checkpoint, trace and wire message before the sliced loop. Any
+// input on which serial::crc32 differs from it would change those bytes.
+std::uint32_t bytewise_crc32(const std::uint8_t* data, std::size_t len,
+                             std::uint32_t seed = 0) {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    table[i] = c;
+  }
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Xoshiro256pp rng(seed);
+  std::vector<std::uint8_t> bytes(n);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng());
+  return bytes;
+}
+
+TEST(Serial, Crc32MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..256 from each start offset 0..7 cover every head alignment
+  // and every tail length of an 8-byte-step loop.
+  const std::vector<std::uint8_t> bytes = random_bytes(256 + 8, 0xC4C);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 256; ++len) {
+      ASSERT_EQ(serial::crc32(bytes.data() + offset, len),
+                bytewise_crc32(bytes.data() + offset, len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
+TEST(Serial, Crc32MatchesBytewiseReferenceOnMultiMegabyteBuffer) {
+  const std::vector<std::uint8_t> bytes =
+      random_bytes((std::size_t{3} << 20) + 5, 0xB16);
+  EXPECT_EQ(serial::crc32(bytes), bytewise_crc32(bytes.data(), bytes.size()));
+  // Constant runs too: all-zero and all-ones blocks stress no table slot
+  // the random buffer misses, but they are what sparse files are made of.
+  const std::vector<std::uint8_t> zeros(100003, 0x00);
+  const std::vector<std::uint8_t> ones(100003, 0xFF);
+  EXPECT_EQ(serial::crc32(zeros), bytewise_crc32(zeros.data(), zeros.size()));
+  EXPECT_EQ(serial::crc32(ones), bytewise_crc32(ones.data(), ones.size()));
+}
+
+TEST(Serial, Crc32ChainsThroughItsSeed) {
+  // crc32(b, crc32(a)) == crc32(a || b) at every split point, and for a
+  // random seed the sliced loop agrees with the reference too.
+  const std::vector<std::uint8_t> bytes = random_bytes(300, 0x5EED);
+  const std::uint32_t whole = serial::crc32(bytes);
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    const std::uint32_t head = serial::crc32(bytes.data(), split);
+    ASSERT_EQ(serial::crc32(bytes.data() + split, bytes.size() - split, head),
+              whole)
+        << "split at " << split;
+  }
+  Xoshiro256pp rng(0xC0FFEE);
+  for (int trial = 0; trial < 64; ++trial) {
+    const auto seed = static_cast<std::uint32_t>(rng());
+    const auto len = static_cast<std::size_t>(rng.uniform_int(0, 299));
+    ASSERT_EQ(serial::crc32(bytes.data(), len, seed),
+              bytewise_crc32(bytes.data(), len, seed))
+        << "seed " << seed << ", length " << len;
+  }
 }
 
 TEST(Journal, FsyncPolicySpellings) {

@@ -5,6 +5,9 @@
 //  * Streaming: TraceCursor emits exactly build_event_stream() order, and
 //    replay_trace() matches simulate() bin for bin -- cost, bin count and
 //    the full packing hash -- for all ten registered policies.
+//  * Ingest: materialize() and Instance::sort_by_arrival() give exactly
+//    what adding every row and then std::stable_sort gives, on arrival
+//    ties too, and a written trace's stored CRC is pinned.
 //  * Hostile input: EVERY truncation length and EVERY single-byte
 //    corruption of a valid file is rejected with TraceError at open; the
 //    reader never walks unvalidated bytes.
@@ -17,8 +20,11 @@
 //    order keeps std::list semantics through the free-list recycling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -33,6 +39,7 @@
 #include "opt/lower_bounds.hpp"
 #include "opt/offline_opt.hpp"
 #include "packing_hash.hpp"
+#include "stats/rng.hpp"
 #include "trace/convert.hpp"
 #include "trace/format.hpp"
 #include "trace/reader.hpp"
@@ -177,6 +184,123 @@ TEST_F(TraceFile, WriterRejectsBadItems) {
   EXPECT_THROW(writer.add(0.0, 1.0, too_big), TraceError);
   writer.add(0.0, 1.0, ok);  // still usable after rejections
   EXPECT_EQ(writer.items(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Ingest: one-pass materialize() and the arrival sort
+
+/// Many rows per arrival time: integer times over a short span, as a dense
+/// uniform replay has, with tenant labels so every field is compared.
+Instance tied_instance(std::size_t n, std::uint64_t seed) {
+  gen::UniformParams params;
+  params.n = n;
+  params.d = 3;
+  params.mu = 10;
+  params.span = 40;  // 31 distinct arrival times
+  params.bin_size = 100;
+  Instance inst = gen::uniform_instance(params, seed);
+  for (ItemId i = 0; i < inst.size(); ++i) {
+    inst.set_tenant(i, static_cast<TenantId>(i % 7));
+  }
+  return inst;
+}
+
+/// std::stable_sort by arrival, ids renumbered to positions: the order
+/// Instance::sort_by_arrival and TraceWriter::write promise.
+std::vector<Item> stable_sorted(std::vector<Item> items) {
+  std::stable_sort(items.begin(), items.end(),
+                   [](const Item& a, const Item& b) {
+                     return a.arrival < b.arrival;
+                   });
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    items[i].id = static_cast<ItemId>(i);
+  }
+  return items;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Field for field, doubles by their bits.
+void expect_same_items(const std::vector<Item>& want, const Instance& got) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const Item& a = want[i];
+    const Item& b = got[i];
+    ASSERT_EQ(a.id, b.id) << "row " << i;
+    ASSERT_EQ(bits(a.arrival), bits(b.arrival)) << "row " << i;
+    ASSERT_EQ(bits(a.departure), bits(b.departure)) << "row " << i;
+    ASSERT_EQ(a.tenant, b.tenant) << "row " << i;
+    ASSERT_EQ(a.size.dim(), b.size.dim()) << "row " << i;
+    for (std::size_t j = 0; j < a.size.dim(); ++j) {
+      ASSERT_EQ(bits(a.size[j]), bits(b.size[j])) << "row " << i;
+    }
+  }
+}
+
+TEST_F(TraceFile, MaterializeEqualsAddThenStableSortOnTiedArrivals) {
+  const Instance inst = tied_instance(4000, 0x71E5);
+  const std::string path = track(temp_path("trace_ties.trc"));
+  TraceWriter::write_instance(inst, path);
+  TraceReader reader(path);
+
+  // What materialize() once built: every row added in file order, then a
+  // stable sort by arrival.
+  std::vector<Item> rows;
+  for (std::size_t i = 0; i < reader.size(); ++i) {
+    rows.push_back(reader.item(i));
+  }
+  const std::vector<Item> want = stable_sorted(rows);
+
+  const Instance got = reader.materialize();
+  EXPECT_EQ(got.dim(), reader.dim());
+  expect_same_items(want, got);
+  expect_same_items(inst.items(), got);
+}
+
+TEST_F(TraceFile, ShuffledTiesSortLikeStableSort) {
+  // Shuffle a tied instance and label each row with its shuffled position,
+  // so two rows that share an arrival are never interchangeable.
+  std::vector<Item> shuffled = tied_instance(4000, 0x5A1E).items();
+  Xoshiro256pp rng(0xD15C);
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    const auto j = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+    std::swap(shuffled[i - 1], shuffled[j]);
+  }
+  Instance inst(3);
+  TraceWriter writer(3, /*with_tenants=*/true);
+  for (std::size_t i = 0; i < shuffled.size(); ++i) {
+    Item& r = shuffled[i];
+    r.id = static_cast<ItemId>(i);
+    r.tenant = static_cast<TenantId>(i);
+    inst.add(r.arrival, r.departure, r.size);
+    inst.set_tenant(r.id, r.tenant);
+    writer.add(r.arrival, r.departure, r.size, r.tenant);
+  }
+  const std::vector<Item> want = stable_sorted(shuffled);
+
+  inst.sort_by_arrival();
+  expect_same_items(want, inst);
+
+  // The writer's index sort keeps the same order on the way to disk.
+  const std::string path = track(temp_path("trace_shuffled_ties.trc"));
+  writer.write(path);
+  expect_same_items(want, TraceReader(path).materialize());
+}
+
+TEST_F(TraceFile, WrittenTraceCrcIsPinned) {
+  // The stored CRC of a trace from a fixed generator seed: it covers every
+  // byte before it, so it pins the whole file against any change to the
+  // writer's layout, its sort or serial::crc32 itself.
+  const Instance inst = tied_instance(1000, 7);
+  const std::string path = track(temp_path("trace_pinned.trc"));
+  TraceWriter::write_instance(inst, path);
+  const std::vector<std::uint8_t> bytes = slurp_bytes(path);
+  ASSERT_GE(bytes.size(), 4u);
+  std::uint32_t stored = 0;
+  std::memcpy(&stored, bytes.data() + bytes.size() - 4, 4);
+  EXPECT_EQ(bytes.size(), 44092u);
+  EXPECT_EQ(stored, 0x8171AFEAu);
 }
 
 // ---------------------------------------------------------------------------
