@@ -1,13 +1,13 @@
-// Network throughput/latency ladder for the binary-RPC placement server
-// (docs/PROTOCOL.md): spins up a PlacementServer over loopback and drives
-// it with the load generator.
+// Overload rung for the binary-RPC placement server (docs/PROTOCOL.md):
+// spins up a PlacementServer over loopback with small shard queues and
+// drives it in open loop at a fixed rate well above what it can apply.
+// The server must shed load with RETRY_LATER instead of buffering without
+// bound. perfbench's wire workloads cover the closed-loop and paced
+// latency of the full stack; nothing else overruns the server.
 //
-// Two sections:
-//   * closed loop -- connection-count ladder at a fixed window: the
-//     saturation throughput and its p50/p99/p999 latency tail;
-//   * open loop -- a target-rate rung deliberately above saturation
-//     against a small-queue service: RETRY_LATER must show up (the
-//     backpressure path) while memory stays bounded.
+// How much the shards apply before their queues fill varies severalfold
+// from run to run, so the rung runs kRuns times, each against a fresh
+// service, and the record lists every run.
 //
 // Unlike the microbenchmarks this is not a google-benchmark binary (it
 // measures a client/server pair, not a function), so it emits its own
@@ -15,14 +15,11 @@
 // bench/BENCH_net.json, regenerated via
 // scripts/bench_baseline.sh --target=net.
 //
-// Flags: --connections=1,2,4 --window=128 --requests=20000 --shards=8
-//        --event-loops=1 --dim=2 --depart-fraction=0.45 --seed=42
-//        --open-rate-multiplier=2 --open-duration=1.0 --out=FILE --smoke
+// Flags: --out=FILE --smoke (one 0.2 s run at 20,000 req/s)
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "cloud/sharded_dispatcher.hpp"
 #include "core/policies/registry.hpp"
@@ -33,168 +30,92 @@
 
 namespace {
 
-struct Rung {
-  std::string name;
-  dvbp::net::LoadgenResult result;
-  std::size_t connections = 0;
-  std::size_t window = 0;
-  double target_rate = 0.0;  // open loop only
-};
+constexpr std::size_t kShards = 8;
+constexpr std::size_t kConnections = 2;
+constexpr int kRuns = 5;
 
-dvbp::cloud::ShardedOptions service_options(std::size_t shards,
-                                            std::size_t queue_capacity) {
-  dvbp::cloud::ShardedOptions opts;
-  opts.shards = shards;
-  opts.router = dvbp::cloud::RouterKind::kRoundRobin;
-  opts.queue_capacity = queue_capacity;
-  return opts;
-}
-
-void append_rung_json(std::string& out, const Rung& rung) {
-  using dvbp::obs::json_number;
-  const dvbp::net::LoadgenResult& r = rung.result;
-  out += "    {\"name\":\"" + rung.name + "\"";
-  out += ",\"connections\":" + std::to_string(rung.connections);
-  out += ",\"window\":" + std::to_string(rung.window);
-  if (rung.target_rate > 0.0) {
-    out += ",\"target_rate_rps\":" + json_number(rung.target_rate);
-  }
-  out += ",\"requests_sent\":" + std::to_string(r.requests_sent);
-  out += ",\"ok\":" + std::to_string(r.ok);
-  out += ",\"retry_later\":" + std::to_string(r.retry_later);
-  out += ",\"errors\":" + std::to_string(r.bad_request + r.unknown_job +
-                                         r.shutting_down + r.other_errors);
-  out += ",\"elapsed_s\":" + json_number(r.elapsed_s);
-  out += ",\"throughput_rps\":" + json_number(r.throughput_rps);
-  out += ",\"p50_ns\":" + json_number(r.p50_ns);
-  out += ",\"p99_ns\":" + json_number(r.p99_ns);
-  out += ",\"p999_ns\":" + json_number(r.p999_ns);
-  out += ",\"max_ns\":" + json_number(r.max_ns);
-  out += "}";
-}
-
-void print_rung(const Rung& rung) {
-  const dvbp::net::LoadgenResult& r = rung.result;
-  std::cout << rung.name << ": conns=" << rung.connections
-            << " ok=" << r.ok << " retry_later=" << r.retry_later
-            << " rps=" << static_cast<std::uint64_t>(r.throughput_rps)
-            << " p50_us=" << r.p50_ns / 1e3
-            << " p99_us=" << r.p99_ns / 1e3
-            << " p999_us=" << r.p999_ns / 1e3 << std::endl;
+/// One run against a fresh service: 8 FirstFit shards with 64-op queues
+/// behind one event loop, 256 requests in flight per connection.
+dvbp::net::LoadgenResult overload(double rate, double duration_s) {
+  using namespace dvbp;
+  net::LoadgenOptions lopts;  // the default synthetic mix
+  lopts.connections = kConnections;
+  lopts.seed = 43;
+  lopts.open_loop_rate = rate;
+  lopts.duration_s = duration_s;
+  cloud::ShardedOptions service_opts;
+  service_opts.shards = kShards;
+  service_opts.router = cloud::RouterKind::kRoundRobin;
+  service_opts.queue_capacity = 64;
+  cloud::ShardedDispatcher service(
+      lopts.dim, [](std::size_t) { return make_policy("FirstFit"); },
+      service_opts);
+  net::ServerOptions server_opts;
+  server_opts.max_inflight_per_conn = 256;
+  net::PlacementServer server(service, server_opts);
+  lopts.port = server.port();
+  const net::LoadgenResult r = net::run_loadgen(lopts);
+  server.stop();
+  return r;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace dvbp;
+  using obs::json_number;
   const harness::Args args(argc, argv);
+  for (const std::string& key : args.keys()) {
+    if (key != "out" && key != "smoke") {
+      std::cerr << "bench_net: unknown flag '--" << key
+                << "' (flags: --out=FILE --smoke)\n";
+      return 2;
+    }
+  }
   const bool smoke = args.get_bool("smoke", false);
-
-  std::vector<std::int64_t> connections =
-      args.get_int_list("connections", smoke
-                                           ? std::vector<std::int64_t>{2}
-                                           : std::vector<std::int64_t>{1, 2,
-                                                                       4});
-  const auto shards = static_cast<std::size_t>(args.get_int("shards", 8));
-  const auto event_loops =
-      static_cast<std::size_t>(args.get_int("event-loops", 1));
-  const auto window =
-      static_cast<std::size_t>(args.get_int("window", smoke ? 32 : 128));
-  const auto requests = static_cast<std::uint64_t>(
-      args.get_int("requests", smoke ? 1000 : 20000));
-  const auto dim = static_cast<std::size_t>(args.get_int("dim", 2));
-  const double depart_fraction = args.get_double("depart-fraction", 0.45);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  const double open_rate_multiplier =
-      args.get_double("open-rate-multiplier", 2.0);
-  const double open_duration =
-      args.get_double("open-duration", smoke ? 0.2 : 1.0);
   const std::string out_path = args.get("out", "");
-
-  const auto factory = [](std::size_t) { return make_policy("FirstFit"); };
-
-  std::vector<Rung> rungs;
-  double best_closed_rps = 0.0;
-
-  // --- Closed-loop connection ladder ------------------------------------
-  for (const std::int64_t conns : connections) {
-    cloud::ShardedDispatcher service(dim, factory,
-                                     service_options(shards, 4096));
-    net::ServerOptions sopts;
-    sopts.event_loops = event_loops;
-    net::PlacementServer server(service, sopts);
-
-    net::LoadgenOptions lopts;
-    lopts.port = server.port();
-    lopts.connections = static_cast<std::size_t>(conns);
-    lopts.dim = dim;
-    lopts.depart_fraction = depart_fraction;
-    lopts.seed = seed;
-    lopts.window = window;
-    lopts.requests_per_connection = requests;
-
-    Rung rung;
-    rung.name = "closed/c" + std::to_string(conns);
-    rung.connections = lopts.connections;
-    rung.window = window;
-    rung.result = net::run_loadgen(lopts);
-    best_closed_rps = std::max(best_closed_rps, rung.result.throughput_rps);
-    print_rung(rung);
-    rungs.push_back(rung);
-    server.stop();
-  }
-
-  // --- Open-loop backpressure rung --------------------------------------
-  // Target rate deliberately above the measured saturation against a
-  // service with small shard queues: the server must shed load with
-  // RETRY_LATER instead of buffering without bound.
-  {
-    cloud::ShardedDispatcher service(dim, factory,
-                                     service_options(shards, 64));
-    net::ServerOptions sopts;
-    sopts.event_loops = event_loops;
-    sopts.max_inflight_per_conn = 256;
-    net::PlacementServer server(service, sopts);
-
-    net::LoadgenOptions lopts;
-    lopts.port = server.port();
-    lopts.connections = 2;
-    lopts.dim = dim;
-    lopts.depart_fraction = depart_fraction;
-    lopts.seed = seed + 1;
-    lopts.open_loop_rate = std::max(best_closed_rps * open_rate_multiplier,
-                                    smoke ? 20000.0 : 50000.0);
-    lopts.duration_s = open_duration;
-
-    Rung rung;
-    rung.name = "open/overload";
-    rung.connections = lopts.connections;
-    rung.window = 0;
-    rung.target_rate = lopts.open_loop_rate;
-    rung.result = net::run_loadgen(lopts);
-    print_rung(rung);
-    rungs.push_back(rung);
-    server.stop();
-  }
+  harness::require_writable_file("out", out_path);
+  const double rate = smoke ? 20000.0 : 300000.0;
+  const double duration_s = smoke ? 0.2 : 1.0;
+  const net::LoadgenOptions defaults;
 
   std::string json = "{\n  \"context\": {";
   json += "\"bench\":\"net\"";
-  json += ",\"shards\":" + std::to_string(shards);
-  json += ",\"event_loops\":" + std::to_string(event_loops);
-  json += ",\"dim\":" + std::to_string(dim);
-  json += ",\"requests_per_connection\":" + std::to_string(requests);
-  json += ",\"depart_fraction\":" + obs::json_number(depart_fraction);
+  json += ",\"shards\":" + std::to_string(kShards);
+  json += ",\"dim\":" + std::to_string(defaults.dim);
+  json += ",\"depart_fraction\":" + json_number(defaults.depart_fraction);
   json += ",\"smoke\":" + std::string(smoke ? "true" : "false");
   json += "},\n  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < rungs.size(); ++i) {
-    append_rung_json(json, rungs[i]);
-    if (i + 1 < rungs.size()) json += ",";
-    json += "\n";
+  const int runs = smoke ? 1 : kRuns;
+  for (int run = 0; run < runs; ++run) {
+    const net::LoadgenResult r = overload(rate, duration_s);
+    std::cout << "open/overload run " << run << ": ok=" << r.ok
+              << " retry_later=" << r.retry_later
+              << " rps=" << static_cast<std::uint64_t>(r.throughput_rps)
+              << " p50_us=" << r.p50_ns / 1e3 << " p99_us=" << r.p99_ns / 1e3
+              << " late_p99_us=" << r.late_p99_ns / 1e3 << std::endl;
+    json += "    {\"name\":\"open/overload\"";
+    json += ",\"run\":" + std::to_string(run);
+    json += ",\"connections\":" + std::to_string(kConnections);
+    json += ",\"target_rate_rps\":" + json_number(rate);
+    json += ",\"requests_sent\":" + std::to_string(r.requests_sent);
+    json += ",\"ok\":" + std::to_string(r.ok);
+    json += ",\"retry_later\":" + std::to_string(r.retry_later);
+    json += ",\"errors\":" + std::to_string(r.bad_request + r.unknown_job +
+                                            r.shutting_down + r.other_errors);
+    json += ",\"elapsed_s\":" + json_number(r.elapsed_s);
+    json += ",\"throughput_rps\":" + json_number(r.throughput_rps);
+    json += ",\"p50_ns\":" + json_number(r.p50_ns);
+    json += ",\"p99_ns\":" + json_number(r.p99_ns);
+    json += ",\"p999_ns\":" + json_number(r.p999_ns);
+    json += ",\"max_ns\":" + json_number(r.max_ns);
+    json += ",\"late_p50_ns\":" + json_number(r.late_p50_ns);
+    json += ",\"late_p99_ns\":" + json_number(r.late_p99_ns);
+    json += run + 1 < runs ? "},\n" : "}\n";
   }
   json += "  ]\n}\n";
 
   if (!out_path.empty()) {
-    harness::require_writable_file("--out", out_path);
     std::ofstream out(out_path);
     out << json;
     std::cout << "wrote " << out_path << std::endl;

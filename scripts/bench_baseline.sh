@@ -9,10 +9,12 @@
 #   persist  bench/bench_persist.cpp, journaling/fsync overhead ladder for
 #            the durable dispatcher and the sharded service
 #            (curated record: bench/BENCH_persist.json, docs/DURABILITY.md)
-#   net      bench/bench_net.cpp, loopback client/server throughput and
-#            latency tail of the binary-RPC placement server; emits its
-#            own JSON (not google-benchmark), so --repetitions does not
-#            apply (curated record: bench/BENCH_net.json, docs/PROTOCOL.md)
+#   net      bench/bench_net.cpp, the open-loop overload rung of the
+#            binary-RPC placement server over loopback (sheds, latency
+#            from each request's due time, generator lateness; five runs,
+#            each against a fresh service); emits its own JSON (not
+#            google-benchmark), so --repetitions does not apply (curated
+#            record: bench/BENCH_net.json, docs/PROTOCOL.md)
 #   migration bench/bench_migration.cpp, achieved cost at migration
 #            budgets {0,1,4,inf} vs the offline no-repack baseline and
 #            the Lemma 1 lower bounds; emits its own JSON, --repetitions

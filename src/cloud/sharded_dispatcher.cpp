@@ -9,45 +9,27 @@
 #include <utility>
 
 #include "core/serial.hpp"
-#include "obs/trace.hpp"
 #include "persist/checkpoint.hpp"
 
 namespace dvbp::cloud {
 
 namespace {
 
-/// Throws when `root` holds a journal for a shard at or past `shards`:
-/// reopening it with fewer shards would silently drop that shard's jobs.
-/// A shard directory with no checkpoint and only empty segments holds no
-/// op (a recovery at a larger shard count leaves one behind) and passes.
-void refuse_orphan_shards(const std::string& root, std::size_t shards) {
-  namespace fs = std::filesystem;
-  constexpr std::string_view kPrefix = "shard-";
-  std::error_code ec;
-  for (fs::directory_iterator it(root, ec), end; !ec && it != end;
-       it.increment(ec)) {
-    const std::string name = it->path().filename().string();
-    if (!name.starts_with(kPrefix)) continue;
-    const char* last = name.data() + name.size();
-    std::size_t shard = 0;
-    const auto [ptr, err] =
-        std::from_chars(name.data() + kPrefix.size(), last, shard);
-    if (err != std::errc() || ptr != last || shard < shards) continue;
-    const std::string dir = it->path().string();
-    bool holds_ops = !persist::checkpoint_files(dir).empty();
-    for (const std::string& segment : persist::journal_segments(dir)) {
-      std::error_code size_ec;
-      holds_ops = holds_ops || fs::file_size(segment, size_ec) > 0;
-    }
-    if (holds_ops) {
-      throw persist::PersistError(
-          "ShardedDispatcher: '" + dir + "' holds a journal for shard " +
-          std::to_string(shard) + ", but the service has only " +
-          std::to_string(shards) + " shard(s); reopen with at least " +
-          std::to_string(shard + 1));
-    }
+/// True when `dir` holds a checkpoint or a non-empty journal segment. A
+/// directory with only empty segments holds no op (a recovery at a larger
+/// shard count leaves such a shard directory behind).
+bool holds_ops(const std::string& dir) {
+  if (!persist::checkpoint_files(dir).empty()) return true;
+  for (const std::string& segment : persist::journal_segments(dir)) {
+    std::error_code ec;
+    if (std::filesystem::file_size(segment, ec) > 0 && !ec) return true;
   }
+  return false;
 }
+
+/// Applied ops between refreshes of the shard load snapshot the
+/// least-usage router reads.
+constexpr std::size_t kSnapshotEvery = 64;
 
 /// Powers-of-two bounds for the ops-per-drain histogram.
 std::vector<double> batch_size_bounds(std::size_t max_batch) {
@@ -60,6 +42,27 @@ std::vector<double> batch_size_bounds(std::size_t max_batch) {
 }
 
 }  // namespace
+
+JournalLayout read_journal_layout(const std::string& dir) {
+  namespace fs = std::filesystem;
+  constexpr std::string_view kPrefix = "shard-";
+  JournalLayout layout;
+  layout.serial = holds_ops(dir);
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (!name.starts_with(kPrefix)) continue;
+    const char* last = name.data() + name.size();
+    std::size_t shard = 0;
+    const auto [ptr, err] =
+        std::from_chars(name.data() + kPrefix.size(), last, shard);
+    if (err == std::errc() && ptr == last && holds_ops(it->path().string())) {
+      layout.shards = std::max(layout.shards, shard + 1);
+    }
+  }
+  return layout;
+}
 
 /// A shard's usage hook, the one listener of its engine's Dispatcher. It
 /// writes each job's admission record into the job table on every apply
@@ -154,25 +157,26 @@ ShardedDispatcher::ShardedDispatcher(std::size_t dim,
     throw std::invalid_argument(
         "ShardedDispatcher: bin_capacity must be >= 1");
   }
-  if (options_.queue_capacity == 0 || options_.max_batch == 0 ||
-      options_.snapshot_every == 0) {
+  if (options_.queue_capacity == 0 || options_.max_batch == 0) {
     throw std::invalid_argument(
-        "ShardedDispatcher: queue_capacity, max_batch, and snapshot_every "
-        "must be >= 1");
-  }
-  if (!options_.shard_tracers.empty() &&
-      options_.shard_tracers.size() != options_.shards) {
-    throw std::invalid_argument(
-        "ShardedDispatcher: shard_tracers must be empty or have one entry "
-        "per shard");
+        "ShardedDispatcher: queue_capacity and max_batch must be >= 1");
   }
   if (!factory) {
     throw std::invalid_argument("ShardedDispatcher: null policy factory");
   }
 
   router_ = make_router(options_.router, options_.shards);
-  if (!options_.journal_dir.empty()) {
-    refuse_orphan_shards(options_.journal_dir, options_.shards);
+  // Reopening with fewer shards would silently drop the extra shards' jobs.
+  const std::size_t journaled =
+      options_.journal_dir.empty()
+          ? 0
+          : read_journal_layout(options_.journal_dir).shards;
+  if (journaled > options_.shards) {
+    throw persist::PersistError(
+        "ShardedDispatcher: '" + options_.journal_dir +
+        "' holds a journal for shard " + std::to_string(journaled - 1) +
+        ", but the service has only " + std::to_string(options_.shards) +
+        " shard(s); reopen with at least " + std::to_string(journaled));
   }
 
   // Each shard's engine recovers its directory as it is built -- each
@@ -188,11 +192,8 @@ ShardedDispatcher::ShardedDispatcher(std::size_t dim,
           "ShardedDispatcher: policy factory returned null for shard " +
           std::to_string(s));
     }
-    obs::Tracer* tracer =
-        options_.shard_tracers.empty() ? nullptr : options_.shard_tracers[s];
-    if (options_.metrics != nullptr || tracer != nullptr) {
-      shard->observer =
-          std::make_unique<obs::Observer>(options_.metrics, tracer);
+    if (options_.metrics != nullptr) {
+      shard->observer = std::make_unique<obs::Observer>(options_.metrics);
     }
     shard->listener =
         std::make_unique<Listener>(*this, static_cast<std::uint32_t>(s));
@@ -620,7 +621,7 @@ void ShardedDispatcher::apply_batch(Shard& shard, std::vector<Op>& batch,
           std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
               .count()));
     }
-    if (++since_snapshot >= options_.snapshot_every) {
+    if (++since_snapshot >= kSnapshotEvery) {
       since_snapshot = 0;
       shard.load_snapshot.store(engine.dispatcher().total_active_load(),
                                 std::memory_order_relaxed);

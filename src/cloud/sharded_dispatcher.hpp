@@ -51,7 +51,7 @@
 //   dvbp.shard.<i>.placement_latency_ns   histogram, enqueue -> applied
 //   dvbp.shard.<i>.ops_applied_total      counter, survives shutdown
 // and the shard's Dispatcher feeds the shared dvbp.alloc.* instruments
-// (aggregated across shards) plus an optional per-shard Tracer.
+// (aggregated across shards).
 #pragma once
 
 #include <array>
@@ -79,10 +79,6 @@
 #include "tenancy/accountant.hpp"
 #include "tenancy/arbiter.hpp"
 
-namespace dvbp::obs {
-class Tracer;  // obs/trace.hpp
-}  // namespace dvbp::obs
-
 namespace dvbp::cloud {
 
 struct ShardedOptions {
@@ -93,14 +89,9 @@ struct ShardedOptions {
   std::size_t queue_capacity = 4096;
   /// Max ops a worker applies per drain (one lock round-trip per batch).
   std::size_t max_batch = 256;
-  /// Applied ops between refreshes of the shard load snapshot the
-  /// least-usage router reads.
-  std::size_t snapshot_every = 64;
   /// Borrowed, nullable; receives the per-shard queue/batch/latency
   /// instruments and the shared dvbp.alloc.* allocator metrics.
   obs::MetricRegistry* metrics = nullptr;
-  /// Borrowed per-shard tracers: empty (tracing off) or size == shards.
-  std::vector<obs::Tracer*> shard_tracers;
 
   // --- Durability (src/persist/, docs/DURABILITY.md) -------------------
 
@@ -128,6 +119,15 @@ struct ShardedOptions {
   /// merges the shard ledgers into an Arbiter settlement at quiescence.
   std::uint32_t tenants = 0;
 };
+
+/// Where a journal directory holds ops (a checkpoint or a non-empty
+/// segment): at its root, as the serial persist::DurableDispatcher writes
+/// them, and under `shard-<s>/`, as a ShardedDispatcher does.
+struct JournalLayout {
+  bool serial = false;
+  std::size_t shards = 0;  ///< 1 + the highest s whose shard-<s>/ holds ops
+};
+JournalLayout read_journal_layout(const std::string& dir);
 
 /// Knobs for rebalance_shards() (docs/MIGRATION.md). A move is a
 /// depart-on-source + arrive-on-destination under the same global job id,

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "core/event.hpp"
-#include "core/types.hpp"  // robust_ceil
 
 namespace dvbp {
 
@@ -33,34 +32,23 @@ InstanceStats analyze(const Instance& inst) {
   for (double& m : stats.mean_size) m /= static_cast<double>(inst.size());
 
   // Concurrency / height profile and the Lemma 1 bounds, one event sweep.
-  // (Duplicated from opt/lower_bounds to keep core free of an opt
-  // dependency; agreement is asserted by tests.)
-  RVec load(inst.dim());
-  std::size_t active = 0;
   double height_integral = 0.0;
   double concurrency_integral = 0.0;
   const auto events = build_event_stream(inst);
-  Time prev = events.front().time;
+  HeightSweep sweep(inst.dim(), events.front().time);
   for (const Event& ev : events) {
-    if (ev.time > prev) {
-      height_integral += load.linf() * (ev.time - prev);
-      stats.height_bound +=
-          robust_ceil(load.linf()) * (ev.time - prev);
-      concurrency_integral +=
-          static_cast<double>(active) * (ev.time - prev);
-      prev = ev.time;
-    }
+    const Time dt = sweep.advance(ev.time);
+    height_integral += sweep.load().linf() * dt;
+    concurrency_integral += static_cast<double>(sweep.active()) * dt;
     if (ev.kind == EventKind::kArrival) {
-      load += inst[ev.item].size;
-      ++active;
-      stats.peak_concurrency = std::max(stats.peak_concurrency, active);
-      stats.peak_height = std::max(stats.peak_height, load.linf());
+      sweep.arrive(inst[ev.item].size);
+      stats.peak_concurrency = std::max(stats.peak_concurrency, sweep.active());
+      stats.peak_height = std::max(stats.peak_height, sweep.load().linf());
     } else {
-      load -= inst[ev.item].size;
-      load.clamp_nonnegative();
-      --active;
+      sweep.depart(inst[ev.item].size);
     }
   }
+  stats.height_bound = sweep.bound();
   stats.mean_height = height_integral / stats.span;
   stats.mean_concurrency = concurrency_integral / stats.span;
   stats.utilization_bound =

@@ -118,7 +118,8 @@ int usage() {
       "  --tenants; --check-roundtrip without --trace-out; --shards with\n"
       "  --tenants, --trace-out, --check-roundtrip or --migrate-volume;\n"
       "  --recover with --tenants, --migrate-* or --trace-out; a batch run\n"
-      "  into a --journal-dir that already holds ops.\n"
+      "  into a --journal-dir that already holds ops; any run on the other\n"
+      "  stack's journal (serial at the root, sharded under shard-<s>/).\n"
       "\n"
       "subcommands (docs/PROTOCOL.md):\n"
       "  harness serve   --port=7070 --shards=K --policy=... [--d=2]\n"
@@ -127,13 +128,13 @@ int usage() {
       "                  [--metrics-out=...]  run the binary-RPC placement\n"
       "                  server; SIGTERM/SIGINT or a Drain RPC drains it\n"
       "  harness loadgen --port=7070 [--host=127.0.0.1] [--connections=4]\n"
-      "                  [--requests=10000] [--window=64] [--dim=2]\n"
-      "                  [--depart-fraction=0.45] [--seed=42]\n"
-      "                  [--rate=0 --duration=1]  (rate>0: open loop)\n"
+      "                  [--window=64 --requests=10000]  closed loop, or\n"
+      "                  [--rate=R --duration=1]  open loop, timed from\n"
+      "                  each request's due time; synthetic mix [--dim=2]\n"
+      "                  [--depart-fraction=0.45] [--seed=42], or\n"
+      "                  [--trace=<file.trc>] to its end, with its tenants\n"
       "                  [--drain]  send a Drain RPC afterwards and report\n"
       "                  the server's final packing hash\n"
-      "                  [--trace=<file.trc>]  replay a binary trace over\n"
-      "                  the wire instead of synthetic traffic\n"
       "\n"
       "trace data plane (docs/TRACES.md):\n"
       "  harness trace convert --csv=<in.csv> --out=<out.trc>\n"
@@ -152,10 +153,20 @@ int usage() {
 }
 
 // A typo'd flag silently falling back to its default would corrupt the
-// telemetry this CLI exists to report, so unlike the bench binaries the
-// flag set is closed.
-void reject_unknown_flags(const harness::Args& args) {
-  static const std::set<std::string> kKnown{
+// telemetry this CLI exists to report, so every flag set is closed.
+// `command` prefixes the message ("serve: ", "" for a batch run).
+void reject_unknown_flags(const std::string& command,
+                          const std::set<std::string>& known,
+                          const harness::Args& args) {
+  for (const std::string& key : args.keys()) {
+    if (!known.count(key)) {
+      throw harness::CliError(command + "unknown flag '--" + key +
+                              "' (see --help)");
+    }
+  }
+}
+
+const std::set<std::string> kBatchFlags{
       "generator", "trace",        "policy",    "n",
       "d",         "mu",           "span",      "bin-size",
       "seed",      "trial",        "capacity",  "policy-seed",
@@ -166,13 +177,6 @@ void reject_unknown_flags(const harness::Args& args) {
       "tenants",   "fairshare",    "alpha",     "capacity-units",
       "credits",   "settle-every", "price",     "inflate-tenant",
       "inflate-factor", "no-arbiter"};
-  for (const std::string& key : args.keys()) {
-    if (!kKnown.count(key)) {
-      throw harness::CliError("unknown flag '--" + key +
-                              "' (see --help)");
-    }
-  }
-}
 
 /// The one composition check: every batch flag either reaches a layer of
 /// the stack the other flags select, or the run is a usage error (exit 2)
@@ -216,6 +220,31 @@ void validate_output_paths(const harness::Args& args) {
   harness::require_writable_file("metrics-out", args.get("metrics-out", ""));
   harness::require_writable_file("trace-out", args.get("trace-out", ""));
   harness::require_writable_dir("journal-dir", args.get("journal-dir", ""));
+}
+
+/// A serial engine journals at the --journal-dir root, a sharded service
+/// under shard-<s>/, and each recovers only its own layout: opening the
+/// other stack's journal would neither replay its ops nor refuse them. A
+/// batch run journals a whole stream from its start, so it also needs a
+/// directory that holds no op: appending would replay as one doubled run.
+void refuse_journal_dir(const harness::Args& args, bool sharded,
+                        bool batch) {
+  const std::string dir = args.get("journal-dir", "");
+  if (dir.empty()) return;
+  const cloud::JournalLayout found = cloud::read_journal_layout(dir);
+  if (sharded ? found.serial : found.shards > 0) {
+    throw harness::CliError(
+        "--journal-dir=" + dir + " holds a " +
+        (sharded ? "serial journal (at its root)"
+                 : "sharded journal (under shard-<s>/)") +
+        ", which this stack would not recover; use another directory");
+  }
+  if (batch && (found.serial || found.shards > 0)) {
+    throw harness::CliError(
+        "--journal-dir=" + dir +
+        " already holds journaled ops; inspect it with --recover, or start "
+        "from an empty directory");
+  }
 }
 
 /// Budget values accept "inf"/"unlimited" in addition to numbers, so the
@@ -493,9 +522,10 @@ void print_recovery(const Engine& engine) {
 /// Batch mode: one loop over the instance's event stream into one engine,
 /// with the tenant gate, migration and the tracer as optional layers.
 int run_batch(const harness::Args& args) {
-  reject_unknown_flags(args);
+  reject_unknown_flags("", kBatchFlags, args);
   reject_dropped_flags(args);
   validate_output_paths(args);
+  refuse_journal_dir(args, args.has("shards"), !args.get_bool("recover"));
   const MigrationConfig migration = parse_migration_config(args);
   Instance inst = load_instance(args);
   const std::string trace_out = args.get("trace-out", "");
@@ -517,23 +547,6 @@ int run_batch(const harness::Args& args) {
     write_metrics(args, registry);
     return 0;
   }
-  // A batch run journals a whole stream from its start; appending it to
-  // a journal that already holds ops would replay as one doubled run.
-  std::uint64_t journaled =
-      engine.serial ? engine.serial->recovery().last_seq : 0;
-  if (engine.sharded) {
-    for (std::size_t s = 0; s < engine.sharded->shards(); ++s) {
-      journaled += engine.sharded->shard_recovery(s).last_seq;
-    }
-  }
-  if (journaled > 0) {
-    throw harness::CliError(
-        "--journal-dir=" + args.get("journal-dir", "") + " already holds " +
-        std::to_string(journaled) +
-        " journaled ops; inspect it with --recover, or start from an empty "
-        "directory");
-  }
-
   // Serial migration: the Rebalancer plans against the live dispatcher
   // after every departure and mutates through the engine's evict/replace
   // calls, so under a journal every move is crash-recoverable.
@@ -720,13 +733,9 @@ int run_serve(const harness::Args& args) {
       "event-loops", "max-inflight", "queue-capacity", "metrics-out",
       "journal-dir", "fsync",      "fsync-interval",  "checkpoint-every",
       "quiet",       "help"};
-  for (const std::string& key : args.keys()) {
-    if (!kKnown.count(key)) {
-      throw harness::CliError("serve: unknown flag '--" + key +
-                              "' (see --help)");
-    }
-  }
+  reject_unknown_flags("serve: ", kKnown, args);
   validate_output_paths(args);
+  refuse_journal_dir(args, true, false);
 
   const auto dim = static_cast<std::size_t>(args.get_int("d", 2));
   const bool quiet = args.get_bool("quiet");
@@ -781,12 +790,7 @@ int run_loadgen_cmd(const harness::Args& args) {
       "host",   "port",     "connections", "requests", "window",
       "dim",    "depart-fraction", "seed", "rate",     "duration",
       "drain",  "quiet",    "trace",       "help"};
-  for (const std::string& key : args.keys()) {
-    if (!kKnown.count(key)) {
-      throw harness::CliError("loadgen: unknown flag '--" + key +
-                              "' (see --help)");
-    }
-  }
+  reject_unknown_flags("loadgen: ", kKnown, args);
   net::LoadgenOptions opts;
   opts.host = args.get("host", "127.0.0.1");
   opts.port = static_cast<std::uint16_t>(args.get_int("port", 7070));
@@ -802,12 +806,26 @@ int run_loadgen_cmd(const harness::Args& args) {
   opts.duration_s = args.get_double("duration", 1.0);
   opts.trace_path = args.get("trace", "");
 
+  // A flag the chosen source or pacing does not read is a usage error, as
+  // in batch mode, not a silent no-op.
+  const bool open = opts.open_loop_rate > 0.0;
+  const bool trace = !opts.trace_path.empty();
+  const std::string mode =
+      std::string(trace ? "trace" : "synthetic") + (open ? "/open" : "/closed");
+  for (const auto& [flag, read] :
+       {std::pair{"window", !open}, {"requests", !open && !trace},
+        {"duration", open && !trace}, {"dim", !trace},
+        {"depart-fraction", !trace}, {"seed", !trace}}) {
+    if (!read && args.has(flag)) {
+      throw harness::CliError("loadgen: --" + std::string(flag) +
+                              " is not read in " + mode + " mode");
+    }
+  }
+
   const net::LoadgenResult r = net::run_loadgen(opts);
-  const char* mode = !opts.trace_path.empty()
-                         ? "trace"
-                         : (opts.open_loop_rate > 0.0 ? "open" : "closed");
   harness::Table summary({"mode", "conns", "sent", "ok", "retry_later",
-                          "throughput_rps", "p50_us", "p99_us", "p999_us"});
+                          "throughput_rps", "p50_us", "p99_us", "p999_us",
+                          "late_p99_us"});
   summary.add_row({mode,
                    std::to_string(opts.connections),
                    std::to_string(r.requests_sent), std::to_string(r.ok),
@@ -815,7 +833,8 @@ int run_loadgen_cmd(const harness::Args& args) {
                    harness::Table::num(r.throughput_rps, 0),
                    harness::Table::num(r.p50_ns / 1e3, 1),
                    harness::Table::num(r.p99_ns / 1e3, 1),
-                   harness::Table::num(r.p999_ns / 1e3, 1)});
+                   harness::Table::num(r.p999_ns / 1e3, 1),
+                   harness::Table::num(r.late_p99_ns / 1e3, 1)});
   std::cout << summary.to_aligned_text();
 
   if (args.get_bool("drain")) {
@@ -831,17 +850,6 @@ int run_loadgen_cmd(const harness::Args& args) {
               << " cost=" << harness::Table::num(resp.cost, 1) << '\n';
   }
   return 0;
-}
-
-void reject_unknown_subflags(const std::string& sub,
-                             const std::set<std::string>& known,
-                             const harness::Args& args) {
-  for (const std::string& key : args.keys()) {
-    if (!known.count(key)) {
-      throw harness::CliError("trace " + sub + ": unknown flag '--" + key +
-                              "' (see --help)");
-    }
-  }
 }
 
 std::string require_flag(const harness::Args& args, const std::string& sub,
@@ -861,11 +869,12 @@ int run_trace_cmd(const harness::Args& args) {
         "trace: need a subcommand (convert|info|reduce|run; see --help)");
   }
   const std::string& sub = args.positional()[1];
+  const std::string command = "trace " + sub + ": ";
   const bool quiet = args.get_bool("quiet");
 
   if (sub == "convert") {
-    reject_unknown_subflags(
-        sub, {"csv", "out", "tenants", "strict", "quiet", "help"}, args);
+    reject_unknown_flags(
+        command, {"csv", "out", "tenants", "strict", "quiet", "help"}, args);
     const std::string csv = require_flag(args, sub, "csv");
     const std::string out = require_flag(args, sub, "out");
     harness::require_writable_file("out", out);
@@ -887,7 +896,7 @@ int run_trace_cmd(const harness::Args& args) {
   }
 
   if (sub == "info") {
-    reject_unknown_subflags(sub, {"in", "bounds", "quiet", "help"}, args);
+    reject_unknown_flags(command, {"in", "bounds", "quiet", "help"}, args);
     const trace::TraceReader reader(require_flag(args, sub, "in"));
     harness::Table t({"items", "events", "d", "tenants", "bytes",
                       "first_arrival", "last_departure"});
@@ -913,10 +922,10 @@ int run_trace_cmd(const harness::Args& args) {
   }
 
   if (sub == "reduce") {
-    reject_unknown_subflags(sub,
-                            {"in", "out", "size-grid", "time-cells",
-                             "no-opt", "node-limit", "quiet", "help"},
-                            args);
+    reject_unknown_flags(command,
+                         {"in", "out", "size-grid", "time-cells", "no-opt",
+                          "node-limit", "quiet", "help"},
+                         args);
     const std::string in_path = require_flag(args, sub, "in");
     const std::string out = require_flag(args, sub, "out");
     harness::require_writable_file("out", out);
@@ -963,10 +972,10 @@ int run_trace_cmd(const harness::Args& args) {
   }
 
   if (sub == "run") {
-    reject_unknown_subflags(sub,
-                            {"in", "policy", "policy-seed", "capacity",
-                             "bounds", "metrics-out", "quiet", "help"},
-                            args);
+    reject_unknown_flags(command,
+                         {"in", "policy", "policy-seed", "capacity",
+                          "bounds", "metrics-out", "quiet", "help"},
+                         args);
     const std::string metrics_out = args.get("metrics-out", "");
     harness::require_writable_file("metrics-out", metrics_out);
     const trace::TraceReader reader(require_flag(args, sub, "in"));

@@ -3,9 +3,11 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -74,7 +76,7 @@ std::uint64_t Client::stamp(Request& req) {
   if (fd_ < 0) throw NetError("Client: connection is closed");
   req.id = next_id_++;
   encode_request(req, send_buf_);
-  outstanding_.fetch_add(1, std::memory_order_acq_rel);
+  ++outstanding_;
   if (send_buf_.size() >= kSendBufFlush) flush();
   return req.id;
 }
@@ -143,14 +145,35 @@ void Client::flush() {
 }
 
 Response Client::recv_response() {
+  return *recv_response(std::chrono::steady_clock::time_point::max());
+}
+
+std::optional<Response> Client::recv_response(
+    std::chrono::steady_clock::time_point deadline) {
+  using Clock = std::chrono::steady_clock;
   if (fd_ < 0) throw NetError("Client: connection is closed");
   std::uint8_t buf[kRecvChunk];
   for (;;) {
     if (auto payload = decoder_.next(); payload.has_value()) {
       const Response resp =
           decode_response(payload->data(), payload->size());
-      outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+      --outstanding_;
       return resp;
+    }
+    if (deadline != Clock::time_point::max()) {
+      const std::int64_t left = std::max<std::int64_t>(
+          0, std::chrono::duration_cast<std::chrono::nanoseconds>(
+                 deadline - Clock::now())
+                 .count());
+      const timespec timeout{left / 1'000'000'000, left % 1'000'000'000};
+      pollfd readable{fd_, POLLIN, 0};
+      const int ready = ::ppoll(&readable, 1, &timeout, nullptr);
+      if (ready == 0) return std::nullopt;
+      if (ready < 0 && errno == EINTR) continue;
+      if (ready < 0) {
+        close();
+        throw NetError(errno_str("Client: poll"));
+      }
     }
     const ssize_t n = ::read(fd_, buf, sizeof(buf));
     if (n > 0) {
@@ -168,7 +191,7 @@ Response Client::recv_response() {
 }
 
 void Client::require_empty_pipeline(const char* caller) const {
-  if (outstanding_.load(std::memory_order_acquire) != 0) {
+  if (outstanding_ != 0) {
     throw std::logic_error(
         std::string("Client::") + caller +
         ": pipelined requests outstanding (responses arrive in completion "
@@ -176,9 +199,7 @@ void Client::require_empty_pipeline(const char* caller) const {
   }
 }
 
-Response Client::roundtrip(const Request& req) {
-  Request r = req;
-  stamp(r);
+Response Client::roundtrip() {
   flush();
   return recv_response();
 }
@@ -186,51 +207,38 @@ Response Client::roundtrip(const Request& req) {
 Response Client::arrive(Time now, const RVec& size, Time expected_departure,
                         TenantId tenant) {
   require_empty_pipeline("arrive");
-  Request req;
-  req.type = MsgType::kArrive;
-  req.time = now;
-  req.expected_departure = expected_departure;
-  req.size = size;
-  req.tenant = tenant;
-  return roundtrip(req);
+  send_arrive(now, size, expected_departure, tenant);
+  return roundtrip();
 }
 
 Response Client::depart(Time now, std::uint64_t job) {
   require_empty_pipeline("depart");
-  Request req;
-  req.type = MsgType::kDepart;
-  req.time = now;
-  req.job = job;
-  return roundtrip(req);
+  send_depart(now, job);
+  return roundtrip();
 }
 
 Response Client::query(Time now) {
   require_empty_pipeline("query");
-  Request req;
-  req.type = MsgType::kQuery;
-  req.time = now;
-  return roundtrip(req);
+  send_query(now);
+  return roundtrip();
 }
 
 Response Client::snapshot() {
   require_empty_pipeline("snapshot");
-  Request req;
-  req.type = MsgType::kSnapshot;
-  return roundtrip(req);
+  send_snapshot();
+  return roundtrip();
 }
 
 Response Client::drain() {
   require_empty_pipeline("drain");
-  Request req;
-  req.type = MsgType::kDrain;
-  return roundtrip(req);
+  send_drain();
+  return roundtrip();
 }
 
 Response Client::ping() {
   require_empty_pipeline("ping");
-  Request req;
-  req.type = MsgType::kPing;
-  return roundtrip(req);
+  send_ping();
+  return roundtrip();
 }
 
 }  // namespace dvbp::net

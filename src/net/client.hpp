@@ -7,18 +7,19 @@
 //     Arrive/Depart are delivered in *completion* order, not send order.
 //   * Pipelined: send_*() stamp a fresh request id and buffer the frame
 //     (auto-flushing past a threshold); flush() pushes the buffer out;
-//     recv_response() blocks for the next response frame, whatever request
-//     it answers. The caller matches responses to requests by id. This is
-//     what the load generator uses to keep a window of requests in flight.
+//     recv_response() waits for the next response frame, whatever request
+//     it answers, with no limit or until a deadline. The caller matches
+//     responses to requests by id. The load generator keeps a window in
+//     flight this way, and its open loop waits for a response only until
+//     shortly before its next request falls due.
 //
-// Thread-safety: at most one sending thread (send_*/flush) plus at most
-// one receiving thread (recv_response) concurrently; the sync conveniences
-// count as both. The open-loop load generator is exactly this split.
+// Thread-safety: none; one thread owns a Client.
 #pragma once
 
-#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,11 +60,10 @@ class Client {
   /// Blocks for the next response frame. Throws NetError when the server
   /// closed the connection, FrameError on corrupt bytes.
   Response recv_response();
-
-  /// Requests sent whose responses have not been received yet.
-  std::uint64_t outstanding() const noexcept {
-    return outstanding_.load(std::memory_order_acquire);
-  }
+  /// Same, but gives up at `deadline` and returns std::nullopt; a deadline
+  /// already past checks for a response without blocking.
+  std::optional<Response> recv_response(
+      std::chrono::steady_clock::time_point deadline);
 
   // --- Synchronous conveniences (empty pipeline required) -------------
 
@@ -84,13 +84,13 @@ class Client {
  private:
   std::uint64_t stamp(Request& req);
   void require_empty_pipeline(const char* caller) const;
-  Response roundtrip(const Request& req);
+  Response roundtrip();  // flush, then the response
 
   int fd_ = -1;
-  std::uint64_t next_id_ = 1;           // sender thread only
-  std::vector<std::uint8_t> send_buf_;  // sender thread only
-  FrameDecoder decoder_;                // receiver thread only
-  std::atomic<std::uint64_t> outstanding_{0};
+  std::uint64_t next_id_ = 1;
+  std::uint64_t outstanding_ = 0;  // requests sent, responses not yet read
+  std::vector<std::uint8_t> send_buf_;
+  FrameDecoder decoder_;
 };
 
 }  // namespace dvbp::net

@@ -1,18 +1,20 @@
 #include "net/loadgen.hpp"
 
+#include <sys/prctl.h>
+
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <deque>
 #include <exception>
-#include <mutex>
+#include <limits>
 #include <optional>
 #include <random>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/rvec.hpp"
@@ -25,286 +27,242 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// In open pacing a worker stops blocking this long before its next due
+/// send and polls for responses without blocking until then. Against
+/// waiting until the due time this lowered both the open-loop p50 and the
+/// send lateness (docs/PERFORMANCE.md).
+constexpr auto kSpin = std::chrono::microseconds(30);
+
 double ns_between(Clock::time_point a, Clock::time_point b) {
   return static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
 }
 
-struct ConnStats {
-  std::uint64_t sent = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t retry_later = 0;
-  std::uint64_t shutting_down = 0;
-  std::uint64_t bad_request = 0;
-  std::uint64_t unknown_job = 0;
-  std::uint64_t other_errors = 0;
+/// One connection's tallies, and its raw samples.
+struct ConnStats : LoadgenResult {
   std::vector<double> latencies_ns;  // OK responses only
+  std::vector<double> late_ns;       // open pacing: to socket minus due
 };
 
-struct InFlight {
-  bool is_depart = false;
-  std::uint64_t job = 0;  // departs: the job being departed
-  Clock::time_point sent_at{};
+/// The tally a response status counts in.
+std::uint64_t& tally(ConnStats& stats, Status status) {
+  switch (status) {
+    case Status::kOk: return stats.ok;
+    case Status::kRetryLater: return stats.retry_later;
+    case Status::kShuttingDown: return stats.shutting_down;
+    case Status::kBadRequest: return stats.bad_request;
+    case Status::kUnknownJob: return stats.unknown_job;
+    default: return stats.other_errors;
+  }
+}
+
+/// One request of a connection's op stream.
+struct Op {
+  bool depart = false;
+  std::uint64_t job = 0;  // departs: the server's job id
+  ItemId item = kNoItem;  // trace: the event's item
+  Time time = 0.0;
+  TenantId tenant = kNoTenant;
+  Clock::time_point from{};  // latency origin: due time (open) or send
 };
 
-/// Tallies one response; returns the job to the live set when a depart was
-/// refused retriably. The caller holds whatever lock guards `live`.
-void account(const Response& resp, const InFlight& rec, ConnStats& stats,
-             std::vector<std::uint64_t>& live) {
-  switch (resp.status) {
-    case Status::kOk:
-      ++stats.ok;
-      stats.latencies_ns.push_back(ns_between(rec.sent_at, Clock::now()));
-      if (!rec.is_depart) live.push_back(resp.job);
-      break;
-    case Status::kRetryLater:
-      ++stats.retry_later;
-      if (rec.is_depart) live.push_back(rec.job);
-      break;
-    case Status::kShuttingDown:
-      ++stats.shutting_down;
-      break;
-    case Status::kBadRequest:
-      ++stats.bad_request;
-      break;
-    case Status::kUnknownJob:
-      ++stats.unknown_job;
-      break;
-    default:
-      ++stats.other_errors;
-      break;
-  }
-}
+/// The synthetic mix: each op departs a random live job with probability
+/// depart_fraction, else arrives with uniform demands. Closed pacing stops
+/// it after requests_per_connection ops, open pacing at the end of the run.
+class SyntheticMix {
+ public:
+  SyntheticMix(const LoadgenOptions& opt, std::size_t index)
+      : size(opt.dim),
+        depart_fraction_(opt.depart_fraction),
+        rng_(opt.seed * 1000003 + index),
+        remaining_(opt.open_loop_rate > 0.0
+                       ? std::numeric_limits<std::uint64_t>::max()
+                       : opt.requests_per_connection) {}
 
-/// Draws the next request and sends it (buffered); the returned id is
-/// already entered in `inflight` before any byte can reach the wire.
-std::uint64_t issue(Client& client, const LoadgenOptions& opt,
-                    std::mt19937_64& rng, double& vtime,
-                    std::vector<std::uint64_t>& live,
-                    std::unordered_map<std::uint64_t, InFlight>& inflight) {
-  vtime += 1e-6;
-  std::uniform_real_distribution<double> coin(0.0, 1.0);
-  const bool do_depart = !live.empty() && coin(rng) < opt.depart_fraction;
-  std::uint64_t id = 0;
-  if (do_depart) {
-    const std::size_t k = static_cast<std::size_t>(rng() % live.size());
-    const std::uint64_t job = live[k];
-    live[k] = live.back();
-    live.pop_back();
-    id = client.send_depart(vtime, job);
-    inflight.emplace(id, InFlight{true, job, Clock::now()});
-  } else {
-    std::uniform_real_distribution<double> unit(0.05, 0.6);
-    RVec size(opt.dim);
-    for (std::size_t j = 0; j < opt.dim; ++j) size[j] = unit(rng);
-    id = client.send_arrive(vtime, size);
-    inflight.emplace(id, InFlight{false, 0, Clock::now()});
-  }
-  return id;
-}
-
-void closed_loop_worker(const LoadgenOptions& opt, std::size_t idx,
-                        ConnStats& stats) {
-  Client client(opt.host, opt.port);
-  std::mt19937_64 rng(opt.seed * 1000003 + idx);
-  std::unordered_map<std::uint64_t, InFlight> inflight;
-  std::vector<std::uint64_t> live;
-  double vtime = 0.0;
-  const std::uint64_t total = opt.requests_per_connection;
-
-  // `terminal + inflight.size()` is the number of window slots consumed:
-  // a RETRY_LATER counts in neither, so its slot re-issues automatically.
-  auto terminal = [&] {
-    return stats.ok + stats.shutting_down + stats.bad_request +
-           stats.unknown_job + stats.other_errors;
-  };
-  while (terminal() < total) {
-    while (terminal() + inflight.size() < total &&
-           inflight.size() < opt.window) {
-      issue(client, opt, rng, vtime, live, inflight);
-      ++stats.sent;
+  bool next(Op& op) {
+    if (remaining_ == 0) return false;
+    --remaining_;
+    vtime_ += 1e-6;
+    op = Op{};
+    op.time = vtime_;
+    std::uniform_real_distribution<double> coin(0.0, 1.0);
+    if (!live_.empty() && coin(rng_) < depart_fraction_) {
+      const std::size_t k = static_cast<std::size_t>(rng_() % live_.size());
+      op.depart = true;
+      op.job = live_[k];
+      live_[k] = live_.back();
+      live_.pop_back();
+    } else {
+      std::uniform_real_distribution<double> unit(0.05, 0.6);
+      for (std::size_t j = 0; j < size.dim(); ++j) size[j] = unit(rng_);
     }
-    client.flush();
-    const Response resp = client.recv_response();
-    const auto it = inflight.find(resp.id);
-    if (it == inflight.end()) {
-      throw std::logic_error("loadgen: response for unknown request id");
-    }
-    const InFlight rec = it->second;
-    inflight.erase(it);
-    account(resp, rec, stats, live);
+    return true;
   }
-}
 
-void open_loop_worker(const LoadgenOptions& opt, std::size_t idx,
-                      ConnStats& stats) {
-  Client client(opt.host, opt.port);
-  std::mt19937_64 rng(opt.seed * 1000003 + idx);
-  std::mutex mu;  // guards inflight + live between sender and receiver
-  std::unordered_map<std::uint64_t, InFlight> inflight;
-  std::vector<std::uint64_t> live;
-  std::atomic<bool> sender_done{false};
-  std::exception_ptr sender_error;
+  bool ended() const { return remaining_ == 0; }
 
-  std::thread sender([&] {
-    try {
-      double vtime = 0.0;
-      const double rate =
-          opt.open_loop_rate / static_cast<double>(opt.connections);
-      const auto period = std::chrono::duration_cast<Clock::duration>(
-          std::chrono::duration<double>(1.0 / rate));
-      const auto start = Clock::now();
-      const auto end =
-          start + std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double>(opt.duration_s));
-      auto deadline = start;
-      while (Clock::now() < end) {
-        deadline += period;
-        // If we fall behind the schedule we do NOT stretch it -- requests
-        // burst out late at wire speed, which is what open loop means.
-        std::this_thread::sleep_until(deadline);
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          issue(client, opt, rng, vtime, live, inflight);
-        }
-        client.flush();
-        ++stats.sent;
-      }
-    } catch (...) {
-      sender_error = std::current_exception();
+  void settle(const Op& op, const Response& resp, bool retry) {
+    if (resp.status == Status::kOk && !op.depart) live_.push_back(resp.job);
+    // A refused depart leaves its job live on the server.
+    if (resp.status == Status::kRetryLater && op.depart) {
+      live_.push_back(op.job);
     }
-    sender_done.store(true, std::memory_order_release);
-  });
-
-  try {
-    for (;;) {
-      if (client.outstanding() == 0) {
-        if (sender_done.load(std::memory_order_acquire)) break;
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        continue;
-      }
-      const Response resp = client.recv_response();
-      std::lock_guard<std::mutex> lock(mu);
-      const auto it = inflight.find(resp.id);
-      if (it == inflight.end()) {
-        throw std::logic_error("loadgen: response for unknown request id");
-      }
-      const InFlight rec = it->second;
-      inflight.erase(it);
-      account(resp, rec, stats, live);
-    }
-  } catch (...) {
-    sender_done.store(true, std::memory_order_release);
-    sender.join();
-    throw;
+    if (retry) ++remaining_;  // the slot sends a fresh op
   }
-  sender.join();
-  if (sender_error) std::rethrow_exception(sender_error);
-}
 
-/// Closed-loop replay of one connection's partition of a recorded trace
-/// (items with id % connections == idx). The window never reorders the
-/// partition's event sequence: a depart whose arrival has not resolved to
-/// a server job id stalls issuing until it does, and RETRY_LATER pushes
-/// the event back to the FRONT of the pending queue, so arrive-before-
-/// depart order is preserved per item under retries too.
-void trace_replay_worker(const LoadgenOptions& opt,
-                         const trace::TraceReader& reader, std::size_t idx,
-                         ConnStats& stats) {
-  Client client(opt.host, opt.port);
-  trace::TraceCursor cursor(reader);
-  std::deque<trace::TraceEvent> pending;  // retries + one stalled head
-  std::unordered_map<std::uint64_t, InFlight> inflight;
-  std::unordered_map<std::uint64_t, trace::TraceEvent> event_of;
-  std::unordered_map<ItemId, std::uint64_t> job_of_item;
-  RVec size(reader.dim());
-  bool stream_done = false;
+  RVec size;
 
-  const auto issuable = [&](const trace::TraceEvent& e) {
-    return e.kind == EventKind::kArrival || job_of_item.count(e.item) > 0;
-  };
+ private:
+  double depart_fraction_;
+  std::mt19937_64 rng_;
+  std::uint64_t remaining_;
+  std::vector<std::uint64_t> live_;
+  Time vtime_ = 0.0;
+};
 
-  while (true) {
-    while (inflight.size() < std::max<std::size_t>(opt.window, 1)) {
-      trace::TraceEvent next;
-      bool have = false;
-      if (!pending.empty()) {
-        if (!issuable(pending.front())) break;  // stalled on its arrival
-        next = pending.front();
-        pending.pop_front();
-        have = true;
-      } else if (!stream_done) {
-        trace::TraceEvent ev;
-        while (cursor.next(ev)) {
-          if (ev.item % opt.connections == idx) {
-            next = ev;
-            have = true;
-            break;
-          }
-        }
-        if (!have) {
-          stream_done = true;
-        } else if (!issuable(next)) {
-          pending.push_front(next);  // arrival still in flight; wait
-          break;
-        }
-      }
-      if (!have) break;
+/// One connection's share of a trace, in trace order. A departure waits
+/// while its arrival is in flight, and is dropped once that arrival was
+/// refused for good.
+class TracePartition {
+ public:
+  TracePartition(const trace::TraceReader& reader,
+                 std::deque<trace::TraceEvent> events)
+      : size(reader.dim()), reader_(reader), pending_(std::move(events)) {}
 
-      std::uint64_t id = 0;
-      if (next.kind == EventKind::kArrival) {
-        reader.size_into(next.item, size);
-        id = client.send_arrive(next.time, size);
-        inflight.emplace(id, InFlight{false, 0, Clock::now()});
+  bool next(Op& op) {
+    op = Op{};
+    for (; !pending_.empty(); pending_.pop_front()) {
+      const trace::TraceEvent& ev = pending_.front();
+      if (ev.kind == EventKind::kArrival) {
+        reader_.size_into(ev.item, size);
+        op.tenant = reader_.tenant(ev.item);
+        job_of_[ev.item] = kAwaiting;
       } else {
-        const std::uint64_t job = job_of_item[next.item];
-        id = client.send_depart(next.time, job);
-        inflight.emplace(id, InFlight{true, job, Clock::now()});
+        const auto it = job_of_.find(ev.item);
+        if (it == job_of_.end()) continue;  // its arrival was refused
+        if (it->second == kAwaiting) return false;
+        op.depart = true;
+        op.job = it->second;
       }
-      event_of.emplace(id, next);
-      ++stats.sent;
+      op.item = ev.item;
+      op.time = ev.time;
+      pending_.pop_front();
+      return true;
     }
-    if (inflight.empty()) break;  // drained (or wedged on a failed arrival)
+    return false;
+  }
 
+  bool ended() const { return pending_.empty(); }
+
+  void settle(const Op& op, const Response& resp, bool retry) {
+    if (resp.status == Status::kOk) {
+      if (op.depart) {
+        job_of_.erase(op.item);
+      } else {
+        job_of_[op.item] = resp.job;
+      }
+    } else if (retry) {
+      pending_.push_front(trace::TraceEvent{
+          op.time, op.depart ? EventKind::kDeparture : EventKind::kArrival,
+          op.item});
+    } else if (!op.depart) {
+      job_of_.erase(op.item);  // drops its departure
+    }
+  }
+
+  RVec size;
+
+ private:
+  static constexpr std::uint64_t kAwaiting =
+      std::numeric_limits<std::uint64_t>::max();
+
+  const trace::TraceReader& reader_;
+  std::deque<trace::TraceEvent> pending_;  // retries first, then the rest
+  /// Items whose arrival was sent: the server's job id, or kAwaiting.
+  std::unordered_map<ItemId, std::uint64_t> job_of_;
+};
+
+/// One connection: sends `source`'s ops at `opt`'s pacing and tallies
+/// every response. A source's next(op) fills `op` (and `size` for an
+/// arrival) with the next op, or returns false when the stream has ended
+/// (ended()) or its head is a departure whose arrival is still in flight;
+/// settle() books a response, and `retry` offers a refused op again.
+template <class Source>
+void run_connection(const LoadgenOptions& opt, Source source,
+                    ConnStats& stats) {
+  Client client(opt.host, opt.port);
+  const bool open = opt.open_loop_rate > 0.0;
+  // In open pacing lateness is latency, so the worker's timed waits run
+  // with 1 ns of timer slack (the default 50 us lets a wake-up land late).
+  if (open) ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+  const Clock::time_point start = Clock::now();
+  const auto after = [&](double seconds) {
+    return start + std::chrono::duration_cast<Clock::duration>(
+                       std::chrono::duration<double>(seconds));
+  };
+  const double period =
+      open ? static_cast<double>(opt.connections) / opt.open_loop_rate : 0.0;
+  const Clock::time_point end = open && opt.trace_path.empty()
+                                    ? after(opt.duration_s)
+                                    : Clock::time_point::max();
+  std::unordered_map<std::uint64_t, Op> inflight;
+  std::uint64_t k = 0;  // ops sent so far
+  Op op;
+
+  for (;;) {
+    const std::uint64_t burst = k;  // the first op this pass sends
+    Clock::time_point due = after(period * static_cast<double>(k));
+    bool over = due >= end;
+    bool stalled = false;
+    while (!over && (open ? due <= Clock::now()
+                          : inflight.size() < opt.window)) {
+      if (!source.next(op)) {
+        over = source.ended();
+        stalled = !over;
+        break;
+      }
+      op.from = open ? due : Clock::now();
+      const std::uint64_t id =
+          op.depart ? client.send_depart(op.time, op.job)
+                    : client.send_arrive(
+                          op.time, source.size,
+                          std::numeric_limits<Time>::infinity(), op.tenant);
+      inflight.emplace(id, op);
+      ++stats.requests_sent;
+      due = after(period * static_cast<double>(++k));
+      over = due >= end;
+    }
+    if (open) {
+      // A send is as late as the moment its burst goes to the socket. The
+      // write itself is left out: over loopback the server can run on this
+      // CPU before the write returns.
+      const Clock::time_point handed = Clock::now();
+      for (std::uint64_t j = burst; j < k; ++j) {
+        stats.late_ns.push_back(
+            ns_between(after(period * static_cast<double>(j)), handed));
+      }
+    }
     client.flush();
-    const Response resp = client.recv_response();
-    const auto it = inflight.find(resp.id);
+    if (over && inflight.empty()) return;
+
+    // Wait for a response, in open pacing only until just before the next
+    // op falls due; a stalled departure waits for its arrival's response.
+    const Clock::time_point deadline = open && !over && !stalled
+                                           ? due - kSpin
+                                           : Clock::time_point::max();
+    const std::optional<Response> resp = client.recv_response(deadline);
+    if (!resp) continue;
+    const auto it = inflight.find(resp->id);
     if (it == inflight.end()) {
       throw std::logic_error("loadgen: response for unknown request id");
     }
-    const InFlight rec = it->second;
+    const Op done = it->second;
     inflight.erase(it);
-    const auto ev_it = event_of.find(resp.id);
-    const trace::TraceEvent replayed = ev_it->second;
-    event_of.erase(ev_it);
-
-    switch (resp.status) {
-      case Status::kOk:
-        ++stats.ok;
-        stats.latencies_ns.push_back(ns_between(rec.sent_at, Clock::now()));
-        if (rec.is_depart) {
-          job_of_item.erase(replayed.item);
-        } else {
-          job_of_item.emplace(replayed.item, resp.job);
-        }
-        break;
-      case Status::kRetryLater:
-        ++stats.retry_later;
-        pending.push_front(replayed);
-        break;
-      case Status::kShuttingDown:
-        ++stats.shutting_down;
-        break;
-      case Status::kBadRequest:
-        ++stats.bad_request;
-        break;
-      case Status::kUnknownJob:
-        ++stats.unknown_job;
-        break;
-      default:
-        ++stats.other_errors;
-        break;
+    ++tally(stats, resp->status);
+    if (resp->status == Status::kOk) {
+      stats.latencies_ns.push_back(ns_between(done.from, Clock::now()));
     }
+    source.settle(done, *resp, !open && resp->status == Status::kRetryLater);
   }
 }
 
@@ -326,34 +284,39 @@ LoadgenResult run_loadgen(const LoadgenOptions& options) {
   if (options.dim == 0) {
     throw std::invalid_argument("loadgen: dim must be >= 1");
   }
-  if (options.open_loop_rate > 0.0 && options.duration_s <= 0.0) {
+  if (options.open_loop_rate <= 0.0 && options.window == 0) {
+    throw std::invalid_argument("loadgen: closed loop needs window >= 1");
+  }
+  if (options.open_loop_rate > 0.0 && options.trace_path.empty() &&
+      options.duration_s <= 0.0) {
     throw std::invalid_argument("loadgen: open loop needs duration_s > 0");
   }
-  if (!options.trace_path.empty() && options.open_loop_rate > 0.0) {
-    throw std::invalid_argument(
-        "loadgen: trace replay is closed-loop only (open_loop_rate == 0)");
-  }
-  // Opened (and fully validated) once, shared read-only by all workers.
-  std::optional<trace::TraceReader> trace_reader;
+  // Opened (and fully validated) once and split by item across the
+  // connections; the workers share it read-only.
+  std::optional<trace::TraceReader> reader;
+  std::vector<std::deque<trace::TraceEvent>> shares(options.connections);
   if (!options.trace_path.empty()) {
-    trace_reader.emplace(options.trace_path);
+    reader.emplace(options.trace_path);
+    trace::TraceCursor cursor(*reader);
+    for (trace::TraceEvent ev; cursor.next(ev);) {
+      shares[ev.item % options.connections].push_back(ev);
+    }
   }
 
   std::vector<ConnStats> stats(options.connections);
   std::vector<std::exception_ptr> errors(options.connections);
   std::vector<std::thread> workers;
   workers.reserve(options.connections);
-
   const auto start = Clock::now();
   for (std::size_t i = 0; i < options.connections; ++i) {
     workers.emplace_back([&, i] {
       try {
-        if (trace_reader.has_value()) {
-          trace_replay_worker(options, *trace_reader, i, stats[i]);
-        } else if (options.open_loop_rate > 0.0) {
-          open_loop_worker(options, i, stats[i]);
+        if (reader) {
+          run_connection(options,
+                         TracePartition(*reader, std::move(shares[i])),
+                         stats[i]);
         } else {
-          closed_loop_worker(options, i, stats[i]);
+          run_connection(options, SyntheticMix(options, i), stats[i]);
         }
       } catch (...) {
         errors[i] = std::current_exception();
@@ -369,8 +332,9 @@ LoadgenResult run_loadgen(const LoadgenOptions& options) {
 
   LoadgenResult result;
   std::vector<double> latencies;
+  std::vector<double> late;
   for (const ConnStats& s : stats) {
-    result.requests_sent += s.sent;
+    result.requests_sent += s.requests_sent;
     result.ok += s.ok;
     result.retry_later += s.retry_later;
     result.shutting_down += s.shutting_down;
@@ -379,6 +343,7 @@ LoadgenResult run_loadgen(const LoadgenOptions& options) {
     result.other_errors += s.other_errors;
     latencies.insert(latencies.end(), s.latencies_ns.begin(),
                      s.latencies_ns.end());
+    late.insert(late.end(), s.late_ns.begin(), s.late_ns.end());
   }
   result.elapsed_s = elapsed;
   result.throughput_rps =
@@ -389,6 +354,9 @@ LoadgenResult run_loadgen(const LoadgenOptions& options) {
   result.p99_ns = nearest_rank(latencies, 0.99);
   result.p999_ns = nearest_rank(latencies, 0.999);
   result.max_ns = latencies.empty() ? 0.0 : latencies.back();
+  std::sort(late.begin(), late.end());
+  result.late_p50_ns = nearest_rank(late, 0.50);
+  result.late_p99_ns = nearest_rank(late, 0.99);
   return result;
 }
 

@@ -1,37 +1,31 @@
 // Load generator for the placement server (bench/bench_net.cpp, `harness
-// loadgen`).
+// loadgen`). One worker thread per connection pairs an op source with a
+// pacing rule; any source goes with either pacing.
 //
-// Drives N concurrent connections with a synthetic arrive/depart mix and
-// measures end-to-end request latency (send -> response, client side) and
-// sustained throughput. Two modes:
+//   * Sources: the synthetic arrive/depart mix, or (trace_path set) the
+//     connection's share of a binary trace (src/trace/): items with
+//     id % connections == its index, in trace order, each arrival with its
+//     row's tenant label. A trace runs to its end; a departure whose
+//     arrival is still in flight waits, so the server never sees a depart
+//     before its arrive.
+//   * Closed pacing (open_loop_rate == 0): keep `window` requests in
+//     flight. Latency runs from send. A RETRY_LATER op is offered again:
+//     the synthetic slot sends a fresh op (a refused depart's job goes
+//     back to the live set), a trace event returns to its share's front.
+//   * Open pacing (open_loop_rate > 0): the connection's k-th op is due at
+//     start + k * connections / open_loop_rate, whatever the server does.
+//     Latency runs from the due time, so a late send counts its own wait,
+//     and late_p50_ns / late_p99_ns say how late sends went. A refused op
+//     is counted, not retried; a refused trace arrival drops its departure.
 //
-//   * Closed loop (open_loop_rate == 0): each connection keeps a fixed
-//     window of pipelined requests in flight and tops it up as responses
-//     arrive -- the classic saturation measurement. RETRY_LATER responses
-//     are counted and the slot is re-issued (for a depart, the job returns
-//     to the live set), so the admitted-op count is exact.
-//
-//   * Open loop (open_loop_rate > 0): a sender thread per connection paces
-//     requests at the target aggregate rate regardless of responses, while
-//     a receiver thread drains them -- the mode that overruns the server
-//     on purpose and makes backpressure visible: RETRY_LATER responses are
-//     counted, never retried.
-//
-//   * Trace replay (trace_path set): closed-loop replay of a recorded
-//     binary trace (src/trace/). Items are partitioned across connections
-//     by id; each connection streams its partition's arrive/depart events
-//     in trace order through its pipeline window, mapping trace items to
-//     server job ids as admissions resolve. A depart whose arrival is
-//     still in flight stalls the window (never reorders), so the server
-//     observes a per-connection event order consistent with the trace.
-//
-// Latencies are recorded exactly (one sample per OK response; sorted at
-// the end), so p999 is a real order statistic, not an interpolation.
+// Between sends a worker blocks in Client::recv_response until a response
+// arrives or its next op is 30 us from due, and then polls without blocking
+// until it is. Latencies are recorded exactly (one sample per OK response),
+// so p999 is a real order statistic.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/types.hpp"
 
@@ -47,18 +41,19 @@ struct LoadgenOptions {
   double depart_fraction = 0.45;
   std::uint64_t seed = 42;
 
-  // Closed loop.
+  // Closed pacing: requests in flight per connection, and the synthetic
+  // mix's ops per connection that end in a status other than RETRY_LATER.
   std::size_t window = 64;
   std::uint64_t requests_per_connection = 10000;
 
-  // Open loop: aggregate target rate (requests/s across all connections);
-  // 0 selects closed loop. Runs for `duration_s` wall seconds.
+  // Open pacing: aggregate target rate (requests/s across connections);
+  // 0 selects closed pacing. The synthetic mix runs `duration_s` seconds.
   double open_loop_rate = 0.0;
   double duration_s = 1.0;
 
-  // Trace replay: path to a binary trace file (docs/TRACES.md). When set,
-  // the synthetic mix is replaced by the trace's event stream (closed
-  // loop only; dim/depart_fraction/requests_per_connection are ignored).
+  // A binary trace (docs/TRACES.md) replacing the synthetic mix, which
+  // leaves dim, depart_fraction, seed, requests_per_connection and
+  // duration_s unread.
   std::string trace_path;
 };
 
@@ -79,6 +74,11 @@ struct LoadgenResult {
   double p999_ns = 0.0;
   double max_ns = 0.0;
   std::uint64_t samples = 0;
+  // Open pacing: order statistics over every send's lateness (the moment
+  // its burst went to the socket minus its due time), nanoseconds; 0 in
+  // closed pacing.
+  double late_p50_ns = 0.0;
+  double late_p99_ns = 0.0;
 };
 
 /// Runs the configured workload to completion and aggregates across

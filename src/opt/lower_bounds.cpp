@@ -4,29 +4,23 @@
 #include <cmath>
 
 #include "core/event.hpp"
-#include "core/types.hpp"  // robust_ceil (tolerances live in one place)
+#include "core/instance_stats.hpp"
 
 namespace dvbp {
 
 double lb_height(const Instance& inst) {
   if (inst.empty()) return 0.0;
   const std::vector<Event> events = build_event_stream(inst);
-  RVec load(inst.dim());
-  double total = 0.0;
-  Time prev = events.front().time;
+  HeightSweep sweep(inst.dim(), events.front().time);
   for (const Event& ev : events) {
-    if (ev.time > prev) {
-      total += robust_ceil(load.linf()) * (ev.time - prev);
-      prev = ev.time;
-    }
+    sweep.advance(ev.time);
     if (ev.kind == EventKind::kArrival) {
-      load += inst[ev.item].size;
+      sweep.arrive(inst[ev.item].size);
     } else {
-      load -= inst[ev.item].size;
-      load.clamp_nonnegative();
+      sweep.depart(inst[ev.item].size);
     }
   }
-  return total;
+  return sweep.bound();
 }
 
 double lb_utilization(const Instance& inst) {

@@ -201,10 +201,6 @@ void DurableDispatcher::depart(Time now, JobId job) {
   journal([&] { writer_->append(OpKind::kDepart, now, job); });
 }
 
-void DurableDispatcher::advance(Time now) {
-  journal([&] { writer_->append(OpKind::kAdvance, now, 0); });
-}
-
 Dispatcher::Eviction DurableDispatcher::evict(Time now, JobId job) {
   const auto eviction = dispatcher_.evict(now, job);
   journal([&] { writer_->append(OpKind::kEvict, now, job); });

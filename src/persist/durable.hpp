@@ -119,10 +119,6 @@ class DurableDispatcher {
   /// Journaled Dispatcher::depart.
   void depart(Time now, JobId job);
 
-  /// Journals a clock advance with no placement mutation, so the journal
-  /// records observed time even across idle stretches.
-  void advance(Time now);
-
   /// Journaled Dispatcher::evict (migration; see core/rebalancer.hpp).
   Dispatcher::Eviction evict(Time now, JobId job);
 

@@ -1,6 +1,6 @@
 // Write-ahead journal for the placement service (docs/DURABILITY.md).
 //
-// Every mutation the dispatcher applies (arrive / depart / advance) is
+// Every mutation the dispatcher applies (arrive, depart, evict, replace) is
 // first encoded as one CRC32-framed, length-prefixed binary frame and
 // appended to a journal segment; recovery replays the frames through the
 // real policy code to rebuild the exact pre-crash packing. Frames carry
@@ -74,7 +74,7 @@ std::string_view fsync_policy_name(FsyncPolicy policy) noexcept;
 enum class OpKind : std::uint8_t {
   kArrive = 1,
   kDepart = 2,
-  kAdvance = 3,  ///< clock advance with no placement mutation
+  kAdvance = 3,  ///< clock note, no placement mutation; no engine writes it
   kEvict = 4,    ///< migration: job removed from its bin, left in limbo
   kReplace = 5,  ///< migration: evicted job re-placed (records the bin)
   /// Crash-safe tenant-credit settlement: the full arbiter state as an

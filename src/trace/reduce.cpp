@@ -5,6 +5,7 @@
 #include <map>
 #include <vector>
 
+#include "core/instance_stats.hpp"
 #include "core/rvec.hpp"
 #include "core/types.hpp"
 #include "trace/format.hpp"
@@ -30,28 +31,19 @@ StreamBounds streaming_lower_bounds(const TraceReader& reader) {
 
   TraceCursor cursor(reader);
   TraceEvent ev;
-  RVec load(d);
   RVec size(d);
-  std::size_t active = 0;
-  Time prev = reader.first_arrival();
+  HeightSweep sweep(d, reader.first_arrival());
   while (cursor.next(ev)) {
-    if (ev.time > prev) {
-      const Time dt = ev.time - prev;
-      b.height += robust_ceil(load.linf()) * dt;
-      if (active > 0) b.span += dt;
-      prev = ev.time;
-    }
+    const Time dt = sweep.advance(ev.time);
+    if (sweep.active() > 0) b.span += dt;
+    reader.size_into(ev.item, size);
     if (ev.kind == EventKind::kArrival) {
-      reader.size_into(ev.item, size);
-      load += size;
-      ++active;
+      sweep.arrive(size);
     } else {
-      reader.size_into(ev.item, size);
-      load -= size;
-      load.clamp_nonnegative();
-      --active;
+      sweep.depart(size);
     }
   }
+  b.height = sweep.bound();
   return b;
 }
 

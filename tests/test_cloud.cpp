@@ -120,7 +120,9 @@ TEST(Cluster, UtilizationBetweenZeroAndOne) {
   const ServerSpec spec = gpu_server();
   std::vector<Job> jobs;
   for (int i = 0; i < 20; ++i) {
-    jobs.push_back({"j" + std::to_string(i), static_cast<Time>(i % 5),
+    // append(), not "j" + ...: GCC 12 warns a false -Wrestrict on that.
+    jobs.push_back({std::string("j").append(std::to_string(i)),
+                    static_cast<Time>(i % 5),
                     static_cast<Time>(i % 5 + 2), RVec{4.0, 8.0, 1.0}});
   }
   PolicyPtr policy = make_policy("MoveToFront");

@@ -1,7 +1,9 @@
-// Load-generator smoke tests against a real loopback server: closed-loop
+// Load-generator tests against a real loopback server: closed-loop
 // accounting must be exact (every slot terminates, ok + typed errors ==
-// requests_sent), open loop must pace and drain cleanly, and the latency
-// order statistics must be ordered. Throughput numbers live in
+// requests_sent), open loop must pace and drain cleanly, a trace must
+// arrive whole and with its tenant labels in either pacing, an open-loop
+// latency must count the send's own lateness, and the latency order
+// statistics must be ordered. Throughput numbers live in
 // bench/bench_net.cpp; here we only assert structure.
 #include "net/loadgen.hpp"
 
@@ -16,6 +18,8 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
+#include "tenancy/arbiter.hpp"
+#include "tenancy/gate.hpp"
 #include "trace/writer.hpp"
 
 namespace dvbp::net {
@@ -30,6 +34,23 @@ cloud::ShardedOptions service_options(std::size_t shards) {
   opts.shards = shards;
   opts.router = cloud::RouterKind::kRoundRobin;
   return opts;
+}
+
+/// A 300-item trace whose item i is labelled tenant i % 3.
+std::string labelled_trace(const std::string& name) {
+  gen::UniformParams params;
+  params.n = 300;
+  params.d = 2;
+  params.mu = 8;
+  params.span = 50;
+  params.bin_size = 6;
+  Instance inst = gen::uniform_instance(params, 0xC0FFEE);
+  for (ItemId i = 0; i < inst.size(); ++i) {
+    inst.set_tenant(i, static_cast<TenantId>(i % 3));
+  }
+  const std::string path = ::testing::TempDir() + name;
+  trace::TraceWriter::write_instance(inst, path);
+  return path;
 }
 
 void check_accounting(const LoadgenResult& r) {
@@ -137,6 +158,116 @@ TEST(NetLoadgen, TraceReplayDeliversEveryEvent) {
   EXPECT_EQ(r.ok, 2 * inst.size());
   service.drain();
   EXPECT_EQ(service.ops_applied(), 2 * inst.size());
+  server.stop();
+  std::remove(trace_path.c_str());
+}
+
+TEST(NetLoadgen, TraceReplayCarriesTenantLabels) {
+  // Every arrival reaches the gate under its row's tenant, not kNoTenant
+  // (which the gate books to tenant 0's slot).
+  const std::string trace_path = labelled_trace("loadgen_tenants.trc");
+  tenancy::ArbiterConfig config;
+  config.num_tenants = 3;  // no quota: every arrival is admitted
+  tenancy::Arbiter arbiter(config);
+  tenancy::AdmissionGate gate(arbiter);
+  cloud::ShardedDispatcher service(2, first_fit_factory(),
+                                   service_options(2));
+  ServerOptions sopts;
+  sopts.gate = &gate;
+  PlacementServer server(service, sopts);
+
+  LoadgenOptions opts;
+  opts.port = server.port();
+  opts.connections = 2;
+  opts.window = 8;
+  opts.trace_path = trace_path;
+  const LoadgenResult r = run_loadgen(opts);
+  check_accounting(r);
+  EXPECT_EQ(r.ok, 600u);
+  for (TenantId t = 0; t < 3; ++t) {
+    EXPECT_EQ(gate.admitted_jobs(t), 100u) << "tenant " << t;
+  }
+  server.stop();
+  std::remove(trace_path.c_str());
+}
+
+TEST(NetLoadgen, OpenLoopTraceDeliversEveryEvent) {
+  // Open pacing replays a trace to its end: at a rate the server keeps
+  // up with, nothing is refused and the service applies exactly 2n ops.
+  const std::string trace_path = labelled_trace("loadgen_open.trc");
+  cloud::ShardedDispatcher service(2, first_fit_factory(),
+                                   service_options(2));
+  PlacementServer server(service);
+
+  LoadgenOptions opts;
+  opts.port = server.port();
+  opts.connections = 2;
+  opts.open_loop_rate = 6000.0;
+  opts.trace_path = trace_path;
+  const LoadgenResult r = run_loadgen(opts);
+  check_accounting(r);
+  EXPECT_EQ(r.requests_sent, 600u);
+  EXPECT_EQ(r.ok, 600u);
+  EXPECT_GE(r.elapsed_s, 0.09);  // 300 ops per connection, 1/3 ms apart
+  service.drain();
+  EXPECT_EQ(service.ops_applied(), 600u);
+  server.stop();
+  std::remove(trace_path.c_str());
+}
+
+TEST(NetLoadgen, OpenLoopTraceDropsARefusedArrivalsDeparture) {
+  // A tight gate quota refuses arrivals. Open pacing retries none of them
+  // and never sends their departures, so the run still ends, and every
+  // departure it does send finds its job.
+  const std::string trace_path = labelled_trace("loadgen_refused.trc");
+  tenancy::ArbiterConfig config;
+  config.num_tenants = 3;
+  config.capacity_units = 1.0;
+  tenancy::Arbiter arbiter(config);
+  tenancy::AdmissionGate gate(arbiter);
+  cloud::ShardedDispatcher service(2, first_fit_factory(),
+                                   service_options(2));
+  ServerOptions sopts;
+  sopts.gate = &gate;
+  PlacementServer server(service, sopts);
+
+  LoadgenOptions opts;
+  opts.port = server.port();
+  opts.connections = 2;
+  opts.open_loop_rate = 6000.0;
+  opts.trace_path = trace_path;
+  const LoadgenResult r = run_loadgen(opts);
+  check_accounting(r);
+  ASSERT_GT(r.retry_later, 0u);
+  EXPECT_EQ(r.retry_later, gate.denied_total());
+  EXPECT_EQ(r.unknown_job, 0u);
+  // Each refused arrival takes its departure with it.
+  EXPECT_EQ(r.requests_sent + r.retry_later, 600u);
+  EXPECT_EQ(r.ok, 2 * gate.admitted_total());
+  server.stop();
+  std::remove(trace_path.c_str());
+}
+
+TEST(NetLoadgen, OpenLoopLatencyCountsLateSends) {
+  // At a billion requests a second every op is due at once, so all but
+  // the first go out late. Timed from its due time, each OK latency is
+  // its lateness plus the round trip: the median cannot sit below the
+  // median lateness.
+  const std::string trace_path = labelled_trace("loadgen_late.trc");
+  cloud::ShardedDispatcher service(2, first_fit_factory(),
+                                   service_options(2));
+  PlacementServer server(service);
+
+  LoadgenOptions opts;
+  opts.port = server.port();
+  opts.open_loop_rate = 1e9;
+  opts.trace_path = trace_path;
+  const LoadgenResult r = run_loadgen(opts);
+  check_accounting(r);
+  ASSERT_EQ(r.ok, 600u);
+  EXPECT_GT(r.late_p99_ns, 0.0);
+  EXPECT_GE(r.p50_ns, r.late_p50_ns);
+  EXPECT_GE(r.p99_ns, r.late_p99_ns);
   server.stop();
   std::remove(trace_path.c_str());
 }

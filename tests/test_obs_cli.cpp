@@ -5,7 +5,9 @@
 // into a structurally complete Packing. Every batch stack (migration,
 // tenant gate, journal, shards) is driven through the binary too, and what
 // it reports in --metrics-out (and the serial --recover cost line) is
-// pinned against the library run in-process.
+// pinned against the library run in-process. `harness serve` runs as a
+// child process under `harness loadgen`, and a journal directory refuses
+// the other stack's layout.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -15,8 +17,10 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -28,6 +32,7 @@
 #include "core/rebalancer.hpp"
 #include "core/simulator.hpp"
 #include "gen/registry.hpp"
+#include "net/client.hpp"
 #include "obs/json.hpp"
 #include "obs/replay.hpp"
 
@@ -64,6 +69,35 @@ std::string fresh_dir(const std::string& tag) {
                           std::to_string(static_cast<unsigned>(::getpid()));
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+/// Every file under `dir` by relative path, with its bytes.
+std::map<std::string, std::string> tree_bytes(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    const std::string rel =
+        std::filesystem::relative(entry.path(), dir).string();
+    files[rel] = entry.is_regular_file() ? slurp(entry.path().string())
+                                         : std::string("<dir>");
+  }
+  return files;
+}
+
+/// The whitespace-separated fields of the first line of `text` that
+/// starts with `prefix`; empty when there is none.
+std::vector<std::string> row_fields(const std::string& text,
+                                    const std::string& prefix) {
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind(prefix, 0) != 0) continue;
+    std::istringstream words(line);
+    std::vector<std::string> fields;
+    for (std::string w; words >> w;) fields.push_back(w);
+    return fields;
+  }
+  return {};
 }
 
 /// The number after "cost_so_far: " in `out`; NaN when the line is absent.
@@ -367,6 +401,96 @@ TEST_F(HarnessCli, BatchRunIntoAUsedJournalIsRefused) {
   }
 }
 
+TEST_F(HarnessCli, AJournalDirRefusesTheOtherStacksLayout) {
+  // A serial engine journals at the directory's root, a sharded service
+  // under shard-<s>/, and each recovers only its own layout. Either
+  // stack, batch or --recover, refuses the other's journal before it
+  // writes a byte.
+  for (const auto& [first, second, named] :
+       {std::tuple<std::string, std::string, std::string>{
+            "", " --shards=2", "serial journal"},
+        {" --shards=2", "", "sharded journal"}}) {
+    SCOPED_TRACE(first);
+    const std::string dir = fresh_dir("layout");
+    const std::string workload =
+        "--n=200 --d=2 --mu=8 --seed=3 --quiet --journal-dir=" + dir;
+    ASSERT_EQ(run(workload + first), 0);
+    const auto before = tree_bytes(dir);
+    for (const char* mode : {"", " --recover"}) {
+      const Captured out = capture(workload + second + mode);
+      EXPECT_EQ(out.exit_code, 2) << mode;
+      EXPECT_NE(out.text.find(named), std::string::npos) << out.text;
+    }
+    EXPECT_EQ(tree_bytes(dir), before);
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST_F(HarnessCli, LoadgenReplaysATraceInOpenLoopAgainstServe) {
+  // serve runs as a child; its port comes from the "listening on" line.
+  const std::string cmd =
+      "\"" + g_harness_bin + "\" serve --port=0 --shards=2 2>&1";
+  FILE* serve = ::popen(cmd.c_str(), "r");
+  ASSERT_NE(serve, nullptr);
+  char line[512] = {};
+  ASSERT_NE(std::fgets(line, sizeof(line), serve), nullptr);
+  const std::string listening = line;
+  ASSERT_EQ(listening.rfind("listening on ", 0), 0u) << listening;
+  const std::string port =
+      std::to_string(std::stoi(listening.substr(listening.rfind(':') + 1)));
+
+  const Captured out = capture("loadgen --port=" + port + " --trace=" +
+                               DVBP_SAMPLE_TRC +
+                               " --rate=2000 --connections=2 --drain");
+  if (out.exit_code != 0) {
+    // Drain the server anyway, so this test fails instead of hanging.
+    try {
+      net::Client("127.0.0.1", static_cast<std::uint16_t>(std::stoi(port)))
+          .drain();
+    } catch (const std::exception&) {
+    }
+  }
+  std::string served;
+  while (std::fgets(line, sizeof(line), serve) != nullptr) served += line;
+  const int status = ::pclose(serve);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << served;
+
+  // 500 tenant-labelled items: every one of the 1,000 events is OK.
+  ASSERT_EQ(out.exit_code, 0) << out.text;
+  const std::vector<std::string> row = row_fields(out.text, "trace/open");
+  ASSERT_GE(row.size(), 4u) << out.text;
+  EXPECT_EQ(row[2], "1000");  // sent
+  EXPECT_EQ(row[3], "1000");  // ok
+  // The hash the Drain RPC reported is the one serve prints at exit.
+  const std::string key = "drained: packing_hash=";
+  const auto at = out.text.find(key);
+  ASSERT_NE(at, std::string::npos) << out.text;
+  const std::string hash = out.text.substr(
+      at + key.size(), out.text.find(' ', at + key.size()) - at - key.size());
+  EXPECT_NE(served.find(" " + hash), std::string::npos) << served;
+}
+
+TEST_F(HarnessCli, LoadgenRejectsFlagsItsModeDoesNotRead) {
+  // Refused before connecting: nothing listens on port 1.
+  const std::string trace = std::string(" --trace=") + DVBP_SAMPLE_TRC;
+  // {flags, the flag the message must name}
+  const std::pair<std::string, std::string> rejected[] = {
+      {"--rate=100 --window=4", "--window"},
+      {"--rate=100 --requests=5", "--requests"},
+      {"--duration=1", "--duration"},
+      {trace + " --rate=100 --duration=1", "--duration"},
+      {trace + " --requests=5", "--requests"},
+      {trace + " --dim=3", "--dim"},
+      {trace + " --depart-fraction=0.5", "--depart-fraction"},
+      {trace + " --seed=3", "--seed"},
+  };
+  for (const auto& [flags, named] : rejected) {
+    const Captured out = capture("loadgen --port=1 " + flags);
+    EXPECT_EQ(out.exit_code, 2) << flags;
+    EXPECT_NE(out.text.find(named), std::string::npos) << flags;
+  }
+}
+
 TEST_F(HarnessCli, UnwritableOutputPathsFailFastWithExitCode2) {
   // A typo'd output path must be caught before any simulation runs, with
   // the dedicated usage-error exit code (2) rather than the generic 1.
@@ -374,7 +498,7 @@ TEST_F(HarnessCli, UnwritableOutputPathsFailFastWithExitCode2) {
   // uid (unlike permission-based setups, which root walks through).
   const std::string blocker = ::testing::TempDir() + "obs_cli_blocker";
   { std::ofstream(blocker) << "x"; }
-  for (const std::string flags :
+  for (const std::string& flags :
        {"--quiet --metrics-out=" + blocker + "/m.json",
         "--quiet --trace-out=" + blocker + "/t.jsonl",
         "--quiet --journal-dir=" + blocker + "/x/wal"}) {

@@ -104,9 +104,14 @@ INSTANTIATE_TEST_SUITE_P(
                       UbCase{2, 8, 7}, UbCase{2, 8, 8}, UbCase{3, 5, 9},
                       UbCase{3, 5, 10}, UbCase{5, 4, 11}, UbCase{5, 4, 12}),
     [](const ::testing::TestParamInfo<UbCase>& info) {
-      return "d" + std::to_string(info.param.d) + "_mu" +
-             std::to_string(info.param.mu) + "_s" +
-             std::to_string(info.param.seed);
+      // append() rather than "d" + ...: GCC 12 warns a false -Wrestrict
+      // on the insert-at-front that operator+(const char*, string&&) does.
+      return std::string("d")
+          .append(std::to_string(info.param.d))
+          .append("_mu")
+          .append(std::to_string(info.param.mu))
+          .append("_s")
+          .append(std::to_string(info.param.seed));
     });
 
 // The adversarial instances must also respect the upper bounds -- a lower

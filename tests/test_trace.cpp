@@ -32,9 +32,11 @@
 
 #include "core/event.hpp"
 #include "core/instance.hpp"
+#include "core/instance_stats.hpp"
 #include "core/policies/registry.hpp"
 #include "core/pool.hpp"
 #include "core/simulator.hpp"
+#include "gen/registry.hpp"
 #include "gen/uniform.hpp"
 #include "opt/lower_bounds.hpp"
 #include "opt/offline_opt.hpp"
@@ -554,6 +556,49 @@ TEST_F(TraceFile, StreamingBoundsMatchBatchLowerBounds) {
   EXPECT_EQ(stream.utilization, batch.utilization);
   EXPECT_EQ(stream.span, batch.span);
   EXPECT_EQ(stream.best(), batch.best());
+}
+
+TEST_F(TraceFile, LowerBoundBitsArePinned) {
+  // The three Lemma-1 height sweeps (opt::lb_height, the streaming bounds
+  // and analyze()) share one accumulator; the test above compares them
+  // with each other, so these literal bits catch a change they share.
+  // perfbench's cost_ratio divides by streaming_lower_bounds().best().
+  struct Pin {
+    const char* generator;
+    double height;
+    double span;
+    double utilization;
+  };
+  for (const Pin& pin :
+       {Pin{"uniform", 0x1.1c8p+10, 0x1.9p+5, 0x1.f4c71c71c71c5p+8},
+        Pin{"bursty", 0x1.188p+10, 0x1.6p+5, 0x1.f2aaaaaaaaaa7p+8},
+        Pin{"diurnal", 0x1.0b4p+10, 0x1.88p+5, 0x1.d49c71c71c71fp+8}}) {
+    SCOPED_TRACE(pin.generator);
+    gen::UniformParams params;
+    params.n = 400;
+    params.d = 3;
+    params.mu = 8;
+    params.span = 50;
+    params.bin_size = 6;
+    const Instance inst = gen::make_generator(pin.generator, params, 11)(0);
+    const std::string path = track(temp_path("trace_pinned_bounds.trc"));
+    TraceWriter::write_instance(inst, path);
+    const StreamBounds stream = streaming_lower_bounds(TraceReader(path));
+    EXPECT_EQ(lb_height(inst), pin.height);
+    EXPECT_EQ(analyze(inst).height_bound, pin.height);
+    EXPECT_EQ(stream.height, pin.height);
+    EXPECT_EQ(stream.span, pin.span);
+    EXPECT_EQ(stream.utilization, pin.utilization);
+  }
+  // Real-valued times: every addition of the sweep shows in the bits.
+  TraceReader sample(DVBP_SAMPLE_TRC);
+  const Instance inst = sample.materialize();
+  const StreamBounds stream = streaming_lower_bounds(sample);
+  EXPECT_EQ(lb_height(inst), 0x1.88e6ed604188cp+19);
+  EXPECT_EQ(analyze(inst).height_bound, 0x1.88e6ed604188cp+19);
+  EXPECT_EQ(stream.height, 0x1.88e6ed604188cp+19);
+  EXPECT_EQ(stream.span, 0x1.f0342b020c49cp+15);
+  EXPECT_EQ(stream.utilization, 0x1.9647d9439580ep+18);
 }
 
 TEST_F(TraceFile, ReduceBracketsTheTrueOptimum) {
