@@ -1,6 +1,5 @@
 #include "cloud/router.hpp"
 
-#include <atomic>
 #include <stdexcept>
 
 namespace dvbp::cloud {
@@ -45,19 +44,12 @@ class RoundRobinRouter final : public Router {
   RouterKind kind() const noexcept override {
     return RouterKind::kRoundRobin;
   }
-  std::size_t route(ItemId, std::span<const double>) noexcept override {
-    return next_.fetch_add(1, std::memory_order_relaxed) % shards_;
-  }
-  std::uint64_t persistent_state() const noexcept override {
-    return next_.load(std::memory_order_relaxed);
-  }
-  void restore_persistent_state(std::uint64_t v) noexcept override {
-    next_.store(v, std::memory_order_relaxed);
+  std::size_t route(ItemId job, std::span<const double>) noexcept override {
+    return static_cast<std::size_t>(job) % shards_;
   }
 
  private:
   std::size_t shards_;
-  std::atomic<std::uint64_t> next_{0};
 };
 
 class RendezvousRouter final : public Router {

@@ -6,8 +6,9 @@
 // shard sees a self-consistent substream.
 //
 // Three built-in policies:
-//   round-robin  -- atomic counter modulo K; perfectly balanced item counts,
-//                   assignment depends on global admission order only.
+//   round-robin  -- job id modulo K; perfectly balanced item counts, and
+//                   (the service hands out ids consecutively) a pure
+//                   function of the job id, like rendezvous.
 //   rendezvous   -- highest-random-weight hash of (job id, shard); a pure
 //                   function of the job id and K, so the assignment is
 //                   independent of thread interleaving and queue timing
@@ -55,20 +56,6 @@ class Router {
   /// that do not balance on load ignore it. Must be thread-safe.
   virtual std::size_t route(ItemId job,
                             std::span<const double> shard_loads) noexcept = 0;
-
-  // --- Checkpointing (src/persist/) -----------------------------------
-  // Routing state that must survive a crash for post-recovery routing to
-  // match an uninterrupted run. Round-robin's word is its admission
-  // counter; rendezvous is a pure function of (job id, shard count) with
-  // compile-time mixing constants, and least-usage re-derives its loads
-  // from the recovered shards -- both carry 0.
-
-  /// One word of durable routing state (0 for stateless routers).
-  virtual std::uint64_t persistent_state() const noexcept { return 0; }
-
-  /// Restores a word captured by persistent_state(). Only meaningful on a
-  /// freshly constructed router.
-  virtual void restore_persistent_state(std::uint64_t) noexcept {}
 };
 
 /// Constructs a router for `shards` >= 1 shards. Throws

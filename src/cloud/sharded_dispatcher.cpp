@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 
 #include "core/serial.hpp"
@@ -31,13 +32,16 @@ bool holds_ops(const std::string& dir) {
 /// least-usage router reads.
 constexpr std::size_t kSnapshotEvery = 64;
 
-/// Powers-of-two bounds for the ops-per-drain histogram.
-std::vector<double> batch_size_bounds(std::size_t max_batch) {
+/// Most ops one step takes off a queue (one lock round-trip and one
+/// journal commit per batch).
+constexpr std::size_t kMaxBatch = 256;
+
+/// Powers-of-two bounds for the ops-per-step histogram.
+std::vector<double> batch_size_bounds() {
   std::vector<double> bounds;
-  for (std::size_t b = 1; b < max_batch; b *= 2) {
+  for (std::size_t b = 1; b <= kMaxBatch; b *= 2) {
     bounds.push_back(static_cast<double>(b));
   }
-  bounds.push_back(static_cast<double>(max_batch));
   return bounds;
 }
 
@@ -69,9 +73,9 @@ JournalLayout read_journal_layout(const std::string& dir) {
 /// and every replay alike, meters the shard's tenants, and carries both
 /// across a checkpoint: the Items of the departed jobs this shard owns
 /// (the live ones ride in the dispatcher state), then the tenant ledger.
-class ShardedDispatcher::Listener final : public TenantUsageHook {
+class ShardedCore::Listener final : public TenantUsageHook {
  public:
-  Listener(ShardedDispatcher& service, std::uint32_t shard)
+  Listener(ShardedCore& service, std::uint32_t shard)
       : service_(service), shard_(shard) {
     if (service.options_.tenants > 0) {
       accountant_.emplace(service.options_.tenants);
@@ -138,14 +142,13 @@ class ShardedDispatcher::Listener final : public TenantUsageHook {
     rec.shard.store(shard_, std::memory_order_release);
   }
 
-  ShardedDispatcher& service_;
+  ShardedCore& service_;
   std::uint32_t shard_;
   std::optional<tenancy::UsageAccountant> accountant_;
 };
 
-ShardedDispatcher::ShardedDispatcher(std::size_t dim,
-                                     const PolicyFactory& factory,
-                                     ShardedOptions options)
+ShardedCore::ShardedCore(std::size_t dim, const PolicyFactory& factory,
+                         ShardedOptions options)
     : dim_(dim), options_(std::move(options)) {
   if (dim_ == 0) {
     throw std::invalid_argument("ShardedDispatcher: dim must be >= 1");
@@ -157,9 +160,9 @@ ShardedDispatcher::ShardedDispatcher(std::size_t dim,
     throw std::invalid_argument(
         "ShardedDispatcher: bin_capacity must be >= 1");
   }
-  if (options_.queue_capacity == 0 || options_.max_batch == 0) {
+  if (options_.queue_capacity == 0) {
     throw std::invalid_argument(
-        "ShardedDispatcher: queue_capacity and max_batch must be >= 1");
+        "ShardedDispatcher: queue_capacity must be >= 1");
   }
   if (!factory) {
     throw std::invalid_argument("ShardedDispatcher: null policy factory");
@@ -181,8 +184,8 @@ ShardedDispatcher::ShardedDispatcher(std::size_t dim,
 
   // Each shard's engine recovers its directory as it is built -- each
   // shard independently, no cross-shard coordination -- and its listener
-  // writes what it replays into the job table. Runs before the workers
-  // start, so recovery needs no locks.
+  // writes what it replays into the job table. Runs before any worker
+  // starts, so recovery needs no locks.
   shards_.reserve(options_.shards);
   for (std::size_t s = 0; s < options_.shards; ++s) {
     auto shard = std::make_unique<Shard>();
@@ -215,7 +218,7 @@ ShardedDispatcher::ShardedDispatcher(std::size_t dim,
       const std::string prefix = "dvbp.shard." + std::to_string(s) + ".";
       shard->queue_depth = &options_.metrics->gauge(prefix + "queue_depth");
       shard->batch_size = &options_.metrics->histogram(
-          prefix + "batch_size", batch_size_bounds(options_.max_batch));
+          prefix + "batch_size", batch_size_bounds());
       shard->placement_latency =
           &options_.metrics->histogram(prefix + "placement_latency_ns");
       shard->ops_applied_total =
@@ -224,13 +227,9 @@ ShardedDispatcher::ShardedDispatcher(std::size_t dim,
     shards_.push_back(std::move(shard));
   }
   rebuild_job_table();
-  // Workers start only after every shard is fully constructed.
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s]->worker = std::thread([this, s] { worker_loop(s); });
-  }
 }
 
-ShardedDispatcher::JobRec& ShardedDispatcher::job_slot(std::uint64_t job) {
+ShardedCore::JobRec& ShardedCore::job_slot(std::uint64_t job) {
   if (job >= static_cast<std::uint64_t>(kMaxChunks) * kJobChunkSize) {
     throw std::length_error("ShardedDispatcher: job id space exhausted");
   }
@@ -252,7 +251,7 @@ ShardedDispatcher::JobRec& ShardedDispatcher::job_slot(std::uint64_t job) {
 // belongs to the shard whose history names it; a completed journaled
 // rebalance pass checkpoints every shard it touched, so after it only the
 // job's last shard does.
-void ShardedDispatcher::rebuild_job_table() {
+void ShardedCore::rebuild_job_table() {
   std::uint64_t next = 0;
   for (const auto& shard : shards_) {
     next = std::max<std::uint64_t>(
@@ -276,123 +275,61 @@ void ShardedDispatcher::rebuild_job_table() {
           rec.item = job.item;
         });
   }
-  // Round-robin's counter advanced once per admission in the original
-  // run; rendezvous is a pure function and least-usage re-derives from
-  // the load snapshots the shards refreshed after recovering.
-  router_->restore_persistent_state(next);
+  // Round-robin and rendezvous route by id, so routing resumes where the
+  // run left off; least-usage re-derives from the load snapshots the
+  // shards refreshed after recovering.
 }
 
-ShardedDispatcher::~ShardedDispatcher() {
-  for (auto& shard : shards_) {
-    shard->stopping.store(true, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(shard->qmu);
-      shard->stop = true;
-    }
-    shard->not_empty.notify_all();
-    shard->not_full.notify_all();
-  }
-  for (auto& shard : shards_) {
-    if (shard->worker.joinable()) shard->worker.join();
+ShardedCore::~ShardedCore() {
+  try {
+    drain();
+  } catch (...) {
   }
 }
 
-ShardedDispatcher::Op ShardedDispatcher::prepare_arrive(
-    Time now, RVec size, Time expected_departure,
-    std::shared_ptr<CompletionSink> sink, std::uint64_t cookie,
-    TenantId tenant, std::size_t& target_out) {
-  // Validate here, in the producer, so the asynchronous apply cannot throw
-  // for caller mistakes (mirrors Dispatcher::arrive's checks).
-  if (size.dim() != dim_) {
-    throw std::invalid_argument(
-        "ShardedDispatcher::arrive: dimension mismatch");
-  }
-  if (!size.is_nonnegative() || !size.fits_in_capacity(1.0)) {
-    throw std::invalid_argument(
-        "ShardedDispatcher::arrive: size outside [0,1]^d");
-  }
-  if (!(expected_departure > now)) {
-    throw std::invalid_argument(
-        "ShardedDispatcher::arrive: expected departure must exceed arrival");
-  }
-
-  std::size_t target = 0;
-  if (router_->kind() == RouterKind::kLeastUsage) {
-    std::vector<double> loads(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      // Snapshot load plus queued-but-unapplied arrivals: keeps a burst
-      // from piling onto one shard between snapshot refreshes.
-      loads[s] =
-          shards_[s]->load_snapshot.load(std::memory_order_relaxed) +
-          static_cast<double>(std::max<std::int64_t>(
-              0, shards_[s]->pending_arrivals.load(
-                     std::memory_order_relaxed)));
-    }
-    target = router_->route(0, loads);
-  }
-
-  const std::uint64_t id = next_job_.fetch_add(1, std::memory_order_relaxed);
-  JobRec& rec = job_slot(id);
-  const auto job = static_cast<JobId>(id);
-  if (router_->kind() != RouterKind::kLeastUsage) {
-    target = router_->route(job, {});
-  }
-  rec.shard.store(static_cast<std::uint32_t>(target),
-                  std::memory_order_release);
-
-  Op op;
-  op.kind = Op::Kind::kArrive;
-  op.time = now;
-  op.job = job;
-  op.size = std::move(size);
-  op.expected_departure = expected_departure;
-  op.tenant = tenant;
-  op.sink = std::move(sink);
-  op.cookie = cookie;
-  if (options_.metrics != nullptr) {
-    op.enqueued = std::chrono::steady_clock::now();
-  }
-  if (router_->kind() == RouterKind::kLeastUsage) {
-    // Only the least-usage router reads this; skip the shared-line RMW for
-    // the routers that do not balance on load.
-    shards_[target]->pending_arrivals.fetch_add(1,
-                                                std::memory_order_relaxed);
-  }
-  target_out = target;
-  return op;
+JobId ShardedCore::arrive(Time now, RVec size, Time expected_departure,
+                          TenantId tenant) {
+  return submit({.kind = Op::Kind::kArrive,
+                 .time = now,
+                 .size = std::move(size),
+                 .expected_departure = expected_departure,
+                 .tenant = tenant},
+                true);
 }
 
-JobId ShardedDispatcher::arrive(Time now, RVec size,
-                                Time expected_departure, TenantId tenant) {
-  std::size_t target = 0;
-  Op op = prepare_arrive(now, std::move(size), expected_departure, nullptr,
-                         0, tenant, target);
-  const JobId job = op.job;
-  enqueue(target, std::move(op));
-  return job;
-}
-
-std::optional<JobId> ShardedDispatcher::try_arrive(
+std::optional<JobId> ShardedCore::try_arrive(
     Time now, RVec size, Time expected_departure,
     std::shared_ptr<CompletionSink> sink, std::uint64_t cookie,
     TenantId tenant) {
-  std::size_t target = 0;
-  Op op = prepare_arrive(now, std::move(size), expected_departure,
-                         std::move(sink), cookie, tenant, target);
-  const JobId job = op.job;
-  if (try_enqueue(target, op)) return job;
-  // Rejected by backpressure: the job id was already published, so retire
-  // it -- a stray depart() for it fails cleanly ("already departed") and
-  // it is never applied, like a recovered-but-lost id.
-  job_rec(job).departed.store(true, std::memory_order_release);
-  if (router_->kind() == RouterKind::kLeastUsage) {
-    shards_[target]->pending_arrivals.fetch_sub(1, std::memory_order_relaxed);
-  }
-  return std::nullopt;
+  const JobId job = submit({.kind = Op::Kind::kArrive,
+                            .time = now,
+                            .size = std::move(size),
+                            .expected_departure = expected_departure,
+                            .tenant = tenant,
+                            .sink = std::move(sink),
+                            .cookie = cookie},
+                           false);
+  if (job == kNoItem) return std::nullopt;
+  return job;
 }
 
-ShardedDispatcher::JobRec& ShardedDispatcher::checked_job_rec(
-    JobId job, const char* caller) const {
+void ShardedCore::depart(Time now, JobId job) {
+  submit({.kind = Op::Kind::kDepart, .time = now, .job = job}, true);
+}
+
+bool ShardedCore::try_depart(Time now, JobId job,
+                             std::shared_ptr<CompletionSink> sink,
+                             std::uint64_t cookie) {
+  return submit({.kind = Op::Kind::kDepart,
+                 .time = now,
+                 .job = job,
+                 .sink = std::move(sink),
+                 .cookie = cookie},
+                false) != kNoItem;
+}
+
+ShardedCore::JobRec& ShardedCore::checked_job_rec(JobId job,
+                                                  const char* caller) const {
   if (job >= next_job_.load(std::memory_order_acquire) ||
       job_chunks_[job >> kJobChunkBits].load(std::memory_order_acquire) ==
           nullptr) {
@@ -402,246 +339,227 @@ ShardedDispatcher::JobRec& ShardedDispatcher::checked_job_rec(
   return job_rec(job);
 }
 
-void ShardedDispatcher::depart(Time now, JobId job) {
-  JobRec& rec = checked_job_rec(job, "depart");
-  // exchange() makes racing double-departs fail deterministically in
-  // exactly one caller.
-  if (rec.departed.exchange(true, std::memory_order_acq_rel)) {
-    throw std::invalid_argument(
-        "ShardedDispatcher::depart: job already departed");
+JobId ShardedCore::submit(Op op, bool wait) {
+  const bool arrival = op.kind == Op::Kind::kArrive;
+  const bool least_usage = router_->kind() == RouterKind::kLeastUsage;
+  // Validate here, in the producer, so a step cannot throw for caller
+  // mistakes (mirrors Dispatcher::arrive's checks).
+  if (arrival) {
+    if (op.size.dim() != dim_) {
+      throw std::invalid_argument(
+          "ShardedDispatcher::arrive: dimension mismatch");
+    }
+    if (!op.size.is_nonnegative() || !op.size.fits_in_capacity(1.0)) {
+      throw std::invalid_argument(
+          "ShardedDispatcher::arrive: size outside [0,1]^d");
+    }
+    if (!(op.expected_departure > op.time)) {
+      throw std::invalid_argument(
+          "ShardedDispatcher::arrive: expected departure must exceed "
+          "arrival");
+    }
   }
-  const std::size_t target = rec.shard.load(std::memory_order_acquire);
-  Op op;
-  op.kind = Op::Kind::kDepart;
-  op.time = now;
-  op.job = job;
   if (options_.metrics != nullptr) {
     op.enqueued = std::chrono::steady_clock::now();
   }
-  enqueue(target, std::move(op));
-}
-
-bool ShardedDispatcher::try_depart(Time now, JobId job,
-                                   std::shared_ptr<CompletionSink> sink,
-                                   std::uint64_t cookie) {
-  JobRec& rec = checked_job_rec(job, "depart");
-  if (rec.departed.exchange(true, std::memory_order_acq_rel)) {
-    throw std::invalid_argument(
-        "ShardedDispatcher::depart: job already departed");
-  }
-  const std::size_t target = rec.shard.load(std::memory_order_acquire);
-  Op op;
-  op.kind = Op::Kind::kDepart;
-  op.time = now;
-  op.job = job;
-  op.sink = std::move(sink);
-  op.cookie = cookie;
-  if (options_.metrics != nullptr) {
-    op.enqueued = std::chrono::steady_clock::now();
-  }
-  if (try_enqueue(target, op)) return true;
-  // Backpressure: roll the departed flag back so the caller can retry.
-  // Note the rollback is not linearizable against a *concurrent* depart of
-  // the same job by another caller (it could observe "already departed"
-  // during our window); the network front-end owns each job id via a
-  // single connection, so the race cannot arise there.
-  rec.departed.store(false, std::memory_order_release);
-  return false;
-}
-
-void ShardedDispatcher::enqueue(std::size_t shard_idx, Op op) {
-  Shard& shard = *shards_[shard_idx];
-  shard.ops_enqueued.fetch_add(1, std::memory_order_relaxed);
-  std::size_t depth;
-  bool was_empty;
-  {
-    std::unique_lock<std::mutex> lock(shard.qmu);
-    shard.not_full.wait(lock, [&] {
-      return shard.stop || shard.queue.size() < options_.queue_capacity;
-    });
-    if (shard.stop) {
-      throw std::logic_error(
-          "ShardedDispatcher: enqueue after shutdown started");
-    }
-    was_empty = shard.queue.empty();
-    shard.queue.push_back(std::move(op));
-    depth = shard.queue.size();
-    shard.qsize.store(depth, std::memory_order_release);
-  }
-  if (shard.queue_depth != nullptr) {
-    shard.queue_depth->set(static_cast<double>(depth));
-  }
-  // The worker only sleeps on an empty queue (it rechecks the predicate
-  // under qmu before waiting), so only the empty -> non-empty transition
-  // needs a wakeup; skipping the rest keeps the producer hot path cheap.
-  if (was_empty) shard.not_empty.notify_one();
-}
-
-bool ShardedDispatcher::try_enqueue(std::size_t shard_idx, Op& op) {
-  Shard& shard = *shards_[shard_idx];
-  std::size_t depth;
-  bool was_empty;
-  {
-    std::unique_lock<std::mutex> lock(shard.qmu);
-    if (shard.stop || shard.queue.size() >= options_.queue_capacity) {
-      return false;
-    }
-    // Counted before the push (like enqueue(), which counts before even
-    // taking the lock) so ops_applied_ can never transiently exceed
-    // ops_enqueued() and fool require_quiescent().
-    shard.ops_enqueued.fetch_add(1, std::memory_order_relaxed);
-    was_empty = shard.queue.empty();
-    shard.queue.push_back(std::move(op));
-    depth = shard.queue.size();
-    shard.qsize.store(depth, std::memory_order_release);
-  }
-  if (shard.queue_depth != nullptr) {
-    shard.queue_depth->set(static_cast<double>(depth));
-  }
-  if (was_empty) shard.not_empty.notify_one();
-  return true;
-}
-
-void ShardedDispatcher::worker_loop(std::size_t shard_idx) {
-  Shard& shard = *shards_[shard_idx];
-  std::vector<Op> batch;
-  batch.reserve(options_.max_batch);
-  std::vector<Completion> completions;
   for (;;) {
-    // Spin briefly before sleeping: under sustained load the queue refills
-    // within microseconds, and skipping the condvar round-trip (futex wake
-    // + scheduler latency per empty->non-empty transition) is what keeps
-    // a lightly-loaded shard's throughput from being wakeup-bound. Falls
-    // through to a normal blocking wait when the spin finds nothing.
-    for (int spin = 0;
-         spin < 4000 &&
-         shard.qsize.load(std::memory_order_acquire) == 0 &&
-         !shard.stopping.load(std::memory_order_acquire);
-         ++spin) {
-      // Donate the slice periodically: on an oversubscribed machine the
-      // producer that would refill this queue may be waiting for this very
-      // core, and a blind spin would burn the whole quantum starving it.
-      // With spare cores and nothing runnable, yield() returns immediately
-      // and the loop stays hot.
-      if ((spin & 63) == 63) std::this_thread::yield();
-    }
-    std::size_t depth_after;
-    {
-      std::unique_lock<std::mutex> lock(shard.qmu);
-      shard.not_empty.wait(
-          lock, [&] { return shard.stop || !shard.queue.empty(); });
-      if (shard.queue.empty()) return;  // stop requested and fully drained
-      while (!shard.queue.empty() && batch.size() < options_.max_batch) {
-        batch.push_back(std::move(shard.queue.front()));
-        shard.queue.pop_front();
+    std::size_t target = 0;
+    if (arrival) {
+      // The next id routes the arrival, but it is taken only with the push
+      // below: a refused arrival burns no id, and a retry routes the id it
+      // then finds (round-robin and rendezvous route by id alone).
+      op.job = static_cast<JobId>(next_job_.load(std::memory_order_acquire));
+      job_slot(op.job);
+      if (least_usage) {
+        std::vector<double> loads(shards_.size());
+        for (std::size_t s = 0; s < shards_.size(); ++s) {
+          // Snapshot load plus queued-but-unapplied arrivals: keeps a
+          // burst from piling onto one shard between snapshot refreshes.
+          loads[s] =
+              shards_[s]->load_snapshot.load(std::memory_order_relaxed) +
+              static_cast<double>(std::max<std::int64_t>(
+                  0, shards_[s]->pending_arrivals.load(
+                         std::memory_order_relaxed)));
+        }
+        target = router_->route(0, loads);
+      } else {
+        target = router_->route(op.job, {});
       }
-      depth_after = shard.queue.size();
-      shard.qsize.store(depth_after, std::memory_order_release);
+    } else {
+      target = checked_job_rec(op.job, "depart")
+                   .shard.load(std::memory_order_acquire);
     }
+    Shard& shard = *shards_[target];
+    JobRec& rec = job_rec(op.job);
+    const JobId job = op.job;
+    std::size_t depth = 0;  // stays 0 when the queue is full
+    bool was_empty = false;
+    {
+      std::lock_guard<std::mutex> lock(shard.qmu);
+      // Every depart of a job queues on its owner shard, so this check is
+      // exact: racing double-departs fail in exactly one caller.
+      if (!arrival && rec.departed.load(std::memory_order_relaxed)) {
+        throw std::invalid_argument(
+            "ShardedDispatcher::depart: job already departed");
+      }
+      if (shard.queue.size() < options_.queue_capacity) {
+        if (arrival) {
+          std::uint64_t id = job;
+          if (!next_job_.compare_exchange_strong(id, id + 1,
+                                                 std::memory_order_acq_rel)) {
+            continue;  // another producer took this id: route the next
+          }
+          rec.shard.store(static_cast<std::uint32_t>(target),
+                          std::memory_order_release);
+          if (least_usage) {
+            shard.pending_arrivals.fetch_add(1, std::memory_order_relaxed);
+          }
+        } else {
+          rec.departed.store(true, std::memory_order_relaxed);
+        }
+        shard.ops_enqueued.fetch_add(1, std::memory_order_relaxed);
+        was_empty = shard.queue.empty();
+        shard.queue.push_back(std::move(op));
+        depth = shard.queue.size();
+        shard.qsize.store(depth, std::memory_order_release);
+      }
+    }
+    if (depth > 0) {
+      if (shard.queue_depth != nullptr) {
+        shard.queue_depth->set(static_cast<double>(depth));
+      }
+      // A worker sleeps only on an empty queue (it rechecks under qmu
+      // before waiting), so only the empty -> non-empty transition needs a
+      // wakeup; skipping the rest keeps the producer hot path cheap.
+      if (was_empty) shard.not_empty.notify_one();
+      return job;
+    }
+    if (!wait) return kNoItem;
+    wait_for_room(target);
+  }
+}
+
+// The one clamp-and-degrade rule, for queued ops and rebalance moves
+// alike. Several producers can interleave, so an op's timestamp may lag
+// the shard clock; it is applied at the clock (the way an ingestion
+// front-end stamps requests). A single producer's feed is monotone and
+// never clamped. An arrival's advisory departure that the clamp overtakes
+// is only a clairvoyant hint, so it degrades to "unknown" rather than
+// throw. The journal records exactly what arrive() is called with, so
+// replay reproduces the run bit-exactly by passing the frame verbatim.
+void ShardedCore::apply(persist::DurableDispatcher& engine, Op& op) {
+  const Time t = std::max(op.time, engine.dispatcher().last_event_time());
+  if (op.kind == Op::Kind::kDepart) {
+    engine.depart(t, op.job);
+    return;
+  }
+  const Time expected = op.expected_departure > t
+                            ? op.expected_departure
+                            : std::numeric_limits<Time>::infinity();
+  engine.arrive(t, Item(op.job, t, expected, std::move(op.size), op.tenant));
+}
+
+std::size_t ShardedCore::step(std::size_t shard_idx) {
+  Shard& shard = shard_at(shard_idx, "step");
+  // Each stepping thread reuses its own batch, so a step allocates nothing
+  // once the thread has stepped before.
+  thread_local std::vector<Op> batch;
+  batch.reserve(kMaxBatch);
+  std::uint64_t first = 0;
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    std::size_t depth = 0;
+    {
+      std::lock_guard<std::mutex> qlock(shard.qmu);
+      const auto n = static_cast<std::ptrdiff_t>(
+          std::min(shard.queue.size(), kMaxBatch));
+      std::move(shard.queue.begin(), shard.queue.begin() + n,
+                std::back_inserter(batch));
+      shard.queue.erase(shard.queue.begin(), shard.queue.begin() + n);
+      depth = shard.queue.size();
+      shard.qsize.store(depth, std::memory_order_release);
+    }
+    if (batch.empty()) return 0;
     shard.not_full.notify_all();
     if (shard.queue_depth != nullptr) {
-      shard.queue_depth->set(static_cast<double>(depth_after));
+      shard.queue_depth->set(static_cast<double>(depth));
     }
     if (shard.batch_size != nullptr) {
       shard.batch_size->observe(static_cast<double>(batch.size()));
     }
+    first = shard.ops_taken;
+    shard.ops_taken += batch.size();
 
-    apply_batch(shard, batch, completions);
-
-    // Completions fire after the batch's journal commit and outside the
-    // shard lock, but BEFORE the applied counter publishes progress: when
-    // drain() returns, every accepted op's completion has already run --
-    // the guarantee the server's graceful drain leans on (every accepted
-    // request gets its response before the drain snapshot is taken).
-    for (Completion& c : completions) {
-      c.sink->op_applied(c.cookie, c.job);
-    }
-    completions.clear();
-
-    // Publish progress, then notify only if somebody is draining. Both
-    // sides use seq_cst (Dekker pattern: applied-store/waiters-load here,
-    // waiters-store/applied-load in drain()), and the empty lock keeps the
-    // notify from slipping between the drainer's predicate check and its
-    // wait.
-    ops_applied_.fetch_add(batch.size());
-    if (drain_waiters_.load() > 0) {
-      { std::lock_guard<std::mutex> lock(drain_mu_); }
-      drain_cv_.notify_all();
-    }
-    batch.clear();
-  }
-}
-
-void ShardedDispatcher::apply_batch(Shard& shard, std::vector<Op>& batch,
-                                    std::vector<Completion>& completions) {
-  std::lock_guard<std::mutex> lock(shard.mu);
-  persist::DurableDispatcher& engine = *shard.engine;
-  std::size_t since_snapshot = 0;
-  // Group commit: the whole drained batch goes down with one write(2) and
-  // at most one fsync.
-  engine.begin_batch();
-  for (Op& op : batch) {
-    if (op.sink != nullptr) {
-      completions.push_back({std::move(op.sink), op.cookie, op.job});
-    }
-    try {
-      // Per-shard monotone clamp: multiple producers can interleave, so an
-      // op's timestamp may lag the shard clock; it is applied at the clock
-      // (the way an ingestion front-end stamps requests). Single-producer
-      // feeds are monotone and never clamped.
-      const Time t = std::max(op.time, engine.dispatcher().last_event_time());
-      if (op.kind == Op::Kind::kArrive) {
-        if (router_->kind() == RouterKind::kLeastUsage) {
-          shard.pending_arrivals.fetch_sub(1, std::memory_order_relaxed);
-        }
-        // The advisory departure can be overtaken by the clamp; it is only
-        // a clairvoyant hint, so degrade it to "unknown" rather than throw.
-        // The journal records exactly what arrive() is called with --
-        // post-clamp time, degraded hint -- so replay reproduces the run
-        // bit-exactly by passing the frame verbatim.
-        const Time expected =
-            op.expected_departure > t
-                ? op.expected_departure
-                : std::numeric_limits<Time>::infinity();
-        engine.arrive(t, Item(op.job, t, expected, std::move(op.size),
-                              op.tenant));
-      } else {
-        engine.depart(t, op.job);
+    // Group commit: the whole batch goes down with one write(2) and at
+    // most one fsync. An op that does not both apply and commit fails.
+    persist::DurableDispatcher& engine = *shard.engine;
+    std::size_t since_snapshot = 0;
+    engine.begin_batch();
+    for (Op& op : batch) {
+      if (op.kind == Op::Kind::kArrive &&
+          router_->kind() == RouterKind::kLeastUsage) {
+        shard.pending_arrivals.fetch_sub(1, std::memory_order_relaxed);
       }
+      try {
+        apply(engine, op);
+      } catch (...) {
+        // A service bug (producer-side validation screens caller
+        // mistakes) or a dead journal: drain() rethrows the first error.
+        record_error();
+        op.job = kNoItem;
+      }
+      if (shard.ops_applied_total != nullptr) shard.ops_applied_total->inc();
+      if (shard.placement_latency != nullptr) {
+        const auto elapsed = std::chrono::steady_clock::now() - op.enqueued;
+        shard.placement_latency->observe(static_cast<double>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+                .count()));
+      }
+      if (++since_snapshot >= kSnapshotEvery) {
+        since_snapshot = 0;
+        shard.load_snapshot.store(engine.dispatcher().total_active_load(),
+                                  std::memory_order_relaxed);
+      }
+    }
+    shard.load_snapshot.store(engine.dispatcher().total_active_load(),
+                              std::memory_order_relaxed);
+    try {
+      engine.end_batch();
     } catch (...) {
-      // A failure here is a service bug (producer-side validation screens
-      // caller mistakes) or a dead journal; remember the first error for
-      // drain() and keep counting ops so nobody deadlocks waiting for them.
-      record_worker_error();
-    }
-    if (shard.ops_applied_total != nullptr) shard.ops_applied_total->inc();
-    if (shard.placement_latency != nullptr) {
-      const auto elapsed = std::chrono::steady_clock::now() - op.enqueued;
-      shard.placement_latency->observe(static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-              .count()));
-    }
-    if (++since_snapshot >= kSnapshotEvery) {
-      since_snapshot = 0;
-      shard.load_snapshot.store(engine.dispatcher().total_active_load(),
-                                std::memory_order_relaxed);
+      record_error();
+      for (Op& op : batch) op.job = kNoItem;
     }
   }
-  shard.load_snapshot.store(engine.dispatcher().total_active_load(),
-                            std::memory_order_relaxed);
-  try {
-    engine.end_batch();
-  } catch (...) {
-    record_worker_error();
+
+  // Completions fire after the batch's commit and outside the shard lock,
+  // but BEFORE progress is published: when drain() returns, every
+  // accepted op's completion has already run -- the guarantee the
+  // server's graceful drain leans on.
+  for (const Op& op : batch) {
+    if (op.sink != nullptr) op.sink->op_applied(op.cookie, op.job);
   }
+  // Publish in queue order: a concurrent stepper that took the previous
+  // batch publishes first.
+  while (shard.ops_applied.load(std::memory_order_acquire) != first) {
+    std::this_thread::yield();
+  }
+  const std::size_t taken = batch.size();
+  shard.ops_applied.store(first + taken, std::memory_order_release);
+  batch.clear();
+  return taken;
 }
 
-void ShardedDispatcher::record_worker_error() {
+void ShardedCore::record_error() {
   std::lock_guard<std::mutex> error_lock(error_mu_);
-  if (!worker_error_) worker_error_ = std::current_exception();
+  if (!error_) error_ = std::current_exception();
 }
 
-ShardedDispatcher::Shard& ShardedDispatcher::shard_at(
+void ShardedCore::rethrow_error() const {
+  std::lock_guard<std::mutex> lock(error_mu_);
+  if (error_) std::rethrow_exception(error_);
+}
+
+ShardedCore::Shard& ShardedCore::shard_at(
     std::size_t shard, const char* caller) const {
   if (shard >= shards_.size()) {
     throw std::invalid_argument(std::string("ShardedDispatcher::") + caller +
@@ -650,12 +568,12 @@ ShardedDispatcher::Shard& ShardedDispatcher::shard_at(
   return *shards_[shard];
 }
 
-const persist::RecoveryReport& ShardedDispatcher::shard_recovery(
+const persist::RecoveryReport& ShardedCore::shard_recovery(
     std::size_t shard) const {
   return shard_at(shard, "shard_recovery").engine->recovery();
 }
 
-std::uint64_t ShardedDispatcher::ops_enqueued() const noexcept {
+std::uint64_t ShardedCore::ops_enqueued() const noexcept {
   std::uint64_t total = 0;
   for (const auto& shard : shards_) {
     total += shard->ops_enqueued.load(std::memory_order_relaxed);
@@ -663,49 +581,53 @@ std::uint64_t ShardedDispatcher::ops_enqueued() const noexcept {
   return total;
 }
 
-void ShardedDispatcher::drain() {
-  const std::uint64_t target = ops_enqueued();
-  if (ops_applied_.load() < target) {
-    drain_waiters_.fetch_add(1);
-    {
-      std::unique_lock<std::mutex> lock(drain_mu_);
-      drain_cv_.wait(lock, [&] { return ops_applied_.load() >= target; });
+void ShardedCore::drain() {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const Shard& shard = *shards_[s];
+    const std::uint64_t target =
+        shard.ops_enqueued.load(std::memory_order_acquire);
+    while (shard.ops_applied.load(std::memory_order_acquire) < target) {
+      // Nothing left to take: another stepper is still completing them.
+      if (step(s) == 0) std::this_thread::yield();
     }
-    drain_waiters_.fetch_sub(1);
   }
-  std::lock_guard<std::mutex> lock(error_mu_);
-  if (worker_error_) std::rethrow_exception(worker_error_);
+  rethrow_error();
 }
 
-void ShardedDispatcher::sync_journals() {
+void ShardedCore::sync_journals() {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
-    // The worker drives the engine only under shard.mu, so holding it
-    // here excludes concurrent appends.
+    // A step drives the engine only under shard.mu, so holding it here
+    // excludes concurrent appends.
     std::lock_guard<std::mutex> lock(shard.mu);
     try {
       shard.engine->flush();
     } catch (...) {
-      record_worker_error();
+      record_error();
     }
   }
+  rethrow_error();
 }
 
-std::uint64_t ShardedDispatcher::ops_applied() const {
-  return ops_applied_.load(std::memory_order_acquire);
+std::uint64_t ShardedCore::ops_applied() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->ops_applied.load(std::memory_order_acquire);
+  }
+  return total;
 }
 
-std::size_t ShardedDispatcher::jobs_admitted() const {
+std::size_t ShardedCore::jobs_admitted() const {
   return static_cast<std::size_t>(
       next_job_.load(std::memory_order_acquire));
 }
 
-std::size_t ShardedDispatcher::shard_of(JobId job) const {
+std::size_t ShardedCore::shard_of(JobId job) const {
   return checked_job_rec(job, "shard_of")
       .shard.load(std::memory_order_acquire);
 }
 
-double ShardedDispatcher::cost_so_far(Time at) const {
+double ShardedCore::cost_so_far(Time at) const {
   double total = 0.0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     total += shard_cost_so_far(s, at);
@@ -713,7 +635,7 @@ double ShardedDispatcher::cost_so_far(Time at) const {
   return total;
 }
 
-std::size_t ShardedDispatcher::open_bins() const {
+std::size_t ShardedCore::open_bins() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
@@ -722,7 +644,7 @@ std::size_t ShardedDispatcher::open_bins() const {
   return total;
 }
 
-std::size_t ShardedDispatcher::bins_opened() const {
+std::size_t ShardedCore::bins_opened() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
@@ -731,7 +653,7 @@ std::size_t ShardedDispatcher::bins_opened() const {
   return total;
 }
 
-std::size_t ShardedDispatcher::jobs_active() const {
+std::size_t ShardedCore::jobs_active() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
@@ -740,46 +662,39 @@ std::size_t ShardedDispatcher::jobs_active() const {
   return total;
 }
 
-double ShardedDispatcher::shard_cost_so_far(std::size_t shard,
+double ShardedCore::shard_cost_so_far(std::size_t shard,
                                             Time at) const {
   const Shard& s = shard_at(shard, "shard_cost_so_far");
   std::lock_guard<std::mutex> lock(s.mu);
   return s.engine->dispatcher().cost_so_far(at);
 }
 
-std::size_t ShardedDispatcher::shard_open_bins(std::size_t shard) const {
-  const Shard& s = shard_at(shard, "shard_open_bins");
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.engine->dispatcher().open_bins();
-}
-
-std::size_t ShardedDispatcher::shard_bins_opened(std::size_t shard) const {
+std::size_t ShardedCore::shard_bins_opened(std::size_t shard) const {
   const Shard& s = shard_at(shard, "shard_bins_opened");
   std::lock_guard<std::mutex> lock(s.mu);
   return s.engine->dispatcher().bins_opened();
 }
 
-std::size_t ShardedDispatcher::shard_jobs_admitted(std::size_t shard) const {
+std::size_t ShardedCore::shard_jobs_admitted(std::size_t shard) const {
   const Shard& s = shard_at(shard, "shard_jobs_admitted");
   std::lock_guard<std::mutex> lock(s.mu);
   return s.engine->dispatcher().jobs_admitted();
 }
 
-void ShardedDispatcher::require_quiescent() const {
-  if (ops_applied_.load(std::memory_order_acquire) != ops_enqueued()) {
+void ShardedCore::require_quiescent() const {
+  if (ops_applied() != ops_enqueued()) {
     throw std::logic_error(
         "ShardedDispatcher: snapshot requires quiescence (call drain() "
         "with no concurrent producers)");
   }
-  std::lock_guard<std::mutex> lock(error_mu_);
-  if (worker_error_) std::rethrow_exception(worker_error_);
+  rethrow_error();
 }
 
-Packing ShardedDispatcher::shard_packing(std::size_t shard) const {
+Packing ShardedCore::shard_packing(std::size_t shard) const {
   return shard_recorder(shard).packing();
 }
 
-Packing ShardedDispatcher::snapshot() const {
+Packing ShardedCore::snapshot() const {
   require_quiescent();
   // Bin ids are renumbered shard-major: shard s's bins keep their relative
   // opening order and start at its offset. Each job's bin comes from its
@@ -806,7 +721,7 @@ Packing ShardedDispatcher::snapshot() const {
   return Packing(std::move(assignment), std::move(bins));
 }
 
-const Item& ShardedDispatcher::job_item(JobId job) const {
+const Item& ShardedCore::job_item(JobId job) const {
   require_quiescent();
   const Item& item = checked_job_rec(job, "job_item").item;
   if (item.id == kNoItem) {
@@ -816,26 +731,26 @@ const Item& ShardedDispatcher::job_item(JobId job) const {
   return item;
 }
 
-const Dispatcher& ShardedDispatcher::shard_dispatcher(
+const Dispatcher& ShardedCore::shard_dispatcher(
     std::size_t shard) const {
   const Shard& s = shard_at(shard, "shard_dispatcher");
   require_quiescent();
   return s.engine->dispatcher();
 }
 
-const PackingRecorder& ShardedDispatcher::shard_recorder(
+const PackingRecorder& ShardedCore::shard_recorder(
     std::size_t shard) const {
   const Shard& s = shard_at(shard, "shard_recorder");
   require_quiescent();
   return s.engine->recorder();
 }
 
-const tenancy::UsageAccountant* ShardedDispatcher::shard_accountant(
+const tenancy::UsageAccountant* ShardedCore::shard_accountant(
     std::size_t shard) const {
   return shard_at(shard, "shard_accountant").listener->accountant();
 }
 
-std::vector<double> ShardedDispatcher::settle_tenants(
+std::vector<double> ShardedCore::settle_tenants(
     Time now, tenancy::Arbiter& arbiter) {
   require_quiescent();
   if (options_.tenants == 0) {
@@ -883,7 +798,7 @@ double load_skew(const std::vector<double>& loads) {
 
 }  // namespace
 
-ShardRebalanceReport ShardedDispatcher::rebalance_shards(
+ShardRebalanceReport ShardedCore::rebalance_shards(
     Time now, const ShardRebalanceConfig& config) {
   require_quiescent();
   ShardRebalanceReport report;
@@ -915,10 +830,7 @@ ShardRebalanceReport ShardedDispatcher::rebalance_shards(
     // Pick the largest active job that does not overshoot: moving more
     // than half the gap would just invert the skew. Ties go to the job the
     // shard admitted first.
-    JobId job = kNoItem;
-    RVec size;
-    Time expected = 0.0;
-    TenantId tenant = kNoTenant;
+    Op move{.kind = Op::Kind::kArrive, .time = now};
     {
       std::lock_guard<std::mutex> lock(source.mu);
       const Item* pick = nullptr;
@@ -936,10 +848,10 @@ ShardRebalanceReport ShardedDispatcher::rebalance_shards(
             best_rank = live.rank;
           });
       if (pick == nullptr) break;  // only oversized jobs left
-      job = pick->id;
-      size = pick->size;
-      expected = pick->departure;  // still the advisory value
-      tenant = pick->tenant;  // billing follows the job
+      move.job = pick->id;
+      move.size = pick->size;
+      move.expected_departure = pick->departure;  // still the advisory value
+      move.tenant = pick->tenant;  // billing follows the job
     }
 
     // Depart on the source and make it durable BEFORE the destination
@@ -948,9 +860,8 @@ ShardRebalanceReport ShardedDispatcher::rebalance_shards(
     // the job on both shards.
     {
       std::lock_guard<std::mutex> lock(source.mu);
-      const Time t =
-          std::max(now, source.engine->dispatcher().last_event_time());
-      source.engine->depart(t, job);
+      Op leave{.kind = Op::Kind::kDepart, .time = now, .job = move.job};
+      apply(*source.engine, leave);
       source.engine->flush();
       source.load_snapshot.store(
           source.engine->dispatcher().total_active_load(),
@@ -958,11 +869,8 @@ ShardRebalanceReport ShardedDispatcher::rebalance_shards(
     }
     {
       std::lock_guard<std::mutex> lock(dest.mu);
-      const Time t = std::max(now, dest.engine->dispatcher().last_event_time());
-      const Time exp =
-          expected > t ? expected : std::numeric_limits<Time>::infinity();
-      const double l1 = size.l1();
-      dest.engine->arrive(t, Item(job, t, exp, std::move(size), tenant));
+      const double l1 = move.size.l1();
+      apply(*dest.engine, move);
       dest.load_snapshot.store(dest.engine->dispatcher().total_active_load(),
                                std::memory_order_relaxed);
       loads[src] -= l1;
@@ -983,6 +891,82 @@ ShardRebalanceReport ShardedDispatcher::rebalance_shards(
   }
   report.skew_after = load_skew(loads);
   return report;
+}
+
+ShardedDispatcher::ShardedDispatcher(std::size_t dim,
+                                     const PolicyFactory& factory,
+                                     ShardedOptions options)
+    : ShardedCore(dim, factory, std::move(options)) {
+  try {
+    for (std::size_t s = 0; s < shards(); ++s) {
+      workers_.emplace_back([this, s] { work(s); });
+    }
+  } catch (...) {
+    stop_workers();
+    throw;
+  }
+}
+
+ShardedDispatcher::~ShardedDispatcher() { stop_workers(); }
+
+void ShardedDispatcher::stop_workers() noexcept {
+  stopping_.store(true, std::memory_order_release);
+  for (auto& shard : shards_) {
+    // A worker checks stopping_ under qmu before it sleeps, so this notify
+    // cannot slip between its check and its wait.
+    { std::lock_guard<std::mutex> lock(shard->qmu); }
+    shard->not_empty.notify_all();
+    shard->not_full.notify_all();
+  }
+  for (std::thread& worker : workers_) worker.join();
+}
+
+void ShardedDispatcher::wait_for_room(std::size_t shard_idx) {
+  Shard& shard = *shards_[shard_idx];
+  {
+    // Every step that takes ops notifies not_full, so the worker makes the
+    // room; the producer sleeps instead of competing for the shard.
+    std::unique_lock<std::mutex> lock(shard.qmu);
+    shard.not_full.wait(lock, [&] {
+      return stopping_.load(std::memory_order_acquire) ||
+             shard.queue.size() < options_.queue_capacity;
+    });
+  }
+  // Once the workers stop, the core makes room itself.
+  if (stopping_.load(std::memory_order_acquire)) {
+    ShardedCore::wait_for_room(shard_idx);
+  }
+}
+
+void ShardedDispatcher::work(std::size_t shard_idx) {
+  Shard& shard = *shards_[shard_idx];
+  while (!stopping_.load(std::memory_order_acquire)) {
+    // Spin briefly before sleeping: under sustained load the queue refills
+    // within microseconds, and skipping the condvar round-trip (futex wake
+    // + scheduler latency per empty->non-empty transition) is what keeps
+    // a lightly-loaded shard's throughput from being wakeup-bound. Falls
+    // through to a normal blocking wait when the spin finds nothing.
+    for (int spin = 0;
+         spin < 4000 &&
+         shard.qsize.load(std::memory_order_acquire) == 0 &&
+         !stopping_.load(std::memory_order_acquire);
+         ++spin) {
+      // Donate the slice periodically: on an oversubscribed machine the
+      // producer that would refill this queue may be waiting for this very
+      // core, and a blind spin would burn the whole quantum starving it.
+      // With spare cores and nothing runnable, yield() returns immediately
+      // and the loop stays hot.
+      if ((spin & 63) == 63) std::this_thread::yield();
+    }
+    {
+      std::unique_lock<std::mutex> lock(shard.qmu);
+      shard.not_empty.wait(lock, [&] {
+        return stopping_.load(std::memory_order_acquire) ||
+               !shard.queue.empty();
+      });
+    }
+    step(shard_idx);  // after a stop, the core's destructor drains the rest
+  }
 }
 
 }  // namespace dvbp::cloud

@@ -1,14 +1,25 @@
-// ShardedDispatcher: a thread-safe placement service over K Dispatcher
-// shards.
+// ShardedCore and ShardedDispatcher: a placement service over K Dispatcher
+// shards, as a thread-free core and the threaded service on top of it.
 //
 // The paper's allocator is inherently sequential: every placement decision
 // depends on the full bin state. To serve heavy arrival traffic the service
 // layer partitions the stream instead -- K independent Dispatcher shards,
-// each owned by a dedicated worker thread and fed through a bounded MPSC
-// queue. A Router (cloud/router.hpp) picks the shard at admission time, in
-// the producer's thread; the job's departure is steered to the same shard,
-// so each shard observes a self-consistent substream and its competitive
-// behavior is exactly that of a serial Dispatcher on that substream.
+// each fed through a bounded FIFO queue. A Router (cloud/router.hpp) picks
+// the shard at admission time, in the submitting thread; the job's
+// departure is steered to the same shard, so each shard observes a
+// self-consistent substream and its competitive behavior is exactly that
+// of a serial Dispatcher on that substream.
+//
+// ShardedCore starts no thread: it owns the router, the job table, the
+// shards with their engines and queues, one submission path, and
+// step(shard), which takes up to 256 queued ops in FIFO order, applies
+// them in one group commit, fires their completions and publishes progress
+// in queue order. A test steps it directly. ShardedDispatcher is the core
+// plus one worker per shard that waits (a short spin, then a condition
+// variable producers signal on the empty -> non-empty transition) and
+// steps. drain() steps shards itself, and so does a submission waiting for
+// room in the core (in the threaded service it waits for the worker), so
+// completions fire on whichever thread steps.
 //
 // Equivalence contract (pinned by tests/test_sharded_parity.cpp):
 //   * K = 1, any router: the service reproduces the serial Dispatcher --
@@ -24,7 +35,7 @@
 // load_snapshot is refreshed from the shard table's contiguous lanes
 // (Dispatcher::total_active_load), not by walking BinState objects.
 //
-// Timestamps: each worker applies its queue in FIFO order and clamps event
+// Timestamps: each shard applies its queue in FIFO order and clamps event
 // times to be monotone within the shard (an op whose timestamp lags the
 // shard clock is applied at the shard clock, the way an ingestion front-end
 // stamps requests). With a single producer the feed is already monotone and
@@ -34,20 +45,22 @@
 // it under that id. Each shard runs one persist::DurableDispatcher -- its
 // Dispatcher (live state only), its PackingRecorder (its packing), its
 // journal under <journal_dir>/shard-<s> or none, and its recovery -- with
-// one apply path whether it journals or not. The shard's listener (the
-// engine's usage hook) keeps each job's admitted Item in the job table
-// (job_item()) and meters the shard's tenants; a shard checkpoint carries
-// its recorder, its departed jobs' Items and its tenant ledger.
+// one apply path whether it journals or not. An op that does not both
+// apply and, with a journal, commit completes as failed (see
+// CompletionSink). The shard's listener (the engine's usage hook) keeps
+// each job's admitted Item in the job table (job_item()) and meters the
+// shard's tenants; a shard checkpoint carries its recorder, its departed
+// jobs' Items and its tenant ledger.
 //
 // Consistency: cost_so_far() / open_bins() / jobs_active() aggregate the
-// shards under their mutexes and are safe to call at any time, but reflect
+// shards under their locks and are safe to call at any time, but reflect
 // only *applied* ops -- call drain() first for an exact figure. snapshot()
 // and shard_packing() additionally require quiescence (drain() and no
 // concurrent producers) and materialize real Packing objects.
 //
 // Observability: with a MetricRegistry attached, each shard registers
 //   dvbp.shard.<i>.queue_depth            gauge, ops waiting in the queue
-//   dvbp.shard.<i>.batch_size             histogram, ops per drain
+//   dvbp.shard.<i>.batch_size             histogram, ops per step
 //   dvbp.shard.<i>.placement_latency_ns   histogram, enqueue -> applied
 //   dvbp.shard.<i>.ops_applied_total      counter, survives shutdown
 // and the shard's Dispatcher feeds the shared dvbp.alloc.* instruments
@@ -85,10 +98,9 @@ struct ShardedOptions {
   std::size_t shards = 1;
   RouterKind router = RouterKind::kRoundRobin;
   double bin_capacity = 1.0;
-  /// Per-shard queue bound; producers block when a shard's queue is full.
+  /// Per-shard queue bound: a submission into a full queue waits for room
+  /// (arrive, depart) or is refused (try_arrive, try_depart).
   std::size_t queue_capacity = 4096;
-  /// Max ops a worker applies per drain (one lock round-trip per batch).
-  std::size_t max_batch = 256;
   /// Borrowed, nullable; receives the per-shard queue/batch/latency
   /// instruments and the shared dvbp.alloc.* allocator metrics.
   obs::MetricRegistry* metrics = nullptr;
@@ -153,91 +165,96 @@ struct ShardRebalanceReport {
 };
 
 /// Completion hook for asynchronous submissions (the network front-end,
-/// src/net/server.cpp). The owning shard worker calls op_applied() exactly
-/// once per accepted try_arrive/try_depart, after the op has been applied
-/// to the shard's Dispatcher (and appended to its journal when durability
-/// is on), *before* the op counts as applied for drain() -- so when
-/// drain() returns every accepted op's completion has already fired.
-/// Called from shard worker threads with no shard lock held; it must not
-/// block on anything that waits for shard progress.
+/// src/net/server.cpp). op_applied() fires exactly once per accepted
+/// try_arrive/try_depart, after the step that applied the op has committed
+/// its batch and *before* the op counts as applied for drain() -- so when
+/// drain() returns every accepted op's completion has already fired. It
+/// runs on whichever thread steps the shard, with no shard lock held; it
+/// must not step, drain, or block on anything that waits for shard
+/// progress.
 class CompletionSink {
  public:
   virtual ~CompletionSink() = default;
   /// `cookie` is the value passed at submission; `job` is the service
-  /// global job id of the op.
+  /// global job id of the op, or kNoItem when the op failed: it did not
+  /// both apply and, with a journal, commit (a dead journal, whose file
+  /// may still hold the op's frame, so a reopen may replay it).
   virtual void op_applied(std::uint64_t cookie, JobId job) noexcept = 0;
 };
 
-class ShardedDispatcher {
+class ShardedCore {
  public:
   /// `factory(shard)` builds the policy instance shard `shard` owns; it is
   /// called once per shard at construction (policies are stateful and not
   /// thread-safe, so they are never shared). Throws std::invalid_argument
   /// on bad options.
   using PolicyFactory = std::function<PolicyPtr(std::size_t shard)>;
-  ShardedDispatcher(std::size_t dim, const PolicyFactory& factory,
-                    ShardedOptions options = {});
+  ShardedCore(std::size_t dim, const PolicyFactory& factory,
+              ShardedOptions options = {});
 
-  /// Drains every queued op, then stops and joins the workers: shutdown
-  /// with a non-empty queue still applies everything already enqueued.
-  /// Worker-side errors are swallowed here (read them via drain() before
-  /// destruction if you care).
-  ~ShardedDispatcher();
+  /// Applies every op still queued. Errors are swallowed here (read them
+  /// via drain() before destruction if you care).
+  ~ShardedCore();
 
-  ShardedDispatcher(const ShardedDispatcher&) = delete;
-  ShardedDispatcher& operator=(const ShardedDispatcher&) = delete;
+  ShardedCore(const ShardedCore&) = delete;
+  ShardedCore& operator=(const ShardedCore&) = delete;
 
   /// Admits a job: validates the size, routes it to a shard, and enqueues
-  /// the placement (applied asynchronously by the shard worker, in FIFO
-  /// order). Returns the service-global job id immediately. Blocks while
-  /// the target shard's queue is full. Thread-safe.
+  /// the placement (applied by a later step, in FIFO order). Returns the
+  /// service-global job id. While the target shard's queue is full it
+  /// waits for room (wait_for_room). Thread-safe.
   JobId arrive(Time now, RVec size,
                Time expected_departure =
                    std::numeric_limits<Time>::infinity(),
                TenantId tenant = kNoTenant);
 
   /// Marks `job` finished: enqueues the departure on the shard that owns
-  /// it. Throws std::invalid_argument for unknown or already-departed jobs
-  /// (checked eagerly, so racing double-departs fail deterministically in
-  /// exactly one caller). Thread-safe.
+  /// it, waiting for room like arrive(). Throws std::invalid_argument for
+  /// unknown or already-departed jobs (checked under the owner's queue
+  /// lock, so racing double-departs fail in exactly one caller).
+  /// Thread-safe.
   void depart(Time now, JobId job);
 
   // --- Asynchronous admission (the network front-end) ------------------
   //
-  // Non-blocking variants for callers that must never park a thread on a
-  // full shard queue (an epoll event loop): instead of blocking, they
-  // return "no" and the caller converts that into backpressure (a typed
-  // RETRY_LATER response). When a sink is supplied, the shard worker calls
-  // sink->op_applied(cookie, job) once the op has been applied -- the
-  // completion hookup that lets a server answer a request only when the
-  // placement actually happened.
+  // For callers that must never wait on a full shard queue (an epoll event
+  // loop): they return "no" instead, and the caller converts that into
+  // backpressure (a typed RETRY_LATER response). A refused op takes no
+  // job id and claims no job. When a sink is supplied, the stepping
+  // thread calls sink->op_applied(cookie, job) once the op has been
+  // applied -- the completion hookup that lets a server answer a request
+  // only when the placement actually happened.
 
-  /// Like arrive(), but returns std::nullopt instead of blocking when the
-  /// routed shard's queue is full (the op is NOT admitted; a burned job id
-  /// is retired internally). Validation errors still throw. Thread-safe.
+  /// Like arrive(), but returns std::nullopt instead of waiting when the
+  /// routed shard's queue is full. Validation errors still throw.
   std::optional<JobId> try_arrive(
       Time now, RVec size,
       Time expected_departure = std::numeric_limits<Time>::infinity(),
       std::shared_ptr<CompletionSink> sink = nullptr,
       std::uint64_t cookie = 0, TenantId tenant = kNoTenant);
 
-  /// Like depart(), but returns false instead of blocking when the owning
-  /// shard's queue is full (the job is NOT marked departed and the caller
-  /// may retry). Unknown/double departs still throw. Thread-safe.
+  /// Like depart(), but returns false instead of waiting when the owning
+  /// shard's queue is full (the job stays live and the caller may retry).
+  /// Unknown/double departs still throw.
   bool try_depart(Time now, JobId job,
                   std::shared_ptr<CompletionSink> sink = nullptr,
                   std::uint64_t cookie = 0);
 
-  /// Blocks until every op enqueued before the call has been applied, then
-  /// rethrows the first worker-side error, if any.
+  /// Takes up to 256 queued ops off shard `shard` in FIFO order, applies
+  /// them in one group commit, fires their completions, and publishes
+  /// progress. Returns the number of ops taken (0: the queue was empty).
+  std::size_t step(std::size_t shard);
+
+  /// Steps every shard until every op enqueued before the call has been
+  /// applied (a worker may apply some of them meanwhile), then rethrows
+  /// the first error a step met, if any.
   void drain();
 
   /// Forces an fsync on every shard journal (no-op when durability is
   /// off). The graceful-drain path calls this after drain() so that an
   /// acknowledged-then-drained state is on disk even under
   /// FsyncPolicy::kInterval. Thread-safe. A journal that fails here dies
-  /// exactly as a worker-side failure kills it; the error surfaces through
-  /// the next drain().
+  /// exactly as one that fails a step; this rethrows the first error met.
   void sync_journals();
 
   // --- Global view -----------------------------------------------------
@@ -249,8 +266,8 @@ class ShardedDispatcher {
   /// Ops admitted (arrivals + departures enqueued so far). Summed over the
   /// shards; exact once the producers that matter have returned.
   std::uint64_t ops_enqueued() const noexcept;
-  /// Ops the workers have applied so far.
-  std::uint64_t ops_applied() const;
+  /// Ops the steps have applied (or failed) and completed so far.
+  std::uint64_t ops_applied() const noexcept;
 
   std::size_t jobs_admitted() const;
   /// Shard `job` was routed to (fixed at arrive()).
@@ -266,7 +283,6 @@ class ShardedDispatcher {
   // --- Per-shard view --------------------------------------------------
 
   double shard_cost_so_far(std::size_t shard, Time at) const;
-  std::size_t shard_open_bins(std::size_t shard) const;
   std::size_t shard_bins_opened(std::size_t shard) const;
   std::size_t shard_jobs_admitted(std::size_t shard) const;
 
@@ -299,7 +315,7 @@ class ShardedDispatcher {
   /// job's ownership so later departs land on the new shard. Requires
   /// quiescence (drain() first, no concurrent producers) -- the whole
   /// call runs with the service idle, mutating shard state under the
-  /// shard mutexes and bypassing the queues. At most `config.max_moves`
+  /// shard locks and bypassing the queues. At most `config.max_moves`
   /// jobs move per call. Journaled when durability is on; a journal
   /// failure propagates (the shard journals nothing more).
   ShardRebalanceReport rebalance_shards(
@@ -324,56 +340,58 @@ class ShardedDispatcher {
   std::vector<double> settle_tenants(Time now, tenancy::Arbiter& arbiter);
 
   /// Shard `shard`'s usage ledger; null when tenancy is off. Quiescent
-  /// reads only (the owning worker mutates it on every op).
+  /// reads only (every step mutates it).
   const tenancy::UsageAccountant* shard_accountant(std::size_t shard) const;
 
+ protected:
+  /// How a submission waits while shard `shard`'s queue is full: the core
+  /// steps the shard itself; the threaded service waits for its worker.
+  virtual void wait_for_room(std::size_t shard) { step(shard); }
+
  private:
+  friend class ShardedDispatcher;  // its workers wait on the queues
+
   struct Op {
     enum class Kind : std::uint8_t { kArrive, kDepart } kind = Kind::kArrive;
     Time time = 0.0;
-    JobId job = kNoItem;  // global id
-    RVec size;            // arrivals only
+    JobId job = kNoItem;  // global id; kNoItem once the op failed
+    RVec size{};          // arrivals only
     Time expected_departure = 0.0;
     TenantId tenant = kNoTenant;  // arrivals only
     std::chrono::steady_clock::time_point enqueued{};  // metrics only
-    std::shared_ptr<CompletionSink> sink;  // null for synchronous callers
+    std::shared_ptr<CompletionSink> sink{};  // null for synchronous callers
     std::uint64_t cookie = 0;
-  };
-
-  /// A fired-after-apply completion, staged by apply_batch and delivered
-  /// by the worker outside the shard lock.
-  struct Completion {
-    std::shared_ptr<CompletionSink> sink;
-    std::uint64_t cookie = 0;
-    JobId job = kNoItem;
   };
 
   class Listener;  // a shard's usage hook (sharded_dispatcher.cpp)
 
   struct Shard {
-    // Placement state: guarded by `mu`. The worker drives the engine one
-    // drained batch at a time, under `mu` (group commit).
+    // Placement state: guarded by `mu`. Whoever steps the shard holds it
+    // from taking a batch off the queue to the batch's commit.
     mutable std::mutex mu;
     PolicyPtr policy;
     std::unique_ptr<obs::Observer> observer;  // null when obs is off
     std::unique_ptr<Listener> listener;
     std::unique_ptr<persist::DurableDispatcher> engine;
+    std::uint64_t ops_taken = 0;  ///< ops taken off the queue so far
 
     // Queue: guarded by `qmu`.
     std::mutex qmu;
-    std::condition_variable not_full;
-    std::condition_variable not_empty;
+    std::condition_variable not_empty;  ///< a worker sleeps here
+    std::condition_variable not_full;   ///< a waiting producer sleeps here
     std::deque<Op> queue;
-    bool stop = false;
     /// queue.size() mirror, maintained inside qmu critical sections; lets
-    /// the worker spin-poll for new work without taking the lock.
+    /// a worker spin-poll for new work without taking the lock.
     std::atomic<std::size_t> qsize{0};
-    std::atomic<bool> stopping{false};
-    /// Ops enqueued to this shard. Kept per-shard (and summed on read) so
-    /// concurrent producers do not serialize on one global counter line.
+    /// Ops pushed onto this queue, counted with the push. Kept per-shard
+    /// (and summed on read) so producers on different shards share no
+    /// counter line.
     std::atomic<std::uint64_t> ops_enqueued{0};
+    /// Ops taken off this queue whose completions have fired, published
+    /// in queue order.
+    std::atomic<std::uint64_t> ops_applied{0};
 
-    // Router signals (written by the worker / producers, read by route()).
+    // Router signals (written by steps / producers, read by route()).
     std::atomic<double> load_snapshot{0.0};
     std::atomic<std::int64_t> pending_arrivals{0};
 
@@ -382,19 +400,17 @@ class ShardedDispatcher {
     obs::Histogram* batch_size = nullptr;
     obs::Histogram* placement_latency = nullptr;
     obs::Counter* ops_applied_total = nullptr;
-
-    std::thread worker;
   };
 
   /// Per-job admission record. Lives in chunked, pointer-stable storage so
   /// the arrive/depart hot paths never share a lock: ids come from an
   /// atomic counter, `shard`/`departed` are per-record atomics, and `item`
-  /// is written by the owning shard's listener (from its worker, or from
+  /// is written by the owning shard's listener (from its stepper, or from
   /// rebalance_shards at quiescence); other readers must be quiescent,
-  /// ordered by the ops_applied_ release/acquire pair in drain().
+  /// ordered by the ops_applied release/acquire pair in drain().
   struct JobRec {
     std::atomic<std::uint32_t> shard{0};
-    std::atomic<bool> departed{false};  // set eagerly in depart()
+    std::atomic<bool> departed{false};  // set when the depart is queued
     Item item;  // as admitted on `shard`; id == kNoItem until applied
   };
 
@@ -414,27 +430,21 @@ class ShardedDispatcher {
   /// Throws std::length_error past the job table's capacity.
   JobRec& job_slot(std::uint64_t job);
 
-  /// Validation, routing, job-id allocation, and record setup shared by
-  /// arrive() and try_arrive(); returns the ready-to-enqueue op and the
-  /// routed shard via `target_out`.
-  Op prepare_arrive(Time now, RVec size, Time expected_departure,
-                    std::shared_ptr<CompletionSink> sink,
-                    std::uint64_t cookie, TenantId tenant,
-                    std::size_t& target_out);
-  void enqueue(std::size_t shard_idx, Op op);
-  /// Non-blocking enqueue: returns false (leaving `op` untouched) when the
-  /// shard queue is at capacity or shutdown has started.
-  bool try_enqueue(std::size_t shard_idx, Op& op);
-  void worker_loop(std::size_t shard_idx);
-  void apply_batch(Shard& shard, std::vector<Op>& batch,
-                   std::vector<Completion>& completions);
+  /// The one submission path: validate, route (an arrival) or find the
+  /// owner (a departure), and enqueue -- waiting for room (wait_for_room)
+  /// when `wait`, else refusing. Returns the op's job id, or kNoItem
+  /// when refused.
+  JobId submit(Op op, bool wait);
+  /// The clamp-and-degrade rule every op goes through (see the .cpp).
+  static void apply(persist::DurableDispatcher& engine, Op& op);
   void require_quiescent() const;
   JobRec& checked_job_rec(JobId job, const char* caller) const;
   /// Shard `shard`; std::invalid_argument naming `caller` when out of range.
   Shard& shard_at(std::size_t shard, const char* caller) const;
 
   void rebuild_job_table();
-  void record_worker_error();
+  void record_error();
+  void rethrow_error() const;
 
   std::size_t dim_;
   ShardedOptions options_;
@@ -452,12 +462,29 @@ class ShardedDispatcher {
   JobChunks job_chunks_{};
   std::mutex chunk_mu_;  // serializes chunk allocation only
 
-  std::atomic<std::uint64_t> ops_applied_{0};
-  std::atomic<int> drain_waiters_{0};
-  mutable std::mutex drain_mu_;
-  mutable std::condition_variable drain_cv_;
   mutable std::mutex error_mu_;
-  std::exception_ptr worker_error_;        // guarded by error_mu_
+  std::exception_ptr error_;  // guarded by error_mu_
+};
+
+/// The threaded service: a ShardedCore plus one worker thread per shard
+/// that waits for work and steps its shard.
+class ShardedDispatcher : public ShardedCore {
+ public:
+  /// Builds the core (recovering every shard), then starts the workers.
+  ShardedDispatcher(std::size_t dim, const PolicyFactory& factory,
+                    ShardedOptions options = {});
+  /// Stops and joins the workers; the core then applies what is left.
+  ~ShardedDispatcher();
+
+ protected:
+  void wait_for_room(std::size_t shard) override;
+
+ private:
+  void work(std::size_t shard);
+  void stop_workers() noexcept;
+
+  std::atomic<bool> stopping_{false};
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace dvbp::cloud

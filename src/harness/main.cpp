@@ -764,6 +764,8 @@ int run_serve(const harness::Args& args) {
   server.wait();
 
   write_metrics(args, registry);
+  // Rethrows what a step or a journal met during the serve (exit 1).
+  service.drain();
   if (!quiet) {
     // Drained and quiescent: this hash is what the Drain RPC reported.
     const Packing packing = service.snapshot();

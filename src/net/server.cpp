@@ -14,6 +14,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -43,60 +44,324 @@ std::chrono::steady_clock::time_point now_tp() {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Connection / EventLoop
+// ServerCore / Connection
 
-struct PlacementServer::Connection
-    : cloud::CompletionSink,
-      std::enable_shared_from_this<Connection> {
-  struct Pending {
-    MsgType type = MsgType::kPing;
-    std::chrono::steady_clock::time_point received{};
-  };
+ServerCore::ServerCore(cloud::ShardedCore& service,
+                       const ServerOptions& options)
+    : service_(service),
+      max_inflight_(options.max_inflight_per_conn),
+      gate_(options.gate) {
+  if (max_inflight_ == 0) {
+    throw std::invalid_argument(
+        "PlacementServer: max_inflight_per_conn must be >= 1");
+  }
+  if (options.metrics != nullptr) {
+    auto& m = *options.metrics;
+    frames_in_ = &m.counter("dvbp.net.frames_in_total");
+    frames_out_ = &m.counter("dvbp.net.frames_out_total");
+    decode_errors_ = &m.counter("dvbp.net.decode_errors_total");
+    requests_total_ = &m.counter("dvbp.net.requests_total");
+    backpressure_ = &m.counter("dvbp.net.backpressure_rejections_total");
+    request_latency_ = &m.histogram("dvbp.net.request_latency_ns",
+                                    obs::default_latency_bounds_ns());
+  }
+}
 
-  PlacementServer* server = nullptr;
-  EventLoop* loop = nullptr;
+Response ServerCore::drain() {
+  std::lock_guard<std::mutex> lock(drain_mu_);
+  if (drained_) return drained_answer_;
+  refuse_new_work();
+  Response& answer = drained_answer_;
+  try {
+    // A request that raced the flag can slip one more op in after a drain
+    // (snapshot() then refuses with std::logic_error); each connection
+    // admits finitely many such stragglers before it observes the flag,
+    // so this converges. drain() rethrows a step's error first.
+    for (;;) {
+      service_.drain();
+      try {
+        const Packing p = service_.snapshot();
+        answer.packing_hash = packing_hash(p);
+        answer.num_bins = p.num_bins();
+        answer.cost = p.cost();
+        break;
+      } catch (const std::logic_error&) {
+      }
+    }
+    service_.sync_journals();
+  } catch (...) {
+    // A step or a journal failed: the accepted ops were answered, but the
+    // final state is not what a client was told.
+    answer = Response{};
+    answer.status = Status::kInternalError;
+  }
+  drained_ = true;
+  return answer;
+}
 
-  // Loop-thread-only state. `fd` doubles as the liveness flag on the loop
-  // thread (-1 once closed); shard workers must use `closed` instead.
-  int fd = -1;
-  FrameDecoder decoder;
-  std::vector<std::uint8_t> write_buf;
-  std::size_t write_pos = 0;
-  bool want_write = false;  ///< EPOLLOUT currently armed
+bool Connection::receive(const std::uint8_t* data, std::size_t size) {
+  try {
+    decoder_.feed(data, size);
+    while (auto payload = decoder_.next()) {
+      if (core_.frames_in_ != nullptr) core_.frames_in_->inc();
+      process(decode_request(payload->data(), payload->size()));
+    }
+  } catch (const FrameError&) {
+    if (core_.decode_errors_ != nullptr) core_.decode_errors_->inc();
+    return false;
+  }
+  return true;
+}
+
+void Connection::process(Request req) {
+  if (core_.requests_total_ != nullptr) core_.requests_total_->inc();
+  Response resp;
+  resp.id = req.id;
+  resp.type = req.type;
+  cloud::ShardedCore& service = core_.service_;
+  switch (req.type) {
+    case MsgType::kPing:
+      break;
+
+    case MsgType::kQuery:
+      try {
+        resp.cost = service.cost_so_far(req.time);
+        resp.open_bins = service.open_bins();
+        resp.jobs_active = service.jobs_active();
+        resp.jobs_admitted = service.jobs_admitted();
+      } catch (const std::invalid_argument&) {
+        resp.status = Status::kBadRequest;
+      } catch (...) {
+        resp.status = Status::kInternalError;
+      }
+      break;
+
+    case MsgType::kSnapshot:
+      try {
+        const Packing p = service.snapshot();
+        resp.packing_hash = packing_hash(p);
+        resp.num_bins = p.num_bins();
+        resp.cost = p.cost();
+      } catch (const std::logic_error&) {
+        resp.status = Status::kNotQuiescent;
+      } catch (...) {
+        resp.status = Status::kInternalError;
+      }
+      break;
+
+    case MsgType::kDrain: {
+      // This connection's last frame: its driver closes every connection
+      // once flushed.
+      const Response drained = core_.drain();
+      resp.status = drained.status;
+      resp.packing_hash = drained.packing_hash;
+      resp.num_bins = drained.num_bins;
+      resp.cost = drained.cost;
+      break;
+    }
+
+    case MsgType::kArrive:
+    case MsgType::kDepart:
+      submit(req, resp);
+      return;
+  }
+  respond(resp);
+}
+
+void Connection::submit(Request& req, Response& resp) {
+  // Asynchronous: an accepted op is answered by the completion hookup.
+  if (core_.draining()) {
+    resp.status = Status::kShuttingDown;
+    respond(resp);
+    return;
+  }
+  if (inflight_.load(std::memory_order_acquire) >= core_.max_inflight_) {
+    if (core_.backpressure_ != nullptr) core_.backpressure_->inc();
+    resp.status = Status::kRetryLater;
+    respond(resp);
+    return;
+  }
+
+  // Enter the pending map before submitting: the completion can fire on a
+  // stepping thread before try_arrive/try_depart even returns.
+  bool duplicate = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    duplicate =
+        !pending_.emplace(req.id, Pending{req.type, now_tp()}).second;
+  }
+  if (duplicate) {
+    resp.status = Status::kBadRequest;  // request id already in flight
+    respond(resp);
+    return;
+  }
+  inflight_.fetch_add(1, std::memory_order_acq_rel);
+
+  // Tenant admission gate: decided in the front-end, before the service
+  // ever sees the op, so the decision sequence is shard-count-independent.
+  // A denial is a typed RETRY_LATER -- the client backs off and retries,
+  // never queues invisibly.
+  tenancy::AdmissionGate* gate = core_.gate_;
+  const bool gated = gate != nullptr && req.type == MsgType::kArrive;
+  const double gate_units = gated ? req.size.linf() : 0.0;
+  bool booked = false;
+  bool accepted = false;
+  Status failure = Status::kRetryLater;
+  try {
+    booked = gated && gate->admit(req.time, req.tenant, req.size, req.id);
+    if (gated && !booked) {
+      // Over quota without credits: answered RETRY_LATER below.
+    } else if (req.type == MsgType::kArrive) {
+      const TenantId tenant = req.tenant;
+      const auto job =
+          core_.service_.try_arrive(req.time, std::move(req.size),
+                                    req.expected_departure,
+                                    shared_from_this(), req.id, tenant);
+      accepted = job.has_value();
+      if (accepted && gated) {
+        std::lock_guard<std::mutex> lock(core_.tenant_mu_);
+        core_.tenant_of_job_.emplace(*job, std::make_pair(tenant, gate_units));
+      }
+    } else {
+      accepted = core_.service_.try_depart(req.time, req.job,
+                                           shared_from_this(), req.id);
+      if (accepted && gate != nullptr) {
+        // Release what the job's Arrive booked (possibly on another
+        // connection); unknown ids were admitted before the gate existed.
+        std::pair<TenantId, double> job_booking{kNoTenant, 0.0};
+        bool found = false;
+        {
+          std::lock_guard<std::mutex> lock(core_.tenant_mu_);
+          const auto it =
+              core_.tenant_of_job_.find(static_cast<JobId>(req.job));
+          if (it != core_.tenant_of_job_.end()) {
+            job_booking = it->second;
+            found = true;
+            core_.tenant_of_job_.erase(it);
+          }
+        }
+        if (found) gate->release_units(job_booking.first, job_booking.second);
+      }
+    }
+  } catch (const std::invalid_argument&) {
+    failure = req.type == MsgType::kArrive ? Status::kBadRequest
+                                           : Status::kUnknownJob;
+  } catch (...) {
+    failure = Status::kInternalError;
+  }
+  if (accepted) return;
+  // A gated-then-refused submission must give the booked demand back.
+  if (booked) gate->release_units(req.tenant, gate_units);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    pending_.erase(req.id);
+  }
+  inflight_.fetch_sub(1, std::memory_order_acq_rel);
+  if (failure == Status::kRetryLater && core_.backpressure_ != nullptr) {
+    core_.backpressure_->inc();
+  }
+  resp.status = failure;
+  respond(resp);
+}
+
+void Connection::respond(const Response& resp) {
+  encode_response(resp, output_);
+  if (core_.frames_out_ != nullptr) core_.frames_out_->inc();
+}
+
+void Connection::op_applied(std::uint64_t cookie, JobId job) noexcept {
+  const auto applied_at = now_tp();
+  std::chrono::nanoseconds latency{0};
+  try {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      // A closed connection has its pending map cleared, so a completion
+      // that raced the close drops out here -- and, crucially, never
+      // reaches its driver, which may be tearing down by then.
+      auto it = pending_.find(cookie);
+      if (closed_ || it == pending_.end()) return;
+      latency = applied_at - it->second.received;
+      Response resp;
+      resp.id = cookie;
+      resp.type = it->second.type;
+      if (job == kNoItem) {
+        resp.status = Status::kInternalError;  // not applied and committed
+      } else {
+        resp.job = job;
+      }
+      pending_.erase(it);
+      encode_response(resp, staged_);
+      ++staged_frames_;
+    }
+    inflight_.fetch_sub(1, std::memory_order_acq_rel);
+    if (core_.request_latency_ != nullptr) {
+      core_.request_latency_->observe(static_cast<double>(latency.count()));
+    }
+    staged();
+  } catch (...) {
+    // Allocation failure encoding the response: the client will see the
+    // connection close (or time out) rather than a missing frame.
+  }
+}
+
+void Connection::collect() {
+  std::uint64_t frames = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    output_.insert(output_.end(), staged_.begin(), staged_.end());
+    staged_.clear();
+    frames = std::exchange(staged_frames_, 0);
+  }
+  if (frames > 0 && core_.frames_out_ != nullptr) {
+    core_.frames_out_->inc(frames);
+  }
+}
+
+bool Connection::idle() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return staged_.empty() && pending_.empty();
+}
+
+void Connection::close() noexcept {
+  std::lock_guard<std::mutex> lock(mu_);
+  closed_ = true;
+  pending_.clear();  // completions in flight drop out harmlessly
+  staged_.clear();
+  staged_frames_ = 0;
+}
+
+// ---------------------------------------------------------------------------
+// Socket / EventLoop
+
+struct PlacementServer::Socket final : Connection {
+  Socket(ServerCore& core, int fd, EventLoop& loop)
+      : Connection(core), fd(fd), loop(loop) {}
+
+  void staged() noexcept override;
+
+  // Loop-thread-only. `fd` doubles as the liveness flag (-1 once closed).
+  int fd;
+  EventLoop& loop;
+  std::size_t write_pos = 0;  ///< output() bytes already written
+  bool want_write = false;    ///< EPOLLOUT currently armed
   bool close_after_flush = false;
-
-  // Shared with shard workers, guarded by `mu`.
-  std::mutex mu;
-  bool closed = false;
-  /// Encoded completion responses awaiting pickup by the loop thread.
-  std::vector<std::uint8_t> completed;
-  std::uint64_t completed_frames = 0;
-  /// request_id -> in-flight op (entered *before* submission: the
-  /// completion can fire before try_arrive/try_depart even returns).
-  std::unordered_map<std::uint64_t, Pending> pending;
-
-  /// Accepted-but-unanswered ops (admission window).
-  std::atomic<std::size_t> inflight{0};
-
-  void op_applied(std::uint64_t cookie, JobId job) noexcept override;
 };
 
 struct PlacementServer::EventLoop {
-  PlacementServer* server = nullptr;
   int epfd = -1;
   int wake_fd = -1;
   std::thread thread;
 
-  // Inbox: filled by the acceptor (new connections) and shard workers
-  // (completion flushes), drained by the loop thread on each wake.
+  // Inbox: filled by loop 0 (new connections) and stepping threads
+  // (completion flushes), drained by this loop's thread on each wake.
   std::mutex inbox_mu;
-  std::vector<std::shared_ptr<Connection>> incoming;
-  std::vector<std::shared_ptr<Connection>> flushes;
+  std::vector<std::shared_ptr<Socket>> incoming;
+  std::vector<std::shared_ptr<Socket>> flushes;
   /// Dedupes eventfd writes: one wake covers any number of inbox pushes.
   std::atomic<bool> wake_pending{false};
 
   // Loop-thread-only.
-  std::unordered_map<int, std::shared_ptr<Connection>> conns;
+  std::unordered_map<int, std::shared_ptr<Socket>> conns;
 
   ~EventLoop() {
     if (epfd >= 0) ::close(epfd);
@@ -110,11 +375,10 @@ struct PlacementServer::EventLoop {
     }
   }
 
-  /// Called by shard workers from op_applied: hand the connection to the
-  /// loop thread for response pickup. noexcept: an allocation failure here
-  /// leaves the response staged in conn->completed, to be collected on the
-  /// connection's next pump.
-  void schedule_flush(std::shared_ptr<Connection> conn) noexcept {
+  /// Hands a connection with staged completions to the loop thread.
+  /// noexcept: an allocation failure here leaves the responses staged, to
+  /// be collected on the connection's next pump.
+  void schedule_flush(std::shared_ptr<Socket> conn) noexcept {
     try {
       {
         std::lock_guard<std::mutex> lock(inbox_mu);
@@ -126,40 +390,8 @@ struct PlacementServer::EventLoop {
   }
 };
 
-void PlacementServer::Connection::op_applied(std::uint64_t cookie,
-                                             JobId job) noexcept {
-  const auto applied_at = now_tp();
-  std::chrono::nanoseconds latency{0};
-  bool deliver = false;
-  try {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      // A closed connection has its pending map cleared, so a completion
-      // that raced the close drops out here -- and, crucially, never
-      // touches `loop`, which may be tearing down by then.
-      auto it = pending.find(cookie);
-      if (closed || it == pending.end()) return;
-      latency = applied_at - it->second.received;
-      Response resp;
-      resp.id = cookie;
-      resp.type = it->second.type;
-      resp.status = Status::kOk;
-      resp.job = job;
-      pending.erase(it);
-      encode_response(resp, completed);
-      ++completed_frames;
-      deliver = true;
-    }
-    inflight.fetch_sub(1, std::memory_order_acq_rel);
-    if (server->request_latency_ != nullptr) {
-      server->request_latency_->observe(
-          static_cast<double>(latency.count()));
-    }
-    if (deliver) loop->schedule_flush(shared_from_this());
-  } catch (...) {
-    // Allocation failure encoding the response: the client will see the
-    // connection close (or time out) rather than a missing frame.
-  }
+void PlacementServer::Socket::staged() noexcept {
+  loop.schedule_flush(std::static_pointer_cast<Socket>(shared_from_this()));
 }
 
 // ---------------------------------------------------------------------------
@@ -179,34 +411,21 @@ extern "C" void dvbp_net_signal_handler(int) {
 
 PlacementServer::PlacementServer(cloud::ShardedDispatcher& service,
                                  ServerOptions options)
-    : service_(service), options_(std::move(options)) {
-  if (options_.event_loops == 0) {
+    : service_(service), core_(service, options) {
+  if (options.event_loops == 0) {
     throw std::invalid_argument("PlacementServer: event_loops must be >= 1");
   }
-  if (options_.max_inflight_per_conn == 0) {
-    throw std::invalid_argument(
-        "PlacementServer: max_inflight_per_conn must be >= 1");
-  }
-
-  if (options_.metrics != nullptr) {
-    auto& m = *options_.metrics;
+  if (options.metrics != nullptr) {
+    auto& m = *options.metrics;
     connections_total_ = &m.counter("dvbp.net.connections_total");
     connections_active_ = &m.gauge("dvbp.net.connections_active");
-    frames_in_ = &m.counter("dvbp.net.frames_in_total");
-    frames_out_ = &m.counter("dvbp.net.frames_out_total");
     bytes_in_ = &m.counter("dvbp.net.bytes_in_total");
     bytes_out_ = &m.counter("dvbp.net.bytes_out_total");
-    decode_errors_ = &m.counter("dvbp.net.decode_errors_total");
-    requests_total_ = &m.counter("dvbp.net.requests_total");
-    backpressure_ = &m.counter("dvbp.net.backpressure_rejections_total");
-    request_latency_ = &m.histogram("dvbp.net.request_latency_ns",
-                                    obs::default_latency_bounds_ns());
   }
 
   // All fds first (cleanup on failure), threads last.
   auto fail = [this](const std::string& why) {
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    if (acceptor_wake_fd_ >= 0) ::close(acceptor_wake_fd_);
+    close_listener();
     loops_.clear();  // ~EventLoop closes its fds
     throw NetError(why);
   };
@@ -219,9 +438,9 @@ PlacementServer::PlacementServer(cloud::ShardedDispatcher& service,
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    fail("PlacementServer: bad listen host " + options_.host);
+  addr.sin_port = htons(options.port);
+  if (::inet_pton(AF_INET, options.host.c_str(), &addr.sin_addr) != 1) {
+    fail("PlacementServer: bad listen host " + options.host);
   }
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) < 0) {
@@ -237,50 +456,40 @@ PlacementServer::PlacementServer(cloud::ShardedDispatcher& service,
   }
   port_ = ntohs(bound.sin_port);
 
-  acceptor_wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (acceptor_wake_fd_ < 0) fail(errno_str("eventfd"));
-
-  loops_.reserve(options_.event_loops);
-  for (std::size_t i = 0; i < options_.event_loops; ++i) {
-    auto loop = std::make_unique<EventLoop>();
-    loop->server = this;
-    loop->epfd = ::epoll_create1(EPOLL_CLOEXEC);
-    loop->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (loop->epfd < 0 || loop->wake_fd < 0) {
-      loops_.push_back(std::move(loop));  // so fail() closes its fds
-      fail(errno_str("epoll_create1/eventfd"));
-    }
+  const auto watch = [&fail](int epfd, int fd) {
     epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.fd = loop->wake_fd;
-    if (::epoll_ctl(loop->epfd, EPOLL_CTL_ADD, loop->wake_fd, &ev) < 0) {
-      loops_.push_back(std::move(loop));
-      fail(errno_str("epoll_ctl(wake)"));
+    ev.data.fd = fd;
+    if (::epoll_ctl(epfd, EPOLL_CTL_ADD, fd, &ev) < 0) {
+      fail(errno_str("epoll_ctl"));
     }
-    loops_.push_back(std::move(loop));
+  };
+  loops_.reserve(options.event_loops);
+  for (std::size_t i = 0; i < options.event_loops; ++i) {
+    auto loop = std::make_unique<EventLoop>();
+    loop->epfd = ::epoll_create1(EPOLL_CLOEXEC);
+    loop->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    loops_.push_back(std::move(loop));  // so fail() closes its fds
+    EventLoop& l = *loops_.back();
+    if (l.epfd < 0 || l.wake_fd < 0) fail(errno_str("epoll_create1/eventfd"));
+    watch(l.epfd, l.wake_fd);
   }
+  watch(loops_.front()->epfd, listen_fd_);  // loop 0 accepts
 
   try {
     for (auto& loop : loops_) {
       EventLoop* l = loop.get();
       l->thread = std::thread([this, l] { loop_run(*l); });
     }
-    acceptor_ = std::thread([this] { acceptor_run(); });
   } catch (...) {
     shutdown_loops_.store(true);
-    acceptor_stop_.store(true);
     for (auto& loop : loops_) {
       if (loop->thread.joinable()) {
         loop->notify();
         loop->thread.join();
       }
     }
-    if (acceptor_.joinable()) {
-      wake_acceptor();
-      acceptor_.join();
-    }
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    if (acceptor_wake_fd_ >= 0) ::close(acceptor_wake_fd_);
+    close_listener();
     loops_.clear();
     throw;
   }
@@ -290,19 +499,18 @@ PlacementServer::~PlacementServer() {
   stop();
   PlacementServer* self = this;
   g_signal_server.compare_exchange_strong(self, nullptr);
-  if (acceptor_wake_fd_ >= 0) ::close(acceptor_wake_fd_);
-  // listen_fd_ is closed by the acceptor thread on exit (or by stop()).
 }
 
-void PlacementServer::wake_acceptor() noexcept {
-  const std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t n =
-      ::write(acceptor_wake_fd_, &one, sizeof(one));
+void PlacementServer::close_listener() noexcept {
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
 }
 
 void PlacementServer::request_drain() noexcept {
-  draining_.store(true, std::memory_order_release);
-  wake_acceptor();
+  core_.refuse_new_work();
+  loops_.front()->notify();
 }
 
 void PlacementServer::install_signal_drain(int signo) {
@@ -325,7 +533,6 @@ void PlacementServer::wait() { join_threads(); }
 
 void PlacementServer::join_threads() {
   std::lock_guard<std::mutex> lock(join_mu_);
-  if (acceptor_.joinable()) acceptor_.join();
   for (auto& loop : loops_) {
     if (loop->thread.joinable()) loop->thread.join();
   }
@@ -334,63 +541,23 @@ void PlacementServer::join_threads() {
 void PlacementServer::stop() {
   bool expected = false;
   if (stopped_.compare_exchange_strong(expected, true)) {
-    // seq_cst store order matters: a thread that observes draining_ must
-    // also observe shutdown_loops_, so nobody starts a graceful drain in
+    // seq_cst store order matters: a loop that observes draining() must
+    // also observe shutdown_loops_, so none starts a graceful drain in
     // response to a hard stop.
     shutdown_loops_.store(true);
-    acceptor_stop_.store(true);
-    draining_.store(true);
-    read_stopped_.store(true);
-    wake_acceptor();
+    core_.refuse_new_work();
     for (auto& loop : loops_) loop->notify();
   }
   join_threads();
-  // Ops submitted by the loops' final iterations may still be in flight on
-  // shard workers; wait them out so no completion can run concurrently
-  // with our destruction. (Completions fire before an op counts as
-  // applied, so drain() returning bounds op_applied too.)
+  // Ops submitted by the loops' final iterations may still be queued; apply
+  // them so no completion can run concurrently with our destruction.
+  // (Completions fire before an op counts as applied, so drain() returning
+  // bounds op_applied too.)
   try {
     service_.drain();
   } catch (...) {
   }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Drain state machine
-
-void PlacementServer::execute_drain() {
-  std::lock_guard<std::mutex> lock(drain_mu_);
-  if (drain_done_) return;
-  draining_.store(true, std::memory_order_release);
-  acceptor_stop_.store(true, std::memory_order_release);
-  wake_acceptor();
-  // Quiesce. A request that raced the draining_ flag can slip one more op
-  // in after a drain() returns; each loop admits finitely many such
-  // stragglers before it observes the flag, so this converges.
-  for (;;) {
-    try {
-      service_.drain();
-    } catch (...) {
-      // Worker-side error (e.g. journal failure): the placement state is
-      // still consistent and worth reporting; the error stays readable
-      // through the service's next drain().
-    }
-    try {
-      const Packing p = service_.snapshot();
-      drain_hash_ = packing_hash(p);
-      drain_bins_ = p.num_bins();
-      drain_cost_ = p.cost();
-      break;
-    } catch (const std::logic_error&) {
-      continue;  // ops slipped in: drain again
-    }
-  }
-  service_.sync_journals();
-  drain_done_ = true;
+  close_listener();  // loop 0 closes it unless it never ran
 }
 
 void PlacementServer::begin_graceful_close() {
@@ -399,51 +566,9 @@ void PlacementServer::begin_graceful_close() {
 }
 
 // ---------------------------------------------------------------------------
-// Acceptor
+// Event loop
 
-void PlacementServer::acceptor_run() {
-  const int epfd = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epfd >= 0) {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = listen_fd_;
-    ::epoll_ctl(epfd, EPOLL_CTL_ADD, listen_fd_, &ev);
-    ev.events = EPOLLIN;
-    ev.data.fd = acceptor_wake_fd_;
-    ::epoll_ctl(epfd, EPOLL_CTL_ADD, acceptor_wake_fd_, &ev);
-    std::array<epoll_event, 4> events{};
-    while (!acceptor_stop_.load(std::memory_order_acquire) &&
-           !draining_.load(std::memory_order_acquire)) {
-      const int n = ::epoll_wait(epfd, events.data(),
-                                 static_cast<int>(events.size()), -1);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      for (int i = 0; i < n; ++i) {
-        if (events[i].data.fd == acceptor_wake_fd_) {
-          std::uint64_t v = 0;
-          while (::read(acceptor_wake_fd_, &v, sizeof(v)) > 0) {
-          }
-        } else {
-          handle_accept();
-        }
-      }
-    }
-    ::close(epfd);
-  }
-  // Stop taking connections before the drain quiesces the service.
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  if (draining_.load() && !shutdown_loops_.load()) {
-    // Drain requested out-of-band (signal / request_drain): run it here.
-    // If a Drain RPC is already running it, execute_drain() just waits.
-    execute_drain();
-    begin_graceful_close();
-  }
-}
-
-void PlacementServer::handle_accept() {
+void PlacementServer::accept_all() {
   for (;;) {
     const int fd =
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -453,30 +578,22 @@ void PlacementServer::handle_accept() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Connection>();
-    conn->server = this;
-    conn->fd = fd;
-    EventLoop& loop =
-        *loops_[next_loop_.fetch_add(1, std::memory_order_relaxed) %
-                loops_.size()];
-    conn->loop = &loop;
+    EventLoop& loop = *loops_[next_loop_++ % loops_.size()];
     if (connections_total_ != nullptr) connections_total_->inc();
     if (connections_active_ != nullptr) connections_active_->add(1.0);
     {
       std::lock_guard<std::mutex> lock(loop.inbox_mu);
-      loop.incoming.push_back(std::move(conn));
+      loop.incoming.push_back(std::make_shared<Socket>(core_, fd, loop));
     }
     loop.notify();
   }
 }
 
-// ---------------------------------------------------------------------------
-// Event loop
-
 void PlacementServer::loop_run(EventLoop& loop) {
+  const bool owns_listener = &loop == loops_.front().get();
   std::array<epoll_event, 64> events{};
-  std::vector<std::shared_ptr<Connection>> incoming;
-  std::vector<std::shared_ptr<Connection>> flushes;
+  std::vector<std::shared_ptr<Socket>> incoming;
+  std::vector<std::shared_ptr<Socket>> flushes;
   for (;;) {
     const int n = ::epoll_wait(loop.epfd, events.data(),
                                static_cast<int>(events.size()), -1);
@@ -500,13 +617,17 @@ void PlacementServer::loop_run(EventLoop& loop) {
         }
         for (auto& conn : incoming) register_conn(loop, conn);
         incoming.clear();
-        for (auto& conn : flushes) pump_completions(loop, conn);
+        for (auto& conn : flushes) pump(loop, conn);
         flushes.clear();
+        continue;
+      }
+      if (owns_listener && fd == listen_fd_) {
+        accept_all();
         continue;
       }
       auto it = loop.conns.find(fd);
       if (it == loop.conns.end()) continue;  // closed earlier this batch
-      std::shared_ptr<Connection> conn = it->second;  // close erases the map
+      std::shared_ptr<Socket> conn = it->second;  // close erases the map
       const std::uint32_t ev = events[i].events;
       if ((ev & (EPOLLHUP | EPOLLERR)) != 0) {
         close_conn(loop, conn);
@@ -521,31 +642,40 @@ void PlacementServer::loop_run(EventLoop& loop) {
       }
       break;
     }
+    // A drain asked for by a signal (on loop 0) or by a Drain RPC runs
+    // here; it is idempotent, so the first loop to get here runs it.
+    if (core_.draining() && !shutdown_loops_.load() &&
+        !graceful_close_.load(std::memory_order_acquire)) {
+      if (owns_listener) close_listener();  // stop accepting first
+      core_.drain();
+      begin_graceful_close();
+    }
     if (graceful_close_.load(std::memory_order_acquire)) {
+      if (owns_listener) close_listener();
       // Close-out sweep: every connection closes once its last response is
       // flushed. Snapshot the map first -- closing mutates it.
-      std::vector<std::shared_ptr<Connection>> all;
+      std::vector<std::shared_ptr<Socket>> all;
       all.reserve(loop.conns.size());
       for (auto& [cfd, c] : loop.conns) all.push_back(c);
       for (auto& c : all) {
         c->close_after_flush = true;
-        pump_completions(loop, c);  // also flushes and closes when empty
+        pump(loop, c);  // also flushes and closes when idle
       }
       if (loop.conns.empty()) break;
     }
   }
+  if (owns_listener) close_listener();
 }
 
 void PlacementServer::register_conn(EventLoop& loop,
-                                    const std::shared_ptr<Connection>& conn) {
+                                    const std::shared_ptr<Socket>& conn) {
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.fd = conn->fd;
   if (::epoll_ctl(loop.epfd, EPOLL_CTL_ADD, conn->fd, &ev) < 0) {
     ::close(conn->fd);
     conn->fd = -1;
-    std::lock_guard<std::mutex> lock(conn->mu);
-    conn->closed = true;
+    conn->close();
     if (connections_active_ != nullptr) connections_active_->add(-1.0);
     return;
   }
@@ -555,9 +685,8 @@ void PlacementServer::register_conn(EventLoop& loop,
   }
 }
 
-void PlacementServer::handle_readable(
-    EventLoop& loop, const std::shared_ptr<Connection>& conn) {
-  if (read_stopped_.load(std::memory_order_acquire)) return;
+void PlacementServer::handle_readable(EventLoop& loop,
+                                      const std::shared_ptr<Socket>& conn) {
   std::uint8_t buf[kReadChunk];
   for (;;) {
     const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
@@ -565,17 +694,8 @@ void PlacementServer::handle_readable(
       if (bytes_in_ != nullptr) {
         bytes_in_->inc(static_cast<std::uint64_t>(n));
       }
-      try {
-        conn->decoder.feed(buf, static_cast<std::size_t>(n));
-        for (;;) {
-          auto payload = conn->decoder.next();
-          if (!payload.has_value()) break;
-          if (frames_in_ != nullptr) frames_in_->inc();
-          if (!process_request(loop, conn, *payload)) return;
-        }
-      } catch (const FrameError&) {
-        if (decode_errors_ != nullptr) decode_errors_->inc();
-        close_conn(loop, conn);
+      if (!conn->receive(buf, static_cast<std::size_t>(n))) {
+        close_conn(loop, conn);  // malformed bytes
         return;
       }
       if (static_cast<std::size_t>(n) < sizeof(buf)) break;  // drained
@@ -591,224 +711,25 @@ void PlacementServer::handle_readable(
       return;
     }
   }
-  flush_writes(loop, conn);  // push out the responses this batch produced
+  // One write for the responses this read batch produced: coalesces
+  // pipelined responses into one write(2).
+  flush_writes(loop, conn);
 }
 
-bool PlacementServer::process_request(
-    EventLoop& loop, const std::shared_ptr<Connection>& conn,
-    const std::vector<std::uint8_t>& payload) {
-  Request req;
-  try {
-    req = decode_request(payload.data(), payload.size());
-  } catch (const FrameError&) {
-    if (decode_errors_ != nullptr) decode_errors_->inc();
-    close_conn(loop, conn);
-    return false;
-  }
-  if (requests_total_ != nullptr) requests_total_->inc();
-
-  Response resp;
-  resp.id = req.id;
-  resp.type = req.type;
-
-  switch (req.type) {
-    case MsgType::kPing:
-      respond(conn, resp);
-      return true;
-
-    case MsgType::kQuery:
-      try {
-        resp.cost = service_.cost_so_far(req.time);
-        resp.open_bins = service_.open_bins();
-        resp.jobs_active = service_.jobs_active();
-        resp.jobs_admitted = service_.jobs_admitted();
-      } catch (const std::invalid_argument&) {
-        resp.status = Status::kBadRequest;
-      } catch (...) {
-        resp.status = Status::kInternalError;
-      }
-      respond(conn, resp);
-      return true;
-
-    case MsgType::kSnapshot:
-      try {
-        const Packing p = service_.snapshot();
-        resp.packing_hash = packing_hash(p);
-        resp.num_bins = p.num_bins();
-        resp.cost = p.cost();
-      } catch (const std::logic_error&) {
-        resp.status = Status::kNotQuiescent;
-      } catch (...) {
-        resp.status = Status::kInternalError;
-      }
-      respond(conn, resp);
-      return true;
-
-    case MsgType::kDrain:
-      try {
-        execute_drain();
-        {
-          std::lock_guard<std::mutex> lock(drain_mu_);
-          resp.packing_hash = drain_hash_;
-          resp.num_bins = drain_bins_;
-          resp.cost = drain_cost_;
-        }
-      } catch (...) {
-        resp.status = Status::kInternalError;
-      }
-      respond(conn, resp);
-      // The drain response is this connection's last frame; the close-out
-      // sweep flushes it and closes every connection.
-      begin_graceful_close();
-      return conn->fd >= 0;
-
-    case MsgType::kArrive:
-    case MsgType::kDepart:
-      break;
-  }
-
-  // Arrive / Depart: asynchronous, answered by the completion hookup.
-  if (draining_.load(std::memory_order_acquire)) {
-    resp.status = Status::kShuttingDown;
-    respond(conn, resp);
-    return true;
-  }
-  if (conn->inflight.load(std::memory_order_acquire) >=
-      options_.max_inflight_per_conn) {
-    if (backpressure_ != nullptr) backpressure_->inc();
-    resp.status = Status::kRetryLater;
-    respond(conn, resp);
-    return true;
-  }
-
-  // Enter the pending map before submitting: the completion can fire on a
-  // shard worker before try_arrive/try_depart even returns.
-  bool duplicate = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    duplicate = !conn->pending
-                     .emplace(req.id,
-                              Connection::Pending{req.type, now_tp()})
-                     .second;
-  }
-  if (duplicate) {
-    resp.status = Status::kBadRequest;  // request id already in flight
-    respond(conn, resp);
-    return true;
-  }
-  conn->inflight.fetch_add(1, std::memory_order_acq_rel);
-
-  // Tenant admission gate: decided in the front-end, before the service
-  // ever sees the op, so the decision sequence is shard-count-independent.
-  // A denial is a typed RETRY_LATER -- the client backs off and retries,
-  // never queues invisibly.
-  const double gate_units =
-      req.type == MsgType::kArrive ? req.size.linf() : 0.0;
-  bool gated = false;
-  if (options_.gate != nullptr && req.type == MsgType::kArrive) {
-    if (!options_.gate->admit(req.time, req.tenant, req.size, req.id)) {
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        conn->pending.erase(req.id);
-      }
-      conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
-      if (backpressure_ != nullptr) backpressure_->inc();
-      resp.status = Status::kRetryLater;
-      respond(conn, resp);
-      return true;
-    }
-    gated = true;
-  }
-
-  bool accepted = false;
-  Status failure = Status::kRetryLater;
-  try {
-    if (req.type == MsgType::kArrive) {
-      const TenantId tenant = req.tenant;
-      const auto job =
-          service_.try_arrive(req.time, std::move(req.size),
-                              req.expected_departure, conn, req.id, tenant);
-      accepted = job.has_value();
-      if (accepted && options_.gate != nullptr) {
-        std::lock_guard<std::mutex> lock(tenant_mu_);
-        tenant_of_job_.emplace(*job, std::make_pair(tenant, gate_units));
-      }
-    } else {
-      accepted = service_.try_depart(req.time, req.job, conn, req.id);
-      if (accepted && options_.gate != nullptr) {
-        // Release what the job's Arrive booked (possibly on another
-        // connection); unknown ids were admitted before the gate existed.
-        std::pair<TenantId, double> booked{kNoTenant, 0.0};
-        bool found = false;
-        {
-          std::lock_guard<std::mutex> lock(tenant_mu_);
-          const auto it = tenant_of_job_.find(static_cast<JobId>(req.job));
-          if (it != tenant_of_job_.end()) {
-            booked = it->second;
-            found = true;
-            tenant_of_job_.erase(it);
-          }
-        }
-        if (found) options_.gate->release_units(booked.first, booked.second);
-      }
-    }
-  } catch (const std::invalid_argument&) {
-    failure = req.type == MsgType::kArrive ? Status::kBadRequest
-                                           : Status::kUnknownJob;
-  } catch (...) {
-    failure = Status::kInternalError;
-  }
-  if (!accepted) {
-    // A gated-then-refused submission must give the booked demand back.
-    if (gated) options_.gate->release_units(req.tenant, gate_units);
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->pending.erase(req.id);
-    }
-    conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
-    if (failure == Status::kRetryLater && backpressure_ != nullptr) {
-      backpressure_->inc();
-    }
-    resp.status = failure;
-    respond(conn, resp);
-  }
-  return true;
-}
-
-void PlacementServer::respond(const std::shared_ptr<Connection>& conn,
-                              const Response& resp) {
+void PlacementServer::pump(EventLoop& loop,
+                           const std::shared_ptr<Socket>& conn) {
   if (conn->fd < 0) return;
-  encode_response(resp, conn->write_buf);
-  if (frames_out_ != nullptr) frames_out_->inc();
-  // Not flushed here: handle_readable flushes once per read batch, which
-  // coalesces pipelined responses into one write(2).
-}
-
-void PlacementServer::pump_completions(
-    EventLoop& loop, const std::shared_ptr<Connection>& conn) {
-  if (conn->fd < 0) return;
-  std::uint64_t frames = 0;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (!conn->completed.empty()) {
-      conn->write_buf.insert(conn->write_buf.end(), conn->completed.begin(),
-                             conn->completed.end());
-      conn->completed.clear();
-      frames = conn->completed_frames;
-      conn->completed_frames = 0;
-    }
-  }
-  if (frames > 0 && frames_out_ != nullptr) frames_out_->inc(frames);
+  conn->collect();
   flush_writes(loop, conn);
 }
 
 void PlacementServer::flush_writes(EventLoop& loop,
-                                   const std::shared_ptr<Connection>& conn) {
+                                   const std::shared_ptr<Socket>& conn) {
   if (conn->fd < 0) return;
-  while (conn->write_pos < conn->write_buf.size()) {
-    const ssize_t n =
-        ::write(conn->fd, conn->write_buf.data() + conn->write_pos,
-                conn->write_buf.size() - conn->write_pos);
+  std::vector<std::uint8_t>& out = conn->output();
+  while (conn->write_pos < out.size()) {
+    const ssize_t n = ::write(conn->fd, out.data() + conn->write_pos,
+                              out.size() - conn->write_pos);
     if (n > 0) {
       conn->write_pos += static_cast<std::size_t>(n);
       if (bytes_out_ != nullptr) {
@@ -823,14 +744,10 @@ void PlacementServer::flush_writes(EventLoop& loop,
         ev.data.fd = conn->fd;
         ::epoll_ctl(loop.epfd, EPOLL_CTL_MOD, conn->fd, &ev);
       }
-      if (conn->write_pos > 0) {
-        conn->write_buf.erase(
-            conn->write_buf.begin(),
-            conn->write_buf.begin() +
-                static_cast<std::ptrdiff_t>(conn->write_pos));
-        conn->write_pos = 0;
-      }
-      if (conn->write_buf.size() > kMaxWriteBuffer) {
+      out.erase(out.begin(),
+                out.begin() + static_cast<std::ptrdiff_t>(conn->write_pos));
+      conn->write_pos = 0;
+      if (out.size() > kMaxWriteBuffer) {
         close_conn(loop, conn);  // peer is not reading its responses
       }
       return;
@@ -841,7 +758,7 @@ void PlacementServer::flush_writes(EventLoop& loop,
       return;
     }
   }
-  conn->write_buf.clear();
+  out.clear();
   conn->write_pos = 0;
   if (conn->want_write) {
     conn->want_write = false;
@@ -850,30 +767,17 @@ void PlacementServer::flush_writes(EventLoop& loop,
     ev.data.fd = conn->fd;
     ::epoll_ctl(loop.epfd, EPOLL_CTL_MOD, conn->fd, &ev);
   }
-  if (conn->close_after_flush) {
-    bool idle = false;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      idle = conn->completed.empty() && conn->pending.empty();
-    }
-    if (idle) close_conn(loop, conn);
-  }
+  if (conn->close_after_flush && conn->idle()) close_conn(loop, conn);
 }
 
 void PlacementServer::close_conn(EventLoop& loop,
-                                 const std::shared_ptr<Connection>& conn) {
+                                 const std::shared_ptr<Socket>& conn) {
   // `conn` may alias the map's own shared_ptr (the shutdown sweep passes
   // `loop.conns.begin()->second` directly); keep a local owner so the
-  // erase below cannot destroy the Connection out from under us.
-  std::shared_ptr<Connection> keep = conn;
+  // erase below cannot destroy the Socket out from under us.
+  std::shared_ptr<Socket> keep = conn;
   if (keep->fd < 0) return;
-  {
-    std::lock_guard<std::mutex> lock(keep->mu);
-    keep->closed = true;
-    keep->pending.clear();  // completions in flight drop out harmlessly
-    keep->completed.clear();
-    keep->completed_frames = 0;
-  }
+  keep->close();
   ::epoll_ctl(loop.epfd, EPOLL_CTL_DEL, keep->fd, nullptr);
   ::close(keep->fd);
   loop.conns.erase(keep->fd);

@@ -1,16 +1,22 @@
 // PlacementServer: the binary-RPC network front-end of the sharded
-// placement service (docs/PROTOCOL.md, docs/ARCHITECTURE.md).
+// placement service (docs/PROTOCOL.md, docs/ARCHITECTURE.md), as a
+// socket-free core and a threaded driver.
 //
-// Topology: one acceptor thread (accepts, round-robins connections across
-// loops) + N event-loop threads (epoll, level-triggered, nonblocking
-// sockets). Each connection owns a streaming FrameDecoder for partial-
-// frame reassembly and a write buffer flushed opportunistically (EPOLLOUT
-// armed only while the socket is full). Decoded Arrive/Depart requests are
-// submitted to the borrowed ShardedDispatcher through the non-blocking
-// try_arrive/try_depart path; the owning shard worker fires the
-// CompletionSink once the op is applied, which enqueues the encoded
-// response on the connection and wakes its loop via eventfd -- the
-// completion hookup that makes a response mean "placed", not "buffered".
+// ServerCore holds the service, the tenant gate and its map of booked
+// jobs, and the drain state. A Connection is one client's protocol state
+// machine over it: bytes in (receive), responses out (output). Decoded
+// Arrive/Depart requests are submitted through the service's refusing
+// try_arrive/try_depart path; the stepping thread fires the connection's
+// CompletionSink once the op is applied, which stages the encoded
+// response for collect() -- the completion hookup that makes a response
+// mean "placed", not "buffered". Neither starts a thread: a test steps a
+// ShardedCore and reads a Connection's output directly.
+//
+// PlacementServer drives them with N event-loop threads (epoll,
+// level-triggered, nonblocking sockets). Loop 0 owns the listen socket,
+// accepts, and round-robins connections across the loops. A completion
+// wakes its connection's loop via eventfd; each loop writes once per read
+// batch (EPOLLOUT armed only while the socket is full).
 //
 // Admission control / backpressure (never unbounded buffering):
 //   * per-connection in-flight window (max_inflight_per_conn): requests
@@ -18,12 +24,14 @@
 //   * full shard queue: try_arrive/try_depart refuse, answered RETRY_LATER.
 // Both are counted by dvbp.net.backpressure_rejections_total.
 //
-// Graceful drain (Drain RPC or a signal wired via install_signal_drain):
-// stop accepting, answer new Arrive/Depart with SHUTTING_DOWN, wait for
-// every accepted op to apply (service drain -- completions fire first, so
-// every accepted request gets exactly one response), sync the journals
-// when durability is on, then answer the Drain with the final snapshot's
-// packing hash and close every connection once its responses are flushed.
+// Graceful drain (Drain RPC, or a signal wired via install_signal_drain,
+// which loop 0 runs the way a loop runs a Drain RPC): stop accepting,
+// answer new Arrive/Depart with SHUTTING_DOWN, apply every accepted op
+// (service drain -- completions fire first, so every accepted request gets
+// exactly one response), sync the journals when durability is on, then
+// answer the Drain with the final snapshot's packing hash -- or
+// INTERNAL_ERROR when the service failed -- and close every connection
+// once its responses are flushed.
 //
 // Metrics (dvbp.net.*): connections_total, connections_active, frames_in/
 // out_total, bytes_in/out_total, decode_errors_total, requests_total,
@@ -31,12 +39,12 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -72,11 +80,130 @@ struct ServerOptions {
   tenancy::AdmissionGate* gate = nullptr;
 };
 
+/// What every connection shares: the service, the gate's bookings and the
+/// drain. Thread-safe; starts no thread.
+class ServerCore {
+ public:
+  /// The service is borrowed and must outlive the core. Reads
+  /// max_inflight_per_conn, metrics and gate; throws std::invalid_argument
+  /// on a zero in-flight window.
+  ServerCore(cloud::ShardedCore& service, const ServerOptions& options);
+
+  ServerCore(const ServerCore&) = delete;
+  ServerCore& operator=(const ServerCore&) = delete;
+
+  /// From now on new Arrive/Depart are answered SHUTTING_DOWN.
+  /// Async-signal-safe (one atomic store).
+  void refuse_new_work() noexcept {
+    draining_.store(true, std::memory_order_release);
+  }
+  bool draining() const noexcept {
+    return draining_.load(std::memory_order_acquire);
+  }
+
+  /// The graceful drain, run once (later callers wait for the first and
+  /// get its answer): refuse new work, apply every accepted op, snapshot,
+  /// sync the journals. Answers OK with the final packing's hash, bins and
+  /// cost, or INTERNAL_ERROR when the service failed (a dead journal);
+  /// the caller fills in id and type.
+  Response drain();
+
+ private:
+  friend class Connection;
+
+  cloud::ShardedCore& service_;
+  std::size_t max_inflight_;
+  tenancy::AdmissionGate* gate_;
+  std::atomic<bool> draining_{false};
+
+  std::mutex drain_mu_;  ///< serializes drain(); guards the two below
+  bool drained_ = false;
+  Response drained_answer_;
+
+  /// Gate bookkeeping (gate_ != nullptr only): the tenant and booked
+  /// demand of every live job, so a Depart -- possibly on another
+  /// connection -- releases exactly what its Arrive booked.
+  std::mutex tenant_mu_;
+  std::unordered_map<JobId, std::pair<TenantId, double>> tenant_of_job_;
+
+  // Cached instruments (null when metrics are off).
+  obs::Counter* frames_in_ = nullptr;
+  obs::Counter* frames_out_ = nullptr;
+  obs::Counter* decode_errors_ = nullptr;
+  obs::Counter* requests_total_ = nullptr;
+  obs::Counter* backpressure_ = nullptr;
+  obs::Histogram* request_latency_ = nullptr;
+};
+
+/// One client's protocol state machine: bytes in, responses out. Its
+/// driver feeds receive() and writes output(); the completions a step
+/// fires are staged until collect() moves them to output(). Owned through
+/// std::shared_ptr: each accepted op holds it as its CompletionSink.
+class Connection : public cloud::CompletionSink,
+                   public std::enable_shared_from_this<Connection> {
+ public:
+  explicit Connection(ServerCore& core) : core_(core) {}
+
+  /// Decodes and answers every complete request in the bytes: inline
+  /// answers and refusals go to output() at once, an accepted
+  /// Arrive/Depart's answer when its op completes. Returns false on
+  /// malformed bytes: the connection must close. Driver thread only.
+  bool receive(const std::uint8_t* data, std::size_t size);
+
+  /// Moves the responses completions staged into output(). Driver thread
+  /// only.
+  void collect();
+
+  /// Encoded responses not yet handed to the peer; the driver removes
+  /// what it wrote.
+  std::vector<std::uint8_t>& output() noexcept { return output_; }
+
+  /// No accepted op awaits its completion and none is staged.
+  bool idle();
+
+  /// Drops every pending op: a completion that fires later is discarded.
+  void close() noexcept;
+
+  void op_applied(std::uint64_t cookie, JobId job) noexcept override;
+
+ protected:
+  /// Called on the stepping thread, with no lock held, after a completion
+  /// was staged: the driver schedules a collect().
+  virtual void staged() noexcept {}
+
+ private:
+  struct Pending {
+    MsgType type = MsgType::kPing;
+    std::chrono::steady_clock::time_point received{};
+  };
+
+  void process(Request req);
+  /// Submits an Arrive/Depart; answers it at once unless accepted.
+  void submit(Request& req, Response& resp);
+  void respond(const Response& resp);
+
+  ServerCore& core_;
+  FrameDecoder decoder_;
+  std::vector<std::uint8_t> output_;
+
+  // Shared with stepping threads, guarded by `mu_`.
+  std::mutex mu_;
+  bool closed_ = false;
+  std::vector<std::uint8_t> staged_;
+  std::uint64_t staged_frames_ = 0;
+  /// request_id -> in-flight op (entered *before* submission: the
+  /// completion can fire before try_arrive/try_depart even returns).
+  std::unordered_map<std::uint64_t, Pending> pending_;
+
+  /// Accepted-but-unanswered ops (admission window).
+  std::atomic<std::size_t> inflight_{0};
+};
+
 class PlacementServer {
  public:
-  /// Binds, listens, and starts the acceptor + event-loop threads. The
-  /// service is borrowed and must outlive the server. Throws NetError when
-  /// the socket setup fails, std::invalid_argument on bad options.
+  /// Binds, listens, and starts the event-loop threads. The service is
+  /// borrowed and must outlive the server. Throws NetError when the socket
+  /// setup fails, std::invalid_argument on bad options.
   PlacementServer(cloud::ShardedDispatcher& service,
                   ServerOptions options = {});
 
@@ -90,7 +217,8 @@ class PlacementServer {
   std::uint16_t port() const noexcept { return port_; }
 
   /// Triggers the graceful drain exactly as a Drain RPC would (minus the
-  /// response). Async-signal-safe: an atomic store plus an eventfd write.
+  /// response). Async-signal-safe: an atomic store plus an eventfd write
+  /// to loop 0, which runs the drain.
   void request_drain() noexcept;
 
   /// Routes `signo` (e.g. SIGTERM, SIGINT) to request_drain() on this
@@ -103,91 +231,51 @@ class PlacementServer {
   /// stop().
   void wait();
 
-  /// Hard stop: stops reading, waits for in-flight ops to apply so no
-  /// completion can fire into a destroyed loop, then closes everything.
-  /// Unread client data is lost (use the Drain RPC for a graceful end).
+  /// Hard stop: stops the loops, waits for in-flight ops to apply so no
+  /// completion can fire into a destroyed connection, then closes
+  /// everything. Unread client data is lost (use the Drain RPC for a
+  /// graceful end).
   void stop();
 
-  /// True once a drain has been requested (RPC, signal, or request_drain).
-  bool draining() const noexcept {
-    return draining_.load(std::memory_order_acquire);
-  }
+  /// True once a drain has been requested (RPC, signal, request_drain) or
+  /// the server was stopped.
+  bool draining() const noexcept { return core_.draining(); }
 
  private:
   struct EventLoop;
-  struct Connection;
+  struct Socket;
 
-  void acceptor_run();
   void loop_run(EventLoop& loop);
-  void handle_accept();
-  void register_conn(EventLoop& loop,
-                     const std::shared_ptr<Connection>& conn);
-  void handle_readable(EventLoop& loop,
-                       const std::shared_ptr<Connection>& conn);
-  /// Returns false when the connection was closed mid-processing.
-  bool process_request(EventLoop& loop,
-                       const std::shared_ptr<Connection>& conn,
-                       const std::vector<std::uint8_t>& payload);
-  /// Appends the encoded response to the connection's write buffer (the
-  /// caller flushes once per read batch).
-  void respond(const std::shared_ptr<Connection>& conn,
-               const Response& resp);
-  void pump_completions(EventLoop& loop,
-                        const std::shared_ptr<Connection>& conn);
-  void flush_writes(EventLoop& loop,
-                    const std::shared_ptr<Connection>& conn);
-  void close_conn(EventLoop& loop, const std::shared_ptr<Connection>& conn);
-  /// Runs the drain state machine once (idempotent): quiesce the service,
-  /// snapshot, sync journals. Later callers block until done, then no-op.
-  void execute_drain();
+  void accept_all();
+  void register_conn(EventLoop& loop, const std::shared_ptr<Socket>& conn);
+  void handle_readable(EventLoop& loop, const std::shared_ptr<Socket>& conn);
+  void pump(EventLoop& loop, const std::shared_ptr<Socket>& conn);
+  void flush_writes(EventLoop& loop, const std::shared_ptr<Socket>& conn);
+  void close_conn(EventLoop& loop, const std::shared_ptr<Socket>& conn);
   /// Flags every loop to close its connections once flushed (idempotent).
   void begin_graceful_close();
-  void wake_acceptor() noexcept;
+  void close_listener() noexcept;
   void join_threads();
 
   cloud::ShardedDispatcher& service_;
-  ServerOptions options_;
-  int listen_fd_ = -1;
+  ServerCore core_;
+  int listen_fd_ = -1;  ///< loop 0's once the loops run
   std::uint16_t port_ = 0;
 
   std::vector<std::unique_ptr<EventLoop>> loops_;
-  std::atomic<std::size_t> next_loop_{0};
+  std::size_t next_loop_ = 0;  ///< loop 0 only
 
-  std::thread acceptor_;
-  int acceptor_wake_fd_ = -1;
-
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> read_stopped_{false};   ///< loops stop processing input
   std::atomic<bool> graceful_close_{false};  ///< close conns once flushed
   std::atomic<bool> shutdown_loops_{false};  ///< loops close conns and exit
-  std::atomic<bool> acceptor_stop_{false};
   std::atomic<bool> stopped_{false};
 
-  std::mutex drain_mu_;  ///< serializes execute_drain; guards the fields below
-  bool drain_done_ = false;
-  std::uint64_t drain_hash_ = 0;
-  std::uint64_t drain_bins_ = 0;
-  double drain_cost_ = 0.0;
-
   std::mutex join_mu_;  ///< makes wait()/stop() joins safe to race
-
-  /// Gate bookkeeping (options_.gate != nullptr only): the tenant and
-  /// booked demand of every live job, so a Depart -- possibly on another
-  /// connection -- releases exactly what its Arrive booked.
-  std::mutex tenant_mu_;
-  std::unordered_map<JobId, std::pair<TenantId, double>> tenant_of_job_;
 
   // Cached instruments (null when metrics are off).
   obs::Counter* connections_total_ = nullptr;
   obs::Gauge* connections_active_ = nullptr;
-  obs::Counter* frames_in_ = nullptr;
-  obs::Counter* frames_out_ = nullptr;
   obs::Counter* bytes_in_ = nullptr;
   obs::Counter* bytes_out_ = nullptr;
-  obs::Counter* decode_errors_ = nullptr;
-  obs::Counter* requests_total_ = nullptr;
-  obs::Counter* backpressure_ = nullptr;
-  obs::Histogram* request_latency_ = nullptr;
 };
 
 }  // namespace dvbp::net

@@ -1,10 +1,12 @@
 // End-to-end tests of the binary-RPC placement server over real loopback
 // sockets: every RPC type, packing-hash parity against an in-process
-// ShardedDispatcher fed the identical sequence, deterministic backpressure
+// ShardedDispatcher fed the identical sequence and against socket-free
+// connections over a thread-free ShardedCore, deterministic backpressure
 // (RETRY_LATER) via a deliberately slow policy, duplicate-id rejection,
-// the malformed-bytes -> close-connection path, and the graceful-drain
+// the malformed-bytes -> close-connection path, the graceful-drain
 // guarantee that every accepted request gets exactly one response and the
-// final hash matches the in-process run.
+// final hash matches the in-process run, and a dead journal answering
+// INTERNAL_ERROR, to its ops and to a drain.
 #include "net/server.hpp"
 
 #include <arpa/inet.h>
@@ -13,12 +15,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <random>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -28,6 +36,7 @@
 #include "core/policies/registry.hpp"
 #include "net/client.hpp"
 #include "obs/metrics.hpp"
+#include "persist/fault.hpp"
 
 namespace dvbp::net {
 namespace {
@@ -95,6 +104,13 @@ RVec size2(double a, double b) {
   v[0] = a;
   v[1] = b;
   return v;
+}
+
+/// Threads of this process: /proc/self/task holds one entry per thread.
+std::size_t task_count() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::begin(tasks), std::filesystem::end(tasks)));
 }
 
 /// Snapshot needs quiescence; the window between the last completion and
@@ -242,11 +258,14 @@ TEST(NetServer, AllRpcTypesOverLoopback) {
 }
 
 // The wire adds nothing and loses nothing: the same arrive/depart sequence
-// through a socket and through an in-process ShardedDispatcher must end in
-// bit-identical packings.
+// through sockets (three event loops, four connections), through four
+// socket-free connections over a thread-free core, and through an
+// in-process ShardedDispatcher must end in bit-identical packings, and the
+// two protocol legs must answer every request alike.
 TEST(NetServer, PackingHashParityWithInProcessService) {
   constexpr std::size_t kShards = 2;
   constexpr int kOps = 300;
+  constexpr std::size_t kConns = 4;
 
   // Generate one deterministic mixed sequence.
   std::mt19937_64 rng(7);
@@ -274,35 +293,112 @@ TEST(NetServer, PackingHashParityWithInProcessService) {
     script.push_back(spec);
   }
 
+  // Plays the script, op i on connection i % kConns, through `call`
+  // (connection, request) -> response; returns each answer's (id, status,
+  // job) and the Drain's answer, sent on connection 0.
+  struct Answer {
+    std::uint64_t id;
+    Status status;
+    std::uint64_t job;
+    bool operator==(const Answer&) const = default;
+  };
+  const auto play = [&](const auto& call, std::vector<Answer>& answers) {
+    std::vector<std::uint64_t> live;
+    double t = 0.0;
+    for (std::size_t i = 0; i < script.size(); ++i) {
+      const OpSpec& spec = script[i];
+      t += 0.01;
+      Request req;
+      req.time = t;
+      if (spec.depart) {
+        req.type = MsgType::kDepart;
+        req.job = live[spec.victim];
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(spec.victim));
+      } else {
+        req.type = MsgType::kArrive;
+        req.size = size2(spec.a, spec.b);
+      }
+      const Response resp = call(i % kConns, req);
+      EXPECT_EQ(resp.status, Status::kOk) << "op " << i;
+      if (!spec.depart) live.push_back(resp.job);
+      answers.push_back({resp.id, resp.status, resp.job});
+    }
+    Request drain;
+    drain.type = MsgType::kDrain;
+    return call(0, drain);
+  };
+
   // Over the wire.
-  std::uint64_t wire_hash = 0, wire_bins = 0;
-  double wire_cost = 0.0;
+  std::vector<Answer> wire_answers;
+  Response wire_drain;
   {
     cloud::ShardedDispatcher service(2, first_fit_factory(),
                                      service_options(kShards));
-    PlacementServer server(service);
-    Client client("127.0.0.1", server.port());
-    std::vector<std::uint64_t> live;
-    double t = 0.0;
-    for (const OpSpec& spec : script) {
-      t += 0.01;
-      if (spec.depart) {
-        const std::uint64_t job = live[spec.victim];
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(spec.victim));
-        ASSERT_EQ(client.depart(t, job).status, Status::kOk);
-      } else {
-        const Response resp = client.arrive(t, size2(spec.a, spec.b));
-        ASSERT_EQ(resp.status, Status::kOk);
-        live.push_back(resp.job);
-      }
+    ServerOptions opts;
+    opts.event_loops = 3;
+    PlacementServer server(service, opts);
+    std::vector<std::unique_ptr<Client>> clients;
+    for (std::size_t c = 0; c < kConns; ++c) {
+      clients.push_back(std::make_unique<Client>("127.0.0.1", server.port()));
     }
-    const Response drained = client.drain();
-    ASSERT_EQ(drained.status, Status::kOk);
-    wire_hash = drained.packing_hash;
-    wire_bins = drained.num_bins;
-    wire_cost = drained.cost;
+    wire_drain = play(
+        [&](std::size_t c, const Request& req) {
+          Client& client = *clients[c];
+          switch (req.type) {
+            case MsgType::kArrive:
+              return client.arrive(req.time, req.size);
+            case MsgType::kDepart:
+              return client.depart(req.time, req.job);
+            default:
+              return client.drain();
+          }
+        },
+        wire_answers);
+    ASSERT_EQ(wire_drain.status, Status::kOk);
     server.wait();  // drain closes everything down
   }
+
+  // Socket-free and thread-free: one request in, both shards stepped, its
+  // answer out.
+  std::vector<Answer> core_answers;
+  Response core_drain;
+  {
+    const std::size_t tasks_before = task_count();
+    cloud::ShardedCore service(2, first_fit_factory(),
+                               service_options(kShards));
+    ServerCore core(service, ServerOptions{});
+    std::vector<std::shared_ptr<Connection>> conns;
+    std::vector<std::uint64_t> next_id(kConns, 1);  // as each Client numbers
+    for (std::size_t c = 0; c < kConns; ++c) {
+      conns.push_back(std::make_shared<Connection>(core));
+    }
+    core_drain = play(
+        [&](std::size_t c, Request req) {
+          req.id = next_id[c]++;
+          std::vector<std::uint8_t> bytes;
+          encode_request(req, bytes);
+          EXPECT_TRUE(conns[c]->receive(bytes.data(), bytes.size()));
+          for (std::size_t s = 0; s < kShards; ++s) service.step(s);
+          conns[c]->collect();
+          FrameDecoder decoder;
+          decoder.feed(conns[c]->output().data(), conns[c]->output().size());
+          conns[c]->output().clear();
+          const auto payload = decoder.next();
+          if (!payload.has_value() || decoder.next().has_value()) {
+            ADD_FAILURE() << "request " << req.id << " on connection " << c
+                          << " did not get exactly one answer";
+            return Response{};
+          }
+          return decode_response(payload->data(), payload->size());
+        },
+        core_answers);
+    EXPECT_EQ(task_count(), tasks_before) << "the core started a thread";
+  }
+  EXPECT_EQ(core_answers, wire_answers);
+  EXPECT_EQ(core_drain.status, Status::kOk);
+  EXPECT_EQ(core_drain.packing_hash, wire_drain.packing_hash);
+  EXPECT_EQ(core_drain.num_bins, wire_drain.num_bins);
+  EXPECT_DOUBLE_EQ(core_drain.cost, wire_drain.cost);
 
   // In process.
   cloud::ShardedDispatcher local(2, first_fit_factory(),
@@ -322,9 +418,9 @@ TEST(NetServer, PackingHashParityWithInProcessService) {
   local.drain();
   const Packing packing = local.snapshot();
 
-  EXPECT_EQ(wire_hash, packing_hash(packing));
-  EXPECT_EQ(wire_bins, packing.num_bins());
-  EXPECT_DOUBLE_EQ(wire_cost, packing.cost());
+  EXPECT_EQ(wire_drain.packing_hash, packing_hash(packing));
+  EXPECT_EQ(wire_drain.num_bins, packing.num_bins());
+  EXPECT_DOUBLE_EQ(wire_drain.cost, packing.cost());
 }
 
 // Backpressure: a slow policy plus a tiny shard queue and in-flight window
@@ -577,6 +673,124 @@ TEST(NetServer, DrainingRefusesNewWork) {
   }
   EXPECT_TRUE(saw_shutting_down);
   server.wait();
+}
+
+/// A journal directory under the system temp dir, removed on scope exit.
+struct TempDir {
+  std::filesystem::path path;
+  explicit TempDir(const std::string& tag) {
+    static int counter = 0;
+    path = std::filesystem::temp_directory_path() /
+           ("dvbp_net_" + tag + "_" + std::to_string(++counter) + "_" +
+            std::to_string(static_cast<unsigned>(::getpid())));
+    std::filesystem::remove_all(path);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+};
+
+/// Installs a fault hook that throws at `where` in the `n`-th journal
+/// commit, as a disk failing at that instant would; cleared on scope exit.
+struct FailingCommit {
+  explicit FailingCommit(int n,
+                         std::string_view where = "journal.commit.begin") {
+    persist::set_fault_hook([this, n, where](std::string_view point) {
+      if (point == where && ++commits == n) {
+        throw persist::FaultInjected(point);
+      }
+    });
+  }
+  ~FailingCommit() { persist::clear_fault_hook(); }
+  std::atomic<int> commits{0};
+};
+
+cloud::ShardedOptions journaled_options(std::size_t shards,
+                                        const TempDir& dir,
+                                        persist::FsyncPolicy fsync) {
+  cloud::ShardedOptions opts = service_options(shards);
+  opts.journal_dir = dir.path.string();
+  opts.fsync = fsync;
+  return opts;
+}
+
+// OK means applied and committed: once the journal fails, an op answers
+// INTERNAL_ERROR, and a reopen recovers every job answered OK. An op whose
+// frame reached the file before the commit failed is recovered too, so
+// INTERNAL_ERROR means "outcome unknown", not "not applied".
+TEST(NetServer, AnOpItsJournalNeverTookAnswersInternalError) {
+  for (const std::string_view where :
+       {"journal.commit.begin", "journal.commit.written"}) {
+    SCOPED_TRACE(where);
+    TempDir dir("dead_journal");
+    const cloud::ShardedOptions opts =
+        journaled_options(1, dir, persist::FsyncPolicy::kAlways);
+    std::vector<std::uint64_t> ok_jobs;
+    int failed = 0;
+    {
+      FailingCommit fault(4, where);
+      cloud::ShardedDispatcher service(2, first_fit_factory(), opts);
+      PlacementServer server(service);
+      Client client("127.0.0.1", server.port());
+      for (int i = 0; i < 10; ++i) {
+        const Response resp = client.arrive(1.0 + i, size2(0.1, 0.1));
+        if (resp.status == Status::kOk) {
+          ok_jobs.push_back(resp.job);
+        } else {
+          EXPECT_EQ(resp.status, Status::kInternalError) << "arrive " << i;
+          ++failed;
+        }
+      }
+      client.close();
+      server.stop();
+    }
+    EXPECT_EQ(ok_jobs, (std::vector<std::uint64_t>{0, 1, 2}));
+    EXPECT_EQ(failed, 7);
+
+    // Each request is its own one-op batch, so the 4th commit carries job
+    // 3 alone: past journal.commit.written its frame is in the file.
+    std::vector<std::uint64_t> expected = ok_jobs;
+    if (where == "journal.commit.written") expected.push_back(3);
+    cloud::ShardedDispatcher reopened(2, first_fit_factory(), opts);
+    std::vector<std::uint64_t> live;
+    reopened.shard_dispatcher(0).for_each_job(
+        [&](const Dispatcher::LiveJob& job) { live.push_back(job.item.id); });
+    std::sort(live.begin(), live.end());
+    EXPECT_EQ(live, expected);
+  }
+}
+
+// A drain after a journal failure answers INTERNAL_ERROR and still closes
+// every connection once flushed, whether a Drain RPC or request_drain()
+// (the signal path) asks for it.
+TEST(NetServer, ADrainAfterAJournalFailureAnswersInternalErrorAndCloses) {
+  for (const bool by_rpc : {true, false}) {
+    SCOPED_TRACE(by_rpc ? "Drain RPC" : "request_drain");
+    TempDir dir("dead_drain");
+    FailingCommit fault(4);
+    cloud::ShardedDispatcher service(
+        2, first_fit_factory(),
+        journaled_options(2, dir, persist::FsyncPolicy::kNone));
+    PlacementServer server(service);
+    Client client("127.0.0.1", server.port());
+    Client bystander("127.0.0.1", server.port());
+    for (int i = 0; i < 10; ++i) {
+      const Status status = client.arrive(1.0 + i, size2(0.1, 0.1)).status;
+      EXPECT_TRUE(status == Status::kOk || status == Status::kInternalError);
+    }
+    EXPECT_EQ(bystander.ping().status, Status::kOk);
+    if (by_rpc) {
+      EXPECT_EQ(client.drain().status, Status::kInternalError);
+    } else {
+      server.request_drain();
+    }
+    server.wait();
+    EXPECT_TRUE(server.draining());
+    EXPECT_THROW(client.recv_response(), NetError);
+    EXPECT_THROW(bystander.recv_response(), NetError);
+    EXPECT_THROW(service.drain(), persist::FaultInjected);
+  }
 }
 
 }  // namespace

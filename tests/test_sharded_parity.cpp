@@ -10,7 +10,9 @@
 //
 // Everything here drives the service from one producer thread, so queue
 // clamping never fires and the comparison is exact (concurrency is
-// exercised by test_sharded_stress.cpp instead).
+// exercised by test_sharded_stress.cpp instead). The thread-free
+// ShardedCore runs beside the threaded service: the same ops, stepped by
+// this thread, must give the same packings.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -103,10 +105,13 @@ std::uint64_t expected_hash(const std::string& workload,
 }
 
 /// Feeds the instance's full event stream from this (single) thread and
-/// blocks until every op is applied. Global job ids equal item ids because
-/// arrivals are admitted in instance order.
-void feed_and_drain(cloud::ShardedDispatcher& service, const Instance& inst,
-                    const std::vector<Event>& events) {
+/// blocks until every op is applied; with `step_every` > 0 it also steps
+/// every shard after each `step_every` submissions. Global job ids equal
+/// item ids because arrivals are admitted in instance order.
+void feed_and_drain(cloud::ShardedCore& service, const Instance& inst,
+                    const std::vector<Event>& events,
+                    std::size_t step_every = 0) {
+  std::size_t submitted = 0;
   for (const Event& ev : events) {
     const Item& item = inst[ev.item];
     if (ev.kind == EventKind::kArrival) {
@@ -115,6 +120,9 @@ void feed_and_drain(cloud::ShardedDispatcher& service, const Instance& inst,
       ASSERT_EQ(job, item.id);
     } else {
       service.depart(ev.time, item.id);
+    }
+    if (step_every > 0 && ++submitted % step_every == 0) {
+      for (std::size_t s = 0; s < service.shards(); ++s) service.step(s);
     }
   }
   service.drain();
@@ -148,14 +156,20 @@ TEST(ShardedParity, SingleShardMatchesGoldenHashesForAllPolicies) {
       cloud::ShardedOptions options;
       options.shards = 1;
       options.router = cloud::RouterKind::kRoundRobin;
-      cloud::ShardedDispatcher service(inst.dim(), factory_for(policy_name),
-                                       options);
-      feed_and_drain(service, inst, events);
-      EXPECT_EQ(packing_hash(service.snapshot()),
-                expected_hash(name, policy_name))
-          << name << "/" << policy_name
-          << ": K=1 sharded packing diverged from the serial engine";
-      EXPECT_EQ(service.open_bins(), 0u) << name << "/" << policy_name;
+      const auto check = [&](cloud::ShardedCore& service, const char* kind) {
+        feed_and_drain(service, inst, events);
+        EXPECT_EQ(packing_hash(service.snapshot()),
+                  expected_hash(name, policy_name))
+            << name << "/" << policy_name << " (" << kind
+            << "): K=1 sharded packing diverged from the serial engine";
+        EXPECT_EQ(service.open_bins(), 0u)
+            << name << "/" << policy_name << " (" << kind << ")";
+      };
+      cloud::ShardedDispatcher threaded(inst.dim(), factory_for(policy_name),
+                                        options);
+      check(threaded, "threaded");
+      cloud::ShardedCore core(inst.dim(), factory_for(policy_name), options);
+      check(core, "thread-free core");
     }
   }
 }
@@ -195,10 +209,11 @@ TEST(ShardedParity, PerShardPackingMatchesSerialSubsequence) {
         cloud::ShardedOptions options;
         options.shards = kShards;
         options.router = kind;
-        options.max_batch = 17;  // odd batch size: exercises re-batching
-        cloud::ShardedDispatcher service(inst.dim(),
-                                         factory_for(policy_name), options);
-        feed_and_drain(service, inst, events);
+        // Thread-free, stepped after every 17 submissions: exact, odd
+        // batch boundaries exercise re-batching.
+        cloud::ShardedCore service(inst.dim(), factory_for(policy_name),
+                                   options);
+        feed_and_drain(service, inst, events, 17);
 
         for (std::size_t s = 0; s < kShards; ++s) {
           // Serial replay of shard s's substream, in admission order,

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -259,6 +260,29 @@ TEST(ShardedStress, DepartValidationIsEagerAndExactlyOnce) {
   EXPECT_THROW(service.depart(2.0, job), std::invalid_argument);
   service.drain();
   EXPECT_EQ(service.jobs_active(), 0u);
+}
+
+// A refused submission takes nothing: a full queue refuses try_arrive
+// without burning the id it would have taken (round-robin routes by id),
+// and refuses try_depart without claiming the job. Stepped by hand on the
+// thread-free core, so the queue is full exactly when the test says.
+TEST(ShardedStress, ARefusedSubmissionTakesNoIdAndClaimsNoJob) {
+  cloud::ShardedOptions options;
+  options.shards = 1;
+  options.queue_capacity = 1;
+  cloud::ShardedCore service(
+      kDim, [](std::size_t) { return make_policy("FirstFit"); }, options);
+  const std::optional<JobId> first = service.try_arrive(0.0, RVec{0.5, 0.5});
+  ASSERT_EQ(first, JobId{0});
+  EXPECT_FALSE(service.try_arrive(1.0, RVec{0.5, 0.5}).has_value());
+  EXPECT_FALSE(service.try_depart(1.0, *first));
+  EXPECT_EQ(service.step(0), 1u);
+  EXPECT_EQ(service.try_arrive(2.0, RVec{0.5, 0.5}), JobId{1});
+  EXPECT_EQ(service.step(0), 1u);
+  EXPECT_TRUE(service.try_depart(3.0, *first));
+  service.drain();
+  EXPECT_EQ(service.jobs_admitted(), 2u);
+  EXPECT_EQ(service.jobs_active(), 1u);
 }
 
 }  // namespace

@@ -5,12 +5,13 @@
 //     cell-for-cell (ratio/bins/max_open accumulators, bit-exact doubles)
 //     for threads in {1, 2, 8} on the same seed.
 //
-//  2. Rendezvous routing in the sharded service: the shard assignment is a
-//     pure function of (job id, shard count) -- independent of queue
-//     capacity, batch size, and drain timing.
+//  2. Rendezvous and round-robin routing in the sharded service: the shard
+//     assignment is a pure function of (job id, shard count) -- independent
+//     of queue capacity, batch size, and drain timing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -122,11 +123,10 @@ TEST(SweepDeterminism, RendezvousShardAssignmentIndependentOfQueueTiming) {
 
   const auto reference = shard_assignment(inst, base, false);
 
-  // Tiny queues force producer backpressure; max_batch=1 forces one apply
-  // per wakeup; draining after every op serializes the service completely.
+  // A one-op queue forces producer backpressure and caps every step at one
+  // op; draining after every op serializes the service completely.
   cloud::ShardedOptions tiny = base;
   tiny.queue_capacity = 1;
-  tiny.max_batch = 1;
   EXPECT_EQ(shard_assignment(inst, tiny, false), reference);
   EXPECT_EQ(shard_assignment(inst, base, true), reference);
 
@@ -141,6 +141,47 @@ TEST(SweepDeterminism, RendezvousShardAssignmentIndependentOfQueueTiming) {
     }
     EXPECT_EQ(reference[j], best) << "job " << j;
   }
+}
+
+TEST(SweepDeterminism, RoundRobinShardAssignmentIndependentOfQueueTiming) {
+  gen::UniformParams params;
+  params.n = 400;
+  params.d = 2;
+  params.mu = 10;
+  params.span = 300;
+  params.bin_size = 30;
+  const Instance inst = gen::uniform_instance(params, 0xBEEF);
+
+  // A one-op queue makes nearly every arrive() find its shard full and wait
+  // for room; the id it finally takes must still pick the shard.
+  cloud::ShardedOptions tiny;
+  tiny.shards = 2;
+  tiny.router = cloud::RouterKind::kRoundRobin;
+  tiny.queue_capacity = 1;
+  const auto assignment = shard_assignment(inst, tiny, false);
+  for (JobId j = 0; j < inst.size(); ++j) {
+    EXPECT_EQ(assignment[j], j % 2) << "job " << j;
+  }
+
+  // Thread-free: after every second job both queues are full, so one more
+  // try_arrive is refused; stepping both shards then makes room. The
+  // refusals shift no later job's shard.
+  cloud::ShardedCore core(
+      2, [](std::size_t) { return make_policy("FirstFit"); }, tiny);
+  const RVec size{0.1, 0.1};
+  for (JobId j = 0; j < 40; ++j) {
+    const std::optional<JobId> job = core.try_arrive(j, size);
+    ASSERT_TRUE(job.has_value()) << "job " << j;
+    EXPECT_EQ(*job, j);
+    EXPECT_EQ(core.shard_of(j), j % 2) << "job " << j;
+    if (j % 2 == 1) {
+      EXPECT_FALSE(core.try_arrive(j, size).has_value());
+      core.step(0);
+      core.step(1);
+    }
+  }
+  core.drain();
+  EXPECT_EQ(core.jobs_admitted(), 40u);
 }
 
 TEST(SweepDeterminism, RendezvousSpreadsLoadAcrossShards) {

@@ -10,9 +10,16 @@
 //     pre-tenancy configuration (tenants = 0, unlabeled arrivals) on the
 //     same feed, and the shard accountants must meter exactly the demand
 //     integrals the labels imply.
+//   * Sharded settlement (the thread-free core, journaled): merging the
+//     shard ledgers cuts the same epoch usage a serial accountant does,
+//     conserves credits, and the settled state recovers from shard 0.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <utility>
@@ -29,6 +36,7 @@
 #include "gen/uniform.hpp"
 #include "packing_hash.hpp"
 #include "tenancy/accountant.hpp"
+#include "tenancy/arbiter.hpp"
 
 namespace dvbp {
 namespace {
@@ -244,6 +252,88 @@ TEST(TenancyParity, AccountingAgreesAcrossTopologies) {
     EXPECT_NEAR(sharded_demand[t], serial_acc.demand_integral(t), 1e-6)
         << "tenant " << t;
   }
+}
+
+// settle_tenants on a journaled K=2 core, every 50 time units at
+// quiescence: (a) the merged epoch usage is a serial accountant's cut,
+// (b) credits are conserved, (c) a reopen recovers the last settlement
+// from shard 0's journal.
+TEST(TenancyParity, ShardedSettlementMatchesSerialCutAndRecovers) {
+  constexpr std::uint32_t kSettleTenants = 3;
+  constexpr Time kEpoch = 50.0;
+  gen::UniformParams params;
+  params.d = 2;
+  params.n = 600;
+  params.mu = 10;
+  params.span = 200;
+  params.bin_size = 20;
+  Instance inst = gen::uniform_instance(params, 0x5E771Eu);
+  gen::label_tenants_uniform(inst, kSettleTenants, /*seed=*/0x7E4Au);
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("dvbp_settle_" + std::to_string(static_cast<unsigned>(::getpid())));
+  std::filesystem::remove_all(dir);
+  cloud::ShardedOptions options;
+  options.shards = 2;
+  options.router = cloud::RouterKind::kRoundRobin;
+  options.tenants = kSettleTenants;
+  options.journal_dir = dir.string();
+  options.fsync = persist::FsyncPolicy::kNone;
+  const auto factory = [](std::size_t) {
+    return make_policy("BestFit", kPolicySeed);
+  };
+  tenancy::ArbiterConfig config;
+  config.num_tenants = kSettleTenants;
+  config.alpha = 0.05;
+  config.capacity_units = 3.0;
+  config.init_credits = 10.0;
+  tenancy::Arbiter arbiter(config);
+
+  tenancy::UsageAccountant serial(kSettleTenants);
+  std::vector<std::uint8_t> last_state;
+  int settlements = 0;
+  {
+    cloud::ShardedCore service(inst.dim(), factory, options);
+    const auto settle = [&](Time now) {
+      service.drain();
+      const std::vector<double> usage = service.settle_tenants(now, arbiter);
+      serial.on_advance(now, 0);
+      const std::vector<double> cut = serial.cut_epoch();
+      for (std::uint32_t t = 0; t < kSettleTenants; ++t) {
+        EXPECT_NEAR(usage[t], cut[t], 1e-9 * std::max(1.0, std::abs(cut[t])))
+            << "tenant " << t << " at t=" << now;
+      }
+      const double supply =
+          kSettleTenants * config.init_credits + arbiter.public_injected();
+      EXPECT_NEAR(arbiter.credit_sum(), supply, 1e-9 * supply)
+          << "at t=" << now;
+      last_state = arbiter.state_bytes();
+      ++settlements;
+    };
+    std::vector<JobId> job_of_item(inst.size(), kNoItem);
+    Time next_settle = kEpoch;
+    for (const Event& ev : build_event_stream(inst)) {
+      for (; ev.time >= next_settle; next_settle += kEpoch) {
+        settle(next_settle);
+      }
+      const Item& item = inst[ev.item];
+      if (ev.kind == EventKind::kArrival) {
+        serial.on_arrive(item, ev.time, 0);
+        job_of_item[ev.item] = service.arrive(item.arrival, item.size,
+                                              item.departure, item.tenant);
+      } else {
+        serial.on_depart(item, ev.time, 0);
+        service.depart(ev.time, job_of_item[ev.item]);
+      }
+    }
+    settle(next_settle);
+  }
+  EXPECT_GE(settlements, 4);
+
+  cloud::ShardedCore reopened(inst.dim(), factory, options);
+  EXPECT_EQ(reopened.shard_recovery(0).tenant_credits, last_state);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
