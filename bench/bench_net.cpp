@@ -45,7 +45,6 @@ dvbp::net::LoadgenResult overload(double rate, double duration_s) {
   lopts.duration_s = duration_s;
   cloud::ShardedOptions service_opts;
   service_opts.shards = kShards;
-  service_opts.router = cloud::RouterKind::kRoundRobin;
   service_opts.queue_capacity = 64;
   cloud::ShardedDispatcher service(
       lopts.dim, [](std::size_t) { return make_policy("FirstFit"); },

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "cloud/router.hpp"
 #include "cloud/sharded_dispatcher.hpp"
 #include "core/dispatcher.hpp"
 #include "core/event.hpp"
@@ -148,7 +147,6 @@ void BM_ShardedArrivals(benchmark::State& state, Mode mode) {
     state.ResumeTiming();
     cloud::ShardedOptions options;
     options.shards = shards;
-    options.router = cloud::RouterKind::kRoundRobin;
     options.queue_capacity = 8192;
     if (mode != Mode::kOff) {
       options.journal_dir = dir;

@@ -2,10 +2,11 @@
 # Runs fourteen batch invocations that pin what `harness` prints on every
 # stack it composes -- serial, traced, migrating, tenant-gated, journaled
 # and recovered, sharded, sharded and journaled and recovered -- into fresh
-# journal directories. Each run's output (exit code included, the columns
-# that measure time left out) and each decision trace land in <out-dir>, so
-# two builds print the same numbers exactly when `diff -r` between their
-# out-dirs is empty:
+# journal directories; invocation 12 pins that --migrate-budget with
+# --shards exits 2 (migration is serial-only). Each run's output (exit
+# code included, the columns that measure time left out) and each decision
+# trace land in <out-dir>, so two builds print the same numbers exactly
+# when `diff -r` between their out-dirs is empty:
 #
 #   scripts/harness_parity.sh build-a/src/harness /tmp/parity-a
 #   scripts/harness_parity.sh build-b/src/harness /tmp/parity-b
@@ -93,7 +94,7 @@ run 08_journal $G --policy=BestFit --journal-dir=d1 --checkpoint-every=512
 run 09_journal_recover $G --policy=BestFit --journal-dir=d1 \
   --checkpoint-every=512 --recover
 run 10_journal_migrate $G --policy=BestFit --journal-dir=d2 --migrate-budget=1
-run 11_shards $G --shards=4 --router=rendezvous
+run 11_shards $G --shards=4
 run 12_shards_rebalance $G --shards=4 --migrate-budget=8
 run 13_shards_journal $G --shards=2 --journal-dir=d3 --checkpoint-every=300
 extra_drop="checkpoint_seq replayed_ops" run 14_shards_recover $G --shards=2 \

@@ -28,10 +28,6 @@ bool holds_ops(const std::string& dir) {
   return false;
 }
 
-/// Applied ops between refreshes of the shard load snapshot the
-/// least-usage router reads.
-constexpr std::size_t kSnapshotEvery = 64;
-
 /// Most ops one step takes off a queue (one lock round-trip and one
 /// journal commit per batch).
 constexpr std::size_t kMaxBatch = 256;
@@ -106,12 +102,8 @@ class ShardedCore::Listener final : public TenantUsageHook {
     const std::vector<BinId>& placed = engine.recorder().assignment();
     std::vector<const Item*> departed;
     for (JobId job = 0; job < placed.size(); ++job) {
-      if (placed[job] == kNoBin || engine.dispatcher().job(job) != nullptr) {
-        continue;
-      }
-      const JobRec& rec = service_.job_rec(job);
-      if (rec.shard.load(std::memory_order_acquire) == shard_) {
-        departed.push_back(&rec.item);
+      if (placed[job] != kNoBin && engine.dispatcher().job(job) == nullptr) {
+        departed.push_back(&service_.job_rec(job).item);
       }
     }
     out.u64(departed.size());
@@ -168,7 +160,6 @@ ShardedCore::ShardedCore(std::size_t dim, const PolicyFactory& factory,
     throw std::invalid_argument("ShardedDispatcher: null policy factory");
   }
 
-  router_ = make_router(options_.router, options_.shards);
   // Reopening with fewer shards would silently drop the extra shards' jobs.
   const std::size_t journaled =
       options_.journal_dir.empty()
@@ -212,8 +203,6 @@ ShardedCore::ShardedCore(std::size_t dim, const PolicyFactory& factory,
     durable.usage_hook = shard->listener.get();
     shard->engine = std::make_unique<persist::DurableDispatcher>(
         dim_, *shard->policy, std::move(durable), options_.bin_capacity);
-    shard->load_snapshot.store(shard->engine->dispatcher().total_active_load(),
-                               std::memory_order_relaxed);
     if (options_.metrics != nullptr) {
       const std::string prefix = "dvbp.shard." + std::to_string(s) + ".";
       shard->queue_depth = &options_.metrics->gauge(prefix + "queue_depth");
@@ -245,12 +234,9 @@ ShardedCore::JobRec& ShardedCore::job_slot(std::uint64_t job) {
 }
 
 // After recovery the job table holds what the shards' listeners restored
-// and replayed. A job live on a shard belongs to that shard, whatever
-// other shards' histories say of it: a cross-shard move departs the job on
-// its source and re-admits it on its destination. A job live nowhere
-// belongs to the shard whose history names it; a completed journaled
-// rebalance pass checkpoints every shard it touched, so after it only the
-// job's last shard does.
+// and replayed: each job's record on the one shard whose history names it.
+// The live jobs a checkpoint restored come back without a listener call,
+// so they are written here.
 void ShardedCore::rebuild_job_table() {
   std::uint64_t next = 0;
   for (const auto& shard : shards_) {
@@ -275,9 +261,6 @@ void ShardedCore::rebuild_job_table() {
           rec.item = job.item;
         });
   }
-  // Round-robin and rendezvous route by id, so routing resumes where the
-  // run left off; least-usage re-derives from the load snapshots the
-  // shards refreshed after recovering.
 }
 
 ShardedCore::~ShardedCore() {
@@ -341,7 +324,6 @@ ShardedCore::JobRec& ShardedCore::checked_job_rec(JobId job,
 
 JobId ShardedCore::submit(Op op, bool wait) {
   const bool arrival = op.kind == Op::Kind::kArrive;
-  const bool least_usage = router_->kind() == RouterKind::kLeastUsage;
   // Validate here, in the producer, so a step cannot throw for caller
   // mistakes (mirrors Dispatcher::arrive's checks).
   if (arrival) {
@@ -367,24 +349,10 @@ JobId ShardedCore::submit(Op op, bool wait) {
     if (arrival) {
       // The next id routes the arrival, but it is taken only with the push
       // below: a refused arrival burns no id, and a retry routes the id it
-      // then finds (round-robin and rendezvous route by id alone).
+      // then finds.
       op.job = static_cast<JobId>(next_job_.load(std::memory_order_acquire));
       job_slot(op.job);
-      if (least_usage) {
-        std::vector<double> loads(shards_.size());
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-          // Snapshot load plus queued-but-unapplied arrivals: keeps a
-          // burst from piling onto one shard between snapshot refreshes.
-          loads[s] =
-              shards_[s]->load_snapshot.load(std::memory_order_relaxed) +
-              static_cast<double>(std::max<std::int64_t>(
-                  0, shards_[s]->pending_arrivals.load(
-                         std::memory_order_relaxed)));
-        }
-        target = router_->route(0, loads);
-      } else {
-        target = router_->route(op.job, {});
-      }
+      target = static_cast<std::size_t>(op.job) % shards_.size();
     } else {
       target = checked_job_rec(op.job, "depart")
                    .shard.load(std::memory_order_acquire);
@@ -411,9 +379,6 @@ JobId ShardedCore::submit(Op op, bool wait) {
           }
           rec.shard.store(static_cast<std::uint32_t>(target),
                           std::memory_order_release);
-          if (least_usage) {
-            shard.pending_arrivals.fetch_add(1, std::memory_order_relaxed);
-          }
         } else {
           rec.departed.store(true, std::memory_order_relaxed);
         }
@@ -439,8 +404,7 @@ JobId ShardedCore::submit(Op op, bool wait) {
   }
 }
 
-// The one clamp-and-degrade rule, for queued ops and rebalance moves
-// alike. Several producers can interleave, so an op's timestamp may lag
+// The one clamp-and-degrade rule. Several producers can interleave, so an op's timestamp may lag
 // the shard clock; it is applied at the clock (the way an ingestion
 // front-end stamps requests). A single producer's feed is monotone and
 // never clamped. An arrival's advisory departure that the clamp overtakes
@@ -493,13 +457,8 @@ std::size_t ShardedCore::step(std::size_t shard_idx) {
     // Group commit: the whole batch goes down with one write(2) and at
     // most one fsync. An op that does not both apply and commit fails.
     persist::DurableDispatcher& engine = *shard.engine;
-    std::size_t since_snapshot = 0;
     engine.begin_batch();
     for (Op& op : batch) {
-      if (op.kind == Op::Kind::kArrive &&
-          router_->kind() == RouterKind::kLeastUsage) {
-        shard.pending_arrivals.fetch_sub(1, std::memory_order_relaxed);
-      }
       try {
         apply(engine, op);
       } catch (...) {
@@ -515,14 +474,7 @@ std::size_t ShardedCore::step(std::size_t shard_idx) {
             std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
                 .count()));
       }
-      if (++since_snapshot >= kSnapshotEvery) {
-        since_snapshot = 0;
-        shard.load_snapshot.store(engine.dispatcher().total_active_load(),
-                                  std::memory_order_relaxed);
-      }
     }
-    shard.load_snapshot.store(engine.dispatcher().total_active_load(),
-                              std::memory_order_relaxed);
     try {
       engine.end_batch();
     } catch (...) {
@@ -697,8 +649,7 @@ Packing ShardedCore::shard_packing(std::size_t shard) const {
 Packing ShardedCore::snapshot() const {
   require_quiescent();
   // Bin ids are renumbered shard-major: shard s's bins keep their relative
-  // opening order and start at its offset. Each job's bin comes from its
-  // final owner: a cross-shard move leaves the job in both histories.
+  // opening order and start at its offset. A job is in one shard's history.
   std::vector<BinId> assignment(jobs_admitted(), kNoBin);
   std::vector<BinRecord> bins;
   for (const auto& shard : shards_) {
@@ -711,11 +662,7 @@ Packing ShardedCore::snapshot() const {
     }
     const std::vector<BinId>& placed = recorder.assignment();
     for (JobId job = 0; job < placed.size(); ++job) {
-      if (placed[job] != kNoBin &&
-          shards_[job_rec(job).shard.load(std::memory_order_acquire)] ==
-              shard) {
-        assignment[job] = placed[job] + offset;
-      }
+      if (placed[job] != kNoBin) assignment[job] = placed[job] + offset;
     }
   }
   return Packing(std::move(assignment), std::move(bins));
@@ -783,114 +730,6 @@ std::vector<double> ShardedCore::settle_tenants(
   std::lock_guard<std::mutex> lock(shard0.mu);
   shard0.engine->settle_credits(now, arbiter.state_bytes());
   return usage;
-}
-
-namespace {
-
-double load_skew(const std::vector<double>& loads) {
-  const double mx = *std::max_element(loads.begin(), loads.end());
-  const double mn = *std::min_element(loads.begin(), loads.end());
-  if (mn <= 1e-12) {
-    return mx <= 1e-12 ? 1.0 : std::numeric_limits<double>::infinity();
-  }
-  return mx / mn;
-}
-
-}  // namespace
-
-ShardRebalanceReport ShardedCore::rebalance_shards(
-    Time now, const ShardRebalanceConfig& config) {
-  require_quiescent();
-  ShardRebalanceReport report;
-  if (shards_.size() < 2) {
-    report.skew_before = report.skew_after = 1.0;
-    return report;
-  }
-
-  std::vector<double> loads(shards_.size(), 0.0);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    std::lock_guard<std::mutex> lock(shards_[s]->mu);
-    loads[s] = shards_[s]->engine->dispatcher().total_active_load();
-  }
-  report.skew_before = load_skew(loads);
-
-  std::vector<bool> touched(shards_.size(), false);
-  while (report.moves < config.max_moves) {
-    const std::size_t src = static_cast<std::size_t>(
-        std::max_element(loads.begin(), loads.end()) - loads.begin());
-    const std::size_t dst = static_cast<std::size_t>(
-        std::min_element(loads.begin(), loads.end()) - loads.begin());
-    const double gap = loads[src] - loads[dst];
-    if (gap < config.min_gap) break;
-    if (loads[src] <= config.skew_ratio * loads[dst]) break;
-
-    Shard& source = *shards_[src];
-    Shard& dest = *shards_[dst];
-
-    // Pick the largest active job that does not overshoot: moving more
-    // than half the gap would just invert the skew. Ties go to the job the
-    // shard admitted first.
-    Op move{.kind = Op::Kind::kArrive, .time = now};
-    {
-      std::lock_guard<std::mutex> lock(source.mu);
-      const Item* pick = nullptr;
-      double best_l1 = 0.0;
-      std::uint64_t best_rank = 0;
-      source.engine->dispatcher().for_each_job(
-          [&](const Dispatcher::LiveJob& live) {
-            const double l1 = live.item.size.l1();
-            if (l1 > gap / 2.0 + 1e-12 || l1 < best_l1) return;
-            if (l1 == best_l1 && (pick == nullptr || live.rank > best_rank)) {
-              return;
-            }
-            pick = &live.item;
-            best_l1 = l1;
-            best_rank = live.rank;
-          });
-      if (pick == nullptr) break;  // only oversized jobs left
-      move.job = pick->id;
-      move.size = pick->size;
-      move.expected_departure = pick->departure;  // still the advisory value
-      move.tenant = pick->tenant;  // billing follows the job
-    }
-
-    // Depart on the source and make it durable BEFORE the destination
-    // arrival exists anywhere: a crash between the two steps then loses
-    // the arrival (the job recovers as departed) and can never resurrect
-    // the job on both shards.
-    {
-      std::lock_guard<std::mutex> lock(source.mu);
-      Op leave{.kind = Op::Kind::kDepart, .time = now, .job = move.job};
-      apply(*source.engine, leave);
-      source.engine->flush();
-      source.load_snapshot.store(
-          source.engine->dispatcher().total_active_load(),
-          std::memory_order_relaxed);
-    }
-    {
-      std::lock_guard<std::mutex> lock(dest.mu);
-      const double l1 = move.size.l1();
-      apply(*dest.engine, move);
-      dest.load_snapshot.store(dest.engine->dispatcher().total_active_load(),
-                               std::memory_order_relaxed);
-      loads[src] -= l1;
-      loads[dst] += l1;
-      report.moved_volume += l1;
-    }
-    touched[src] = touched[dst] = true;
-    ++report.moves;
-  }
-
-  // A moved job that later departs must be named by its last shard's
-  // history only (see rebuild_job_table): checkpoint every touched shard,
-  // so no move's source-side depart stays in a journal tail.
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (!touched[s]) continue;
-    std::lock_guard<std::mutex> lock(shards_[s]->mu);
-    shards_[s]->engine->checkpoint();
-  }
-  report.skew_after = load_skew(loads);
-  return report;
 }
 
 ShardedDispatcher::ShardedDispatcher(std::size_t dim,

@@ -4,26 +4,27 @@
 // The paper's allocator is inherently sequential: every placement decision
 // depends on the full bin state. To serve heavy arrival traffic the service
 // layer partitions the stream instead -- K independent Dispatcher shards,
-// each fed through a bounded FIFO queue. A Router (cloud/router.hpp) picks
-// the shard at admission time, in the submitting thread; the job's
-// departure is steered to the same shard, so each shard observes a
-// self-consistent substream and its competitive behavior is exactly that
-// of a serial Dispatcher on that substream.
+// each fed through a bounded FIFO queue. One rule routes: job j is admitted
+// on shard j mod K and stays there for its whole life (its departure is
+// steered to the same shard), so each shard observes a self-consistent
+// substream and its competitive behavior is exactly that of a serial
+// Dispatcher on that substream. The rule is a pure function of the job id,
+// so the assignment does not depend on thread or queue timing.
 //
-// ShardedCore starts no thread: it owns the router, the job table, the
-// shards with their engines and queues, one submission path, and
-// step(shard), which takes up to 256 queued ops in FIFO order, applies
-// them in one group commit, fires their completions and publishes progress
-// in queue order. A test steps it directly. ShardedDispatcher is the core
-// plus one worker per shard that waits (a short spin, then a condition
-// variable producers signal on the empty -> non-empty transition) and
-// steps. drain() steps shards itself, and so does a submission waiting for
-// room in the core (in the threaded service it waits for the worker), so
-// completions fire on whichever thread steps.
+// ShardedCore starts no thread: it owns the job table, the shards with
+// their engines and queues, one submission path, and step(shard), which
+// takes up to 256 queued ops in FIFO order, applies them in one group
+// commit, fires their completions and publishes progress in queue order.
+// A test steps it directly. ShardedDispatcher is the core plus one worker
+// per shard that waits (a short spin, then a condition variable producers
+// signal on the empty -> non-empty transition) and steps. drain() steps
+// shards itself, and so does a submission waiting for room in the core (in
+// the threaded service it waits for the worker), so completions fire on
+// whichever thread steps.
 //
 // Equivalence contract (pinned by tests/test_sharded_parity.cpp):
-//   * K = 1, any router: the service reproduces the serial Dispatcher --
-//     and hence simulate() -- bin for bin on any monotone event feed.
+//   * K = 1: the service reproduces the serial Dispatcher -- and hence
+//     simulate() -- bin for bin on any monotone event feed.
 //   * K > 1: shard s's packing equals a serial Dispatcher fed shard s's
 //     substream in admission order, and the global cost is the sum of the
 //     per-shard costs at every timestamp.
@@ -31,9 +32,7 @@
 // Memory layout: each shard's Dispatcher owns its own slab allocators and
 // SoA open-bin table (core/open_bin_table.hpp, core/pool.hpp), so the
 // SIMD feasibility scan and the pooled usage-node recycling are per-shard
-// and share no cache lines across workers. The least-usage router's
-// load_snapshot is refreshed from the shard table's contiguous lanes
-// (Dispatcher::total_active_load), not by walking BinState objects.
+// and share no cache lines across workers.
 //
 // Timestamps: each shard applies its queue in FIFO order and clamps event
 // times to be monotone within the shard (an op whose timestamp lags the
@@ -81,7 +80,6 @@
 #include <thread>
 #include <vector>
 
-#include "cloud/router.hpp"
 #include "core/dispatcher.hpp"
 #include "core/packing.hpp"
 #include "core/policies/policy.hpp"
@@ -94,9 +92,14 @@
 
 namespace dvbp::cloud {
 
+/// How an arrival picks its shard. There is one rule: job id mod shards.
+/// The type and ShardedOptions::router stay only because perfbench
+/// (perfbench/src/wire.cpp) sets the field; the service never reads it.
+enum class RouterKind : std::uint8_t { kRoundRobin = 0 };
+
 struct ShardedOptions {
   std::size_t shards = 1;
-  RouterKind router = RouterKind::kRoundRobin;
+  RouterKind router = RouterKind::kRoundRobin;  ///< see RouterKind
   double bin_capacity = 1.0;
   /// Per-shard queue bound: a submission into a full queue waits for room
   /// (arrive, depart) or is refused (try_arrive, try_depart).
@@ -111,10 +114,9 @@ struct ShardedOptions {
   /// engine owns `<journal_dir>/shard-<s>` exclusively -- journal appends
   /// never take a cross-shard lock. Construction recovers every shard from
   /// its directory (checkpoint restore + journal replay) before the
-  /// workers start, rebuilding the global job table and router state. It
-  /// throws persist::PersistError when a `shard-<s>` with s >= shards
-  /// holds a checkpoint or a non-empty journal segment: those jobs would
-  /// be lost.
+  /// workers start, rebuilding the global job table. It throws
+  /// persist::PersistError when a `shard-<s>` with s >= shards holds a
+  /// checkpoint or a non-empty journal segment: those jobs would be lost.
   std::string journal_dir;
   persist::FsyncPolicy fsync = persist::FsyncPolicy::kInterval;
   std::size_t fsync_interval_ops = 256;
@@ -140,29 +142,6 @@ struct JournalLayout {
   std::size_t shards = 0;  ///< 1 + the highest s whose shard-<s>/ holds ops
 };
 JournalLayout read_journal_layout(const std::string& dir);
-
-/// Knobs for rebalance_shards() (docs/MIGRATION.md). A move is a
-/// depart-on-source + arrive-on-destination under the same global job id,
-/// journaled on both shards (source made durable first, so a crash in
-/// between can only lose the destination arrival -- the job recovers as
-/// departed -- never duplicate it). A journaled pass ends by checkpointing
-/// every shard it touched, so no move's source-side depart is left in a
-/// journal tail.
-struct ShardRebalanceConfig {
-  /// Trigger: move while max shard load > skew_ratio * min shard load.
-  double skew_ratio = 1.5;
-  /// Stop once the absolute max-min load gap falls below this.
-  double min_gap = 0.25;
-  /// Migration budget: at most this many jobs moved per call.
-  std::size_t max_moves = 16;
-};
-
-struct ShardRebalanceReport {
-  std::size_t moves = 0;
-  double moved_volume = 0.0;  ///< sum of moved jobs' L1 sizes
-  double skew_before = 0.0;   ///< max/min load ratio at entry
-  double skew_after = 0.0;    ///< max/min load ratio at exit
-};
 
 /// Completion hook for asynchronous submissions (the network front-end,
 /// src/net/server.cpp). op_applied() fires exactly once per accepted
@@ -261,7 +240,6 @@ class ShardedCore {
 
   std::size_t dim() const noexcept { return dim_; }
   std::size_t shards() const noexcept { return shards_.size(); }
-  RouterKind router() const noexcept { return router_->kind(); }
 
   /// Ops admitted (arrivals + departures enqueued so far). Summed over the
   /// shards; exact once the producers that matter have returned.
@@ -270,7 +248,9 @@ class ShardedCore {
   std::uint64_t ops_applied() const noexcept;
 
   std::size_t jobs_admitted() const;
-  /// Shard `job` was routed to (fixed at arrive()).
+  /// Shard `job` was admitted on, for its whole life: job mod shards(),
+  /// unless the job was recovered from a journal written with fewer
+  /// shards, when it stays on the shard that recovered it.
   std::size_t shard_of(JobId job) const;
 
   /// Sum of the per-shard eq. (1) costs at `at` -- exact for historical
@@ -296,30 +276,18 @@ class ShardedCore {
 
   /// The merged global packing: bin ids renumbered shard-major (shard 0's
   /// bins first, in opening order), one assignment slot per job id
-  /// jobs_admitted() handed out, each naming the job's bin on its final
-  /// owner shard (kNoBin for an id that was never applied).
+  /// jobs_admitted() handed out, each naming the job's bin on its shard
+  /// (kNoBin for an id that was never applied).
   Packing snapshot() const;
 
-  /// The job's admission record on its final owner shard (applied,
-  /// possibly clamped, arrival time; actual departure once departed).
+  /// The job's admission record on its shard (applied, possibly clamped,
+  /// arrival time; actual departure once departed).
   /// Quiescent only. Throws std::invalid_argument for ids never applied.
   const Item& job_item(JobId job) const;
 
   /// How shard `shard` recovered at construction (all-defaults when
   /// journaling is off or the directory was empty: a cold start).
   const persist::RecoveryReport& shard_recovery(std::size_t shard) const;
-
-  /// Shard-level rebalancing: while the shard loads skew beyond
-  /// `config.skew_ratio`, moves jobs (largest first, bounded by half the
-  /// load gap) from the most- to the least-loaded shard, re-routing each
-  /// job's ownership so later departs land on the new shard. Requires
-  /// quiescence (drain() first, no concurrent producers) -- the whole
-  /// call runs with the service idle, mutating shard state under the
-  /// shard locks and bypassing the queues. At most `config.max_moves`
-  /// jobs move per call. Journaled when durability is on; a journal
-  /// failure propagates (the shard journals nothing more).
-  ShardRebalanceReport rebalance_shards(
-      Time now, const ShardRebalanceConfig& config = {});
 
   /// Read-only views of shard `shard`'s live dispatcher and of the
   /// recorder attached to it, for invariant checking. Quiescent only.
@@ -391,10 +359,6 @@ class ShardedCore {
     /// in queue order.
     std::atomic<std::uint64_t> ops_applied{0};
 
-    // Router signals (written by steps / producers, read by route()).
-    std::atomic<double> load_snapshot{0.0};
-    std::atomic<std::int64_t> pending_arrivals{0};
-
     // Cached instruments (null when metrics are off).
     obs::Gauge* queue_depth = nullptr;
     obs::Histogram* batch_size = nullptr;
@@ -405,9 +369,9 @@ class ShardedCore {
   /// Per-job admission record. Lives in chunked, pointer-stable storage so
   /// the arrive/depart hot paths never share a lock: ids come from an
   /// atomic counter, `shard`/`departed` are per-record atomics, and `item`
-  /// is written by the owning shard's listener (from its stepper, or from
-  /// rebalance_shards at quiescence); other readers must be quiescent,
-  /// ordered by the ops_applied release/acquire pair in drain().
+  /// is written by the owning shard's listener (from its stepper); other
+  /// readers must be quiescent, ordered by the ops_applied release/acquire
+  /// pair in drain().
   struct JobRec {
     std::atomic<std::uint32_t> shard{0};
     std::atomic<bool> departed{false};  // set when the depart is queued
@@ -430,8 +394,8 @@ class ShardedCore {
   /// Throws std::length_error past the job table's capacity.
   JobRec& job_slot(std::uint64_t job);
 
-  /// The one submission path: validate, route (an arrival) or find the
-  /// owner (a departure), and enqueue -- waiting for room (wait_for_room)
+  /// The one submission path: validate, route (an arrival, to job mod K)
+  /// or find the owner (a departure), and enqueue -- waiting for room (wait_for_room)
   /// when `wait`, else refusing. Returns the op's job id, or kNoItem
   /// when refused.
   JobId submit(Op op, bool wait);
@@ -448,7 +412,6 @@ class ShardedCore {
 
   std::size_t dim_;
   ShardedOptions options_;
-  std::unique_ptr<Router> router_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::atomic<std::uint64_t> next_job_{0};

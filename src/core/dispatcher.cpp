@@ -338,10 +338,6 @@ void Dispatcher::compact() {
   holes_ = 0;
 }
 
-double Dispatcher::total_active_load() const noexcept {
-  return table_.total_load();  // the SoA lanes, in opening order
-}
-
 BinId Dispatcher::bin_of(JobId job) const noexcept {
   const std::uint32_t slot = job_slot_.find(job);
   if (slot == IdMap::kAbsent || jobs_[slot].bin_slot == kNoSlot) {
@@ -377,8 +373,7 @@ void Dispatcher::save_state(serial::Writer& out) const {
     bins_[bin_slot_.find(view.id)].save_state(out);
   }
 
-  // Admission order, not slot order: the stream is canonical and the
-  // restored table keeps the order rebalance_shards breaks ties by.
+  // Admission order, not slot order: the stream is canonical.
   std::vector<const JobSlot*> live;
   for (const JobSlot& slot : jobs_) {
     if (slot.item.id != kNoItem) live.push_back(&slot);

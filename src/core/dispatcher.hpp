@@ -200,13 +200,8 @@ class Dispatcher {
   /// the live slots. The span and the load pointers inside it are
   /// invalidated by the next mutating call; callers that share the
   /// dispatcher across threads must hold their own lock across the call
-  /// and any use of the result (the sharded service's router reads these
-  /// under the shard mutex).
+  /// and any use of the result.
   std::span<const BinView> open_views() const noexcept { return views_; }
-
-  /// Sum over open bins and dimensions of the current load -- the
-  /// "total usage" signal the least-usage router balances on. O(open bins).
-  double total_active_load() const noexcept;
 
   /// Total usage time accrued up to `at`: every bin contributes
   /// max(0, min(at, close time) - open time), where open bins have no

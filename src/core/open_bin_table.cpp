@@ -269,10 +269,6 @@ void OpenBinTable::make_hole(std::size_t slot) {
   for (std::size_t j = 0; j < dim_; ++j) mutable_lane(j)[slot] = kPoison;
 }
 
-bool OpenBinTable::is_hole(std::size_t slot) const noexcept {
-  return lane(0)[slot] == kPoison;
-}
-
 void OpenBinTable::move_slot(std::size_t from, std::size_t to) {
   for (std::size_t j = 0; j < dim_; ++j) {
     mutable_lane(j)[to] = lane(j)[from];
@@ -345,21 +341,6 @@ void OpenBinTable::collect_fitting(
       m &= m - 1;
     }
   }
-}
-
-double OpenBinTable::total_load() const noexcept {
-  // Slot-outer, dimension-inner: the same two-level summation (per-bin
-  // partial sum folded into the running total) as the AoS
-  // `total += bin.load().l1()` loop over the open bins in opening order,
-  // so the router signal keeps its exact pre-SoA value.
-  double total = 0.0;
-  for (std::size_t slot = 0; slot < size_; ++slot) {
-    if (is_hole(slot)) continue;
-    double b = 0.0;
-    for (std::size_t j = 0; j < dim_; ++j) b += lane(j)[slot];
-    total += b;
-  }
-  return total;
 }
 
 double OpenBinTable::measure_slot(std::size_t slot, int measure) const {

@@ -26,10 +26,10 @@
 //
 // Slots are in opening order and match the Dispatcher's views_ position
 // for position. A closed bin's slot stays where it is as a hole: its
-// lanes are poisoned exactly like padding, so no scan admits it and
-// total_load() skips it, and a close costs O(d) instead of shifting every
-// later slot. The Dispatcher squeezes the holes out now and then with
-// move_slot() and truncate(), keeping the live slots in opening order.
+// lanes are poisoned exactly like padding, so no scan admits it, and a
+// close costs O(d) instead of shifting every later slot. The Dispatcher
+// squeezes the holes out now and then with move_slot() and truncate(),
+// keeping the live slots in opening order.
 #pragma once
 
 #include <cstddef>
@@ -76,8 +76,8 @@ class OpenBinTable {
   /// departure path RVec::operator-= followed by clamp_nonnegative().
   void sub_clamped(std::size_t slot, const double* sub);
 
-  /// Turns `slot` into a hole: +inf in every lane, so it never fits and
-  /// total_load() skips it. No other slot moves. O(d).
+  /// Turns `slot` into a hole: +inf in every lane, so it never fits. No
+  /// other slot moves. O(d).
   void make_hole(std::size_t slot);
 
   /// Copies slot `from`'s loads into slot `to`, bit for bit -- one step of
@@ -113,14 +113,6 @@ class OpenBinTable {
   /// earliest slot; npos when none fit.
   std::size_t find_worst_fit(const double* add, int measure) const;
 
-  /// Sum of every live slot's L1 load -- the "total usage" signal the
-  /// sharded service's least-usage router balances on. Summed per slot in
-  /// opening order, holes skipped, inner loop over dimensions, reproducing
-  /// `for bin: total += load.l1()` on the AoS state bit for bit (loads are
-  /// nonnegative, so l1's abs is the identity); routing decisions are
-  /// unchanged by the SoA rewrite and by holes.
-  double total_load() const noexcept;
-
   /// Lane pointer for dimension j: entry [slot] equals the owning bin's
   /// load()[j], bit for bit, or +inf for a hole. Valid for size() slots.
   const double* lane(std::size_t j) const noexcept {
@@ -134,8 +126,6 @@ class OpenBinTable {
 
  private:
   void ensure_capacity(std::size_t want_slots);
-  /// A hole's lanes are +inf; a live bin's load is always finite.
-  bool is_hole(std::size_t slot) const noexcept;
   double measure_slot(std::size_t slot, int measure) const;
   double* mutable_lane(std::size_t j) noexcept {
     return lanes_.data() + offset_ + j * stride_;

@@ -208,4 +208,19 @@ inline std::uint32_t crc32(const std::vector<std::uint8_t>& buf) noexcept {
   return crc32(buf.data(), buf.size());
 }
 
+/// Appends one frame to `out`: the payload's length (u32), its CRC-32
+/// (u32), then the payload -- the framing of every journal record and
+/// every wire message.
+inline void append_frame(const std::vector<std::uint8_t>& payload,
+                         std::vector<std::uint8_t>& out) {
+  const auto put_u32 = [&out](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  put_u32(static_cast<std::uint32_t>(payload.size()));
+  put_u32(crc32(payload));
+  out.insert(out.end(), payload.begin(), payload.end());
+}
+
 }  // namespace dvbp::serial

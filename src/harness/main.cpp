@@ -32,7 +32,6 @@
 #include <utility>
 #include <vector>
 
-#include "cloud/router.hpp"
 #include "cloud/sharded_dispatcher.hpp"
 #include "core/event.hpp"
 #include "core/instance.hpp"
@@ -86,16 +85,15 @@ int usage() {
       "             --checkpoint-every=N  (journaled ops; 0 = never)\n"
       "             --recover  restore from --journal-dir, report, exit;\n"
       "             no workload is ingested\n"
-      "             --shards=K  the sharded placement service (add\n"
-      "             --journal-dir for one journal per shard)\n"
-      "             --router=round-robin|rendezvous|least-usage\n"
+      "             --shards=K  the sharded placement service: job j\n"
+      "             runs on shard j mod K (add --journal-dir for one\n"
+      "             journal per shard)\n"
       "  layers:\n"
       "             --migrate-budget=N|inf  migrations allowed per\n"
       "             departure event (amortized; 0 disables repacking)\n"
       "             --migrate-volume=V|inf  L1 volume allowed per event\n"
-      "             (docs/MIGRATION.md). Serial: a Rebalancer after every\n"
-      "             departure; --shards: one shard-rebalance pass at the\n"
-      "             stream midpoint with max_moves=budget\n"
+      "             (docs/MIGRATION.md): a Rebalancer after every\n"
+      "             departure\n"
       "             --tenants=T  label the workload with T tenants and put\n"
       "             the credit admission gate in front of the serial engine;\n"
       "             prints the welfare/instant-fairness/utilization report\n"
@@ -111,19 +109,19 @@ int usage() {
       "             --check-roundtrip  (replay trace, verify packing)\n"
       "             --quiet\n"
       "  Serial runs compose --journal-dir, --tenants, --migrate-* and\n"
-      "  --trace-out in any mix; --shards composes with --journal-dir and\n"
-      "  --migrate-budget. Exit 2 instead of running for: --router without\n"
-      "  --shards; --recover, --fsync, --fsync-interval or\n"
-      "  --checkpoint-every without --journal-dir; a tenancy flag without\n"
-      "  --tenants; --check-roundtrip without --trace-out; --shards with\n"
-      "  --tenants, --trace-out, --check-roundtrip or --migrate-volume;\n"
+      "  --trace-out in any mix; --shards composes with --journal-dir.\n"
+      "  Exit 2 instead of running for: --recover, --fsync,\n"
+      "  --fsync-interval or --checkpoint-every without --journal-dir; a\n"
+      "  tenancy flag without --tenants; --check-roundtrip without\n"
+      "  --trace-out; --shards with --tenants, --trace-out,\n"
+      "  --check-roundtrip, --migrate-budget or --migrate-volume;\n"
       "  --recover with --tenants, --migrate-* or --trace-out; a batch run\n"
       "  into a --journal-dir that already holds ops; any run on the other\n"
       "  stack's journal (serial at the root, sharded under shard-<s>/).\n"
       "\n"
       "subcommands (docs/PROTOCOL.md):\n"
       "  harness serve   --port=7070 --shards=K --policy=... [--d=2]\n"
-      "                  [--router=...] [--event-loops=1] [--max-inflight=N]\n"
+      "                  [--event-loops=1] [--max-inflight=N]\n"
       "                  [--journal-dir=... --fsync=... --checkpoint-every=N]\n"
       "                  [--metrics-out=...]  run the binary-RPC placement\n"
       "                  server; SIGTERM/SIGINT or a Drain RPC drains it\n"
@@ -171,7 +169,7 @@ const std::set<std::string> kBatchFlags{
       "d",         "mu",           "span",      "bin-size",
       "seed",      "trial",        "capacity",  "policy-seed",
       "metrics-out", "trace-out",  "check-roundtrip", "quiet",
-      "shards",    "router",       "help",
+      "shards",    "help",
       "journal-dir", "checkpoint-every", "recover", "fsync",
       "fsync-interval", "migrate-budget", "migrate-volume",
       "tenants",   "fairshare",    "alpha",     "capacity-units",
@@ -184,7 +182,6 @@ const std::set<std::string> kBatchFlags{
 void reject_dropped_flags(const harness::Args& args) {
   // {flag, the flag whose stack it configures}
   static const std::pair<const char*, const char*> kNeeds[] = {
-      {"router", "shards"},
       {"recover", "journal-dir"},       {"fsync", "journal-dir"},
       {"fsync-interval", "journal-dir"}, {"checkpoint-every", "journal-dir"},
       {"fairshare", "tenants"},         {"alpha", "tenants"},
@@ -192,12 +189,12 @@ void reject_dropped_flags(const harness::Args& args) {
       {"settle-every", "tenants"},      {"price", "tenants"},
       {"inflate-tenant", "tenants"},    {"inflate-factor", "tenants"},
       {"no-arbiter", "tenants"},        {"check-roundtrip", "trace-out"}};
-  // {flag, a stack that cannot honour it}: the tenant gate and decision
-  // traces are serial-only, the shard pass has no volume budget, and a
-  // recovery ingests nothing.
+  // {flag, a stack that cannot honour it}: the tenant gate, decision
+  // traces and migration are serial-only, and a recovery ingests nothing.
   static const std::pair<const char*, const char*> kExcludes[] = {
       {"tenants", "shards"},         {"trace-out", "shards"},
-      {"check-roundtrip", "shards"}, {"migrate-volume", "shards"},
+      {"check-roundtrip", "shards"}, {"migrate-budget", "shards"},
+      {"migrate-volume", "shards"},
       {"tenants", "recover"},        {"migrate-budget", "recover"},
       {"migrate-volume", "recover"}, {"trace-out", "recover"}};
   for (const auto& [flag, stack] : kExcludes) {
@@ -297,7 +294,6 @@ cloud::ShardedOptions sharded_options(const harness::Args& args,
                                       obs::MetricRegistry& registry) {
   cloud::ShardedOptions options;
   options.shards = static_cast<std::size_t>(args.get_int("shards", 1));
-  options.router = cloud::parse_router(args.get("router", "round-robin"));
   options.bin_capacity = args.get_double("capacity", 1.0);
   options.queue_capacity =
       static_cast<std::size_t>(args.get_int("queue-capacity", 4096));
@@ -547,12 +543,9 @@ int run_batch(const harness::Args& args) {
     write_metrics(args, registry);
     return 0;
   }
-  // Serial migration: the Rebalancer plans against the live dispatcher
-  // after every departure and mutates through the engine's evict/replace
-  // calls, so under a journal every move is crash-recoverable.
-  // Under --shards the budget instead caps one shard-rebalance pass at the
-  // stream midpoint (drained, so the service is quiescent) -- rebalancing
-  // at the end would be vacuous, the full stream departs every job.
+  // Migration: the Rebalancer plans against the live dispatcher after
+  // every departure and mutates through the engine's evict/replace calls,
+  // so under a journal every move is crash-recoverable.
   const Dispatcher* serial =
       engine.serial ? &engine.serial->dispatcher() : nullptr;
   std::optional<Rebalancer> rebalancer;
@@ -560,30 +553,15 @@ int run_batch(const harness::Args& args) {
       (args.has("migrate-budget") || args.has("migrate-volume"))) {
     rebalancer.emplace(*serial, migration, engine.serial->migration_exec());
   }
-  const bool shard_pass =
-      engine.sharded && migration.migrations_per_event > 0.0;
-  cloud::ShardRebalanceReport shard_report;
-
   const std::vector<Event> events = build_event_stream(inst);
-  const std::size_t midpoint = shard_pass ? events.size() / 2 : events.size();
   // The sharded service names its own jobs; a serial engine returns the
   // ItemId, and a denied arrival leaves kNoItem.
   std::vector<JobId> job_of_item(inst.size(), kNoItem);
   std::size_t peak_open = 0;
   const auto start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const Event& ev = events[i];
+  for (const Event& ev : events) {
     const Item& item = inst[ev.item];
     if (tenants) tenants->settle_until(ev.time, *engine.serial);
-    if (i == midpoint) {
-      engine.sharded->drain();
-      cloud::ShardRebalanceConfig config;
-      if (migration.migrations_per_event != MigrationConfig::kUnlimited) {
-        config.max_moves =
-            static_cast<std::size_t>(migration.migrations_per_event);
-      }
-      shard_report = engine.sharded->rebalance_shards(ev.time, config);
-    }
     if (ev.kind == EventKind::kArrival) {
       if (tenants &&
           !tenants->gate.admit(ev.time, item.tenant, item.size, item.id)) {
@@ -630,7 +608,6 @@ int run_batch(const harness::Args& args) {
     };
     if (engine.sharded) {
       column("shards", std::to_string(engine.sharded->shards()));
-      column("router", std::string(cloud::router_name(engine.sharded->router())));
     } else {
       column("peak_open", std::to_string(peak_open));
     }
@@ -686,15 +663,6 @@ int run_batch(const harness::Args& args) {
       }
       std::cout << per_shard.to_aligned_text();
     }
-    if (shard_pass) {
-      harness::Table rb({"rebalance_moves", "moved_volume", "skew_before",
-                         "skew_after"});
-      rb.add_row({std::to_string(shard_report.moves),
-                  harness::Table::num(shard_report.moved_volume, 3),
-                  harness::Table::num(shard_report.skew_before, 2),
-                  harness::Table::num(shard_report.skew_after, 2)});
-      std::cout << rb.to_aligned_text();
-    }
     if (rebalancer) {
       const MigrationStats& stats = rebalancer->stats();
       std::cout << "migrations: " << stats.migrations << " (volume "
@@ -729,8 +697,8 @@ int run_batch(const harness::Args& args) {
 int run_serve(const harness::Args& args) {
   static const std::set<std::string> kKnown{
       "port",        "host",       "shards",          "policy",
-      "policy-seed", "d",          "capacity",        "router",
-      "event-loops", "max-inflight", "queue-capacity", "metrics-out",
+      "policy-seed", "d",          "capacity",        "event-loops",
+      "max-inflight", "queue-capacity", "metrics-out",
       "journal-dir", "fsync",      "fsync-interval",  "checkpoint-every",
       "quiet",       "help"};
   reject_unknown_flags("serve: ", kKnown, args);

@@ -17,15 +17,6 @@ bool valid_type(std::uint8_t t) noexcept {
          t <= static_cast<std::uint8_t>(MsgType::kPing);
 }
 
-void append_frame(const serial::Writer& payload,
-                  std::vector<std::uint8_t>& out) {
-  serial::Writer header;
-  header.u32(static_cast<std::uint32_t>(payload.size()));
-  header.u32(serial::crc32(payload.bytes()));
-  out.insert(out.end(), header.bytes().begin(), header.bytes().end());
-  out.insert(out.end(), payload.bytes().begin(), payload.bytes().end());
-}
-
 }  // namespace
 
 std::string_view status_name(Status s) noexcept {
@@ -66,7 +57,7 @@ void encode_request(const Request& req, std::vector<std::uint8_t>& out) {
     case MsgType::kPing:
       break;
   }
-  append_frame(payload, out);
+  serial::append_frame(payload.bytes(), out);
 }
 
 void encode_response(const Response& resp, std::vector<std::uint8_t>& out) {
@@ -96,7 +87,7 @@ void encode_response(const Response& resp, std::vector<std::uint8_t>& out) {
         break;
     }
   }
-  append_frame(payload, out);
+  serial::append_frame(payload.bytes(), out);
 }
 
 Request decode_request(const std::uint8_t* payload, std::size_t len) {

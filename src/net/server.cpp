@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
@@ -32,6 +33,18 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 /// responses are already bounded by the in-flight window; this bounds the
 /// inline-answered types: Ping, Query, rejections.)
 constexpr std::size_t kMaxWriteBuffer = 16 * 1024 * 1024;
+
+/// How long loop 0 stops watching the listen socket after accept4 found no
+/// descriptor (or no kernel memory) for a queued connection.
+constexpr auto kAcceptPause = std::chrono::milliseconds(50);
+
+/// Adds `fd` to `epfd`'s level-triggered read set; false on failure.
+bool watch_readable(int epfd, int fd) {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  return ::epoll_ctl(epfd, EPOLL_CTL_ADD, fd, &ev) == 0;
+}
 
 std::string errno_str(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
@@ -457,12 +470,7 @@ PlacementServer::PlacementServer(cloud::ShardedDispatcher& service,
   port_ = ntohs(bound.sin_port);
 
   const auto watch = [&fail](int epfd, int fd) {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epfd, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      fail(errno_str("epoll_ctl"));
-    }
+    if (!watch_readable(epfd, fd)) fail(errno_str("epoll_ctl"));
   };
   loops_.reserve(options.event_loops);
   for (std::size_t i = 0; i < options.event_loops; ++i) {
@@ -568,13 +576,21 @@ void PlacementServer::begin_graceful_close() {
 // ---------------------------------------------------------------------------
 // Event loop
 
-void PlacementServer::accept_all() {
+void PlacementServer::accept_all(EventLoop& loop0) {
   for (;;) {
     const int fd =
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // EAGAIN, or transient (EMFILE...): retry on next wake
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM) {
+        // The connection stays queued, so the level-triggered watch would
+        // wake this loop at once for as long as the shortage lasts: stop
+        // watching for kAcceptPause (loop_run resumes it).
+        ::epoll_ctl(loop0.epfd, EPOLL_CTL_DEL, listen_fd_, nullptr);
+        accept_resume_at_ = std::chrono::steady_clock::now() + kAcceptPause;
+      }
+      return;  // EAGAIN, or an error that dropped the connection
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -595,8 +611,15 @@ void PlacementServer::loop_run(EventLoop& loop) {
   std::vector<std::shared_ptr<Socket>> incoming;
   std::vector<std::shared_ptr<Socket>> flushes;
   for (;;) {
+    int timeout_ms = -1;
+    if (owns_listener && accept_resume_at_) {
+      timeout_ms = static_cast<int>(std::max<std::int64_t>(
+          0, std::chrono::ceil<std::chrono::milliseconds>(
+                 *accept_resume_at_ - std::chrono::steady_clock::now())
+                 .count()));
+    }
     const int n = ::epoll_wait(loop.epfd, events.data(),
-                               static_cast<int>(events.size()), -1);
+                               static_cast<int>(events.size()), timeout_ms);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
@@ -622,7 +645,7 @@ void PlacementServer::loop_run(EventLoop& loop) {
         continue;
       }
       if (owns_listener && fd == listen_fd_) {
-        accept_all();
+        accept_all(loop);
         continue;
       }
       auto it = loop.conns.find(fd);
@@ -635,6 +658,14 @@ void PlacementServer::loop_run(EventLoop& loop) {
       }
       if ((ev & EPOLLOUT) != 0) flush_writes(loop, conn);
       if (conn->fd >= 0 && (ev & EPOLLIN) != 0) handle_readable(loop, conn);
+    }
+    if (owns_listener && accept_resume_at_ &&
+        std::chrono::steady_clock::now() >= *accept_resume_at_) {
+      accept_resume_at_.reset();
+      // A drain may have closed the listen socket meanwhile.
+      if (listen_fd_ >= 0 && !watch_readable(loop.epfd, listen_fd_)) {
+        accept_resume_at_ = std::chrono::steady_clock::now() + kAcceptPause;
+      }
     }
     if (shutdown_loops_.load(std::memory_order_acquire)) {
       while (!loop.conns.empty()) {

@@ -14,7 +14,12 @@
 //
 // PlacementServer drives them with N event-loop threads (epoll,
 // level-triggered, nonblocking sockets). Loop 0 owns the listen socket,
-// accepts, and round-robins connections across the loops. A completion
+// accepts, and round-robins connections across the loops. When accept4
+// finds no descriptor (EMFILE, ENFILE) or no kernel memory, the connection
+// stays queued and the level-triggered watch would wake loop 0 at once for
+// as long as the shortage lasts; so loop 0 stops watching the listen
+// socket for 50 ms, then tries again. Queued clients wait; none is shed.
+// A completion
 // wakes its connection's loop via eventfd; each loop writes once per read
 // batch (EPOLLOUT armed only while the socket is full).
 //
@@ -43,6 +48,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -246,7 +252,9 @@ class PlacementServer {
   struct Socket;
 
   void loop_run(EventLoop& loop);
-  void accept_all();
+  /// Accepts every queued connection; on a descriptor shortage it takes
+  /// the listen socket out of `loop0`'s epoll set (see the file comment).
+  void accept_all(EventLoop& loop0);
   void register_conn(EventLoop& loop, const std::shared_ptr<Socket>& conn);
   void handle_readable(EventLoop& loop, const std::shared_ptr<Socket>& conn);
   void pump(EventLoop& loop, const std::shared_ptr<Socket>& conn);
@@ -264,6 +272,8 @@ class PlacementServer {
 
   std::vector<std::unique_ptr<EventLoop>> loops_;
   std::size_t next_loop_ = 0;  ///< loop 0 only
+  /// Loop 0 only: set while accepting is paused, to when it resumes.
+  std::optional<std::chrono::steady_clock::time_point> accept_resume_at_;
 
   std::atomic<bool> graceful_close_{false};  ///< close conns once flushed
   std::atomic<bool> shutdown_loops_{false};  ///< loops close conns and exit

@@ -178,11 +178,7 @@ void encode_frame(const JournalRecord& rec, std::vector<std::uint8_t>& out) {
   } else if (rec.kind == OpKind::kTenantCredits) {
     payload.blob(rec.blob);
   }
-  serial::Writer header;
-  header.u32(static_cast<std::uint32_t>(payload.size()));
-  header.u32(serial::crc32(payload.bytes()));
-  out.insert(out.end(), header.bytes().begin(), header.bytes().end());
-  out.insert(out.end(), payload.bytes().begin(), payload.bytes().end());
+  serial::append_frame(payload.bytes(), out);
 }
 
 JournalScan scan_journal(const std::string& dir) {
@@ -325,11 +321,10 @@ void JournalWriter::open_segment(bool create_new) {
     const auto segments = list_segments(dir_);
     segment_first_seq_ = segments.back().first;
   }
-  const std::string path =
-      (fs::path(dir_) / segment_name(segment_first_seq_)).string();
-  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  segment_path_ = (fs::path(dir_) / segment_name(segment_first_seq_)).string();
+  fd_ = ::open(segment_path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd_ < 0) {
-    throw PersistError("journal: cannot open '" + path +
+    throw PersistError("journal: cannot open '" + segment_path_ +
                        "': " + std::strerror(errno));
   }
 }
@@ -392,18 +387,16 @@ void JournalWriter::commit() {
   // (I/O failure or an injected fault), the writer refuses further work --
   // a torn tail must never be buried under newer frames.
   poisoned_ = true;
-  const std::string path =
-      (fs::path(dir_) / segment_name(segment_first_seq_)).string();
   fault_point("journal.commit.begin");
   // Two-chunk write so the journal.commit.torn fault point leaves a real
   // partial frame on disk, the way an interrupted write(2) would.
   const std::size_t first_chunk =
       pending_.size() > 16 ? pending_.size() / 2 : pending_.size();
-  write_all(fd_, pending_.data(), first_chunk, path);
+  write_all(fd_, pending_.data(), first_chunk, segment_path_);
   fault_point("journal.commit.torn");
   if (first_chunk < pending_.size()) {
     write_all(fd_, pending_.data() + first_chunk,
-              pending_.size() - first_chunk, path);
+              pending_.size() - first_chunk, segment_path_);
   }
   fault_point("journal.commit.written");
   if (bytes_total_ != nullptr) {
@@ -412,7 +405,7 @@ void JournalWriter::commit() {
   if (commits_total_ != nullptr) commits_total_->inc();
   if (options_.fsync == FsyncPolicy::kAlways) {
     if (::fsync(fd_) != 0) {
-      throw PersistError("journal: fsync of '" + path +
+      throw PersistError("journal: fsync of '" + segment_path_ +
                          "' failed: " + std::strerror(errno));
     }
     if (fsyncs_total_ != nullptr) fsyncs_total_->inc();

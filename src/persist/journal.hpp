@@ -205,6 +205,9 @@ class JournalWriter {
   JournalOptions options_;
   int fd_ = -1;
   std::uint64_t segment_first_seq_ = 0;
+  /// The open segment's file, named in error messages; built when the
+  /// segment is opened, not on every commit.
+  std::string segment_path_;
   std::vector<std::uint8_t> pending_;
   std::size_t pending_ops_ = 0;
   bool poisoned_ = false;

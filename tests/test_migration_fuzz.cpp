@@ -5,8 +5,9 @@
 //      stream with the PackingInvariantChecker asserted after EVERY op;
 //   2. the Rebalancer planner at random budgets, with both the packing
 //      invariants and the budget-overdraft check on every event;
-//   3. the sharded service's rebalance_shards() under real producer
-//      threads (this test is in the ThreadSanitizer CI job's net).
+//   3. the sharded service under real producer threads, whose jobs keep
+//      their shard for life (this test is in the ThreadSanitizer CI job's
+//      net).
 //
 // A failing op stream is useless at 500 ops, so the harness ships a ddmin
 // shrinker (tests/ddmin.hpp, shared with the tenancy fuzzer): it reduces
@@ -24,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "cloud/router.hpp"
 #include "cloud/sharded_dispatcher.hpp"
 #include "core/dispatcher.hpp"
 #include "core/event.hpp"
@@ -438,15 +438,14 @@ TEST(MigrationFuzz, DdminShrinksARealOpStreamPredicate) {
 }
 
 // ---------------------------------------------------------------------------
-// Surface 3: sharded rebalancing with live producer threads (TSan food).
-// Phases of [threaded feed -> join -> drain -> rebalance -> check].
-TEST(MigrationFuzz, ShardedRebalanceUnderThreadedFeed) {
+// Surface 3: the sharded service with live producer threads (TSan food).
+// Phases of [threaded feed -> join -> drain -> check].
+TEST(MigrationFuzz, ShardedServiceUnderThreadedFeed) {
   constexpr std::size_t kThreads = 3;
   constexpr std::size_t kPhases = 3;
   constexpr std::size_t kJobsPerThreadPhase = 40;
   cloud::ShardedOptions options;
   options.shards = 3;
-  options.router = cloud::RouterKind::kRoundRobin;
   cloud::ShardedDispatcher service(
       /*dim=*/2,
       [](std::size_t) { return make_policy("FirstFit", kPolicySeed); },
@@ -482,14 +481,11 @@ TEST(MigrationFuzz, ShardedRebalanceUnderThreadedFeed) {
     service.drain();
 
     phase_base += static_cast<Time>(kJobsPerThreadPhase) * 0.25 + 1.0;
-    cloud::ShardRebalanceConfig config;
-    config.skew_ratio = 1.05;
-    config.min_gap = 0.05;
-    config.max_moves = 6;
-    const auto report = service.rebalance_shards(phase_base, config);
-    EXPECT_LE(report.moves, config.max_moves);
-    EXPECT_GE(report.skew_before + 1e-9, report.skew_after)
-        << "rebalancing made the skew worse";
+    for (const std::vector<JobId>& jobs : mine) {
+      for (const JobId job : jobs) {
+        ASSERT_EQ(service.shard_of(job), job % options.shards);
+      }
+    }
     for (std::size_t s = 0; s < options.shards; ++s) {
       const auto err = checkers[s].check(service.shard_dispatcher(s),
                                          &service.shard_recorder(s));
@@ -498,8 +494,8 @@ TEST(MigrationFuzz, ShardedRebalanceUnderThreadedFeed) {
     }
   }
 
-  // Wind down: every surviving job departs through the global API, which
-  // must still route to the post-rebalance owner shard.
+  // Wind down: every surviving job departs through the global API, from
+  // this thread, on the shard its arrival took.
   Time now = phase_base + 1.0;
   for (auto& jobs : mine) {
     for (const JobId job : jobs) service.depart(now, job);

@@ -3,9 +3,7 @@
 // live Dispatcher (+ an attached zero-budget Rebalancer) replays the same
 // golden workloads test_golden_packings.cpp pins and must reproduce the
 // recorded FNV-1a hashes for all ten policies -- while the
-// PackingInvariantChecker passes after every event. A K=3 sharded service
-// with a zero-move shard-rebalance pass must likewise match a run without
-// the pass, bin for bin.
+// PackingInvariantChecker passes after every event.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,8 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "cloud/router.hpp"
-#include "cloud/sharded_dispatcher.hpp"
 #include "core/dispatcher.hpp"
 #include "core/event.hpp"
 #include "core/invariants.hpp"
@@ -145,114 +141,6 @@ TEST(MigrationParity, PackingAccessorAgreesWithRecordsWithoutMigration) {
     for (ItemId it : rec.items) from_records[it] = rec.id;
   }
   EXPECT_EQ(recorder.packing().assignment(), from_records);
-}
-
-// K=3 sharded service: a zero-move rebalance pass at the stream midpoint
-// (drain, rebalance_shards with max_moves=0, resume) must leave the final
-// merged packing identical to a run without the pass.
-TEST(MigrationParity, ShardedZeroMoveRebalanceIsANoOp) {
-  const auto workloads = golden_workloads();
-  const auto& [name, inst] = workloads[1];  // uniform_d2
-  (void)name;
-  const auto events = build_event_stream(inst);
-  for (const char* policy_name : {"MoveToFront", "FirstFit"}) {
-    SCOPED_TRACE(policy_name);
-    const auto factory = [policy_name](std::size_t) {
-      return make_policy(policy_name, kPolicySeed);
-    };
-    cloud::ShardedOptions options;
-    options.shards = 3;
-    options.router = cloud::RouterKind::kRoundRobin;
-
-    std::uint64_t hashes[2];
-    for (const bool with_pass : {false, true}) {
-      cloud::ShardedDispatcher service(inst.dim(), factory, options);
-      const std::size_t midpoint = events.size() / 2;
-      for (std::size_t i = 0; i < events.size(); ++i) {
-        if (with_pass && i == midpoint) {
-          service.drain();
-          cloud::ShardRebalanceConfig config;
-          config.max_moves = 0;
-          const cloud::ShardRebalanceReport report =
-              service.rebalance_shards(events[i].time, config);
-          EXPECT_EQ(report.moves, 0u);
-          EXPECT_DOUBLE_EQ(report.moved_volume, 0.0);
-        }
-        const Event& ev = events[i];
-        const Item& item = inst[ev.item];
-        if (ev.kind == EventKind::kArrival) {
-          service.arrive(item.arrival, item.size, item.departure);
-        } else {
-          service.depart(ev.time, item.id);
-        }
-      }
-      service.drain();
-      hashes[with_pass] = packing_hash(service.snapshot());
-    }
-    EXPECT_EQ(hashes[0], hashes[1])
-        << "a zero-move rebalance pass changed the packing";
-  }
-}
-
-// A real (non-zero) shard rebalance must keep every job exactly once in
-// the merged snapshot and preserve per-shard invariants at quiescence.
-TEST(MigrationParity, ShardedRebalanceKeepsSnapshotConsistent) {
-  const auto workloads = golden_workloads();
-  const auto& [name, inst] = workloads[1];  // uniform_d2
-  (void)name;
-  const auto events = build_event_stream(inst);
-  cloud::ShardedOptions options;
-  options.shards = 3;
-  options.router = cloud::RouterKind::kRoundRobin;
-  cloud::ShardedDispatcher service(
-      inst.dim(),
-      [](std::size_t) { return make_policy("FirstFit", kPolicySeed); },
-      options);
-  const std::size_t midpoint = events.size() / 2;
-  std::size_t moves = 0;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (i == midpoint) {
-      service.drain();
-      cloud::ShardRebalanceConfig config;
-      config.skew_ratio = 1.0;  // aggressive: any imbalance qualifies
-      config.min_gap = 0.0;
-      config.max_moves = 8;
-      moves = service.rebalance_shards(events[i].time, config).moves;
-      // Per-shard state is checkable at quiescence.
-      for (std::size_t s = 0; s < 3; ++s) {
-        PackingInvariantChecker shard_checker;
-        const auto err = shard_checker.check(service.shard_dispatcher(s),
-                                             &service.shard_recorder(s));
-        ASSERT_FALSE(err.has_value()) << "shard " << s << ": " << *err;
-      }
-    }
-    const Event& ev = events[i];
-    const Item& item = inst[ev.item];
-    if (ev.kind == EventKind::kArrival) {
-      service.arrive(item.arrival, item.size, item.departure);
-    } else {
-      service.depart(ev.time, item.id);
-    }
-  }
-  service.drain();
-  EXPECT_GT(moves, 0u) << "midpoint load was never skewed enough to move";
-
-  const Packing merged = service.snapshot();
-  // One assignment slot per job id the service handed out, even though a
-  // moved job is admitted on two shards.
-  ASSERT_EQ(merged.assignment().size(), service.jobs_admitted());
-  ASSERT_EQ(service.jobs_admitted(), inst.size());
-  std::vector<std::size_t> listed(inst.size(), 0);
-  for (const BinRecord& rec : merged.bins()) {
-    for (ItemId it : rec.items) ++listed[it];
-  }
-  for (std::size_t j = 0; j < inst.size(); ++j) {
-    // A rebalanced job appears in bins of two shards; everyone else once.
-    EXPECT_GE(listed[j], 1u) << "job " << j;
-    EXPECT_LE(listed[j], 2u) << "job " << j;
-    EXPECT_NE(merged.assignment()[j], kNoBin) << "job " << j;
-  }
-  EXPECT_EQ(service.jobs_active(), 0u);
 }
 
 }  // namespace

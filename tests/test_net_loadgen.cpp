@@ -32,7 +32,6 @@ cloud::ShardedDispatcher::PolicyFactory first_fit_factory() {
 cloud::ShardedOptions service_options(std::size_t shards) {
   cloud::ShardedOptions opts;
   opts.shards = shards;
-  opts.router = cloud::RouterKind::kRoundRobin;
   return opts;
 }
 

@@ -48,7 +48,6 @@ cloud::ShardedOptions service_options(std::size_t shards,
                                       std::size_t queue_capacity = 4096) {
   cloud::ShardedOptions opts;
   opts.shards = shards;
-  opts.router = cloud::RouterKind::kRoundRobin;
   opts.queue_capacity = queue_capacity;
   opts.metrics = metrics;
   return opts;

@@ -6,20 +6,26 @@
 // tenant gate, journal, shards) is driven through the binary too, and what
 // it reports in --metrics-out (and the serial --recover cost line) is
 // pinned against the library run in-process. `harness serve` runs as a
-// child process under `harness loadgen`, and a journal directory refuses
-// the other stack's layout.
+// child process under `harness loadgen`, and out of file descriptors,
+// where it must idle until clients close; a journal directory refuses the
+// other stack's layout.
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -131,8 +137,11 @@ class HarnessCli : public ::testing::Test {
     int exit_code = -1;  // -1 unless the binary exited normally
     std::string text;    // stdout and stderr
   };
-  Captured capture(const std::string& flags) {
-    const std::string cmd = "\"" + g_harness_bin + "\" " + flags + " 2>&1";
+  /// Runs the binary with `flags`; `prefix` runs it under another command
+  /// (e.g. "timeout 10").
+  Captured capture(const std::string& flags, const std::string& prefix = "") {
+    const std::string cmd =
+        prefix + " \"" + g_harness_bin + "\" " + flags + " 2>&1";
     Captured out;
     FILE* pipe = ::popen(cmd.c_str(), "r");
     EXPECT_NE(pipe, nullptr) << cmd;
@@ -328,7 +337,7 @@ TEST_F(HarnessCli, FlagsNoStackCanHonourExitWithCode2) {
   const std::string recover = "--journal-dir=" + dir + " --recover ";
   // {flags, the flag the message must name}
   const std::pair<std::string, std::string> rejected[] = {
-      {"--router=rendezvous", "--router"},
+      {"--router=round-robin", "--router"},
       {"--recover", "--recover"},
       {"--fsync=always", "--fsync"},
       {"--fsync-interval=8", "--fsync-interval"},
@@ -346,6 +355,7 @@ TEST_F(HarnessCli, FlagsNoStackCanHonourExitWithCode2) {
       {"--shards=2 --tenants=2", "--tenants"},
       {"--shards=2 --trace-out=" + trace_path_, "--trace-out"},
       {"--shards=2 --check-roundtrip", "--check-roundtrip"},
+      {"--shards=2 --migrate-budget=1", "--migrate-budget"},
       {"--shards=2 --migrate-volume=1", "--migrate-volume"},
       {recover + "--tenants=2", "--tenants"},
       {recover + "--migrate-budget=1", "--migrate-budget"},
@@ -359,6 +369,12 @@ TEST_F(HarnessCli, FlagsNoStackCanHonourExitWithCode2) {
   }
   // Rejected before anything is read or written.
   EXPECT_FALSE(std::filesystem::exists(dir));
+  // serve takes no --router either: every job runs on shard id mod K.
+  // Bounded, so a serve that took the flag fails here instead of serving.
+  const Captured serve =
+      capture("serve --port=0 --router=round-robin", "timeout 10");
+  EXPECT_EQ(serve.exit_code, 2);
+  EXPECT_NE(serve.text.find("--router"), std::string::npos) << serve.text;
 }
 
 TEST_F(HarnessCli, ComposedSerialStackRoundTripsAndRecovers) {
@@ -468,6 +484,94 @@ TEST_F(HarnessCli, LoadgenReplaysATraceInOpenLoopAgainstServe) {
   const std::string hash = out.text.substr(
       at + key.size(), out.text.find(' ', at + key.size()) - at - key.size());
   EXPECT_NE(served.find(" " + hash), std::string::npos) << served;
+}
+
+/// CPU seconds (user + system) process `pid` has used so far.
+double cpu_seconds(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+  std::string stat((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  // Fields after the parenthesised command name: state is field 3, utime
+  // and stime are fields 14 and 15.
+  std::istringstream fields(stat.substr(stat.rfind(')') + 2));
+  std::string skip;
+  for (int f = 3; f < 14; ++f) fields >> skip;
+  double utime = 0.0, stime = 0.0;
+  fields >> utime >> stime;
+  return (utime + stime) / static_cast<double>(::sysconf(_SC_CLK_TCK));
+}
+
+TEST_F(HarnessCli, ServeOutOfDescriptorsIdlesUntilClientsClose) {
+  // serve runs as a child with 24 descriptors; its port comes from the
+  // "listening on" line.
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  const char* bin = g_harness_bin.c_str();
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const rlimit limit{24, 24};
+    ::setrlimit(RLIMIT_NOFILE, &limit);
+    ::dup2(pipe_fds[1], STDOUT_FILENO);
+    ::close(pipe_fds[0]);
+    ::close(pipe_fds[1]);
+    ::execl(bin, bin, "serve", "--port=0", "--shards=1",
+            static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  ::close(pipe_fds[1]);
+  // Whatever fails below, the child does not outlive the test.
+  const std::unique_ptr<FILE, int (*)(FILE*)> out(::fdopen(pipe_fds[0], "r"),
+                                                  &std::fclose);
+  struct Reaper {
+    pid_t pid;
+    int status = -1;
+    ~Reaper() {
+      if (status == -1) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+      }
+    }
+  } child{pid};
+  char line[512] = {};
+  ASSERT_NE(std::fgets(line, sizeof(line), out.get()), nullptr);
+  const std::string listening = line;
+  ASSERT_EQ(listening.rfind("listening on ", 0), 0u) << listening;
+  const auto port = static_cast<std::uint16_t>(
+      std::stoi(listening.substr(listening.rfind(':') + 1)));
+
+  // A first client's whole life -- connect, PING, close -- runs while
+  // descriptors are plenty. (A sanitizer build checks each dynamic type
+  // once, and that check needs spare descriptors of its own.)
+  {
+    net::Client first("127.0.0.1", port);
+    ASSERT_EQ(first.ping().status, net::Status::kOk);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // More clients than serve has descriptors left: the rest stay queued.
+  std::vector<std::unique_ptr<net::Client>> clients;
+  for (int i = 0; i < 40; ++i) {
+    clients.push_back(std::make_unique<net::Client>("127.0.0.1", port));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const double before = cpu_seconds(pid);
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  EXPECT_LT(cpu_seconds(pid) - before, 0.2)
+      << "serve spins while accept4 has no descriptor";
+
+  // Once 30 clients close, a new client is accepted and answered.
+  clients.resize(10);
+  net::Client late("127.0.0.1", port);
+  late.send_ping();
+  late.flush();
+  const auto pong = late.recv_response(std::chrono::steady_clock::now() +
+                                       std::chrono::seconds(10));
+  ASSERT_TRUE(pong.has_value()) << "no answer once descriptors freed";
+  EXPECT_EQ(pong->status, net::Status::kOk);
+  EXPECT_EQ(late.drain().status, net::Status::kOk);
+  clients.clear();
+  ASSERT_EQ(::waitpid(pid, &child.status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(child.status) && WEXITSTATUS(child.status) == 0);
 }
 
 TEST_F(HarnessCli, LoadgenRejectsFlagsItsModeDoesNotRead) {

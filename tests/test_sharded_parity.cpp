@@ -1,7 +1,7 @@
 // Sharded-service parity suite: the ShardedDispatcher's packing semantics
 // pinned against the serial engines.
 //
-//  * K = 1 (any router): the merged snapshot must reproduce the serial
+//  * K = 1: the merged snapshot must reproduce the serial
 //    engine bin-for-bin -- verified against the same pre-refactor FNV-1a
 //    hashes test_golden_packings.cpp pins, for all ten registered policies.
 //  * K > 1: each shard's packing must equal a serial Dispatcher fed that
@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "cloud/router.hpp"
 #include "cloud/sharded_dispatcher.hpp"
 #include "core/dispatcher.hpp"
 #include "core/event.hpp"
@@ -155,7 +154,6 @@ TEST(ShardedParity, SingleShardMatchesGoldenHashesForAllPolicies) {
     for (const char* policy_name : kPolicies) {
       cloud::ShardedOptions options;
       options.shards = 1;
-      options.router = cloud::RouterKind::kRoundRobin;
       const auto check = [&](cloud::ShardedCore& service, const char* kind) {
         feed_and_drain(service, inst, events);
         EXPECT_EQ(packing_hash(service.snapshot()),
@@ -174,27 +172,6 @@ TEST(ShardedParity, SingleShardMatchesGoldenHashesForAllPolicies) {
   }
 }
 
-TEST(ShardedParity, SingleShardRouterChoiceIsIrrelevant) {
-  // With one shard every router degenerates to shard 0; the contract says
-  // the packing is router-independent at K = 1.
-  const auto workloads = golden_workloads();
-  const auto& [name, inst] = workloads[1];  // uniform_d2
-  const auto events = build_event_stream(inst);
-  for (const cloud::RouterKind kind :
-       {cloud::RouterKind::kRoundRobin, cloud::RouterKind::kRendezvous,
-        cloud::RouterKind::kLeastUsage}) {
-    cloud::ShardedOptions options;
-    options.shards = 1;
-    options.router = kind;
-    cloud::ShardedDispatcher service(inst.dim(), factory_for("MoveToFront"),
-                                     options);
-    feed_and_drain(service, inst, events);
-    EXPECT_EQ(packing_hash(service.snapshot()),
-              expected_hash(name, "MoveToFront"))
-        << name << " with router " << cloud::router_name(kind);
-  }
-}
-
 TEST(ShardedParity, PerShardPackingMatchesSerialSubsequence) {
   const auto workloads = golden_workloads();
   const char* const policies[] = {"MoveToFront", "FirstFit", "NextFit",
@@ -202,41 +179,38 @@ TEST(ShardedParity, PerShardPackingMatchesSerialSubsequence) {
   for (std::size_t w : {1u, 4u}) {  // uniform_d2, adv_nextfit
     const auto& [name, inst] = workloads[w];
     const auto events = build_event_stream(inst);
-    for (const cloud::RouterKind kind :
-         {cloud::RouterKind::kRoundRobin, cloud::RouterKind::kRendezvous}) {
-      for (const char* policy_name : policies) {
-        constexpr std::size_t kShards = 3;
-        cloud::ShardedOptions options;
-        options.shards = kShards;
-        options.router = kind;
-        // Thread-free, stepped after every 17 submissions: exact, odd
-        // batch boundaries exercise re-batching.
-        cloud::ShardedCore service(inst.dim(), factory_for(policy_name),
-                                   options);
-        feed_and_drain(service, inst, events, 17);
+    for (const char* policy_name : policies) {
+      constexpr std::size_t kShards = 3;
+      cloud::ShardedOptions options;
+      options.shards = kShards;
+      // Thread-free, stepped after every 17 submissions: exact, odd batch
+      // boundaries exercise re-batching.
+      cloud::ShardedCore service(inst.dim(), factory_for(policy_name),
+                                 options);
+      feed_and_drain(service, inst, events, 17);
+      for (JobId j = 0; j < inst.size(); ++j) {
+        ASSERT_EQ(service.shard_of(j), j % kShards) << "job " << j;
+      }
 
-        for (std::size_t s = 0; s < kShards; ++s) {
-          // Serial replay of shard s's substream, in admission order,
-          // under the global job ids (== ItemIds: one producer).
-          PolicyPtr serial_policy = make_policy(policy_name, kPolicySeed);
-          Dispatcher serial(inst.dim(), *serial_policy);
-          PackingRecorder recorder;
-          serial.set_recorder(&recorder);
-          for (const Event& ev : events) {
-            const Item& item = inst[ev.item];
-            if (service.shard_of(item.id) != s) continue;
-            if (ev.kind == EventKind::kArrival) {
-              serial.arrive(item.arrival, item);
-            } else {
-              serial.depart(ev.time, item.id);
-            }
+      for (std::size_t s = 0; s < kShards; ++s) {
+        // Serial replay of shard s's substream in admission order, under
+        // the global job ids (== ItemIds: one producer).
+        PolicyPtr serial_policy = make_policy(policy_name, kPolicySeed);
+        Dispatcher serial(inst.dim(), *serial_policy);
+        PackingRecorder recorder;
+        serial.set_recorder(&recorder);
+        for (const Event& ev : events) {
+          const Item& item = inst[ev.item];
+          if (item.id % kShards != s) continue;
+          if (ev.kind == EventKind::kArrival) {
+            serial.arrive(item.arrival, item);
+          } else {
+            serial.depart(ev.time, item.id);
           }
-          expect_same_packing(
-              service.shard_packing(s), recorder.packing(),
-              name + "/" + policy_name + "/" +
-                  std::string(cloud::router_name(kind)) + " shard " +
-                  std::to_string(s));
         }
+        expect_same_packing(service.shard_packing(s), recorder.packing(),
+                            name + "/" + policy_name + " shard " +
+                                std::to_string(s));
       }
     }
   }
@@ -250,7 +224,6 @@ TEST(ShardedParity, GlobalCostIsSumOfShardCostsAtEveryProbe) {
 
   cloud::ShardedOptions options;
   options.shards = kShards;
-  options.router = cloud::RouterKind::kRendezvous;
   cloud::ShardedDispatcher service(inst.dim(), factory_for("MoveToFront"),
                                    options);
   feed_and_drain(service, inst, events);
@@ -268,7 +241,8 @@ TEST(ShardedParity, GlobalCostIsSumOfShardCostsAtEveryProbe) {
   }
   for (const Event& ev : events) {
     const Item& item = inst[ev.item];
-    const std::size_t s = service.shard_of(item.id);
+    const std::size_t s = item.id % kShards;
+    ASSERT_EQ(service.shard_of(item.id), s);
     if (ev.kind == EventKind::kArrival) {
       serial[s]->arrive(item.arrival, item);
     } else {
@@ -304,7 +278,6 @@ TEST(ShardedParity, MergedSnapshotIsConsistentAcrossShards) {
   constexpr std::size_t kShards = 3;
   cloud::ShardedOptions options;
   options.shards = kShards;
-  options.router = cloud::RouterKind::kRoundRobin;
   cloud::ShardedDispatcher service(inst.dim(), factory_for("FirstFit"),
                                    options);
   feed_and_drain(service, inst, events);

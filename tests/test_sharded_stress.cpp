@@ -3,7 +3,8 @@
 // CI (see .github/workflows/ci.yml, thread-sanitizer job).
 //
 // Functional assertions (checked after quiescence):
-//  * every admitted job is placed in exactly one bin that lists it once;
+//  * every admitted job is placed in exactly one bin that lists it once,
+//    on shard job % K, whichever producer admitted it;
 //  * no bin ever exceeds capacity in any dimension (event-sweep audit of
 //    the applied, possibly clamped, timestamps);
 //  * bin open/close bookkeeping matches the items' applied intervals;
@@ -19,7 +20,6 @@
 #include <thread>
 #include <vector>
 
-#include "cloud/router.hpp"
 #include "cloud/sharded_dispatcher.hpp"
 #include "core/policies/registry.hpp"
 #include "obs/metrics.hpp"
@@ -67,7 +67,6 @@ TEST(ShardedStress, RacingProducersPlaceEveryItemExactlyOnce) {
   obs::MetricRegistry registry;
   cloud::ShardedOptions options;
   options.shards = kShards;
-  options.router = cloud::RouterKind::kLeastUsage;
   options.queue_capacity = 512;  // small enough to exercise backpressure
   options.metrics = &registry;
   cloud::ShardedDispatcher service(
@@ -115,6 +114,7 @@ TEST(ShardedStress, RacingProducersPlaceEveryItemExactlyOnce) {
   for (const BinRecord& rec : merged.bins()) {
     for (ItemId item : rec.items) {
       ASSERT_LT(item, kTotal);
+      ASSERT_EQ(service.shard_of(item), item % kShards) << "job " << item;
       ASSERT_EQ(listed[item], 0) << "job " << item << " placed twice";
       listed[item] = 1;
       ++total_listed;
@@ -223,7 +223,6 @@ TEST(ShardedStress, ShutdownWithNonEmptyQueueAppliesEverything) {
   {
     cloud::ShardedOptions options;
     options.shards = kShards;
-    options.router = cloud::RouterKind::kRoundRobin;
     options.queue_capacity = kJobs;  // producers never block
     options.metrics = &registry;
     cloud::ShardedDispatcher service(

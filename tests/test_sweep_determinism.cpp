@@ -5,9 +5,9 @@
 //     cell-for-cell (ratio/bins/max_open accumulators, bit-exact doubles)
 //     for threads in {1, 2, 8} on the same seed.
 //
-//  2. Rendezvous and round-robin routing in the sharded service: the shard
-//     assignment is a pure function of (job id, shard count) -- independent
-//     of queue capacity, batch size, and drain timing.
+//  2. Routing in the sharded service: job j runs on shard j % K, a pure
+//     function of (job id, shard count) -- independent of queue capacity,
+//     batch size, refusals and drain timing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "cloud/router.hpp"
 #include "cloud/sharded_dispatcher.hpp"
 #include "core/event.hpp"
 #include "core/policies/registry.hpp"
@@ -108,41 +107,6 @@ std::vector<std::size_t> shard_assignment(const Instance& inst,
   return shards;
 }
 
-TEST(SweepDeterminism, RendezvousShardAssignmentIndependentOfQueueTiming) {
-  gen::UniformParams params;
-  params.n = 400;
-  params.d = 2;
-  params.mu = 10;
-  params.span = 300;
-  params.bin_size = 30;
-  const Instance inst = gen::uniform_instance(params, 0xBEEF);
-
-  cloud::ShardedOptions base;
-  base.shards = 4;
-  base.router = cloud::RouterKind::kRendezvous;
-
-  const auto reference = shard_assignment(inst, base, false);
-
-  // A one-op queue forces producer backpressure and caps every step at one
-  // op; draining after every op serializes the service completely.
-  cloud::ShardedOptions tiny = base;
-  tiny.queue_capacity = 1;
-  EXPECT_EQ(shard_assignment(inst, tiny, false), reference);
-  EXPECT_EQ(shard_assignment(inst, base, true), reference);
-
-  // The assignment is the argmax of the published score function -- i.e. a
-  // pure function of (job id, shard count), nothing else.
-  for (JobId j = 0; j < inst.size(); ++j) {
-    std::size_t best = 0;
-    for (std::size_t s = 1; s < base.shards; ++s) {
-      if (cloud::rendezvous_score(j, s) > cloud::rendezvous_score(j, best)) {
-        best = s;
-      }
-    }
-    EXPECT_EQ(reference[j], best) << "job " << j;
-  }
-}
-
 TEST(SweepDeterminism, RoundRobinShardAssignmentIndependentOfQueueTiming) {
   gen::UniformParams params;
   params.n = 400;
@@ -153,14 +117,17 @@ TEST(SweepDeterminism, RoundRobinShardAssignmentIndependentOfQueueTiming) {
   const Instance inst = gen::uniform_instance(params, 0xBEEF);
 
   // A one-op queue makes nearly every arrive() find its shard full and wait
-  // for room; the id it finally takes must still pick the shard.
-  cloud::ShardedOptions tiny;
-  tiny.shards = 2;
-  tiny.router = cloud::RouterKind::kRoundRobin;
+  // for room; the id it finally takes must still pick the shard. Draining
+  // after every op serializes the service completely.
+  cloud::ShardedOptions base;
+  base.shards = 2;
+  cloud::ShardedOptions tiny = base;
   tiny.queue_capacity = 1;
-  const auto assignment = shard_assignment(inst, tiny, false);
-  for (JobId j = 0; j < inst.size(); ++j) {
-    EXPECT_EQ(assignment[j], j % 2) << "job " << j;
+  for (const auto& assignment : {shard_assignment(inst, tiny, false),
+                                 shard_assignment(inst, base, true)}) {
+    for (JobId j = 0; j < inst.size(); ++j) {
+      EXPECT_EQ(assignment[j], j % 2) << "job " << j;
+    }
   }
 
   // Thread-free: after every second job both queues are full, so one more
@@ -182,27 +149,6 @@ TEST(SweepDeterminism, RoundRobinShardAssignmentIndependentOfQueueTiming) {
   }
   core.drain();
   EXPECT_EQ(core.jobs_admitted(), 40u);
-}
-
-TEST(SweepDeterminism, RendezvousSpreadsLoadAcrossShards) {
-  // Not a balance guarantee, but a regression guard against a degenerate
-  // score function routing everything to one shard.
-  constexpr std::size_t kShards = 4;
-  constexpr std::size_t kJobs = 4000;
-  std::vector<std::size_t> counts(kShards, 0);
-  for (JobId j = 0; j < kJobs; ++j) {
-    std::size_t best = 0;
-    for (std::size_t s = 1; s < kShards; ++s) {
-      if (cloud::rendezvous_score(j, s) > cloud::rendezvous_score(j, best)) {
-        best = s;
-      }
-    }
-    ++counts[best];
-  }
-  for (std::size_t s = 0; s < kShards; ++s) {
-    EXPECT_GT(counts[s], kJobs / kShards / 2) << "shard " << s;
-    EXPECT_LT(counts[s], kJobs * 2 / kShards) << "shard " << s;
-  }
 }
 
 }  // namespace

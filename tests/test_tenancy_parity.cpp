@@ -25,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "cloud/router.hpp"
 #include "cloud/sharded_dispatcher.hpp"
 #include "core/dispatcher.hpp"
 #include "core/event.hpp"
@@ -145,7 +144,6 @@ Packing run_sharded(const Instance& inst, std::size_t shards,
                     std::vector<double>* demand_out = nullptr) {
   cloud::ShardedOptions options;
   options.shards = shards;
-  options.router = cloud::RouterKind::kRoundRobin;
   options.tenants = tenants;
   cloud::ShardedDispatcher service(
       inst.dim(),
@@ -276,7 +274,6 @@ TEST(TenancyParity, ShardedSettlementMatchesSerialCutAndRecovers) {
   std::filesystem::remove_all(dir);
   cloud::ShardedOptions options;
   options.shards = 2;
-  options.router = cloud::RouterKind::kRoundRobin;
   options.tenants = kSettleTenants;
   options.journal_dir = dir.string();
   options.fsync = persist::FsyncPolicy::kNone;
