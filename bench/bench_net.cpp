@@ -34,8 +34,9 @@ constexpr std::size_t kShards = 8;
 constexpr std::size_t kConnections = 2;
 constexpr int kRuns = 5;
 
-/// One run against a fresh service: 8 FirstFit shards with 64-op queues
-/// behind one event loop, 256 requests in flight per connection.
+/// One run against a fresh service: 8 FirstFit shards with 64-op queues,
+/// all stepped by the server's one event loop, 256 requests in flight per
+/// connection.
 dvbp::net::LoadgenResult overload(double rate, double duration_s) {
   using namespace dvbp;
   net::LoadgenOptions lopts;  // the default synthetic mix
@@ -46,7 +47,7 @@ dvbp::net::LoadgenResult overload(double rate, double duration_s) {
   cloud::ShardedOptions service_opts;
   service_opts.shards = kShards;
   service_opts.queue_capacity = 64;
-  cloud::ShardedDispatcher service(
+  cloud::ShardedCore service(
       lopts.dim, [](std::size_t) { return make_policy("FirstFit"); },
       service_opts);
   net::ServerOptions server_opts;

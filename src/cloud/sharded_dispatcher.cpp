@@ -757,7 +757,9 @@ void ShardedDispatcher::stop_workers() noexcept {
     shard->not_empty.notify_all();
     shard->not_full.notify_all();
   }
-  for (std::thread& worker : workers_) worker.join();
+  for (std::thread& worker : workers_) {
+    if (worker.joinable()) worker.join();
+  }
 }
 
 void ShardedDispatcher::wait_for_room(std::size_t shard_idx) {

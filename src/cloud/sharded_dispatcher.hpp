@@ -15,12 +15,19 @@
 // their engines and queues, one submission path, and step(shard), which
 // takes up to 256 queued ops in FIFO order, applies them in one group
 // commit, fires their completions and publishes progress in queue order.
-// A test steps it directly. ShardedDispatcher is the core plus one worker
+// A test steps it directly, and so does the network server's one event
+// loop (src/net/server.hpp). ShardedDispatcher is the core plus one worker
 // per shard that waits (a short spin, then a condition variable producers
-// signal on the empty -> non-empty transition) and steps. drain() steps
-// shards itself, and so does a submission waiting for room in the core (in
-// the threaded service it waits for the worker), so completions fire on
-// whichever thread steps.
+// signal on the empty -> non-empty transition) and steps; batch runs use
+// it. drain() steps shards itself, and so does a submission waiting for
+// room in the core (in the threaded service it waits for the worker), so
+// completions fire on whichever thread steps. A server handed a
+// ShardedDispatcher stops its workers (stop_workers) and steps it as it
+// steps the core. While a net::PlacementServer runs over a service, its
+// loop is the only thread that steps it: another thread may call drain(),
+// step(), or a blocking arrive()/depart() only after the server's wait()
+// or stop(). Read-only calls (cost_so_far, jobs_active, ...) are safe at
+// any time.
 //
 // Equivalence contract (pinned by tests/test_sharded_parity.cpp):
 //   * K = 1: the service reproduces the serial Dispatcher -- and hence
@@ -228,6 +235,11 @@ class ShardedCore {
   /// applied (a worker may apply some of them meanwhile), then rethrows
   /// the first error a step met, if any.
   void drain();
+
+  /// Stops the threads that step this service, if any: from then on only
+  /// callers step it (a server's loop, drain(), a submission waiting for
+  /// room). Idempotent; the thread-free core has none to stop.
+  virtual void stop_workers() noexcept {}
 
   /// Forces an fsync on every shard journal (no-op when durability is
   /// off). The graceful-drain path calls this after drain() so that an
@@ -439,12 +451,14 @@ class ShardedDispatcher : public ShardedCore {
   /// Stops and joins the workers; the core then applies what is left.
   ~ShardedDispatcher();
 
+  /// Stops and joins the workers. The service then steps like the core.
+  void stop_workers() noexcept override;
+
  protected:
   void wait_for_room(std::size_t shard) override;
 
  private:
   void work(std::size_t shard);
-  void stop_workers() noexcept;
 
   std::atomic<bool> stopping_{false};
   std::vector<std::thread> workers_;

@@ -121,16 +121,21 @@ int usage() {
       "\n"
       "subcommands (docs/PROTOCOL.md):\n"
       "  harness serve   --port=7070 --shards=K --policy=... [--d=2]\n"
-      "                  [--event-loops=1] [--max-inflight=N]\n"
+      "                  [--max-inflight=N]\n"
       "                  [--journal-dir=... --fsync=... --checkpoint-every=N]\n"
       "                  [--metrics-out=...]  run the binary-RPC placement\n"
-      "                  server; SIGTERM/SIGINT or a Drain RPC drains it\n"
+      "                  server: one event loop reads, places, commits and\n"
+      "                  answers each request; SIGTERM/SIGINT or a Drain RPC\n"
+      "                  drains it\n"
       "  harness loadgen --port=7070 [--host=127.0.0.1] [--connections=4]\n"
       "                  [--window=64 --requests=10000]  closed loop, or\n"
       "                  [--rate=R --duration=1]  open loop, timed from\n"
       "                  each request's due time; synthetic mix [--dim=2]\n"
       "                  [--depart-fraction=0.45] [--seed=42], or\n"
-      "                  [--trace=<file.trc>] to its end, with its tenants\n"
+      "                  [--trace=<file.trc>] to its end, with its tenants,\n"
+      "                  on one connection by default: more connections\n"
+      "                  interleave the trace, so the drained cost is then\n"
+      "                  not the trace's\n"
       "                  [--drain]  send a Drain RPC afterwards and report\n"
       "                  the server's final packing hash\n"
       "\n"
@@ -696,11 +701,10 @@ int run_batch(const harness::Args& args) {
 /// reports the final packing.
 int run_serve(const harness::Args& args) {
   static const std::set<std::string> kKnown{
-      "port",        "host",       "shards",          "policy",
-      "policy-seed", "d",          "capacity",        "event-loops",
-      "max-inflight", "queue-capacity", "metrics-out",
-      "journal-dir", "fsync",      "fsync-interval",  "checkpoint-every",
-      "quiet",       "help"};
+      "port",           "host",        "shards",      "policy",
+      "policy-seed",    "d",           "capacity",    "max-inflight",
+      "queue-capacity", "metrics-out", "journal-dir", "fsync",
+      "fsync-interval", "checkpoint-every", "quiet",  "help"};
   reject_unknown_flags("serve: ", kKnown, args);
   validate_output_paths(args);
   refuse_journal_dir(args, true, false);
@@ -709,15 +713,14 @@ int run_serve(const harness::Args& args) {
   const bool quiet = args.get_bool("quiet");
 
   obs::MetricRegistry registry;
-  cloud::ShardedDispatcher service(
+  // Thread-free: the server's one event loop steps every shard.
+  cloud::ShardedCore service(
       dim, [&args](std::size_t) { return policy_from(args); },
       sharded_options(args, registry));
 
   net::ServerOptions nopts;
   nopts.host = args.get("host", "127.0.0.1");
   nopts.port = static_cast<std::uint16_t>(args.get_int("port", 7070));
-  nopts.event_loops =
-      static_cast<std::size_t>(args.get_int("event-loops", 1));
   nopts.max_inflight_per_conn =
       static_cast<std::size_t>(args.get_int("max-inflight", 1024));
   nopts.metrics = &registry;
@@ -764,8 +767,10 @@ int run_loadgen_cmd(const harness::Args& args) {
   net::LoadgenOptions opts;
   opts.host = args.get("host", "127.0.0.1");
   opts.port = static_cast<std::uint16_t>(args.get_int("port", 7070));
-  opts.connections =
-      static_cast<std::size_t>(args.get_int("connections", 4));
+  opts.trace_path = args.get("trace", "");
+  // One connection replays a trace in its order; more interleave it.
+  opts.connections = static_cast<std::size_t>(
+      args.get_int("connections", opts.trace_path.empty() ? 4 : 1));
   opts.dim = static_cast<std::size_t>(args.get_int("dim", 2));
   opts.depart_fraction = args.get_double("depart-fraction", 0.45);
   opts.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
@@ -774,7 +779,6 @@ int run_loadgen_cmd(const harness::Args& args) {
       static_cast<std::uint64_t>(args.get_int("requests", 10000));
   opts.open_loop_rate = args.get_double("rate", 0.0);
   opts.duration_s = args.get_double("duration", 1.0);
-  opts.trace_path = args.get("trace", "");
 
   // A flag the chosen source or pacing does not read is a usage error, as
   // in batch mode, not a silent no-op.

@@ -81,26 +81,16 @@ ServerCore::ServerCore(cloud::ShardedCore& service,
 }
 
 Response ServerCore::drain() {
-  std::lock_guard<std::mutex> lock(drain_mu_);
   if (drained_) return drained_answer_;
   refuse_new_work();
   Response& answer = drained_answer_;
   try {
-    // A request that raced the flag can slip one more op in after a drain
-    // (snapshot() then refuses with std::logic_error); each connection
-    // admits finitely many such stragglers before it observes the flag,
-    // so this converges. drain() rethrows a step's error first.
-    for (;;) {
-      service_.drain();
-      try {
-        const Packing p = service_.snapshot();
-        answer.packing_hash = packing_hash(p);
-        answer.num_bins = p.num_bins();
-        answer.cost = p.cost();
-        break;
-      } catch (const std::logic_error&) {
-      }
-    }
+    // drain() rethrows a step's error first.
+    service_.drain();
+    const Packing p = service_.snapshot();
+    answer.packing_hash = packing_hash(p);
+    answer.num_bins = p.num_bins();
+    answer.cost = p.cost();
     service_.sync_journals();
   } catch (...) {
     // A step or a journal failed: the accepted ops were answered, but the
@@ -188,27 +178,18 @@ void Connection::submit(Request& req, Response& resp) {
     respond(resp);
     return;
   }
-  if (inflight_.load(std::memory_order_acquire) >= core_.max_inflight_) {
+  if (pending_.size() >= core_.max_inflight_) {
     if (core_.backpressure_ != nullptr) core_.backpressure_->inc();
     resp.status = Status::kRetryLater;
     respond(resp);
     return;
   }
-
-  // Enter the pending map before submitting: the completion can fire on a
-  // stepping thread before try_arrive/try_depart even returns.
-  bool duplicate = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    duplicate =
-        !pending_.emplace(req.id, Pending{req.type, now_tp()}).second;
-  }
-  if (duplicate) {
+  if (pending_.contains(req.id)) {
     resp.status = Status::kBadRequest;  // request id already in flight
     respond(resp);
     return;
   }
-  inflight_.fetch_add(1, std::memory_order_acq_rel);
+  const Pending pending{req.type, now_tp()};
 
   // Tenant admission gate: decided in the front-end, before the service
   // ever sees the op, so the decision sequence is shard-count-independent.
@@ -232,7 +213,6 @@ void Connection::submit(Request& req, Response& resp) {
                                     shared_from_this(), req.id, tenant);
       accepted = job.has_value();
       if (accepted && gated) {
-        std::lock_guard<std::mutex> lock(core_.tenant_mu_);
         core_.tenant_of_job_.emplace(*job, std::make_pair(tenant, gate_units));
       }
     } else {
@@ -241,19 +221,12 @@ void Connection::submit(Request& req, Response& resp) {
       if (accepted && gate != nullptr) {
         // Release what the job's Arrive booked (possibly on another
         // connection); unknown ids were admitted before the gate existed.
-        std::pair<TenantId, double> job_booking{kNoTenant, 0.0};
-        bool found = false;
-        {
-          std::lock_guard<std::mutex> lock(core_.tenant_mu_);
-          const auto it =
-              core_.tenant_of_job_.find(static_cast<JobId>(req.job));
-          if (it != core_.tenant_of_job_.end()) {
-            job_booking = it->second;
-            found = true;
-            core_.tenant_of_job_.erase(it);
-          }
+        const auto it =
+            core_.tenant_of_job_.find(static_cast<JobId>(req.job));
+        if (it != core_.tenant_of_job_.end()) {
+          gate->release_units(it->second.first, it->second.second);
+          core_.tenant_of_job_.erase(it);
         }
-        if (found) gate->release_units(job_booking.first, job_booking.second);
       }
     }
   } catch (const std::invalid_argument&) {
@@ -262,14 +235,14 @@ void Connection::submit(Request& req, Response& resp) {
   } catch (...) {
     failure = Status::kInternalError;
   }
-  if (accepted) return;
+  if (accepted) {
+    // No step runs inside try_arrive/try_depart, so the completion fires
+    // after this entry exists.
+    pending_.emplace(req.id, pending);
+    return;
+  }
   // A gated-then-refused submission must give the booked demand back.
   if (booked) gate->release_units(req.tenant, gate_units);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_.erase(req.id);
-  }
-  inflight_.fetch_sub(1, std::memory_order_acq_rel);
   if (failure == Status::kRetryLater && core_.backpressure_ != nullptr) {
     core_.backpressure_->inc();
   }
@@ -283,129 +256,55 @@ void Connection::respond(const Response& resp) {
 }
 
 void Connection::op_applied(std::uint64_t cookie, JobId job) noexcept {
-  const auto applied_at = now_tp();
-  std::chrono::nanoseconds latency{0};
+  // A closed connection has its pending map cleared, so a completion that
+  // comes after the close drops out here.
+  const auto it = pending_.find(cookie);
+  if (it == pending_.end()) return;
+  if (core_.request_latency_ != nullptr) {
+    const std::chrono::nanoseconds latency = now_tp() - it->second.received;
+    core_.request_latency_->observe(static_cast<double>(latency.count()));
+  }
+  Response resp;
+  resp.id = cookie;
+  resp.type = it->second.type;
+  if (job == kNoItem) {
+    resp.status = Status::kInternalError;  // not applied and committed
+  } else {
+    resp.job = job;
+  }
+  pending_.erase(it);
   try {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      // A closed connection has its pending map cleared, so a completion
-      // that raced the close drops out here -- and, crucially, never
-      // reaches its driver, which may be tearing down by then.
-      auto it = pending_.find(cookie);
-      if (closed_ || it == pending_.end()) return;
-      latency = applied_at - it->second.received;
-      Response resp;
-      resp.id = cookie;
-      resp.type = it->second.type;
-      if (job == kNoItem) {
-        resp.status = Status::kInternalError;  // not applied and committed
-      } else {
-        resp.job = job;
-      }
-      pending_.erase(it);
-      encode_response(resp, staged_);
-      ++staged_frames_;
-    }
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    if (core_.request_latency_ != nullptr) {
-      core_.request_latency_->observe(static_cast<double>(latency.count()));
-    }
-    staged();
+    respond(resp);
   } catch (...) {
     // Allocation failure encoding the response: the client will see the
     // connection close (or time out) rather than a missing frame.
   }
-}
-
-void Connection::collect() {
-  std::uint64_t frames = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    output_.insert(output_.end(), staged_.begin(), staged_.end());
-    staged_.clear();
-    frames = std::exchange(staged_frames_, 0);
-  }
-  if (frames > 0 && core_.frames_out_ != nullptr) {
-    core_.frames_out_->inc(frames);
-  }
-}
-
-bool Connection::idle() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return staged_.empty() && pending_.empty();
-}
-
-void Connection::close() noexcept {
-  std::lock_guard<std::mutex> lock(mu_);
-  closed_ = true;
-  pending_.clear();  // completions in flight drop out harmlessly
-  staged_.clear();
-  staged_frames_ = 0;
+  answered();
 }
 
 // ---------------------------------------------------------------------------
-// Socket / EventLoop
+// Socket
 
 struct PlacementServer::Socket final : Connection {
-  Socket(ServerCore& core, int fd, EventLoop& loop)
-      : Connection(core), fd(fd), loop(loop) {}
+  Socket(ServerCore& core, int fd, PlacementServer& server)
+      : Connection(core), fd(fd), server(server) {}
 
-  void staged() noexcept override;
+  void answered() noexcept override {
+    try {
+      server.to_flush_.push_back(
+          std::static_pointer_cast<Socket>(shared_from_this()));
+    } catch (...) {
+      // The answer stays in output() until the connection's next wake.
+    }
+  }
 
-  // Loop-thread-only. `fd` doubles as the liveness flag (-1 once closed).
+  // `fd` doubles as the liveness flag (-1 once closed).
   int fd;
-  EventLoop& loop;
+  PlacementServer& server;
   std::size_t write_pos = 0;  ///< output() bytes already written
   bool want_write = false;    ///< EPOLLOUT currently armed
   bool close_after_flush = false;
 };
-
-struct PlacementServer::EventLoop {
-  int epfd = -1;
-  int wake_fd = -1;
-  std::thread thread;
-
-  // Inbox: filled by loop 0 (new connections) and stepping threads
-  // (completion flushes), drained by this loop's thread on each wake.
-  std::mutex inbox_mu;
-  std::vector<std::shared_ptr<Socket>> incoming;
-  std::vector<std::shared_ptr<Socket>> flushes;
-  /// Dedupes eventfd writes: one wake covers any number of inbox pushes.
-  std::atomic<bool> wake_pending{false};
-
-  // Loop-thread-only.
-  std::unordered_map<int, std::shared_ptr<Socket>> conns;
-
-  ~EventLoop() {
-    if (epfd >= 0) ::close(epfd);
-    if (wake_fd >= 0) ::close(wake_fd);
-  }
-
-  void notify() noexcept {
-    if (!wake_pending.exchange(true, std::memory_order_acq_rel)) {
-      const std::uint64_t one = 1;
-      [[maybe_unused]] ssize_t n = ::write(wake_fd, &one, sizeof(one));
-    }
-  }
-
-  /// Hands a connection with staged completions to the loop thread.
-  /// noexcept: an allocation failure here leaves the responses staged, to
-  /// be collected on the connection's next pump.
-  void schedule_flush(std::shared_ptr<Socket> conn) noexcept {
-    try {
-      {
-        std::lock_guard<std::mutex> lock(inbox_mu);
-        flushes.push_back(std::move(conn));
-      }
-      notify();
-    } catch (...) {
-    }
-  }
-};
-
-void PlacementServer::Socket::staged() noexcept {
-  loop.schedule_flush(std::static_pointer_cast<Socket>(shared_from_this()));
-}
 
 // ---------------------------------------------------------------------------
 // Signal hookup
@@ -422,11 +321,13 @@ extern "C" void dvbp_net_signal_handler(int) {
 // ---------------------------------------------------------------------------
 // Lifecycle
 
-PlacementServer::PlacementServer(cloud::ShardedDispatcher& service,
+PlacementServer::PlacementServer(cloud::ShardedCore& service,
                                  ServerOptions options)
     : service_(service), core_(service, options) {
-  if (options.event_loops == 0) {
-    throw std::invalid_argument("PlacementServer: event_loops must be >= 1");
+  if (options.event_loops != 1) {
+    throw std::invalid_argument(
+        "PlacementServer: event_loops must be 1 (one loop steps the "
+        "service)");
   }
   if (options.metrics != nullptr) {
     auto& m = *options.metrics;
@@ -436,10 +337,9 @@ PlacementServer::PlacementServer(cloud::ShardedDispatcher& service,
     bytes_out_ = &m.counter("dvbp.net.bytes_out_total");
   }
 
-  // All fds first (cleanup on failure), threads last.
+  // All fds first (cleanup on failure), the thread last.
   auto fail = [this](const std::string& why) {
-    close_listener();
-    loops_.clear();  // ~EventLoop closes its fds
+    close_fds();
     throw NetError(why);
   };
 
@@ -469,36 +369,19 @@ PlacementServer::PlacementServer(cloud::ShardedDispatcher& service,
   }
   port_ = ntohs(bound.sin_port);
 
-  const auto watch = [&fail](int epfd, int fd) {
-    if (!watch_readable(epfd, fd)) fail(errno_str("epoll_ctl"));
-  };
-  loops_.reserve(options.event_loops);
-  for (std::size_t i = 0; i < options.event_loops; ++i) {
-    auto loop = std::make_unique<EventLoop>();
-    loop->epfd = ::epoll_create1(EPOLL_CLOEXEC);
-    loop->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    loops_.push_back(std::move(loop));  // so fail() closes its fds
-    EventLoop& l = *loops_.back();
-    if (l.epfd < 0 || l.wake_fd < 0) fail(errno_str("epoll_create1/eventfd"));
-    watch(l.epfd, l.wake_fd);
+  epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (epfd_ < 0 || wake_fd_ < 0) fail(errno_str("epoll_create1/eventfd"));
+  if (!watch_readable(epfd_, wake_fd_) || !watch_readable(epfd_, listen_fd_)) {
+    fail(errno_str("epoll_ctl"));
   }
-  watch(loops_.front()->epfd, listen_fd_);  // loop 0 accepts
 
+  // From here on the loop is the only thread that steps the service.
+  service_.stop_workers();
   try {
-    for (auto& loop : loops_) {
-      EventLoop* l = loop.get();
-      l->thread = std::thread([this, l] { loop_run(*l); });
-    }
+    loop_ = std::thread([this] { loop_run(); });
   } catch (...) {
-    shutdown_loops_.store(true);
-    for (auto& loop : loops_) {
-      if (loop->thread.joinable()) {
-        loop->notify();
-        loop->thread.join();
-      }
-    }
-    close_listener();
-    loops_.clear();
+    close_fds();
     throw;
   }
 }
@@ -507,6 +390,7 @@ PlacementServer::~PlacementServer() {
   stop();
   PlacementServer* self = this;
   g_signal_server.compare_exchange_strong(self, nullptr);
+  close_fds();
 }
 
 void PlacementServer::close_listener() noexcept {
@@ -516,9 +400,22 @@ void PlacementServer::close_listener() noexcept {
   }
 }
 
+void PlacementServer::close_fds() noexcept {
+  close_listener();
+  for (int* fd : {&epfd_, &wake_fd_}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
+  }
+}
+
+void PlacementServer::notify() noexcept {
+  const std::uint64_t one = 1;
+  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+}
+
 void PlacementServer::request_drain() noexcept {
   core_.refuse_new_work();
-  loops_.front()->notify();
+  notify();
 }
 
 void PlacementServer::install_signal_drain(int signo) {
@@ -537,46 +434,38 @@ void PlacementServer::install_signal_drain(int signo) {
   }
 }
 
-void PlacementServer::wait() { join_threads(); }
+void PlacementServer::wait() { join_loop(); }
 
-void PlacementServer::join_threads() {
+void PlacementServer::join_loop() {
   std::lock_guard<std::mutex> lock(join_mu_);
-  for (auto& loop : loops_) {
-    if (loop->thread.joinable()) loop->thread.join();
-  }
+  if (loop_.joinable()) loop_.join();
 }
 
 void PlacementServer::stop() {
   bool expected = false;
   if (stopped_.compare_exchange_strong(expected, true)) {
     // seq_cst store order matters: a loop that observes draining() must
-    // also observe shutdown_loops_, so none starts a graceful drain in
-    // response to a hard stop.
-    shutdown_loops_.store(true);
+    // also observe shutdown_loop_, so it does not start a graceful drain
+    // in response to a hard stop.
+    shutdown_loop_.store(true);
     core_.refuse_new_work();
-    for (auto& loop : loops_) loop->notify();
+    notify();
   }
-  join_threads();
-  // Ops submitted by the loops' final iterations may still be queued; apply
-  // them so no completion can run concurrently with our destruction.
-  // (Completions fire before an op counts as applied, so drain() returning
-  // bounds op_applied too.)
+  join_loop();
+  // Ops the loop's last wake submitted may still be queued; apply them now
+  // that no loop steps. Their connections are closed, so their
+  // completions drop out.
   try {
     service_.drain();
   } catch (...) {
   }
-  close_listener();  // loop 0 closes it unless it never ran
-}
-
-void PlacementServer::begin_graceful_close() {
-  graceful_close_.store(true, std::memory_order_release);
-  for (auto& loop : loops_) loop->notify();
+  close_listener();  // the loop closes it unless it never ran
 }
 
 // ---------------------------------------------------------------------------
 // Event loop
 
-void PlacementServer::accept_all(EventLoop& loop0) {
+void PlacementServer::accept_all() {
   for (;;) {
     const int fd =
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -585,40 +474,36 @@ void PlacementServer::accept_all(EventLoop& loop0) {
       if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
           errno == ENOMEM) {
         // The connection stays queued, so the level-triggered watch would
-        // wake this loop at once for as long as the shortage lasts: stop
+        // wake the loop at once for as long as the shortage lasts: stop
         // watching for kAcceptPause (loop_run resumes it).
-        ::epoll_ctl(loop0.epfd, EPOLL_CTL_DEL, listen_fd_, nullptr);
+        ::epoll_ctl(epfd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
         accept_resume_at_ = std::chrono::steady_clock::now() + kAcceptPause;
       }
       return;  // EAGAIN, or an error that dropped the connection
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    EventLoop& loop = *loops_[next_loop_++ % loops_.size()];
     if (connections_total_ != nullptr) connections_total_->inc();
-    if (connections_active_ != nullptr) connections_active_->add(1.0);
-    {
-      std::lock_guard<std::mutex> lock(loop.inbox_mu);
-      loop.incoming.push_back(std::make_shared<Socket>(core_, fd, loop));
+    if (!watch_readable(epfd_, fd)) {
+      ::close(fd);
+      continue;
     }
-    loop.notify();
+    if (connections_active_ != nullptr) connections_active_->add(1.0);
+    conns_.emplace(fd, std::make_shared<Socket>(core_, fd, *this));
   }
 }
 
-void PlacementServer::loop_run(EventLoop& loop) {
-  const bool owns_listener = &loop == loops_.front().get();
+void PlacementServer::loop_run() {
   std::array<epoll_event, 64> events{};
-  std::vector<std::shared_ptr<Socket>> incoming;
-  std::vector<std::shared_ptr<Socket>> flushes;
   for (;;) {
     int timeout_ms = -1;
-    if (owns_listener && accept_resume_at_) {
+    if (accept_resume_at_) {
       timeout_ms = static_cast<int>(std::max<std::int64_t>(
           0, std::chrono::ceil<std::chrono::milliseconds>(
                  *accept_resume_at_ - std::chrono::steady_clock::now())
                  .count()));
     }
-    const int n = ::epoll_wait(loop.epfd, events.data(),
+    const int n = ::epoll_wait(epfd_, events.data(),
                                static_cast<int>(events.size()), timeout_ms);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -626,98 +511,70 @@ void PlacementServer::loop_run(EventLoop& loop) {
     }
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
-      if (fd == loop.wake_fd) {
+      if (fd == wake_fd_) {
         std::uint64_t v = 0;
-        while (::read(loop.wake_fd, &v, sizeof(v)) > 0) {
+        while (::read(wake_fd_, &v, sizeof(v)) > 0) {
         }
-        // Reset before draining the inbox: a push that misses this drain
-        // rearms the eventfd and gets the next one.
-        loop.wake_pending.store(false, std::memory_order_release);
-        {
-          std::lock_guard<std::mutex> lock(loop.inbox_mu);
-          incoming.swap(loop.incoming);
-          flushes.swap(loop.flushes);
-        }
-        for (auto& conn : incoming) register_conn(loop, conn);
-        incoming.clear();
-        for (auto& conn : flushes) pump(loop, conn);
-        flushes.clear();
         continue;
       }
-      if (owns_listener && fd == listen_fd_) {
-        accept_all(loop);
+      if (fd == listen_fd_) {
+        accept_all();
         continue;
       }
-      auto it = loop.conns.find(fd);
-      if (it == loop.conns.end()) continue;  // closed earlier this batch
+      auto it = conns_.find(fd);
+      if (it == conns_.end()) continue;  // closed earlier this batch
       std::shared_ptr<Socket> conn = it->second;  // close erases the map
       const std::uint32_t ev = events[i].events;
       if ((ev & (EPOLLHUP | EPOLLERR)) != 0) {
-        close_conn(loop, conn);
+        close_conn(conn);
         continue;
       }
-      if ((ev & EPOLLOUT) != 0) flush_writes(loop, conn);
-      if (conn->fd >= 0 && (ev & EPOLLIN) != 0) handle_readable(loop, conn);
+      if ((ev & EPOLLOUT) != 0) flush_writes(conn);
+      if (conn->fd >= 0 && (ev & EPOLLIN) != 0) handle_readable(conn);
     }
-    if (owns_listener && accept_resume_at_ &&
+    if (accept_resume_at_ &&
         std::chrono::steady_clock::now() >= *accept_resume_at_) {
       accept_resume_at_.reset();
       // A drain may have closed the listen socket meanwhile.
-      if (listen_fd_ >= 0 && !watch_readable(loop.epfd, listen_fd_)) {
+      if (listen_fd_ >= 0 && !watch_readable(epfd_, listen_fd_)) {
         accept_resume_at_ = std::chrono::steady_clock::now() + kAcceptPause;
       }
     }
-    if (shutdown_loops_.load(std::memory_order_acquire)) {
-      while (!loop.conns.empty()) {
-        close_conn(loop, loop.conns.begin()->second);
-      }
+    if (shutdown_loop_.load(std::memory_order_acquire)) {
+      while (!conns_.empty()) close_conn(conns_.begin()->second);
       break;
     }
-    // A drain asked for by a signal (on loop 0) or by a Drain RPC runs
-    // here; it is idempotent, so the first loop to get here runs it.
-    if (core_.draining() && !shutdown_loops_.load() &&
-        !graceful_close_.load(std::memory_order_acquire)) {
-      if (owns_listener) close_listener();  // stop accepting first
+    // A drain asked for by a signal or by a Drain RPC runs here, once.
+    if (core_.draining() && !graceful_close_) {
+      close_listener();  // stop accepting first
       core_.drain();
-      begin_graceful_close();
+      graceful_close_ = true;
     }
-    if (graceful_close_.load(std::memory_order_acquire)) {
-      if (owns_listener) close_listener();
+    // Run to completion: apply and commit what this wake submitted, then
+    // write every connection that got an answer.
+    for (std::size_t s = 0; s < service_.shards(); ++s) {
+      while (service_.step(s) != 0) {
+      }
+    }
+    for (const auto& conn : to_flush_) flush_writes(conn);
+    to_flush_.clear();
+    if (graceful_close_) {
       // Close-out sweep: every connection closes once its last response is
       // flushed. Snapshot the map first -- closing mutates it.
       std::vector<std::shared_ptr<Socket>> all;
-      all.reserve(loop.conns.size());
-      for (auto& [cfd, c] : loop.conns) all.push_back(c);
+      all.reserve(conns_.size());
+      for (auto& [cfd, c] : conns_) all.push_back(c);
       for (auto& c : all) {
         c->close_after_flush = true;
-        pump(loop, c);  // also flushes and closes when idle
+        flush_writes(c);  // also closes when idle
       }
-      if (loop.conns.empty()) break;
+      if (conns_.empty()) break;
     }
   }
-  if (owns_listener) close_listener();
+  close_listener();
 }
 
-void PlacementServer::register_conn(EventLoop& loop,
-                                    const std::shared_ptr<Socket>& conn) {
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = conn->fd;
-  if (::epoll_ctl(loop.epfd, EPOLL_CTL_ADD, conn->fd, &ev) < 0) {
-    ::close(conn->fd);
-    conn->fd = -1;
-    conn->close();
-    if (connections_active_ != nullptr) connections_active_->add(-1.0);
-    return;
-  }
-  loop.conns.emplace(conn->fd, conn);
-  if (graceful_close_.load(std::memory_order_acquire)) {
-    conn->close_after_flush = true;  // late arrival during drain
-  }
-}
-
-void PlacementServer::handle_readable(EventLoop& loop,
-                                      const std::shared_ptr<Socket>& conn) {
+void PlacementServer::handle_readable(const std::shared_ptr<Socket>& conn) {
   std::uint8_t buf[kReadChunk];
   for (;;) {
     const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
@@ -726,36 +583,28 @@ void PlacementServer::handle_readable(EventLoop& loop,
         bytes_in_->inc(static_cast<std::uint64_t>(n));
       }
       if (!conn->receive(buf, static_cast<std::size_t>(n))) {
-        close_conn(loop, conn);  // malformed bytes
+        close_conn(conn);  // malformed bytes
         return;
       }
       if (static_cast<std::size_t>(n) < sizeof(buf)) break;  // drained
     } else if (n == 0) {
-      close_conn(loop, conn);  // peer closed
+      close_conn(conn);  // peer closed
       return;
     } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
       break;
     } else if (errno == EINTR) {
       continue;
     } else {
-      close_conn(loop, conn);
+      close_conn(conn);
       return;
     }
   }
-  // One write for the responses this read batch produced: coalesces
-  // pipelined responses into one write(2).
-  flush_writes(loop, conn);
+  // Written once at the end of the wake, with the answers its ops get:
+  // coalesces pipelined responses into one write(2).
+  to_flush_.push_back(conn);
 }
 
-void PlacementServer::pump(EventLoop& loop,
-                           const std::shared_ptr<Socket>& conn) {
-  if (conn->fd < 0) return;
-  conn->collect();
-  flush_writes(loop, conn);
-}
-
-void PlacementServer::flush_writes(EventLoop& loop,
-                                   const std::shared_ptr<Socket>& conn) {
+void PlacementServer::flush_writes(const std::shared_ptr<Socket>& conn) {
   if (conn->fd < 0) return;
   std::vector<std::uint8_t>& out = conn->output();
   while (conn->write_pos < out.size()) {
@@ -773,19 +622,19 @@ void PlacementServer::flush_writes(EventLoop& loop,
         epoll_event ev{};
         ev.events = EPOLLIN | EPOLLOUT;
         ev.data.fd = conn->fd;
-        ::epoll_ctl(loop.epfd, EPOLL_CTL_MOD, conn->fd, &ev);
+        ::epoll_ctl(epfd_, EPOLL_CTL_MOD, conn->fd, &ev);
       }
       out.erase(out.begin(),
                 out.begin() + static_cast<std::ptrdiff_t>(conn->write_pos));
       conn->write_pos = 0;
       if (out.size() > kMaxWriteBuffer) {
-        close_conn(loop, conn);  // peer is not reading its responses
+        close_conn(conn);  // peer is not reading its responses
       }
       return;
     } else if (n < 0 && errno == EINTR) {
       continue;
     } else {
-      close_conn(loop, conn);
+      close_conn(conn);
       return;
     }
   }
@@ -796,22 +645,21 @@ void PlacementServer::flush_writes(EventLoop& loop,
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = conn->fd;
-    ::epoll_ctl(loop.epfd, EPOLL_CTL_MOD, conn->fd, &ev);
+    ::epoll_ctl(epfd_, EPOLL_CTL_MOD, conn->fd, &ev);
   }
-  if (conn->close_after_flush && conn->idle()) close_conn(loop, conn);
+  if (conn->close_after_flush && conn->idle()) close_conn(conn);
 }
 
-void PlacementServer::close_conn(EventLoop& loop,
-                                 const std::shared_ptr<Socket>& conn) {
+void PlacementServer::close_conn(const std::shared_ptr<Socket>& conn) {
   // `conn` may alias the map's own shared_ptr (the shutdown sweep passes
-  // `loop.conns.begin()->second` directly); keep a local owner so the
-  // erase below cannot destroy the Socket out from under us.
+  // `conns_.begin()->second` directly); keep a local owner so the erase
+  // below cannot destroy the Socket out from under us.
   std::shared_ptr<Socket> keep = conn;
   if (keep->fd < 0) return;
   keep->close();
-  ::epoll_ctl(loop.epfd, EPOLL_CTL_DEL, keep->fd, nullptr);
+  ::epoll_ctl(epfd_, EPOLL_CTL_DEL, keep->fd, nullptr);
   ::close(keep->fd);
-  loop.conns.erase(keep->fd);
+  conns_.erase(keep->fd);
   keep->fd = -1;
   if (connections_active_ != nullptr) connections_active_->add(-1.0);
 }

@@ -1,27 +1,33 @@
 // PlacementServer: the binary-RPC network front-end of the sharded
 // placement service (docs/PROTOCOL.md, docs/ARCHITECTURE.md), as a
-// socket-free core and a threaded driver.
+// socket-free core and one event-loop thread that runs it.
 //
 // ServerCore holds the service, the tenant gate and its map of booked
 // jobs, and the drain state. A Connection is one client's protocol state
 // machine over it: bytes in (receive), responses out (output). Decoded
 // Arrive/Depart requests are submitted through the service's refusing
-// try_arrive/try_depart path; the stepping thread fires the connection's
-// CompletionSink once the op is applied, which stages the encoded
-// response for collect() -- the completion hookup that makes a response
-// mean "placed", not "buffered". Neither starts a thread: a test steps a
-// ShardedCore and reads a Connection's output directly.
+// try_arrive/try_depart path; the step that applies the op fires the
+// connection's CompletionSink, which appends the encoded response to
+// output() -- the completion hookup that makes a response mean "placed",
+// not "buffered". Neither starts a thread or takes a lock: one thread
+// drives them. A test steps a ShardedCore and reads a Connection's output
+// directly.
 //
-// PlacementServer drives them with N event-loop threads (epoll,
-// level-triggered, nonblocking sockets). Loop 0 owns the listen socket,
-// accepts, and round-robins connections across the loops. When accept4
-// finds no descriptor (EMFILE, ENFILE) or no kernel memory, the connection
-// stays queued and the level-triggered watch would wake loop 0 at once for
-// as long as the shortage lasts; so loop 0 stops watching the listen
-// socket for 50 ms, then tries again. Queued clients wait; none is shed.
-// A completion
-// wakes its connection's loop via eventfd; each loop writes once per read
-// batch (EPOLLOUT armed only while the socket is full).
+// PlacementServer drives them with one event-loop thread (epoll,
+// level-triggered, nonblocking sockets), the only thread that steps the
+// service while the server runs. After each epoll_wait wake it accepts,
+// reads and submits, steps every shard that has queued ops, and writes
+// every connection that got an answer: one wake-up on one thread reads,
+// places, commits and answers a request. When accept4 finds no descriptor
+// (EMFILE, ENFILE) or no kernel memory, the connection stays queued and
+// the level-triggered watch would wake the loop at once for as long as
+// the shortage lasts; so the loop stops watching the listen socket for 50
+// ms, then tries again. Queued clients wait; none is shed. Each wake
+// writes a connection once (EPOLLOUT armed only while the socket is full).
+//
+// While a server runs, no other thread may call the service's drain(),
+// step(), or a blocking arrive()/depart(); after wait() or stop() it may.
+// Read-only calls (cost_so_far, jobs_active, ...) are safe at any time.
 //
 // Admission control / backpressure (never unbounded buffering):
 //   * per-connection in-flight window (max_inflight_per_conn): requests
@@ -30,7 +36,7 @@
 // Both are counted by dvbp.net.backpressure_rejections_total.
 //
 // Graceful drain (Drain RPC, or a signal wired via install_signal_drain,
-// which loop 0 runs the way a loop runs a Drain RPC): stop accepting,
+// which the loop runs the way it runs a Drain RPC): stop accepting,
 // answer new Arrive/Depart with SHUTTING_DOWN, apply every accepted op
 // (service drain -- completions fire first, so every accepted request gets
 // exactly one response), sync the journals when durability is on, then
@@ -51,6 +57,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -72,6 +79,7 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; read the actual one back via port().
   std::uint16_t port = 0;
+  /// Must be 1: one loop steps the service. (perfbench sets the field.)
   std::size_t event_loops = 1;
   /// Per-connection cap on accepted-but-unanswered Arrive/Depart ops.
   std::size_t max_inflight_per_conn = 1024;
@@ -87,7 +95,7 @@ struct ServerOptions {
 };
 
 /// What every connection shares: the service, the gate's bookings and the
-/// drain. Thread-safe; starts no thread.
+/// drain. Driven by one thread (the server's loop); starts no thread.
 class ServerCore {
  public:
   /// The service is borrowed and must outlive the core. Reads
@@ -107,11 +115,10 @@ class ServerCore {
     return draining_.load(std::memory_order_acquire);
   }
 
-  /// The graceful drain, run once (later callers wait for the first and
-  /// get its answer): refuse new work, apply every accepted op, snapshot,
-  /// sync the journals. Answers OK with the final packing's hash, bins and
-  /// cost, or INTERNAL_ERROR when the service failed (a dead journal);
-  /// the caller fills in id and type.
+  /// The graceful drain, run once (later calls get its answer): refuse new
+  /// work, apply every accepted op, snapshot, sync the journals. Answers OK
+  /// with the final packing's hash, bins and cost, or INTERNAL_ERROR when
+  /// the service failed (a dead journal); the caller fills in id and type.
   Response drain();
 
  private:
@@ -120,16 +127,14 @@ class ServerCore {
   cloud::ShardedCore& service_;
   std::size_t max_inflight_;
   tenancy::AdmissionGate* gate_;
-  std::atomic<bool> draining_{false};
+  std::atomic<bool> draining_{false};  ///< a signal handler may set it
 
-  std::mutex drain_mu_;  ///< serializes drain(); guards the two below
   bool drained_ = false;
   Response drained_answer_;
 
   /// Gate bookkeeping (gate_ != nullptr only): the tenant and booked
   /// demand of every live job, so a Depart -- possibly on another
   /// connection -- releases exactly what its Arrive booked.
-  std::mutex tenant_mu_;
   std::unordered_map<JobId, std::pair<TenantId, double>> tenant_of_job_;
 
   // Cached instruments (null when metrics are off).
@@ -142,9 +147,10 @@ class ServerCore {
 };
 
 /// One client's protocol state machine: bytes in, responses out. Its
-/// driver feeds receive() and writes output(); the completions a step
-/// fires are staged until collect() moves them to output(). Owned through
-/// std::shared_ptr: each accepted op holds it as its CompletionSink.
+/// owner feeds receive(), steps the service, and writes output(); a
+/// completion appends its answer to output() as the step fires it. Owned
+/// through std::shared_ptr: each accepted op holds it as its
+/// CompletionSink. Every call comes from the thread that steps the service.
 class Connection : public cloud::CompletionSink,
                    public std::enable_shared_from_this<Connection> {
  public:
@@ -153,29 +159,25 @@ class Connection : public cloud::CompletionSink,
   /// Decodes and answers every complete request in the bytes: inline
   /// answers and refusals go to output() at once, an accepted
   /// Arrive/Depart's answer when its op completes. Returns false on
-  /// malformed bytes: the connection must close. Driver thread only.
+  /// malformed bytes: the connection must close.
   bool receive(const std::uint8_t* data, std::size_t size);
-
-  /// Moves the responses completions staged into output(). Driver thread
-  /// only.
-  void collect();
 
   /// Encoded responses not yet handed to the peer; the driver removes
   /// what it wrote.
   std::vector<std::uint8_t>& output() noexcept { return output_; }
 
-  /// No accepted op awaits its completion and none is staged.
-  bool idle();
+  /// No accepted op awaits its completion.
+  bool idle() const noexcept { return pending_.empty(); }
 
   /// Drops every pending op: a completion that fires later is discarded.
-  void close() noexcept;
+  void close() noexcept { pending_.clear(); }
 
   void op_applied(std::uint64_t cookie, JobId job) noexcept override;
 
  protected:
-  /// Called on the stepping thread, with no lock held, after a completion
-  /// was staged: the driver schedules a collect().
-  virtual void staged() noexcept {}
+  /// Called after a completion appended its answer to output(): the
+  /// server schedules a write.
+  virtual void answered() noexcept {}
 
  private:
   struct Pending {
@@ -191,27 +193,18 @@ class Connection : public cloud::CompletionSink,
   ServerCore& core_;
   FrameDecoder decoder_;
   std::vector<std::uint8_t> output_;
-
-  // Shared with stepping threads, guarded by `mu_`.
-  std::mutex mu_;
-  bool closed_ = false;
-  std::vector<std::uint8_t> staged_;
-  std::uint64_t staged_frames_ = 0;
-  /// request_id -> in-flight op (entered *before* submission: the
-  /// completion can fire before try_arrive/try_depart even returns).
+  /// request_id -> accepted-but-unanswered op: the admission window.
   std::unordered_map<std::uint64_t, Pending> pending_;
-
-  /// Accepted-but-unanswered ops (admission window).
-  std::atomic<std::size_t> inflight_{0};
 };
 
 class PlacementServer {
  public:
-  /// Binds, listens, and starts the event-loop threads. The service is
-  /// borrowed and must outlive the server. Throws NetError when the socket
-  /// setup fails, std::invalid_argument on bad options.
-  PlacementServer(cloud::ShardedDispatcher& service,
-                  ServerOptions options = {});
+  /// Stops the service's own stepping threads (stop_workers), binds,
+  /// listens, and starts the event loop, which from then on steps the
+  /// service. The service is borrowed and must outlive the server. Throws
+  /// NetError when the socket setup fails, std::invalid_argument on bad
+  /// options.
+  PlacementServer(cloud::ShardedCore& service, ServerOptions options = {});
 
   /// Hard-stops if still running (stop()), then joins everything.
   ~PlacementServer();
@@ -224,7 +217,7 @@ class PlacementServer {
 
   /// Triggers the graceful drain exactly as a Drain RPC would (minus the
   /// response). Async-signal-safe: an atomic store plus an eventfd write
-  /// to loop 0, which runs the drain.
+  /// to the loop, which runs the drain.
   void request_drain() noexcept;
 
   /// Routes `signo` (e.g. SIGTERM, SIGINT) to request_drain() on this
@@ -237,10 +230,9 @@ class PlacementServer {
   /// stop().
   void wait();
 
-  /// Hard stop: stops the loops, waits for in-flight ops to apply so no
-  /// completion can fire into a destroyed connection, then closes
-  /// everything. Unread client data is lost (use the Drain RPC for a
-  /// graceful end).
+  /// Hard stop: closes every connection, joins the loop, then applies the
+  /// ops still queued (their completions find no connection). Unread
+  /// client data is lost (use the Drain RPC for a graceful end).
   void stop();
 
   /// True once a drain has been requested (RPC, signal, request_drain) or
@@ -248,35 +240,39 @@ class PlacementServer {
   bool draining() const noexcept { return core_.draining(); }
 
  private:
-  struct EventLoop;
   struct Socket;
 
-  void loop_run(EventLoop& loop);
+  void loop_run();
   /// Accepts every queued connection; on a descriptor shortage it takes
-  /// the listen socket out of `loop0`'s epoll set (see the file comment).
-  void accept_all(EventLoop& loop0);
-  void register_conn(EventLoop& loop, const std::shared_ptr<Socket>& conn);
-  void handle_readable(EventLoop& loop, const std::shared_ptr<Socket>& conn);
-  void pump(EventLoop& loop, const std::shared_ptr<Socket>& conn);
-  void flush_writes(EventLoop& loop, const std::shared_ptr<Socket>& conn);
-  void close_conn(EventLoop& loop, const std::shared_ptr<Socket>& conn);
-  /// Flags every loop to close its connections once flushed (idempotent).
-  void begin_graceful_close();
+  /// the listen socket out of the epoll set (see the file comment).
+  void accept_all();
+  void handle_readable(const std::shared_ptr<Socket>& conn);
+  /// Writes what `conn` has buffered; closes it once flushed and idle
+  /// after a graceful close began.
+  void flush_writes(const std::shared_ptr<Socket>& conn);
+  void close_conn(const std::shared_ptr<Socket>& conn);
+  void notify() noexcept;
   void close_listener() noexcept;
-  void join_threads();
+  /// The listen socket, the epoll set and the eventfd.
+  void close_fds() noexcept;
+  void join_loop();
 
-  cloud::ShardedDispatcher& service_;
+  cloud::ShardedCore& service_;
   ServerCore core_;
-  int listen_fd_ = -1;  ///< loop 0's once the loops run
+  int listen_fd_ = -1;  ///< the loop's once it runs
   std::uint16_t port_ = 0;
+  int epfd_ = -1;
+  int wake_fd_ = -1;  ///< request_drain() and stop() wake the loop here
 
-  std::vector<std::unique_ptr<EventLoop>> loops_;
-  std::size_t next_loop_ = 0;  ///< loop 0 only
-  /// Loop 0 only: set while accepting is paused, to when it resumes.
+  // Loop-thread-only.
+  std::unordered_map<int, std::shared_ptr<Socket>> conns_;
+  /// Connections with output to write at the end of this wake.
+  std::vector<std::shared_ptr<Socket>> to_flush_;
+  /// Set while accepting is paused, to when it resumes.
   std::optional<std::chrono::steady_clock::time_point> accept_resume_at_;
+  bool graceful_close_ = false;  ///< close conns once flushed
 
-  std::atomic<bool> graceful_close_{false};  ///< close conns once flushed
-  std::atomic<bool> shutdown_loops_{false};  ///< loops close conns and exit
+  std::atomic<bool> shutdown_loop_{false};  ///< loop closes conns and exits
   std::atomic<bool> stopped_{false};
 
   std::mutex join_mu_;  ///< makes wait()/stop() joins safe to race
@@ -286,6 +282,8 @@ class PlacementServer {
   obs::Gauge* connections_active_ = nullptr;
   obs::Counter* bytes_in_ = nullptr;
   obs::Counter* bytes_out_ = nullptr;
+
+  std::thread loop_;  ///< last: it uses every member above
 };
 
 }  // namespace dvbp::net

@@ -29,8 +29,12 @@ void clear_fault_hook() {
   armed.store(false, std::memory_order_release);
 }
 
+bool fault_hook_installed() noexcept {
+  return armed.load(std::memory_order_acquire);
+}
+
 void fault_point(std::string_view name) {
-  if (!armed.load(std::memory_order_acquire)) return;
+  if (!fault_hook_installed()) return;
   std::shared_ptr<const FaultHook> h;
   {
     std::lock_guard<std::mutex> lock(hook_mu);

@@ -55,4 +55,8 @@ void clear_fault_hook();
 /// installed: one relaxed atomic load.
 void fault_point(std::string_view name);
 
+/// True while a hook is installed: a writer may then split what it writes
+/// so that a fault point falls inside it (journal.commit.torn).
+bool fault_hook_installed() noexcept;
+
 }  // namespace dvbp::persist

@@ -388,10 +388,12 @@ void JournalWriter::commit() {
   // a torn tail must never be buried under newer frames.
   poisoned_ = true;
   fault_point("journal.commit.begin");
-  // Two-chunk write so the journal.commit.torn fault point leaves a real
-  // partial frame on disk, the way an interrupted write(2) would.
+  // One write(2), or two while a fault hook is installed, so that the
+  // journal.commit.torn fault point leaves a real partial frame on disk,
+  // the way an interrupted write(2) would.
   const std::size_t first_chunk =
-      pending_.size() > 16 ? pending_.size() / 2 : pending_.size();
+      fault_hook_installed() && pending_.size() > 16 ? pending_.size() / 2
+                                                     : pending_.size();
   write_all(fd_, pending_.data(), first_chunk, segment_path_);
   fault_point("journal.commit.torn");
   if (first_chunk < pending_.size()) {

@@ -173,10 +173,11 @@ class JournalWriter {
   std::uint64_t append_credits(Time time,
                                const std::vector<std::uint8_t>& blob);
 
-  /// Writes every buffered frame with one write(2), then fsyncs per the
-  /// policy. Throws PersistError on I/O failure -- after which the writer
-  /// is poisoned (every later append/commit throws) so a torn tail is
-  /// never buried under newer frames.
+  /// Writes every buffered frame with one write(2) (two while a fault hook
+  /// is installed, for journal.commit.torn), then fsyncs per the policy.
+  /// Throws PersistError on I/O failure -- after which the writer is
+  /// poisoned (every later append/commit throws) so a torn tail is never
+  /// buried under newer frames.
   void commit();
 
   /// Starts segment journal-<next_seq()>.wal and deletes the superseded

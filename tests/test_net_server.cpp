@@ -1,7 +1,8 @@
 // End-to-end tests of the binary-RPC placement server over real loopback
 // sockets: every RPC type, packing-hash parity against an in-process
 // ShardedDispatcher fed the identical sequence and against socket-free
-// connections over a thread-free ShardedCore, deterministic backpressure
+// connections over a thread-free ShardedCore, a server taking over a
+// ShardedDispatcher's stepping on its one loop, deterministic backpressure
 // (RETRY_LATER) via a deliberately slow policy, duplicate-id rejection,
 // the malformed-bytes -> close-connection path, the graceful-drain
 // guarantee that every accepted request gets exactly one response and the
@@ -257,7 +258,7 @@ TEST(NetServer, AllRpcTypesOverLoopback) {
 }
 
 // The wire adds nothing and loses nothing: the same arrive/depart sequence
-// through sockets (three event loops, four connections), through four
+// through sockets (four connections on the one event loop), through four
 // socket-free connections over a thread-free core, and through an
 // in-process ShardedDispatcher must end in bit-identical packings, and the
 // two protocol legs must answer every request alike.
@@ -333,9 +334,7 @@ TEST(NetServer, PackingHashParityWithInProcessService) {
   {
     cloud::ShardedDispatcher service(2, first_fit_factory(),
                                      service_options(kShards));
-    ServerOptions opts;
-    opts.event_loops = 3;
-    PlacementServer server(service, opts);
+    PlacementServer server(service);
     std::vector<std::unique_ptr<Client>> clients;
     for (std::size_t c = 0; c < kConns; ++c) {
       clients.push_back(std::make_unique<Client>("127.0.0.1", server.port()));
@@ -378,7 +377,6 @@ TEST(NetServer, PackingHashParityWithInProcessService) {
           encode_request(req, bytes);
           EXPECT_TRUE(conns[c]->receive(bytes.data(), bytes.size()));
           for (std::size_t s = 0; s < kShards; ++s) service.step(s);
-          conns[c]->collect();
           FrameDecoder decoder;
           decoder.feed(conns[c]->output().data(), conns[c]->output().size());
           conns[c]->output().clear();
@@ -420,6 +418,82 @@ TEST(NetServer, PackingHashParityWithInProcessService) {
   EXPECT_EQ(wire_drain.packing_hash, packing_hash(packing));
   EXPECT_EQ(wire_drain.num_bins, packing.num_bins());
   EXPECT_DOUBLE_EQ(wire_drain.cost, packing.cost());
+}
+
+// A server handed a threaded ShardedDispatcher stops its shard workers and
+// steps the service on its one loop: the process gains one thread, not
+// three, every pipelined request is answered, and the drained packing is
+// the one a thread-free core fed the same ops ends in.
+TEST(NetServer, TakesOverAShardedDispatchersSteppingOnItsOneLoop) {
+  constexpr int kArrives = 120;
+  // A sanitizer runtime can start a thread of its own with the process's
+  // first one: start and join one, and count once it has gone.
+  pid_t first = 0;
+  std::thread([&first] { first = ::gettid(); }).join();
+  while (std::filesystem::exists("/proc/self/task/" + std::to_string(first))) {
+    std::this_thread::yield();
+  }
+  const std::size_t tasks_before = task_count();
+  cloud::ShardedDispatcher service(2, first_fit_factory(),
+                                   service_options(2));
+  PlacementServer server(service);
+  // A joined thread can stay listed for a moment after its join returns.
+  std::size_t tasks = task_count();
+  for (int i = 0; i < 200 && tasks != tasks_before + 1; ++i) {
+    std::this_thread::sleep_for(5ms);
+    tasks = task_count();
+  }
+  EXPECT_EQ(tasks, tasks_before + 1) << "the loop, and no shard worker";
+
+  cloud::ShardedCore local(2, first_fit_factory(), service_options(2));
+  Client client("127.0.0.1", server.port());
+  // Pipelines `send` for each i in [0, kArrives) and reads every answer.
+  const auto burst = [&](const auto& send) {
+    std::map<std::uint64_t, Response> answers;
+    for (int i = 0; i < kArrives; ++i) answers[send(i)] = Response{};
+    client.flush();
+    for (int i = 0; i < kArrives; ++i) {
+      const Response resp = client.recv_response();
+      EXPECT_EQ(resp.status, Status::kOk) << "request " << resp.id;
+      answers.at(resp.id) = resp;
+    }
+    return answers;
+  };
+  std::vector<RVec> sizes;
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<double> coord(0.05, 0.5);
+  for (int i = 0; i < kArrives; ++i) {
+    sizes.push_back(size2(coord(rng), coord(rng)));
+  }
+  const auto arrived = burst([&](int i) {
+    local.arrive(1.0 + i * 0.01, sizes[static_cast<std::size_t>(i)]);
+    return client.send_arrive(1.0 + i * 0.01,
+                              sizes[static_cast<std::size_t>(i)]);
+  });
+  std::vector<JobId> jobs;
+  for (const auto& [id, resp] : arrived) {
+    jobs.push_back(static_cast<JobId>(resp.job));
+  }
+  burst([&](int i) {
+    const JobId job = jobs[static_cast<std::size_t>(i)];
+    local.depart(3.0 + i * 0.01, job);
+    return client.send_depart(3.0 + i * 0.01, job);
+  });
+  const Response drained = client.drain();
+  server.wait();
+  local.drain();
+  ASSERT_EQ(drained.status, Status::kOk);
+  const Packing packing = local.snapshot();
+  EXPECT_EQ(drained.packing_hash, packing_hash(packing));
+  EXPECT_EQ(drained.num_bins, packing.num_bins());
+  EXPECT_DOUBLE_EQ(drained.cost, packing.cost());
+}
+
+TEST(NetServer, RunsExactlyOneEventLoop) {
+  cloud::ShardedCore service(2, first_fit_factory(), service_options(1));
+  ServerOptions opts;
+  opts.event_loops = 2;
+  EXPECT_THROW(PlacementServer server(service, opts), std::invalid_argument);
 }
 
 // Backpressure: a slow policy plus a tiny shard queue and in-flight window

@@ -7,8 +7,8 @@
 // it reports in --metrics-out (and the serial --recover cost line) is
 // pinned against the library run in-process. `harness serve` runs as a
 // child process under `harness loadgen`, and out of file descriptors,
-// where it must idle until clients close; a journal directory refuses the
-// other stack's layout.
+// where it must idle until clients close; it runs one event loop and no
+// shard worker; a journal directory refuses the other stack's layout.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/resource.h>
@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -501,44 +502,95 @@ double cpu_seconds(pid_t pid) {
   return (utime + stime) / static_cast<double>(::sysconf(_SC_CLK_TCK));
 }
 
-TEST_F(HarnessCli, ServeOutOfDescriptorsIdlesUntilClientsClose) {
-  // serve runs as a child with 24 descriptors; its port comes from the
-  // "listening on" line.
-  int pipe_fds[2];
-  ASSERT_EQ(::pipe(pipe_fds), 0);
-  const char* bin = g_harness_bin.c_str();
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    const rlimit limit{24, 24};
-    ::setrlimit(RLIMIT_NOFILE, &limit);
-    ::dup2(pipe_fds[1], STDOUT_FILENO);
-    ::close(pipe_fds[0]);
-    ::close(pipe_fds[1]);
-    ::execl(bin, bin, "serve", "--port=0", "--shards=1",
-            static_cast<char*>(nullptr));
-    ::_exit(127);
-  }
-  ::close(pipe_fds[1]);
-  // Whatever fails below, the child does not outlive the test.
-  const std::unique_ptr<FILE, int (*)(FILE*)> out(::fdopen(pipe_fds[0], "r"),
-                                                  &std::fclose);
-  struct Reaper {
-    pid_t pid;
-    int status = -1;
-    ~Reaper() {
-      if (status == -1) {
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, nullptr, 0);
-      }
+/// Threads a sanitizer runtime adds to every threaded process: TSan's
+/// background thread.
+#if defined(__SANITIZE_THREAD__)
+constexpr std::size_t kRuntimeThreads = 1;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+constexpr std::size_t kRuntimeThreads = 1;
+#else
+constexpr std::size_t kRuntimeThreads = 0;
+#endif
+#else
+constexpr std::size_t kRuntimeThreads = 0;
+#endif
+
+/// Threads of process `pid`: /proc/<pid>/task holds one entry per thread.
+std::size_t task_count(pid_t pid) {
+  const std::filesystem::directory_iterator tasks(
+      "/proc/" + std::to_string(pid) + "/task");
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::begin(tasks), std::filesystem::end(tasks)));
+}
+
+/// `harness serve <flags>` as a child process, with at most `max_fds`
+/// descriptors when that is not 0. Its port comes from the "listening on"
+/// line (0 when the line never came). The child does not outlive the
+/// object.
+struct ServeChild {
+  explicit ServeChild(std::vector<std::string> flags, rlim_t max_fds = 0) {
+    flags.insert(flags.begin(), {g_harness_bin, "serve"});
+    std::vector<char*> argv;
+    for (std::string& flag : flags) argv.push_back(flag.data());
+    argv.push_back(nullptr);
+    int pipe_fds[2];
+    if (::pipe(pipe_fds) != 0) {
+      ADD_FAILURE() << "pipe";
+      return;
     }
-  } child{pid};
-  char line[512] = {};
-  ASSERT_NE(std::fgets(line, sizeof(line), out.get()), nullptr);
-  const std::string listening = line;
-  ASSERT_EQ(listening.rfind("listening on ", 0), 0u) << listening;
-  const auto port = static_cast<std::uint16_t>(
-      std::stoi(listening.substr(listening.rfind(':') + 1)));
+    pid = ::fork();
+    if (pid == 0) {
+      if (max_fds > 0) {
+        const rlimit limit{max_fds, max_fds};
+        ::setrlimit(RLIMIT_NOFILE, &limit);
+      }
+      ::dup2(pipe_fds[1], STDOUT_FILENO);
+      ::close(pipe_fds[0]);
+      ::close(pipe_fds[1]);
+      ::execv(argv[0], argv.data());
+      ::_exit(127);
+    }
+    ::close(pipe_fds[1]);
+    out.reset(::fdopen(pipe_fds[0], "r"));
+    char line[512] = {};
+    if (pid < 0 || std::fgets(line, sizeof(line), out.get()) == nullptr) {
+      ADD_FAILURE() << "serve did not start";
+      return;
+    }
+    const std::string listening = line;
+    if (listening.rfind("listening on ", 0) != 0) {
+      ADD_FAILURE() << listening;
+      return;
+    }
+    port = static_cast<std::uint16_t>(
+        std::stoi(listening.substr(listening.rfind(':') + 1)));
+  }
+  ~ServeChild() {
+    if (pid > 0 && status == -1) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+    }
+  }
+
+  /// Waits for the child to exit; true when it exited with code 0.
+  bool exits_cleanly() {
+    if (pid <= 0 || ::waitpid(pid, &status, 0) != pid) return false;
+    return WIFEXITED(status) && WEXITSTATUS(status) == 0;
+  }
+
+  pid_t pid = -1;
+  int status = -1;  ///< the wait status once exits_cleanly() reaped it
+  std::uint16_t port = 0;
+  std::unique_ptr<FILE, int (*)(FILE*)> out{nullptr, &std::fclose};
+};
+
+TEST_F(HarnessCli, ServeOutOfDescriptorsIdlesUntilClientsClose) {
+  // serve runs as a child with 24 descriptors.
+  ServeChild child({"--port=0", "--shards=1"}, 24);
+  ASSERT_NE(child.port, 0);
+  const pid_t pid = child.pid;
+  const std::uint16_t port = child.port;
 
   // A first client's whole life -- connect, PING, close -- runs while
   // descriptors are plenty. (A sanitizer build checks each dynamic type
@@ -570,8 +622,60 @@ TEST_F(HarnessCli, ServeOutOfDescriptorsIdlesUntilClientsClose) {
   EXPECT_EQ(pong->status, net::Status::kOk);
   EXPECT_EQ(late.drain().status, net::Status::kOk);
   clients.clear();
-  ASSERT_EQ(::waitpid(pid, &child.status, 0), pid);
-  EXPECT_TRUE(WIFEXITED(child.status) && WEXITSTATUS(child.status) == 0);
+  EXPECT_TRUE(child.exits_cleanly());
+}
+
+TEST_F(HarnessCli, ServeRunsOneEventLoopAndNoShardWorker) {
+  // main and the event loop; fsync=interval adds a journal flusher per
+  // shard.
+  const std::string dir = fresh_dir("serve_threads");
+  std::filesystem::create_directories(dir);
+  const std::pair<std::vector<std::string>, std::size_t> runs[] = {
+      {{"--port=0", "--shards=2"}, 2},
+      {{"--port=0", "--shards=2", "--journal-dir=" + dir}, 4},
+  };
+  for (const auto& [flags, threads] : runs) {
+    ServeChild serve(flags);
+    ASSERT_NE(serve.port, 0);
+    EXPECT_EQ(task_count(serve.pid), threads + kRuntimeThreads)
+        << flags.back();
+    EXPECT_EQ(net::Client("127.0.0.1", serve.port).drain().status,
+              net::Status::kOk);
+    EXPECT_TRUE(serve.exits_cleanly());
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(HarnessCli, ServeRefusesTheEventLoopsFlag) {
+  // Bounded, so a serve that took the flag fails here instead of serving.
+  for (const char* loops : {"1", "2"}) {
+    const Captured serve = capture(
+        std::string("serve --port=0 --event-loops=") + loops, "timeout 10");
+    EXPECT_EQ(serve.exit_code, 2) << serve.text;
+    EXPECT_NE(serve.text.find("--event-loops"), std::string::npos)
+        << serve.text;
+  }
+}
+
+TEST_F(HarnessCli, LoadgenReplaysATraceInItsOrderByDefault) {
+  // One connection by default: the drained cost is the trace's own, as
+  // `harness trace run` reports it.
+  ServeChild serve({"--port=0", "--shards=1"});
+  ASSERT_NE(serve.port, 0);
+  const Captured out =
+      capture("loadgen --port=" + std::to_string(serve.port) + " --trace=" +
+              DVBP_SAMPLE_TRC + " --drain");
+  if (out.exit_code != 0) {
+    // Drain the server anyway, so this test fails instead of hanging.
+    try {
+      net::Client("127.0.0.1", serve.port).drain();
+    } catch (const std::exception&) {
+    }
+  }
+  EXPECT_EQ(out.exit_code, 0) << out.text;
+  EXPECT_NE(out.text.find(" bins=113 cost=963906.8"), std::string::npos)
+      << out.text;
+  EXPECT_TRUE(serve.exits_cleanly());
 }
 
 TEST_F(HarnessCli, LoadgenRejectsFlagsItsModeDoesNotRead) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -302,6 +303,36 @@ TEST(Journal, WriterPoisonedAfterInjectedCommitFault) {
   EXPECT_THROW(writer.append(OpKind::kAdvance, 2.0, 0),
                persist::PersistError);
   EXPECT_THROW(writer.commit(), persist::PersistError);
+}
+
+/// This thread's write-type syscalls so far (syscw in /proc/thread-self/io);
+/// nullopt where the kernel keeps no per-task I/O accounting.
+std::optional<std::uint64_t> thread_write_syscalls() {
+  std::ifstream io("/proc/thread-self/io");
+  for (std::string key; io >> key;) {
+    std::uint64_t value = 0;
+    io >> value;
+    if (key == "syscw:") return value;
+  }
+  return std::nullopt;
+}
+
+// A commit is one write(2); only an installed fault hook splits it, so
+// that journal.commit.torn can leave a partial frame.
+TEST(Journal, CommitIsOneWriteWithoutAFaultHook) {
+  if (!thread_write_syscalls()) {
+    GTEST_SKIP() << "no per-task I/O accounting (/proc/thread-self/io)";
+  }
+  TempDir dir;
+  persist::JournalOptions options;
+  options.fsync = FsyncPolicy::kNone;
+  JournalWriter writer(dir.str(), 1, options);
+  writer.append(OpKind::kAdvance, 1.0, 0);
+  writer.append(OpKind::kAdvance, 2.0, 0);
+  const std::uint64_t before = *thread_write_syscalls();
+  writer.commit();
+  EXPECT_EQ(*thread_write_syscalls() - before, 1u);
+  EXPECT_EQ(persist::scan_journal(dir.str()).records.size(), 2u);
 }
 
 TEST(Checkpoint, RoundtripNewestWinsAndCorruptFallsBack) {
