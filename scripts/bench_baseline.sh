@@ -35,7 +35,9 @@
 #   --target       which ladder to run (default: hotpath)
 #   --smoke        tiny min_time; exercises every rung so the binaries
 #                  cannot bit-rot (used by the Release CI job), numbers
-#                  meaningless
+#                  meaningless. Without it, a build tree whose build type
+#                  does not define NDEBUG (Debug, or none) exits 2: a
+#                  record must come from an optimized build
 #   --build-dir    cmake build tree containing the bench binaries
 #                  (default: build)
 #   --out          output JSON path (default: BENCH_<target>.json in cwd)
@@ -92,6 +94,23 @@ if [[ ! -x "$bench" ]]; then
   echo "error: $bench not found or not executable;" \
        "build the 'bench_$target' target first" >&2
   exit 1
+fi
+
+# A record from a build with assertions on would hold the wrong numbers.
+cache="$build_dir/CMakeCache.txt"
+build_type=""
+if [[ -f "$cache" ]]; then
+  build_type=$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$cache")
+fi
+flags=""
+if [[ -n "$build_type" ]]; then
+  flags=$(sed -n "s/^CMAKE_CXX_FLAGS_${build_type^^}:[A-Z]*=//p" "$cache")
+fi
+if [[ "$smoke" != 1 && " $flags " != *" -DNDEBUG "* ]]; then
+  echo "error: $build_dir is a '${build_type:-<none>}' build, whose flags" \
+       "do not define NDEBUG; take records from a Release build" \
+       "(or pass --smoke)" >&2
+  exit 2
 fi
 
 # bench_net, bench_migration, and bench_trace speak the harness CLI and

@@ -155,7 +155,7 @@ Dispatcher::Admission Dispatcher::admit(Time now, std::uint32_t job_slot) {
                      std::span<const double>(item.size.begin(),
                                              item.size.dim()),
                      open_bins());
-    if (obs_->wants_rejections()) {
+    if (obs_->tracing()) {  // a reject record per bin that cannot hold it
       for (const BinView& view : views_) {
         if (view.id == kNoBin) continue;  // a hole
         if (!view.fits(item.size)) {
@@ -163,6 +163,8 @@ Dispatcher::Admission Dispatcher::admit(Time now, std::uint32_t job_slot) {
           obs_->on_reject(now, item.id, view.id);
         }
       }
+    } else if (obs_->metrics() != nullptr) {  // the fit-failure count only
+      rejections = open_bins() - table_.count_fitting(item.size.data());
     }
   }
   const BinId bin = place(now, job_slot, bin_slot);

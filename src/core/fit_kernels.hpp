@@ -1,7 +1,10 @@
-// The open-bin table's fit-mask kernels (core/open_bin_table.cpp), listed
-// so a test can run every kernel this CPU supports against the scalar
-// reference -- not only the one OpenBinTable dispatches to. Private to the
-// library: the install rule leaves this header out.
+// The open-bin table's load-byte prefilter (core/open_bin_table.cpp): how a
+// load becomes a byte, the per-query byte bound, and the kernels that
+// compare a chunk of byte lanes against that bound. Listed so a test can
+// run every kernel this CPU supports against the scalar reference -- not
+// only the one OpenBinTable dispatches to -- and check the bound against
+// the exact predicate. Private to the library: the install rule leaves
+// this header out.
 #pragma once
 
 #include <cstddef>
@@ -10,15 +13,47 @@
 
 namespace dvbp::detail {
 
-/// Bit s of the result is set iff lanes[j*stride + base + s] + add[j] <= thr
-/// for every j < dim (one IEEE add and one ordered, quiet <= per
-/// dimension, as in fits.hpp). `count` is a multiple of
-/// OpenBinTable::kSimdWidth from 8 to 64; `base + count` must not pass
-/// `stride`.
-using FitMaskFn = std::uint64_t (*)(const double* lanes, std::size_t dim,
-                                    std::size_t stride, std::size_t base,
-                                    std::size_t count, const double* add,
-                                    double thr);
+/// Slots one kernel call examines: one 64-bit candidate mask.
+inline constexpr std::size_t kChunkSlots = 64;
+
+/// The byte stored beside a load: floor(load * scale), scale = 255 /
+/// capacity, clamped to [0, 255]. A load at or past the capacity, +inf (a
+/// hole or padding) and NaN map to 255, a load at or below zero to 0.
+/// Monotone: x <= y implies load_byte(x) <= load_byte(y), because IEEE
+/// multiplication by a positive constant, the clamp and truncation all
+/// preserve order, and 255 is the largest byte.
+inline std::uint8_t load_byte(double load, double capacity,
+                              double scale) noexcept {
+  // Clamped before the conversion, so that is defined for every input,
+  // and with no branch, so loops over dimensions vectorize.
+  double x = load * scale;
+  x = x > 0.0 ? x : 0.0;  // NaN too
+  x = x < 255.0 ? x : 255.0;
+  return load < capacity ? static_cast<std::uint8_t>(x) : 255;
+}
+
+/// The largest byte a load x can have when fl(x + add) <= threshold, the
+/// fits.hpp predicate for one dimension (add >= 0, threshold >= 1). So a
+/// slot whose byte exceeds the bound in any dimension cannot fit, and the
+/// prefilter never drops a fitting slot.
+///
+/// Why: with u = 2^-53, fl(x + add) <= t gives x <= t - add + 2ut, while
+/// y = fl(fl(t - add) + t * 2^-40) >= t - add + t(2^-40 - 3u) when add <=
+/// 2t (larger adds admit only negative x, whose byte is 0). 2^-40 > 5u, so
+/// y >= x, and load_byte is monotone. The slack is relative, so it holds
+/// for any capacity; a zero add gives y > capacity and bound 255.
+inline std::uint8_t fit_bound(double add, double threshold, double capacity,
+                              double scale) noexcept {
+  return load_byte(threshold - add + threshold * 0x1p-40, capacity, scale);
+}
+
+/// Bit s of the result is set iff bytes[j*stride + base + s] <= bound[j]
+/// for every j < dim, for the kChunkSlots slots from `base`;
+/// `base + kChunkSlots` must not pass `stride`.
+using FitMaskFn = std::uint64_t (*)(const std::uint8_t* bytes,
+                                    std::size_t dim, std::size_t stride,
+                                    std::size_t base,
+                                    const std::uint8_t* bound);
 
 struct FitKernel {
   const char* name;

@@ -11,9 +11,9 @@
 // The rule, in one place: precompute the threshold `cap + eps` ONCE per
 // query (never re-derive it per lane or per dimension, where a different
 // association could round differently) and test `sum <= threshold` with
-// an ordered, non-signaling <= . SIMD kernels must use the comparison
-// that matches this predicate exactly (_CMP_LE_OQ on x86) against the
-// same broadcast threshold value.
+// an ordered, non-signaling <= . The open-bin table's SIMD kernels only
+// prefilter on load bytes (core/fit_kernels.hpp) and never evaluate this
+// predicate; the table admits a slot only through it.
 #pragma once
 
 #include <cstddef>

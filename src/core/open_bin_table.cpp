@@ -18,171 +18,91 @@ namespace dvbp {
 namespace {
 
 constexpr double kPoison = std::numeric_limits<double>::infinity();
-
-/// Slots examined per kernel call: one 64-bit fit mask. The scans below
-/// early-exit at this granularity, so a First Fit that lands in the first
-/// chunk never pays for the rest of the table.
-constexpr std::size_t kChunkSlots = 64;
+constexpr std::uint8_t kPoisonByte = 255;
 
 using detail::FitKernel;
+using detail::kChunkSlots;
 
 // The semantics reference for every kernel below (see fit_kernels.hpp),
-// and the only kernel under -DDVBP_DISABLE_SIMD.
-std::uint64_t fit_mask_scalar(const double* lanes, std::size_t dim,
+// and the only kernel under -DDVBP_DISABLE_SIMD. Every kernel goes
+// dimension by dimension across the whole chunk and leaves it once no slot
+// survives.
+std::uint64_t fit_mask_scalar(const std::uint8_t* bytes, std::size_t dim,
                               std::size_t stride, std::size_t base,
-                              std::size_t count, const double* add,
-                              double thr) {
-  std::uint64_t mask = 0;
-  for (std::size_t s = 0; s < count; ++s) {
-    bool ok = true;
-    for (std::size_t j = 0; j < dim; ++j) {
-      if (!fits_under_threshold(lanes[j * stride + base + s] + add[j], thr)) {
-        ok = false;
-        break;
+                              const std::uint8_t* bound) {
+  std::uint64_t mask = ~std::uint64_t{0};
+  for (std::size_t j = 0; j < dim && mask != 0; ++j) {
+    std::uint64_t pass = 0;
+    for (std::size_t s = 0; s < kChunkSlots; ++s) {
+      if (bytes[j * stride + base + s] <= bound[j]) {
+        pass |= std::uint64_t{1} << s;
       }
     }
-    if (ok) mask |= std::uint64_t{1} << s;
+    mask &= pass;
   }
   return mask;
 }
 
 #if DVBP_SIMD_X86
 
+// x86 has no unsigned byte <= below AVX-512, so SSE2 and AVX2 test
+// min(v, bound) == v.
+
 // SSE2 is part of the x86-64 baseline; no target attribute needed.
-// _mm_cmple_pd is ordered and quiet: NaN/inf lanes compare false,
-// matching the scalar `sum <= thr`.
-std::uint64_t fit_mask_sse2(const double* lanes, std::size_t dim,
+std::uint64_t fit_mask_sse2(const std::uint8_t* bytes, std::size_t dim,
                             std::size_t stride, std::size_t base,
-                            std::size_t count, const double* add,
-                            double thr) {
-  std::uint64_t mask = 0;
-  const __m128d thrv = _mm_set1_pd(thr);
-  for (std::size_t s = 0; s < count; s += 2) {
-    __m128d ok = _mm_castsi128_pd(_mm_set1_epi64x(-1));
-    int bits = 0x3;
-    for (std::size_t j = 0; j < dim; ++j) {
-      const __m128d load = _mm_loadu_pd(lanes + j * stride + base + s);
-      const __m128d sum = _mm_add_pd(load, _mm_set1_pd(add[j]));
-      ok = _mm_and_pd(ok, _mm_cmple_pd(sum, thrv));
-      // Group-level early exit, mirroring the scalar kernel's per-slot
-      // dimension break: once no slot in the group can fit, the
-      // remaining dimensions cannot set a bit, so skip them. Crucial
-      // when one hot dimension rejects almost every bin.
-      bits = _mm_movemask_pd(ok);
-      if (bits == 0) break;
+                            const std::uint8_t* bound) {
+  std::uint64_t mask = ~std::uint64_t{0};
+  for (std::size_t j = 0; j < dim && mask != 0; ++j) {
+    const std::uint8_t* row = bytes + j * stride + base;
+    const __m128i b = _mm_set1_epi8(static_cast<char>(bound[j]));
+    std::uint64_t pass = 0;
+    for (std::size_t g = 0; g < kChunkSlots; g += 16) {
+      const __m128i v =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + g));
+      const auto bits = static_cast<std::uint32_t>(
+          _mm_movemask_epi8(_mm_cmpeq_epi8(_mm_min_epu8(v, b), v)));
+      pass |= std::uint64_t{bits} << g;
     }
-    mask |= static_cast<std::uint64_t>(bits) << s;
+    mask &= pass;
   }
   return mask;
 }
 
 // Compiled for AVX2 via the function target attribute so the rest of the
 // translation unit keeps the portable baseline; selected at runtime only
-// when the CPU reports the feature. _CMP_LE_OQ is the ordered quiet <=,
-// the exact vector counterpart of the scalar predicate.
+// when the CPU reports the feature.
 __attribute__((target("avx2"))) std::uint64_t fit_mask_avx2(
-    const double* lanes, std::size_t dim, std::size_t stride,
-    std::size_t base, std::size_t count, const double* add, double thr) {
-  std::uint64_t mask = 0;
-  const __m256d thrv = _mm256_set1_pd(thr);
-  for (std::size_t s = 0; s < count; s += 4) {
-    __m256d ok = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-    int bits = 0xF;
-    for (std::size_t j = 0; j < dim; ++j) {
-      const __m256d load = _mm256_loadu_pd(lanes + j * stride + base + s);
-      const __m256d sum = _mm256_add_pd(load, _mm256_set1_pd(add[j]));
-      ok = _mm256_and_pd(ok, _mm256_cmp_pd(sum, thrv, _CMP_LE_OQ));
-      // Group-level early exit (see fit_mask_sse2): a dead group cannot
-      // come back, so stop testing its remaining dimensions.
-      bits = _mm256_movemask_pd(ok);
-      if (bits == 0) break;
-    }
-    mask |= static_cast<std::uint64_t>(bits) << s;
+    const std::uint8_t* bytes, std::size_t dim, std::size_t stride,
+    std::size_t base, const std::uint8_t* bound) {
+  std::uint64_t mask = ~std::uint64_t{0};
+  for (std::size_t j = 0; j < dim && mask != 0; ++j) {
+    const std::uint8_t* row = bytes + j * stride + base;
+    const __m256i b = _mm256_set1_epi8(static_cast<char>(bound[j]));
+    const __m256i lo =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row));
+    const __m256i hi =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + 32));
+    const auto pass_lo = static_cast<std::uint32_t>(_mm256_movemask_epi8(
+        _mm256_cmpeq_epi8(_mm256_min_epu8(lo, b), lo)));
+    const auto pass_hi = static_cast<std::uint32_t>(_mm256_movemask_epi8(
+        _mm256_cmpeq_epi8(_mm256_min_epu8(hi, b), hi)));
+    mask &= std::uint64_t{pass_lo} | std::uint64_t{pass_hi} << 32;
   }
   return mask;
 }
 
-/// Finishes the few slots in `mask` that survived dimension 0 with the
-/// scalar predicate over the remaining dimensions.
-std::uint64_t finish_scalar(const double* lanes, std::size_t dim,
-                            std::size_t stride, std::size_t base,
-                            const double* add, double thr,
-                            std::uint64_t mask) {
-  for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-    const auto s = static_cast<std::size_t>(std::countr_zero(m));
-    for (std::size_t j = 1; j < dim; ++j) {
-      if (!fits_under_threshold(lanes[j * stride + base + s] + add[j], thr)) {
-        mask &= ~(std::uint64_t{1} << s);
-        break;
-      }
-    }
+// One masked unsigned compare tests the whole chunk in one dimension.
+__attribute__((target("avx512f,avx512bw"))) std::uint64_t fit_mask_avx512(
+    const std::uint8_t* bytes, std::size_t dim, std::size_t stride,
+    std::size_t base, const std::uint8_t* bound) {
+  __mmask64 mask = ~__mmask64{0};
+  for (std::size_t j = 0; j < dim && mask != 0; ++j) {
+    const __m512i v = _mm512_loadu_si512(bytes + j * stride + base);
+    mask = _mm512_mask_cmple_epu8_mask(
+        mask, v, _mm512_set1_epi8(static_cast<char>(bound[j])));
   }
   return mask;
-}
-
-// Dimension-outer: one step tests one dimension across the whole chunk,
-// 8 slots per _CMP_LE_OQ compare, each group's compare masked by what
-// survived the earlier dimensions, and the chunk is left as soon as no
-// slot survives. A per-group exit in every dimension, as in the kernels
-// above, is a branch the dense tables of the paper's Sec. 7 (~950 open
-// bins, a handful fitting) mispredict on most groups; here a dead group
-// costs a masked compare instead, until the chunk dies. The group loop is
-// unrolled for a fixed group count, so every group's survivors stay in a
-// mask register. When dimension 0 leaves at most two slots alive, they
-// finish with the scalar predicate instead: one tight dimension must not
-// keep every group of the chunk in the loop for all d dimensions.
-template <std::size_t kGroups>
-__attribute__((target("avx512f,popcnt"))) std::uint64_t fit_mask_avx512_n(
-    const double* lanes, std::size_t dim, std::size_t stride,
-    std::size_t base, const double* add, double thr) {
-  const __m512d thrv = _mm512_set1_pd(thr);
-  __mmask8 live[kGroups];
-  std::uint64_t first = 0;  // dimension 0's survivors, all groups
-  const __m512d add0 = _mm512_set1_pd(add[0]);
-#pragma GCC unroll 8
-  for (std::size_t g = 0; g < kGroups; ++g) {
-    live[g] = _mm512_cmp_pd_mask(
-        _mm512_add_pd(_mm512_loadu_pd(lanes + base + 8 * g), add0), thrv,
-        _CMP_LE_OQ);
-    first |= std::uint64_t{live[g]} << (8 * g);
-  }
-  if (first == 0) return 0;
-  if (std::popcount(first) <= 2) {
-    return finish_scalar(lanes, dim, stride, base, add, thr, first);
-  }
-  for (std::size_t j = 1; j < dim; ++j) {
-    const double* row = lanes + j * stride + base;
-    const __m512d addv = _mm512_set1_pd(add[j]);
-    unsigned any = 0;
-#pragma GCC unroll 8
-    for (std::size_t g = 0; g < kGroups; ++g) {
-      live[g] = _mm512_mask_cmp_pd_mask(
-          live[g], _mm512_add_pd(_mm512_loadu_pd(row + 8 * g), addv), thrv,
-          _CMP_LE_OQ);
-      any |= live[g];
-    }
-    if (any == 0) return 0;
-  }
-  std::uint64_t mask = 0;
-  for (std::size_t g = 0; g < kGroups; ++g) {
-    mask |= std::uint64_t{live[g]} << (8 * g);
-  }
-  return mask;
-}
-
-__attribute__((target("avx512f,popcnt"))) std::uint64_t fit_mask_avx512(
-    const double* lanes, std::size_t dim, std::size_t stride,
-    std::size_t base, std::size_t count, const double* add, double thr) {
-  switch (count / 8) {
-    case 1: return fit_mask_avx512_n<1>(lanes, dim, stride, base, add, thr);
-    case 2: return fit_mask_avx512_n<2>(lanes, dim, stride, base, add, thr);
-    case 3: return fit_mask_avx512_n<3>(lanes, dim, stride, base, add, thr);
-    case 4: return fit_mask_avx512_n<4>(lanes, dim, stride, base, add, thr);
-    case 5: return fit_mask_avx512_n<5>(lanes, dim, stride, base, add, thr);
-    case 6: return fit_mask_avx512_n<6>(lanes, dim, stride, base, add, thr);
-    case 7: return fit_mask_avx512_n<7>(lanes, dim, stride, base, add, thr);
-    default: return fit_mask_avx512_n<8>(lanes, dim, stride, base, add, thr);
-  }
 }
 
 #endif  // DVBP_SIMD_X86
@@ -197,7 +117,9 @@ std::span<const FitKernel> detail::fit_kernels() noexcept {
 #if DVBP_SIMD_X86
       {"sse2", fit_mask_sse2, true},
       {"avx2", fit_mask_avx2, __builtin_cpu_supports("avx2") != 0},
-      {"avx512", fit_mask_avx512, __builtin_cpu_supports("avx512f") != 0},
+      {"avx512", fit_mask_avx512,
+       __builtin_cpu_supports("avx512f") != 0 &&
+           __builtin_cpu_supports("avx512bw") != 0},
 #endif
   };
   return kernels;
@@ -222,62 +144,93 @@ const FitKernel& kernel() {
 const char* OpenBinTable::active_kernel() noexcept { return kernel().name; }
 
 void OpenBinTable::ensure_capacity(std::size_t want_slots) {
-  if (want_slots <= stride_) return;
-  std::size_t new_stride = std::max<std::size_t>(stride_ * 2, kChunkSlots);
-  while (new_stride < want_slots) new_stride *= 2;
-  // Seven spare doubles let the lanes start on a 64-byte boundary, so an
-  // 8-slot group is one cache line and one aligned AVX-512 load.
-  std::vector<double> grown(dim_ * new_stride + 7, kPoison);
-  const auto address = reinterpret_cast<std::uintptr_t>(grown.data());
-  const std::size_t offset = (64 - address % 64) % 64 / sizeof(double);
-  if (size_ > 0) {  // on the first growth lanes_ is empty and lane(j) null
-    for (std::size_t j = 0; j < dim_; ++j) {
-      std::memcpy(grown.data() + offset + j * new_stride, lane(j),
-                  size_ * sizeof(double));
-    }
+  if (want_slots <= slots_) return;
+  std::size_t new_slots = std::max<std::size_t>(slots_ * 2, kChunkSlots);
+  while (new_slots < want_slots) new_slots *= 2;
+  const std::size_t pitch = new_slots + kLaneSkew;
+  const std::size_t bytes_pitch = new_slots + kByteSkew;
+  // Spare entries let each lane start on a 64-byte boundary, so an 8-slot
+  // group of doubles and a 64-slot chunk of bytes are one cache line each.
+  std::vector<double> lanes(dim_ * pitch + 7, kPoison);
+  std::vector<std::uint8_t> bytes(dim_ * bytes_pitch + 63, kPoisonByte);
+  const auto misalign = [](const void* p) {
+    return (64 - reinterpret_cast<std::uintptr_t>(p) % 64) % 64;
+  };
+  const std::size_t offset = misalign(lanes.data()) / sizeof(double);
+  const std::size_t byte_offset = misalign(bytes.data());
+  for (std::size_t j = 0; j < dim_ && size_ > 0; ++j) {
+    std::memcpy(lanes.data() + offset + j * pitch, lane(j),
+                size_ * sizeof(double));
+    std::memcpy(bytes.data() + byte_offset + j * bytes_pitch, byte_lane(j),
+                size_);
   }
-  lanes_.swap(grown);
+  lanes_.swap(lanes);
+  bytes_.swap(bytes);
   offset_ = offset;
-  stride_ = new_stride;
+  byte_offset_ = byte_offset;
+  slots_ = new_slots;
+}
+
+// Sets each dimension j of `slot` to value(j, old load), and its byte to
+// the byte of that same value. The members are read into locals first: a
+// byte store may alias them, so the loop would otherwise reload each one
+// per dimension.
+template <typename Value>
+void OpenBinTable::set_loads(std::size_t slot, Value value) {
+  double* load = mutable_lane(0) + slot;
+  std::uint8_t* byte = byte_lane(0) + slot;
+  const std::size_t dim = dim_;
+  const std::size_t pitch = lane_pitch();
+  const std::size_t bytes_pitch = byte_pitch();
+  const double capacity = capacity_;
+  const double scale = scale_;
+  for (std::size_t j = 0; j < dim; ++j) {
+    const double v = value(j, load[j * pitch]);
+    load[j * pitch] = v;
+    byte[j * bytes_pitch] = detail::load_byte(v, capacity, scale);
+  }
 }
 
 void OpenBinTable::push_back_zero() {
   ensure_capacity(size_ + 1);
-  for (std::size_t j = 0; j < dim_; ++j) mutable_lane(j)[size_] = 0.0;
+  set_loads(size_, [](std::size_t, double) { return 0.0; });
   ++size_;
 }
 
 void OpenBinTable::push_back_raw(const double* load) {
   ensure_capacity(size_ + 1);
-  for (std::size_t j = 0; j < dim_; ++j) mutable_lane(j)[size_] = load[j];
+  set_loads(size_, [&](std::size_t j, double) { return load[j]; });
   ++size_;
 }
 
 void OpenBinTable::add(std::size_t slot, const double* add) {
-  for (std::size_t j = 0; j < dim_; ++j) mutable_lane(j)[slot] += add[j];
+  set_loads(slot, [&](std::size_t j, double old) { return old + add[j]; });
 }
 
 void OpenBinTable::sub_clamped(std::size_t slot, const double* sub) {
-  for (std::size_t j = 0; j < dim_; ++j) {
-    double* entry = mutable_lane(j) + slot;
-    *entry -= sub[j];
-    *entry = std::max(*entry, 0.0);
-  }
+  set_loads(slot, [&](std::size_t j, double old) {
+    return std::max(old - sub[j], 0.0);
+  });
 }
 
 void OpenBinTable::make_hole(std::size_t slot) {
-  for (std::size_t j = 0; j < dim_; ++j) mutable_lane(j)[slot] = kPoison;
+  for (std::size_t j = 0; j < dim_; ++j) {
+    mutable_lane(j)[slot] = kPoison;
+    byte_lane(j)[slot] = kPoisonByte;
+  }
 }
 
 void OpenBinTable::move_slot(std::size_t from, std::size_t to) {
   for (std::size_t j = 0; j < dim_; ++j) {
     mutable_lane(j)[to] = lane(j)[from];
+    byte_lane(j)[to] = byte_lane(j)[from];
   }
 }
 
 void OpenBinTable::truncate(std::size_t size) {
   for (std::size_t j = 0; j < dim_; ++j) {
     std::fill(mutable_lane(j) + size, mutable_lane(j) + size_, kPoison);
+    std::fill(byte_lane(j) + size, byte_lane(j) + size_, kPoisonByte);
   }
   size_ = size;
 }
@@ -291,56 +244,74 @@ bool OpenBinTable::fits(std::size_t slot, const double* add) const {
   return true;
 }
 
-namespace {
-/// Rounds a chunk's slot count up to the SIMD width; the extra slots are
-/// poisoned padding (the stride is a multiple of the width), so they can
-/// be tested but never fit.
-constexpr std::size_t padded_count(std::size_t want) {
-  return (want + OpenBinTable::kSimdWidth - 1) &
-         ~(OpenBinTable::kSimdWidth - 1);
+void OpenBinTable::set_bound(const double* add) const {
+  // Locals, as in set_loads(): the byte stores may alias the members.
+  std::uint8_t* bound = bound_.data();
+  const std::size_t dim = dim_;
+  const double threshold = threshold_;
+  const double capacity = capacity_;
+  const double scale = scale_;
+  for (std::size_t j = 0; j < dim; ++j) {
+    bound[j] = detail::fit_bound(add[j], threshold, capacity, scale);
+  }
 }
-}  // namespace
+
+std::uint64_t OpenBinTable::candidates(std::size_t base) const {
+  return kernel().fn(bytes_.data() + byte_offset_, dim_, byte_pitch(), base,
+                     bound_.data());
+}
+
+// A candidate past size() is padding, which the exact test rejects.
+template <typename Visit>
+void OpenBinTable::for_each_fitting(const double* add, Visit visit) const {
+  set_bound(add);
+  for (std::size_t base = 0; base < size_; base += kChunkSlots) {
+    for (std::uint64_t m = candidates(base); m != 0; m &= m - 1) {
+      const std::size_t slot =
+          base + static_cast<std::size_t>(std::countr_zero(m));
+      if (fits(slot, add) && !visit(slot)) return;
+    }
+  }
+}
 
 std::size_t OpenBinTable::find_first_fit(const double* add) const {
-  const FitKernel& k = kernel();
-  for (std::size_t base = 0; base < size_; base += kChunkSlots) {
-    const std::size_t want = std::min(kChunkSlots, size_ - base);
-    const std::uint64_t m = k.fn(lane(0), dim_, stride_, base,
-                                 padded_count(want), add, threshold_);
-    if (m != 0) return base + static_cast<std::size_t>(std::countr_zero(m));
-  }
-  return npos;
+  std::size_t first = npos;
+  for_each_fitting(add, [&](std::size_t slot) {
+    first = slot;
+    return false;
+  });
+  return first;
 }
 
 std::size_t OpenBinTable::find_last_fit(const double* add) const {
   if (size_ == 0) return npos;
-  const FitKernel& k = kernel();
-  std::size_t base = ((size_ - 1) / kChunkSlots) * kChunkSlots;
-  for (;;) {
-    const std::size_t want = std::min(kChunkSlots, size_ - base);
-    const std::uint64_t m = k.fn(lane(0), dim_, stride_, base,
-                                 padded_count(want), add, threshold_);
-    if (m != 0) {
-      return base + (63 - static_cast<std::size_t>(std::countl_zero(m)));
+  set_bound(add);
+  for (std::size_t base = (size_ - 1) / kChunkSlots * kChunkSlots;;
+       base -= kChunkSlots) {
+    for (std::uint64_t m = candidates(base); m != 0;) {
+      const std::size_t s = 63 - static_cast<std::size_t>(std::countl_zero(m));
+      if (fits(base + s, add)) return base + s;
+      m &= ~(std::uint64_t{1} << s);
     }
     if (base == 0) return npos;
-    base -= kChunkSlots;
   }
 }
 
 void OpenBinTable::collect_fitting(
     const double* add, std::vector<std::uint32_t>& out_slots) const {
-  const FitKernel& k = kernel();
-  for (std::size_t base = 0; base < size_; base += kChunkSlots) {
-    const std::size_t want = std::min(kChunkSlots, size_ - base);
-    std::uint64_t m = k.fn(lane(0), dim_, stride_, base,
-                           padded_count(want), add, threshold_);
-    while (m != 0) {
-      const std::size_t s = static_cast<std::size_t>(std::countr_zero(m));
-      out_slots.push_back(static_cast<std::uint32_t>(base + s));
-      m &= m - 1;
-    }
-  }
+  for_each_fitting(add, [&](std::size_t slot) {
+    out_slots.push_back(static_cast<std::uint32_t>(slot));
+    return true;
+  });
+}
+
+std::size_t OpenBinTable::count_fitting(const double* add) const {
+  std::size_t count = 0;
+  for_each_fitting(add, [&](std::size_t) {
+    ++count;
+    return true;
+  });
+  return count;
 }
 
 double OpenBinTable::measure_slot(std::size_t slot, int measure) const {
@@ -371,50 +342,33 @@ double OpenBinTable::measure_slot(std::size_t slot, int measure) const {
 
 std::size_t OpenBinTable::find_best_fit(const double* add,
                                         int measure) const {
-  const FitKernel& k = kernel();
   std::size_t best = npos;
   double best_w = 0.0;
-  for (std::size_t base = 0; base < size_; base += kChunkSlots) {
-    const std::size_t want = std::min(kChunkSlots, size_ - base);
-    std::uint64_t m = k.fn(lane(0), dim_, stride_, base,
-                           padded_count(want), add, threshold_);
-    while (m != 0) {
-      const std::size_t slot =
-          base + static_cast<std::size_t>(std::countr_zero(m));
-      const double w = measure_slot(slot, measure);
-      // Strict > over ascending slots = earliest-opened wins ties,
-      // exactly like BestFitPolicy::choose over the fitting list.
-      if (best == npos || w > best_w) {
-        best = slot;
-        best_w = w;
-      }
-      m &= m - 1;
+  for_each_fitting(add, [&](std::size_t slot) {
+    const double w = measure_slot(slot, measure);
+    // Strict > over ascending slots = earliest-opened wins ties.
+    if (best == npos || w > best_w) {
+      best = slot;
+      best_w = w;
     }
-  }
+    return true;
+  });
   return best;
 }
 
 std::size_t OpenBinTable::find_worst_fit(const double* add,
                                          int measure) const {
-  const FitKernel& k = kernel();
-  std::size_t best = npos;
-  double best_w = 0.0;
-  for (std::size_t base = 0; base < size_; base += kChunkSlots) {
-    const std::size_t want = std::min(kChunkSlots, size_ - base);
-    std::uint64_t m = k.fn(lane(0), dim_, stride_, base,
-                           padded_count(want), add, threshold_);
-    while (m != 0) {
-      const std::size_t slot =
-          base + static_cast<std::size_t>(std::countr_zero(m));
-      const double w = measure_slot(slot, measure);
-      if (best == npos || w < best_w) {
-        best = slot;
-        best_w = w;
-      }
-      m &= m - 1;
+  std::size_t worst = npos;
+  double worst_w = 0.0;
+  for_each_fitting(add, [&](std::size_t slot) {
+    const double w = measure_slot(slot, measure);
+    if (worst == npos || w < worst_w) {
+      worst = slot;
+      worst_w = w;
     }
-  }
-  return best;
+    return true;
+  });
+  return worst;
 }
 
 }  // namespace dvbp

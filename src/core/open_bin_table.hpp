@@ -4,32 +4,38 @@
 // for serialization and single-bin updates, but the per-arrival scan
 // touches every open bin and pays a pointer chase through BinView::load
 // plus a cache line per bin. This table stores the SAME doubles
-// transposed: dimension j of all open bins is one contiguous lane,
-// padded to the SIMD width. The Any Fit feasibility scan
-// `load + s(r) <= cap + eps` then tests 8 bins per AVX-512 instruction
-// (4 with AVX2, 2 with SSE2), and Best/Worst Fit measures are computed
-// from the lanes with exactly the same scalar operation order as
-// measure_load() on an RVec.
+// transposed: dimension j of all open bins is one contiguous lane. Beside
+// each double it keeps one byte, a monotone floor of the load scaled so
+// that the capacity maps to 255 (core/fit_kernels.hpp). A scan first
+// compares those bytes against a per-query bound, 64 slots per AVX-512BW
+// compare (32 with AVX2, 16 with SSE2), dimension by dimension, leaving a
+// chunk once no slot in it survives; only the few slots that pass are then
+// decided exactly. Best/Worst Fit measures are computed from the lanes
+// with exactly the same scalar operation order as measure_load() on an
+// RVec.
 //
 // Bit-exactness contract (pinned by tests/golden_packings.inc and the
 // -DDVBP_DISABLE_SIMD CI job): every lane entry holds bit-identical
 // values to the owning BinState's load_ -- both are updated with the
-// same IEEE-754 additions and subtractions in the same order -- and
-// every kernel (AVX-512, AVX2, SSE2, scalar) evaluates the fits.hpp
-// predicate `load[j] + add[j] <= threshold` with one add and one ordered,
-// non-signaling <= per dimension against the same precomputed threshold.
-// The only latitude a kernel has is how many bins it tests per
-// instruction and in what order; the per-bin decision is identical, so
-// SIMD and scalar builds produce the same packing, bit for bit. Padding
-// slots are poisoned with +inf so vector tests can run over them without
-// admitting a phantom bin (+inf + x compares false under <=).
+// same IEEE-754 additions and subtractions in the same order -- and one
+// scalar predicate, fits(), decides every slot: the fits.hpp comparison
+// `load[j] + add[j] <= threshold` against the same precomputed threshold.
+// The byte kernels (AVX-512, AVX2, SSE2, scalar) only prefilter. Each
+// returns the scalar byte reference's candidate mask, and the byte bound
+// never drops a slot the exact predicate admits, so SIMD and scalar
+// builds produce the same packing, bit for bit. Holes and padding slots
+// hold +inf in the lanes and 255 in the bytes: a zero-size item's bound
+// lets them through the bytes, and +inf + x then fails the exact test.
 //
 // Slots are in opening order and match the Dispatcher's views_ position
-// for position. A closed bin's slot stays where it is as a hole: its
-// lanes are poisoned exactly like padding, so no scan admits it, and a
-// close costs O(d) instead of shifting every later slot. The Dispatcher
-// squeezes the holes out now and then with move_slot() and truncate(),
-// keeping the live slots in opening order.
+// for position. A closed bin's slot stays where it is as a hole, poisoned
+// exactly like padding, so no scan admits it, and a close costs O(d)
+// instead of shifting every later slot. The Dispatcher squeezes the holes
+// out now and then with move_slot() and truncate(), keeping the live
+// slots in opening order.
+//
+// A scan writes its byte bound into a buffer the table owns, so one
+// table serves one thread at a time, like the Dispatcher that owns it.
 #pragma once
 
 #include <cstddef>
@@ -43,15 +49,14 @@ namespace dvbp {
 
 class OpenBinTable {
  public:
-  /// Slots per widest SIMD register; lanes are padded to a multiple.
-  static constexpr std::size_t kSimdWidth = 8;  // AVX-512: 8 doubles
-
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   explicit OpenBinTable(std::size_t dim, double capacity = 1.0)
       : dim_(dim),
         capacity_(capacity),
-        threshold_(fits_threshold(capacity)) {}
+        threshold_(fits_threshold(capacity)),
+        scale_(255.0 / capacity),
+        bound_(dim) {}
 
   std::size_t dim() const noexcept { return dim_; }
   std::size_t size() const noexcept { return size_; }
@@ -76,18 +81,20 @@ class OpenBinTable {
   /// departure path RVec::operator-= followed by clamp_nonnegative().
   void sub_clamped(std::size_t slot, const double* sub);
 
-  /// Turns `slot` into a hole: +inf in every lane, so it never fits. No
-  /// other slot moves. O(d).
+  /// Turns `slot` into a hole: +inf in every lane and 255 in every byte,
+  /// so it never fits. No other slot moves. O(d).
   void make_hole(std::size_t slot);
 
-  /// Copies slot `from`'s loads into slot `to`, bit for bit -- one step of
-  /// the owner's compaction pass, which moves live slots down over holes.
+  /// Copies slot `from`'s loads and bytes into slot `to`, bit for bit --
+  /// one step of the owner's compaction pass, which moves live slots down
+  /// over holes.
   void move_slot(std::size_t from, std::size_t to);
 
   /// Drops every slot from `size` on, poisoning them back to padding.
   void truncate(std::size_t size);
 
-  /// Scalar reference predicate for one slot.
+  /// The exact predicate for one slot; every scan admits a slot only
+  /// through it.
   bool fits(std::size_t slot, const double* add) const;
 
   /// Earliest slot (opening order) where `add` fits, or npos -- First
@@ -101,6 +108,9 @@ class OpenBinTable {
   /// Any Fit path; `out_slots` is NOT cleared).
   void collect_fitting(const double* add,
                        std::vector<std::uint32_t>& out_slots) const;
+
+  /// The number of open bins where `add` fits (fit-failure metrics).
+  std::size_t count_fitting(const double* add) const;
 
   /// Best Fit: among fitting slots, the one with the maximal load
   /// measure, ties toward the earliest slot; npos when none fit.
@@ -116,28 +126,53 @@ class OpenBinTable {
   /// Lane pointer for dimension j: entry [slot] equals the owning bin's
   /// load()[j], bit for bit, or +inf for a hole. Valid for size() slots.
   const double* lane(std::size_t j) const noexcept {
-    return lanes_.data() + offset_ + j * stride_;
+    return lanes_.data() + offset_ + j * lane_pitch();
   }
 
-  /// Name of the kernel the runtime dispatch selected ("avx512", "avx2",
-  /// "sse2", or "scalar") -- diagnostics, and pinned by
+  /// Name of the byte kernel the runtime dispatch selected ("avx512",
+  /// "avx2", "sse2", or "scalar") -- diagnostics, and pinned by
   /// tests/test_fit_kernels.cpp in both the SIMD and the no-SIMD build.
   static const char* active_kernel() noexcept;
 
  private:
   void ensure_capacity(std::size_t want_slots);
+  template <typename Value>
+  void set_loads(std::size_t slot, Value value);
   double measure_slot(std::size_t slot, int measure) const;
+  /// Calls visit(slot) for each fitting slot in opening order until it
+  /// returns false.
+  template <typename Visit>
+  void for_each_fitting(const double* add, Visit visit) const;
+  /// Writes the byte bound for `add` into bound_.
+  void set_bound(const double* add) const;
+  /// The slots of the chunk at `base` whose bytes pass bound_: a superset
+  /// of the chunk's fitting slots.
+  std::uint64_t candidates(std::size_t base) const;
+  // Each lane starts one cache line further on than its slots need, so a
+  // slot's d entries fall in d different cache sets; with a power-of-two
+  // pitch they would all share one, and a d = 16 update would thrash it.
+  static constexpr std::size_t kLaneSkew = 8;   // doubles
+  static constexpr std::size_t kByteSkew = 64;  // bytes
+  std::size_t lane_pitch() const noexcept { return slots_ + kLaneSkew; }
+  std::size_t byte_pitch() const noexcept { return slots_ + kByteSkew; }
   double* mutable_lane(std::size_t j) noexcept {
-    return lanes_.data() + offset_ + j * stride_;
+    return lanes_.data() + offset_ + j * lane_pitch();
+  }
+  std::uint8_t* byte_lane(std::size_t j) noexcept {
+    return bytes_.data() + byte_offset_ + j * byte_pitch();
   }
 
   std::size_t dim_;
   double capacity_;
   double threshold_;
+  double scale_;               // 255 / capacity: a load's byte scale
   std::size_t size_ = 0;       // slots: open bins and holes
-  std::size_t stride_ = 0;     // padded slots per lane, multiple of width
-  std::vector<double> lanes_;  // dim_ lanes of stride_ doubles each
+  std::size_t slots_ = 0;      // slots each lane holds, multiple of 64
+  std::vector<double> lanes_;  // dim_ lanes, lane_pitch() doubles apart
   std::size_t offset_ = 0;     // lane 0 starts at lanes_[offset_]
+  std::vector<std::uint8_t> bytes_;  // dim_ lanes, byte_pitch() apart
+  std::size_t byte_offset_ = 0;      // byte lane 0 starts here
+  mutable std::vector<std::uint8_t> bound_;  // the scan's per-query bound
 };
 
 }  // namespace dvbp

@@ -151,7 +151,8 @@ int usage() {
       "                  reduction; prints a sound interval on OPT(in)\n"
       "  harness trace run     --in=<trc> [--policy=...] [--capacity=1.0]\n"
       "                  [--bounds] [--metrics-out=...]  streaming replay\n"
-      "                  through the live dispatcher (O(active) memory)\n";
+      "                  through the live dispatcher (memory: live state,\n"
+      "                  plus 4 bytes per trace row)\n";
   return 0;
 }
 

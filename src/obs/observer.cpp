@@ -39,7 +39,6 @@ void Observer::on_arrival(Time t, ItemId item, std::span<const double> size,
 }
 
 void Observer::on_reject(Time t, ItemId item, BinId bin) {
-  if (fit_failures_ != nullptr) fit_failures_->inc();
   if (tracing()) {
     TraceEvent ev;
     ev.kind = TraceEventKind::kReject;
@@ -52,7 +51,10 @@ void Observer::on_reject(Time t, ItemId item, BinId bin) {
 
 void Observer::on_place(Time t, ItemId item, BinId bin, bool new_bin,
                         std::size_t rejections) {
-  if (placements_ != nullptr) placements_->inc();
+  if (placements_ != nullptr) {
+    placements_->inc();
+    fit_failures_->inc(rejections);
+  }
   if (tracing()) {
     TraceEvent ev;
     ev.kind = TraceEventKind::kPlace;

@@ -35,11 +35,6 @@ class Observer {
   MetricRegistry* metrics() const noexcept { return metrics_; }
   Tracer* tracer() const noexcept { return tracer_; }
 
-  /// True when per-candidate fit checks are wanted (fit-failure counting
-  /// and reject records). Engines skip the extra scan otherwise.
-  bool wants_rejections() const noexcept {
-    return metrics_ != nullptr || tracing();
-  }
   bool tracing() const noexcept {
     return tracer_ != nullptr && tracer_->active();
   }
@@ -51,7 +46,11 @@ class Observer {
   // --- Engine callbacks (see docs/OBSERVABILITY.md for semantics) -------
   void on_arrival(Time t, ItemId item, std::span<const double> size,
                   std::size_t open_bins);
+  /// A reject record for one open bin that cannot hold the item; engines
+  /// call it only while tracing().
   void on_reject(Time t, ItemId item, BinId bin);
+  /// `rejections` open bins could not hold the item: engines count them
+  /// while metrics() or tracing() is set, and pass 0 otherwise.
   void on_place(Time t, ItemId item, BinId bin, bool new_bin,
                 std::size_t rejections);
   void on_open(Time t, BinId bin);

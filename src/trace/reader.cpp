@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
@@ -164,6 +165,7 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
     if (n_ > static_cast<std::uint64_t>(kNoItem)) {
       fail(path, "item count overflows ItemId");
     }
+    sort_departures();
   } catch (...) {
     unmap();
     throw;
@@ -171,6 +173,38 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
 }
 
 TraceReader::~TraceReader() { unmap(); }
+
+void TraceReader::sort_departures() {
+  // An LSD radix sort of the rows, one byte of the departure's bits per
+  // pass. Departures are finite and > arrival >= 0, so their bit patterns
+  // order as their values do; each pass is stable and the rows start
+  // ascending, so equal departures stay in row order. A pass whose byte
+  // every row shares is skipped (integer times leave the low mantissa
+  // bytes zero). A pass reads each row's key from the mapping: copying
+  // the keys out first costs 16 more bytes per row and measured slower.
+  const auto key = [this](std::size_t row) {
+    return get_u64(departure_ + row * 8);
+  };
+  std::vector<std::uint32_t> rows(n_);
+  std::array<std::array<std::size_t, 256>, 8> counts{};
+  for (std::size_t i = 0; i < n_; ++i) {
+    rows[i] = static_cast<std::uint32_t>(i);
+    const std::uint64_t k = key(i);
+    for (std::size_t b = 0; b < 8; ++b) ++counts[b][(k >> 8 * b) & 0xFF];
+  }
+  std::vector<std::uint32_t> sorted(n_);
+  for (std::size_t b = 0; b < 8; ++b) {
+    std::array<std::size_t, 256>& next = counts[b];
+    if (n_ == 0 || next[(key(0) >> 8 * b) & 0xFF] == n_) continue;
+    std::size_t sum = 0;
+    for (std::size_t& c : next) sum += std::exchange(c, sum);
+    for (const std::uint32_t row : rows) {
+      sorted[next[(key(row) >> 8 * b) & 0xFF]++] = row;
+    }
+    rows.swap(sorted);
+  }
+  departure_order_ = std::move(rows);
+}
 
 TraceReader::TraceReader(TraceReader&& other) noexcept
     : path_(std::move(other.path_)),
@@ -183,7 +217,8 @@ TraceReader::TraceReader(TraceReader&& other) noexcept
       arrival_(other.arrival_),
       departure_(other.departure_),
       demand_(other.demand_),
-      tenant_(other.tenant_) {
+      tenant_(other.tenant_),
+      departure_order_(std::exchange(other.departure_order_, {})) {
   other.map_ = nullptr;
   other.bytes_ = 0;
   other.n_ = 0;
@@ -204,6 +239,7 @@ TraceReader& TraceReader::operator=(TraceReader&& other) noexcept {
     departure_ = other.departure_;
     demand_ = other.demand_;
     tenant_ = other.tenant_;
+    departure_order_ = std::exchange(other.departure_order_, {});
     other.map_ = nullptr;
     other.bytes_ = 0;
     other.n_ = 0;
@@ -252,39 +288,34 @@ Instance TraceReader::materialize() const {
 
 bool TraceCursor::next(TraceEvent& ev) {
   const TraceReader& r = *reader_;
-  const std::size_t n = r.size();
-  const auto cmp = std::greater<std::pair<Time, ItemId>>();
-  while (true) {
-    const bool have_arrival = next_arrival_ < n;
-    const bool have_departure = !heap_.empty();
-    if (!have_arrival && !have_departure) return false;
-    // Departures win ties: EventOrder sorts kDeparture before kArrival
-    // at equal timestamps, and heap order (time, id) matches the final
-    // tie-break on item id.
-    if (have_departure &&
-        (!have_arrival || heap_.front().first <= r.arrival(next_arrival_))) {
-      ev.time = heap_.front().first;
-      ev.kind = EventKind::kDeparture;
-      ev.item = heap_.front().second;
-      std::pop_heap(heap_.begin(), heap_.end(), cmp);
-      heap_.pop_back();
-    } else {
-      const std::size_t i = next_arrival_++;
-      ev.time = r.arrival(i);
-      ev.kind = EventKind::kArrival;
-      ev.item = static_cast<ItemId>(i);
-      heap_.emplace_back(r.departure(i), static_cast<ItemId>(i));
-      std::push_heap(heap_.begin(), heap_.end(), cmp);
-    }
-    ++emitted_;
-    return true;
+  const std::span<const std::uint32_t> order = r.departure_order();
+  // Every item departs after it arrives, so the last departure ends the
+  // stream.
+  if (next_departure_ == order.size()) return false;
+  const std::uint32_t row = order[next_departure_];
+  const Time departure = r.departure(row);
+  // Departures win ties: EventOrder sorts kDeparture before kArrival at
+  // equal timestamps, and departure_order() breaks ties by row, the item
+  // id. A departure that is due has arrived: its arrival precedes it.
+  if (next_arrival_ < order.size() && r.arrival(next_arrival_) < departure) {
+    const std::size_t i = next_arrival_++;
+    ev.time = r.arrival(i);
+    ev.kind = EventKind::kArrival;
+    ev.item = static_cast<ItemId>(i);
+  } else {
+    ++next_departure_;
+    ev.time = departure;
+    ev.kind = EventKind::kDeparture;
+    ev.item = static_cast<ItemId>(row);
   }
+  ++emitted_;
+  return true;
 }
 
 void TraceCursor::reset() {
   next_arrival_ = 0;
+  next_departure_ = 0;
   emitted_ = 0;
-  heap_.clear();
 }
 
 }  // namespace dvbp::trace

@@ -5,15 +5,19 @@
 //
 // Validation happens once, at open: magic/version/layout checks, the
 // trailing CRC32 over the whole file, and one semantic scan (arrivals
-// nondecreasing, departure > arrival, demands inside the unit bin). After
-// open() succeeds every accessor can trust the mapping, so the per-event
-// hot path is a couple of 8-byte loads. A truncated or corrupted file --
-// any byte, anywhere -- fails open() with TraceError; the reader never
-// crashes on hostile input (fuzzed in tests/test_trace.cpp).
+// nondecreasing, departure > arrival, demands inside the unit bin). Open
+// then sorts the rows once by (departure, row), 4 bytes per row, so the
+// departure side of every cursor is a second sorted column. After open()
+// succeeds every accessor can trust the mapping and the reader never
+// changes, so cursors on several threads share it without a lock. A
+// truncated or corrupted file -- any byte, anywhere -- fails open() with
+// TraceError; the reader never crashes on hostile input (fuzzed in
+// tests/test_trace.cpp).
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,6 +67,13 @@ class TraceReader {
     return v;
   }
 
+  /// Every row, by ascending departure and then row: the order in which
+  /// build_event_stream() departs the items. Empty for a moved-from
+  /// reader.
+  std::span<const std::uint32_t> departure_order() const noexcept {
+    return departure_order_;
+  }
+
   /// Gathers item `i`'s demand vector into `out` (resized to dim()).
   void size_into(std::size_t i, RVec& out) const;
   /// Item `i` as a core Item (id == row index).
@@ -75,6 +86,7 @@ class TraceReader {
 
  private:
   void unmap() noexcept;
+  void sort_departures();
 
   static double load_f64(const std::uint8_t* p) noexcept {
     double v;
@@ -93,6 +105,7 @@ class TraceReader {
   const std::uint8_t* departure_ = nullptr;
   const std::uint8_t* demand_ = nullptr;
   const std::uint8_t* tenant_ = nullptr;
+  std::vector<std::uint32_t> departure_order_;
 };
 
 /// One streamed trace event; mirrors core Event.
@@ -102,12 +115,12 @@ struct TraceEvent {
   ItemId item = kNoItem;
 };
 
-/// Streaming event merge over a TraceReader. Arrivals come straight off
-/// the sorted arrival column; departures of the currently active items sit
-/// in a min-heap on (departure, id). The emitted order is IDENTICAL to
-/// build_event_stream(materialize()): time ascending, departures before
-/// arrivals at equal timestamps, ties by item id -- so a Dispatcher fed
-/// from the cursor reproduces simulate() bin for bin. O(active) memory.
+/// Streaming event merge over a TraceReader's two sorted columns: the
+/// arrival column and the reader's departure_order(). The emitted order is
+/// IDENTICAL to build_event_stream(materialize()): time ascending,
+/// departures before arrivals at equal timestamps, ties by item id -- so a
+/// Dispatcher fed from the cursor reproduces simulate() bin for bin. Two
+/// indices of state; the cursor allocates nothing.
 class TraceCursor {
  public:
   explicit TraceCursor(const TraceReader& reader) : reader_(&reader) {}
@@ -123,9 +136,8 @@ class TraceCursor {
  private:
   const TraceReader* reader_;
   std::size_t next_arrival_ = 0;
+  std::size_t next_departure_ = 0;  ///< index into departure_order()
   std::uint64_t emitted_ = 0;
-  /// Min-heap via std::greater on (departure, id).
-  std::vector<std::pair<Time, ItemId>> heap_;
 };
 
 }  // namespace dvbp::trace

@@ -38,7 +38,7 @@
 namespace dvbp::trace {
 
 /// Lemma-1 lower bounds on OPT of a trace, computed by a streaming event
-/// sweep in O(active) memory -- the trace-native mirror of
+/// sweep in O(d) memory beyond the reader -- the trace-native mirror of
 /// opt/lower_bounds.hpp (identical arithmetic, including robust_ceil and
 /// the clamp of departure residue).
 struct StreamBounds {

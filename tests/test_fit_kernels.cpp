@@ -1,12 +1,16 @@
-// Every fit-mask kernel this CPU supports against the scalar reference
-// (core/fit_kernels.hpp). The placement tests only run the kernel the
-// open-bin table dispatches to, so on an AVX-512 host the AVX2 and SSE2
-// kernels would otherwise never run at all.
+// The open-bin table's load-byte prefilter (core/fit_kernels.hpp). Every
+// byte kernel this CPU supports must return the scalar byte reference's
+// mask -- the placement tests only run the kernel the table dispatches to,
+// so on an AVX-512 host the AVX2 and SSE2 kernels would otherwise never
+// run at all -- and the byte bound must be conservative: every slot the
+// exact fits.hpp predicate admits is a candidate. A table holding the same
+// loads must then admit exactly the fitting slots.
 #include "core/fit_kernels.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -19,42 +23,94 @@ namespace {
 
 using detail::FitKernel;
 using detail::fit_kernels;
+using detail::kChunkSlots;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kStride = 256;  // slots per lane: four chunks
-constexpr std::size_t kDims[] = {1, 2, 5, 8, 9, 16};
+constexpr std::size_t kDims[] = {1, 2, 5, 8, 9, 16, 65, 300};
+constexpr double kCapacities[] = {1.0, 1.5};
 
-/// dim lanes of kStride slots each, as the table lays them out.
+/// dim lanes of kStride loads each, as the table lays them out; a hole is
+/// +inf in every lane.
 struct Lanes {
   explicit Lanes(std::size_t d) : dim(d), data(d * kStride, kInf) {}
   double& at(std::size_t j, std::size_t slot) {
     return data[j * kStride + slot];
   }
+  double at(std::size_t j, std::size_t slot) const {
+    return data[j * kStride + slot];
+  }
+  std::vector<double> load(std::size_t slot) const {
+    std::vector<double> out(dim);
+    for (std::size_t j = 0; j < dim; ++j) out[j] = at(j, slot);
+    return out;
+  }
   std::size_t dim;
   std::vector<double> data;
 };
 
-/// Runs every supported kernel over every padded count (8..64) at several
-/// chunk bases and expects the scalar reference's mask, bit for bit.
-void expect_kernels_agree(const Lanes& lanes, const std::vector<double>& add,
-                          double thr) {
-  const FitKernel& reference = fit_kernels().front();
-  for (const FitKernel& kernel : fit_kernels()) {
-    if (!kernel.supported) continue;
-    for (std::size_t base : {0u, 64u, 136u, 192u}) {
-      for (std::size_t count = OpenBinTable::kSimdWidth; count <= 64;
-           count += OpenBinTable::kSimdWidth) {
-        const std::uint64_t want =
-            reference.fn(lanes.data.data(), lanes.dim, kStride, base, count,
-                         add.data(), thr);
-        const std::uint64_t got =
-            kernel.fn(lanes.data.data(), lanes.dim, kStride, base, count,
-                      add.data(), thr);
-        ASSERT_EQ(got, want) << kernel.name << " d=" << lanes.dim
-                             << " base=" << base << " count=" << count;
-      }
+/// Runs one query (`add` into bins of `capacity`) over `lanes`:
+///  - every supported kernel returns the scalar reference's mask, on
+///    aligned and unaligned chunk bases;
+///  - every slot the exact predicate admits is a candidate;
+///  - an OpenBinTable with the same loads and holes collects, counts and
+///    finds exactly the fitting slots.
+void check_query(const Lanes& lanes, const std::vector<double>& add,
+                 double capacity) {
+  const std::size_t d = lanes.dim;
+  const double thr = fits_threshold(capacity);
+  const double scale = 255.0 / capacity;
+  std::vector<std::uint8_t> bytes(d * kStride);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = detail::load_byte(lanes.data[i], capacity, scale);
+  }
+  std::vector<std::uint8_t> bound(d);
+  for (std::size_t j = 0; j < d; ++j) {
+    bound[j] = detail::fit_bound(add[j], thr, capacity, scale);
+  }
+  std::vector<std::uint32_t> fitting;
+  for (std::size_t slot = 0; slot < kStride; ++slot) {
+    if (fits_under_threshold(lanes.load(slot).data(), add.data(), d, thr)) {
+      fitting.push_back(static_cast<std::uint32_t>(slot));
     }
   }
+
+  const FitKernel& reference = fit_kernels().front();
+  for (std::size_t base : {0u, 64u, 100u, 128u, 192u}) {
+    const std::uint64_t want =
+        reference.fn(bytes.data(), d, kStride, base, bound.data());
+    for (const FitKernel& kernel : fit_kernels()) {
+      if (!kernel.supported) continue;
+      ASSERT_EQ(kernel.fn(bytes.data(), d, kStride, base, bound.data()),
+                want)
+          << kernel.name << " d=" << d << " base=" << base;
+    }
+    for (const std::uint32_t slot : fitting) {
+      if (slot < base || slot >= base + kChunkSlots) continue;
+      ASSERT_TRUE((want >> (slot - base)) & 1)
+          << "the byte bound drops fitting slot " << slot << " (d=" << d
+          << ", capacity " << capacity << ")";
+    }
+  }
+
+  OpenBinTable table(d, capacity);
+  for (std::size_t slot = 0; slot < kStride; ++slot) {
+    const std::vector<double> load = lanes.load(slot);
+    if (load[0] == kInf) {
+      table.push_back_zero();
+      table.make_hole(slot);
+    } else {
+      table.push_back_raw(load.data());
+    }
+  }
+  std::vector<std::uint32_t> collected;
+  table.collect_fitting(add.data(), collected);
+  ASSERT_EQ(collected, fitting) << "d=" << d << ", capacity " << capacity;
+  EXPECT_EQ(table.count_fitting(add.data()), fitting.size());
+  EXPECT_EQ(table.find_first_fit(add.data()),
+            fitting.empty() ? OpenBinTable::npos : fitting.front());
+  EXPECT_EQ(table.find_last_fit(add.data()),
+            fitting.empty() ? OpenBinTable::npos : fitting.back());
 }
 
 TEST(FitKernels, ScalarReferenceComesFirstAndNamesAreUnique) {
@@ -74,59 +130,109 @@ TEST(FitKernels, ActiveKernelIsTheWidestTheCpuSupports) {
   EXPECT_STREQ(OpenBinTable::active_kernel(), "scalar");
   EXPECT_EQ(fit_kernels().size(), 1u);
 #else
-  const char* want = __builtin_cpu_supports("avx512f") ? "avx512"
+  const char* want = __builtin_cpu_supports("avx512f") &&
+                             __builtin_cpu_supports("avx512bw")
+                         ? "avx512"
                      : __builtin_cpu_supports("avx2") ? "avx2"
                                                        : "sse2";
   EXPECT_STREQ(OpenBinTable::active_kernel(), want);
 #endif
 }
 
+TEST(FitKernels, LoadBytesAreMonotoneAndTheCapacityMapsTo255) {
+  for (const double capacity : kCapacities) {
+    const double scale = 255.0 / capacity;
+    EXPECT_EQ(detail::load_byte(0.0, capacity, scale), 0);
+    EXPECT_EQ(detail::load_byte(capacity, capacity, scale), 255);
+    EXPECT_EQ(detail::load_byte(kInf, capacity, scale), 255);
+    EXPECT_EQ(detail::load_byte(std::nan(""), capacity, scale), 255);
+    // A zero-size item lets every byte through, holes included.
+    EXPECT_EQ(detail::fit_bound(0.0, fits_threshold(capacity), capacity,
+                                scale),
+              255);
+    std::uint8_t prev = 0;
+    for (int k = 0; k <= 4000; ++k) {
+      const double x = capacity * k / 4000.0;
+      const std::uint8_t b = detail::load_byte(x, capacity, scale);
+      ASSERT_GE(b, prev) << x;
+      prev = b;
+    }
+  }
+}
+
 TEST(FitKernels, RandomLanesWithHoles) {
   Xoshiro256pp rng(0xF17);
   for (std::size_t d : kDims) {
-    for (int trial = 0; trial < 20; ++trial) {
-      Lanes lanes(d);
-      for (std::size_t slot = 0; slot < kStride; ++slot) {
-        if (rng.uniform() < 0.1) continue;  // a hole: +inf in every lane
-        for (std::size_t j = 0; j < d; ++j) lanes.at(j, slot) = rng.uniform();
+    for (const double capacity : kCapacities) {
+      for (int trial = 0; trial < 10; ++trial) {
+        Lanes lanes(d);
+        for (std::size_t slot = 0; slot < kStride; ++slot) {
+          if (rng.uniform() < 0.1) continue;  // a hole
+          for (std::size_t j = 0; j < d; ++j) {
+            lanes.at(j, slot) = rng.uniform() * capacity;
+          }
+        }
+        // Small adds, some of them zero, leave a few survivors at d = 16.
+        std::vector<double> add(d);
+        for (double& a : add) {
+          a = rng.uniform() < 0.1 ? 0.0 : rng.uniform(0.0, 0.2);
+        }
+        check_query(lanes, add, capacity);
       }
-      // Small adds leave a few survivors even at d = 16.
-      std::vector<double> add(d);
-      for (double& a : add) a = rng.uniform(0.0, 0.2);
-      expect_kernels_agree(lanes, add, fits_threshold(1.0));
-      expect_kernels_agree(lanes, add, fits_threshold(1.5));
     }
   }
 }
 
 TEST(FitKernels, SumsOnAndOneUlpAroundTheThreshold) {
-  const double thr = fits_threshold(1.0);
-  const double targets[] = {thr, std::nextafter(thr, 0.0),
-                            std::nextafter(thr, kInf), 0.5};
   Xoshiro256pp rng(0xB0B);
   for (std::size_t d : kDims) {
-    for (int trial = 0; trial < 20; ++trial) {
-      // Powers of two, so load = target - add is exact and load + add
-      // rounds back onto the target.
-      std::vector<double> add(d);
-      for (double& a : add) {
-        a = std::ldexp(1.0, -1 - static_cast<int>(rng.uniform_int(0, 3)));
+    for (const double capacity : kCapacities) {
+      const double thr = fits_threshold(capacity);
+      const double on[] = {thr, std::nextafter(thr, 0.0), 0.5};
+      const double over = std::nextafter(thr, kInf);
+      for (int trial = 0; trial < 10; ++trial) {
+        // Powers of two, so load = target - add is exact and load + add
+        // rounds back onto the target.
+        std::vector<double> add(d);
+        for (double& a : add) {
+          a = std::ldexp(1.0, -1 - static_cast<int>(rng.uniform_int(0, 3)));
+        }
+        Lanes lanes(d);
+        for (std::size_t slot = 0; slot < kStride; ++slot) {
+          for (std::size_t j = 0; j < d; ++j) {
+            const double t = on[rng.uniform_int(0, 2)];
+            lanes.at(j, slot) = t - add[j];
+            ASSERT_EQ(lanes.at(j, slot) + add[j], t);
+          }
+          // A third of the slots miss by one ulp in one dimension.
+          if (rng.uniform() < 0.3) {
+            const auto j = static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(d) - 1));
+            lanes.at(j, slot) = over - add[j];
+            ASSERT_EQ(lanes.at(j, slot) + add[j], over);
+          }
+        }
+        check_query(lanes, add, capacity);
       }
+    }
+  }
+}
+
+TEST(FitKernels, AZeroSizeItemPassesEveryByteAndNoHole) {
+  Xoshiro256pp rng(0x2E80);
+  for (std::size_t d : kDims) {
+    for (const double capacity : kCapacities) {
       Lanes lanes(d);
       for (std::size_t slot = 0; slot < kStride; ++slot) {
+        if (rng.uniform() < 0.2) continue;  // a hole
+        // Full bins too: a zero-size item still fits on a load of exactly
+        // the capacity.
         for (std::size_t j = 0; j < d; ++j) {
-          // Mostly on or just under the threshold, so some slots survive
-          // every dimension; one ulp over a tenth of the time.
-          const double u = rng.uniform();
-          const double t = u < 0.1 ? targets[2]
-                           : u < 0.4 ? targets[0]
-                           : u < 0.7 ? targets[1]
-                                     : targets[3];
-          lanes.at(j, slot) = t - add[j];
-          ASSERT_EQ(lanes.at(j, slot) + add[j], t);
+          lanes.at(j, slot) = rng.uniform() < 0.3 ? capacity
+                                                  : rng.uniform() * capacity;
         }
       }
-      expect_kernels_agree(lanes, add, thr);
+      check_query(lanes, std::vector<double>(d, 0.0), capacity);
     }
   }
 }
@@ -136,7 +242,7 @@ TEST(FitKernels, FewSurvivorsAfterTheFirstDimension) {
   // in later dimensions, down to the last one.
   Xoshiro256pp rng(0x5EED);
   for (std::size_t d : kDims) {
-    for (int trial = 0; trial < 20; ++trial) {
+    for (int trial = 0; trial < 10; ++trial) {
       Lanes lanes(d);
       for (std::size_t slot = 0; slot < kStride; ++slot) {
         lanes.at(0, slot) = 0.95;
@@ -153,8 +259,7 @@ TEST(FitKernels, FewSurvivorsAfterTheFirstDimension) {
           if (j > 0 && rng.uniform() < 0.5) lanes.at(j, slot) = 0.95;
         }
       }
-      expect_kernels_agree(lanes, std::vector<double>(d, 0.3),
-                           fits_threshold(1.0));
+      check_query(lanes, std::vector<double>(d, 0.3), 1.0);
     }
   }
 }

@@ -18,6 +18,7 @@
 #include "obs/observer.hpp"
 #include "obs/replay.hpp"
 #include "obs/trace.hpp"
+#include "stats/rng.hpp"
 
 namespace dvbp::obs {
 namespace {
@@ -384,6 +385,60 @@ TEST(DispatcherObserved, MetricsTrackLiveState) {
 // Tail-quantile regression (docs/OBSERVABILITY.md): the default latency
 // ladder must resolve a p999 that sits decades above the median instead of
 // collapsing it into the overflow bucket, and snapshots must report it.
+// Without a tracer the engine counts fit failures from one prefiltered
+// table pass; the counter must equal the per-bin count over the open
+// views, holes and augmented bins included, which a tracer still takes.
+TEST(DispatcherObserved, FitFailureCountWithoutATracerIsThePerBinCount) {
+  for (const char* name : {"FirstFit", "BestFit", "MoveToFront"}) {
+    for (const std::size_t d : {1u, 5u}) {
+      for (const double capacity : {1.0, 1.3}) {
+        MetricRegistry counted;
+        Observer counted_observer(&counted);
+        MetricRegistry traced;
+        Tracer tracer(std::make_shared<RingBufferSink>());
+        Observer traced_observer(&traced, &tracer);
+        const PolicyPtr counted_policy = make_policy(name);
+        const PolicyPtr traced_policy = make_policy(name);
+        Dispatcher a(d, *counted_policy, capacity, &counted_observer);
+        Dispatcher b(d, *traced_policy, capacity, &traced_observer);
+        Xoshiro256pp rng(0xFA11 + d);
+        std::vector<JobId> live;
+        std::uint64_t expected = 0;
+        Time now = 0.0;
+        for (int op = 0; op < 3000; ++op) {
+          now += rng.uniform();
+          if (live.empty() || rng.uniform() < 0.55) {
+            RVec size(d);
+            for (std::size_t j = 0; j < d; ++j) {
+              size[j] = rng.uniform() < 0.1 ? 0.0 : rng.uniform(0.0, 0.6);
+            }
+            for (const BinView& view : a.open_views()) {
+              if (view.id != kNoBin && !view.fits(size)) ++expected;
+            }
+            const JobId job = a.arrive(now, size, now + 1.0).job;
+            ASSERT_EQ(b.arrive(now, size, now + 1.0).job, job);
+            live.push_back(job);
+          } else {
+            const auto k = static_cast<std::size_t>(rng.uniform_int(
+                0, static_cast<std::int64_t>(live.size()) - 1));
+            a.depart(now, live[k]);
+            b.depart(now, live[k]);
+            live[k] = live.back();
+            live.pop_back();
+          }
+        }
+        ASSERT_GT(expected, 0u);
+        EXPECT_EQ(counted.counter("dvbp.alloc.fit_failures_total").value(),
+                  expected)
+            << name << " d=" << d << " capacity " << capacity;
+        EXPECT_EQ(traced.counter("dvbp.alloc.fit_failures_total").value(),
+                  expected)
+            << name << " d=" << d << " capacity " << capacity;
+      }
+    }
+  }
+}
+
 TEST(HistogramTest, TailQuantileStaysResolvable) {
   Histogram h(default_latency_bounds_ns());
   // 10k fast observations around 5us, 50 stragglers near 400ms (0.5% of

@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -308,31 +309,99 @@ TEST_F(TraceFile, WrittenTraceCrcIsPinned) {
 // ---------------------------------------------------------------------------
 // Streaming: cursor order and replay parity
 
-TEST_F(TraceFile, CursorEmitsBuildEventStreamOrder) {
-  const Instance inst = small_instance(300, 2);
-  const std::string path = track(temp_path("trace_cursor.trc"));
-  TraceWriter::write_instance(inst, path);
-  TraceReader reader(path);
-
-  const std::vector<Event> expected = build_event_stream(inst);
-  TraceCursor cursor(reader);
-  TraceEvent ev;
-  std::size_t k = 0;
-  while (cursor.next(ev)) {
-    ASSERT_LT(k, expected.size());
-    EXPECT_EQ(ev.time, expected[k].time);
-    EXPECT_EQ(ev.kind, expected[k].kind);
-    EXPECT_EQ(ev.item, expected[k].item);
-    ++k;
+/// Arrivals four to an instant and departures on integer times, so
+/// several rows depart at one instant, later rows first within an arrival
+/// group, landing on other rows' arrival times.
+Instance tie_heavy_instance() {
+  Instance inst(2);
+  const std::size_t n = 60;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Time arrival = static_cast<Time>(i / 4);
+    const Time departure =
+        arrival + 1.0 + static_cast<Time>((n - 1 - i) % 5);
+    inst.add(arrival, departure, RVec{0.25, 0.5});
   }
-  EXPECT_EQ(k, expected.size());
-  EXPECT_EQ(cursor.events_emitted(), expected.size());
+  return inst;
+}
 
-  // reset() rewinds to an identical stream.
-  cursor.reset();
-  std::size_t again = 0;
-  while (cursor.next(ev)) ++again;
-  EXPECT_EQ(again, expected.size());
+/// Real-valued times, so every byte of a departure's bits varies; a
+/// fifth of the rows depart exactly when the row before does, and another
+/// fifth one ulp before or after it.
+Instance real_time_instance() {
+  Instance inst(1);
+  Xoshiro256pp rng(0x7135);
+  Time arrival = 0.0;
+  Time last_departure = 0.0;
+  for (std::size_t i = 0; i < 400; ++i) {
+    arrival += rng.uniform() * 0.5;
+    Time departure = arrival + 1e-3 + rng.uniform() * 40.0;
+    const double u = rng.uniform();
+    if (last_departure > arrival + 1.0 && u < 0.4) {
+      departure = u < 0.2   ? last_departure
+                  : u < 0.3 ? std::nextafter(last_departure, 0.0)
+                            : std::nextafter(last_departure, 1e300);
+    }
+    inst.add(arrival, departure, RVec{rng.uniform()});
+    last_departure = departure;
+  }
+  return inst;
+}
+
+/// Every event a fresh cursor over `reader` emits.
+std::vector<TraceEvent> cursor_stream(const TraceReader& reader) {
+  TraceCursor cursor(reader);
+  std::vector<TraceEvent> events;
+  TraceEvent ev;
+  while (cursor.next(ev)) events.push_back(ev);
+  EXPECT_EQ(cursor.events_emitted(), events.size());
+  return events;
+}
+
+void expect_event_stream(const std::vector<TraceEvent>& got,
+                         const std::vector<Event>& expected) {
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].time, expected[k].time) << "event " << k;
+    EXPECT_EQ(got[k].kind, expected[k].kind) << "event " << k;
+    EXPECT_EQ(got[k].item, expected[k].item) << "event " << k;
+  }
+}
+
+TEST_F(TraceFile, CursorEmitsBuildEventStreamOrder) {
+  for (const Instance& inst : {small_instance(300, 2), tie_heavy_instance(),
+                               real_time_instance()}) {
+    const std::string path = track(temp_path("trace_cursor.trc"));
+    TraceWriter::write_instance(inst, path);
+    TraceReader reader(path);
+    expect_event_stream(cursor_stream(reader), build_event_stream(inst));
+
+    // reset() rewinds to an identical stream.
+    TraceCursor cursor(reader);
+    TraceEvent ev;
+    while (cursor.next(ev)) {
+    }
+    cursor.reset();
+    std::size_t again = 0;
+    while (cursor.next(ev)) ++again;
+    EXPECT_EQ(again, 2 * inst.size());
+  }
+}
+
+TEST_F(TraceFile, CursorFollowsAMovedReader) {
+  const Instance inst = tie_heavy_instance();
+  const std::string path = track(temp_path("trace_moved.trc"));
+  TraceWriter::write_instance(inst, path);
+  const std::vector<Event> expected = build_event_stream(inst);
+
+  TraceReader reader(path);
+  TraceReader moved(std::move(reader));
+  expect_event_stream(cursor_stream(moved), expected);
+  EXPECT_TRUE(cursor_stream(reader).empty());
+
+  TraceReader assigned(path);
+  assigned = std::move(moved);
+  expect_event_stream(cursor_stream(assigned), expected);
+  EXPECT_TRUE(cursor_stream(moved).empty());
 }
 
 TEST_F(TraceFile, ReplayMatchesSimulateForAllPolicies) {
