@@ -656,9 +656,9 @@ Packing ShardedCore::snapshot() const {
     std::lock_guard<std::mutex> lock(shard->mu);
     const auto offset = static_cast<BinId>(bins.size());
     const PackingRecorder& recorder = shard->engine->recorder();
-    for (const BinRecord& rec : recorder.bins()) {
-      bins.push_back(rec);
-      bins.back().id += offset;
+    for (BinRecord& rec : recorder.bin_records()) {
+      rec.id += offset;
+      bins.push_back(std::move(rec));
     }
     const std::vector<BinId>& placed = recorder.assignment();
     for (JobId job = 0; job < placed.size(); ++job) {

@@ -122,22 +122,23 @@ std::optional<std::string> PackingInvariantChecker::check(
              " bins but bins_opened() is " + std::to_string(d.bins_opened());
     }
     closed_seen_.resize(recorder->num_bins());
-    for (const BinRecord& rec : recorder->bins()) {
-      const bool open = d.open_bin_state(rec.id) != nullptr;
-      ClosedBin& seen = closed_seen_[rec.id];
+    for (BinId id = 0; id < recorder->num_bins(); ++id) {
+      const PackingRecorder::RecordedBin& rec = recorder->bin(id);
+      const bool open = d.open_bin_state(id) != nullptr;
+      ClosedBin& seen = closed_seen_[id];
       if (seen.seen) {
-        if (open) return bin_str(rec.id) + " reopened after closing";
+        if (open) return bin_str(id) + " reopened after closing";
         if (rec.opened != seen.opened || rec.closed != seen.closed ||
-            rec.items.size() != seen.items) {
-          return bin_str(rec.id) + " closed record mutated";
+            rec.placements != seen.items) {
+          return bin_str(id) + " closed record mutated";
         }
         continue;
       }
       if (open) continue;
       if (rec.closed < rec.opened - kTimeEps) {
-        return bin_str(rec.id) + " closed before it opened";
+        return bin_str(id) + " closed before it opened";
       }
-      seen = ClosedBin{rec.opened, rec.closed, rec.items.size(), true};
+      seen = ClosedBin{rec.opened, rec.closed, rec.placements, true};
     }
   }
   const double closed_usage = d.closed_usage();

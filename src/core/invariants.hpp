@@ -64,7 +64,7 @@ class PackingInvariantChecker {
   struct ClosedBin {
     Time opened = 0.0;
     Time closed = 0.0;
-    std::size_t items = 0;  // record item-list length at close time
+    std::size_t items = 0;  // placement count at close time
     bool seen = false;
   };
   std::vector<ClosedBin> closed_seen_;  // by bin id, once observed closed

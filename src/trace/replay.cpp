@@ -11,7 +11,7 @@ ReplayResult replay_trace(const TraceReader& reader, Policy& policy,
                           const ReplayOptions& options) {
   Dispatcher dispatcher(reader.dim(), policy, options.bin_capacity,
                         options.observer);
-  PackingRecorder recorder;
+  PackingRecorder recorder(reader.size());
   dispatcher.set_recorder(&recorder);
 
   obs::Counter* events_total = nullptr;

@@ -146,8 +146,9 @@ TEST_P(AugmentedDifferentialTest, DispatcherMatchesEngineBinForBin) {
   }
 
   ASSERT_EQ(recorder.num_bins(), sim.packing.num_bins());
+  const std::vector<BinRecord> records = recorder.bin_records();
   for (std::size_t b = 0; b < sim.packing.num_bins(); ++b) {
-    const BinRecord& live = recorder.bins()[b];
+    const BinRecord& live = records[b];
     const BinRecord& batch = sim.packing.bins()[b];
     EXPECT_EQ(live.id, batch.id);
     EXPECT_DOUBLE_EQ(live.opened, batch.opened) << "bin " << b;

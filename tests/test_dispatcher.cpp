@@ -177,7 +177,7 @@ TEST(Dispatcher, AJobKeepsItsItemIdThroughACheckpoint) {
   dispatcher.set_recorder(&recorder);
   const auto a = dispatcher.arrive(0.0, Item(7, 0.0, 5.0, RVec{0.5}));
   EXPECT_EQ(a.job, 7u);
-  EXPECT_EQ(recorder.bins()[a.bin].items, (std::vector<ItemId>{7u}));
+  EXPECT_EQ(recorder.bin_records()[a.bin].items, (std::vector<ItemId>{7u}));
   serial::Writer out;
   dispatcher.save_state(out);
 
@@ -356,12 +356,11 @@ TEST_P(DispatcherDifferentialTest, ReplayMatchesSimulate) {
                    batch.cost);
   // Bin-by-bin identical placement.
   ASSERT_EQ(recorder.num_bins(), batch.packing.num_bins());
+  const std::vector<BinRecord> records = recorder.bin_records();
   for (std::size_t b = 0; b < recorder.num_bins(); ++b) {
-    EXPECT_EQ(recorder.bins()[b].items, batch.packing.bins()[b].items);
-    EXPECT_DOUBLE_EQ(recorder.bins()[b].opened,
-                     batch.packing.bins()[b].opened);
-    EXPECT_DOUBLE_EQ(recorder.bins()[b].closed,
-                     batch.packing.bins()[b].closed);
+    EXPECT_EQ(records[b].items, batch.packing.bins()[b].items);
+    EXPECT_DOUBLE_EQ(records[b].opened, batch.packing.bins()[b].opened);
+    EXPECT_DOUBLE_EQ(records[b].closed, batch.packing.bins()[b].closed);
   }
 }
 

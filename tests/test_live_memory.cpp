@@ -18,15 +18,20 @@
 #include "core/packing_hash.hpp"
 #include "core/policies/registry.hpp"
 #include "gen/uniform.hpp"
+#include "trace/reader.hpp"
+#include "trace/replay.hpp"
+#include "trace/writer.hpp"
 
 namespace {
 
 std::atomic<std::int64_t> g_live_bytes{0};
+std::atomic<std::int64_t> g_allocations{0};
 
 void* counted(void* p) noexcept {
   if (p != nullptr) {
     g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
                            std::memory_order_relaxed);
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
   }
   return p;
 }
@@ -53,7 +58,7 @@ void uncounted(void* p) noexcept {
 }  // namespace
 
 // Every replaceable allocation function, so that no allocation or release
-// escapes the count (or pairs with a runtime's own version of the other).
+// escapes the counts (or pairs with a runtime's own version of the other).
 void* operator new(std::size_t n) { return counted_or_throw(allocate(n)); }
 void* operator new[](std::size_t n) { return counted_or_throw(allocate(n)); }
 void* operator new(std::size_t n, std::align_val_t a) {
@@ -108,6 +113,10 @@ namespace {
 
 std::int64_t live_bytes() {
   return g_live_bytes.load(std::memory_order_relaxed);
+}
+
+std::int64_t allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
 }
 
 // One lap of replay_dense's density (d=5, mu=200, about 12 arrivals per
@@ -202,6 +211,40 @@ TEST(LiveMemory, ARecorderChangesNoDecision) {
     EXPECT_EQ(dispatcher_state_hash(bare), dispatcher_state_hash(recorded));
     EXPECT_EQ(recorder.num_bins(), recorded.bins_opened());
   }
+}
+
+// A replay's history is flat (core/packing_recorder.hpp): the recorder
+// allocates nothing per bin or per placement, and the engine only grows
+// its tables, so a whole replay makes O(log n) allocations however many
+// bins it opens. Traces of n and 2n items at one density must make about
+// as many, and far fewer than they open bins.
+TEST(LiveMemory, AReplayAllocatesLogarithmicallyNotPerBin) {
+  std::int64_t made[2] = {0, 0};
+  std::size_t opened[2] = {0, 0};
+  for (int k = 0; k < 2; ++k) {
+    gen::UniformParams params;
+    params.d = 2;
+    params.n = 25000 << k;
+    params.mu = 20;
+    params.span = 2500 << k;
+    params.bin_size = 100;
+    const std::string path = ::testing::TempDir() + "live_memory_replay_" +
+                             std::to_string(k) + ".trc";
+    trace::TraceWriter::write_instance(gen::uniform_instance(params, 13),
+                                       path);
+    const trace::TraceReader reader(path);
+    const PolicyPtr policy = make_policy("BestFit", 1);
+    const std::int64_t before = allocations();
+    const trace::ReplayResult result = trace::replay_trace(reader, *policy);
+    made[k] = allocations() - before;
+    opened[k] = result.bins_opened;
+  }
+  EXPECT_GE(opened[1], 10000u) << "the trace opens too few bins";
+  EXPECT_LE(made[1], made[0] + 16)
+      << made[0] << " allocations for " << opened[0] << " bins, " << made[1]
+      << " for " << opened[1];
+  EXPECT_LT(made[1] * 50, static_cast<std::int64_t>(opened[1]))
+      << made[1] << " allocations for " << opened[1] << " bins";
 }
 
 }  // namespace

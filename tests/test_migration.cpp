@@ -122,7 +122,7 @@ TEST(Evict, LastItemClosesTheBinPermanently) {
   EXPECT_TRUE(ev.emptied);
   EXPECT_EQ(d.open_bins(), 0u);
   EXPECT_EQ(d.open_bin_state(bin), nullptr);
-  EXPECT_DOUBLE_EQ(recorder.bins()[bin].closed, 3.0);
+  EXPECT_DOUBLE_EQ(recorder.bin(bin).closed, 3.0);
   EXPECT_DOUBLE_EQ(d.closed_usage(), 3.0);
 }
 
@@ -170,8 +170,8 @@ TEST(Replace, IntoTargetBinUpdatesAssignmentAndRecords) {
   EXPECT_FALSE(d.is_evicted(a));
   EXPECT_EQ(d.jobs_evicted(), 0u);
   // The job appears in both bins' histories; assignment names the last.
-  EXPECT_EQ(recorder.bins()[from].items.size(), 1u);
-  EXPECT_EQ(recorder.bins()[landed].items.size(), 1u);
+  EXPECT_EQ(recorder.bin(from).placements, 1u);
+  EXPECT_EQ(recorder.bin(landed).placements, 1u);
   EXPECT_EQ(recorder.packing().assignment()[a], landed);
 }
 
@@ -292,7 +292,7 @@ TEST(Rebalancer, ClosesNearlyEmptyBinWithinBudget) {
   EXPECT_EQ(d.bin_of(filler), bin1);
   EXPECT_EQ(d.bin_of(straggler), bin1);
   EXPECT_EQ(d.open_bins(), 1u);
-  EXPECT_DOUBLE_EQ(recorder.bins()[bin0].closed, 2.0);
+  EXPECT_DOUBLE_EQ(recorder.bin(bin0).closed, 2.0);
   EXPECT_DOUBLE_EQ(rebalancer.stats().migrated_volume, 1.0);
 
   d.depart(3.0, filler);

@@ -137,7 +137,7 @@ TEST(MigrationParity, PackingAccessorAgreesWithRecordsWithoutMigration) {
     }
   }
   std::vector<BinId> from_records(dispatcher.jobs_admitted(), kNoBin);
-  for (const BinRecord& rec : recorder.bins()) {
+  for (const BinRecord& rec : recorder.bin_records()) {
     for (ItemId it : rec.items) from_records[it] = rec.id;
   }
   EXPECT_EQ(recorder.packing().assignment(), from_records);
