@@ -8,7 +8,7 @@
 // tests/test_trace.cpp. The Dispatcher holds only the live jobs and open
 // bins; the history replay returns (its cost in bin-id order, and the
 // packing) is kept by a PackingRecorder: 4 bytes of assignment plus 4 of
-// bin item list per item, and one BinRecord (48 bytes) per bin opened.
+// placement log per item, and one 24-byte record per bin opened.
 #pragma once
 
 #include <cstdint>
