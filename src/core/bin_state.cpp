@@ -1,7 +1,6 @@
 #include "core/bin_state.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -27,17 +26,7 @@ void BinState::append(ItemId item, Time departure) {
   ++num_active_;
 }
 
-void BinState::reopen(BinId id, Time opened_at) noexcept {
-  id_ = id;
-  opened_at_ = opened_at;
-  for (std::size_t k = 0; k < load_.dim(); ++k) load_[k] = 0.0;
-  total_packed_ = 0;
-  latest_departure_ = 0.0;
-}
-
 void BinState::add(const Item& item) {
-  assert(fits(item.size) && "BinState::add called without fits()");
-  load_ += item.size;
   append(item.id, item.departure);
   ++total_packed_;
   latest_departure_ = std::max(latest_departure_, item.departure);
@@ -65,8 +54,6 @@ bool BinState::remove(const Item& item) {
   if (tail_ == node) tail_ = prev;
   pool_->release(node);
   --num_active_;
-  load_ -= item.size;
-  load_.clamp_nonnegative();
   if (num_active_ == 0) {
     latest_departure_ = 0.0;
   } else if (removed_departure >= latest_departure_) {
@@ -83,8 +70,6 @@ bool BinState::remove(const Item& item) {
 }
 
 void BinState::save_state(serial::Writer& out) const {
-  out.u64(load_.dim());
-  for (double c : load_) out.f64(c);
   out.u64(num_active_);
   for (std::uint32_t n = head_; n != UsagePool::kNil; n = (*pool_)[n].next) {
     out.u32((*pool_)[n].item);
@@ -95,11 +80,6 @@ void BinState::save_state(serial::Writer& out) const {
 }
 
 void BinState::restore_state(serial::Reader& in) {
-  const std::uint64_t dim = in.u64();
-  if (dim != load_.dim()) {
-    throw serial::SerialError("BinState::restore_state: dimension mismatch");
-  }
-  for (std::size_t j = 0; j < dim; ++j) load_[j] = in.f64();
   const std::uint64_t n = in.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
     const ItemId item = in.u32();

@@ -12,8 +12,7 @@ namespace dvbp {
 Dispatcher::Dispatcher(std::size_t dim, Policy& policy, double bin_capacity,
                        obs::Observer* observer)
     : dim_(dim), policy_(policy), capacity_(bin_capacity), obs_(observer),
-      table_(dim, bin_capacity),
-      hole_load_(dim, std::numeric_limits<double>::infinity()) {
+      table_(dim, bin_capacity) {
   if (dim_ == 0) {
     throw std::invalid_argument("Dispatcher: dim must be >= 1");
   }
@@ -104,7 +103,7 @@ void Dispatcher::release_job_slot(std::uint32_t slot) noexcept {
 
 std::uint32_t Dispatcher::placed_slot(JobId job, const char* caller) const {
   const std::uint32_t slot = job_slot_.find(job);
-  if (slot == IdMap::kAbsent || jobs_[slot].bin_slot == kNoSlot) {
+  if (slot == IdMap::kAbsent || jobs_[slot].bin == kNoBin) {
     throw std::invalid_argument(
         std::string("Dispatcher::") + caller + ": job " +
         std::to_string(job) +
@@ -119,7 +118,7 @@ std::uint32_t Dispatcher::placed_slot(JobId job, const char* caller) const {
 Dispatcher::Admission Dispatcher::admit(Time now, std::uint32_t job_slot) {
   const Item& item = jobs_[job_slot].item;
   BinId chosen = kNoBin;
-  std::uint32_t bin_slot = kNoSlot;
+  std::uint32_t slot = kNoSlot;
   try {
     {
       obs::ScopedTimer timer(obs_ != nullptr ? obs_->decision_latency()
@@ -127,13 +126,13 @@ Dispatcher::Admission Dispatcher::admit(Time now, std::uint32_t job_slot) {
       chosen = policy_.select_bin(now, item, views_, table_);
     }
     if (chosen != kNoBin) {
-      bin_slot = bin_slot_.find(chosen);
-      if (bin_slot == IdMap::kAbsent) {
+      slot = bin_slot_.find(chosen);
+      if (slot == IdMap::kAbsent) {
         throw PolicyViolation("Dispatcher: policy '" +
                               std::string(policy_.name()) +
                               "' selected a bin that is not open");
       }
-      if (!bins_[bin_slot].fits(item.size)) {
+      if (!table_.fits(slot, item.size.data())) {
         throw PolicyViolation("Dispatcher: policy '" +
                               std::string(policy_.name()) +
                               "' selected a bin that cannot hold the job");
@@ -156,68 +155,54 @@ Dispatcher::Admission Dispatcher::admit(Time now, std::uint32_t job_slot) {
                                              item.size.dim()),
                      open_bins());
     if (obs_->tracing()) {  // a reject record per bin that cannot hold it
-      for (const BinView& view : views_) {
-        if (view.id == kNoBin) continue;  // a hole
-        if (!view.fits(item.size)) {
+      for (std::size_t k = 0; k < views_.size(); ++k) {
+        if (views_[k].id == kNoBin) continue;  // a hole
+        if (!table_.fits(k, item.size.data())) {
           ++rejections;
-          obs_->on_reject(now, item.id, view.id);
+          obs_->on_reject(now, item.id, views_[k].id);
         }
       }
     } else if (obs_->metrics() != nullptr) {  // the fit-failure count only
       rejections = open_bins() - table_.count_fitting(item.size.data());
     }
   }
-  const BinId bin = place(now, job_slot, bin_slot);
+  const BinId bin = place(now, job_slot, slot);
   if (obs_ != nullptr) {
     obs_->on_place(now, item.id, bin, chosen == kNoBin, rejections);
   }
   return Admission{item.id, bin, chosen == kNoBin};
 }
 
-// Packs the job in `job_slot` into the open bin in `bin_slot` (already
-// checked to fit), or into a freshly opened bin when `bin_slot` ==
-// kNoSlot, and tells the recorder and the policy.
+// Packs the job in `job_slot` into the open bin in `slot` (already
+// checked to fit), or into a freshly opened bin when `slot` == kNoSlot,
+// and tells the recorder and the policy.
 BinId Dispatcher::place(Time now, std::uint32_t job_slot,
-                        std::uint32_t bin_slot) {
+                        std::uint32_t slot) {
   const Item& item = jobs_[job_slot].item;
-  const bool fresh = bin_slot == kNoSlot;
-  std::uint32_t slot;
-  BinState* bin;
+  const bool fresh = slot == kNoSlot;
   if (fresh) {
     const auto id = static_cast<BinId>(bins_opened_++);
-    if (free_bins_.empty()) {
-      bin_slot = static_cast<std::uint32_t>(bins_.size());
-      bin = &bins_.emplace_back(id, dim_, now, capacity_, &usage_pool_);
-      table_slot_.push_back(kNoSlot);
-    } else {
-      bin_slot = free_bins_.back();
-      free_bins_.pop_back();
-      bin = &bins_[bin_slot];
-      bin->reopen(id, now);
-    }
-    bin_slot_.insert(id, bin_slot);
     slot = static_cast<std::uint32_t>(views_.size());
-    table_slot_[bin_slot] = slot;
+    bin_slot_.insert(id, slot);
+    views_.push_back(BinView{id, now, 0, 0.0});
+    bins_.emplace_back(id, now, &usage_pool_);
     table_.push_back_zero();
-    views_.push_back(BinView{id, &bin->load(), now, 0, 0.0, capacity_});
     if (recorder_ != nullptr) recorder_->open(id, now);
     if (obs_ != nullptr) obs_->on_open(now, id);
-  } else {
-    slot = table_slot_[bin_slot];
-    bin = &bins_[bin_slot];
   }
-  bin->add(item);
+  BinState& bin = bins_[slot];
+  bin.add(item);
   table_.add(slot, item.size.data());
-  views_[slot].num_items = bin->num_active();
-  views_[slot].latest_departure = bin->latest_departure();
-  jobs_[job_slot].bin_slot = bin_slot;
-  if (recorder_ != nullptr) recorder_->place(item.id, bin->id());
+  views_[slot].num_items = bin.num_active();
+  views_[slot].latest_departure = bin.latest_departure();
+  jobs_[job_slot].bin = bin.id();
+  if (recorder_ != nullptr) recorder_->place(item.id, bin.id());
   if (fresh) {
-    policy_.on_open(now, bin->id(), item);
+    policy_.on_open(now, bin.id(), item);
   } else {
-    policy_.on_pack(now, bin->id(), item);
+    policy_.on_pack(now, bin.id(), item);
   }
-  return bin->id();
+  return bin.id();
 }
 
 void Dispatcher::depart(Time now, JobId job) {
@@ -249,29 +234,27 @@ Dispatcher::Eviction Dispatcher::evict(Time now, JobId job) {
 
 // Takes the job in `job_slot` out of its bin -- a departure or an
 // eviction -- and tells the observer and the policy. A bin that empties
-// closes permanently: its usage folds into closed_usage_ and its BinState
-// waits on the free list for a later bin.
+// closes permanently: its usage folds into closed_usage_ and its slot
+// becomes a hole.
 Dispatcher::Eviction Dispatcher::take_out(Time now, std::uint32_t job_slot,
                                           bool departing) {
   const Item& item = jobs_[job_slot].item;
-  const std::uint32_t bin_slot = jobs_[job_slot].bin_slot;
-  BinState& state = bins_[bin_slot];
-  const std::uint32_t slot = table_slot_[bin_slot];
-  const BinId bin = state.id();
+  const BinId bin = jobs_[job_slot].bin;
+  const std::uint32_t slot = bin_slot_.find(bin);
+  BinState& state = bins_[slot];
   const Time opened = state.opened_at();
   const bool emptied = state.remove(item);
   if (emptied) {
     closed_usage_ += Interval(opened, now).length();
     if (recorder_ != nullptr) recorder_->close(bin, now);
     bin_slot_.erase(bin);
-    free_bins_.push_back(bin_slot);
     close_slot(slot);
   } else {
     table_.sub_clamped(slot, item.size.data());
     views_[slot].num_items = state.num_active();
     views_[slot].latest_departure = state.latest_departure();
   }
-  jobs_[job_slot].bin_slot = kNoSlot;
+  jobs_[job_slot].bin = kNoBin;
   if (obs_ != nullptr) {
     if (departing) {
       obs_->on_depart(now, item.id, bin, emptied);
@@ -287,17 +270,17 @@ Dispatcher::Eviction Dispatcher::take_out(Time now, std::uint32_t job_slot,
 BinId Dispatcher::replace(Time now, JobId job, BinId target) {
   check_time(now);
   const std::uint32_t job_slot = job_slot_.find(job);
-  if (job_slot == IdMap::kAbsent || jobs_[job_slot].bin_slot != kNoSlot) {
+  if (job_slot == IdMap::kAbsent || jobs_[job_slot].bin != kNoBin) {
     throw std::invalid_argument(
         "Dispatcher::replace: job is not in the evicted state");
   }
-  std::uint32_t bin_slot = kNoSlot;
+  std::uint32_t slot = kNoSlot;
   if (target != kNoBin) {
-    bin_slot = bin_slot_.find(target);
-    if (bin_slot == IdMap::kAbsent) {
+    slot = bin_slot_.find(target);
+    if (slot == IdMap::kAbsent) {
       throw PolicyViolation("Dispatcher::replace: target bin is not open");
     }
-    if (!bins_[bin_slot].fits(jobs_[job_slot].item.size)) {
+    if (!table_.fits(slot, jobs_[job_slot].item.size.data())) {
       throw PolicyViolation(
           "Dispatcher::replace: target bin cannot hold the job");
     }
@@ -307,22 +290,24 @@ BinId Dispatcher::replace(Time now, JobId job, BinId target) {
     usage_hook_->on_advance(now, open_bins());
   }
   --evicted_jobs_;
-  const BinId bin = place(now, job_slot, bin_slot);
+  const BinId bin = place(now, job_slot, slot);
   if (obs_ != nullptr) obs_->on_replace(now, job, bin, target == kNoBin);
   return bin;
 }
 
 // Leaves a hole where the closed bin was: O(d), and no other slot moves,
-// so the table stays in opening order without renumbering anything.
+// so the slots stay in opening order without renumbering anything. The
+// hole's BinState is empty and stays until compact() drops it.
 void Dispatcher::close_slot(std::uint32_t slot) {
-  views_[slot] = BinView{kNoBin, &hole_load_, 0.0, 0, 0.0, capacity_};
+  views_[slot] = BinView{};
   table_.make_hole(slot);
   ++holes_;
   if (holes_ * kCompactFraction > views_.size()) compact();
 }
 
-// Squeezes the holes out in one pass. Live slots keep their relative
-// (opening) order, so every scan still meets the bins in the same order.
+// Squeezes the holes out in one pass, moving each live slot's view, item
+// list and load together. Live slots keep their relative (opening) order,
+// so every scan still meets the bins in the same order.
 void Dispatcher::compact() {
   std::uint32_t live = 0;
   for (std::uint32_t slot = 0; slot < views_.size(); ++slot) {
@@ -330,22 +315,16 @@ void Dispatcher::compact() {
     if (id == kNoBin) continue;
     if (live != slot) {
       views_[live] = views_[slot];
+      bins_[live] = std::move(bins_[slot]);
       table_.move_slot(slot, live);
-      table_slot_[bin_slot_.find(id)] = live;
+      bin_slot_.remap(id, live);
     }
     ++live;
   }
   views_.resize(live);
+  bins_.erase(bins_.begin() + live, bins_.end());
   table_.truncate(live);
   holes_ = 0;
-}
-
-BinId Dispatcher::bin_of(JobId job) const noexcept {
-  const std::uint32_t slot = job_slot_.find(job);
-  if (slot == IdMap::kAbsent || jobs_[slot].bin_slot == kNoSlot) {
-    return kNoBin;
-  }
-  return bins_[jobs_[slot].bin_slot].id();
 }
 
 namespace {
@@ -368,11 +347,15 @@ void Dispatcher::save_state(serial::Writer& out) const {
   out.f64(closed_usage_);
 
   out.u64(open_bins());
-  for (const BinView& view : views_) {
-    if (view.id == kNoBin) continue;  // a hole
-    out.u32(view.id);
-    out.f64(view.opened_at);
-    bins_[bin_slot_.find(view.id)].save_state(out);
+  for (std::size_t slot = 0; slot < views_.size(); ++slot) {
+    if (views_[slot].id == kNoBin) continue;  // a hole
+    out.u32(views_[slot].id);
+    out.f64(views_[slot].opened_at);
+    // The load as raw bits: re-adding the active items on restore would
+    // reorder the floating-point sums and could flip a later fit by an ulp.
+    out.u64(dim_);
+    for (std::size_t j = 0; j < dim_; ++j) out.f64(table_.lane(j)[slot]);
+    bins_[slot].save_state(out);
   }
 
   // Admission order, not slot order: the stream is canonical.
@@ -385,8 +368,7 @@ void Dispatcher::save_state(serial::Writer& out) const {
   out.u64(live.size());
   for (const JobSlot* slot : live) {
     slot->item.save_state(out);
-    out.u32(slot->bin_slot == kNoSlot ? kNoBin
-                                      : bins_[slot->bin_slot].id());
+    out.u32(slot->bin);
   }
 }
 
@@ -420,6 +402,7 @@ void Dispatcher::restore_state(serial::Reader& in) {
 
   const std::uint64_t num_open = in.u64();
   std::size_t placed = 0;
+  RVec load(dim_);
   for (std::uint64_t k = 0; k < num_open; ++k) {
     const BinId id = in.u32();
     // Bins open in id order, so opening order is ascending ids; a repeat
@@ -429,17 +412,18 @@ void Dispatcher::restore_state(serial::Reader& in) {
           "Dispatcher::restore_state: open bins not in opening order");
     }
     const Time opened = in.f64();
-    BinState& bin =
-        bins_.emplace_back(id, dim_, opened, capacity_, &usage_pool_);
+    if (in.u64() != dim_) {
+      throw serial::SerialError(
+          "Dispatcher::restore_state: bin load dimension mismatch");
+    }
+    for (std::size_t j = 0; j < dim_; ++j) load[j] = in.f64();
+    table_.push_back_raw(load.data());
+    BinState& bin = bins_.emplace_back(id, opened, &usage_pool_);
     bin.restore_state(in);
     placed += bin.num_active();
     bin_slot_.insert(id, static_cast<std::uint32_t>(k));
-    table_slot_.push_back(static_cast<std::uint32_t>(k));
-    // Raw-bit copy into the table lane: the restored slot is
-    // bit-identical to the saved load, like the RVec it mirrors.
-    table_.push_back_raw(bin.load().data());
-    views_.push_back(BinView{id, &bin.load(), opened, bin.num_active(),
-                             bin.latest_departure(), bin.capacity()});
+    views_.push_back(
+        BinView{id, opened, bin.num_active(), bin.latest_departure()});
   }
 
   const std::uint64_t num_jobs = in.u64();
@@ -447,16 +431,15 @@ void Dispatcher::restore_state(serial::Reader& in) {
     JobSlot& slot = jobs_.emplace_back();
     slot.item = Item::restore_state(in, dim_);
     slot.rank = i;
-    const BinId bin = in.u32();
-    slot.bin_slot = bin == kNoBin ? kNoSlot : bin_slot_.find(bin);
+    slot.bin = in.u32();
     if (slot.item.id == kNoItem ||
         !job_slot_.insert(slot.item.id, static_cast<std::uint32_t>(i)) ||
-        (bin != kNoBin && slot.bin_slot == IdMap::kAbsent)) {
+        (slot.bin != kNoBin && bin_slot_.find(slot.bin) == IdMap::kAbsent)) {
       throw serial::SerialError(
           "Dispatcher::restore_state: a job with a reserved or repeated id, "
           "or in a bin that is not open");
     }
-    if (bin == kNoBin) ++evicted_jobs_;
+    if (slot.bin == kNoBin) ++evicted_jobs_;
   }
   if (placed != jobs_.size() - evicted_jobs_) {
     throw serial::SerialError(

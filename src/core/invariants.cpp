@@ -7,6 +7,7 @@
 #include "core/bin_state.hpp"
 #include "core/dispatcher.hpp"
 #include "core/fits.hpp"
+#include "core/open_bin_table.hpp"
 #include "core/packing_recorder.hpp"
 
 namespace dvbp {
@@ -28,7 +29,14 @@ std::optional<std::string> PackingInvariantChecker::check(
   std::size_t active_in_bins = 0;
   std::size_t live_views = 0;
   BinId previous = kNoBin;
-  for (const BinView& view : d.open_views()) {
+  const std::span<const BinView> views = d.open_views();
+  const OpenBinTable& table = d.open_table();
+  if (table.size() != views.size()) {
+    return std::to_string(views.size()) + " views but " +
+           std::to_string(table.size()) + " table slots";
+  }
+  for (std::size_t slot = 0; slot < views.size(); ++slot) {
+    const BinView& view = views[slot];
     if (view.id == kNoBin) {  // a closed bin's hole
       if (view.num_items != 0) return "a hole view lists items";
       continue;
@@ -61,24 +69,26 @@ std::optional<std::string> PackingInvariantChecker::check(
       ++active_in_bins;
     }
     for (std::size_t k = 0; k < d.dim(); ++k) {
-      if (std::abs(sum[k] - bin->load()[k]) > kLoadEps) {
+      const double stored = table.lane(k)[slot];
+      if (std::abs(sum[k] - stored) > kLoadEps) {
         std::ostringstream os;
         os << bin_str(view.id) << " load drift in dim " << k << ": stored "
-           << bin->load()[k] << " vs recomputed " << sum[k];
+           << stored << " vs recomputed " << sum[k];
         return os.str();
       }
       // The audit's capacity verdict uses the same fits.hpp threshold and
       // predicate as the placement paths (scalar and SIMD), so a load the
       // engine admitted can never be rejected here by one ulp.
-      if (!fits_under_threshold(sum[k], fits_threshold(bin->capacity()))) {
+      if (!fits_under_threshold(sum[k], table.threshold())) {
         std::ostringstream os;
         os << bin_str(view.id) << " over capacity in dim " << k << ": "
-           << sum[k] << " > " << bin->capacity();
+           << sum[k] << " > " << table.capacity();
         return os.str();
       }
     }
-    if (view.num_items != bin->num_active()) {
-      return bin_str(view.id) + " view item count out of sync";
+    if (view.num_items != bin->num_active() ||
+        view.latest_departure != bin->latest_departure()) {
+      return bin_str(view.id) + " view out of sync with its item list";
     }
   }
 

@@ -350,6 +350,12 @@ bool OpenBinTable::fits(std::size_t slot, const double* add) const {
   return true;
 }
 
+RVec OpenBinTable::load(std::size_t slot) const {
+  RVec out(dim_);
+  for (std::size_t j = 0; j < dim_; ++j) out[j] = lane(j)[slot];
+  return out;
+}
+
 // Blocks of `block` chunks, doubling up to kBlockChunks: a scan that may
 // stop early starts at one chunk, so a fit in the first chunk costs one.
 // A candidate past size() is padding, which the exact test rejects.
@@ -425,11 +431,10 @@ std::size_t OpenBinTable::count_fitting(const double* add) const {
 }
 
 // One walk over the slot's lanes makes the exact test of fits() and the
-// load measure together. The measure mirrors measure_load() on the owning
-// bin's RVec operation for operation: same accumulation order over
-// dimensions, same std::pow calls for L2, so the scalarized load is
-// bit-identical to the AoS path's and Best/Worst Fit comparisons cannot
-// diverge.
+// load measure together. The measure mirrors measure_load() on load(slot)
+// operation for operation: same accumulation order over dimensions, same
+// std::pow calls for L2, so Best/Worst Fit rank a slot by the same value
+// as MinExtensionFit's tie-break does.
 template <int kMeasure>
 bool OpenBinTable::fits_measured(std::size_t slot, const double* add,
                                  double& measure) const {

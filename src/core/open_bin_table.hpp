@@ -1,15 +1,13 @@
-// OpenBinTable: structure-of-arrays mirror of the open bins' load vectors.
+// OpenBinTable: the open bins' load vectors, structure-of-arrays.
 //
-// BinState keeps each bin's load as one RVec (array-of-structures): good
-// for serialization and single-bin updates, but the per-arrival scan
-// touches every open bin and pays a pointer chase through BinView::load
-// plus a cache line per bin. This table stores the SAME doubles
-// transposed: dimension j of all open bins is one contiguous lane. Beside
-// each double it keeps one byte, a monotone floor of the load scaled so
-// that the capacity maps to 255 (core/fit_kernels.hpp). A scan first
-// compares those bytes against a per-query bound, 64 slots per AVX-512BW
-// compare (32 with AVX2, 16 with SSE2); only the few slots that pass are
-// then decided exactly.
+// The table holds the one copy of every open bin's load, transposed:
+// dimension j of all open bins is one contiguous lane, so the per-arrival
+// scan over every open bin reads a few lanes instead of a cache line per
+// bin. Beside each double it keeps one byte, a monotone floor of the load
+// scaled so that the capacity maps to 255 (core/fit_kernels.hpp). A scan
+// first compares those bytes against a per-query bound, 64 slots per
+// AVX-512BW compare (32 with AVX2, 16 with SSE2); only the few slots that
+// pass are then decided exactly.
 //
 // The block scan: one kernel call fills the candidate masks of a block of
 // up to kBlockChunks 64-slot chunks. For d <= detail::kRegisterDims (16)
@@ -24,14 +22,15 @@
 // kernel's mask function for its d once, at construction; the per-query
 // bound is a plain loop over the d dimensions. Best/Worst Fit make a
 // survivor's exact test and its load measure in one walk over its lanes,
-// with exactly the same scalar operation order as measure_load() on an
-// RVec.
+// with exactly the same scalar operation order as measure_load() on the
+// RVec that load() returns.
 //
 // Bit-exactness contract (pinned by tests/golden_packings.inc and the
-// -DDVBP_DISABLE_SIMD CI job): every lane entry holds bit-identical
-// values to the owning BinState's load_ -- both are updated with the
-// same IEEE-754 additions and subtractions in the same order -- and one
-// scalar predicate decides every slot: the fits.hpp comparison
+// -DDVBP_DISABLE_SIMD CI job): each load is one copy, changed only by
+// add() and sub_clamped() -- the same IEEE-754 operations in dimension
+// order on every build -- and restored from a checkpoint as raw bits, so
+// a restored table decides exactly as the saved one did. One scalar
+// predicate decides every slot: the fits.hpp comparison
 // `load[j] + add[j] <= threshold` against the same precomputed threshold.
 // The byte kernels (AVX-512, AVX2, SSE2, scalar) only prefilter. Each
 // returns the scalar byte reference's candidate masks, and the byte bound
@@ -40,12 +39,12 @@
 // +inf in the lanes and 255 in the bytes: a zero-size item's bound lets
 // them through the bytes, and +inf + x then fails the exact test.
 //
-// Slots are in opening order and match the Dispatcher's views_ position
-// for position. A closed bin's slot stays where it is as a hole, poisoned
-// exactly like padding, so no scan admits it, and a close costs O(d)
-// instead of shifting every later slot. The Dispatcher squeezes the holes
-// out now and then with move_slot() and truncate(), keeping the live
-// slots in opening order.
+// Slots are in opening order: slot k is the Dispatcher's slot k, whose
+// BinView and BinState sit at position k of its own arrays. A closed
+// bin's slot stays where it is as a hole, poisoned exactly like padding,
+// so no scan admits it, and a close costs O(d) instead of shifting every
+// later slot. The Dispatcher squeezes the holes out now and then with
+// move_slot() and truncate(), keeping the live slots in opening order.
 //
 // A scan writes its byte bound into a buffer the table owns, so one
 // table serves one thread at a time, like the Dispatcher that owns it.
@@ -56,6 +55,7 @@
 #include <vector>
 
 #include "core/fits.hpp"
+#include "core/rvec.hpp"
 #include "core/types.hpp"
 
 namespace dvbp {
@@ -78,15 +78,15 @@ class OpenBinTable {
   void push_back_zero();
 
   /// Appends a slot with the given load bits (checkpoint restore). Copies
-  /// raw values -- no arithmetic -- so restored lanes match load_ exactly.
+  /// raw values -- no arithmetic -- so a restored load matches the saved
+  /// one bit for bit.
   void push_back_raw(const double* load);
 
-  /// load[slot] += add, with the same per-dimension IEEE adds (in
-  /// dimension order) as RVec::operator+= on the owning bin.
+  /// load[slot] += add, one IEEE add per dimension, in dimension order.
   void add(std::size_t slot, const double* add);
 
-  /// load[slot] -= sub, then clamp each dimension to >= 0 -- mirrors the
-  /// departure path RVec::operator-= followed by clamp_nonnegative().
+  /// load[slot] -= sub, then clamp each dimension to >= 0, which removes
+  /// the floating residue a bin's last departures leave.
   void sub_clamped(std::size_t slot, const double* sub);
 
   /// Turns `slot` into a hole: +inf in every lane and 255 in every byte,
@@ -105,6 +105,9 @@ class OpenBinTable {
   /// through it, or (Best/Worst Fit) through the same comparisons in
   /// fits_measured().
   bool fits(std::size_t slot, const double* add) const;
+
+  /// Slot `slot`'s load, copied out of the lanes (+inf for a hole).
+  RVec load(std::size_t slot) const;
 
   /// Earliest slot (opening order) where `add` fits, or npos -- First
   /// Fit's whole decision in one call.
@@ -125,15 +128,15 @@ class OpenBinTable {
   /// measure, ties toward the earliest slot; npos when none fit.
   /// `measure` matches LoadMeasure's underlying values (0 = Linf,
   /// 1 = L1, 2 = L2) and is computed exactly as measure_load() computes
-  /// it from the bin's RVec.
+  /// it from the RVec load(slot) returns.
   std::size_t find_best_fit(const double* add, int measure) const;
 
   /// Worst Fit: minimal measure among fitting slots, ties toward the
   /// earliest slot; npos when none fit.
   std::size_t find_worst_fit(const double* add, int measure) const;
 
-  /// Lane pointer for dimension j: entry [slot] equals the owning bin's
-  /// load()[j], bit for bit, or +inf for a hole. Valid for size() slots.
+  /// Lane pointer for dimension j: entry [slot] is load(slot)[j]. Valid
+  /// for size() slots.
   const double* lane(std::size_t j) const noexcept {
     return lanes_.data() + offset_ + j * lane_pitch();
   }

@@ -1,7 +1,7 @@
 // AnyFitPolicy: base class enforcing the Any Fit property (paper Sec. 2.2):
 // a new bin is opened only when the arriving item fits in none of the open
 // bins. Concrete subclasses implement choose() over the non-empty set of
-// fitting bins, for rules that need per-bin metadata (Move To Front's
+// fitting slots, for rules that need per-bin metadata (Move To Front's
 // stamps, a random draw, departure-time extensions).
 //
 // First/Last/Best/Worst Fit reduce to a single open-bin table scan whose
@@ -20,20 +20,22 @@ namespace dvbp {
 
 class AnyFitPolicy : public Policy {
  public:
-  /// The fitting set is computed by the table's vectorized scan
-  /// (bit-identical to per-view fits()) and handed to choose().
+  /// The fitting slots come from the table's vectorized scan and go to
+  /// choose().
   BinId select_bin(Time now, const Item& item,
                    std::span<const BinView> open_bins,
                    const OpenBinTable& table) final;
 
  protected:
-  /// Pick a bin from `fitting` (non-empty; preserves opening order).
+  /// Pick a bin among the slots `fitting` (non-empty, ascending, so in
+  /// opening order) of `open_bins` and `table`.
   virtual BinId choose(Time now, const Item& item,
-                       std::span<const BinView> fitting) = 0;
+                       std::span<const BinView> open_bins,
+                       const OpenBinTable& table,
+                       std::span<const std::uint32_t> fitting) = 0;
 
  private:
-  std::vector<BinView> fitting_;           // scratch, reused across arrivals
-  std::vector<std::uint32_t> fit_slots_;   // scratch for the table scan
+  std::vector<std::uint32_t> fitting_;  // scratch, reused across arrivals
 };
 
 }  // namespace dvbp

@@ -3,23 +3,28 @@
 #include <cmath>
 #include <sstream>
 
+#include "core/open_bin_table.hpp"
+
 namespace dvbp {
 
 BinId MinExtensionFitPolicy::choose(Time, const Item& item,
-                                    std::span<const BinView> fitting) {
+                                    std::span<const BinView> open_bins,
+                                    const OpenBinTable& table,
+                                    std::span<const std::uint32_t> fitting) {
   const Time depart = perceived_departure(item);
-  BinId best = fitting.front().id;
+  BinId best = open_bins[fitting.front()].id;
   double best_ext =
-      std::max(0.0, depart - fitting.front().latest_departure);
-  double best_load = measure_load(*fitting.front().load, tie_measure_);
+      std::max(0.0, depart - open_bins[fitting.front()].latest_departure);
+  double best_load = measure_load(table.load(fitting.front()), tie_measure_);
   for (std::size_t i = 1; i < fitting.size(); ++i) {
-    const double ext = std::max(0.0, depart - fitting[i].latest_departure);
-    const double load = measure_load(*fitting[i].load, tie_measure_);
+    const BinView& bin = open_bins[fitting[i]];
+    const double ext = std::max(0.0, depart - bin.latest_departure);
+    const double load = measure_load(table.load(fitting[i]), tie_measure_);
     if (ext < best_ext - kTimeEps ||
         (ext <= best_ext + kTimeEps && load > best_load)) {
       best_ext = std::min(best_ext, ext);
       best_load = load;
-      best = fitting[i].id;
+      best = bin.id;
     }
   }
   return best;

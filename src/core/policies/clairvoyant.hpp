@@ -31,7 +31,8 @@ class MinExtensionFitPolicy : public AnyFitPolicy {
 
  protected:
   BinId choose(Time now, const Item& item,
-               std::span<const BinView> fitting) override;
+               std::span<const BinView> open_bins, const OpenBinTable& table,
+               std::span<const std::uint32_t> fitting) override;
 
   /// Departure time the policy believes; overridden by the noisy variant.
   virtual Time perceived_departure(const Item& item);

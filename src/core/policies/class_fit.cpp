@@ -3,16 +3,20 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/open_bin_table.hpp"
+
 namespace dvbp {
 
 BinId ClassRestrictedFitPolicy::select_bin(
     Time, const Item& item, std::span<const BinView> open_bins,
-    const OpenBinTable&) {
+    const OpenBinTable& table) {
   const std::int64_t cls = item_class(item);
-  for (const BinView& b : open_bins) {  // opening order = First Fit
-    auto it = bin_class_.find(b.id);
-    if (it != bin_class_.end() && it->second == cls && b.fits(item.size)) {
-      return b.id;
+  // Opening order = First Fit.
+  for (std::size_t slot = 0; slot < open_bins.size(); ++slot) {
+    auto it = bin_class_.find(open_bins[slot].id);
+    if (it != bin_class_.end() && it->second == cls &&
+        table.fits(slot, item.size.data())) {
+      return open_bins[slot].id;
     }
   }
   return kNoBin;

@@ -4,34 +4,27 @@
 
 namespace dvbp {
 
-std::vector<BinId> MoveToFrontPolicy::mru_order() const {
-  std::vector<BinId> order;
-  order.reserve(mru_.size());
-  for (std::uint32_t n = mru_.head(); n != IndexList::kNil;
-       n = mru_.next(n)) {
-    order.push_back(mru_.value(n));
-  }
-  return order;
-}
-
 BinId MoveToFrontPolicy::choose(Time, const Item&,
-                                std::span<const BinView> fitting) {
+                                std::span<const BinView> open_bins,
+                                const OpenBinTable&,
+                                std::span<const std::uint32_t> fitting) {
   // The first fitting bin in MRU order is the fitting bin whose
   // move-to-front stamp is largest (stamps are a monotone clock bumped
   // whenever a bin reaches the front, so MRU order is descending stamp).
   BinId best = kNoBin;
   std::uint64_t best_stamp = 0;
-  for (const BinView& b : fitting) {
-    const std::uint64_t s = b.id < stamp_.size() ? stamp_[b.id] : 0;
+  for (const std::uint32_t slot : fitting) {
+    const BinId id = open_bins[slot].id;
+    const std::uint64_t s = id < stamp_.size() ? stamp_[id] : 0;
     if (s > best_stamp) {
       best_stamp = s;
-      best = b.id;
+      best = id;
     }
   }
   if (best != kNoBin) return best;
   // Every open fitting bin must be tracked in the MRU list.
   assert(false && "MoveToFront: fitting bin missing from MRU list");
-  return fitting.front().id;
+  return open_bins[fitting.front()].id;
 }
 
 void MoveToFrontPolicy::on_open(Time now, BinId bin, const Item& first) {

@@ -40,9 +40,6 @@ class MoveToFrontPolicy final : public AnyFitPolicy {
   void save_state(serial::Writer& out) const override;
   void restore_state(serial::Reader& in) override;
 
-  /// Snapshot of the MRU order (front = leader = most recently used).
-  std::vector<BinId> mru_order() const;
-
   /// One leader transition. `cause` is the item whose packing made the new
   /// bin the leader, or kNoItem when the previous leader closed (its last
   /// item departed) and the next MRU bin inherited leadership. This is the
@@ -66,7 +63,8 @@ class MoveToFrontPolicy final : public AnyFitPolicy {
 
  protected:
   BinId choose(Time now, const Item& item,
-               std::span<const BinView> fitting) override;
+               std::span<const BinView> open_bins, const OpenBinTable& table,
+               std::span<const std::uint32_t> fitting) override;
 
  private:
   void move_to_front(Time now, BinId bin, ItemId cause);

@@ -1,18 +1,19 @@
 #include "core/policies/next_fit.hpp"
 
+#include "core/open_bin_table.hpp"
+
 namespace dvbp {
 
 BinId NextFitPolicy::select_bin(Time now, const Item& item,
                                 std::span<const BinView> open_bins,
-                                const OpenBinTable&) {
+                                const OpenBinTable& table) {
   if (current_ == kNoBin) return kNoBin;
   // The current bin is the most recently opened bin, so while it is still
   // open it sits at the END of the opening-order view -- scan backwards
   // and it is found in O(1) instead of O(open bins).
-  for (auto it = open_bins.rbegin(); it != open_bins.rend(); ++it) {
-    const BinView& b = *it;
-    if (b.id != current_) continue;
-    if (b.fits(item.size)) return current_;
+  for (std::size_t slot = open_bins.size(); slot-- > 0;) {
+    if (open_bins[slot].id != current_) continue;
+    if (table.fits(slot, item.size.data())) return current_;
     // Current bin cannot hold the item: release it and ask for a new bin.
     releases_.push_back({current_, now, item.id});
     current_ = kNoBin;

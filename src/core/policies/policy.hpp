@@ -1,10 +1,11 @@
 // Policy: the online decision rule of Algorithm 1 in the paper.
 //
 // The Dispatcher -- the one placement engine, which simulate() also drives
-// -- calls select_bin() on every arrival with its open-bin table's slots in
-// opening order, twice over: as BinView records (per-bin metadata) and as
-// the OpenBinTable's SoA load lanes (vectorized feasibility scans). It
-// packs the item into the returned bin, or a fresh bin when the policy
+// -- calls select_bin() on every arrival with its open bins' slots in
+// opening order, in two halves: BinView records (per-bin metadata) and the
+// OpenBinTable, whose SoA lanes hold the one copy of each bin's load
+// (vectorized feasibility scans, OpenBinTable::fits and load for one slot).
+// It packs the item into the returned bin, or a fresh bin when the policy
 // returns kNoBin. Lifecycle callbacks let stateful policies (Move To
 // Front's MRU list, Next Fit's current bin) track the system.
 //
@@ -21,7 +22,6 @@
 #include <string_view>
 
 #include "core/item.hpp"
-#include "core/rvec.hpp"
 #include "core/serial.hpp"
 #include "core/types.hpp"
 
@@ -29,21 +29,14 @@ namespace dvbp {
 
 class OpenBinTable;  // core/open_bin_table.hpp
 
-/// Read-only snapshot of one open bin, passed to policies.
+/// Read-only metadata of one open bin, passed to policies. Its load is
+/// entry k of the OpenBinTable, where k is the view's own slot.
 struct BinView {
   BinId id = kNoBin;
-  const RVec* load = nullptr;  ///< current load vector
   Time opened_at = 0.0;
-  std::size_t num_items = 0;      ///< currently-active items
-  Time latest_departure = 0.0;    ///< max departure among active items
-                                  ///< (meaningful to clairvoyant policies)
-  double capacity = 1.0;          ///< per-dimension capacity (1 + beta
-                                  ///< under resource augmentation)
-
-  /// True when `size` fits on top of the current load.
-  bool fits(const RVec& size) const noexcept {
-    return load->fits_with_capacity(size, capacity);
-  }
+  std::size_t num_items = 0;    ///< currently-active items
+  Time latest_departure = 0.0;  ///< max departure among active items
+                                ///< (meaningful to clairvoyant policies)
 };
 
 class Policy {
@@ -57,14 +50,15 @@ class Policy {
   virtual bool is_clairvoyant() const noexcept { return false; }
 
   /// Decide where to pack `item` arriving at `now`. `open_bins` lists the
-  /// table's slots in opening order: every open bin, plus holes left by
-  /// bins that closed since the last compaction. A hole has id == kNoBin,
-  /// no items and an all-+inf load, so it never fits and must never be
-  /// returned. `table` holds the same slots' loads as structure-of-arrays
-  /// lanes (slot k of the table is open_bins[k]) whose vectorized scans
-  /// answer feasibility questions 2-8 bins per instruction, bit-identically
-  /// to BinView::fits(). Return an open bin's id, or kNoBin to open a new
-  /// bin. The engine verifies the returned bin actually fits.
+  /// slots in opening order: every open bin, plus holes left by bins that
+  /// closed since the last compaction. A hole has id == kNoBin, no items
+  /// and an all-+inf load, so it never fits and must never be returned.
+  /// `table` holds the same slots' loads (slot k of the table is
+  /// open_bins[k]) as structure-of-arrays lanes, whose vectorized scans
+  /// answer feasibility for 16-64 bins per instruction with the exact
+  /// predicate of OpenBinTable::fits. Return an open bin's id, or kNoBin
+  /// to open a new bin. The engine verifies the returned bin actually
+  /// fits.
   virtual BinId select_bin(Time now, const Item& item,
                            std::span<const BinView> open_bins,
                            const OpenBinTable& table) = 0;

@@ -35,7 +35,8 @@ class RandomFitPolicy final : public AnyFitPolicy {
 
  protected:
   BinId choose(Time now, const Item& item,
-               std::span<const BinView> fitting) override;
+               std::span<const BinView> open_bins, const OpenBinTable& table,
+               std::span<const std::uint32_t> fitting) override;
 
  private:
   std::uint64_t seed_;

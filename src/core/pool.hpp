@@ -1,10 +1,6 @@
 // Pools for the placement hot path: the engine's per-event work reuses
 // storage instead of allocating it.
 //
-//  * StableVector<T>: a chunked slab. emplace_back never moves an element,
-//    so the BinStates whose loads BinView::load points at stay put, and a
-//    chunk of 64 keeps a table's bins together in memory.
-//
 //  * UsagePool: a free-listed slab of usage-interval nodes
 //    {item, departure, next}. Every open bin's active set is a singly
 //    linked list threaded through the pool; add/remove of an item is a
@@ -15,7 +11,7 @@
 //    exactly this mempool shape).
 //
 //  * IdMap: the engine finds a live job's slot by JobId and an open bin's
-//    by BinId through one, so its memory follows the live count.
+//    slot by BinId through one, so its memory follows the live count.
 //
 //  * IndexList: a free-listed doubly-linked list of BinIds (MoveToFront's
 //    MRU order).
@@ -27,53 +23,12 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
 #include <utility>
 #include <vector>
 
 #include "core/types.hpp"
 
 namespace dvbp {
-
-template <typename T>
-class StableVector {
- public:
-  StableVector() = default;
-  StableVector(const StableVector&) = delete;
-  StableVector& operator=(const StableVector&) = delete;
-  ~StableVector() {
-    while (size_ > 0) (*this)[--size_].~T();
-  }
-
-  std::size_t size() const noexcept { return size_; }
-  T& operator[](std::size_t i) noexcept { return *at(i); }
-  const T& operator[](std::size_t i) const noexcept { return *at(i); }
-
-  template <typename... Args>
-  T& emplace_back(Args&&... args) {
-    if (size_ == chunks_.size() * kChunk) {
-      chunks_.push_back(std::make_unique_for_overwrite<Storage[]>(kChunk));
-    }
-    T* slot = ::new (static_cast<void*>(chunks_.back()[size_ % kChunk].bytes))
-        T(std::forward<Args>(args)...);
-    ++size_;
-    return *slot;
-  }
-
- private:
-  static constexpr std::size_t kChunk = 64;
-  struct alignas(T) Storage {
-    unsigned char bytes[sizeof(T)];
-  };
-  T* at(std::size_t i) const noexcept {
-    return std::launder(
-        reinterpret_cast<T*>(chunks_[i / kChunk][i % kChunk].bytes));
-  }
-
-  std::vector<std::unique_ptr<Storage[]>> chunks_;
-  std::size_t size_ = 0;
-};
 
 /// One usage interval: item `item` occupies its bin until `departure`.
 /// `next` threads the owning bin's active list through the pool.
@@ -151,6 +106,13 @@ class IdMap {
     entries_[i] = Entry{key, slot};
     ++size_;
     return true;
+  }
+
+  /// Maps the already mapped `key` to `slot` instead.
+  void remap(std::uint32_t key, std::uint32_t slot) noexcept {
+    std::size_t i = home(key);
+    while (entries_[i].key != key) i = (i + 1) & mask_;
+    entries_[i].slot = slot;
   }
 
   /// Unmaps `key`. Precondition: `key` is mapped.

@@ -48,6 +48,7 @@ std::size_t Rebalancer::on_departure(Time now) {
 // other open bins in opening order against scratch loads. All-or-nothing.
 bool Rebalancer::plan_close(Plan& plan) const {
   const auto views = dispatcher_.open_views();
+  const OpenBinTable& table = dispatcher_.open_table();
   if (views.size() < 2) return false;
 
   std::vector<std::size_t> candidates;
@@ -76,7 +77,9 @@ bool Rebalancer::plan_close(Plan& plan) const {
     if (volume > volume_credits_ + kBudgetEps) continue;
 
     scratch.clear();
-    for (const BinView& view : views) scratch.push_back(*view.load);
+    for (std::size_t slot = 0; slot < views.size(); ++slot) {
+      scratch.push_back(table.load(slot));
+    }
 
     plan.jobs.assign(jobs.begin(), jobs.end());
     plan.targets.clear();
@@ -86,7 +89,7 @@ bool Rebalancer::plan_close(Plan& plan) const {
       BinId target = kNoBin;
       for (std::size_t slot = 0; slot < views.size(); ++slot) {
         if (slot == c) continue;
-        if (scratch[slot].fits_with_capacity(size, views[slot].capacity)) {
+        if (scratch[slot].fits_with_capacity(size, table.capacity())) {
           target = views[slot].id;
           for (std::size_t k = 0; k < size.dim(); ++k) {
             scratch[slot][k] += size[k];

@@ -20,11 +20,13 @@
 // engine's packing exactly -- the telemetry acceptance gate, also run
 // from tests/test_obs_cli.cpp.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -250,6 +252,28 @@ void refuse_journal_dir(const harness::Args& args, bool sharded,
   }
 }
 
+/// The value of --<flag> (or `fallback` when absent) for a flag held in an
+/// unsigned or narrower type T: anything but a decimal integer in
+/// [min, max of T] is a usage error, never a silent wrap-around (a
+/// --port=70000 listening on 4464, a --checkpoint-every=-1 that never
+/// checkpoints).
+template <typename T>
+T int_flag(const harness::Args& args, const std::string& flag, T fallback,
+           T min = 0) {
+  if (!args.has(flag)) return fallback;
+  const std::string text = args.get(flag, "");
+  const char* end = text.data() + text.size();
+  T value{};
+  const auto parsed = std::from_chars(text.data(), end, value);
+  if (parsed.ec != std::errc() || parsed.ptr != end || value < min) {
+    throw harness::CliError(
+        "--" + flag + "=" + text + " is not an integer in [" +
+        std::to_string(min) + ", " +
+        std::to_string(std::numeric_limits<T>::max()) + "]");
+  }
+  return value;
+}
+
 /// Budget values accept "inf"/"unlimited" in addition to numbers, so the
 /// unbounded sweep point of bench_migration is expressible from the CLI.
 double parse_budget_value(const std::string& flag, const std::string& value,
@@ -280,9 +304,8 @@ MigrationConfig parse_migration_config(const harness::Args& args) {
 
 /// The policy --policy/--policy-seed name; every engine and shard owns one.
 PolicyPtr policy_from(const harness::Args& args) {
-  return make_policy(
-      args.get("policy", "MoveToFront"),
-      static_cast<std::uint64_t>(args.get_int("policy-seed", 0xD1CEu)));
+  return make_policy(args.get("policy", "MoveToFront"),
+                     int_flag<std::uint64_t>(args, "policy-seed", 0xD1CEu));
 }
 
 /// Writes the registry snapshot to --metrics-out, if given.
@@ -295,21 +318,33 @@ void write_metrics(const harness::Args& args,
   out << registry.to_json() << '\n';
 }
 
+/// --journal-dir and the flags of its journal, read once for whichever
+/// engine journals: the serial engine, or each shard of the sharded one.
+persist::DurableOptions journal_options(const harness::Args& args) {
+  persist::DurableOptions options;
+  options.dir = args.get("journal-dir", "");
+  options.fsync = persist::parse_fsync_policy(args.get("fsync", "interval"));
+  // A zero interval would leave the background flusher no gap to sync in.
+  options.fsync_interval_ops =
+      int_flag<std::size_t>(args, "fsync-interval", 256, 1);
+  options.checkpoint_every =
+      int_flag<std::size_t>(args, "checkpoint-every", 0);
+  return options;
+}
+
 /// The sharded service both batch --shards and `serve` run.
 cloud::ShardedOptions sharded_options(const harness::Args& args,
+                                      const persist::DurableOptions& journal,
                                       obs::MetricRegistry& registry) {
   cloud::ShardedOptions options;
-  options.shards = static_cast<std::size_t>(args.get_int("shards", 1));
+  options.shards = int_flag<std::size_t>(args, "shards", 1, 1);
   options.bin_capacity = args.get_double("capacity", 1.0);
-  options.queue_capacity =
-      static_cast<std::size_t>(args.get_int("queue-capacity", 4096));
+  options.queue_capacity = int_flag<std::size_t>(args, "queue-capacity", 4096);
   options.metrics = &registry;
-  options.journal_dir = args.get("journal-dir", "");
-  options.fsync = persist::parse_fsync_policy(args.get("fsync", "interval"));
-  options.fsync_interval_ops =
-      static_cast<std::size_t>(args.get_int("fsync-interval", 256));
-  options.checkpoint_every =
-      static_cast<std::size_t>(args.get_int("checkpoint-every", 0));
+  options.journal_dir = journal.dir;
+  options.fsync = journal.fsync;
+  options.fsync_interval_ops = journal.fsync_interval_ops;
+  options.checkpoint_every = journal.checkpoint_every;
   return options;
 }
 
@@ -334,13 +369,13 @@ Instance load_instance(const harness::Args& args) {
     return Instance::from_csv(in);
   }
   gen::UniformParams params;
-  params.n = static_cast<std::size_t>(args.get_int("n", 1000));
-  params.d = static_cast<std::size_t>(args.get_int("d", 2));
+  params.n = int_flag<std::size_t>(args, "n", 1000);
+  params.d = int_flag<std::size_t>(args, "d", 2);
   params.mu = args.get_int("mu", 10);
   params.span = args.get_int("span", 1000);
   params.bin_size = args.get_int("bin-size", 100);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const auto trial = static_cast<std::uint64_t>(args.get_int("trial", 0));
+  const auto seed = int_flag<std::uint64_t>(args, "seed", 1);
+  const auto trial = int_flag<std::uint64_t>(args, "trial", 0);
   const gen::GeneratorFn generate =
       gen::make_generator(args.get("generator", "uniform"), params, seed);
   return generate(trial);
@@ -364,12 +399,12 @@ struct TenantLayer {
     if (!(settle_every > 0.0)) {
       throw harness::CliError("--settle-every must be > 0");
     }
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+    const auto seed = int_flag<std::uint64_t>(args, "seed", 1);
     gen::label_tenants(inst, arbiter.config().fair_shares,
                        seed ^ 0x7e4a7ebef1ull);
     if (args.has("inflate-tenant")) {
       gen::inflate_tenant_demand(
-          inst, static_cast<TenantId>(args.get_int("inflate-tenant", 0)),
+          inst, int_flag<TenantId>(args, "inflate-tenant", 0),
           args.get_double("inflate-factor", 2.0));
     }
     for (std::uint32_t t = 0; t < accountant.num_tenants(); ++t) {
@@ -380,9 +415,7 @@ struct TenantLayer {
   }
 
   static tenancy::ArbiterConfig arbiter_config(const harness::Args& args) {
-    const auto tenants =
-        static_cast<std::uint32_t>(args.get_int("tenants", 2));
-    if (tenants == 0) throw harness::CliError("--tenants must be >= 1");
+    const auto tenants = int_flag<std::uint32_t>(args, "tenants", 2, 1);
     tenancy::ArbiterConfig config;
     config.num_tenants = tenants;
     config.fair_shares.assign(tenants, 1.0);
@@ -440,23 +473,17 @@ struct TenantLayer {
 /// --journal-dir, whose directory it recovers on construction. Exactly one
 /// of the two is set.
 struct Engine {
-  Engine(const harness::Args& args, std::size_t dim,
-         obs::MetricRegistry& registry, obs::Observer& observer,
-         TenantUsageHook* usage_hook)
+  Engine(const harness::Args& args, const persist::DurableOptions& journal,
+         std::size_t dim, obs::MetricRegistry& registry,
+         obs::Observer& observer, TenantUsageHook* usage_hook)
       : policy(policy_from(args)) {
     if (args.has("shards")) {
       sharded.emplace(dim,
                       [&args](std::size_t) { return policy_from(args); },
-                      sharded_options(args, registry));
+                      sharded_options(args, journal, registry));
       return;
     }
-    persist::DurableOptions options;
-    options.dir = args.get("journal-dir", "");
-    options.fsync = persist::parse_fsync_policy(args.get("fsync", "interval"));
-    options.fsync_interval_ops =
-        static_cast<std::size_t>(args.get_int("fsync-interval", 256));
-    options.checkpoint_every =
-        static_cast<std::size_t>(args.get_int("checkpoint-every", 0));
+    persist::DurableOptions options = journal;
     options.metrics = &registry;
     options.observer = &observer;
     options.usage_hook = usage_hook;
@@ -526,6 +553,7 @@ void print_recovery(const Engine& engine) {
 int run_batch(const harness::Args& args) {
   reject_unknown_flags("", kBatchFlags, args);
   reject_dropped_flags(args);
+  const persist::DurableOptions journal = journal_options(args);
   validate_output_paths(args);
   refuse_journal_dir(args, args.has("shards"), !args.get_bool("recover"));
   const MigrationConfig migration = parse_migration_config(args);
@@ -541,8 +569,9 @@ int run_batch(const harness::Args& args) {
   std::optional<TenantLayer> tenants;
   if (args.has("tenants")) tenants.emplace(args, inst, registry, tracer);
   // An empty instance has not fixed its dimension.
-  Engine engine(args, std::max<std::size_t>(inst.dim(), 1), registry,
-                observer, tenants ? &tenants->accountant : nullptr);
+  Engine engine(args, journal, std::max<std::size_t>(inst.dim(), 1),
+                registry, observer,
+                tenants ? &tenants->accountant : nullptr);
 
   if (args.get_bool("recover")) {
     if (!quiet) print_recovery(engine);
@@ -707,24 +736,24 @@ int run_serve(const harness::Args& args) {
       "queue-capacity", "metrics-out", "journal-dir", "fsync",
       "fsync-interval", "checkpoint-every", "quiet",  "help"};
   reject_unknown_flags("serve: ", kKnown, args);
+  const persist::DurableOptions journal = journal_options(args);
   validate_output_paths(args);
   refuse_journal_dir(args, true, false);
 
-  const auto dim = static_cast<std::size_t>(args.get_int("d", 2));
+  const auto dim = int_flag<std::size_t>(args, "d", 2);
   const bool quiet = args.get_bool("quiet");
-
   obs::MetricRegistry registry;
+  net::ServerOptions nopts;
+  nopts.host = args.get("host", "127.0.0.1");
+  nopts.port = int_flag<std::uint16_t>(args, "port", 7070);
+  nopts.max_inflight_per_conn =
+      int_flag<std::size_t>(args, "max-inflight", 1024);
+  nopts.metrics = &registry;
+
   // Thread-free: the server's one event loop steps every shard.
   cloud::ShardedCore service(
       dim, [&args](std::size_t) { return policy_from(args); },
-      sharded_options(args, registry));
-
-  net::ServerOptions nopts;
-  nopts.host = args.get("host", "127.0.0.1");
-  nopts.port = static_cast<std::uint16_t>(args.get_int("port", 7070));
-  nopts.max_inflight_per_conn =
-      static_cast<std::size_t>(args.get_int("max-inflight", 1024));
-  nopts.metrics = &registry;
+      sharded_options(args, journal, registry));
   net::PlacementServer server(service, nopts);
   server.install_signal_drain(SIGTERM);
   server.install_signal_drain(SIGINT);
@@ -767,17 +796,17 @@ int run_loadgen_cmd(const harness::Args& args) {
   reject_unknown_flags("loadgen: ", kKnown, args);
   net::LoadgenOptions opts;
   opts.host = args.get("host", "127.0.0.1");
-  opts.port = static_cast<std::uint16_t>(args.get_int("port", 7070));
+  opts.port = int_flag<std::uint16_t>(args, "port", 7070);
   opts.trace_path = args.get("trace", "");
   // One connection replays a trace in its order; more interleave it.
-  opts.connections = static_cast<std::size_t>(
-      args.get_int("connections", opts.trace_path.empty() ? 4 : 1));
-  opts.dim = static_cast<std::size_t>(args.get_int("dim", 2));
+  opts.connections = int_flag<std::size_t>(
+      args, "connections", opts.trace_path.empty() ? 4 : 1);
+  opts.dim = int_flag<std::size_t>(args, "dim", 2);
   opts.depart_fraction = args.get_double("depart-fraction", 0.45);
-  opts.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  opts.window = static_cast<std::size_t>(args.get_int("window", 64));
+  opts.seed = int_flag<std::uint64_t>(args, "seed", 42);
+  opts.window = int_flag<std::size_t>(args, "window", 64);
   opts.requests_per_connection =
-      static_cast<std::uint64_t>(args.get_int("requests", 10000));
+      int_flag<std::uint64_t>(args, "requests", 10000);
   opts.open_loop_rate = args.get_double("rate", 0.0);
   opts.duration_s = args.get_double("duration", 1.0);
 
@@ -906,10 +935,8 @@ int run_trace_cmd(const harness::Args& args) {
     harness::require_writable_file("out", out);
     const trace::TraceReader reader(in_path);
     trace::ReduceOptions ropts;
-    ropts.size_grid =
-        static_cast<std::uint32_t>(args.get_int("size-grid", 16));
-    ropts.time_cells =
-        static_cast<std::uint32_t>(args.get_int("time-cells", 64));
+    ropts.size_grid = int_flag<std::uint32_t>(args, "size-grid", 16);
+    ropts.time_cells = int_flag<std::uint32_t>(args, "time-cells", 64);
     const trace::ReduceResult r = trace::reduce_trace(reader, out, ropts);
     if (!quiet) {
       harness::Table t({"items_in", "items_out", "groups", "size_grid",
@@ -926,8 +953,8 @@ int run_trace_cmd(const harness::Args& args) {
     // aborts on its node limit (offline_opt reports cost >= OPT then).
     if (!args.get_bool("no-opt")) {
       VbpOptions vopts;
-      vopts.node_limit = static_cast<std::uint64_t>(
-          args.get_int("node-limit", 20'000'000));
+      vopts.node_limit =
+          int_flag<std::uint64_t>(args, "node-limit", 20'000'000);
       const Instance reduced = trace::TraceReader(out).materialize();
       const OfflineOptResult opt = offline_opt(reduced, vopts);
       harness::Table t({"opt_lower", "opt_upper", "upper_exact",

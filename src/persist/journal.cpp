@@ -235,6 +235,14 @@ JournalWriter::JournalWriter(std::string dir, std::uint64_t next_seq,
     throw std::invalid_argument("JournalWriter: sequence numbers are "
                                 "1-based");
   }
+  // The flusher waits for this many unsynced ops; with 0 it would always
+  // have a batch and fsync back to back, and sync() would never get in.
+  if (options_.fsync == FsyncPolicy::kInterval &&
+      options_.fsync_interval_ops == 0) {
+    throw std::invalid_argument(
+        "JournalWriter: fsync_interval_ops must be >= 1 under the interval "
+        "policy");
+  }
   std::error_code ec;
   fs::create_directories(dir_, ec);
   if (ec) {
@@ -327,11 +335,6 @@ void JournalWriter::open_segment(bool create_new) {
     throw PersistError("journal: cannot open '" + segment_path_ +
                        "': " + std::strerror(errno));
   }
-}
-
-void JournalWriter::poison(const std::string& why) {
-  poisoned_ = true;
-  throw PersistError(why);
 }
 
 std::uint64_t JournalWriter::append(OpKind kind, Time time,

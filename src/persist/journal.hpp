@@ -130,7 +130,8 @@ void truncate_torn_tail(const JournalScan& scan);
 
 struct JournalOptions {
   FsyncPolicy fsync = FsyncPolicy::kInterval;
-  /// kInterval: at most this many journaled ops between fsyncs. The fsync
+  /// kInterval: at most this many journaled ops between fsyncs; must be
+  /// >= 1 (JournalWriter throws std::invalid_argument on 0). The fsync
   /// itself runs on a background flusher thread (group commit), so the
   /// committing thread never blocks on the device flush; the loss window
   /// stays bounded by this count plus one in-flight flush.
@@ -152,7 +153,9 @@ class JournalWriter {
  public:
   /// Opens the newest existing segment for append (call after
   /// scan_journal + truncate_torn_tail), or starts journal-<next_seq>.wal
-  /// in a fresh/emptied directory. Creates `dir` if missing.
+  /// in a fresh/emptied directory. Creates `dir` if missing. Throws
+  /// std::invalid_argument, touching nothing, for next_seq 0 or a zero
+  /// fsync interval under FsyncPolicy::kInterval.
   JournalWriter(std::string dir, std::uint64_t next_seq,
                 JournalOptions options);
   ~JournalWriter();
@@ -195,7 +198,6 @@ class JournalWriter {
 
  private:
   void open_segment(bool create_new);
-  void poison(const std::string& why);
   void flusher_main();
   /// With flush_mu_ held: waits out any in-flight background fsync and
   /// rethrows a flusher failure as a poisoning PersistError.

@@ -1,7 +1,9 @@
-// Tests for BinState bookkeeping and the Packing offline auditor.
+// Tests for an open bin's bookkeeping -- its item list (BinState) and its
+// load (OpenBinTable) -- and the Packing offline auditor.
 #include <gtest/gtest.h>
 
 #include "core/bin_state.hpp"
+#include "core/open_bin_table.hpp"
 #include "core/packing.hpp"
 
 namespace dvbp {
@@ -15,44 +17,67 @@ std::vector<Item> three_items() {
   };
 }
 
-TEST(BinState, AddAccumulatesLoad) {
+TEST(BinState, AddTracksItemsAndLatestDeparture) {
   const auto items = three_items();
   UsagePool pool;
-  BinState bin(0, 2, 0.0, 1.0, &pool);
+  BinState bin(0, 0.0, &pool);
   EXPECT_TRUE(bin.is_empty());
   bin.add(items[0]);
   bin.add(items[1]);
   EXPECT_EQ(bin.num_active(), 2u);
-  EXPECT_NEAR(bin.load()[0], 0.9, 1e-12);
-  EXPECT_NEAR(bin.load()[1], 0.6, 1e-12);
+  EXPECT_EQ(bin.active_items(), (std::vector<ItemId>{0, 1}));
   EXPECT_EQ(bin.total_packed(), 2u);
   EXPECT_DOUBLE_EQ(bin.latest_departure(), 3.0);
 }
 
-TEST(BinState, FitsRespectsEveryDimension) {
+TEST(BinState, RemoveUpdatesLatestDeparture) {
   const auto items = three_items();
   UsagePool pool;
-  BinState bin(0, 2, 0.0, 1.0, &pool);
-  bin.add(items[0]);  // load (0.5, 0.2)
-  EXPECT_TRUE(bin.fits(RVec{0.5, 0.8}));
-  EXPECT_FALSE(bin.fits(RVec{0.6, 0.1}));
-  EXPECT_FALSE(bin.fits(RVec{0.1, 0.9}));
-}
-
-TEST(BinState, RemoveUpdatesLoadAndLatestDeparture) {
-  const auto items = three_items();
-  UsagePool pool;
-  BinState bin(0, 2, 0.0, 1.0, &pool);
+  BinState bin(0, 0.0, &pool);
   bin.add(items[0]);
   bin.add(items[1]);
   EXPECT_FALSE(bin.remove(items[1]));
   EXPECT_DOUBLE_EQ(bin.latest_departure(), 2.0);
-  EXPECT_NEAR(bin.load()[0], 0.5, 1e-12);
   EXPECT_TRUE(bin.remove(items[0]));
   EXPECT_TRUE(bin.is_empty());
-  EXPECT_TRUE(bin.load().is_nonnegative());
   // total_packed survives removals (lifetime counter).
   EXPECT_EQ(bin.total_packed(), 2u);
+}
+
+TEST(OpenBinTable, AddAccumulatesLoad) {
+  const auto items = three_items();
+  OpenBinTable table(2);
+  table.push_back_zero();
+  table.add(0, items[0].size.data());
+  table.add(0, items[1].size.data());
+  EXPECT_NEAR(table.load(0)[0], 0.9, 1e-12);
+  EXPECT_NEAR(table.load(0)[1], 0.6, 1e-12);
+}
+
+TEST(OpenBinTable, FitsRespectsEveryDimension) {
+  const auto items = three_items();
+  OpenBinTable table(2);
+  table.push_back_zero();
+  table.add(0, items[0].size.data());  // load (0.5, 0.2)
+  EXPECT_TRUE(table.fits(0, RVec{0.5, 0.8}.data()));
+  EXPECT_FALSE(table.fits(0, RVec{0.6, 0.1}.data()));
+  EXPECT_FALSE(table.fits(0, RVec{0.1, 0.9}.data()));
+}
+
+TEST(OpenBinTable, SubClampedStopsAtZero) {
+  const auto items = three_items();
+  OpenBinTable table(2);
+  table.push_back_zero();
+  table.add(0, items[0].size.data());
+  table.add(0, items[1].size.data());
+  table.sub_clamped(0, items[1].size.data());
+  EXPECT_NEAR(table.load(0)[0], 0.5, 1e-12);
+  // 0.5 + 0.4 - 0.4 need not be 0.5 exactly; taking out more than is
+  // left must end at 0, never below.
+  table.sub_clamped(0, items[1].size.data());
+  table.sub_clamped(0, items[1].size.data());
+  EXPECT_EQ(table.load(0)[0], 0.0);
+  EXPECT_EQ(table.load(0)[1], 0.0);
 }
 
 // ---- Packing auditor ----------------------------------------------------

@@ -243,9 +243,9 @@ TEST(Dispatcher, AStateStreamOfAnotherVersionIsRefusedByName) {
 }
 
 // `d`'s state stream with its open-bin section (the count, then each open
-// bin's id, opening time and state) rewritten to list `ids`; the live-job
-// section that closes the stream is kept. Every bin `d` has opened must
-// still be open.
+// bin's id, opening time, load and item list) rewritten to list `ids`; the
+// live-job section that closes the stream is kept. Every bin `d` has
+// opened must still be open.
 std::vector<std::uint8_t> stream_with_open_bins(
     const Dispatcher& d, const std::vector<BinId>& ids) {
   serial::Writer whole;
@@ -256,6 +256,11 @@ std::vector<std::uint8_t> stream_with_open_bins(
     serial::Writer state;
     state.u32(id);
     state.f64(d.open_bin_state(id)->opened_at());
+    std::size_t slot = 0;
+    while (d.open_views()[slot].id != id) ++slot;
+    const RVec load = d.open_table().load(slot);
+    state.u64(load.dim());
+    for (const double c : load) state.f64(c);
     d.open_bin_state(id)->save_state(state);
     states.push_back(state.bytes());
     section += state.bytes().size();

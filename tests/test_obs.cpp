@@ -412,8 +412,12 @@ TEST(DispatcherObserved, FitFailureCountWithoutATracerIsThePerBinCount) {
             for (std::size_t j = 0; j < d; ++j) {
               size[j] = rng.uniform() < 0.1 ? 0.0 : rng.uniform(0.0, 0.6);
             }
-            for (const BinView& view : a.open_views()) {
-              if (view.id != kNoBin && !view.fits(size)) ++expected;
+            const auto views = a.open_views();
+            for (std::size_t slot = 0; slot < views.size(); ++slot) {
+              if (views[slot].id != kNoBin &&
+                  !a.open_table().fits(slot, size.data())) {
+                ++expected;
+              }
             }
             const JobId job = a.arrive(now, size, now + 1.0).job;
             ASSERT_EQ(b.arrive(now, size, now + 1.0).job, job);

@@ -288,6 +288,23 @@ TEST(Journal, RotateStartsNewSegmentAndDeletesOld) {
   EXPECT_EQ(scan.records[0].seq, 6u);
 }
 
+// A zero interval would keep the flusher fsyncing back to back, and a
+// sync() waiting for a gap between its flushes would wait forever.
+TEST(Journal, IntervalPolicyRefusesAZeroInterval) {
+  TempDir dir;
+  persist::JournalOptions options;
+  options.fsync_interval_ops = 0;
+  EXPECT_THROW(JournalWriter(dir.str(), 1, options), std::invalid_argument);
+  EXPECT_FALSE(fs::exists(dir.path));
+  // The interval only means something to the interval policy.
+  options.fsync = FsyncPolicy::kAlways;
+  JournalWriter writer(dir.str(), 1, options);
+  writer.append(OpKind::kAdvance, 1.0, 0);
+  writer.commit();
+  writer.sync();
+  EXPECT_EQ(persist::scan_journal(dir.str()).records.size(), 1u);
+}
+
 TEST(Journal, WriterPoisonedAfterInjectedCommitFault) {
   TempDir dir;
   persist::set_fault_hook([](std::string_view point) {

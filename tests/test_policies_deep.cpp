@@ -51,12 +51,13 @@ TEST(MtfDeep, ClosedLeaderHandsOffToNextMru) {
   EXPECT_EQ(h[3], (LC{10.0, kNoBin, kNoItem}));
 }
 
-TEST(MtfDeep, MruOrderEmptyAfterRun) {
-  MoveToFrontPolicy policy;
+TEST(MtfDeep, NoLeaderAfterRun) {
+  MoveToFrontPolicy policy(/*record_leader_history=*/true);
   Instance inst(1);
   inst.add(0.0, 1.0, RVec{0.5});
   simulate(inst, policy);
-  EXPECT_TRUE(policy.mru_order().empty());
+  ASSERT_FALSE(policy.leader_history().empty());
+  EXPECT_EQ(policy.leader_history().back().leader, kNoBin);
 }
 
 TEST(MtfDeep, HistoryDisabledByDefault) {

@@ -1,6 +1,6 @@
 // Allocator-churn soup for the slab/pool memory layout: the UsagePool
-// free-list, the pooled BinStates, the live-job table and its IdMap, and
-// the SoA OpenBinTable all recycle storage aggressively, so this suite
+// free-list, the open-bin slots that compaction moves, the live-job table
+// and its IdMap, and the SoA OpenBinTable all recycle storage, so this suite
 // hammers arrive/depart/evict/replace interleavings and audits the dispatcher
 // with PackingInvariantChecker throughout. It is part of the default
 // test set and therefore runs under the ASan/UBSan `sanitizers` CI job,
@@ -8,6 +8,7 @@
 // lane write dies loudly instead of corrupting a later placement.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "core/packing_hash.hpp"
 #include "core/policies/registry.hpp"
 #include "core/pool.hpp"
+#include "core/simulator.hpp"
 #include "stats/rng.hpp"
 
 namespace dvbp {
@@ -179,9 +181,11 @@ TEST(OpenBinHoles, NeverLeakIntoDecisionsOrState) {
         const JobId job = limbo.back();
         limbo.pop_back();
         std::vector<BinId> fitting;
-        for (const BinView& view : dispatcher.open_views()) {
-          if (view.fits(dispatcher.job(job)->size)) {
-            fitting.push_back(view.id);
+        const auto views = dispatcher.open_views();
+        for (std::size_t slot = 0; slot < views.size(); ++slot) {
+          if (dispatcher.open_table().fits(
+                  slot, dispatcher.job(job)->size.data())) {
+            fitting.push_back(views[slot].id);
           }
         }
         const BinId target =
@@ -228,20 +232,100 @@ TEST(OpenBinHoles, NeverLeakIntoDecisionsOrState) {
   }
 }
 
-// StableVector's contract: references handed out survive arbitrarily many
-// later emplace_backs (no reallocation-and-copy, unlike std::vector).
-TEST(PoolChurn, StableVectorReferencesSurviveGrowth) {
-  StableVector<Item> items;
-  const Item& first = items.emplace_back(0, 0.0, 1.0, RVec{0.5});
-  const Item* first_addr = &first;
-  // Grow well past several chunk boundaries.
-  for (ItemId id = 1; id < 1000; ++id) {
-    items.emplace_back(id, 0.0, 1.0, RVec{0.25});
+// FNV-1a over the checkpoint bytes of a dispatcher driven through a
+// seeded arrive/depart/evict/replace soup, folded in every 50 ops and at
+// the end. A replace aims at a random open bin and falls back to a fresh
+// one when the engine refuses the target. The soup crosses many
+// compactions and ends with jobs in limbo.
+std::uint64_t state_stream_digest(const char* name, std::size_t d) {
+  PolicyPtr policy = make_policy(name, 11);
+  Dispatcher dispatcher(d, *policy);
+  Xoshiro256pp rng(0x5EED5 + d);
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  const auto fold = [&] {
+    serial::Writer out;
+    dispatcher.save_state(out);
+    for (const std::uint8_t byte : out.bytes()) {
+      h ^= byte;
+      h *= 0x100000001B3ull;
+    }
+  };
+  std::vector<JobId> placed;
+  std::vector<JobId> limbo;
+  std::size_t compactions = 0;
+  std::size_t prev_slots = 0;
+  Time now = 0.0;
+  for (int step = 0; step < 1500; ++step) {
+    now += rng.uniform(0.0, 0.05);
+    const double roll = rng.uniform();
+    if (!limbo.empty() && (limbo.size() > 8 || roll < 0.15)) {
+      const JobId job = limbo.back();
+      limbo.pop_back();
+      std::vector<BinId> open;
+      for (const BinView& view : dispatcher.open_views()) {
+        if (view.id != kNoBin) open.push_back(view.id);
+      }
+      const BinId target =
+          open.empty() ? kNoBin
+                       : open[static_cast<std::size_t>(rng.uniform_int(
+                             0, static_cast<std::int64_t>(open.size()) - 1))];
+      try {
+        dispatcher.replace(now, job, target);
+      } catch (const PolicyViolation&) {
+        dispatcher.replace(now, job);
+      }
+      placed.push_back(job);
+    } else if (!placed.empty() && roll < 0.25) {
+      const auto pick = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(placed.size()) - 1));
+      dispatcher.evict(now, placed[pick]);
+      limbo.push_back(placed[pick]);
+      placed[pick] = placed.back();
+      placed.pop_back();
+    } else if (!placed.empty() && (placed.size() > 24 || roll < 0.6)) {
+      const auto pick = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(placed.size()) - 1));
+      dispatcher.depart(now, placed[pick]);
+      placed[pick] = placed.back();
+      placed.pop_back();
+    } else {
+      RVec size(d);
+      for (std::size_t j = 0; j < d; ++j) size[j] = rng.uniform(0.05, 0.6);
+      placed.push_back(dispatcher.arrive(now, size, now + 1.0).job);
+    }
+    const std::size_t slots = dispatcher.open_views().size();
+    if (slots < prev_slots) ++compactions;
+    prev_slots = slots;
+    if (step % 50 == 49) fold();
   }
-  EXPECT_EQ(&items[0], first_addr);
-  EXPECT_EQ(first.id, 0u);
-  EXPECT_EQ(items.size(), 1000u);
-  for (ItemId id = 0; id < 1000; ++id) EXPECT_EQ(items[id].id, id);
+  EXPECT_GE(compactions, 20u);
+  EXPECT_GT(dispatcher.jobs_evicted(), 0u);
+  fold();
+  return h;
+}
+
+// The checkpoint stream of the soup above, pinned per policy and d (9
+// puts each size past RVec's inline storage): the open-bin layout may
+// change, the bytes a checkpoint holds may not.
+TEST(PoolChurn, CheckpointStreamOfAChurnedDispatcherIsPinned) {
+  const struct {
+    const char* policy;
+    std::size_t d;
+    std::uint64_t digest;
+  } pinned[] = {
+      {"FirstFit", 3, 11460430924484018983ull},
+      {"FirstFit", 9, 15300005225555896627ull},
+      {"BestFit", 3, 11245539723054744813ull},
+      {"BestFit", 9, 8700846058821240758ull},
+      {"NextFit", 3, 4869585452789114850ull},
+      {"NextFit", 9, 10377806688425124445ull},
+      {"MoveToFront", 3, 11966302319992376763ull},
+      {"MoveToFront", 9, 9598087302406426216ull},
+  };
+  for (const auto& p : pinned) {
+    SCOPED_TRACE(std::string(p.policy) + " d=" + std::to_string(p.d));
+    EXPECT_EQ(state_stream_digest(p.policy, p.d), p.digest);
+  }
 }
 
 // The live-job table recycles the slots of departed jobs: a job admitted

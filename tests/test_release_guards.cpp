@@ -21,11 +21,11 @@ TEST(ReleaseGuards, BinStateRemoveUnknownItemThrows) {
   const Item present(0, 0.0, 2.0, RVec{0.4});
   const Item absent(1, 0.0, 3.0, RVec{0.3});
   UsagePool pool;
-  BinState bin(0, 1, 0.0, 1.0, &pool);
+  BinState bin(0, 0.0, &pool);
   bin.add(present);
   EXPECT_THROW(bin.remove(absent), std::logic_error);
-  // The failed removal must not have corrupted the load.
-  EXPECT_NEAR(bin.load()[0], 0.4, 1e-12);
+  // The failed removal must not have corrupted the item list.
+  EXPECT_EQ(bin.active_items(), std::vector<ItemId>{0});
   EXPECT_EQ(bin.num_active(), 1u);
 }
 
@@ -33,7 +33,7 @@ TEST(ReleaseGuards, BinStateRemoveTwiceThrows) {
   const Item item(0, 0.0, 2.0, RVec{0.4});
   const Item other(1, 0.0, 3.0, RVec{0.3});
   UsagePool pool;
-  BinState bin(0, 1, 0.0, 1.0, &pool);
+  BinState bin(0, 0.0, &pool);
   bin.add(item);
   bin.add(other);
   EXPECT_FALSE(bin.remove(item));
